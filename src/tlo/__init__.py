@@ -29,9 +29,11 @@ from .feasibility import (
     TargetSpec,
     evaluate,
     force_h,
+    force_h_all,
     gravity_center,
     trace_polygon,
     velocity_h,
+    velocity_h_all,
 )
 from .model import (
     Pose,
@@ -76,6 +78,7 @@ __all__ = [
     "evaluate",
     "evolve",
     "force_h",
+    "force_h_all",
     "force_polytope_exact",
     "forward_kinematics",
     "genome_decode",
@@ -92,6 +95,7 @@ __all__ = [
     "solve_lp_max",
     "trace_polygon",
     "velocity_h",
+    "velocity_h_all",
     "velocity_polytope_exact",
     "wire_lengths",
 ]

@@ -263,6 +263,8 @@ def design_to_jsonable(design: WireArrangement, model: RobotModel) -> dict:
 
 
 def design_from_jsonable(doc: dict, model: RobotModel) -> WireArrangement:
+    if not isinstance(doc, dict):
+        raise TypeError("design document must be a JSON object")
     kind = doc.get("kind")
     if kind == "variable":
         wires = [

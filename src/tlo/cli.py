@@ -1,8 +1,7 @@
 """Command line tool: optimize wire layouts, evaluate and plot designs.
 
 Subcommands: optimize, evaluate, plot, oracle. Exit codes: 0 success,
-1 runtime failure, 2 usage or configuration error. The TLO_THREADS
-environment variable caps parallel design evaluation (default 1).
+1 runtime failure, 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -22,17 +21,23 @@ from .arrangement import (
     design_from_jsonable,
     design_to_jsonable,
     genome_decode,
+    muscle_jacobian,
     space_for,
 )
 from .config import ConfigError, ScenarioConfig, load_config
 from .feasibility import (
+    MIN_RAYS,
     InfeasibleDesign,
     evaluate,
+    force_directions,
+    force_h_all,
     gravity_center,
     make_evaluator,
     trace_polygon,
+    velocity_directions,
+    velocity_h_all,
 )
-from .model import joint_jacobian
+from .model import gravity_torque, joint_jacobian
 from .nsga2 import evolve
 from .oracle import force_polytope_exact, ray_h, velocity_polytope_exact
 
@@ -158,6 +163,11 @@ def _load_design(path: str, cfg: ScenarioConfig):
         doc = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid design JSON: {exc.msg}", (), exc.lineno) from exc
+    return _parse_design(doc, cfg)
+
+
+def _parse_design(doc, cfg: ScenarioConfig):
+    """Design document -> arrangement matching the config's design space."""
     try:
         design = design_from_jsonable(doc, cfg.robot)
     except (KeyError, TypeError, ValueError) as exc:
@@ -234,8 +244,10 @@ def cmd_plot(args) -> int:
     from .config import parse_config
     from .svgplot import arrangement_panel, space_panel
 
+    if not isinstance(report, dict) or not {"scenario", "design"} <= report.keys():
+        raise ConfigError("report needs 'scenario' and 'design' entries (see tlo evaluate)")
     cfg = parse_config(report["scenario"])
-    design = design_from_jsonable(report["design"], cfg.robot)
+    design = _parse_design(report["design"], cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -276,15 +288,6 @@ def cmd_oracle(args) -> int:
         raise ConfigError("oracle cross-check needs a constant-mode config", ("mode", "kind"))
     scenario = cfg.scenario()
     rng = np.random.default_rng(args.seed if args.seed is not None else cfg.optimizer.seed)
-    from .feasibility import (
-        _force_h_all,
-        _velocity_h_all,
-        force_directions,
-        velocity_directions,
-    )
-    from .model import gravity_torque
-    from .arrangement import muscle_jacobian
-
     wf = force_directions(scenario.target)
     wv = velocity_directions(scenario.target)
     worst = 0.0
@@ -305,10 +308,10 @@ def cmd_oracle(args) -> int:
         else:
             center = scenario.target.force_center
             rhs = J.T @ center
-        hf = _force_h_all(G, J.T, rhs, wf @ J, scenario.limits, scenario.h_cap)
+        hf = force_h_all(G, rhs, wf @ J, scenario.limits, scenario.h_cap)
         if hf is None:
             continue  # pruned design: both routes agree it is infeasible
-        hv = _velocity_h_all(G, J, wv, scenario.limits, scenario.h_cap)
+        hv = velocity_h_all(G, J, wv, scenario.limits, scenario.h_cap)
         force_poly = force_polytope_exact(G, J, scenario.limits.f_min, scenario.limits.f_max)
         velocity_poly = velocity_polytope_exact(
             G, J, scenario.limits.ldot_min, scenario.limits.ldot_max
@@ -328,6 +331,13 @@ def cmd_oracle(args) -> int:
     if done < args.trials:
         print(f"warning: only {done}/{args.trials} unpruned trials found", file=sys.stderr)
     return EXIT_OK if failures == 0 else EXIT_RUNTIME
+
+
+def _ray_count(text: str) -> int:
+    n = int(text)
+    if n < MIN_RAYS:
+        raise argparse.ArgumentTypeError(f"need at least {MIN_RAYS} rays, got {n}")
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -350,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--design", required=True, help="design JSON path")
     p.add_argument("--out", default="tlo-out")
-    p.add_argument("--rays", type=int, default=64, help="boundary rays per polygon")
+    p.add_argument("--rays", type=_ray_count, default=64,
+                   help=f"boundary rays per polygon (at least {MIN_RAYS})")
     p.set_defaults(fn=cmd_evaluate)
 
     p = sub.add_parser("plot", help="render SVG panels from an evaluation report")

@@ -23,6 +23,7 @@ from .arrangement import ConstantArrangement, WireArrangement, muscle_jacobian
 from .model import RobotModel, gravity_torque, joint_jacobian
 
 DEFAULT_H_CAP = 10.0
+MIN_RAYS = 8  # fewest boundary rays trace_polygon accepts
 _THETA_DOT_BOUND = 1e6  # formal box on joint velocities; never binds below h_cap
 _SINGULAR_RESIDUAL = 1e-6
 
@@ -154,14 +155,19 @@ def _clip_h(code: int, value: float, h_cap: float) -> float | None:
     return min(value, h_cap)
 
 
-def _force_h_all(G, jt, rhs, w_cols, limits, h_cap):
+def force_h_all(G, rhs, cols, limits, h_cap):
     """h for every force direction, or None at the first infeasible LP.
 
-    Variables (h, f): -G^T f - h (J^T w_i) = rhs, f in its box, h >= 0.
+    G is the (M, D) muscle Jacobian, rhs the joint-space right-hand side at
+    the anchor (J^T times the ellipse center, or the gravity torque) and
+    each row of cols the joint-space image J^T w_i of one direction.
+    One LP per row, in variables (h, f): -G^T f - h (J^T w_i) = rhs, f in
+    its box, h >= 0. Values are clipped to h_cap, which an unbounded ray
+    reads as well.
     """
-    m_wires = G.shape[0]
+    m_wires, d = G.shape
     n = 1 + m_wires
-    a = np.empty((jt.shape[0], n))
+    a = np.empty((d, n))
     a[:, 1:] = -G.T
     c = np.zeros(n)
     c[0] = 1.0
@@ -169,8 +175,8 @@ def _force_h_all(G, jt, rhs, w_cols, limits, h_cap):
     up = np.empty(n)
     lo[0], up[0] = 0.0, np.inf
     lo[1:], up[1:] = limits.f_min, limits.f_max
-    out = np.empty(len(w_cols))
-    for i, col in enumerate(w_cols):
+    out = np.empty(len(cols))
+    for i, col in enumerate(cols):
         a[:, 0] = -col
         code, _, value = simplex.solve_arrays(a, rhs, c, lo, up)
         h = _clip_h(code, value, h_cap)
@@ -180,11 +186,14 @@ def _force_h_all(G, jt, rhs, w_cols, limits, h_cap):
     return out
 
 
-def _velocity_h_all(G, J, w_dirs, limits, h_cap):
+def velocity_h_all(G, J, dirs, limits, h_cap):
     """h for every velocity direction, or None at the first infeasible LP.
 
-    Variables (h, qdot, y): J qdot = h w_i and y = G qdot with y boxed by the
-    wire-speed limits; qdot carries a wide formal box.
+    G is the (M, D) muscle Jacobian, J the (2, D) joint Jacobian and each row
+    of dirs one operational-space direction w_i. One LP per row, in variables
+    (h, qdot, y): J qdot = h w_i and y = G qdot with y boxed by the wire-speed
+    limits; qdot carries a wide formal box. Values are clipped to h_cap,
+    which an unbounded ray reads as well.
     """
     m_wires, d = G.shape
     n = 1 + d + m_wires
@@ -201,8 +210,8 @@ def _velocity_h_all(G, J, w_dirs, limits, h_cap):
     lo[0], up[0] = 0.0, np.inf
     lo[1 : 1 + d], up[1 : 1 + d] = -_THETA_DOT_BOUND, _THETA_DOT_BOUND
     lo[1 + d :], up[1 + d :] = limits.ldot_min, limits.ldot_max
-    out = np.empty(len(w_dirs))
-    for i, w in enumerate(w_dirs):
+    out = np.empty(len(dirs))
+    for i, w in enumerate(dirs):
         a[0, 0] = -w[0]
         a[1, 0] = -w[1]
         code, _, value = simplex.solve_arrays(a, b, c, lo, up)
@@ -220,7 +229,7 @@ def force_h(model, design, q, target, limits, direction: int, gravity: bool = Fa
     jt = joint_jacobian(model, q).T
     rhs = _force_rhs(model, q, target, gravity)
     w = force_directions(target)[direction]
-    hs = _force_h_all(G, jt, rhs, (jt @ w)[None, :], limits, h_cap)
+    hs = force_h_all(G, rhs, (jt @ w)[None, :], limits, h_cap)
     if hs is None:
         raise InfeasibleDesign(f"force LP infeasible in direction {direction}")
     return float(hs[0])
@@ -232,7 +241,7 @@ def velocity_h(model, design, q, target, limits, direction: int,
     G = muscle_jacobian(model, design, q)
     J = joint_jacobian(model, q)
     w = velocity_directions(target)[direction]
-    hs = _velocity_h_all(G, J, w[None, :], limits, h_cap)
+    hs = velocity_h_all(G, J, w[None, :], limits, h_cap)
     if hs is None:
         raise InfeasibleDesign(f"velocity LP infeasible in direction {direction}")
     return float(hs[0])
@@ -243,7 +252,6 @@ class _StateTables(NamedTuple):
 
     q: np.ndarray
     J: np.ndarray
-    jt: np.ndarray
     rhs: np.ndarray
     force_cols: np.ndarray  # J^T w_i, one row per direction
     velocity_dirs: np.ndarray
@@ -256,9 +264,8 @@ def _scenario_tables(model: RobotModel, scenario: Scenario,
     tables = []
     for q in scenario.joint_states:
         J = joint_jacobian(model, q)
-        jt = J.T
         rhs = _force_rhs(model, q, scenario.target, scenario.gravity, gravity_rhs)
-        tables.append(_StateTables(q, J, jt, rhs, wf @ J, wv))
+        tables.append(_StateTables(q, J, rhs, wf @ J, wv))
     return tables
 
 
@@ -268,10 +275,10 @@ def _evaluate_tables(model, design, scenario, tables) -> EvaluationResult:
     h_force, h_velocity = [], []
     for t in tables:
         Gq = G if constant else muscle_jacobian(model, design, t.q)
-        hf = _force_h_all(Gq, t.jt, t.rhs, t.force_cols, scenario.limits, scenario.h_cap)
+        hf = force_h_all(Gq, t.rhs, t.force_cols, scenario.limits, scenario.h_cap)
         if hf is None:
             return EvaluationResult(feasible=False)
-        hv = _velocity_h_all(Gq, t.J, t.velocity_dirs, scenario.limits, scenario.h_cap)
+        hv = velocity_h_all(Gq, t.J, t.velocity_dirs, scenario.limits, scenario.h_cap)
         if hv is None:
             return EvaluationResult(feasible=False)
         h_force.append(hf)
@@ -313,8 +320,8 @@ def trace_polygon(model, design, q, which: str, limits, n_rays: int = 64,
     Unbounded directions stop at ray_cap. Raises InfeasibleDesign when the
     anchor itself is not reachable.
     """
-    if n_rays < 8:
-        raise ValueError("need at least 8 rays")
+    if n_rays < MIN_RAYS:
+        raise ValueError(f"need at least {MIN_RAYS} rays")
     if which not in ("force", "velocity"):
         raise ValueError("which must be 'force' or 'velocity'")
     ang = 2.0 * np.pi * np.arange(n_rays) / n_rays
@@ -328,10 +335,10 @@ def trace_polygon(model, design, q, which: str, limits, n_rays: int = 64,
             anchor = gravity_center(model, q).center
         else:
             rhs = J.T @ anchor
-        hs = _force_h_all(G, J.T, rhs, dirs @ J, limits, ray_cap)
+        hs = force_h_all(G, rhs, dirs @ J, limits, ray_cap)
     else:
         anchor = np.zeros(2)
-        hs = _velocity_h_all(G, J, dirs, limits, ray_cap)
+        hs = velocity_h_all(G, J, dirs, limits, ray_cap)
     if hs is None:
         raise InfeasibleDesign(f"{which} anchor unreachable at q={q}")
     return anchor + hs[:, None] * dirs

@@ -8,14 +8,12 @@ generation is evaluated (but not selected from) when the budget is not a
 multiple of the population size.
 
 All randomness flows through one seeded generator consumed in a fixed
-order; evaluations never touch it, so parallel evaluation cannot perturb a
-run.
+order. Designs are evaluated one after another in generation order, and
+evaluations never touch the generator.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -231,24 +229,13 @@ def _tournament(rank, crowd, rng) -> int:
 EvaluateFn = Callable[..., object]
 
 
-def _default_workers() -> int:
-    raw = os.environ.get("TLO_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _evaluate_batch(evaluate_fn, space, genomes, sentinel, workers) -> list[Individual]:
+def _evaluate_batch(evaluate_fn, space, genomes, sentinel) -> list[Individual]:
     def one(genome: Genome) -> Individual:
         res = evaluate_fn(genome_decode(genome, space))
         if not res.feasible:
             return Individual(genome, sentinel, sentinel, False)
         return Individual(genome, res.e_force, res.e_velocity, True)
 
-    if workers > 1 and len(genomes) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(one, genomes))
     return [one(g) for g in genomes]
 
 
@@ -259,7 +246,6 @@ def evolve(
     budget: int,
     seed: int,
     max_objective: float,
-    workers: int | None = None,
     on_generation: Callable[[dict], None] | None = None,
 ) -> ParetoArchive:
     """Run NSGA-II for exactly `budget` design evaluations.
@@ -273,8 +259,6 @@ def evolve(
         raise ValueError("population must be even and at least 2")
     if budget < population:
         raise ValueError("budget must cover at least one population")
-    if workers is None:
-        workers = _default_workers()
     rng = np.random.default_rng(seed)
     sentinel = float(max_objective) + 1.0
 
@@ -295,7 +279,7 @@ def evolve(
             on_generation(entry)
 
     pop = [random_genome(space, rng) for _ in range(population)]
-    evaluated = _evaluate_batch(evaluate_fn, space, pop, sentinel, workers)
+    evaluated = _evaluate_batch(evaluate_fn, space, pop, sentinel)
     archive.extend(evaluated)
     current = evaluated
     generation = 0
@@ -319,7 +303,7 @@ def evolve(
 
         remaining = budget - len(archive)
         batch = offspring[: min(population, remaining)]
-        evaluated = _evaluate_batch(evaluate_fn, space, batch, sentinel, workers)
+        evaluated = _evaluate_batch(evaluate_fn, space, batch, sentinel)
         archive.extend(evaluated)
         generation += 1
         record(generation)
@@ -360,15 +344,12 @@ def random_search(
     budget: int,
     seed: int,
     max_objective: float,
-    workers: int | None = None,
 ) -> ParetoArchive:
     """Uniform sampling with the same budget semantics as evolve."""
-    if workers is None:
-        workers = _default_workers()
     rng = np.random.default_rng(seed)
     sentinel = float(max_objective) + 1.0
     genomes = [random_genome(space, rng) for _ in range(budget)]
-    archive = _evaluate_batch(evaluate_fn, space, genomes, sentinel, workers)
+    archive = _evaluate_batch(evaluate_fn, space, genomes, sentinel)
     return ParetoArchive(
         individuals=archive,
         front_indices=pareto_front_indices(archive),

@@ -5,15 +5,13 @@ bounds may be infinite. The solver works on the bounded-variable tableau
 (nonbasic variables rest at a finite bound), uses Bland's rule for both the
 entering and leaving choices, and is therefore deterministic and free of
 cycling. Problems here have at most a few dozen variables, so a dense
-tableau beats any sparse machinery.
-
-The core routine is compiled with numba when available (set TLO_NO_JIT=1 to
-force the pure-Python path; results are identical either way).
+tableau beats any sparse machinery. The pivot loops are scalar Python: at
+these tableau sizes (a few rows by a few columns) a vectorised numpy
+formulation is slower per LP.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -239,21 +237,6 @@ def _solve_core(A, b, c, lo, up):
     for j in range(n):
         value += c[j] * x[j]
     return OPTIMAL, x, value
-
-
-if os.environ.get("TLO_NO_JIT"):
-    _jit = None
-else:
-    try:
-        import numba
-
-        _jit = numba.njit(cache=True)
-    except ImportError:  # pragma: no cover - numba is an optional accelerator
-        _jit = None
-
-if _jit is not None:
-    _iterate = _jit(_iterate)
-    _solve_core = _jit(_solve_core)
 
 
 def solve_arrays(A, b, c, lo, up):

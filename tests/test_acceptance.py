@@ -22,10 +22,12 @@ from tlo.arrangement import DesignSpace, muscle_jacobian, wire_lengths
 from tlo.cli import main
 from tlo.config import load_bundled_scenario
 from tlo.feasibility import (
+    ActuatorLimits,
     Scenario,
     TargetSpec,
     evaluate,
     force_directions,
+    force_h_all,
     make_evaluator,
     velocity_directions,
 )
@@ -171,8 +173,6 @@ def test_criterion_4_objective_bounds_and_cap_invariance():
 
 
 def test_criterion_5_tension_monotonicity():
-    from tlo.feasibility import _force_h_all
-
     rng = np.random.default_rng(505)
     target = SCENARIO.target
     wf = force_directions(target)
@@ -183,14 +183,12 @@ def test_criterion_5_tension_monotonicity():
         design = random_constant_design(rng)
         q = rng.uniform(-np.pi / 2, np.pi / 2, 2)
         G = muscle_jacobian(MODEL, design, q)
-        jt = joint_jacobian(MODEL, q).T
-        rhs = jt @ target.force_center
-        from tlo.feasibility import ActuatorLimits
-
-        h_200 = _force_h_all(G, jt, rhs, wf @ jt.T, ActuatorLimits(10, 200, -0.4, 0.4), 1e9)
+        J = joint_jacobian(MODEL, q)
+        rhs = J.T @ target.force_center
+        h_200 = force_h_all(G, rhs, wf @ J, ActuatorLimits(10, 200, -0.4, 0.4), 1e9)
         if h_200 is None:
             continue
-        h_400 = _force_h_all(G, jt, rhs, wf @ jt.T, ActuatorLimits(10, 400, -0.4, 0.4), 1e9)
+        h_400 = force_h_all(G, rhs, wf @ J, ActuatorLimits(10, 400, -0.4, 0.4), 1e9)
         assert h_400 is not None  # enlarging the box cannot remove solutions
         drop = float(np.max(h_200 - h_400))
         worst_drop = max(worst_drop, drop)

@@ -215,6 +215,24 @@ class TestEvaluate:
              "--out", str(tmp_path / "x")]
         ) == 2
 
+    def test_too_few_rays_exits_2(self, tmp_path):
+        out = tmp_path / "eval"
+        with pytest.raises(SystemExit) as exc:
+            main(["evaluate", "--config", str(zero_center_config(tmp_path)),
+                  "--design", str(base_only_design(tmp_path)), "--out", str(out),
+                  "--rays", "4"])
+        assert exc.value.code == 2
+        assert not (out / "report.json").exists()
+
+    def test_non_object_design_exits_2(self, tmp_path, capsys):
+        design = tmp_path / "list.json"
+        design.write_text("[1, 2]")
+        assert main(
+            ["evaluate", "--config", str(zero_center_config(tmp_path)),
+             "--design", str(design), "--out", str(tmp_path / "x")]
+        ) == 2
+        assert "config error:" in capsys.readouterr().err
+
     def test_constant_h_matches_oracle_within_tolerance(self, tmp_path):
         from tlo.arrangement import muscle_jacobian
         from tlo.config import load_config
@@ -297,6 +315,12 @@ class TestPlot:
         ]
         assert not regions
 
+    def test_report_without_scenario_exits_2(self, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        report.write_text('{"x": 1}')
+        assert main(["plot", str(report), "--out", str(tmp_path / "plots")]) == 2
+        assert "config error:" in capsys.readouterr().err
+
     def test_golden_files(self, tmp_path):
         out_eval, plots = self.run_pipeline(tmp_path)
         report = json.loads((out_eval / "report.json").read_text())
@@ -313,6 +337,13 @@ class TestOracleCommand:
             ["oracle", "--config", scenario_path("constant_relaxed"),
              "--trials", "40", "--seed", "3"]
         ) == 0
+
+    def test_gravity_branch_passes(self, tmp_path):
+        doc = json.loads(Path(scenario_path("constant_relaxed")).read_text())
+        doc["gravity"] = "on"
+        cfg = tmp_path / "constant_grav.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["oracle", "--config", str(cfg), "--trials", "30"]) == 0
 
     def test_zero_trials_pass(self):
         assert main(

@@ -206,25 +206,6 @@ class TestEvolve:
         assert arch.history[-1]["evaluations"] == 100
         assert all(h["front_size"] >= 0 for h in arch.history)
 
-    def test_parallel_evaluation_identical(self):
-        a = evolve(toy_evaluator, SPACE, 20, 200, seed=11, max_objective=32.0, workers=1)
-        b = evolve(toy_evaluator, SPACE, 20, 200, seed=11, max_objective=32.0, workers=4)
-        for x, y in zip(a.individuals, b.individuals):
-            assert np.array_equal(x.genome.reals, y.genome.reals)
-            assert x.objectives == y.objectives
-
-    def test_worker_count_from_environment(self, monkeypatch):
-        from tlo.nsga2 import _default_workers
-
-        monkeypatch.delenv("TLO_THREADS", raising=False)
-        assert _default_workers() == 1
-        monkeypatch.setenv("TLO_THREADS", "3")
-        assert _default_workers() == 3
-        monkeypatch.setenv("TLO_THREADS", "banana")
-        assert _default_workers() == 1
-        monkeypatch.setenv("TLO_THREADS", "0")
-        assert _default_workers() == 1
-
     def test_validation(self):
         with pytest.raises(ValueError):
             evolve(toy_evaluator, SPACE, 21, 100, seed=0, max_objective=32.0)
