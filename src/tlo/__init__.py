@@ -26,13 +26,13 @@ from .feasibility import (
     EvaluationResult,
     InfeasibleDesign,
     Scenario,
+    StateTables,
     TargetSpec,
     evaluate,
-    force_h,
     force_h_all,
     gravity_center,
+    state_tables,
     trace_polygon,
-    velocity_h,
     velocity_h_all,
 )
 from .model import (
@@ -72,12 +72,12 @@ __all__ = [
     "RobotModel",
     "Scenario",
     "ScenarioConfig",
+    "StateTables",
     "TargetSpec",
     "VariableArrangement",
     "crowding_distance",
     "evaluate",
     "evolve",
-    "force_h",
     "force_h_all",
     "force_polytope_exact",
     "forward_kinematics",
@@ -93,8 +93,8 @@ __all__ = [
     "random_search",
     "ray_h",
     "solve_lp_max",
+    "state_tables",
     "trace_polygon",
-    "velocity_h",
     "velocity_h_all",
     "velocity_polytope_exact",
     "wire_lengths",

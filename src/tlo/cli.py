@@ -9,8 +9,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
+import os
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -31,13 +34,12 @@ from .feasibility import (
     evaluate,
     force_directions,
     force_h_all,
-    gravity_center,
+    gravity_center,  # unused here; the benchmark's tracer wraps tlo.cli.gravity_center
     make_evaluator,
+    state_tables,
     trace_polygon,
-    velocity_directions,
     velocity_h_all,
 )
-from .model import gravity_torque, joint_jacobian
 from .nsga2 import evolve
 from .oracle import force_polytope_exact, ray_h, velocity_polytope_exact
 
@@ -46,8 +48,27 @@ EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
 
+@contextmanager
+def _atomic_open(path: Path, newline: str | None = None):
+    """Text file that replaces path only once it has been written in full."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", newline=newline) as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _dump_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    with _atomic_open(path) as f:
+        json.dump(obj, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
+def _write_text(path: Path, text: str) -> None:
+    with _atomic_open(path) as f:
+        f.write(text)
 
 
 def _effective_raw(cfg: ScenarioConfig) -> dict:
@@ -98,7 +119,7 @@ def cmd_optimize(args) -> int:
         )
     elapsed = time.perf_counter() - t0
 
-    with (out / "samples.csv").open("w", newline="") as f:
+    with _atomic_open(out / "samples.csv", newline="") as f:
         writer = csv.writer(f)
         n_r, n_c = cfg.space.n_reals, cfg.space.n_cats
         writer.writerow(
@@ -201,27 +222,18 @@ def cmd_evaluate(args) -> int:
     if result.feasible:
         per_state = []
         for k, q in enumerate(scenario.joint_states):
-            if scenario.gravity:
-                gc = gravity_center(cfg.robot, q)
-                center = gc.center
-                residual = gc.residual
-            else:
-                center = scenario.target.force_center
-                residual = None
-            force_poly = trace_polygon(
-                cfg.robot, design, q, "force", scenario.limits,
-                n_rays=args.rays, center=center, gravity=scenario.gravity,
-            )
-            velocity_poly = trace_polygon(
-                cfg.robot, design, q, "velocity", scenario.limits, n_rays=args.rays
+            state = state_tables(cfg.robot, q, scenario.target, scenario.gravity)
+            force_poly, velocity_poly = (
+                trace_polygon(cfg.robot, design, state, which, scenario.limits, args.rays)
+                for which in ("force", "velocity")
             )
             per_state.append(
                 {
                     "theta_deg": np.rad2deg(q).tolist(),
                     "h_force": result.h_force[k].tolist(),
                     "h_velocity": result.h_velocity[k].tolist(),
-                    "force_center": np.asarray(center, dtype=float).tolist(),
-                    "gravity_center_residual": residual,
+                    "force_center": state.anchor.tolist(),
+                    "gravity_center_residual": state.residual,
                     "force_polygon": np.round(force_poly, 12).tolist(),
                     "velocity_polygon": np.round(velocity_poly, 12).tolist(),
                 }
@@ -236,6 +248,29 @@ def cmd_evaluate(args) -> int:
     return EXIT_OK
 
 
+def _plot_states(report: dict) -> list[list[np.ndarray]]:
+    """Each per_state entry as float arrays: theta, force center, force and velocity polygons."""
+    states = report.get("per_state", [])
+    if not isinstance(states, list):
+        raise ConfigError("report 'per_state' must be a list")
+    keys = ("theta_deg", "force_center", "force_polygon", "velocity_polygon")
+    parsed = []
+    for k, state in enumerate(states):
+        try:
+            arrays = [np.asarray(state[key], dtype=float) for key in keys]
+        except (KeyError, TypeError, ValueError):
+            arrays = None
+        if arrays is None or arrays[0].ndim != 1 or arrays[1].shape != (2,) or not all(
+            p.ndim == 2 and p.shape[1] == 2 and len(p) for p in arrays[2:]
+        ):
+            raise ConfigError(
+                f"report per_state[{k}] needs theta_deg, force_center [x, y] and "
+                "non-empty N x 2 force_polygon and velocity_polygon"
+            )
+        parsed.append(arrays)
+    return parsed
+
+
 def cmd_plot(args) -> int:
     try:
         report = json.loads(Path(args.report).read_text())
@@ -248,34 +283,36 @@ def cmd_plot(args) -> int:
         raise ConfigError("report needs 'scenario' and 'design' entries (see tlo evaluate)")
     cfg = parse_config(report["scenario"])
     design = _parse_design(report["design"], cfg)
+    states = _plot_states(report)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    for k, state in enumerate(report.get("per_state", [])):
-        theta = ", ".join(f"{v:.0f}" for v in state["theta_deg"])
+    for k, (theta_deg, center, force_poly, velocity_poly) in enumerate(states, 1):
+        theta = ", ".join(f"{v:.0f}" for v in theta_deg)
         force = space_panel(
-            np.array(state["force_polygon"]),
-            np.array(state["force_center"]),
+            force_poly,
+            center,
             cfg.target.force_radii,
-            f"force space, state {k + 1} (theta = {theta} deg)",
+            f"force space, state {k} (theta = {theta} deg)",
             "N",
             "F",
         )
         velocity = space_panel(
-            np.array(state["velocity_polygon"]),
+            velocity_poly,
             np.zeros(2),
             cfg.target.velocity_radii,
-            f"velocity space, state {k + 1} (theta = {theta} deg)",
+            f"velocity space, state {k} (theta = {theta} deg)",
             "m/s",
             "v",
         )
-        for name, text in ((f"force_state{k + 1}.svg", force), (f"velocity_state{k + 1}.svg", velocity)):
-            (out / name).write_text(text)
+        for name, text in ((f"force_state{k}.svg", force), (f"velocity_state{k}.svg", velocity)):
+            _write_text(out / name, text)
             written.append(name)
     q0 = cfg.joint_states[0]
     theta = ", ".join(f"{v:.0f}" for v in np.rad2deg(q0))
-    (out / "arrangement.svg").write_text(
-        arrangement_panel(cfg.robot, design, q0, f"wire arrangement (theta = {theta} deg)")
+    _write_text(
+        out / "arrangement.svg",
+        arrangement_panel(cfg.robot, design, q0, f"wire arrangement (theta = {theta} deg)"),
     )
     written.append("arrangement.svg")
     print(f"wrote {len(written)} SVG files -> {out}")
@@ -289,7 +326,6 @@ def cmd_oracle(args) -> int:
     scenario = cfg.scenario()
     rng = np.random.default_rng(args.seed if args.seed is not None else cfg.optimizer.seed)
     wf = force_directions(scenario.target)
-    wv = velocity_directions(scenario.target)
     worst = 0.0
     failures = 0
     done = 0
@@ -297,30 +333,24 @@ def cmd_oracle(args) -> int:
     while done < args.trials and attempts < 200 * max(args.trials, 1) + 1000:
         attempts += 1
         q = rng.uniform(-np.pi / 2, np.pi / 2, size=cfg.robot.n_joints)
-        J = joint_jacobian(cfg.robot, q)
-        if abs(np.linalg.det(J)) < 0.05:
+        state = state_tables(cfg.robot, q, scenario.target, scenario.gravity)
+        if abs(np.linalg.det(state.J)) < 0.05:
             continue
         design = ConstantArrangement(rng.random((cfg.space.n_wires, cfg.robot.n_joints)))
         G = muscle_jacobian(cfg.robot, design, q)
-        if scenario.gravity:
-            rhs = gravity_torque(cfg.robot, q)
-            center = np.linalg.solve(J.T, rhs)
-        else:
-            center = scenario.target.force_center
-            rhs = J.T @ center
-        hf = force_h_all(G, rhs, wf @ J, scenario.limits, scenario.h_cap)
+        hf = force_h_all(G, state.rhs, state.force_cols, scenario.limits, scenario.h_cap)
         if hf is None:
             continue  # pruned design: both routes agree it is infeasible
-        hv = velocity_h_all(G, J, wv, scenario.limits, scenario.h_cap)
-        force_poly = force_polytope_exact(G, J, scenario.limits.f_min, scenario.limits.f_max)
+        hv = velocity_h_all(G, state.J, state.velocity_dirs, scenario.limits, scenario.h_cap)
+        force_poly = force_polytope_exact(G, state.J, scenario.limits.f_min, scenario.limits.f_max)
         velocity_poly = velocity_polytope_exact(
-            G, J, scenario.limits.ldot_min, scenario.limits.ldot_max
+            G, state.J, scenario.limits.ldot_min, scenario.limits.ldot_max
         )
         for i in range(scenario.target.n_directions):
-            ref = min(ray_h(force_poly, center, wf[i]), scenario.h_cap)
+            ref = min(ray_h(force_poly, state.anchor, wf[i]), scenario.h_cap)
             worst = max(worst, abs(hf[i] - ref))
             failures += abs(hf[i] - ref) > args.tol
-            ref = min(ray_h(velocity_poly, np.zeros(2), wv[i]), scenario.h_cap)
+            ref = min(ray_h(velocity_poly, np.zeros(2), state.velocity_dirs[i]), scenario.h_cap)
             worst = max(worst, abs(hv[i] - ref))
             failures += abs(hv[i] - ref) > args.tol
         done += 1
@@ -333,11 +363,21 @@ def cmd_oracle(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_RUNTIME
 
 
-def _ray_count(text: str) -> int:
-    n = int(text)
-    if n < MIN_RAYS:
-        raise argparse.ArgumentTypeError(f"need at least {MIN_RAYS} rays, got {n}")
-    return n
+def _count_at_least(low: int, what: str):
+    def count(text: str) -> int:
+        n = int(text)
+        if n < low:
+            raise argparse.ArgumentTypeError(f"need at least {low} {what}, got {n}")
+        return n
+
+    return count
+
+
+def _tolerance(text: str) -> float:
+    tol = float(text)
+    if not math.isfinite(tol) or tol < 0:
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and not negative, got {text}")
+    return tol
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -360,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--design", required=True, help="design JSON path")
     p.add_argument("--out", default="tlo-out")
-    p.add_argument("--rays", type=_ray_count, default=64,
+    p.add_argument("--rays", type=_count_at_least(MIN_RAYS, "rays"), default=64,
                    help=f"boundary rays per polygon (at least {MIN_RAYS})")
     p.set_defaults(fn=cmd_evaluate)
 
@@ -371,9 +411,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="cross-check LP scores against exact geometry")
     p.add_argument("--config", required=True, help="constant-mode scenario JSON")
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_count_at_least(0, "trials"), default=100)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_tolerance, default=1e-6)
     p.set_defaults(fn=cmd_oracle)
     return parser
 

@@ -24,12 +24,13 @@ from .model import RobotModel, gravity_torque, joint_jacobian
 
 DEFAULT_H_CAP = 10.0
 MIN_RAYS = 8  # fewest boundary rays trace_polygon accepts
+RAY_CAP = 1e6  # where trace_polygon stops a ray through an unbounded set
 _THETA_DOT_BOUND = 1e6  # formal box on joint velocities; never binds below h_cap
 _SINGULAR_RESIDUAL = 1e-6
 
 
 class InfeasibleDesign(Exception):
-    """Raised when a coverage LP has no solution; the design is pruned."""
+    """Raised when trace_polygon cannot reach its anchor; the design is pruned."""
 
 
 @dataclass
@@ -124,7 +125,7 @@ def velocity_directions(target: TargetSpec) -> np.ndarray:
 def gravity_center(model: RobotModel, q: np.ndarray) -> GravityCenter:
     """Minimum-norm tip force whose joint torque equals the gravity torque.
 
-    Only needed for drawing the ellipse center; the LPs use the torque
+    This is the force anchor in gravity mode; the LPs use the torque
     directly. Falls back to the least-squares minimum-norm solution at a
     singular J and reports the residual.
     """
@@ -135,16 +136,35 @@ def gravity_center(model: RobotModel, q: np.ndarray) -> GravityCenter:
     return GravityCenter(center, residual)
 
 
-def _force_rhs(model: RobotModel, q: np.ndarray, target: TargetSpec, gravity: bool,
-               gravity_rhs: str = "torque") -> np.ndarray:
-    jt = joint_jacobian(model, q).T
-    if not gravity:
-        return jt @ target.force_center
-    if gravity_rhs == "torque":
-        return gravity_torque(model, q)
-    if gravity_rhs == "center":
-        return jt @ gravity_center(model, q).center
-    raise ValueError(f"unknown gravity_rhs {gravity_rhs!r}")
+class StateTables(NamedTuple):
+    """Design-independent pieces of one evaluated joint state."""
+
+    q: np.ndarray
+    J: np.ndarray
+    rhs: np.ndarray  # force LP right-hand side: J^T anchor, or the gravity torque
+    anchor: np.ndarray  # tip force the force rays leave from
+    residual: float | None  # gravity_center residual; None without gravity
+    force_cols: np.ndarray  # J^T w_i, one row per direction
+    velocity_dirs: np.ndarray
+
+
+def state_tables(model: RobotModel, q: np.ndarray, target: TargetSpec,
+                 gravity: bool) -> StateTables:
+    """The one force-anchor rule, plus the per-direction LP inputs at q.
+
+    Without gravity the anchor is the ellipse center and rhs = J^T center.
+    With gravity rhs is the gravity torque and the anchor is the force that
+    holds it (gravity_center); the two agree whenever J is invertible.
+    """
+    J = joint_jacobian(model, q)
+    if gravity:
+        rhs = gravity_torque(model, q)
+        anchor, residual = gravity_center(model, q)
+    else:
+        anchor, residual = target.force_center, None
+        rhs = J.T @ anchor
+    return StateTables(q, J, rhs, anchor, residual, force_directions(target) @ J,
+                       velocity_directions(target))
 
 
 def _clip_h(code: int, value: float, h_cap: float) -> float | None:
@@ -222,102 +242,44 @@ def velocity_h_all(G, J, dirs, limits, h_cap):
     return out
 
 
-def force_h(model, design, q, target, limits, direction: int, gravity: bool = False,
-            h_cap: float = DEFAULT_H_CAP) -> float:
-    """Coverage factor along force direction i; raises InfeasibleDesign on prune."""
-    G = muscle_jacobian(model, design, q)
-    jt = joint_jacobian(model, q).T
-    rhs = _force_rhs(model, q, target, gravity)
-    w = force_directions(target)[direction]
-    hs = force_h_all(G, rhs, (jt @ w)[None, :], limits, h_cap)
-    if hs is None:
-        raise InfeasibleDesign(f"force LP infeasible in direction {direction}")
-    return float(hs[0])
-
-
-def velocity_h(model, design, q, target, limits, direction: int,
-               h_cap: float = DEFAULT_H_CAP) -> float:
-    """Coverage factor along velocity direction i; raises InfeasibleDesign on prune."""
-    G = muscle_jacobian(model, design, q)
-    J = joint_jacobian(model, q)
-    w = velocity_directions(target)[direction]
-    hs = velocity_h_all(G, J, w[None, :], limits, h_cap)
-    if hs is None:
-        raise InfeasibleDesign(f"velocity LP infeasible in direction {direction}")
-    return float(hs[0])
-
-
-class _StateTables(NamedTuple):
-    """Design-independent pieces of one evaluated joint state."""
-
-    q: np.ndarray
-    J: np.ndarray
-    rhs: np.ndarray
-    force_cols: np.ndarray  # J^T w_i, one row per direction
-    velocity_dirs: np.ndarray
-
-
-def _scenario_tables(model: RobotModel, scenario: Scenario,
-                     gravity_rhs: str = "torque") -> list[_StateTables]:
-    wf = force_directions(scenario.target)
-    wv = velocity_directions(scenario.target)
-    tables = []
-    for q in scenario.joint_states:
-        J = joint_jacobian(model, q)
-        rhs = _force_rhs(model, q, scenario.target, scenario.gravity, gravity_rhs)
-        tables.append(_StateTables(q, J, rhs, wf @ J, wv))
-    return tables
-
-
-def _evaluate_tables(model, design, scenario, tables) -> EvaluationResult:
-    constant = isinstance(design, ConstantArrangement)
-    G = muscle_jacobian(model, design, tables[0].q) if constant else None
-    h_force, h_velocity = [], []
-    for t in tables:
-        Gq = G if constant else muscle_jacobian(model, design, t.q)
-        hf = force_h_all(Gq, t.rhs, t.force_cols, scenario.limits, scenario.h_cap)
-        if hf is None:
-            return EvaluationResult(feasible=False)
-        hv = velocity_h_all(Gq, t.J, t.velocity_dirs, scenario.limits, scenario.h_cap)
-        if hv is None:
-            return EvaluationResult(feasible=False)
-        h_force.append(hf)
-        h_velocity.append(hv)
-    e_force = float(sum(np.maximum(1.0 - hf, 0.0).sum() for hf in h_force))
-    e_velocity = float(sum(np.maximum(1.0 - hv, 0.0).sum() for hv in h_velocity))
-    return EvaluationResult(True, h_force, h_velocity, e_force, e_velocity)
-
-
-def evaluate(model: RobotModel, design: WireArrangement, scenario: Scenario,
-             gravity_rhs: str = "torque") -> EvaluationResult:
-    """Score a design over all evaluated joint states.
-
-    gravity_rhs selects how the gravity-mode LP right-hand side is formed:
-    "torque" uses the gravity torque directly, "center" routes it through the
-    minimum-norm ellipse center; the two agree whenever J is invertible.
-    """
-    tables = _scenario_tables(model, scenario, gravity_rhs)
-    return _evaluate_tables(model, design, scenario, tables)
-
-
 def make_evaluator(model: RobotModel, scenario: Scenario):
-    """Closure evaluating designs against precomputed per-state tables."""
-    tables = _scenario_tables(model, scenario)
+    """Closure scoring designs against per-state tables built once."""
+    tables = [state_tables(model, q, scenario.target, scenario.gravity)
+              for q in scenario.joint_states]
 
     def run(design: WireArrangement) -> EvaluationResult:
-        return _evaluate_tables(model, design, scenario, tables)
+        constant = isinstance(design, ConstantArrangement)
+        G = muscle_jacobian(model, design, tables[0].q) if constant else None
+        h_force, h_velocity = [], []
+        for t in tables:
+            Gq = G if constant else muscle_jacobian(model, design, t.q)
+            hf = force_h_all(Gq, t.rhs, t.force_cols, scenario.limits, scenario.h_cap)
+            if hf is None:
+                return EvaluationResult(feasible=False)
+            hv = velocity_h_all(Gq, t.J, t.velocity_dirs, scenario.limits, scenario.h_cap)
+            if hv is None:
+                return EvaluationResult(feasible=False)
+            h_force.append(hf)
+            h_velocity.append(hv)
+        e_force = float(sum(np.maximum(1.0 - hf, 0.0).sum() for hf in h_force))
+        e_velocity = float(sum(np.maximum(1.0 - hv, 0.0).sum() for hv in h_velocity))
+        return EvaluationResult(True, h_force, h_velocity, e_force, e_velocity)
 
     return run
 
 
-def trace_polygon(model, design, q, which: str, limits, n_rays: int = 64,
-                  center=(0.0, 0.0), gravity: bool = False,
-                  ray_cap: float = 1e6) -> np.ndarray:
+def evaluate(model: RobotModel, design: WireArrangement, scenario: Scenario) -> EvaluationResult:
+    """Score one design over all evaluated joint states."""
+    return make_evaluator(model, scenario)(design)
+
+
+def trace_polygon(model, design, state: StateTables, which: str, limits,
+                  n_rays: int = 64) -> np.ndarray:
     """Boundary of the feasible force or velocity set by LP ray casting.
 
-    Rays leave the anchor (force: the ellipse center, velocity: the origin)
-    in n_rays uniform directions; each boundary point is anchor + h * dir.
-    Unbounded directions stop at ray_cap. Raises InfeasibleDesign when the
+    Rays leave the anchor (force: state.anchor, velocity: the origin) in
+    n_rays uniform directions; each boundary point is anchor + h * dir.
+    Unbounded directions stop at RAY_CAP. Raises InfeasibleDesign when the
     anchor itself is not reachable.
     """
     if n_rays < MIN_RAYS:
@@ -326,19 +288,13 @@ def trace_polygon(model, design, q, which: str, limits, n_rays: int = 64,
         raise ValueError("which must be 'force' or 'velocity'")
     ang = 2.0 * np.pi * np.arange(n_rays) / n_rays
     dirs = np.column_stack([np.cos(ang), np.sin(ang)])
-    G = muscle_jacobian(model, design, q)
-    J = joint_jacobian(model, q)
+    G = muscle_jacobian(model, design, state.q)
     if which == "force":
-        anchor = np.asarray(center, dtype=float)
-        if gravity:
-            rhs = gravity_torque(model, q)
-            anchor = gravity_center(model, q).center
-        else:
-            rhs = J.T @ anchor
-        hs = force_h_all(G, rhs, dirs @ J, limits, ray_cap)
+        anchor = state.anchor
+        hs = force_h_all(G, state.rhs, dirs @ state.J, limits, RAY_CAP)
     else:
         anchor = np.zeros(2)
-        hs = velocity_h_all(G, J, dirs, limits, ray_cap)
+        hs = velocity_h_all(G, state.J, dirs, limits, RAY_CAP)
     if hs is None:
-        raise InfeasibleDesign(f"{which} anchor unreachable at q={q}")
+        raise InfeasibleDesign(f"{which} anchor unreachable at q={state.q}")
     return anchor + hs[:, None] * dirs

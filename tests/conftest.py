@@ -3,8 +3,21 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from tlo.arrangement import ConstantArrangement, RelayPoint, VariableArrangement
-from tlo.feasibility import ActuatorLimits, Scenario, TargetSpec
+from tlo.arrangement import (
+    ConstantArrangement,
+    RelayPoint,
+    VariableArrangement,
+    muscle_jacobian,
+)
+from tlo.feasibility import (
+    ActuatorLimits,
+    EvaluationResult,
+    Scenario,
+    TargetSpec,
+    force_h_all,
+    state_tables,
+    velocity_h_all,
+)
 from tlo.model import RobotModel
 
 PAPER_LENGTHS = [0.4, 0.6, 0.6]
@@ -63,3 +76,19 @@ def worked_constant_design() -> ConstantArrangement:
     # arm rows (0.1, 0), (-0.1, 0), (0, 0.1), (0, -0.1) under ranges [-0.1, 0.1]
     arms = np.array([[0.1, 0.0], [-0.1, 0.0], [0.0, 0.1], [0.0, -0.1]])
     return ConstantArrangement((arms + 0.1) / 0.2)
+
+
+def evaluate_via_center(model, design, scenario: Scenario) -> EvaluationResult:
+    """Score a one-state gravity scenario with the force LP right-hand side
+    routed through the gravity center, rhs = J^T F_c, instead of tau_g."""
+    (q,) = scenario.joint_states
+    st = state_tables(model, q, scenario.target, gravity=True)
+    G = muscle_jacobian(model, design, q)
+    limits, cap = scenario.limits, scenario.h_cap
+    hf = force_h_all(G, st.J.T @ st.anchor, st.force_cols, limits, cap)
+    hv = None if hf is None else velocity_h_all(G, st.J, st.velocity_dirs, limits, cap)
+    if hv is None:
+        return EvaluationResult(feasible=False)
+    e_force = float(np.maximum(1.0 - hf, 0.0).sum())
+    e_velocity = float(np.maximum(1.0 - hv, 0.0).sum())
+    return EvaluationResult(True, [hf], [hv], e_force, e_velocity)

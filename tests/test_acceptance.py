@@ -15,6 +15,7 @@ import numpy as np
 
 from conftest import (
     all_on_base_design,
+    evaluate_via_center,
     random_constant_design,
     random_variable_design,
 )
@@ -284,8 +285,8 @@ def test_criterion_10_gravity_identity():
             continue
         design = random_constant_design(rng)
         scen = Scenario(LIMITS, SCENARIO.target, [q], gravity=True)
-        via_torque = evaluate(MODEL, design, scen, gravity_rhs="torque")
-        via_center = evaluate(MODEL, design, scen, gravity_rhs="center")
+        via_torque = evaluate(MODEL, design, scen)
+        via_center = evaluate_via_center(MODEL, design, scen)
         assert via_torque.feasible == via_center.feasible
         if not via_torque.feasible:
             agreed_prunes += 1

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tlo.cli
 from conftest import DEFAULT_STATES_DEG
 from tlo.cli import main
 from tlo.config import parse_config
@@ -87,6 +88,29 @@ class TestOptimize:
             rows = list(csv.reader(f))
         assert rows[0][:4] == ["index", "feasible", "e_force", "e_velocity"]
         assert len(rows) - 1 == 40
+        assert {p.name for p in out.iterdir()} == {
+            "samples.csv", "pareto.json", "run_meta.json", "progress.ndjson"
+        }
+
+    def test_failed_write_keeps_previous_samples(self, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        args = ["optimize", "--config", scenario_path("target1_nograv"),
+                "--out", str(out), "--budget", "40", "--population", "40"]
+        assert main(args) == 0
+        before = {name: (out / name).read_bytes()
+                  for name in ("samples.csv", "pareto.json", "run_meta.json")}
+        real_evolve = tlo.cli.evolve
+
+        def evolve_with_bad_row(*a, **kw):
+            archive = real_evolve(*a, **kw)
+            archive.individuals[5].e_force = None  # samples.csv fails on row 5
+            return archive
+
+        monkeypatch.setattr(tlo.cli, "evolve", evolve_with_bad_row)
+        with pytest.raises(TypeError):
+            main(args)
+        for name, data in before.items():
+            assert (out / name).read_bytes() == data, name
         assert {p.name for p in out.iterdir()} == {
             "samples.csv", "pareto.json", "run_meta.json", "progress.ndjson"
         }
@@ -224,6 +248,22 @@ class TestEvaluate:
         assert exc.value.code == 2
         assert not (out / "report.json").exists()
 
+    def test_failed_write_keeps_previous_report(self, tmp_path, monkeypatch):
+        from tlo.feasibility import EvaluationResult
+
+        out = tmp_path / "eval"
+        args = ["evaluate", "--config", str(zero_center_config(tmp_path)),
+                "--design", str(base_only_design(tmp_path)), "--out", str(out)]
+        assert main(args) == 0
+        before = (out / "report.json").read_bytes()
+        # "design" and "e_force" serialize before e_velocity fails
+        bad = EvaluationResult(feasible=False, e_force=1.0, e_velocity=object())
+        monkeypatch.setattr(tlo.cli, "evaluate", lambda *a: bad)
+        with pytest.raises(TypeError):
+            main(args)
+        assert (out / "report.json").read_bytes() == before
+        assert [p.name for p in out.iterdir()] == ["report.json"]
+
     def test_non_object_design_exits_2(self, tmp_path, capsys):
         design = tmp_path / "list.json"
         design.write_text("[1, 2]")
@@ -321,6 +361,28 @@ class TestPlot:
         assert main(["plot", str(report), "--out", str(tmp_path / "plots")]) == 2
         assert "config error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("per_state", [
+        [{}],
+        "abc",
+        "empty velocity polygon",
+    ])
+    def test_malformed_per_state_exits_2(self, tmp_path, capsys, per_state):
+        out_eval = tmp_path / "eval"
+        assert main(["evaluate", "--config", str(zero_center_config(tmp_path)),
+                     "--design", str(base_only_design(tmp_path)),
+                     "--out", str(out_eval)]) == 0
+        report = json.loads((out_eval / "report.json").read_text())
+        if per_state == "empty velocity polygon":
+            report["per_state"][1]["velocity_polygon"] = []
+        else:
+            report["per_state"] = per_state
+        bad = tmp_path / "bad_report.json"
+        bad.write_text(json.dumps(report))
+        plots = tmp_path / "plots"
+        assert main(["plot", str(bad), "--out", str(plots)]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not list(plots.glob("*.svg"))
+
     def test_golden_files(self, tmp_path):
         out_eval, plots = self.run_pipeline(tmp_path)
         report = json.loads((out_eval / "report.json").read_text())
@@ -349,6 +411,14 @@ class TestOracleCommand:
         assert main(
             ["oracle", "--config", scenario_path("constant_relaxed"), "--trials", "0"]
         ) == 0
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--trials", "-3"), ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-0.5"),
+    ])
+    def test_vacuous_arguments_are_usage_errors(self, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle", "--config", scenario_path("constant_relaxed"), flag, value])
+        assert exc.value.code == 2
 
     def test_zero_tolerance_fails(self):
         assert main(

@@ -3,29 +3,52 @@ import pytest
 
 from conftest import (
     all_on_base_design,
+    evaluate_via_center,
     random_constant_design,
     random_variable_design,
     worked_constant_design,
 )
 from tlo.arrangement import muscle_jacobian
+from tlo.config import load_bundled_scenario
 from tlo.feasibility import (
+    DEFAULT_H_CAP,
     ActuatorLimits,
     InfeasibleDesign,
     Scenario,
     TargetSpec,
     evaluate,
     force_directions,
-    force_h,
+    force_h_all,
     gravity_center,
     make_evaluator,
+    state_tables,
     trace_polygon,
     velocity_directions,
-    velocity_h,
+    velocity_h_all,
 )
 from tlo.model import RobotModel, gravity_torque, joint_jacobian
 from tlo.oracle import force_polytope_exact, ray_h, velocity_polytope_exact
 
 Q_BENT = np.array([0.0, np.pi / 2])
+
+
+def kernel_inputs(model, design, q, target, gravity=False):
+    """Muscle Jacobian and state tables: what force_h_all/velocity_h_all read."""
+    return muscle_jacobian(model, design, q), state_tables(model, q, target, gravity)
+
+
+def force_h_one(model, design, q, target, limits, i, gravity=False, h_cap=DEFAULT_H_CAP):
+    """h along force direction i alone, or None when that LP is infeasible."""
+    G, st = kernel_inputs(model, design, q, target, gravity)
+    hs = force_h_all(G, st.rhs, st.force_cols[i : i + 1], limits, h_cap)
+    return None if hs is None else float(hs[0])
+
+
+def velocity_h_one(model, design, q, target, limits, i, h_cap=DEFAULT_H_CAP):
+    """h along velocity direction i alone, or None when that LP is infeasible."""
+    G, st = kernel_inputs(model, design, q, target)
+    hs = velocity_h_all(G, st.J, st.velocity_dirs[i : i + 1], limits, h_cap)
+    return None if hs is None else float(hs[0])
 
 
 def unpruned_constant_sample(model, scenario, rng, min_det=0.05):
@@ -59,7 +82,7 @@ class TestDirections:
 class TestForceH:
     def test_worked_example_uncapped(self, paper_model, paper_limits, zero_center_target):
         target = TargetSpec([0, 0], [1, 1], [1, 1], 8)
-        h = force_h(
+        h = force_h_one(
             paper_model, worked_constant_design(), Q_BENT, target, paper_limits, 0,
             h_cap=100.0,
         )
@@ -67,12 +90,12 @@ class TestForceH:
 
     def test_worked_example_capped(self, paper_model, paper_limits):
         target = TargetSpec([0, 0], [1, 1], [1, 1], 8)
-        h = force_h(paper_model, worked_constant_design(), Q_BENT, target, paper_limits, 0)
+        h = force_h_one(paper_model, worked_constant_design(), Q_BENT, target, paper_limits, 0)
         assert h == 10.0
 
     def test_zero_g_zero_center(self, paper_model, paper_limits, zero_center_target):
         for i in range(8):
-            h = force_h(
+            h = force_h_one(
                 paper_model, all_on_base_design(), Q_BENT, zero_center_target,
                 paper_limits, i,
             )
@@ -81,11 +104,10 @@ class TestForceH:
     def test_gravity_unreachable_prunes(self, paper_model, paper_limits, zero_center_target):
         # a single base-only wire cannot hold any gravity torque
         design = all_on_base_design(m=1)
-        with pytest.raises(InfeasibleDesign):
-            force_h(
-                paper_model, design, Q_BENT, zero_center_target, paper_limits, 0,
-                gravity=True,
-            )
+        assert force_h_one(
+            paper_model, design, Q_BENT, zero_center_target, paper_limits, 0,
+            gravity=True,
+        ) is None
 
     def test_scale_covariance(self, paper_model, paper_limits):
         rng = np.random.default_rng(4)
@@ -94,10 +116,9 @@ class TestForceH:
             q = rng.uniform(-1.2, 1.2, 2)
             t1 = TargetSpec([0, 0], [20, 20], [1, 1], 8)
             t2 = TargetSpec([0, 0], [40, 40], [1, 1], 8)
-            try:
-                h1 = force_h(paper_model, design, q, t1, paper_limits, 1, h_cap=1e9)
-                h2 = force_h(paper_model, design, q, t2, paper_limits, 1, h_cap=1e9)
-            except InfeasibleDesign:
+            h1 = force_h_one(paper_model, design, q, t1, paper_limits, 1, h_cap=1e9)
+            h2 = force_h_one(paper_model, design, q, t2, paper_limits, 1, h_cap=1e9)
+            if h1 is None or h2 is None:
                 continue
             assert h2 == pytest.approx(h1 / 2, abs=1e-12)
 
@@ -105,14 +126,14 @@ class TestForceH:
 class TestVelocityH:
     def test_worked_example(self, paper_model, paper_limits):
         target = TargetSpec([0, 0], [1, 1], [1, 1], 8)
-        h = velocity_h(
+        h = velocity_h_one(
             paper_model, worked_constant_design(), Q_BENT, target, paper_limits, 2,
             h_cap=100.0,
         )
         assert h == pytest.approx(2.4, abs=1e-6)
 
     def test_zero_g_hits_cap(self, paper_model, paper_limits, zero_center_target):
-        h = velocity_h(
+        h = velocity_h_one(
             paper_model, all_on_base_design(), Q_BENT, zero_center_target, paper_limits, 0
         )
         assert h == 10.0
@@ -120,10 +141,10 @@ class TestVelocityH:
     def test_homogeneity_in_radii(self, paper_model, paper_limits):
         t1 = TargetSpec([0, 0], [1, 1], [1, 1], 8)
         t2 = TargetSpec([0, 0], [1, 1], [2, 2], 8)
-        h1 = velocity_h(paper_model, worked_constant_design(), Q_BENT, t1, paper_limits, 2,
-                        h_cap=1e6)
-        h2 = velocity_h(paper_model, worked_constant_design(), Q_BENT, t2, paper_limits, 2,
-                        h_cap=1e6)
+        h1 = velocity_h_one(paper_model, worked_constant_design(), Q_BENT, t1, paper_limits, 2,
+                            h_cap=1e6)
+        h2 = velocity_h_one(paper_model, worked_constant_design(), Q_BENT, t2, paper_limits, 2,
+                            h_cap=1e6)
         assert h2 == pytest.approx(h1 / 2, rel=1e-9)
 
 
@@ -212,8 +233,8 @@ class TestEvaluate:
                 continue
             design = random_constant_design(rng)
             scen = Scenario(paper_limits, zero_center_target, [q], gravity=True)
-            via_torque = evaluate(paper_model, design, scen, gravity_rhs="torque")
-            via_center = evaluate(paper_model, design, scen, gravity_rhs="center")
+            via_torque = evaluate(paper_model, design, scen)
+            via_center = evaluate_via_center(paper_model, design, scen)
             assert via_torque.feasible == via_center.feasible
             if via_torque.feasible:
                 assert via_torque.e_force == pytest.approx(via_center.e_force, abs=1e-9)
@@ -229,13 +250,10 @@ class TestEvaluate:
         while checked < 10:
             design = random_constant_design(rng)
             q = rng.uniform(-1.2, 1.2, 2)
-            w_all = force_directions(zero_center_target)
-            try:
-                h_lo = [force_h(paper_model, design, q, zero_center_target, lo, i, h_cap=cap)
-                        for i in range(8)]
-                h_hi = [force_h(paper_model, design, q, zero_center_target, hi, i, h_cap=cap)
-                        for i in range(8)]
-            except InfeasibleDesign:
+            G, st = kernel_inputs(paper_model, design, q, zero_center_target)
+            h_lo = force_h_all(G, st.rhs, st.force_cols, lo, cap)
+            h_hi = force_h_all(G, st.rhs, st.force_cols, hi, cap)
+            if h_lo is None or h_hi is None:
                 continue
             assert all(b >= a - 1e-9 for a, b in zip(h_lo, h_hi))
             checked += 1
@@ -264,9 +282,10 @@ class TestOracleAgreement:
 
 
 class TestTracePolygon:
-    def test_polygon_on_zonotope_boundary(self, paper_model, paper_limits):
+    def test_polygon_on_zonotope_boundary(self, paper_model, paper_limits, zero_center_target):
         design = worked_constant_design()
-        poly = trace_polygon(paper_model, design, Q_BENT, "force", paper_limits, n_rays=64)
+        state = state_tables(paper_model, Q_BENT, zero_center_target, False)
+        poly = trace_polygon(paper_model, design, state, "force", paper_limits, n_rays=64)
         G = muscle_jacobian(paper_model, design, Q_BENT)
         J = joint_jacobian(paper_model, Q_BENT)
         zono = force_polytope_exact(G, J, paper_limits.f_min, paper_limits.f_max)
@@ -276,20 +295,48 @@ class TestTracePolygon:
             d = p - poly.mean(axis=0)
             assert not zono.contains(p + 1e-4 * d / np.linalg.norm(d), tol=1e-9)
 
-    def test_degenerate_force_polygon_is_point(self, paper_model, paper_limits):
+    def test_gravity_polygon_on_zonotope_boundary(self):
+        # rays leave the gravity center with rhs = tau_g and end on the
+        # boundary of the same tip-force zonotope
+        cfg = load_bundled_scenario("target1_grav")
+        scen = cfg.scenario()
+        q = scen.joint_states[0]
+        state = state_tables(cfg.robot, q, scen.target, True)
+        assert state.residual < 1e-9
+        rng = np.random.default_rng(0)
+        while True:
+            design = random_variable_design(rng, m=4, n=3)
+            try:
+                poly = trace_polygon(cfg.robot, design, state, "force", scen.limits, n_rays=32)
+            except InfeasibleDesign:
+                continue
+            break
+        G = muscle_jacobian(cfg.robot, design, q)
+        zono = force_polytope_exact(G, state.J, scen.limits.f_min, scen.limits.f_max)
+        assert zono.contains(state.anchor, tol=1e-6)
+        ang = 2 * np.pi * np.arange(32) / 32
+        dirs = np.column_stack([np.cos(ang), np.sin(ang)])
+        for p, d in zip(poly, dirs):
+            assert zono.contains(p, tol=1e-6)
+            assert not zono.contains(p + 1e-4 * d, tol=1e-9)
+
+    def test_degenerate_force_polygon_is_point(self, paper_model, paper_limits,
+                                               zero_center_target):
+        state = state_tables(paper_model, Q_BENT, zero_center_target, False)
         poly = trace_polygon(
-            paper_model, all_on_base_design(), Q_BENT, "force", paper_limits, n_rays=16
+            paper_model, all_on_base_design(), state, "force", paper_limits, n_rays=16
         )
         assert np.max(np.ptp(poly, axis=0)) < 1e-9
 
-    def test_convexity_random_designs(self, paper_model, paper_limits):
+    def test_convexity_random_designs(self, paper_model, paper_limits, zero_center_target):
         rng = np.random.default_rng(31)
         done = 0
         while done < 20:
             design = random_constant_design(rng)
             q = rng.uniform(-1.2, 1.2, 2)
+            state = state_tables(paper_model, q, zero_center_target, False)
             try:
-                poly = trace_polygon(paper_model, design, q, "force", paper_limits, n_rays=32)
+                poly = trace_polygon(paper_model, design, state, "force", paper_limits, n_rays=32)
             except InfeasibleDesign:
                 continue
             if np.max(np.ptp(poly, axis=0)) < 1e-9:
@@ -302,10 +349,11 @@ class TestTracePolygon:
             assert np.all(cross >= -1e-7 * scale)
             done += 1
 
-    def test_ray_count_validation(self, paper_model, paper_limits):
+    def test_ray_count_validation(self, paper_model, paper_limits, zero_center_target):
+        state = state_tables(paper_model, Q_BENT, zero_center_target, False)
         with pytest.raises(ValueError):
-            trace_polygon(paper_model, all_on_base_design(), Q_BENT, "force",
+            trace_polygon(paper_model, all_on_base_design(), state, "force",
                           paper_limits, n_rays=4)
         with pytest.raises(ValueError):
-            trace_polygon(paper_model, all_on_base_design(), Q_BENT, "torque",
+            trace_polygon(paper_model, all_on_base_design(), state, "torque",
                           paper_limits)
