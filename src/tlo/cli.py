@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -50,11 +51,24 @@ EXIT_USAGE = 2
 
 @contextmanager
 def _atomic_open(path: Path, newline: str | None = None):
-    """Text file that replaces path only once it has been written in full."""
+    """Text buffer that replaces path once it has been written in full.
+
+    The text goes to a temporary file in the same directory, which is then
+    renamed over path. A path that already holds exactly these bytes is left
+    as it is (move-if-change), so rerunning a command into the same folder
+    does not replace identical files.
+    """
+    buf = io.StringIO(newline=newline)
+    yield buf
+    data = buf.getvalue().encode()
+    try:
+        if path.stat().st_size == len(data) and path.read_bytes() == data:
+            return
+    except OSError:
+        pass
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with tmp.open("w", newline=newline) as f:
-            yield f
+        tmp.write_bytes(data)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)

@@ -1,9 +1,12 @@
 """Scoring of wire arrangements against target force/velocity ellipses.
 
 For every evaluated joint state and every ellipse direction, a small LP
-finds the factor h by which the feasible operational space covers the
+defines the factor h by which the feasible operational space covers the
 target along that direction: h >= 1 means covered. The objectives to
 minimize are E_force and E_velocity, the summed shortfalls max(1-h, 0).
+For the planar two-joint robots (D = 2) both LPs have closed forms, a ray
+clipped against the torque zonotope and a ray bounded through J^-1, which
+are what runs; the simplex solves them for any other D and a singular J.
 
 The h variable is unbounded inside the LPs; reported values are clipped to
 h_cap afterwards. That makes every score independent of the cap (any cap
@@ -25,7 +28,8 @@ from .model import RobotModel, gravity_torque, joint_jacobian
 DEFAULT_H_CAP = 10.0
 MIN_RAYS = 8  # fewest boundary rays trace_polygon accepts
 RAY_CAP = 1e6  # where trace_polygon stops a ray through an unbounded set
-_THETA_DOT_BOUND = 1e6  # formal box on joint velocities; never binds below h_cap
+_THETA_DOT_BOUND = 1e6  # formal box on joint velocities; binds only on long rays
+_SLACK_TOL = 1e-9  # force rays may miss Z by this much, scaled like the simplex's phase 1
 _SINGULAR_RESIDUAL = 1e-6
 
 
@@ -176,15 +180,123 @@ def _clip_h(code: int, value: float, h_cap: float) -> float | None:
 
 
 def force_h_all(G, rhs, cols, limits, h_cap):
-    """h for every force direction, or None at the first infeasible LP.
+    """h for every force direction, or None when any direction is infeasible.
 
     G is the (M, D) muscle Jacobian, rhs the joint-space right-hand side at
     the anchor (J^T times the ellipse center, or the gravity torque) and
     each row of cols the joint-space image J^T w_i of one direction.
-    One LP per row, in variables (h, f): -G^T f - h (J^T w_i) = rhs, f in
-    its box, h >= 0. Values are clipped to h_cap, which an unbounded ray
-    reads as well.
+    Direction i asks for the largest h >= 0 with -G^T f - h (J^T w_i) = rhs
+    for some f in the tension box. Values are clipped to h_cap, which an
+    unbounded ray reads as well. For D = 2 the ray is clipped against the
+    torque zonotope in closed form; other D solve one LP per direction.
     """
+    if G.shape[1] == 2:
+        return _force_h_planar(G, rhs, cols, limits, h_cap)
+    return _force_h_simplex(G, rhs, cols, limits, h_cap)
+
+
+def velocity_h_all(G, J, dirs, limits, h_cap):
+    """h for every velocity direction, or None when any direction is infeasible.
+
+    G is the (M, D) muscle Jacobian, J the (2, D) joint Jacobian and each row
+    of dirs one operational-space direction w_i. Direction i asks for the
+    largest h >= 0 with J qdot = h w_i, G qdot inside the wire-speed box and
+    qdot inside a wide formal box. Values are clipped to h_cap, which an
+    unbounded ray reads as well. For D = 2 and det J != 0, qdot = h J^-1 w_i
+    gives h in closed form; other D and an exactly singular J solve one LP
+    per direction.
+    """
+    if G.shape[1] == 2:
+        (j00, j01), (j10, j11) = J.tolist()
+        det = _diff_of_products(j00, j11, j01, j10)
+        if det != 0.0:
+            return _velocity_h_planar(G, J, np.asarray(dirs, dtype=float), det, limits, h_cap)
+    return _velocity_h_simplex(G, J, dirs, limits, h_cap)
+
+
+# --- closed forms for D = 2 ---------------------------------------------------
+
+_PERP = np.array([[0.0, 1.0], [-1.0, 0.0]])  # g @ _PERP is g turned by +90 degrees
+_AXES = np.eye(2)
+_ADJ_PAIRS = np.array([[0, 1], [1, 0]])  # dirs[:, _ADJ_PAIRS][k] = [[w0, w1], [w1, w0]]
+_SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's constant for splitting a double
+
+
+def _two_product(a, b):
+    """(p, e) with p = fl(a * b) and p + e == a * b exactly (Dekker)."""
+    p = a * b
+    t = _SPLIT * a
+    ah = t - (t - a)
+    al = a - ah
+    t = _SPLIT * b
+    bh = t - (t - b)
+    bl = b - bh
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _diff_of_products(a, b, c, d):
+    """a * b - c * d to a few ulps, also where the two products cancel."""
+    p, e = _two_product(a, b)
+    q, f = _two_product(c, d)
+    return (p - q) + (e - f)
+
+
+def _force_h_planar(G, rhs, cols, limits, h_cap):
+    """Liang-Barsky clip of each ray rhs + t col, t >= 0, against Z = {-G^T f}.
+
+    Z is the center c0 = -(f_min + f_max)/2 sum_m g_m plus the generators
+    (f_max - f_min)/2 g_m, so for any normal n it lies in the slab
+    |n . (x - c0)| <= w(n) = (f_max - f_min)/2 sum_m |n . g_m|. The facet
+    normals perp(g_m) cut out a full-dimensional Z exactly. The two axes are
+    redundant there, but they close a segment (rank-1 G: a segment is never
+    perpendicular to both axes) and a point (rank-0 G). h is where the ray
+    leaves Z, also when rhs lies outside Z and the ray enters it. Whether a
+    ray meets Z at all is decided with the simplex's phase-1 allowance: a
+    slab may be missed by 1e-9 max(1, |rhs|_inf) in the L1 norm of the
+    phase-1 residual, which is that times |n|_inf along n.
+    """
+    normals = np.concatenate((G @ _PERP, _AXES))
+    width = 0.5 * (limits.f_max - limits.f_min) * np.abs(normals @ G.T).sum(axis=1)
+    offset = normals @ (rhs + 0.5 * (limits.f_min + limits.f_max) * G.sum(axis=0))
+    slack = _SLACK_TOL * max(1.0, float(np.abs(rhs).max())) * np.abs(normals).max(axis=1)
+    rate = cols @ normals.T  # (directions, normals)
+    # a ray that drifts across a slab by no more than the allowance over its
+    # whole capped length runs along it: that slab bounds no h
+    rate[np.abs(rate) * h_cap <= slack] = 0.0
+    speed = np.abs(rate)
+    along = np.sign(rate) * offset  # rhs's offset from the slab's mid-line, signed along the ray
+    inside = np.abs(offset) <= width + slack
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if not inside.all():  # rhs outside Z: every ray has to enter it
+            if np.any((speed == 0) & ~inside):
+                return None
+            enter = np.fmax.reduce((-width - slack - along) / speed, axis=1)
+            leave = np.fmin.reduce((width + slack - along) / speed, axis=1)
+            if not np.all((enter <= leave) & (leave >= 0)):
+                return None
+        # 0/0 (a zero normal, or a ray along a zero-width slab) bounds nothing
+        h = np.fmin.reduce((width - along) / speed, axis=1)
+    return np.maximum(np.fmin(h, h_cap), 0.0)
+
+
+def _velocity_h_planar(G, J, dirs, det, limits, h_cap):
+    """min over wires of the speed bound along a = G J^-1 w, and the qdot box."""
+    # J^-1 w = adj(J) w / det, each entry a difference of two products
+    adj = np.array([[J[1, 1], J[0, 0]], [J[0, 1], J[1, 0]]])
+    p, e = _two_product(adj, dirs[:, _ADJ_PAIRS])
+    u = ((p[:, 0] - p[:, 1]) + (e[:, 0] - e[:, 1])) / det
+    a = u @ G.T
+    with np.errstate(divide="ignore"):
+        h = (np.where(a > 0, limits.ldot_max, -limits.ldot_min) / np.abs(a)).min(
+            axis=1, initial=h_cap)
+        return np.minimum(h, _THETA_DOT_BOUND / np.abs(u).max(axis=1))
+
+
+# --- the LP per direction: any D, and singular J --------------------------------
+
+
+def _force_h_simplex(G, rhs, cols, limits, h_cap):
+    """One LP per row of cols, in variables (h, f): -G^T f - h col = rhs."""
     m_wires, d = G.shape
     n = 1 + m_wires
     a = np.empty((d, n))
@@ -206,15 +318,8 @@ def force_h_all(G, rhs, cols, limits, h_cap):
     return out
 
 
-def velocity_h_all(G, J, dirs, limits, h_cap):
-    """h for every velocity direction, or None at the first infeasible LP.
-
-    G is the (M, D) muscle Jacobian, J the (2, D) joint Jacobian and each row
-    of dirs one operational-space direction w_i. One LP per row, in variables
-    (h, qdot, y): J qdot = h w_i and y = G qdot with y boxed by the wire-speed
-    limits; qdot carries a wide formal box. Values are clipped to h_cap,
-    which an unbounded ray reads as well.
-    """
+def _velocity_h_simplex(G, J, dirs, limits, h_cap):
+    """One LP per row of dirs, in variables (h, qdot, y): J qdot = h w, y = G qdot."""
     m_wires, d = G.shape
     n = 1 + d + m_wires
     rows = 2 + m_wires

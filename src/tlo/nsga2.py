@@ -129,6 +129,17 @@ def pareto_front_indices(individuals: list[Individual]) -> list[int]:
     return sorted(keep)
 
 
+def extend_front(individuals: list[Individual], front: list[int], start: int) -> list[int]:
+    """pareto_front_indices(individuals), given front, that of individuals[:start].
+
+    A sample dominated within the prefix is dominated by a member of its
+    front, so only the front and the new samples need to be swept.
+    """
+    candidates = front + list(range(start, len(individuals)))
+    kept = pareto_front_indices([individuals[i] for i in candidates])
+    return [candidates[k] for k in kept]
+
+
 def hypervolume_2d(objectives: np.ndarray, ref_point) -> float:
     """Dominated area between a minimization front and the reference point."""
     ref = np.asarray(ref_point, dtype=float)
@@ -264,15 +275,18 @@ def evolve(
 
     archive: list[Individual] = []
     history: list[dict] = []
+    archive_front: list[int] = []
 
-    def record(generation: int):
-        front = pareto_front_indices(archive)
+    def record(generation: int, batch_size: int):
+        nonlocal archive_front
+        archive_front = extend_front(archive, archive_front, len(archive) - batch_size)
         entry = {
             "generation": generation,
             "evaluations": len(archive),
-            "front_size": len(front),
-            "best_e_force": min((archive[i].e_force for i in front), default=None),
-            "best_e_velocity": min((archive[i].e_velocity for i in front), default=None),
+            "front_size": len(archive_front),
+            "best_e_force": min((archive[i].e_force for i in archive_front), default=None),
+            "best_e_velocity": min((archive[i].e_velocity for i in archive_front),
+                                   default=None),
         }
         history.append(entry)
         if on_generation is not None:
@@ -283,7 +297,7 @@ def evolve(
     archive.extend(evaluated)
     current = evaluated
     generation = 0
-    record(generation)
+    record(generation, len(evaluated))
 
     while len(archive) < budget:
         objs = np.array([ind.objectives for ind in current])
@@ -306,7 +320,7 @@ def evolve(
         evaluated = _evaluate_batch(evaluate_fn, space, batch, sentinel)
         archive.extend(evaluated)
         generation += 1
-        record(generation)
+        record(generation, len(evaluated))
         if len(batch) < population:
             break  # partial final batch: budget exhausted, no further selection
 
@@ -329,7 +343,7 @@ def evolve(
 
     return ParetoArchive(
         individuals=archive,
-        front_indices=pareto_front_indices(archive),
+        front_indices=archive_front,
         seed=seed,
         evaluation_count=len(archive),
         sentinel=sentinel,

@@ -1,10 +1,10 @@
-"""Exact geometric cross-checks for the LP-based feasibility scores (D=2).
+"""Exact geometric cross-checks for the coverage scores h (D=2).
 
 For a fixed joint state the feasible tip-force set is the image of the
 tension box under F = J^{-T} (-G^T f): a zonotope. The feasible tip-velocity
 set is the image under J of the box-constrained joint velocities: a halfplane
 intersection. Both are built here exactly and probed with ray casts, giving
-an independent check of every h value the LP path produces.
+an independent check of every h value the coverage kernels produce.
 """
 
 from __future__ import annotations

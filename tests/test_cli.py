@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import xml.etree.ElementTree as ET
 from importlib import resources
 from pathlib import Path
@@ -263,6 +264,37 @@ class TestEvaluate:
             main(args)
         assert (out / "report.json").read_bytes() == before
         assert [p.name for p in out.iterdir()] == ["report.json"]
+
+    def test_rerun_leaves_identical_artifacts_in_place(self, tmp_path, monkeypatch):
+        cfg = zero_center_config(tmp_path)
+        out = tmp_path / "eval"
+        evaluate = ["evaluate", "--config", str(cfg),
+                    "--design", str(base_only_design(tmp_path)), "--out", str(out)]
+        plot = ["plot", str(out / "report.json"), "--out", str(out / "plots")]
+        assert main(evaluate) == 0 and main(plot) == 0
+        svgs = {p.name: p.read_bytes() for p in (out / "plots").iterdir()}
+        replaced = []
+        real_replace = os.replace
+
+        def replace(src, dst):
+            replaced.append(Path(dst).name)
+            real_replace(src, dst)
+
+        monkeypatch.setattr(tlo.cli.os, "replace", replace)
+        assert main(evaluate) == 0 and main(plot) == 0
+        assert replaced == []
+        doc = json.loads(cfg.read_text())
+        doc["targets"]["force_radii"] = [50.0, 50.0]
+        cfg.write_text(json.dumps(doc))
+        assert main(evaluate) == 0
+        assert replaced == ["report.json"]
+        report = json.loads((out / "report.json").read_text())
+        assert report["scenario"]["targets"]["force_radii"] == [50.0, 50.0]
+        assert main(plot) == 0
+        changed = {name for name, data in svgs.items() if (out / "plots" / name).read_bytes() != data}
+        assert changed and sorted(replaced[1:]) == sorted(changed)
+        assert sorted(p.name for p in out.iterdir()) == ["plots", "report.json"]
+        assert sorted(p.name for p in (out / "plots").iterdir()) == sorted(svgs)
 
     def test_non_object_design_exits_2(self, tmp_path, capsys):
         design = tmp_path / "list.json"

@@ -12,6 +12,7 @@ from tlo.arrangement import muscle_jacobian
 from tlo.config import load_bundled_scenario
 from tlo.feasibility import (
     DEFAULT_H_CAP,
+    RAY_CAP,
     ActuatorLimits,
     InfeasibleDesign,
     Scenario,
@@ -319,6 +320,32 @@ class TestTracePolygon:
         for p, d in zip(poly, dirs):
             assert zono.contains(p, tol=1e-6)
             assert not zono.contains(p + 1e-4 * d, tol=1e-9)
+
+    def test_velocity_rays_end_at_the_formal_box(self, paper_model, paper_limits,
+                                                  zero_center_target):
+        # with G = 0 no wire speed binds, so a ray stops where some |qdot_k|
+        # reaches the 1e6 formal box, h = 1e6 / max_k |(J^-1 d)_k|, or at
+        # RAY_CAP; the box binds wherever max_k |(J^-1 d)_k| > 1
+        ang = 2 * np.pi * np.arange(64) / 64
+        dirs = np.column_stack([np.cos(ang), np.sin(ang)])
+        for q in (Q_BENT, np.array([0.3, 1e-3]), np.array([-1.0, np.pi - 1e-3])):
+            state = state_tables(paper_model, q, zero_center_target, False)
+            poly = trace_polygon(paper_model, all_on_base_design(), state, "velocity",
+                                 paper_limits, n_rays=64)
+            reach = np.abs(np.linalg.solve(state.J, dirs.T)).max(axis=0)
+            expected = np.minimum(1e6 / reach, RAY_CAP)
+            np.testing.assert_allclose(np.sum(poly * dirs, axis=1), expected, rtol=1e-9)
+            assert np.any(reach > 1)
+            if q is Q_BENT:
+                assert np.any(reach < 1)  # and some rays run to RAY_CAP
+
+    def test_velocity_rays_at_singular_j(self, paper_limits):
+        # an exactly singular J: only rays along its range move, as far as the
+        # formal box lets qdot go; every other ray has h = 0
+        J = np.array([[1.0, 2.0], [0.5, 1.0]])
+        hs = velocity_h_all(np.zeros((3, 2)), J, np.array([[1.0, 0.5], [0.0, 1.0]]),
+                            paper_limits, 1e7)
+        assert hs.tolist() == [3e6, 0.0]
 
     def test_degenerate_force_polygon_is_point(self, paper_model, paper_limits,
                                                zero_center_target):

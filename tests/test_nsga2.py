@@ -10,6 +10,7 @@ from tlo.nsga2 import (
     crowding_distance,
     dominates,
     evolve,
+    extend_front,
     hypervolume_2d,
     non_dominated_sort,
     pareto_front_indices,
@@ -130,6 +131,26 @@ class TestParetoFrontIndices:
         assert pareto_front_indices(inds) == []
 
 
+class TestExtendFront:
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 4), st.integers(0, 4), st.booleans()),
+            min_size=1, max_size=60,
+        ),
+        st.integers(1, 12),
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_equals_the_full_front_after_every_batch(self, samples, batch):
+        # few distinct values: ties on each objective and exact duplicates
+        inds = [Individual(None, float(a), float(b), f) if f
+                else Individual(None, 33.0, 33.0, False) for a, b, f in samples]
+        front: list[int] = []
+        for start in range(0, len(inds), batch):
+            prefix = inds[: start + batch]
+            front = extend_front(prefix, front, start)
+            assert front == pareto_front_indices(prefix)
+
+
 class TestHypervolume:
     def test_single_point(self):
         assert hypervolume_2d(np.array([[1.0, 1.0]]), (33, 33)) == pytest.approx(32 * 32)
@@ -188,6 +209,35 @@ class TestEvolve:
         front_objs = [arch.individuals[i].objectives for i in arch.front_indices]
         for fo in front_objs:
             assert not any(dominates(o, fo) for o in objs)
+
+    def test_running_front_equals_the_full_front_every_generation(self):
+        # rounded objectives give ties and duplicates across generations
+        scores = []
+
+        def coarse(design):
+            res = toy_evaluator(design)
+            if res.feasible:
+                res = EvaluationResult(True, None, None, round(res.e_force, 1),
+                                       round(res.e_velocity, 1))
+            scores.append(res)
+            return res
+
+        def check(entry):
+            upto = [Individual(None, r.e_force, r.e_velocity, True) if r.feasible
+                    else Individual(None, 33.0, 33.0, False)
+                    for r in scores[: entry["evaluations"]]]
+            front = pareto_front_indices(upto)
+            assert entry["front_size"] == len(front)
+            assert entry["best_e_force"] == min(upto[i].e_force for i in front)
+            assert entry["best_e_velocity"] == min(upto[i].e_velocity for i in front)
+            checked.append(entry["generation"])
+
+        checked = []
+        arch = evolve(coarse, SPACE, 20, 410, seed=4, max_objective=32.0, on_generation=check)
+        assert checked == list(range(21))
+        assert arch.front_indices == pareto_front_indices(arch.individuals)
+        objs = [arch.individuals[i].objectives for i in arch.front_indices]
+        assert len(objs) > len(set(objs))  # the front kept duplicates
 
     def test_archive_hypervolume_monotone(self):
         arch = evolve(toy_evaluator, SPACE, 20, 400, seed=9, max_objective=32.0)
