@@ -13,7 +13,6 @@ from .arrangement import (
     ConstantArrangement,
     DesignSpace,
     Genome,
-    RelayPoint,
     VariableArrangement,
     genome_decode,
     genome_encode,
@@ -68,7 +67,6 @@ __all__ = [
     "LinearProgram",
     "ParetoArchive",
     "Pose",
-    "RelayPoint",
     "RobotModel",
     "Scenario",
     "ScenarioConfig",

@@ -24,37 +24,39 @@ from .model import Pose, RobotModel, forward_kinematics, rot90
 DEGENERATE_SEGMENT = 1e-9
 
 
-@dataclass(frozen=True)
-class RelayPoint:
-    """A wire routing point: link index and fraction along its attach segment."""
-
-    link: int
-    fraction: float
-
-
 @dataclass
 class VariableArrangement:
-    """Per-wire relay point lists; the first point of every wire sits on LINK_0."""
+    """Relay points as matching (M, N) arrays, one row per wire.
 
-    wires: list[list[RelayPoint]]
+    links[m, n] is the link that point n of wire m is pinned to and
+    fractions[m, n] its position along that link's attach segment. The
+    first point of every wire sits on LINK_0.
+    """
+
+    links: np.ndarray
+    fractions: np.ndarray
 
     def __post_init__(self):
-        if not self.wires:
+        if np.size(self.links) and np.asarray(self.links).dtype.kind not in "iu":
+            raise TypeError("relay links must be integers")
+        self.links = np.asarray(self.links, dtype=np.int64)
+        self.fractions = np.asarray(self.fractions, dtype=float)
+        if self.links.ndim != 2 or self.links.shape != self.fractions.shape:
+            raise ValueError("links and fractions must be matching (M, N) arrays")
+        if not len(self.links):
             raise ValueError("need at least one wire")
-        for m, wire in enumerate(self.wires):
-            if len(wire) < 2:
-                raise ValueError(f"wire {m} needs at least 2 relay points")
-            if wire[0].link != 0:
-                raise ValueError(f"wire {m} must start on LINK_0")
-            for p in wire:
-                if not 0.0 <= p.fraction <= 1.0:
-                    raise ValueError(f"wire {m}: fraction {p.fraction} outside [0, 1]")
-                if p.link < 0:
-                    raise ValueError(f"wire {m}: negative link index")
+        if self.links.shape[1] < 2:
+            raise ValueError("every wire needs at least 2 relay points")
+        if self.links[:, 0].any():
+            raise ValueError("every wire must start on LINK_0")
+        if not 0.0 <= self.fractions.min() <= self.fractions.max() <= 1.0:  # NaN fails
+            raise ValueError("relay fractions must lie in [0, 1]")
+        if self.links.min() < 0:
+            raise ValueError("negative link index")
 
     @property
     def n_wires(self) -> int:
-        return len(self.wires)
+        return len(self.links)
 
 
 @dataclass
@@ -78,35 +80,31 @@ class ConstantArrangement:
 WireArrangement = VariableArrangement | ConstantArrangement
 
 
-def attach_point_local(model: RobotModel, link: int, fraction: float) -> np.ndarray:
-    seg = model.attach_segments[link]
-    return seg[0] + fraction * (seg[1] - seg[0])
-
-
 def relay_world_positions(
     model: RobotModel, design: VariableArrangement, q: np.ndarray, pose: Pose | None = None
-) -> list[np.ndarray]:
-    """World positions of every relay point, one (N_m, 2) array per wire."""
+) -> np.ndarray:
+    """World positions of every relay point, (M, N, 2)."""
     if not isinstance(design, VariableArrangement):
         raise TypeError("relay points exist only for variable arrangements")
+    links = design.links
+    # checked before indexing, where numpy would wrap a negative link around
+    lo, hi = links.min(), links.max()
+    if lo < 0 or hi >= len(model.link_lengths):
+        raise ValueError(f"relay link {lo if lo < 0 else hi} out of range")
     if pose is None:
         pose = forward_kinematics(model, q)
-    n_links = len(model.link_lengths)
-    out = []
-    for wire in design.wires:
-        pts = np.empty((len(wire), 2))
-        for n, p in enumerate(wire):
-            if not 0 <= p.link < n_links:
-                raise ValueError(f"relay link {p.link} out of range")
-            pts[n] = pose.world_point(p.link, attach_point_local(model, p.link, p.fraction))
-        out.append(pts)
-    return out
+    seg = model.attach_segments[links]
+    local = seg[..., 0, :] + design.fractions[..., None] * (seg[..., 1, :] - seg[..., 0, :])
+    x, y = local[..., 0], local[..., 1]
+    angles = pose.link_angles[links]
+    c, s = np.cos(angles), np.sin(angles)
+    return pose.link_origins[links] + np.stack([c * x - s * y, s * x + c * y], axis=-1)
 
 
 def wire_lengths(model: RobotModel, design: VariableArrangement, q: np.ndarray) -> np.ndarray:
     """Total polyline length of each wire, meters."""
-    positions = relay_world_positions(model, design, q)
-    return np.array([np.sum(np.linalg.norm(np.diff(p, axis=0), axis=1)) for p in positions])
+    segments = np.diff(relay_world_positions(model, design, q), axis=1)
+    return np.linalg.norm(segments, axis=2).sum(axis=1)
 
 
 def constant_arms(model: RobotModel, design: ConstantArrangement) -> np.ndarray:
@@ -134,23 +132,19 @@ def muscle_jacobian(model: RobotModel, design: WireArrangement, q: np.ndarray) -
         return -arms
 
     pose = forward_kinematics(model, q)
-    positions = relay_world_positions(model, design, q, pose)
-    g = np.zeros((design.n_wires, d))
-    for m, (wire, pts) in enumerate(zip(design.wires, positions)):
-        links = np.array([p.link for p in wire])
-        # dpts[n, k] = d p_n / d theta_k: rot90 about joint k when the point's
-        # link moves with that joint, else zero
-        dpts = rot90(pts[:, None, :] - pose.joint_positions[None, :, :])
-        dpts *= (links[:, None] >= np.arange(1, d + 1)[None, :])[:, :, None]
-        seg = np.diff(pts, axis=0)
-        norms = np.linalg.norm(seg, axis=1)
-        ok = norms > DEGENERATE_SEGMENT
-        if not np.any(ok):
-            continue
-        unit = seg[ok] / norms[ok, None]
-        dseg = (dpts[1:] - dpts[:-1])[ok]
-        g[m] = np.einsum("si,ski->sk", unit, dseg).sum(axis=0)
-    return g
+    pts = relay_world_positions(model, design, q, pose)
+    # dpts[m, n, k] = d p_mn / d theta_k: rot90 about joint k when the point's
+    # link moves with that joint, else zero
+    dpts = rot90(pts[:, :, None, :] - pose.joint_positions)
+    dpts *= (design.links[:, :, None] >= np.arange(1, d + 1))[..., None]
+    seg = np.diff(pts, axis=1)
+    norms = np.linalg.norm(seg, axis=2)
+    ok = norms > DEGENERATE_SEGMENT
+    # degenerate segments divide by 1, not by their length, and are dropped
+    # after the dot product
+    unit = seg / np.where(ok, norms, 1.0)[..., None]
+    rates = np.einsum("msi,mski->msk", unit, np.diff(dpts, axis=1))
+    return np.where(ok[..., None], rates, 0.0).sum(axis=1)
 
 
 # --- genome codec -----------------------------------------------------------
@@ -219,33 +213,22 @@ def genome_decode(genome: Genome, space: DesignSpace) -> WireArrangement:
         return ConstantArrangement(
             np.asarray(genome.reals, dtype=float).reshape(space.n_wires, space.n_joints)
         )
-    n = space.n_relay_points
-    reals = np.asarray(genome.reals, dtype=float).reshape(space.n_wires, n)
-    cats = np.asarray(genome.cats).reshape(space.n_wires, n - 1)
-    wires = []
-    for m in range(space.n_wires):
-        wire = [RelayPoint(0, float(reals[m, 0]))]
-        wire += [RelayPoint(int(cats[m, i]), float(reals[m, i + 1])) for i in range(n - 1)]
-        wires.append(wire)
-    return VariableArrangement(wires)
+    links = np.zeros((space.n_wires, space.n_relay_points), dtype=np.int64)
+    links[:, 1:] = np.reshape(genome.cats, (space.n_wires, -1))
+    return VariableArrangement(links, np.reshape(genome.reals, links.shape))
 
 
 def genome_encode(design: WireArrangement) -> Genome:
     """Flatten a design into its genome; genome_decode inverts it exactly."""
     if isinstance(design, ConstantArrangement):
         return Genome(design.fractions.ravel().copy(), np.empty(0, dtype=np.int64))
-    n = len(design.wires[0])
-    if any(len(w) != n for w in design.wires):
-        raise ValueError("all wires must have the same relay point count")
-    reals = np.array([p.fraction for w in design.wires for p in w])
-    cats = np.array([p.link for w in design.wires for p in w[1:]], dtype=np.int64)
-    return Genome(reals, cats)
+    return Genome(design.fractions.ravel().copy(), design.links[:, 1:].ravel())
 
 
 def space_for(design: WireArrangement, n_joints: int) -> DesignSpace:
     if isinstance(design, ConstantArrangement):
         return DesignSpace("constant", design.n_wires, None, n_joints)
-    return DesignSpace("variable", design.n_wires, len(design.wires[0]), n_joints)
+    return DesignSpace("variable", *design.links.shape, n_joints)
 
 
 # --- JSON form: variable as relay point lists, constant as arm values in meters
@@ -257,9 +240,17 @@ def design_to_jsonable(design: WireArrangement, model: RobotModel) -> dict:
     return {
         "kind": "variable",
         "wires": [
-            [{"link": p.link, "frac": p.fraction} for p in wire] for wire in design.wires
+            [{"link": link, "frac": frac} for link, frac in zip(links, fracs)]
+            for links, fracs in zip(design.links.tolist(), design.fractions.tolist())
         ],
     }
+
+
+def _json_number(value, integer: bool = False):
+    """value, if it is a JSON number (an integer if asked); bools are neither."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise TypeError(f"expected a JSON {'integer' if integer else 'number'}, got {value!r}")
+    return value
 
 
 def design_from_jsonable(doc: dict, model: RobotModel) -> WireArrangement:
@@ -267,27 +258,26 @@ def design_from_jsonable(doc: dict, model: RobotModel) -> WireArrangement:
         raise TypeError("design document must be a JSON object")
     kind = doc.get("kind")
     if kind == "variable":
-        wires = [
-            [RelayPoint(int(p["link"]), float(p["frac"])) for p in wire]
-            for wire in doc["wires"]
-        ]
-        design = VariableArrangement(wires)
-        n_links = len(model.link_lengths)
-        for wire in design.wires:
-            for p in wire:
-                if p.link >= n_links:
-                    raise ValueError(f"relay link {p.link} out of range for this robot")
+        wires = doc["wires"]
+        if len({len(wire) for wire in wires}) > 1:
+            raise ValueError("all wires need the same number of relay points")
+        design = VariableArrangement(
+            [[_json_number(p["link"], integer=True) for p in wire] for wire in wires],
+            [[_json_number(p["frac"]) for p in wire] for wire in wires],
+        )
+        if design.links.max() >= len(model.link_lengths):
+            raise ValueError(f"relay link {design.links.max()} out of range for this robot")
         return design
     if kind == "constant":
         if model.moment_arm_ranges is None:
             raise ValueError("constant designs need robot.moment_arm_ranges")
-        arms = np.asarray(doc["arms"], dtype=float)
+        arms = np.array([[_json_number(v) for v in row] for row in doc["arms"]], dtype=float)
         lo = model.moment_arm_ranges[:, 0]
         hi = model.moment_arm_ranges[:, 1]
         if arms.ndim != 2 or arms.shape[1] != model.n_joints:
             raise ValueError("arms must be an (M, D) matrix")
         frac = (arms - lo) / (hi - lo)
-        if np.any(frac < -1e-9) or np.any(frac > 1 + 1e-9):
+        if not np.all((frac >= -1e-9) & (frac <= 1 + 1e-9)):  # NaN fails both
             raise ValueError("arm values outside the robot's moment_arm_ranges")
         return ConstantArrangement(np.clip(frac, 0.0, 1.0))
     raise ValueError(f"unknown design kind {kind!r}")

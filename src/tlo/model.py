@@ -95,12 +95,6 @@ class Pose:
     joint_positions: np.ndarray
     ee_position: np.ndarray
 
-    def world_point(self, link: int, local: np.ndarray) -> np.ndarray:
-        a = self.link_angles[link]
-        c, s = np.cos(a), np.sin(a)
-        x, y = local
-        return self.link_origins[link] + np.array([c * x - s * y, s * x + c * y])
-
 
 def forward_kinematics(model: RobotModel, q: np.ndarray) -> Pose:
     """Pose of every link for joint angles q (radians, length D)."""

@@ -168,12 +168,11 @@ def arrangement_panel(model, design, q, title: str) -> str:
     pose = forward_kinematics(model, np.asarray(q, dtype=float))
     d = model.n_joints
     joints = np.vstack([np.zeros(2), pose.link_origins[1:], pose.ee_position[None, :]])
-    body_pts = [joints]
     wires = None
+    pts = joints
     if not isinstance(design, ConstantArrangement):
         wires = relay_world_positions(model, design, q, pose)
-        body_pts.extend(wires)
-    pts = np.vstack(body_pts)
+        pts = np.vstack([joints, wires.reshape(-1, 2)])
     frame = _Frame(pts[:, 0], pts[:, 1])
     body = _axes(frame, "x [m]", "y [m]")
     # links as thick bars
@@ -193,7 +192,7 @@ def arrangement_panel(model, design, q, title: str) -> str:
             f'r="5" fill="white" stroke="black" stroke-width="1.5"/>'
         )
     if wires is not None:
-        for w, poly in enumerate(wires):
+        for poly in wires:
             path = "M " + " L ".join(frame.point(p).replace(",", " ") for p in poly)
             body.append(
                 f'<path class="wire" fill="none" stroke="{FEASIBLE_COLOR}" '

@@ -5,7 +5,6 @@ import pytest
 
 from tlo.arrangement import (
     ConstantArrangement,
-    RelayPoint,
     VariableArrangement,
     muscle_jacobian,
 )
@@ -52,14 +51,14 @@ def zero_center_scenario(paper_limits, default_states, zero_center_target) -> Sc
 
 
 def random_variable_design(rng: np.random.Generator, m=3, n=3, d=2) -> VariableArrangement:
-    wires = []
-    for _ in range(m):
-        pts = [RelayPoint(0, float(rng.random()))]
-        pts += [
-            RelayPoint(int(rng.integers(0, d + 1)), float(rng.random())) for _ in range(n - 1)
-        ]
-        wires.append(pts)
-    return VariableArrangement(wires)
+    links = np.zeros((m, n), dtype=np.int64)
+    fractions = np.empty((m, n))
+    for w in range(m):
+        fractions[w, 0] = rng.random()
+        for i in range(1, n):
+            links[w, i] = rng.integers(0, d + 1)
+            fractions[w, i] = rng.random()
+    return VariableArrangement(links, fractions)
 
 
 def random_constant_design(rng: np.random.Generator, m=4, d=2) -> ConstantArrangement:
@@ -67,9 +66,9 @@ def random_constant_design(rng: np.random.Generator, m=4, d=2) -> ConstantArrang
 
 
 def all_on_base_design(m=3) -> VariableArrangement:
-    return VariableArrangement(
-        [[RelayPoint(0, 0.1 + 0.2 * i), RelayPoint(0, 0.9 - 0.1 * i)] for i in range(m)]
-    )
+    i = np.arange(m)
+    return VariableArrangement(np.zeros((m, 2), dtype=np.int64),
+                               np.column_stack([0.1 + 0.2 * i, 0.9 - 0.1 * i]))
 
 
 def worked_constant_design() -> ConstantArrangement:

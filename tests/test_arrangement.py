@@ -8,7 +8,6 @@ from tlo.arrangement import (
     ConstantArrangement,
     DesignSpace,
     Genome,
-    RelayPoint,
     VariableArrangement,
     constant_arms,
     design_from_jsonable,
@@ -21,18 +20,14 @@ from tlo.arrangement import (
 )
 
 
-def wire(points):
-    return [RelayPoint(link, frac) for link, frac in points]
-
-
 class TestRelayPositions:
     def test_fixed_link_midpoint(self, paper_model):
-        design = VariableArrangement([wire([(0, 0.5), (0, 1.0)])])
+        design = VariableArrangement([[0, 0]], [[0.5, 1.0]])
         pts = relay_world_positions(paper_model, design, np.zeros(2))[0]
         np.testing.assert_allclose(pts[0], [0.2, 0.0], atol=1e-12)
 
     def test_straight_link_midpoint(self, paper_model):
-        design = VariableArrangement([wire([(0, 0.0), (1, 0.5)])])
+        design = VariableArrangement([[0, 1]], [[0.0, 0.5]])
         pts = relay_world_positions(paper_model, design, np.zeros(2))[0]
         np.testing.assert_allclose(pts[1], [0.7, 0.0], atol=1e-12)
 
@@ -40,17 +35,18 @@ class TestRelayPositions:
         from tlo.model import forward_kinematics
 
         q = np.array([0.0, np.pi / 2])
-        design = VariableArrangement([wire([(0, 0.0), (2, 1.0)])])
+        design = VariableArrangement([[0, 2]], [[0.0, 1.0]])
         pts = relay_world_positions(paper_model, design, q)[0]
         np.testing.assert_allclose(
             pts[1], forward_kinematics(paper_model, q).ee_position, atol=1e-12
         )
 
     def test_out_of_range_link(self, paper_model):
-        design = VariableArrangement([wire([(0, 0.0), (2, 1.0)])])
-        design.wires[0][1] = RelayPoint(7, 0.5)
-        with pytest.raises(ValueError):
-            relay_world_positions(paper_model, design, np.zeros(2))
+        for link in (7, 3, -1):  # numpy indexing would wrap -1 to the last link
+            design = VariableArrangement([[0, 2]], [[0.0, 1.0]])
+            design.links[0, 1] = link
+            with pytest.raises(ValueError):
+                relay_world_positions(paper_model, design, np.zeros(2))
 
     def test_constant_mode_rejected(self, paper_model):
         with pytest.raises(TypeError):
@@ -59,13 +55,13 @@ class TestRelayPositions:
 
 class TestWireLengths:
     def test_straight_segment(self, paper_model):
-        design = VariableArrangement([wire([(0, 0.5), (1, 0.5)])])
+        design = VariableArrangement([[0, 1]], [[0.5, 0.5]])
         np.testing.assert_allclose(
             wire_lengths(paper_model, design, np.zeros(2)), [0.5], atol=1e-12
         )
 
     def test_same_link_length_constant(self, paper_model):
-        design = VariableArrangement([wire([(0, 0.1), (0, 0.9)]), wire([(0, 0.0), (2, 0.3)])])
+        design = VariableArrangement([[0, 0], [0, 2]], [[0.1, 0.9], [0.0, 0.3]])
         rng = np.random.default_rng(1)
         base = wire_lengths(paper_model, design, rng.uniform(-np.pi, np.pi, 2))
         for _ in range(10):
@@ -89,7 +85,7 @@ class TestWireLengths:
 
 class TestMuscleJacobian:
     def test_zero_row_for_base_only_wire(self, paper_model):
-        design = VariableArrangement([wire([(0, 0.1), (0, 0.9)])])
+        design = VariableArrangement([[0, 0]], [[0.1, 0.9]])
         rng = np.random.default_rng(2)
         for _ in range(10):
             g = muscle_jacobian(paper_model, design, rng.uniform(-np.pi, np.pi, 2))
@@ -98,7 +94,7 @@ class TestMuscleJacobian:
     def test_wire_along_joint_plane(self, paper_model):
         # straight wire (0.2, 0) -> (0.7, 0) at zero pose: unit direction is
         # perpendicular to the joint-1 lever term, so dl/dtheta_1 = 0
-        design = VariableArrangement([wire([(0, 0.5), (1, 0.5)])])
+        design = VariableArrangement([[0, 1]], [[0.5, 0.5]])
         g = muscle_jacobian(paper_model, design, np.zeros(2))
         assert g[0, 0] == pytest.approx(0.0, abs=1e-12)
 
@@ -124,6 +120,40 @@ class TestMuscleJacobian:
                 assert np.max(np.abs(g[:, k] - fd) / denom) < 1e-5
             checked += 1
         assert checked >= 90
+
+    # (links, fractions) of a wire with a repeated world point, and the same
+    # wire without it: LINK_0's tip is joint 1, LINK_1's tip is joint 2
+    DUPLICATES = [
+        ([0, 0, 1, 2], [0.3, 1.0, 0.0, 0.7], [0, 0, 2], [0.3, 1.0, 0.7]),
+        ([0, 1, 2, 2], [0.2, 1.0, 0.0, 0.5], [0, 1, 2], [0.2, 1.0, 0.5]),
+        ([0, 2, 2], [0.6, 0.4, 0.4], [0, 2], [0.6, 0.4]),
+        ([0, 0, 1], [0.5, 0.5, 0.8], [0, 1], [0.5, 0.8]),
+        ([0, 1, 1, 1], [0.0, 0.3, 0.3, 0.3], [0, 1], [0.0, 0.3]),
+    ]
+    STATES = [np.zeros(2), np.array([0.4, -1.1]), np.array([-2.5, 3.0]), np.array([np.pi, 1e-9])]
+
+    @pytest.mark.parametrize("links, fracs, short_links, short_fracs", DUPLICATES)
+    def test_repeated_point_drops_out(self, paper_model, links, fracs, short_links, short_fracs):
+        with_dup = VariableArrangement([links], [fracs])
+        without = VariableArrangement([short_links], [short_fracs])
+        for q in self.STATES:
+            segments = np.diff(relay_world_positions(paper_model, with_dup, q), axis=1)
+            assert np.linalg.norm(segments, axis=2).min() == 0.0
+            g = muscle_jacobian(paper_model, with_dup, q)
+            assert np.all(np.isfinite(g))
+            np.testing.assert_array_equal(g, muscle_jacobian(paper_model, without, q))
+
+    def test_coincident_wire_has_zero_row(self, paper_model):
+        # wire 0 sits at joint 1 three times over, wire 1 at the origin;
+        # wire 2 is regular and keeps its row
+        coincident = VariableArrangement([[0, 0, 1], [0, 0, 0], [0, 2, 1]],
+                                         [[1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.2, 0.3, 1.0]])
+        rest = VariableArrangement([[0, 2, 1]], [[0.2, 0.3, 1.0]])
+        for q in self.STATES:
+            g = muscle_jacobian(paper_model, coincident, q)
+            assert np.all(np.isfinite(g))
+            assert np.array_equal(g[:2], np.zeros((2, 2)))
+            np.testing.assert_array_equal(g[2:], muscle_jacobian(paper_model, rest, q))
 
     def test_constant_mode_value_and_theta_independence(self, paper_model):
         frac = np.array([[1.0, 0.5], [0.0, 1.0]])
@@ -195,8 +225,8 @@ class TestGenome:
     def test_first_relay_point_forced_to_base(self):
         space = DesignSpace("variable", 1, 2, 2)
         design = genome_decode(Genome(np.array([0.3, 0.9]), np.array([2])), space)
-        assert design.wires[0][0].link == 0
-        assert design.wires[0][1].link == 2
+        assert design.links[0, 0] == 0
+        assert design.links[0, 1] == 2
 
 
 class TestDesignJson:
@@ -205,7 +235,8 @@ class TestDesignJson:
         design = random_variable_design(rng)
         doc = design_to_jsonable(design, paper_model)
         back = design_from_jsonable(doc, paper_model)
-        assert back.wires == design.wires
+        assert np.array_equal(back.links, design.links)
+        assert np.array_equal(back.fractions, design.fractions)
 
     def test_constant_arms_in_meters(self, paper_model):
         design = ConstantArrangement(np.array([[1.0, 0.0]]))
@@ -222,15 +253,15 @@ class TestDesignJson:
 class TestValidation:
     def test_first_point_must_be_on_base(self):
         with pytest.raises(ValueError):
-            VariableArrangement([wire([(1, 0.5), (2, 0.5)])])
+            VariableArrangement([[1, 2]], [[0.5, 0.5]])
 
     def test_fraction_range(self):
         with pytest.raises(ValueError):
-            VariableArrangement([wire([(0, 1.5), (1, 0.5)])])
+            VariableArrangement([[0, 1]], [[1.5, 0.5]])
 
     def test_minimum_points(self):
         with pytest.raises(ValueError):
-            VariableArrangement([wire([(0, 0.5)])])
+            VariableArrangement([[0]], [[0.5]])
 
     def test_constant_fraction_range(self):
         with pytest.raises(ValueError):

@@ -305,6 +305,43 @@ class TestEvaluate:
         ) == 2
         assert "config error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("link", 1.9), ("link", True), ("frac", "0.5"), ("frac", False),
+    ])
+    def test_relay_number_of_the_wrong_type_exits_2(self, tmp_path, capsys, key, value):
+        doc = json.loads(base_only_design(tmp_path).read_text())
+        doc["wires"][1][1][key] = value
+        design = tmp_path / "typed.json"
+        design.write_text(json.dumps(doc))
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--config", str(zero_center_config(tmp_path)),
+                     "--design", str(design), "--out", str(out)]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_non_finite_arms_exit_2(self, tmp_path, capsys):
+        design = tmp_path / "nan_arms.json"
+        design.write_text(json.dumps(
+            {"kind": "constant", "arms": [[0.1, 0.0], [-0.1, float("nan")], [0.0, 0.1], [0.0, -0.1]]}
+        ))
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--config", scenario_path("constant_relaxed"),
+                     "--design", str(design), "--out", str(out)]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
+    def test_ragged_design_exits_2(self, tmp_path, capsys):
+        # target1_nograv has 2 relay points per wire; wire 1 has 3 here
+        doc = json.loads((DATA / "golden_design.json").read_text())
+        doc["wires"][1].append({"link": 1, "frac": 0.5})
+        design = tmp_path / "ragged.json"
+        design.write_text(json.dumps(doc))
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--config", scenario_path("target1_nograv"),
+                     "--design", str(design), "--out", str(out)]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_constant_h_matches_oracle_within_tolerance(self, tmp_path):
         from tlo.arrangement import muscle_jacobian
         from tlo.config import load_config
@@ -414,6 +451,17 @@ class TestPlot:
         assert main(["plot", str(bad), "--out", str(plots)]) == 2
         assert "config error:" in capsys.readouterr().err
         assert not list(plots.glob("*.svg"))
+
+    def test_ragged_design_exits_2(self, tmp_path, capsys):
+        out_eval, _ = self.run_pipeline(tmp_path)
+        report = json.loads((out_eval / "report.json").read_text())
+        report["design"]["wires"][1].append({"link": 1, "frac": 0.5})
+        bad = tmp_path / "ragged_report.json"
+        bad.write_text(json.dumps(report))
+        plots = tmp_path / "ragged_plots"
+        assert main(["plot", str(bad), "--out", str(plots)]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not plots.exists()
 
     def test_golden_files(self, tmp_path):
         out_eval, plots = self.run_pipeline(tmp_path)

@@ -3,20 +3,24 @@
 For D = 2 the kernels are closed forms. Each generated case is checked
 against the same LP built here from the public LinearProgram/solve_lp_max,
 against scipy's linprog, and (velocity) against an exact rational
-evaluation of the closed form on the same floating-point inputs. The cases
+evaluation of the closed form on the same floating-point inputs; wherever
+J is regular the exact polygons of tlo.oracle are a third reference. The cases
 aim at the degenerate geometry: rank-0/1 and parallel-row G, joint states
 near q2 = 0 and q2 = pi, exactly singular J, force directions with
 J^T w ~ 0, anchors on the zonotope boundary, h at exactly 1 and at h_cap,
-and a single ray that starts outside the zonotope and enters it. Robots
+and a single ray that starts outside the zonotope and enters it; the
+gravity torque of a real target1_grav state is put on the zonotope's
+boundary by scaling G. Robots
 with D != 2 are scored by the simplex; they are checked against linprog.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -38,7 +42,9 @@ from tlo.feasibility import (
     state_tables,
     velocity_h_all,
 )
-from tlo.model import RobotModel, joint_jacobian
+from tlo.config import load_config
+from tlo.model import RobotModel, gravity_torque, joint_jacobian
+from tlo.oracle import force_polytope_exact, ray_h, velocity_polytope_exact
 from tlo.simplex import LinearProgram, solve_lp_max
 
 FORMAL_BOX = 1e6  # the kernels' bound on |qdot_k|
@@ -137,6 +143,33 @@ def exact_velocity_h(G, J, w, limits, h_cap):
     if top:
         h = min(h, Fraction(FORMAL_BOX) / top)
     return h
+
+
+def regular(J):
+    """J is regular enough for the exact polygons, which map through its inverse."""
+    return abs(np.linalg.det(J)) >= 1e-12 and np.linalg.cond(J) <= 1e6
+
+
+def oracle_force_h(G, J, rhs, cols, limits):
+    """Exit of each ray from the exact tip-force zonotope; None when the start
+    J^-T rhs lies outside it, where ray_h has no answer for a ray that enters."""
+    poly = force_polytope_exact(G, J, limits.f_min, limits.f_max)
+    inv_jt = np.linalg.inv(J.T)
+    start = inv_jt @ rhs
+    if not poly.contains(start, tol=1e-9 * (1.0 + np.abs(poly.vertices).max())):
+        return None
+    return [ray_h(poly, start, inv_jt @ col) for col in cols]
+
+
+def oracle_velocity_h(G, J, w, limits, h_cap):
+    """Exit from the exact tip-velocity polygon, within the formal qdot box;
+    None for rank(G) < 2, where the oracle has no polygon (it reads that
+    set as unbounded along every ray, though a strip bounds most of them)."""
+    poly = velocity_polytope_exact(G, J, limits.ldot_min, limits.ldot_max)
+    if poly is None:
+        return None
+    box = FORMAL_BOX / np.abs(np.linalg.solve(J, w)).max()
+    return min(ray_h(poly, np.zeros(2), w), box, h_cap)
 
 
 def zonotope_center(G, limits):
@@ -304,6 +337,96 @@ def test_velocity_kernel_matches_exact_and_lps(data):
             assert_close(h, ref, rel=1e-7 * cond, abs_tol=1e-9, what="simplex")
             ref = capped(linprog_velocity_h(G, J, w, limits), cap)
             assert_close(h, ref, rel=1e-11 * cond, abs_tol=1e-9, what="linprog")
+
+
+# --- the exact polygons of tlo.oracle as a third reference, where J is regular ----
+#
+# These are tests of their own rather than more asserts in the two above:
+# hypothesis derives derandomized examples from a test's source, so editing
+# those would change the cases they have always checked.
+
+
+def check_force_against_oracle(G, J, rhs, cols, limits, cap):
+    """Compare where the oracle has an answer; True if it had one."""
+    hs = force_h_all(G, rhs, cols, limits, cap)
+    ref = oracle_force_h(G, J, rhs, cols, limits)
+    if ref is None:
+        return False
+    assert hs is not None  # no ray from inside Z misses it
+    scale = max(1.0, np.abs(rhs).max(), limits.f_max * np.abs(G).sum())
+    for h, col, ref_o in zip(hs, cols, ref):
+        slow = 1e-13 * scale / max(np.abs(col).max(), 1e-300)
+        assert_close(h, min(ref_o, cap), rel=1e-7, abs_tol=max(1e-7, slow), what="oracle")
+    return True
+
+
+@EXAMPLES
+@given(force_cases())
+def test_force_kernel_matches_the_exact_zonotope(data):
+    case, rhs, cols = data
+    assume(regular(case.J))
+    check_force_against_oracle(case.G, case.J, rhs, cols, case.limits, case.h_cap)
+
+
+@EXAMPLES
+@given(velocity_cases())
+def test_velocity_kernel_matches_the_exact_polygon(data):
+    case, dirs = data
+    G, J, limits, cap = case.G, case.J, case.limits, case.h_cap
+    assume(regular(J))
+    cond = np.linalg.cond(J)
+    for h, w in zip(velocity_h_all(G, J, dirs, limits, cap), dirs):
+        ref = oracle_velocity_h(G, J, w, limits, cap)
+        if ref is not None:
+            assert_close(h, ref, rel=1e-11 * cond, abs_tol=1e-9, what="oracle")
+
+
+GRAVITY = load_config(resources.files("tlo") / "scenarios" / "target1_grav.json")
+
+
+def far_boundary_scale(G, tau, limits):
+    """Largest u with u tau in Z = {-G^T f}, from the exact torque zonotope
+    (force_polytope_exact at J = I); None when the line through tau misses Z."""
+    v = force_polytope_exact(G, np.eye(2), limits.f_min, limits.f_max).vertices
+    scales = []
+    for p, e in zip(v, np.roll(v, -1, axis=0) - v):
+        a = np.column_stack([tau, -e])
+        if len(v) > 2 and abs(np.linalg.det(a)) > 1e-12 * np.abs(a).max() ** 2:
+            u, lam = np.linalg.solve(a, p)
+            if -1e-12 <= lam <= 1 + 1e-12:
+                scales.append(u)
+    return max(scales) if scales and max(scales) > 0 else None
+
+
+@EXAMPLES
+@given(st.integers(0, 2**32 - 1), st.sampled_from(range(len(GRAVITY.joint_states))),
+       st.integers(2, 6))
+def test_gravity_torque_on_the_zonotope_boundary(seed, k, m):
+    """rhs is the gravity torque of a target1_grav state and G is scaled so
+    that it lies on the far boundary of Z, where rays pointing out leave at once."""
+    limits, cap = GRAVITY.limits, GRAVITY.h_cap
+    q = GRAVITY.joint_states[k]
+    state = state_tables(GRAVITY.robot, q, GRAVITY.target, gravity=True)
+    assert np.array_equal(state.rhs, gravity_torque(GRAVITY.robot, q))
+    G = np.random.default_rng(seed).uniform(-0.5, 0.5, (m, 2))
+    u = far_boundary_scale(G, state.rhs, limits)
+    assume(u is not None)
+    G = G / u  # Z(G / u) = Z(G) / u: the gravity torque sits on its boundary
+    # on dZ: inside Z, and a step further out is not
+    assert force_h_all(G, state.rhs, np.zeros((1, 2)), limits, cap) is not None
+    assert force_h_all(G, state.rhs * (1 + 1e-6), np.zeros((1, 2)), limits, cap) is None
+    hs = force_h_all(G, state.rhs, state.force_cols, limits, cap)
+    assert hs is not None
+    assert min(hs) == pytest.approx(0.0, abs=1e-7)  # some ray points out of Z
+    scale = max(1.0, np.abs(state.rhs).max(), limits.f_max * np.abs(G).sum())
+    for h, col in zip(hs, state.force_cols):
+        slow = 1e-13 * scale / max(np.abs(col).max(), 1e-300)
+        ref = capped(lp_force_h(G, state.rhs, col, limits), cap)
+        assert_close(h, ref, rel=1e-9, abs_tol=max(1e-9, slow), what="simplex")
+        ref = capped(linprog_force_h(G, state.rhs, col, limits), cap)
+        assert_close(h, ref, rel=1e-7, abs_tol=max(1e-7, slow), what="linprog")
+    np.testing.assert_allclose(np.linalg.solve(state.J.T, state.rhs), state.anchor, rtol=1e-12)
+    assert check_force_against_oracle(G, state.J, state.rhs, state.force_cols, limits, cap)
 
 
 def test_generated_cases_reach_the_corners():

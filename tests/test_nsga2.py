@@ -28,8 +28,8 @@ def toy_evaluator(design):
     Scores derive from relay fractions only, so the optimizer sees a
     realistic mixed landscape without any LP work.
     """
-    fracs = np.array([p.fraction for wire in design.wires for p in wire])
-    links = np.array([p.link for wire in design.wires for p in wire])
+    fracs = design.fractions.ravel()
+    links = design.links.ravel()
     if fracs[0] < 0.1:  # pruned pocket
         return EvaluationResult(feasible=False)
     a = float(5 * np.sum((fracs - 0.35) ** 2) + 0.1 * np.sum(links == 1))
@@ -39,7 +39,7 @@ def toy_evaluator(design):
 
 def hill_evaluator(design):
     """Perfectly correlated objectives: a pure descent task for selection."""
-    fracs = np.array([p.fraction for wire in design.wires for p in wire])
+    fracs = design.fractions.ravel()
     a = float(np.sum((fracs - 0.4) ** 2))
     return EvaluationResult(True, None, None, a, 2 * a)
 
