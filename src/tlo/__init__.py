@@ -42,7 +42,6 @@ from .model import (
     joint_jacobian,
 )
 from .nsga2 import (
-    Individual,
     ParetoArchive,
     crowding_distance,
     evolve,
@@ -61,7 +60,6 @@ __all__ = [
     "DesignSpace",
     "EvaluationResult",
     "Genome",
-    "Individual",
     "InfeasibleDesign",
     "LPResult",
     "LinearProgram",

@@ -141,24 +141,26 @@ def cmd_optimize(args) -> int:
             + [f"real_{i}" for i in range(n_r)]
             + [f"cat_{i}" for i in range(n_c)]
         )
-        for idx, ind in enumerate(archive.individuals):
+        rows = zip(archive.feasible.tolist(), archive.objectives.tolist(),
+                   archive.reals.tolist(), archive.cats.tolist())
+        for idx, (feasible, (e_force, e_velocity), reals, cats) in enumerate(rows):
             writer.writerow(
-                [idx, int(ind.feasible), repr(float(ind.e_force)), repr(float(ind.e_velocity))]
-                + [repr(float(v)) for v in ind.genome.reals]
-                + [int(v) for v in ind.genome.cats]
+                [idx, int(feasible), repr(float(e_force)), repr(float(e_velocity))]
+                + [repr(v) for v in reals]
+                + cats
             )
 
     front = [
         {
-            "e_force": ind.e_force,
-            "e_velocity": ind.e_velocity,
+            "e_force": float(archive.objectives[i, 0]),
+            "e_velocity": float(archive.objectives[i, 1]),
             "genome": {
-                "reals": ind.genome.reals.tolist(),
-                "cats": [int(v) for v in ind.genome.cats],
+                "reals": archive.reals[i].tolist(),
+                "cats": archive.cats[i].tolist(),
             },
-            "design": design_to_jsonable(genome_decode(ind.genome, cfg.space), cfg.robot),
+            "design": design_to_jsonable(genome_decode(archive.genome(i), cfg.space), cfg.robot),
         }
-        for ind in archive.front
+        for i in archive.front_indices
     ]
     _dump_json(
         out / "pareto.json",
@@ -169,7 +171,7 @@ def cmd_optimize(args) -> int:
             "front": front,
         },
     )
-    n_feasible = sum(1 for ind in archive.individuals if ind.feasible)
+    n_feasible = int(archive.feasible.sum())
     _dump_json(
         out / "run_meta.json",
         {

@@ -27,32 +27,44 @@ MUTATION_ETA = 20.0
 
 
 @dataclass
-class Individual:
-    genome: Genome
-    e_force: float
-    e_velocity: float
-    feasible: bool
-
-    @property
-    def objectives(self) -> tuple[float, float]:
-        return (self.e_force, self.e_velocity)
-
-
-@dataclass
 class ParetoArchive:
-    """Every evaluated sample, the non-dominated feasible subset, and provenance."""
+    """Every evaluated sample as one row of four columns, the non-dominated
+    feasible rows, and provenance.
 
-    individuals: list[Individual]
-    front_indices: list[int]
+    reals (n, n_reals) and cats (n, n_cats) hold the genomes, objectives
+    (n, 2) the (e_force, e_velocity) scores, with (sentinel, sentinel) on
+    pruned rows, and feasible (n,) which rows were scored. front_indices
+    lists the front's rows in evaluation order.
+    """
+
+    reals: np.ndarray
+    cats: np.ndarray
+    objectives: np.ndarray
+    feasible: np.ndarray
+    front_indices: np.ndarray
     seed: int
-    evaluation_count: int
     sentinel: float
     generations: int = 0
     history: list[dict] = field(default_factory=list)
 
+    @classmethod
+    def empty(cls, space: DesignSpace, n: int, seed: int, sentinel: float) -> ParetoArchive:
+        return cls(
+            reals=np.empty((n, space.n_reals)),
+            cats=np.empty((n, space.n_cats), dtype=np.int64),
+            objectives=np.full((n, 2), sentinel),
+            feasible=np.zeros(n, dtype=bool),
+            front_indices=np.empty(0, dtype=np.intp),
+            seed=seed,
+            sentinel=sentinel,
+        )
+
     @property
-    def front(self) -> list[Individual]:
-        return [self.individuals[i] for i in self.front_indices]
+    def evaluation_count(self) -> int:
+        return len(self.feasible)
+
+    def genome(self, i: int) -> Genome:
+        return Genome(self.reals[i], self.cats[i])
 
 
 def dominates(a, b) -> bool:
@@ -98,46 +110,38 @@ def crowding_distance(objectives: np.ndarray) -> np.ndarray:
     return dist
 
 
-def pareto_front_indices(individuals: list[Individual]) -> list[int]:
-    """Indices of non-dominated feasible samples, in evaluation order.
+def pareto_front_indices(objectives: np.ndarray, feasible: np.ndarray) -> np.ndarray:
+    """Rows of the non-dominated feasible samples, in evaluation order.
 
     Sweep in (e_force, e_velocity) order: within a tie group of equal
     e_force only the minimal e_velocity survives (duplicates included, as
     identical points do not dominate each other), and it must beat every
     strictly-cheaper group's best e_velocity.
     """
-    feas = [i for i, ind in enumerate(individuals) if ind.feasible]
-    if not feas:
-        return []
-    objs = np.array([individuals[i].objectives for i in feas])
+    feas = np.flatnonzero(feasible)
+    if not len(feas):
+        return feas
+    objs = np.asarray(objectives)[feas]
     order = np.lexsort((objs[:, 1], objs[:, 0]))
-    keep: list[int] = []
-    best_ev = np.inf
-    pos = 0
-    while pos < len(order):
-        ef = objs[order[pos], 0]
-        end = pos
-        while end < len(order) and objs[order[end], 0] == ef:
-            end += 1
-        group_min = objs[order[pos], 1]
-        if group_min < best_ev:
-            for k in range(pos, end):
-                if objs[order[k], 1] == group_min:
-                    keep.append(feas[order[k]])
-            best_ev = group_min
-        pos = end
-    return sorted(keep)
+    ef, ev = objs[order, 0], objs[order, 1]
+    new_group = np.concatenate([[True], ef[1:] != ef[:-1]])
+    group_min = ev[new_group]  # each group is sorted by e_velocity
+    best_before = np.minimum.accumulate(np.concatenate([[np.inf], group_min[:-1]]))
+    group = np.cumsum(new_group) - 1
+    keep = (group_min < best_before)[group] & (ev == group_min[group])
+    return np.sort(feas[order[keep]])
 
 
-def extend_front(individuals: list[Individual], front: list[int], start: int) -> list[int]:
-    """pareto_front_indices(individuals), given front, that of individuals[:start].
+def extend_front(objectives: np.ndarray, feasible: np.ndarray, front: np.ndarray,
+                 start: int) -> np.ndarray:
+    """pareto_front_indices(objectives, feasible), given front, that of the
+    rows before start.
 
     A sample dominated within the prefix is dominated by a member of its
-    front, so only the front and the new samples need to be swept.
+    front, so only the front and the new rows need to be swept.
     """
-    candidates = front + list(range(start, len(individuals)))
-    kept = pareto_front_indices([individuals[i] for i in candidates])
-    return [candidates[k] for k in kept]
+    candidates = np.concatenate([front, np.arange(start, len(feasible))])
+    return candidates[pareto_front_indices(objectives[candidates], feasible[candidates])]
 
 
 def hypervolume_2d(objectives: np.ndarray, ref_point) -> float:
@@ -240,14 +244,18 @@ def _tournament(rank, crowd, rng) -> int:
 EvaluateFn = Callable[..., object]
 
 
-def _evaluate_batch(evaluate_fn, space, genomes, sentinel) -> list[Individual]:
-    def one(genome: Genome) -> Individual:
+def _fill(archive: ParetoArchive, row: int, genomes, evaluate_fn, space) -> int:
+    """Evaluate genomes in order into the archive rows from row on; returns
+    the next free row."""
+    for genome in genomes:
+        archive.reals[row] = genome.reals
+        archive.cats[row] = genome.cats
         res = evaluate_fn(genome_decode(genome, space))
-        if not res.feasible:
-            return Individual(genome, sentinel, sentinel, False)
-        return Individual(genome, res.e_force, res.e_velocity, True)
-
-    return [one(g) for g in genomes]
+        if res.feasible:
+            archive.objectives[row] = (res.e_force, res.e_velocity)
+            archive.feasible[row] = True
+        row += 1
+    return row
 
 
 def evolve(
@@ -264,43 +272,39 @@ def evolve(
     evaluate_fn maps a decoded arrangement to an object with e_force,
     e_velocity and feasible attributes (see feasibility.EvaluationResult).
     max_objective is the worst attainable score (directions x states); the
-    pruning sentinel is one above it.
+    pruning sentinel is one above it. The population is a set of archive rows.
     """
     if population < 2 or population % 2:
         raise ValueError("population must be even and at least 2")
     if budget < population:
         raise ValueError("budget must cover at least one population")
     rng = np.random.default_rng(seed)
-    sentinel = float(max_objective) + 1.0
+    archive = ParetoArchive.empty(space, budget, seed, float(max_objective) + 1.0)
 
-    archive: list[Individual] = []
-    history: list[dict] = []
-    archive_front: list[int] = []
-
-    def record(generation: int, batch_size: int):
-        nonlocal archive_front
-        archive_front = extend_front(archive, archive_front, len(archive) - batch_size)
+    def record(start: int, end: int):
+        archive.front_indices = extend_front(
+            archive.objectives[:end], archive.feasible[:end], archive.front_indices, start
+        )
+        front = archive.objectives[archive.front_indices]
+        best = front.min(axis=0).tolist() if len(front) else (None, None)
         entry = {
-            "generation": generation,
-            "evaluations": len(archive),
-            "front_size": len(archive_front),
-            "best_e_force": min((archive[i].e_force for i in archive_front), default=None),
-            "best_e_velocity": min((archive[i].e_velocity for i in archive_front),
-                                   default=None),
+            "generation": archive.generations,
+            "evaluations": end,
+            "front_size": len(front),
+            "best_e_force": best[0],
+            "best_e_velocity": best[1],
         }
-        history.append(entry)
+        archive.history.append(entry)
         if on_generation is not None:
             on_generation(entry)
 
-    pop = [random_genome(space, rng) for _ in range(population)]
-    evaluated = _evaluate_batch(evaluate_fn, space, pop, sentinel)
-    archive.extend(evaluated)
-    current = evaluated
-    generation = 0
-    record(generation, len(evaluated))
+    row = _fill(archive, 0, [random_genome(space, rng) for _ in range(population)],
+                evaluate_fn, space)
+    current = np.arange(population)
+    record(0, row)
 
-    while len(archive) < budget:
-        objs = np.array([ind.objectives for ind in current])
+    while row < budget:
+        objs = archive.objectives[current]
         fronts = non_dominated_sort(objs)
         rank = np.empty(len(current), dtype=int)
         crowd = np.empty(len(current))
@@ -312,20 +316,18 @@ def evolve(
         while len(offspring) < population:
             a = _tournament(rank, crowd, rng)
             b = _tournament(rank, crowd, rng)
-            offspring.extend(_vary_pair(current[a].genome, current[b].genome, space, rng))
-        offspring = offspring[:population]
+            offspring.extend(_vary_pair(archive.genome(current[a]), archive.genome(current[b]),
+                                        space, rng))
 
-        remaining = budget - len(archive)
-        batch = offspring[: min(population, remaining)]
-        evaluated = _evaluate_batch(evaluate_fn, space, batch, sentinel)
-        archive.extend(evaluated)
-        generation += 1
-        record(generation, len(evaluated))
-        if len(batch) < population:
+        start = row
+        row = _fill(archive, start, offspring[: budget - start], evaluate_fn, space)
+        archive.generations += 1
+        record(start, row)
+        if row - start < population:
             break  # partial final batch: budget exhausted, no further selection
 
-        merged = current + evaluated
-        objs = np.array([ind.objectives for ind in merged])
+        merged = np.concatenate([current, np.arange(start, row)])
+        objs = archive.objectives[merged]
         fronts = non_dominated_sort(objs)
         survivors: list[int] = []
         for front in fronts:
@@ -339,17 +341,9 @@ def evolve(
             need = population - len(survivors)
             survivors.extend(front[k] for k in order[:need])
             break
-        current = [merged[i] for i in survivors]
+        current = merged[survivors]
 
-    return ParetoArchive(
-        individuals=archive,
-        front_indices=archive_front,
-        seed=seed,
-        evaluation_count=len(archive),
-        sentinel=sentinel,
-        generations=generation,
-        history=history,
-    )
+    return archive
 
 
 def random_search(
@@ -361,13 +355,7 @@ def random_search(
 ) -> ParetoArchive:
     """Uniform sampling with the same budget semantics as evolve."""
     rng = np.random.default_rng(seed)
-    sentinel = float(max_objective) + 1.0
-    genomes = [random_genome(space, rng) for _ in range(budget)]
-    archive = _evaluate_batch(evaluate_fn, space, genomes, sentinel)
-    return ParetoArchive(
-        individuals=archive,
-        front_indices=pareto_front_indices(archive),
-        seed=seed,
-        evaluation_count=len(archive),
-        sentinel=sentinel,
-    )
+    archive = ParetoArchive.empty(space, budget, seed, float(max_objective) + 1.0)
+    _fill(archive, 0, [random_genome(space, rng) for _ in range(budget)], evaluate_fn, space)
+    archive.front_indices = pareto_front_indices(archive.objectives, archive.feasible)
+    return archive

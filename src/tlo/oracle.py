@@ -15,6 +15,7 @@ import numpy as np
 
 _GEOM_TOL = 1e-12
 _ROW_TOL = 1e-12
+_QDOT_BOX = 1e6  # formal bound on |qdot_k|; must equal feasibility._THETA_DOT_BOUND
 
 
 def cross2(a, b) -> float:
@@ -158,23 +159,24 @@ def force_polytope_exact(G: np.ndarray, J: np.ndarray, f_min: float, f_max: floa
 
 def velocity_polytope_exact(
     G: np.ndarray, J: np.ndarray, ldot_min: float, ldot_max: float
-) -> ConvexPolygon | None:
-    """Feasible tip-velocity polygon, or None when the set is unbounded.
+) -> ConvexPolygon:
+    """Feasible tip-velocity polygon.
 
     Intersects the 2M halfplanes ldot_min <= g_m . qdot <= ldot_max in joint
-    velocity space (near-zero rows are vacuous) and maps the result through J.
-    Vertices are enumerated from constraint-line pairs, which is exact and
-    cheap at these sizes.
+    velocity space (near-zero rows are vacuous) with the formal box
+    |qdot_k| <= _QDOT_BOX that the kernels also impose, so a strip
+    (rank(G) < 2) or an unconstrained plane is bounded as it is there, and
+    maps the result through J. Vertices are enumerated from constraint-line
+    pairs, which is exact and cheap at these sizes.
     """
     G = np.asarray(G, dtype=float)
     J = np.asarray(J, dtype=float)
     if abs(np.linalg.det(J)) < 1e-12:
         raise ValueError("J is singular; the velocity polygon needs an invertible J")
     rows = G[np.linalg.norm(G, axis=1) > _ROW_TOL]
-    if len(rows) == 0 or np.linalg.matrix_rank(rows, tol=1e-9) < 2:
-        return None
-    normals = np.vstack([rows, -rows])
-    offsets = np.concatenate([np.full(len(rows), ldot_max), np.full(len(rows), -ldot_min)])
+    normals = np.vstack([rows, -rows, np.eye(2), -np.eye(2)])
+    offsets = np.concatenate([np.full(len(rows), ldot_max), np.full(len(rows), -ldot_min),
+                              np.full(4, _QDOT_BOX)])
     pts = []
     k = len(normals)
     for i in range(k):
@@ -186,8 +188,6 @@ def velocity_polytope_exact(
             p = np.linalg.solve(a, np.array([offsets[i], offsets[jdx]]))
             if np.all(normals @ p <= offsets + 1e-9):
                 pts.append(p)
-    if not pts:
-        return None
     hull = convex_hull(np.array(pts))
     return ConvexPolygon(hull @ J.T)
 

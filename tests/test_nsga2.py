@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from tlo.arrangement import DesignSpace, genome_decode
 from tlo.feasibility import EvaluationResult
 from tlo.nsga2 import (
-    Individual,
     crowding_distance,
     dominates,
     evolve,
@@ -107,48 +106,48 @@ class TestCrowding:
         np.testing.assert_allclose(d_perm, d[perm])
 
 
-class TestParetoFrontIndices:
-    def make(self, objs, feasible=None):
-        feasible = feasible or [True] * len(objs)
-        return [
-            Individual(None, a, b, f) for (a, b), f in zip(objs, feasible)
-        ]
+def archive_columns(samples):
+    """objectives and feasible columns from (e_force, e_velocity, feasible)
+    samples; pruned rows hold the sentinel 33, as in evolve's archive."""
+    objs = np.array([(a, b) if f else (33.0, 33.0) for a, b, f in samples],
+                    dtype=float).reshape(-1, 2)
+    return objs, np.array([f for _, _, f in samples], dtype=bool)
 
-    def test_matches_brute_force_with_duplicates(self):
-        rng = np.random.default_rng(3)
-        objs = rng.integers(0, 5, size=(60, 2)).astype(float).tolist()
-        inds = self.make(objs)
-        got = set(pareto_front_indices(inds))
-        expect = set(brute_force_front(np.array(objs)))
-        assert got == expect
+
+# few distinct values: ties on each objective and exact duplicates
+SAMPLES = st.lists(
+    st.tuples(st.integers(0, 4), st.integers(0, 4), st.booleans()), min_size=1, max_size=60
+)
+
+
+class TestParetoFrontIndices:
+    @given(SAMPLES)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_matches_brute_force_with_duplicates(self, samples):
+        objs, feasible = archive_columns(samples)
+        rows = np.flatnonzero(feasible)
+        expect = [int(rows[k]) for k in brute_force_front(objs[rows])]
+        assert pareto_front_indices(objs, feasible).tolist() == expect
 
     def test_excludes_infeasible(self):
-        inds = self.make([[0.0, 0.0], [5.0, 5.0]], feasible=[False, True])
-        assert pareto_front_indices(inds) == [1]
+        objs, feasible = archive_columns([(0.0, 0.0, False), (5.0, 5.0, True)])
+        assert pareto_front_indices(objs, feasible).tolist() == [1]
 
     def test_empty_when_all_pruned(self):
-        inds = self.make([[0.0, 0.0]], feasible=[False])
-        assert pareto_front_indices(inds) == []
+        objs, feasible = archive_columns([(0.0, 0.0, False)])
+        assert pareto_front_indices(objs, feasible).tolist() == []
 
 
 class TestExtendFront:
-    @given(
-        st.lists(
-            st.tuples(st.integers(0, 4), st.integers(0, 4), st.booleans()),
-            min_size=1, max_size=60,
-        ),
-        st.integers(1, 12),
-    )
+    @given(SAMPLES, st.integers(1, 12))
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_equals_the_full_front_after_every_batch(self, samples, batch):
-        # few distinct values: ties on each objective and exact duplicates
-        inds = [Individual(None, float(a), float(b), f) if f
-                else Individual(None, 33.0, 33.0, False) for a, b, f in samples]
-        front: list[int] = []
-        for start in range(0, len(inds), batch):
-            prefix = inds[: start + batch]
-            front = extend_front(prefix, front, start)
-            assert front == pareto_front_indices(prefix)
+        objs, feasible = archive_columns(samples)
+        front = np.empty(0, dtype=np.intp)
+        for start in range(0, len(objs), batch):
+            end = start + batch
+            front = extend_front(objs[:end], feasible[:end], front, start)
+            assert front.tolist() == pareto_front_indices(objs[:end], feasible[:end]).tolist()
 
 
 class TestHypervolume:
@@ -173,20 +172,21 @@ class TestEvolve:
         arch = evolve(toy_evaluator, SPACE, 20, 20, seed=1, max_objective=32.0)
         assert arch.evaluation_count == 20
         assert arch.generations == 0
+        assert arch.cats.dtype == np.int64
         rng = np.random.default_rng(1)
         genomes = [random_genome(SPACE, rng) for _ in range(20)]
-        for ind, g in zip(arch.individuals, genomes):
-            assert np.array_equal(ind.genome.reals, g.reals)
-            assert np.array_equal(ind.genome.cats, g.cats)
+        for i, g in enumerate(genomes):
+            assert np.array_equal(arch.genome(i).reals, g.reals)
+            assert np.array_equal(arch.genome(i).cats, g.cats)
 
     def test_deterministic(self):
         a = evolve(toy_evaluator, SPACE, 20, 200, seed=7, max_objective=32.0)
         b = evolve(toy_evaluator, SPACE, 20, 200, seed=7, max_objective=32.0)
         assert a.evaluation_count == b.evaluation_count
-        for x, y in zip(a.individuals, b.individuals):
-            assert np.array_equal(x.genome.reals, y.genome.reals)
-            assert np.array_equal(x.genome.cats, y.genome.cats)
-            assert x.objectives == y.objectives
+        assert np.array_equal(a.reals, b.reals)
+        assert np.array_equal(a.cats, b.cats)
+        assert np.array_equal(a.objectives, b.objectives)
+        assert np.array_equal(a.feasible, b.feasible)
 
     def test_exact_budget_accounting(self):
         import math
@@ -194,20 +194,19 @@ class TestEvolve:
         for budget in (20, 47, 100, 101):
             arch = evolve(toy_evaluator, SPACE, 20, budget, seed=3, max_objective=32.0)
             assert arch.evaluation_count == budget
-            assert len(arch.individuals) == budget
+            for column in (arch.reals, arch.cats, arch.objectives, arch.feasible):
+                assert len(column) == budget
             assert arch.generations == math.ceil(budget / 20) - 1
 
     def test_sentinel_and_front_exclusion(self):
         arch = evolve(toy_evaluator, SPACE, 20, 400, seed=5, max_objective=32.0)
-        pruned = [i for i in arch.individuals if not i.feasible]
-        assert pruned, "pruned pocket should be sampled"
-        for ind in pruned:
-            assert ind.objectives == (33.0, 33.0)
-        assert all(arch.individuals[i].feasible for i in arch.front_indices)
+        pruned = arch.objectives[~arch.feasible]
+        assert len(pruned), "pruned pocket should be sampled"
+        assert np.all(pruned == 33.0)
+        assert np.all(arch.feasible[arch.front_indices])
         # brute-force domination check over feasible samples
-        objs = [i.objectives for i in arch.individuals if i.feasible]
-        front_objs = [arch.individuals[i].objectives for i in arch.front_indices]
-        for fo in front_objs:
+        objs = arch.objectives[arch.feasible]
+        for fo in arch.objectives[arch.front_indices]:
             assert not any(dominates(o, fo) for o in objs)
 
     def test_running_front_equals_the_full_front_every_generation(self):
@@ -223,20 +222,20 @@ class TestEvolve:
             return res
 
         def check(entry):
-            upto = [Individual(None, r.e_force, r.e_velocity, True) if r.feasible
-                    else Individual(None, 33.0, 33.0, False)
-                    for r in scores[: entry["evaluations"]]]
-            front = pareto_front_indices(upto)
+            objs, feasible = archive_columns(
+                [(r.e_force, r.e_velocity, r.feasible) for r in scores[: entry["evaluations"]]])
+            front = pareto_front_indices(objs, feasible)
             assert entry["front_size"] == len(front)
-            assert entry["best_e_force"] == min(upto[i].e_force for i in front)
-            assert entry["best_e_velocity"] == min(upto[i].e_velocity for i in front)
+            assert entry["best_e_force"] == min(objs[i, 0] for i in front)
+            assert entry["best_e_velocity"] == min(objs[i, 1] for i in front)
             checked.append(entry["generation"])
 
         checked = []
         arch = evolve(coarse, SPACE, 20, 410, seed=4, max_objective=32.0, on_generation=check)
         assert checked == list(range(21))
-        assert arch.front_indices == pareto_front_indices(arch.individuals)
-        objs = [arch.individuals[i].objectives for i in arch.front_indices]
+        assert (arch.front_indices.tolist()
+                == pareto_front_indices(arch.objectives, arch.feasible).tolist())
+        objs = [tuple(o) for o in arch.objectives[arch.front_indices].tolist()]
         assert len(objs) > len(set(objs))  # the front kept duplicates
 
     def test_archive_hypervolume_monotone(self):
@@ -244,9 +243,9 @@ class TestEvolve:
         ref = (33.0, 33.0)
         prev = -1.0
         for entry in arch.history:
-            upto = arch.individuals[: entry["evaluations"]]
-            front = pareto_front_indices(upto)
-            hv = hypervolume_2d(np.array([upto[i].objectives for i in front]), ref)
+            upto = arch.objectives[: entry["evaluations"]]
+            front = pareto_front_indices(upto, arch.feasible[: entry["evaluations"]])
+            hv = hypervolume_2d(upto[front], ref)
             assert hv >= prev - 1e-12
             prev = hv
 
@@ -269,9 +268,7 @@ class TestEvolve:
         for seed in range(5):
             a = evolve(hill_evaluator, WIDE_SPACE, 20, 400, seed=seed, max_objective=32.0)
             r = random_search(hill_evaluator, WIDE_SPACE, 400, seed=seed, max_objective=32.0)
-            best_a = min(i.e_force for i in a.individuals)
-            best_r = min(i.e_force for i in r.individuals)
-            wins += best_a <= best_r
+            wins += a.objectives[:, 0].min() <= r.objectives[:, 0].min()
         assert wins >= 4
 
 
@@ -280,12 +277,11 @@ class TestRandomSearch:
         a = random_search(toy_evaluator, SPACE, 123, seed=4, max_objective=32.0)
         b = random_search(toy_evaluator, SPACE, 123, seed=4, max_objective=32.0)
         assert a.evaluation_count == 123
-        for x, y in zip(a.individuals, b.individuals):
-            assert np.array_equal(x.genome.reals, y.genome.reals)
+        assert np.array_equal(a.reals, b.reals)
 
     def test_genomes_within_ranges(self):
         arch = random_search(toy_evaluator, SPACE, 50, seed=6, max_objective=32.0)
-        for ind in arch.individuals:
-            assert np.all(ind.genome.reals >= 0) and np.all(ind.genome.reals <= 1)
-            assert np.all(ind.genome.cats >= 0) and np.all(ind.genome.cats <= 2)
-            genome_decode(ind.genome, SPACE)  # decodes cleanly
+        assert np.all(arch.reals >= 0) and np.all(arch.reals <= 1)
+        assert np.all(arch.cats >= 0) and np.all(arch.cats <= 2)
+        for i in range(arch.evaluation_count):
+            genome_decode(arch.genome(i), SPACE)  # decodes cleanly

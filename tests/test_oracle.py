@@ -80,11 +80,27 @@ class TestVelocityPolytope:
         assert poly.area() == pytest.approx(8 * 4 * abs(np.linalg.det(J_BENT)), rel=1e-9)
 
     def test_zero_g_unbounded(self):
-        assert velocity_polytope_exact(np.zeros((2, 2)), J_BENT, -0.4, 0.4) is None
+        # no wire bounds qdot: the set is the formal box |qdot_k| <= 1e6
+        poly = velocity_polytope_exact(np.zeros((2, 2)), J_BENT, -0.4, 0.4)
+        box = np.array([[-1e6, -1e6], [1e6, -1e6], [1e6, 1e6], [-1e6, 1e6]])
+        np.testing.assert_allclose(poly.vertices, ConvexPolygon(box @ J_BENT.T).vertices)
+        assert poly.area() == pytest.approx(4e12 * abs(np.linalg.det(J_BENT)), rel=1e-9)
 
     def test_rank_one_unbounded(self):
+        # parallel wires leave the strip |qdot_0 + 2 qdot_1| <= 2, which the
+        # formal box cuts at qdot_0 = +-1e6
         G = np.array([[0.1, 0.2], [0.2, 0.4]])
-        assert velocity_polytope_exact(G, J_BENT, -0.4, 0.4) is None
+        poly = velocity_polytope_exact(G, J_BENT, -0.4, 0.4)
+        strip = np.array([[1e6, -499999.0], [1e6, -500001.0],
+                          [-1e6, 499999.0], [-1e6, 500001.0]])
+        np.testing.assert_allclose(poly.vertices, ConvexPolygon(strip @ J_BENT.T).vertices,
+                                   rtol=0, atol=1e-6)
+        assert poly.area() == pytest.approx(4e6 * abs(np.linalg.det(J_BENT)), rel=1e-6)
+        # across the strip the wires bound the ray, along it the box does
+        across = np.array([1.0, 2.0]) / np.sqrt(5.0)
+        assert ray_h(poly, np.zeros(2), J_BENT @ across) == pytest.approx(2 / np.sqrt(5.0))
+        along = np.array([-2.0, 1.0])
+        assert ray_h(poly, np.zeros(2), J_BENT @ along) == pytest.approx(5e5, rel=1e-9)
 
     def test_redundant_parallel_halfplane(self):
         G = np.array([[0.1, 0.0], [0.0, 0.2]])
