@@ -86,15 +86,21 @@ def relay_world_positions(
     """World positions of every relay point, (M, N, 2)."""
     if not isinstance(design, VariableArrangement):
         raise TypeError("relay points exist only for variable arrangements")
-    links = design.links
-    # checked before indexing, where numpy would wrap a negative link around
-    lo, hi = links.min(), links.max()
-    if lo < 0 or hi >= len(model.link_lengths):
-        raise ValueError(f"relay link {lo if lo < 0 else hi} out of range")
     if pose is None:
         pose = forward_kinematics(model, q)
+    return _relay_points(model, design.links, design.fractions, pose)
+
+
+def _relay_points(model: RobotModel, links: np.ndarray, fractions: np.ndarray,
+                  pose: Pose) -> np.ndarray:
+    """World positions (..., 2) of relay points given as matching link and fraction arrays."""
+    # checked before indexing, where numpy would wrap a negative link around
+    if links.size:
+        lo, hi = links.min(), links.max()
+        if lo < 0 or hi >= len(model.link_lengths):
+            raise ValueError(f"relay link {lo if lo < 0 else hi} out of range")
     seg = model.attach_segments[links]
-    local = seg[..., 0, :] + design.fractions[..., None] * (seg[..., 1, :] - seg[..., 0, :])
+    local = seg[..., 0, :] + fractions[..., None] * (seg[..., 1, :] - seg[..., 0, :])
     x, y = local[..., 0], local[..., 1]
     angles = pose.link_angles[links]
     c, s = np.cos(angles), np.sin(angles)
@@ -107,44 +113,56 @@ def wire_lengths(model: RobotModel, design: VariableArrangement, q: np.ndarray) 
     return np.linalg.norm(segments, axis=2).sum(axis=1)
 
 
-def constant_arms(model: RobotModel, design: ConstantArrangement) -> np.ndarray:
-    """Moment arm values in meters, (M, D), from fractions and model ranges."""
+def _arm_values(model: RobotModel, fractions: np.ndarray) -> np.ndarray:
     if model.moment_arm_ranges is None:
         raise ValueError("model has no moment_arm_ranges for constant designs")
     lo = model.moment_arm_ranges[:, 0]
     hi = model.moment_arm_ranges[:, 1]
-    return lo + design.fractions * (hi - lo)
+    return lo + fractions * (hi - lo)
+
+
+def constant_arms(model: RobotModel, design: ConstantArrangement) -> np.ndarray:
+    """Moment arm values in meters, (M, D), from fractions and model ranges."""
+    return _arm_values(model, design.fractions)
 
 
 def muscle_jacobian(model: RobotModel, design: WireArrangement, q: np.ndarray) -> np.ndarray:
-    """(M, D) matrix G with ldot = G qdot.
+    """(M, D) matrix G with ldot = G qdot; see batch_muscle_jacobian."""
+    links = None if isinstance(design, ConstantArrangement) else design.links
+    return batch_muscle_jacobian(model, links, design.fractions, q)
 
-    Variable mode differentiates the polyline lengths analytically; segments
+
+def batch_muscle_jacobian(model: RobotModel, links: np.ndarray | None, fractions: np.ndarray,
+                          q: np.ndarray) -> np.ndarray:
+    """G (..., M, D) of designs of one shape, stacked along the leading axes.
+
+    Variable designs come as matching (..., M, N) link and fraction arrays;
+    the polyline lengths are differentiated analytically, and segments
     shorter than DEGENERATE_SEGMENT contribute nothing (the derivative is
-    undefined there, and zero keeps the objective continuous). Constant mode
-    returns the negated arm matrix, independent of q.
+    undefined there, and zero keeps the objective continuous). Constant
+    designs come as links=None and (..., M, D) arm fractions; their G is the
+    negated arm matrix, independent of q.
     """
     d = model.n_joints
-    if isinstance(design, ConstantArrangement):
-        arms = constant_arms(model, design)
-        if arms.shape[1] != d:
+    if links is None:
+        if model.moment_arm_ranges is not None and np.shape(fractions)[-1] != d:
             raise ValueError("arm matrix does not match joint count")
-        return -arms
+        return -_arm_values(model, fractions)
 
     pose = forward_kinematics(model, q)
-    pts = relay_world_positions(model, design, q, pose)
-    # dpts[m, n, k] = d p_mn / d theta_k: rot90 about joint k when the point's
-    # link moves with that joint, else zero
-    dpts = rot90(pts[:, :, None, :] - pose.joint_positions)
-    dpts *= (design.links[:, :, None] >= np.arange(1, d + 1))[..., None]
-    seg = np.diff(pts, axis=1)
-    norms = np.linalg.norm(seg, axis=2)
+    pts = _relay_points(model, links, fractions, pose)
+    # dpts[..., m, n, k, :] = d p_mn / d theta_k: rot90 about joint k when the
+    # point's link moves with that joint, else zero
+    dpts = rot90(pts[..., None, :] - pose.joint_positions)
+    dpts *= (links[..., None] >= np.arange(1, d + 1))[..., None]
+    seg = np.diff(pts, axis=-2)
+    norms = np.linalg.norm(seg, axis=-1)
     ok = norms > DEGENERATE_SEGMENT
     # degenerate segments divide by 1, not by their length, and are dropped
     # after the dot product
     unit = seg / np.where(ok, norms, 1.0)[..., None]
-    rates = np.einsum("msi,mski->msk", unit, np.diff(dpts, axis=1))
-    return np.where(ok[..., None], rates, 0.0).sum(axis=1)
+    rates = np.einsum("...si,...ski->...sk", unit, np.diff(dpts, axis=-3))
+    return np.where(ok[..., None], rates, 0.0).sum(axis=-2)
 
 
 # --- genome codec -----------------------------------------------------------
@@ -202,20 +220,51 @@ class DesignSpace:
         return self.n_joints + 1  # link choices 0..D
 
 
-def genome_decode(genome: Genome, space: DesignSpace) -> WireArrangement:
-    """Inverse of genome_encode; validates gene counts and ranges."""
-    if len(genome.reals) != space.n_reals or len(genome.cats) != space.n_cats:
+def genome_space(n_reals: int, n_cats: int, n_joints: int) -> DesignSpace:
+    """The design space whose genomes have these gene counts.
+
+    Only variable designs have link genes, M * (N - 1) of them beside
+    M * N fractions, so the counts fix the family and its shape.
+    """
+    if not n_cats:
+        if n_reals < n_joints or n_reals % n_joints:
+            raise ValueError(f"{n_reals} arm genes do not fill rows of {n_joints} joints")
+        return DesignSpace("constant", n_reals // n_joints, None, n_joints)
+    m = n_reals - n_cats
+    if m < 1 or n_reals % m:
+        raise ValueError(f"no variable design has {n_reals} fraction and {n_cats} link genes")
+    return DesignSpace("variable", m, n_reals // m, n_joints)
+
+
+def genome_rows_decode(reals: np.ndarray, cats: np.ndarray, space: DesignSpace):
+    """Genome rows, (P, n_reals) and (P, n_cats), as batch_muscle_jacobian's
+    (links, fractions): (P, M, N) arrays for variable designs and
+    (None, (P, M, D) arm fractions) for constant ones."""
+    reals = np.asarray(reals, dtype=float)
+    cats = np.asarray(cats)
+    p = len(reals)
+    if reals.shape != (p, space.n_reals) or cats.shape != (p, space.n_cats):
         raise ValueError(
-            f"genome length mismatch: got ({len(genome.reals)}, {len(genome.cats)}), "
+            f"genome length mismatch: got ({reals.shape[-1]}, {cats.shape[-1]}), "
             f"expected ({space.n_reals}, {space.n_cats})"
         )
+    if not np.all((reals >= 0.0) & (reals <= 1.0)):  # NaN fails
+        raise ValueError("genome reals must lie in [0, 1]")
     if space.kind == "constant":
-        return ConstantArrangement(
-            np.asarray(genome.reals, dtype=float).reshape(space.n_wires, space.n_joints)
-        )
-    links = np.zeros((space.n_wires, space.n_relay_points), dtype=np.int64)
-    links[:, 1:] = np.reshape(genome.cats, (space.n_wires, -1))
-    return VariableArrangement(links, np.reshape(genome.reals, links.shape))
+        return None, reals.reshape(p, space.n_wires, space.n_joints)
+    links = np.zeros((p, space.n_wires, space.n_relay_points), dtype=np.int64)
+    links[..., 1:] = cats.reshape(p, space.n_wires, space.n_relay_points - 1)
+    return links, reals.reshape(links.shape)
+
+
+def genome_decode(genome: Genome, space: DesignSpace) -> WireArrangement:
+    """Inverse of genome_encode; validates gene counts and ranges."""
+    links, fractions = genome_rows_decode(
+        np.reshape(genome.reals, (1, -1)), np.reshape(genome.cats, (1, -1)), space
+    )
+    if links is None:
+        return ConstantArrangement(fractions[0])
+    return VariableArrangement(links[0], fractions[0])
 
 
 def genome_encode(design: WireArrangement) -> Genome:

@@ -114,6 +114,15 @@ def cmd_optimize(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     scenario = cfg.scenario()
     evaluator = make_evaluator(cfg.robot, scenario)
+    evaluate_s = 0.0
+
+    def timed_evaluator(reals, cats):
+        nonlocal evaluate_s
+        t = time.perf_counter()
+        try:
+            return evaluator(reals, cats)
+        finally:
+            evaluate_s += time.perf_counter() - t
 
     progress_path = out / "progress.ndjson"
     t0 = time.perf_counter()
@@ -123,7 +132,7 @@ def cmd_optimize(args) -> int:
             stream.write(json.dumps(entry, sort_keys=True) + "\n")
 
         archive = evolve(
-            evaluator,
+            timed_evaluator,
             cfg.space,
             population=opt.population,
             budget=opt.budget,
@@ -183,7 +192,7 @@ def cmd_optimize(args) -> int:
             "evaluation_count": archive.evaluation_count,
             "n_feasible": n_feasible,
             "n_pruned": archive.evaluation_count - n_feasible,
-            "timings": {"total_s": elapsed},
+            "timings": {"total_s": elapsed, "evaluate_s": evaluate_s},
             "tool_version": __version__,
             "config": _effective_raw(cfg),
         },

@@ -5,8 +5,14 @@ defines the factor h by which the feasible operational space covers the
 target along that direction: h >= 1 means covered. The objectives to
 minimize are E_force and E_velocity, the summed shortfalls max(1-h, 0).
 For the planar two-joint robots (D = 2) both LPs have closed forms, a ray
-clipped against the torque zonotope and a ray bounded through J^-1, which
-are what runs; the simplex solves them for any other D and a singular J.
+clipped against the torque zonotope and a ray bounded through J^-1 (at an
+exactly singular J, a two-variable LP along null(J)), which are what runs;
+the simplex solves them for any other D, one design at a time.
+
+Designs are scored in batches of one shape: make_evaluator's evaluator maps
+a generation's genome rows to objectives and a feasible mask in one pass,
+with G and both kernels carrying a leading design axis. evaluate,
+force_h_all and velocity_h_all are its one-design case.
 
 The h variable is unbounded inside the LPs; reported values are clipped to
 h_cap afterwards. That makes every score independent of the cap (any cap
@@ -22,7 +28,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import simplex
-from .arrangement import ConstantArrangement, WireArrangement, muscle_jacobian
+from .arrangement import (
+    ConstantArrangement,
+    WireArrangement,
+    batch_muscle_jacobian,
+    genome_rows_decode,
+    genome_space,
+    muscle_jacobian,
+)
 from .model import RobotModel, gravity_torque, joint_jacobian
 
 DEFAULT_H_CAP = 10.0
@@ -190,9 +203,8 @@ def force_h_all(G, rhs, cols, limits, h_cap):
     unbounded ray reads as well. For D = 2 the ray is clipped against the
     torque zonotope in closed form; other D solve one LP per direction.
     """
-    if G.shape[1] == 2:
-        return _force_h_planar(G, rhs, cols, limits, h_cap)
-    return _force_h_simplex(G, rhs, cols, limits, h_cap)
+    h, feasible = _force_h(np.asarray(G, dtype=float)[None], rhs, cols, limits, h_cap)
+    return h[0] if feasible[0] else None
 
 
 def velocity_h_all(G, J, dirs, limits, h_cap):
@@ -202,16 +214,47 @@ def velocity_h_all(G, J, dirs, limits, h_cap):
     of dirs one operational-space direction w_i. Direction i asks for the
     largest h >= 0 with J qdot = h w_i, G qdot inside the wire-speed box and
     qdot inside a wide formal box. Values are clipped to h_cap, which an
-    unbounded ray reads as well. For D = 2 and det J != 0, qdot = h J^-1 w_i
-    gives h in closed form; other D and an exactly singular J solve one LP
-    per direction.
+    unbounded ray reads as well. For D = 2 h has a closed form: qdot =
+    h J^-1 w_i where det J != 0, a two-variable LP along null(J) where J is
+    exactly singular. Other D solve one LP per direction.
     """
-    if G.shape[1] == 2:
-        (j00, j01), (j10, j11) = J.tolist()
-        det = _diff_of_products(j00, j11, j01, j10)
-        if det != 0.0:
-            return _velocity_h_planar(G, J, np.asarray(dirs, dtype=float), det, limits, h_cap)
-    return _velocity_h_simplex(G, J, dirs, limits, h_cap)
+    h, feasible = _velocity_h(np.asarray(G, dtype=float)[None], J, dirs, limits, h_cap)
+    return h[0] if feasible[0] else None
+
+
+# --- the kernels on a stack of P designs: h (P, directions), feasible (P,) ----
+
+
+def _force_h(G, rhs, cols, limits, h_cap):
+    if G.shape[2] == 2:
+        return _force_h_planar(G, rhs, cols, limits, h_cap)
+    return _each_design(_force_h_simplex, G, len(cols), rhs, cols, limits, h_cap)
+
+
+def _velocity_h(G, J, dirs, limits, h_cap):
+    dirs = np.asarray(dirs, dtype=float)
+    if G.shape[2] != 2:
+        return _each_design(_velocity_h_simplex, G, len(dirs), J, dirs, limits, h_cap)
+    (j00, j01), (j10, j11) = J.tolist()
+    det = _diff_of_products(j00, j11, j01, j10)
+    if det != 0.0:
+        h = _velocity_h_planar(G, J, dirs, det, limits, h_cap)
+    else:
+        h = _velocity_h_singular(G, J, dirs, limits, h_cap)
+    return h, np.ones(len(G), dtype=bool)  # qdot = 0 always holds
+
+
+def _each_design(kernel, G, n_dirs, *args):
+    """A one-design kernel (h or None) run on every design of the stack."""
+    h = np.zeros((len(G), n_dirs))
+    feasible = np.ones(len(G), dtype=bool)
+    for k, g in enumerate(G):
+        hk = kernel(g, *args)
+        if hk is None:
+            feasible[k] = False
+        else:
+            h[k] = hk
+    return h, feasible
 
 
 # --- closed forms for D = 2 ---------------------------------------------------
@@ -253,30 +296,34 @@ def _force_h_planar(G, rhs, cols, limits, h_cap):
     leaves Z, also when rhs lies outside Z and the ray enters it. Whether a
     ray meets Z at all is decided with the simplex's phase-1 allowance: a
     slab may be missed by 1e-9 max(1, |rhs|_inf) in the L1 norm of the
-    phase-1 residual, which is that times |n|_inf along n.
+    phase-1 residual, which is that times |n|_inf along n. A design is
+    infeasible when some ray misses Z.
     """
-    normals = np.concatenate((G @ _PERP, _AXES))
-    width = 0.5 * (limits.f_max - limits.f_min) * np.abs(normals @ G.T).sum(axis=1)
-    offset = normals @ (rhs + 0.5 * (limits.f_min + limits.f_max) * G.sum(axis=0))
-    slack = _SLACK_TOL * max(1.0, float(np.abs(rhs).max())) * np.abs(normals).max(axis=1)
-    rate = cols @ normals.T  # (directions, normals)
+    m = G.shape[1]
+    normals = np.empty((len(G), m + 2, 2))
+    normals[:, :m] = G @ _PERP
+    normals[:, m:] = _AXES
+    width = 0.5 * (limits.f_max - limits.f_min) * np.abs(normals @ G.transpose(0, 2, 1)).sum(axis=2)
+    middle = rhs + 0.5 * (limits.f_min + limits.f_max) * G.sum(axis=1)
+    offset = (normals @ middle[..., None])[..., 0]
+    slack = _SLACK_TOL * max(1.0, float(np.abs(rhs).max())) * np.abs(normals).max(axis=2)
+    rate = cols @ normals.transpose(0, 2, 1)  # (designs, directions, normals)
     # a ray that drifts across a slab by no more than the allowance over its
     # whole capped length runs along it: that slab bounds no h
-    rate[np.abs(rate) * h_cap <= slack] = 0.0
+    rate[np.abs(rate) * h_cap <= slack[:, None, :]] = 0.0
     speed = np.abs(rate)
-    along = np.sign(rate) * offset  # rhs's offset from the slab's mid-line, signed along the ray
+    along = np.sign(rate) * offset[:, None, :]  # rhs's offset from the mid-line, signed along the ray
     inside = np.abs(offset) <= width + slack
+    feasible = inside.all(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        if not inside.all():  # rhs outside Z: every ray has to enter it
-            if np.any((speed == 0) & ~inside):
-                return None
-            enter = np.fmax.reduce((-width - slack - along) / speed, axis=1)
-            leave = np.fmin.reduce((width + slack - along) / speed, axis=1)
-            if not np.all((enter <= leave) & (leave >= 0)):
-                return None
+        if not feasible.all():  # rhs outside Z: every ray has to enter it
+            enter = np.fmax.reduce(((-width - slack)[:, None, :] - along) / speed, axis=2)
+            leave = np.fmin.reduce(((width + slack)[:, None, :] - along) / speed, axis=2)
+            feasible |= (~((speed == 0) & ~inside[:, None, :]).any(axis=(1, 2))
+                         & ((enter <= leave) & (leave >= 0)).all(axis=1))
         # 0/0 (a zero normal, or a ray along a zero-width slab) bounds nothing
-        h = np.fmin.reduce((width - along) / speed, axis=1)
-    return np.maximum(np.fmin(h, h_cap), 0.0)
+        h = np.fmin.reduce((width[:, None, :] - along) / speed, axis=2)
+    return np.maximum(np.fmin(h, h_cap), 0.0), feasible
 
 
 def _velocity_h_planar(G, J, dirs, det, limits, h_cap):
@@ -285,14 +332,67 @@ def _velocity_h_planar(G, J, dirs, det, limits, h_cap):
     adj = np.array([[J[1, 1], J[0, 0]], [J[0, 1], J[1, 0]]])
     p, e = _two_product(adj, dirs[:, _ADJ_PAIRS])
     u = ((p[:, 0] - p[:, 1]) + (e[:, 0] - e[:, 1])) / det
-    a = u @ G.T
+    a = u @ G.transpose(0, 2, 1)  # (designs, directions, wires)
     with np.errstate(divide="ignore"):
         h = (np.where(a > 0, limits.ldot_max, -limits.ldot_min) / np.abs(a)).min(
-            axis=1, initial=h_cap)
+            axis=2, initial=h_cap)
         return np.minimum(h, _THETA_DOT_BOUND / np.abs(u).max(axis=1))
 
 
-# --- the LP per direction: any D, and singular J --------------------------------
+def _velocity_h_singular(G, J, dirs, limits, h_cap):
+    """h at an exactly singular J (compensated det J == 0).
+
+    J qdot = h w has a solution only for w on range(J), decided with the
+    same error-free products as det J; off it, h = 0. With v a nonzero row
+    of J and n = perp(v) spanning null(J), qdot = h s v + t n for the scalar
+    s = w_r / |v|^2 solves J qdot = h w, so h s ranges over the extent, in
+    its first coordinate, of one polygon in (h s, t) per design: the 2M
+    wire-speed lines and the 4 qdot-box lines. J = 0 and w = 0 leave h
+    unbounded.
+    """
+    n_designs, m = G.shape[:2]
+    if not J.any():
+        return np.tile(np.where(dirs.any(axis=1), 0.0, h_cap), (n_designs, 1))
+    r = int(np.argmax(np.abs(J).max(axis=1)))
+    c = int(np.argmax(np.abs(J).max(axis=0)))  # a nonzero column spans range(J)
+    on_range = _diff_of_products(J[0, c], dirs[:, 1], J[1, c], dirs[:, 0]) == 0.0
+    v = J[r]
+    n = np.array([-v[1], v[0]])
+    s = dirs[:, r] / (v @ v)
+    # a (h s) + b t <= bound: ldot_min <= G qdot <= ldot_max and |qdot_k| <= 1e6
+    gv, gn = G @ v, G @ n
+    box_a = np.broadcast_to([v[0], -v[0], v[1], -v[1]], (n_designs, 4))
+    box_b = np.broadcast_to([n[0], -n[0], n[1], -n[1]], (n_designs, 4))
+    a = np.concatenate((gv, -gv, box_a), axis=1)
+    b = np.concatenate((gn, -gn, box_b), axis=1)
+    bound = np.concatenate((np.full(m, limits.ldot_max), np.full(m, -limits.ldot_min),
+                            np.full(4, _THETA_DOT_BOUND)))
+    most, least = _lp_max_first(a, b, bound)[:, None], _lp_max_first(-a, b, bound)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = np.where(s > 0, most / s, np.where(s < 0, least / -s, np.inf))
+    return np.where(on_range, np.minimum(h, h_cap), 0.0)
+
+
+def _lp_max_first(a, b, c):
+    """max x over {(x, t): a x + b t <= c}, one polygon per row, all c >= 0.
+
+    Eliminating t (Fourier-Motzkin) leaves the constraints with b = 0 and
+    one per pair of constraints that bound t from opposite sides; each that
+    bounds x from above does so at the vertex of its two lines. Since c >= 0
+    the origin is feasible, and the least of these bounds is the maximum
+    (inf where none bounds x).
+    """
+    ai, bi, ci = a[:, :, None], b[:, :, None], c[:, None]
+    aj, bj, cj = a[:, None, :], b[:, None, :], c[None, :]
+    k = _diff_of_products(aj, bi, ai, bj)
+    pair = (bi > 0) & (bj < 0) & (k > 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vertex = np.where(pair, (cj * bi - ci * bj) / k, np.inf)  # both terms >= 0
+        flat = np.where((b == 0) & (a > 0), c / a, np.inf)
+    return np.minimum(vertex.min(axis=(1, 2)), flat.min(axis=1))
+
+
+# --- the LP per direction: any D -----------------------------------------------
 
 
 def _force_h_simplex(G, rhs, cols, limits, h_cap):
@@ -347,35 +447,82 @@ def _velocity_h_simplex(G, J, dirs, limits, h_cap):
     return out
 
 
-def make_evaluator(model: RobotModel, scenario: Scenario):
-    """Closure scoring designs against per-state tables built once."""
-    tables = [state_tables(model, q, scenario.target, scenario.gravity)
-              for q in scenario.joint_states]
+# --- scoring designs over the joint states -----------------------------------------
 
-    def run(design: WireArrangement) -> EvaluationResult:
-        constant = isinstance(design, ConstantArrangement)
-        G = muscle_jacobian(model, design, tables[0].q) if constant else None
-        h_force, h_velocity = [], []
-        for t in tables:
-            Gq = G if constant else muscle_jacobian(model, design, t.q)
-            hf = force_h_all(Gq, t.rhs, t.force_cols, scenario.limits, scenario.h_cap)
-            if hf is None:
-                return EvaluationResult(feasible=False)
-            hv = velocity_h_all(Gq, t.J, t.velocity_dirs, scenario.limits, scenario.h_cap)
-            if hv is None:
-                return EvaluationResult(feasible=False)
-            h_force.append(hf)
-            h_velocity.append(hv)
-        e_force = float(sum(np.maximum(1.0 - hf, 0.0).sum() for hf in h_force))
-        e_velocity = float(sum(np.maximum(1.0 - hv, 0.0).sum() for hv in h_velocity))
-        return EvaluationResult(True, h_force, h_velocity, e_force, e_velocity)
+
+def _score(model, tables, scenario, links, fractions, per_state=None):
+    """Objectives (P, 2) and the feasible mask (P,) of P designs of one shape.
+
+    links and fractions are batch_muscle_jacobian's inputs. The states are
+    scored in order, each on the designs that are still feasible; a design
+    that fails a state is dropped from the later ones. A feasible design's
+    objectives are 0 + s_0 + s_1 + ..., s_k its summed shortfall at state k.
+    per_state, if given, receives each state's (force h, velocity h) of the
+    designs still feasible after it.
+    """
+    limits, h_cap = scenario.limits, scenario.h_cap
+    totals = np.zeros((len(fractions), 2))
+    feasible = np.zeros(len(fractions), dtype=bool)
+    alive = np.arange(len(fractions))
+    for t in tables:
+        if not len(alive):
+            break
+        G = batch_muscle_jacobian(model, links, fractions, t.q)
+        hf, ok = _force_h(G, t.rhs, t.force_cols, limits, h_cap)
+        alive, links, fractions, G, hf = _keep(ok, alive, links, fractions, G, hf)
+        hv, ok = _velocity_h(G, t.J, t.velocity_dirs, limits, h_cap)
+        alive, links, fractions, hf, hv = _keep(ok, alive, links, fractions, hf, hv)
+        totals[alive, 0] += np.maximum(1.0 - hf, 0.0).sum(axis=1)
+        totals[alive, 1] += np.maximum(1.0 - hv, 0.0).sum(axis=1)
+        if per_state is not None:
+            per_state.append((hf, hv))
+    feasible[alive] = True
+    return totals, feasible
+
+
+def _keep(ok, *arrays):
+    """The rows ok marks of each array (None stays None)."""
+    if ok.all():
+        return arrays
+    return tuple(None if a is None else a[ok] for a in arrays)
+
+
+def _scenario_tables(model: RobotModel, scenario: Scenario) -> list[StateTables]:
+    return [state_tables(model, q, scenario.target, scenario.gravity)
+            for q in scenario.joint_states]
+
+
+def make_evaluator(model: RobotModel, scenario: Scenario):
+    """Batch evaluator over per-state tables built once.
+
+    It maps genome rows, reals (P, n_reals) and cats (P, n_cats), to
+    (objectives, feasible): the (P, 2) (e_force, e_velocity) scores and the
+    (P,) mask of designs that every state's LPs admit. Rows the mask marks
+    pruned carry no score. The gene counts fix the design family (see
+    genome_space).
+    """
+    tables = _scenario_tables(model, scenario)
+
+    def run(reals: np.ndarray, cats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        reals = np.asarray(reals, dtype=float)
+        cats = np.asarray(cats)
+        space = genome_space(reals.shape[1], cats.shape[1], model.n_joints)
+        links, fractions = genome_rows_decode(reals, cats, space)
+        return _score(model, tables, scenario, links, fractions)
 
     return run
 
 
 def evaluate(model: RobotModel, design: WireArrangement, scenario: Scenario) -> EvaluationResult:
-    """Score one design over all evaluated joint states."""
-    return make_evaluator(model, scenario)(design)
+    """Score one design over all evaluated joint states, with its per-state h."""
+    links = None if isinstance(design, ConstantArrangement) else design.links[None]
+    per_state = []
+    totals, feasible = _score(model, _scenario_tables(model, scenario), scenario, links,
+                              design.fractions[None], per_state)
+    if not feasible[0]:
+        return EvaluationResult(feasible=False)
+    return EvaluationResult(True, [hf[0] for hf, _ in per_state], [hv[0] for _, hv in per_state],
+                            float(totals[0, 0]), float(totals[0, 1]))
 
 
 def trace_polygon(model, design, state: StateTables, which: str, limits,

@@ -8,8 +8,9 @@ generation is evaluated (but not selected from) when the budget is not a
 multiple of the population size.
 
 All randomness flows through one seeded generator consumed in a fixed
-order. Designs are evaluated one after another in generation order, and
-evaluations never touch the generator.
+order. Designs are scored one generation per evaluator call (the whole
+budget in one call for random search), as genome rows in archive order,
+and scoring never touches the generator.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .arrangement import DesignSpace, Genome, genome_decode
+from .arrangement import DesignSpace, Genome
 
 SBX_ETA = 15.0
 SBX_RATE = 0.9
@@ -241,21 +242,29 @@ def _tournament(rank, crowd, rng) -> int:
 
 # --- the optimizer -----------------------------------------------------------
 
-EvaluateFn = Callable[..., object]
+# (reals (P, n_reals), cats (P, n_cats)) -> (objectives (P, 2), feasible (P,))
+EvaluateFn = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
-def _fill(archive: ParetoArchive, row: int, genomes, evaluate_fn, space) -> int:
-    """Evaluate genomes in order into the archive rows from row on; returns
-    the next free row."""
-    for genome in genomes:
-        archive.reals[row] = genome.reals
-        archive.cats[row] = genome.cats
-        res = evaluate_fn(genome_decode(genome, space))
-        if res.feasible:
-            archive.objectives[row] = (res.e_force, res.e_velocity)
-            archive.feasible[row] = True
-        row += 1
-    return row
+def _rows(genomes: list[Genome], space: DesignSpace) -> tuple[np.ndarray, np.ndarray]:
+    """Genomes as (P, n_reals) reals and (P, n_cats) int64 cats."""
+    n = len(genomes)
+    reals = np.array([g.reals for g in genomes], dtype=float).reshape(n, space.n_reals)
+    cats = np.array([g.cats for g in genomes], dtype=np.int64).reshape(n, space.n_cats)
+    return reals, cats
+
+
+def _fill(archive: ParetoArchive, row: int, reals: np.ndarray, cats: np.ndarray,
+          evaluate_fn) -> int:
+    """Score genome rows with one evaluator call into the archive rows from
+    row on; returns the next free row. Pruned rows keep the sentinel."""
+    end = row + len(reals)
+    archive.reals[row:end] = reals
+    archive.cats[row:end] = cats
+    objectives, feasible = evaluate_fn(reals, cats)
+    archive.objectives[row:end][feasible] = objectives[feasible]
+    archive.feasible[row:end] = feasible
+    return end
 
 
 def evolve(
@@ -269,8 +278,8 @@ def evolve(
 ) -> ParetoArchive:
     """Run NSGA-II for exactly `budget` design evaluations.
 
-    evaluate_fn maps a decoded arrangement to an object with e_force,
-    e_velocity and feasible attributes (see feasibility.EvaluationResult).
+    evaluate_fn maps a generation's genome rows to their objectives and
+    feasible mask (see feasibility.make_evaluator).
     max_objective is the worst attainable score (directions x states); the
     pruning sentinel is one above it. The population is a set of archive rows.
     """
@@ -298,8 +307,8 @@ def evolve(
         if on_generation is not None:
             on_generation(entry)
 
-    row = _fill(archive, 0, [random_genome(space, rng) for _ in range(population)],
-                evaluate_fn, space)
+    initial = [random_genome(space, rng) for _ in range(population)]
+    row = _fill(archive, 0, *_rows(initial, space), evaluate_fn)
     current = np.arange(population)
     record(0, row)
 
@@ -320,7 +329,7 @@ def evolve(
                                         space, rng))
 
         start = row
-        row = _fill(archive, start, offspring[: budget - start], evaluate_fn, space)
+        row = _fill(archive, start, *_rows(offspring[: budget - start], space), evaluate_fn)
         archive.generations += 1
         record(start, row)
         if row - start < population:
@@ -356,6 +365,7 @@ def random_search(
     """Uniform sampling with the same budget semantics as evolve."""
     rng = np.random.default_rng(seed)
     archive = ParetoArchive.empty(space, budget, seed, float(max_objective) + 1.0)
-    _fill(archive, 0, [random_genome(space, rng) for _ in range(budget)], evaluate_fn, space)
+    samples = [random_genome(space, rng) for _ in range(budget)]
+    _fill(archive, 0, *_rows(samples, space), evaluate_fn)
     archive.front_indices = pareto_front_indices(archive.objectives, archive.feasible)
     return archive

@@ -8,6 +8,10 @@ cycling. Problems here have at most a few dozen variables, so a dense
 tableau beats any sparse machinery. The pivot loops are scalar Python: at
 these tableau sizes (a few rows by a few columns) a vectorised numpy
 formulation is slower per LP.
+
+The coverage kernels call it only for robots with D != 2 joints: for D = 2
+both LPs have closed forms, a singular J included, and never reach it. The
+tests also use it as a reference LP next to scipy's linprog.
 """
 
 from __future__ import annotations

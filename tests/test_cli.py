@@ -151,6 +151,17 @@ class TestOptimize:
         for line in lines:
             progress_validator.validate(json.loads(line))
 
+    def test_run_meta_times_the_evaluator_calls(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(
+            ["optimize", "--config", scenario_path("target2_nograv"),
+             "--out", str(out), "--budget", "200", "--population", "40"]
+        ) == 0
+        meta = json.loads((out / "run_meta.json").read_text())
+        load_schema_validator("run_meta").validate(meta)
+        timings = meta["timings"]
+        assert 0 < timings["evaluate_s"] <= timings["total_s"]
+
     def test_config_echo_round_trips(self, tmp_path):
         out = tmp_path / "run"
         main(

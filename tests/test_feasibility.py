@@ -8,7 +8,7 @@ from conftest import (
     random_variable_design,
     worked_constant_design,
 )
-from tlo.arrangement import muscle_jacobian
+from tlo.arrangement import DesignSpace, Genome, genome_decode, muscle_jacobian
 from tlo.config import load_bundled_scenario
 from tlo.feasibility import (
     DEFAULT_H_CAP,
@@ -28,6 +28,7 @@ from tlo.feasibility import (
     velocity_h_all,
 )
 from tlo.model import RobotModel, gravity_torque, joint_jacobian
+from tlo.nsga2 import evolve
 from tlo.oracle import force_polytope_exact, ray_h, velocity_polytope_exact
 
 Q_BENT = np.array([0.0, np.pi / 2])
@@ -258,6 +259,105 @@ class TestEvaluate:
                 continue
             assert all(b >= a - 1e-9 for a, b in zip(h_lo, h_hi))
             checked += 1
+
+
+def reference_scores(model, scenario, design):
+    """(e_force, e_velocity) of one design from a plain loop over the states
+    and the public kernels, or (None, k) when state k prunes it."""
+    h_force, h_velocity = [], []
+    for k, q in enumerate(scenario.joint_states):
+        st = state_tables(model, q, scenario.target, scenario.gravity)
+        G = muscle_jacobian(model, design, q)
+        hf = force_h_all(G, st.rhs, st.force_cols, scenario.limits, scenario.h_cap)
+        hv = None if hf is None else velocity_h_all(G, st.J, st.velocity_dirs,
+                                                    scenario.limits, scenario.h_cap)
+        if hv is None:
+            return None, k
+        h_force.append(hf)
+        h_velocity.append(hv)
+    return (sum(np.maximum(1.0 - hf, 0.0).sum() for hf in h_force),
+            sum(np.maximum(1.0 - hv, 0.0).sum() for hv in h_velocity))
+
+
+def random_genome_rows(space, n, rng):
+    """n random genomes; every third has its fractions rounded to 0 or 1,
+    which makes coincident relay points and so degenerate wire segments."""
+    reals = rng.random((n, space.n_reals))
+    reals[::3] = reals[::3].round()
+    cats = rng.integers(0, space.cat_cardinality, (n, space.n_cats))
+    return reals, cats
+
+
+def searched_genome_rows(cfg, n):
+    """The last n genomes of a short seeded search, where most designs pass
+    the first state, and every third with its fractions rounded to 0 or 1."""
+    scenario = cfg.scenario()
+    archive = evolve(make_evaluator(cfg.robot, scenario), cfg.space, 40, n + 400, 0,
+                     scenario.max_objective)
+    reals, cats = archive.reals[-n:].copy(), archive.cats[-n:]
+    reals[::3] = reals[::3].round()
+    return reals, cats
+
+
+def check_batch_identity(model, scenario, space, reals, cats):
+    """One batch call scores every row bit for bit as one call per row and
+    as the reference loop; returns the state index of each pruned row."""
+    evaluator = make_evaluator(model, scenario)
+    objectives, feasible = evaluator(reals, cats)
+    assert objectives.shape == (len(reals), 2) and feasible.shape == (len(reals),)
+    pruned_at = []
+    for i in range(len(reals)):
+        one, one_feasible = evaluator(reals[i : i + 1], cats[i : i + 1])
+        ref = reference_scores(model, scenario, genome_decode(Genome(reals[i], cats[i]), space))
+        assert feasible[i] == one_feasible[0] == (ref[0] is not None), i
+        if ref[0] is None:
+            pruned_at.append(ref[1])
+            continue
+        bits = objectives[i].view(np.uint64).tolist()
+        assert bits == one[0].view(np.uint64).tolist(), i
+        assert bits == np.array(ref, dtype=float).view(np.uint64).tolist(), i
+    return pruned_at
+
+
+class TestBatchEvaluator:
+    # the searches of target1_nograv prune at its first state only
+    @pytest.mark.parametrize("name, later_prunes", [
+        ("target1_nograv", False), ("target1_grav", True), ("target2_nograv", True),
+        ("constant_relaxed", True)])
+    def test_batch_equals_one_design_at_a_time(self, name, later_prunes):
+        cfg = load_bundled_scenario(name)
+        reals, cats = searched_genome_rows(cfg, 200)
+        pruned_at = check_batch_identity(cfg.robot, cfg.scenario(), cfg.space, reals, cats)
+        assert 0 < len(pruned_at) < len(reals)
+        if later_prunes:  # a design dropped at a later state, after passing the first
+            assert max(pruned_at) > 0
+
+    def test_three_joint_robot(self):
+        # D = 3 goes through the simplex, one design at a time
+        model = RobotModel([0.4, 0.4, 0.4, 0.4], [0.0, 4.0, 4.0, 4.0],
+                           moment_arm_ranges=[[-0.1, 0.1]] * 3)
+        limits = ActuatorLimits(10.0, 200.0, -0.4, 0.4)
+        target = TargetSpec([0.0, 0.0], [20.0, 15.0], [0.6, 0.6], 8)
+        scenario = Scenario(limits, target, [np.deg2rad([20, 30, 30]), np.deg2rad([40, 20, 10])])
+        rng = np.random.default_rng(3)
+        pruned_at = []
+        for space in (DesignSpace("variable", 4, 3, 3), DesignSpace("constant", 5, None, 3)):
+            reals, cats = random_genome_rows(space, 12, rng)
+            pruned_at += check_batch_identity(model, scenario, space, reals, cats)
+        assert 0 < len(pruned_at) < 24
+
+    def test_empty_batches_and_malformed_genes(self, paper_model, zero_center_scenario):
+        evaluator = make_evaluator(paper_model, zero_center_scenario)
+        space = DesignSpace("variable", 3, 2, 2)
+        objectives, feasible = evaluator(np.empty((0, space.n_reals)),
+                                         np.empty((0, space.n_cats), dtype=np.int64))
+        assert objectives.shape == (0, 2) and feasible.shape == (0,)
+        with pytest.raises(ValueError):  # 5 wires cannot share 7 fractions
+            evaluator(np.full((1, 7), 0.5), np.zeros((1, 2), dtype=np.int64))
+        with pytest.raises(ValueError):  # 5 arm fractions do not fill rows of 2 joints
+            evaluator(np.full((1, 5), 0.5), np.zeros((1, 0), dtype=np.int64))
+        with pytest.raises(ValueError):
+            evaluator(np.full((1, 6), 1.5), np.zeros((1, 3), dtype=np.int64))
 
 
 class TestOracleAgreement:

@@ -3,7 +3,8 @@
 For D = 2 the kernels are closed forms. Each generated case is checked
 against the same LP built here from the public LinearProgram/solve_lp_max,
 against scipy's linprog, and (velocity) against an exact rational
-evaluation of the closed form on the same floating-point inputs; wherever
+evaluation of the closed form on the same floating-point inputs (at an
+exactly singular J, of its two-variable LP along null(J)); wherever
 J is regular the exact polygons of tlo.oracle are a third reference. The cases
 aim at the degenerate geometry: rank-0/1 and parallel-row G, joint states
 near q2 = 0 and q2 = pi, exactly singular J, force directions with
@@ -31,7 +32,7 @@ from conftest import (
     random_variable_design,
 )
 from tlo import simplex
-from tlo.arrangement import muscle_jacobian
+from tlo.arrangement import genome_encode, muscle_jacobian
 from tlo.feasibility import (
     ActuatorLimits,
     Scenario,
@@ -125,11 +126,12 @@ def linprog_velocity_h(G, J, w, limits):
 
 
 def exact_velocity_h(G, J, w, limits, h_cap):
-    """The closed form in rationals on the same float inputs; None at det J = 0."""
+    """The closed form in rationals on the same float inputs (the singular-J
+    LP where det J = 0)."""
     (a, b), (c, d) = [[Fraction(x) for x in row] for row in J.tolist()]
     det = a * d - b * c
     if det == 0:
-        return None
+        return exact_singular_velocity_h(G, ((a, b), (c, d)), w, limits, h_cap)
     w0, w1 = Fraction(w[0]), Fraction(w[1])
     u = ((d * w0 - b * w1) / det, (a * w1 - c * w0) / det)
     h = Fraction(h_cap)
@@ -143,6 +145,46 @@ def exact_velocity_h(G, J, w, limits, h_cap):
     if top:
         h = min(h, Fraction(FORMAL_BOX) / top)
     return h
+
+
+def exact_singular_velocity_h(G, J, w, limits, h_cap):
+    """max h with J qdot = h w, G qdot in the wire-speed box and qdot in the
+    formal box, in rationals, for a J of rank 1 or 0.
+
+    Off range(J) only h = 0 solves J qdot = h w. On it, qdot = h p + t n
+    with p along a nonzero row v of J, J p = w, and n perpendicular to v,
+    so that J n = 0. Eliminating t (Fourier-Motzkin) from the constraints
+    alpha h + beta t <= gamma leaves the bounds on h alone.
+    """
+    w = (Fraction(w[0]), Fraction(w[1]))
+    rows = [row for row in J if row != (0, 0)]
+    if not rows:
+        return Fraction(h_cap) if w == (0, 0) else Fraction(0)
+    col = next(col for col in zip(*J) if col != (0, 0))
+    if col[0] * w[1] - col[1] * w[0] != 0:
+        return Fraction(0)
+    r = J.index(rows[0])
+    v = rows[0]
+    p = [w[r] / (v[0] ** 2 + v[1] ** 2) * x for x in v]
+    n = (-v[1], v[0])
+    cons = []
+    for g in G.tolist():
+        gp = Fraction(g[0]) * p[0] + Fraction(g[1]) * p[1]
+        gn = Fraction(g[0]) * n[0] + Fraction(g[1]) * n[1]
+        cons += [(gp, gn, Fraction(limits.ldot_max)), (-gp, -gn, -Fraction(limits.ldot_min))]
+    for k in range(2):
+        cons += [(p[k], n[k], Fraction(FORMAL_BOX)), (-p[k], -n[k], Fraction(FORMAL_BOX))]
+    bounds = [gamma / alpha for alpha, beta, gamma in cons if beta == 0 and alpha > 0]
+    for ai, bi, ci in cons:
+        for aj, bj, cj in cons:
+            if bi > 0 > bj and aj * bi - ai * bj > 0:
+                bounds.append((cj * bi - ci * bj) / (aj * bi - ai * bj))
+    return min(bounds + [Fraction(h_cap)])
+
+
+def exact_singular(J):
+    (a, b), (c, d) = [[Fraction(x) for x in row] for row in J.tolist()]
+    return a * d == b * c
 
 
 def regular(J):
@@ -335,8 +377,15 @@ def test_velocity_kernel_matches_exact_and_lps(data):
     for h, w in zip(hs, dirs):
         assert 0.0 <= h <= cap
         exact = exact_velocity_h(G, J, w, limits, cap)
-        if exact is None:  # exactly singular J: the kernel is the simplex
-            assert h == pytest.approx(capped(lp_velocity_h(G, J, w, limits), cap), abs=1e-12)
+        if exact_singular(J):
+            assert abs(Fraction(float(h)) - exact) <= Fraction(1, 10**12) * min(exact, 1)
+            # Off range(J) only h = 0 solves J qdot = h w, but an LP solver's
+            # feasibility tolerance admits more there (the simplex ~1e-9, and
+            # up to h_cap for a w = J u off range by rounding alone), so the
+            # LP reference is linprog, on range(J).
+            if exact > 0:
+                ref = capped(linprog_velocity_h(G, J, w, limits), cap)
+                assert_close(h, ref, rel=1e-9, abs_tol=1e-9, what="linprog")
             continue
         assert abs(Fraction(float(h)) - exact) <= Fraction(1, 10**12) * exact
         if cond <= 1e6:
@@ -344,6 +393,56 @@ def test_velocity_kernel_matches_exact_and_lps(data):
             assert_close(h, ref, rel=1e-7 * cond, abs_tol=1e-9, what="simplex")
             ref = capped(linprog_velocity_h(G, J, w, limits), cap)
             assert_close(h, ref, rel=1e-11 * cond, abs_tol=1e-9, what="linprog")
+
+
+@st.composite
+def singular_range_cases(draw):
+    """(case, dirs) with J exactly singular and every w on range(J): w is a
+    power-of-two multiple of a column of J, so that no rounding moves it off."""
+    case = draw(planar_cases())
+    rng = case.rng
+    col = rng.uniform(-0.8, 0.8, 2)
+    case.J = np.column_stack([col, col * draw(st.sampled_from([0.0, 0.5, -2.0, 1.0]))])
+    if draw(st.booleans()):
+        case.J = case.J[:, ::-1]
+    scales = 2.0 ** rng.integers(-4, 5, 3) * rng.choice([-1.0, 1.0], 3)
+    return case, scales[:, None] * col
+
+
+@EXAMPLES
+@given(singular_range_cases())
+def test_velocity_kernel_on_the_range_of_a_singular_j(data):
+    """At an exactly singular J qdot also moves along null(J), which the
+    closed form resolves as a two-variable LP."""
+    case, dirs = data
+    G, J, limits, cap = case.G, case.J, case.limits, case.h_cap
+    hs = velocity_h_all(G, J, dirs, limits, cap)
+    assert hs is not None
+    for h, w in zip(hs, dirs):
+        exact = exact_velocity_h(G, J, w, limits, cap)
+        assert exact > 0
+        assert abs(Fraction(float(h)) - exact) <= Fraction(1, 10**12) * min(exact, 1)
+        ref = capped(linprog_velocity_h(G, J, w, limits), cap)
+        assert_close(h, ref, rel=1e-9, abs_tol=1e-9, what="linprog")
+    # w = 0 is reached at any h; at J = 0 nothing else is reached at all
+    zero = np.zeros((1, 2))
+    assert velocity_h_all(G, J, zero, limits, cap).tolist() == [cap]
+    hs = velocity_h_all(G, np.zeros((2, 2)), np.concatenate([dirs, zero]), limits, cap)
+    assert hs.tolist() == [0.0] * len(dirs) + [cap]
+
+
+def test_singular_j_off_its_range_scores_zero_not_pruned():
+    """qdot = 0 satisfies the velocity LP at every J, so no design is pruned
+    by it. This J is exactly singular and w lies off its range by ~5e-18,
+    so h = 0 exactly; the simplex's phase 1 had called it infeasible."""
+    G = np.array([[-0.0, -0.0], [0.131210200689243, 0.07629125940050786], [-0.0, -0.0]])
+    J = np.array([[-0.2726941285749057, 0.5453882571498114],
+                  [0.03915649586903647, -0.07831299173807293]])
+    w = np.array([[0.066635781132518, -0.00956831634872818]])
+    limits = ActuatorLimits(1.0, 2.0, -0.4981219187431265, 1.0)
+    assert exact_singular(J)
+    assert exact_velocity_h(G, J, w[0], limits, 1.0) == 0
+    assert velocity_h_all(G, J, w, limits, 1.0).tolist() == [0.0]
 
 
 # --- the exact polygons of tlo.oracle as a third reference, where J is regular ----
@@ -502,12 +601,17 @@ def test_other_joint_counts_match_linprog(d, monkeypatch):
         scored += 1
     assert pruned >= 1
     assert len(calls) >= 16 * scored  # the simplex, not a closed form, scored them
-    # whole designs score through make_evaluator as well
+    # whole designs score through make_evaluator as well, one batch per shape
     scenario = Scenario(limits, target, [rng.uniform(-1, 1, d) for _ in range(2)])
     evaluator = make_evaluator(model, scenario)
-    results = [evaluator(_random_design(rng, d)) for _ in range(20)]
-    assert any(res.feasible for res in results)
-    for res in results:
-        if res.feasible:
-            assert 0.0 <= res.e_force <= scenario.max_objective
-            assert 0.0 <= res.e_velocity <= scenario.max_objective
+    genomes = [genome_encode(_random_design(rng, d)) for _ in range(20)]
+    scored = []
+    for n_cats in {len(g.cats) for g in genomes}:
+        batch = [g for g in genomes if len(g.cats) == n_cats]
+        objectives, feasible = evaluator(np.array([g.reals for g in batch]),
+                                         np.array([g.cats for g in batch]))
+        scored += objectives[feasible].tolist()
+    assert scored
+    for e_force, e_velocity in scored:
+        assert 0.0 <= e_force <= scenario.max_objective
+        assert 0.0 <= e_velocity <= scenario.max_objective

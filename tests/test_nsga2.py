@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tlo.arrangement import DesignSpace, genome_decode
-from tlo.feasibility import EvaluationResult
 from tlo.nsga2 import (
     crowding_distance,
     dominates,
@@ -21,26 +20,23 @@ SPACE = DesignSpace("variable", 2, 2, 2)
 WIDE_SPACE = DesignSpace("variable", 3, 3, 2)
 
 
-def toy_evaluator(design):
+def toy_evaluator(reals, cats):
     """Cheap deterministic objectives: smooth trade-off plus a pruned pocket.
 
-    Scores derive from relay fractions only, so the optimizer sees a
-    realistic mixed landscape without any LP work.
+    Scores derive from relay fractions (the reals) and link choices (the
+    cats) only, so the optimizer sees a realistic mixed landscape without
+    any LP work.
     """
-    fracs = design.fractions.ravel()
-    links = design.links.ravel()
-    if fracs[0] < 0.1:  # pruned pocket
-        return EvaluationResult(feasible=False)
-    a = float(5 * np.sum((fracs - 0.35) ** 2) + 0.1 * np.sum(links == 1))
-    b = float(5 * np.sum((fracs - 0.65) ** 2) + 0.1 * np.sum(links == 2))
-    return EvaluationResult(True, None, None, a, b)
+    feasible = reals[:, 0] >= 0.1  # outside the pruned pocket
+    a = 5 * np.sum((reals - 0.35) ** 2, axis=1) + 0.1 * np.sum(cats == 1, axis=1)
+    b = 5 * np.sum((reals - 0.65) ** 2, axis=1) + 0.1 * np.sum(cats == 2, axis=1)
+    return np.column_stack([a, b]), feasible
 
 
-def hill_evaluator(design):
+def hill_evaluator(reals, cats):
     """Perfectly correlated objectives: a pure descent task for selection."""
-    fracs = design.fractions.ravel()
-    a = float(np.sum((fracs - 0.4) ** 2))
-    return EvaluationResult(True, None, None, a, 2 * a)
+    a = np.sum((reals - 0.4) ** 2, axis=1)
+    return np.column_stack([a, 2 * a]), np.ones(len(reals), dtype=bool)
 
 
 def brute_force_front(objectives):
@@ -213,17 +209,14 @@ class TestEvolve:
         # rounded objectives give ties and duplicates across generations
         scores = []
 
-        def coarse(design):
-            res = toy_evaluator(design)
-            if res.feasible:
-                res = EvaluationResult(True, None, None, round(res.e_force, 1),
-                                       round(res.e_velocity, 1))
-            scores.append(res)
-            return res
+        def coarse(reals, cats):
+            objectives, feasible = toy_evaluator(reals, cats)
+            objectives = objectives.round(1)
+            scores.extend(zip(objectives[:, 0], objectives[:, 1], feasible))
+            return objectives, feasible
 
         def check(entry):
-            objs, feasible = archive_columns(
-                [(r.e_force, r.e_velocity, r.feasible) for r in scores[: entry["evaluations"]]])
+            objs, feasible = archive_columns(scores[: entry["evaluations"]])
             front = pareto_front_indices(objs, feasible)
             assert entry["front_size"] == len(front)
             assert entry["best_e_force"] == min(objs[i, 0] for i in front)
