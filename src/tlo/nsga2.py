@@ -11,10 +11,32 @@ All randomness flows through one seeded generator consumed in a fixed
 order. Designs are scored one generation per evaluator call (the whole
 budget in one call for random search), as genome rows in archive order,
 and scoring never touches the generator.
+
+The draw order is a contract: the golden digests in
+tests/golden/optimize_digests.json pin it, so any change to it changes
+every seeded output. The initial population draws, per genome, its reals
+with one random(n_reals) and then its cats with one integers(0, D + 1,
+size=n_cats). Each generation then breeds pairs of children until it has
+a population; per pair:
+
+1. two binary tournaments, each two integers(0, P) picks;
+2. one random() for crossover (SBX_RATE);
+3. if crossing, per real gene one random() (the gene crosses when it is
+   <= 0.5) and, for a crossing gene whose parents differ, one random()
+   for the SBX spread;
+4. if crossing and n_cats > 0, one random(n_cats) block of cat swaps;
+5. per real gene of the first child, then of the second, one random()
+   (mutate when below 1 / n_genes) and, for a mutating gene, one random()
+   for the polynomial step;
+6. per cat gene of the first child, then of the second, one random()
+   and, for a mutating gene, one integers(0, D + 1).
+
+Selection (sorting, crowding, survivors) draws nothing.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -73,41 +95,64 @@ def dominates(a, b) -> bool:
     return a[0] <= b[0] and a[1] <= b[1] and (a[0] < b[0] or a[1] < b[1])
 
 
-def non_dominated_sort(objectives: np.ndarray) -> list[list[int]]:
-    """Fast non-dominated sort; front 0 holds the mutually non-dominated points."""
+def non_dominated_sort(objectives: np.ndarray) -> np.ndarray:
+    """Pareto rank of each row of two-objective scores, as an (n,) array:
+    0 for the non-dominated rows, else one more than the highest rank among
+    the row's dominators.
+
+    Sweep in (f0, f1) order, so that a row's dominators come before it,
+    keeping each front's last point; their f1 values rise with the rank. A
+    row is dominated by a front exactly when that front's last f1 is <= its
+    own, unless the last point equals it (equal points do not dominate each
+    other), so it joins front bisect_right(last f1, f1), or the front before
+    when that front's last point is the row itself.
+    """
     objs = np.asarray(objectives, dtype=float)
-    n = len(objs)
-    le = np.all(objs[:, None, :] <= objs[None, :, :], axis=-1)
-    lt = np.any(objs[:, None, :] < objs[None, :, :], axis=-1)
-    dom = le & lt  # dom[i, j]: i dominates j
-    counts = dom.sum(axis=0)
-    fronts = []
-    current = np.flatnonzero(counts == 0)
-    assigned = np.zeros(n, dtype=bool)
-    while len(current):
-        fronts.append([int(i) for i in current])
-        assigned[current] = True
-        counts = counts - dom[current].sum(axis=0)
-        current = np.flatnonzero((counts == 0) & ~assigned)
-    return fronts
+    f0, f1 = objs[:, 0].tolist(), objs[:, 1].tolist()
+    rank = [0] * len(f0)
+    last: list[tuple[float, float]] = []
+    last_f1: list[float] = []
+    for i in np.lexsort((objs[:, 1], objs[:, 0])).tolist():
+        point = (f0[i], f1[i])
+        r = bisect_right(last_f1, point[1])
+        if r and last[r - 1] == point:
+            r -= 1
+        if r == len(last):
+            last.append(point)
+            last_f1.append(point[1])
+        else:
+            last[r] = point
+            last_f1[r] = point[1]
+        rank[i] = r
+    return np.array(rank, dtype=np.intp)
 
 
-def crowding_distance(objectives: np.ndarray) -> np.ndarray:
-    """Normalized neighbor-gap sums; boundary points get +inf."""
+def crowding_distance(objectives: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """Normalized neighbor-gap sums within each front of rank; a front's
+    boundary points, and so every point of a front of at most two, get +inf.
+
+    One sort per objective orders every front at once (by rank, then by the
+    objective, then by row); the gaps, spans and their sums are those of a
+    separate stable sort per front, bit for bit.
+    """
     objectives = np.asarray(objectives, dtype=float)
+    rank = np.asarray(rank)
     n = len(objectives)
     dist = np.zeros(n)
-    if n <= 2:
-        return np.full(n, np.inf)
+    # every sort puts the fronts in rank order, so they share one layout
+    sorted_rank = np.sort(rank)
+    first = np.ones(n, dtype=bool)
+    first[1:] = sorted_rank[1:] != sorted_rank[:-1]
+    last = np.roll(first, -1)
+    edge = first | last
+    front = np.cumsum(first) - 1
     for k in range(objectives.shape[1]):
-        order = np.argsort(objectives[:, k], kind="stable")
+        order = np.lexsort((objectives[:, k], rank))
         vals = objectives[order, k]
-        dist[order[0]] = np.inf
-        dist[order[-1]] = np.inf
-        span = vals[-1] - vals[0]
-        if span <= 0:
-            continue
-        dist[order[1:-1]] += (vals[2:] - vals[:-2]) / span
+        span = (vals[last] - vals[first])[front]
+        inner = np.flatnonzero(~edge & (span > 0))
+        dist[order[inner]] += (vals[inner + 1] - vals[inner - 1]) / span[inner]
+        dist[order[edge]] = np.inf
     return dist
 
 
@@ -171,73 +216,69 @@ def random_genome(space: DesignSpace, rng: np.random.Generator) -> Genome:
     return Genome(reals, cats)
 
 
-def _sbx_pair(a, b, rng):
-    """Simulated binary crossover on unit-interval reals (Deb's formulation)."""
-    c1 = a.copy()
-    c2 = b.copy()
-    for k in range(len(a)):
-        if rng.random() > 0.5:
-            continue
-        x1, x2 = a[k], b[k]
-        if abs(x1 - x2) < 1e-14:
-            continue
-        u = rng.random()
-        if u <= 0.5:
-            beta = (2.0 * u) ** (1.0 / (SBX_ETA + 1.0))
-        else:
-            beta = (1.0 / (2.0 * (1.0 - u))) ** (1.0 / (SBX_ETA + 1.0))
-        c1[k] = 0.5 * ((1 + beta) * x1 + (1 - beta) * x2)
-        c2[k] = 0.5 * ((1 - beta) * x1 + (1 + beta) * x2)
-    return np.clip(c1, 0.0, 1.0), np.clip(c2, 0.0, 1.0)
+def _offspring(rank, crowd, reals: list, cats: list, space: DesignSpace, population: int,
+               rng) -> tuple[np.ndarray, np.ndarray]:
+    """Breed one generation from the parents' rows: binary tournaments on
+    (rank, -crowd), simulated binary crossover (Deb's formulation) with
+    uniform cat swaps, then polynomial and uniform-reset mutation.
 
-
-def _polynomial_mutation(reals, rate, rng):
-    out = reals.copy()
-    for k in range(len(out)):
-        if rng.random() >= rate:
-            continue
-        x = out[k]
-        u = rng.random()
-        if u < 0.5:
-            delta = (2 * u + (1 - 2 * u) * (1.0 - x) ** (MUTATION_ETA + 1)) ** (
-                1.0 / (MUTATION_ETA + 1)
-            ) - 1.0
-        else:
-            delta = 1.0 - (
-                2 * (1 - u) + 2 * (u - 0.5) * x ** (MUTATION_ETA + 1)
-            ) ** (1.0 / (MUTATION_ETA + 1))
-        out[k] = min(1.0, max(0.0, x + delta))
-    return out
-
-
-def _vary_pair(p1: Genome, p2: Genome, space: DesignSpace, rng) -> tuple[Genome, Genome]:
-    if rng.random() < SBX_RATE:
-        r1, r2 = _sbx_pair(p1.reals, p2.reals, rng)
-        c1 = p1.cats.copy()
-        c2 = p2.cats.copy()
-        if space.n_cats:
-            swap = rng.random(space.n_cats) < 0.5
-            c1[swap], c2[swap] = c2[swap], c1[swap]
-    else:
-        r1, r2 = p1.reals.copy(), p2.reals.copy()
-        c1, c2 = p1.cats.copy(), p2.cats.copy()
-    rate = 1.0 / max(1, space.n_reals + space.n_cats)
-    r1 = _polynomial_mutation(r1, rate, rng)
-    r2 = _polynomial_mutation(r2, rate, rng)
-    for c in (c1, c2):
-        for k in range(space.n_cats):
-            if rng.random() < rate:
-                c[k] = rng.integers(0, space.cat_cardinality)
-    return Genome(r1, c1), Genome(r2, c2)
-
-
-def _tournament(rank, crowd, rng) -> int:
-    # ties go to the first pick, keeping selection uniform on plateaus
-    i = int(rng.integers(0, len(rank)))
-    j = int(rng.integers(0, len(rank)))
-    if (rank[j], -crowd[j]) < (rank[i], -crowd[i]):
-        return j
-    return i
+    reals and cats are the parents' genome rows as Python lists; returns
+    the children as (population, n_reals) reals and (population, n_cats)
+    int64 cats. Draws follow the order set out in the module docstring.
+    """
+    random, integers = rng.random, rng.integers
+    keys = list(zip(rank.tolist(), (-crowd).tolist()))
+    n_parents, n_cats, card = len(keys), space.n_cats, space.cat_cardinality
+    rate = 1.0 / max(1, space.n_reals + n_cats)
+    sbx_power = 1.0 / (SBX_ETA + 1.0)
+    mutation_power = 1.0 / (MUTATION_ETA + 1)
+    child_reals: list[list[float]] = []
+    child_cats: list[list[int]] = []
+    while len(child_reals) < population:
+        parents = []
+        for _ in range(2):
+            # ties go to the first pick, keeping selection uniform on plateaus
+            i = int(integers(0, n_parents))
+            j = int(integers(0, n_parents))
+            parents.append(j if keys[j] < keys[i] else i)
+        a, b = parents
+        r1, r2 = reals[a][:], reals[b][:]
+        c1, c2 = cats[a][:], cats[b][:]
+        if random() < SBX_RATE:
+            for k, (x1, x2) in enumerate(zip(reals[a], reals[b])):
+                if random() > 0.5 or abs(x1 - x2) < 1e-14:
+                    continue
+                u = random()
+                if u <= 0.5:
+                    beta = (2.0 * u) ** sbx_power
+                else:
+                    beta = (1.0 / (2.0 * (1.0 - u))) ** sbx_power
+                r1[k] = min(1.0, max(0.0, 0.5 * ((1 + beta) * x1 + (1 - beta) * x2)))
+                r2[k] = min(1.0, max(0.0, 0.5 * ((1 - beta) * x1 + (1 + beta) * x2)))
+            if n_cats:
+                for k, swap in enumerate((random(n_cats) < 0.5).tolist()):
+                    if swap:
+                        c1[k], c2[k] = c2[k], c1[k]
+        for r in (r1, r2):
+            for k, x in enumerate(r):
+                if random() >= rate:
+                    continue
+                u = random()
+                if u < 0.5:
+                    base = 2 * u + (1 - 2 * u) * (1.0 - x) ** (MUTATION_ETA + 1)
+                    delta = base ** mutation_power - 1.0
+                else:
+                    base = 2 * (1 - u) + 2 * (u - 0.5) * x ** (MUTATION_ETA + 1)
+                    delta = 1.0 - base ** mutation_power
+                r[k] = min(1.0, max(0.0, x + delta))
+        for c in (c1, c2):
+            for k in range(n_cats):
+                if random() < rate:
+                    c[k] = int(integers(0, card))
+        child_reals += (r1, r2)
+        child_cats += (c1, c2)
+    return (np.array(child_reals, dtype=float).reshape(population, space.n_reals),
+            np.array(child_cats, dtype=np.int64).reshape(population, n_cats))
 
 
 # --- the optimizer -----------------------------------------------------------
@@ -314,42 +355,31 @@ def evolve(
 
     while row < budget:
         objs = archive.objectives[current]
-        fronts = non_dominated_sort(objs)
-        rank = np.empty(len(current), dtype=int)
-        crowd = np.empty(len(current))
-        for r, front in enumerate(fronts):
-            rank[front] = r
-            crowd[front] = crowding_distance(objs[front])
-
-        offspring: list[Genome] = []
-        while len(offspring) < population:
-            a = _tournament(rank, crowd, rng)
-            b = _tournament(rank, crowd, rng)
-            offspring.extend(_vary_pair(archive.genome(current[a]), archive.genome(current[b]),
-                                        space, rng))
+        rank = non_dominated_sort(objs)
+        crowd = crowding_distance(objs, rank)
+        reals, cats = _offspring(rank, crowd, archive.reals[current].tolist(),
+                                 archive.cats[current].tolist(), space, population, rng)
 
         start = row
-        row = _fill(archive, start, *_rows(offspring[: budget - start], space), evaluate_fn)
+        row = _fill(archive, start, reals[: budget - start], cats[: budget - start], evaluate_fn)
         archive.generations += 1
         record(start, row)
         if row - start < population:
             break  # partial final batch: budget exhausted, no further selection
 
+        # whole fronts by rank, rows in index order; a front that does not
+        # fit keeps its most isolated rows, ties going to the lower index
         merged = np.concatenate([current, np.arange(start, row)])
         objs = archive.objectives[merged]
-        fronts = non_dominated_sort(objs)
-        survivors: list[int] = []
-        for front in fronts:
-            if len(survivors) + len(front) <= population:
-                survivors.extend(front)
-                continue
-            crowd_f = crowding_distance(objs[front])
-            order = sorted(
-                range(len(front)), key=lambda k: (-crowd_f[k], front[k])
-            )
-            need = population - len(survivors)
-            survivors.extend(front[k] for k in order[:need])
-            break
+        rank = non_dominated_sort(objs)
+        survivors = np.argsort(rank, kind="stable")[:population]
+        cut = rank[survivors[-1]]
+        if np.count_nonzero(rank <= cut) > population:
+            crowd = crowding_distance(objs, rank)
+            tied = np.flatnonzero(rank == cut)
+            kept = survivors[rank[survivors] < cut]
+            tied = tied[np.argsort(-crowd[tied], kind="stable")]
+            survivors = np.concatenate([kept, tied[: population - len(kept)]])
         current = merged[survivors]
 
     return archive

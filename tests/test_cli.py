@@ -208,13 +208,15 @@ class TestOptimize:
 GOLDEN_RUNS = json.loads((GOLDEN / "optimize_digests.json").read_text())["runs"]
 
 
-@pytest.mark.parametrize("run", GOLDEN_RUNS, ids=[r["scenario"] for r in GOLDEN_RUNS])
+@pytest.mark.parametrize("run", GOLDEN_RUNS, ids=[r.get("id", r["scenario"]) for r in GOLDEN_RUNS])
 def test_seeded_optimize_matches_golden_digests(run, tmp_path):
     """Seeded artifacts keep their bytes across commits, not only across reruns.
 
     The digests change only with the maths; regenerate them deliberately and
     say why in CHANGES.md. The constant_relaxed run's front holds tied
-    designs, so it also pins the front's tie rule.
+    designs, so it also pins the front's tie rule. The two runs with an id
+    end in a partial generation; constant_relaxed_cut_front (no cat genes,
+    population 100) cuts survivors inside a front by crowding distance.
     """
     out = tmp_path / "run"
     code = main(

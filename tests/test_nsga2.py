@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from tlo.arrangement import DesignSpace, genome_decode
 from tlo.nsga2 import (
+    _offspring,
     crowding_distance,
     dominates,
     evolve,
@@ -18,6 +19,7 @@ from tlo.nsga2 import (
 
 SPACE = DesignSpace("variable", 2, 2, 2)
 WIDE_SPACE = DesignSpace("variable", 3, 3, 2)
+CONSTANT_SPACE = DesignSpace("constant", 2, None, 2)
 
 
 def toy_evaluator(reals, cats):
@@ -47,12 +49,44 @@ def brute_force_front(objectives):
     ]
 
 
+def per_front_crowding(objectives, rank):
+    """Crowding distance computed one front at a time, the front's rows in
+    index order: the reference for the single-pass crowding_distance."""
+    dist = np.empty(len(objectives))
+    for r in np.unique(rank):
+        front = np.flatnonzero(rank == r)
+        objs = objectives[front]
+        d = np.zeros(len(front))
+        if len(front) <= 2:
+            d[:] = np.inf
+        else:
+            for k in range(objs.shape[1]):
+                order = np.argsort(objs[:, k], kind="stable")
+                vals = objs[order, k]
+                d[order[0]] = np.inf
+                d[order[-1]] = np.inf
+                span = vals[-1] - vals[0]
+                if span <= 0:
+                    continue
+                d[order[1:-1]] += (vals[2:] - vals[:-2]) / span
+        dist[front] = d
+    return dist
+
+
+# small integer grids: ties on each objective, exact duplicates, and
+# sentinel rows (33, 33) as pruned designs carry them
+GRID = st.lists(
+    st.one_of(st.tuples(st.integers(0, 5), st.integers(0, 5)), st.just((33, 33))),
+    min_size=1, max_size=60,
+)
+
+
 class TestSorting:
     def test_chain(self):
-        assert non_dominated_sort(np.array([[1.0, 1.0], [2.0, 2.0]])) == [[0], [1]]
+        assert non_dominated_sort(np.array([[1.0, 1.0], [2.0, 2.0]])).tolist() == [0, 1]
 
     def test_incomparable_pair(self):
-        assert non_dominated_sort(np.array([[1.0, 2.0], [2.0, 1.0]])) == [[0, 1]]
+        assert non_dominated_sort(np.array([[1.0, 2.0], [2.0, 1.0]])).tolist() == [0, 0]
 
     @given(
         st.lists(
@@ -62,44 +96,67 @@ class TestSorting:
     @settings(max_examples=80, deadline=None)
     def test_front_zero_matches_brute_force(self, pairs):
         objs = np.array(pairs, dtype=float)
-        fronts = non_dominated_sort(objs)
-        assert sorted(fronts[0]) == sorted(brute_force_front(objs))
-        # every index appears exactly once across fronts
-        seen = sorted(i for front in fronts for i in front)
-        assert seen == list(range(len(objs)))
+        rank = non_dominated_sort(objs)
+        assert rank.shape == (len(objs),)
+        assert np.flatnonzero(rank == 0).tolist() == brute_force_front(objs)
 
     def test_later_fronts_dominated_only_by_earlier(self):
         rng = np.random.default_rng(5)
         objs = rng.integers(0, 6, size=(30, 2)).astype(float)
-        fronts = non_dominated_sort(objs)
-        rank = {}
-        for r, front in enumerate(fronts):
-            for i in front:
-                rank[i] = r
+        rank = non_dominated_sort(objs)
         for i in range(len(objs)):
             for j in range(len(objs)):
                 if dominates(objs[i], objs[j]):
                     assert rank[i] < rank[j]
 
+    @given(GRID)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_rank_properties(self, pairs):
+        objs = np.array(pairs, dtype=float)
+        rank = non_dominated_sort(objs)
+        for i, oi in enumerate(objs):
+            for j, oj in enumerate(objs):
+                if dominates(oi, oj):
+                    assert rank[i] < rank[j]
+                if np.array_equal(oi, oj):
+                    assert rank[i] == rank[j]
+            if rank[i] > 0:
+                assert any(dominates(objs[j], oi) for j in np.flatnonzero(rank == rank[i] - 1))
+
 
 class TestCrowding:
     def test_pair_is_infinite(self):
-        d = crowding_distance(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        d = crowding_distance(np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros(2, dtype=int))
         assert np.all(np.isinf(d))
 
     def test_equally_spaced_interior(self):
         objs = np.array([[0, 4], [1, 3], [2, 2], [3, 1], [4, 0]], dtype=float)
-        d = crowding_distance(objs)
+        d = crowding_distance(objs, np.zeros(5, dtype=int))
         assert np.isinf(d[0]) and np.isinf(d[-1])
         np.testing.assert_allclose(d[1:-1], d[1])
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(2)
         objs = rng.random((12, 2))
-        d = crowding_distance(objs)
+        d = crowding_distance(objs, np.zeros(12, dtype=int))
         perm = rng.permutation(12)
-        d_perm = crowding_distance(objs[perm])
+        d_perm = crowding_distance(objs[perm], np.zeros(12, dtype=int))
         np.testing.assert_allclose(d_perm, d[perm])
+
+    @given(GRID)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_matches_per_front_reference_on_grids(self, pairs):
+        objs = np.array(pairs, dtype=float)
+        rank = non_dominated_sort(objs)
+        assert np.array_equal(crowding_distance(objs, rank), per_front_crowding(objs, rank))
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 80))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_matches_per_front_reference_on_reals(self, seed, n):
+        rng = np.random.default_rng(seed)
+        objs = rng.random((n, 2)).round(rng.integers(1, 4))
+        rank = non_dominated_sort(objs)
+        assert np.array_equal(crowding_distance(objs, rank), per_front_crowding(objs, rank))
 
 
 def archive_columns(samples):
@@ -248,6 +305,15 @@ class TestEvolve:
         assert arch.history[-1]["evaluations"] == 100
         assert all(h["front_size"] >= 0 for h in arch.history)
 
+    @pytest.mark.parametrize("space", [SPACE, CONSTANT_SPACE], ids=["variable", "constant"])
+    def test_population_of_two(self, space):
+        arch = evolve(toy_evaluator, space, 2, 21, seed=1, max_objective=32.0)
+        assert arch.evaluation_count == 21
+        assert arch.generations == 10
+        assert arch.cats.shape == (21, space.n_cats)
+        again = evolve(toy_evaluator, space, 2, 21, seed=1, max_objective=32.0)
+        assert np.array_equal(arch.reals, again.reals)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             evolve(toy_evaluator, SPACE, 21, 100, seed=0, max_objective=32.0)
@@ -263,6 +329,28 @@ class TestEvolve:
             r = random_search(hill_evaluator, WIDE_SPACE, 400, seed=seed, max_objective=32.0)
             wins += a.objectives[:, 0].min() <= r.objectives[:, 0].min()
         assert wins >= 4
+
+
+class TestOffspring:
+    def breed(self, space, population, seed=0):
+        rng = np.random.default_rng(seed)
+        parents = [random_genome(space, rng) for _ in range(population)]
+        rank = np.arange(population) % 3
+        crowd = rng.random(population)
+        return _offspring(rank, crowd, [g.reals.tolist() for g in parents],
+                          [g.cats.tolist() for g in parents], space, population, rng)
+
+    def test_constant_space_has_empty_int_cats(self):
+        reals, cats = self.breed(CONSTANT_SPACE, 6)
+        assert reals.shape == (6, CONSTANT_SPACE.n_reals)
+        assert cats.shape == (6, 0) and cats.dtype == np.int64
+
+    def test_children_within_ranges(self):
+        reals, cats = self.breed(WIDE_SPACE, 40)
+        assert reals.shape == (40, WIDE_SPACE.n_reals) and reals.dtype == float
+        assert cats.shape == (40, WIDE_SPACE.n_cats) and cats.dtype == np.int64
+        assert np.all((reals >= 0) & (reals <= 1))
+        assert np.all((cats >= 0) & (cats < WIDE_SPACE.cat_cardinality))
 
 
 class TestRandomSearch:
