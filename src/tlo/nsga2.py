@@ -12,25 +12,24 @@ order. Designs are scored one generation per evaluator call (the whole
 budget in one call for random search), as genome rows in archive order,
 and scoring never touches the generator.
 
-The draw order is a contract: the golden digests in
-tests/golden/optimize_digests.json pin it, so any change to it changes
-every seeded output. The initial population draws, per genome, its reals
-with one random(n_reals) and then its cats with one integers(0, D + 1,
-size=n_cats). Each generation then breeds pairs of children until it has
-a population; per pair:
+The initial population draws, per genome, its reals with one
+random(n_reals) and then its cats with one integers(0, D + 1,
+size=n_cats), as random search does. Each generation then breeds its P
+children with one block per operator (pairs = P / 2):
 
-1. two binary tournaments, each two integers(0, P) picks;
-2. one random() for crossover (SBX_RATE);
-3. if crossing, per real gene one random() (the gene crosses when it is
-   <= 0.5) and, for a crossing gene whose parents differ, one random()
-   for the SBX spread;
-4. if crossing and n_cats > 0, one random(n_cats) block of cat swaps;
-5. per real gene of the first child, then of the second, one random()
-   (mutate when below 1 / n_genes) and, for a mutating gene, one random()
-   for the polynomial step;
-6. per cat gene of the first child, then of the second, one random()
-   and, for a mutating gene, one integers(0, D + 1).
+1. integers(0, P, size=(2, pairs, 2)): [parent slot, pair, pick] of the
+   binary tournaments;
+2. random(pairs) < SBX_RATE: the pairs that cross;
+3. random((pairs, n_reals)) <= 0.5: the genes that cross in a crossing pair;
+4. random((pairs, n_reals)): the SBX spread u;
+5. random((pairs, n_cats)) < 0.5: the cat swaps of crossing pairs;
+6. the children of pair k are rows 2k and 2k + 1;
+7. random((P, n_reals)) < 1 / n_genes: the polynomial-mutation mask, then
+   random((P, n_reals)): its step;
+8. random((P, n_cats)) < 1 / n_genes: the cat-reset mask, then
+   integers(0, D + 1, size=(P, n_cats)): the reset values.
 
+The golden digests in tests/golden/optimize_digests.json pin these draws.
 Selection (sorting, crowding, survivors) draws nothing.
 """
 
@@ -216,69 +215,50 @@ def random_genome(space: DesignSpace, rng: np.random.Generator) -> Genome:
     return Genome(reals, cats)
 
 
-def _offspring(rank, crowd, reals: list, cats: list, space: DesignSpace, population: int,
-               rng) -> tuple[np.ndarray, np.ndarray]:
-    """Breed one generation from the parents' rows: binary tournaments on
-    (rank, -crowd), simulated binary crossover (Deb's formulation) with
-    uniform cat swaps, then polynomial and uniform-reset mutation.
-
-    reals and cats are the parents' genome rows as Python lists; returns
-    the children as (population, n_reals) reals and (population, n_cats)
-    int64 cats. Draws follow the order set out in the module docstring.
+def _offspring(rank: np.ndarray, crowd: np.ndarray, reals: np.ndarray, cats: np.ndarray,
+               space: DesignSpace, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Breed one generation from the parents' (P, n_reals) reals and
+    (P, n_cats) cats: binary tournaments on (rank, -crowd), simulated binary
+    crossover (Deb's formulation) with uniform cat swaps, then polynomial and
+    uniform-reset mutation. Returns P children as float reals and int64
+    cats; the children of pair k are rows 2k and 2k + 1. Each operator draws
+    one block, in the order set out in the module docstring.
     """
-    random, integers = rng.random, rng.integers
-    keys = list(zip(rank.tolist(), (-crowd).tolist()))
-    n_parents, n_cats, card = len(keys), space.n_cats, space.cat_cardinality
-    rate = 1.0 / max(1, space.n_reals + n_cats)
+    n, n_reals = reals.shape
+    pairs, n_cats = n // 2, space.n_cats
+    rate = 1.0 / max(1, n_reals + n_cats)
     sbx_power = 1.0 / (SBX_ETA + 1.0)
     mutation_power = 1.0 / (MUTATION_ETA + 1)
-    child_reals: list[list[float]] = []
-    child_cats: list[list[int]] = []
-    while len(child_reals) < population:
-        parents = []
-        for _ in range(2):
-            # ties go to the first pick, keeping selection uniform on plateaus
-            i = int(integers(0, n_parents))
-            j = int(integers(0, n_parents))
-            parents.append(j if keys[j] < keys[i] else i)
-        a, b = parents
-        r1, r2 = reals[a][:], reals[b][:]
-        c1, c2 = cats[a][:], cats[b][:]
-        if random() < SBX_RATE:
-            for k, (x1, x2) in enumerate(zip(reals[a], reals[b])):
-                if random() > 0.5 or abs(x1 - x2) < 1e-14:
-                    continue
-                u = random()
-                if u <= 0.5:
-                    beta = (2.0 * u) ** sbx_power
-                else:
-                    beta = (1.0 / (2.0 * (1.0 - u))) ** sbx_power
-                r1[k] = min(1.0, max(0.0, 0.5 * ((1 + beta) * x1 + (1 - beta) * x2)))
-                r2[k] = min(1.0, max(0.0, 0.5 * ((1 - beta) * x1 + (1 + beta) * x2)))
-            if n_cats:
-                for k, swap in enumerate((random(n_cats) < 0.5).tolist()):
-                    if swap:
-                        c1[k], c2[k] = c2[k], c1[k]
-        for r in (r1, r2):
-            for k, x in enumerate(r):
-                if random() >= rate:
-                    continue
-                u = random()
-                if u < 0.5:
-                    base = 2 * u + (1 - 2 * u) * (1.0 - x) ** (MUTATION_ETA + 1)
-                    delta = base ** mutation_power - 1.0
-                else:
-                    base = 2 * (1 - u) + 2 * (u - 0.5) * x ** (MUTATION_ETA + 1)
-                    delta = 1.0 - base ** mutation_power
-                r[k] = min(1.0, max(0.0, x + delta))
-        for c in (c1, c2):
-            for k in range(n_cats):
-                if random() < rate:
-                    c[k] = int(integers(0, card))
-        child_reals += (r1, r2)
-        child_cats += (c1, c2)
-    return (np.array(child_reals, dtype=float).reshape(population, space.n_reals),
-            np.array(child_cats, dtype=np.int64).reshape(population, n_cats))
+
+    # ties go to the first pick, keeping selection uniform on plateaus
+    picks = rng.integers(0, n, size=(2, pairs, 2))
+    first, second = picks[..., 0], picks[..., 1]
+    wins = (rank[second] < rank[first]) | (
+        (rank[second] == rank[first]) & (crowd[second] > crowd[first]))
+    a, b = np.where(wins, second, first)
+
+    x1, x2 = reals[a], reals[b]
+    crossing = rng.random(pairs) < SBX_RATE
+    genes = crossing[:, None] & (rng.random((pairs, n_reals)) <= 0.5) & (abs(x1 - x2) >= 1e-14)
+    u = rng.random((pairs, n_reals))
+    beta = np.where(u <= 0.5, 2.0 * u, 1.0 / (2.0 * (1.0 - u))) ** sbx_power
+    r1 = np.where(genes, np.clip(0.5 * ((1 + beta) * x1 + (1 - beta) * x2), 0.0, 1.0), x1)
+    r2 = np.where(genes, np.clip(0.5 * ((1 - beta) * x1 + (1 + beta) * x2), 0.0, 1.0), x2)
+    swap = crossing[:, None] & (rng.random((pairs, n_cats)) < 0.5)
+    c1, c2 = np.where(swap, cats[b], cats[a]), np.where(swap, cats[a], cats[b])
+    x = np.stack([r1, r2], axis=1).reshape(n, n_reals)
+    c = np.stack([c1, c2], axis=1).reshape(n, n_cats)
+
+    mutate = rng.random((n, n_reals)) < rate
+    u = rng.random((n, n_reals))
+    delta = np.where(
+        u < 0.5,
+        (2 * u + (1 - 2 * u) * (1.0 - x) ** (MUTATION_ETA + 1)) ** mutation_power - 1.0,
+        1.0 - (2 * (1 - u) + 2 * (u - 0.5) * x ** (MUTATION_ETA + 1)) ** mutation_power,
+    )
+    reset = rng.random((n, n_cats)) < rate
+    values = rng.integers(0, space.cat_cardinality, size=(n, n_cats))
+    return np.where(mutate, np.clip(x + delta, 0.0, 1.0), x), np.where(reset, values, c)
 
 
 # --- the optimizer -----------------------------------------------------------
@@ -331,18 +311,24 @@ def evolve(
     rng = np.random.default_rng(seed)
     archive = ParetoArchive.empty(space, budget, seed, float(max_objective) + 1.0)
 
+    # the front's minima are those of every feasible row, so only new rows are read
+    best = np.full(2, np.inf)
+
     def record(start: int, end: int):
         archive.front_indices = extend_front(
             archive.objectives[:end], archive.feasible[:end], archive.front_indices, start
         )
-        front = archive.objectives[archive.front_indices]
-        best = front.min(axis=0).tolist() if len(front) else (None, None)
+        scored = archive.objectives[start:end][archive.feasible[start:end]]
+        if len(scored):
+            np.minimum(best, scored.min(axis=0), out=best)
+        front_size = len(archive.front_indices)
+        e_force, e_velocity = best.tolist() if front_size else (None, None)
         entry = {
             "generation": archive.generations,
             "evaluations": end,
-            "front_size": len(front),
-            "best_e_force": best[0],
-            "best_e_velocity": best[1],
+            "front_size": front_size,
+            "best_e_force": e_force,
+            "best_e_velocity": e_velocity,
         }
         archive.history.append(entry)
         if on_generation is not None:
@@ -357,8 +343,8 @@ def evolve(
         objs = archive.objectives[current]
         rank = non_dominated_sort(objs)
         crowd = crowding_distance(objs, rank)
-        reals, cats = _offspring(rank, crowd, archive.reals[current].tolist(),
-                                 archive.cats[current].tolist(), space, population, rng)
+        reals, cats = _offspring(rank, crowd, archive.reals[current], archive.cats[current],
+                                 space, rng)
 
         start = row
         row = _fill(archive, start, reals[: budget - start], cats[: budget - start], evaluate_fn)

@@ -212,8 +212,9 @@ GOLDEN_RUNS = json.loads((GOLDEN / "optimize_digests.json").read_text())["runs"]
 def test_seeded_optimize_matches_golden_digests(run, tmp_path):
     """Seeded artifacts keep their bytes across commits, not only across reruns.
 
-    The digests change only with the maths; regenerate them deliberately and
-    say why in CHANGES.md. The constant_relaxed run's front holds tied
+    The digests change only with the maths or the random draws (the blocks
+    listed in the tlo.nsga2 docstring); regenerate them deliberately and say
+    why in CHANGES.md. The constant_relaxed run's front holds tied
     designs, so it also pins the front's tie rule. The two runs with an id
     end in a partial generation; constant_relaxed_cut_front (no cat genes,
     population 100) cuts survivors inside a front by crowding distance.

@@ -290,13 +290,18 @@ def random_genome_rows(space, n, rng):
 
 def searched_genome_rows(cfg, n):
     """The last n genomes of a short seeded search, where most designs pass
-    the first state, and every third with its fractions rounded to 0 or 1."""
+    the first state, every third with its fractions rounded to 0 or 1, then
+    every searched genome that the reference loop prunes after state 0."""
     scenario = cfg.scenario()
     archive = evolve(make_evaluator(cfg.robot, scenario), cfg.space, 40, n + 400, 0,
                      scenario.max_objective)
     reals, cats = archive.reals[-n:].copy(), archive.cats[-n:]
     reals[::3] = reals[::3].round()
-    return reals, cats
+    scores = [reference_scores(cfg.robot, scenario, genome_decode(archive.genome(i), cfg.space))
+              for i in range(archive.evaluation_count)]
+    later = [i for i, (e_force, state) in enumerate(scores) if e_force is None and state > 0]
+    return (np.concatenate([reals, archive.reals[later]]),
+            np.concatenate([cats, archive.cats[later]]))
 
 
 def check_batch_identity(model, scenario, space, reals, cats):

@@ -337,8 +337,9 @@ class TestOffspring:
         parents = [random_genome(space, rng) for _ in range(population)]
         rank = np.arange(population) % 3
         crowd = rng.random(population)
-        return _offspring(rank, crowd, [g.reals.tolist() for g in parents],
-                          [g.cats.tolist() for g in parents], space, population, rng)
+        reals = np.array([g.reals for g in parents]).reshape(population, space.n_reals)
+        cats = np.array([g.cats for g in parents], dtype=np.int64).reshape(population, space.n_cats)
+        return _offspring(rank, crowd, reals, cats, space, rng)
 
     def test_constant_space_has_empty_int_cats(self):
         reals, cats = self.breed(CONSTANT_SPACE, 6)
@@ -352,8 +353,34 @@ class TestOffspring:
         assert np.all((reals >= 0) & (reals <= 1))
         assert np.all((cats >= 0) & (cats < WIDE_SPACE.cat_cardinality))
 
+    def test_identical_parents_change_only_by_mutation(self):
+        # crossing equal genes is the identity, so only mutation changes a
+        # gene: the changed counts are binomial at the mutation rate (a cat
+        # reset redraws the old value with probability 1 / (D + 1))
+        rng = np.random.default_rng(0)
+        parent = random_genome(WIDE_SPACE, rng)
+        n, n_reals, n_cats = 2000, WIDE_SPACE.n_reals, WIDE_SPACE.n_cats
+        rate = 1.0 / (n_reals + n_cats)
+        reals, cats = _offspring(np.zeros(n, dtype=np.intp), np.zeros(n),
+                                 np.tile(parent.reals, (n, 1)), np.tile(parent.cats, (n, 1)),
+                                 WIDE_SPACE, rng)
+        for changed, p in ((reals != parent.reals, rate),
+                           (cats != parent.cats, rate * (1 - 1 / WIDE_SPACE.cat_cardinality))):
+            trials = changed.size
+            mean, sigma = p * trials, np.sqrt(trials * p * (1 - p))
+            assert abs(np.count_nonzero(changed) - mean) < 5 * sigma
+
 
 class TestRandomSearch:
+    @pytest.mark.parametrize("space", [SPACE, CONSTANT_SPACE], ids=["variable", "constant"])
+    def test_first_rows_equal_generation_zero_of_evolve(self, space):
+        # both draw the initial genomes one by one, so bred generations never
+        # shift the designs a random search of the same seed starts from
+        a = evolve(toy_evaluator, space, 20, 200, seed=3, max_objective=32.0)
+        r = random_search(toy_evaluator, space, 200, seed=3, max_objective=32.0)
+        assert np.array_equal(a.reals[:20], r.reals[:20])
+        assert np.array_equal(a.cats[:20], r.cats[:20])
+
     def test_budget_and_determinism(self):
         a = random_search(toy_evaluator, SPACE, 123, seed=4, max_objective=32.0)
         b = random_search(toy_evaluator, SPACE, 123, seed=4, max_objective=32.0)
