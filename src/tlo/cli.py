@@ -28,7 +28,7 @@ from .arrangement import (
     muscle_jacobian,
     space_for,
 )
-from .config import ConfigError, ScenarioConfig, load_config
+from .config import ConfigError, ScenarioConfig, load_config, parse_config
 from .feasibility import (
     MIN_RAYS,
     InfeasibleDesign,
@@ -86,7 +86,7 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _effective_raw(cfg: ScenarioConfig) -> dict:
-    """Config echo with any command line overrides folded in."""
+    """Config echo with the optimizer values written out, defaults included."""
     raw = json.loads(json.dumps(cfg.raw))
     raw["optimizer"] = {
         "population": cfg.optimizer.population,
@@ -98,17 +98,12 @@ def _effective_raw(cfg: ScenarioConfig) -> dict:
 
 def cmd_optimize(args) -> int:
     cfg = load_config(args.config)
-    if args.population is not None:
-        cfg.optimizer.population = args.population
-    if args.budget is not None:
-        cfg.optimizer.budget = args.budget
-    if args.seed is not None:
-        cfg.optimizer.seed = args.seed
+    raw = _effective_raw(cfg)
+    for key in ("population", "budget", "seed"):
+        if (value := getattr(args, key)) is not None:
+            raw["optimizer"][key] = value
+    cfg = parse_config(raw, name=cfg.name)
     opt = cfg.optimizer
-    if opt.population < 2 or opt.population % 2:
-        raise ConfigError("population must be even and at least 2", ("optimizer", "population"))
-    if opt.budget < opt.population:
-        raise ConfigError("budget must be at least the population size", ("optimizer", "budget"))
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -124,22 +119,15 @@ def cmd_optimize(args) -> int:
         finally:
             evaluate_s += time.perf_counter() - t
 
-    progress_path = out / "progress.ndjson"
     t0 = time.perf_counter()
-    with progress_path.open("w") as stream:
-
-        def on_generation(entry: dict):
-            stream.write(json.dumps(entry, sort_keys=True) + "\n")
-
-        archive = evolve(
-            timed_evaluator,
-            cfg.space,
-            population=opt.population,
-            budget=opt.budget,
-            seed=opt.seed,
-            max_objective=scenario.max_objective,
-            on_generation=on_generation,
-        )
+    archive = evolve(
+        timed_evaluator,
+        cfg.space,
+        population=opt.population,
+        budget=opt.budget,
+        seed=opt.seed,
+        max_objective=scenario.max_objective,
+    )
     elapsed = time.perf_counter() - t0
 
     with _atomic_open(out / "samples.csv", newline="") as f:
@@ -180,6 +168,8 @@ def cmd_optimize(args) -> int:
             "front": front,
         },
     )
+    _write_text(out / "progress.ndjson",
+                "".join(json.dumps(entry, sort_keys=True) + "\n" for entry in archive.history))
     n_feasible = int(archive.feasible.sum())
     _dump_json(
         out / "run_meta.json",
@@ -301,7 +291,6 @@ def cmd_plot(args) -> int:
         report = json.loads(Path(args.report).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid report JSON: {exc.msg}", (), exc.lineno) from exc
-    from .config import parse_config
     from .svgplot import arrangement_panel, space_panel
 
     if not isinstance(report, dict) or not {"scenario", "design"} <= report.keys():

@@ -14,8 +14,9 @@ and scoring never touches the generator.
 
 The initial population draws, per genome, its reals with one
 random(n_reals) and then its cats with one integers(0, D + 1,
-size=n_cats), as random search does. Each generation then breeds its P
-children with one block per operator (pairs = P / 2):
+size=n_cats) (a size-0 draw when there are no cats), straight into
+genome rows, as random search does for its whole budget. Each generation
+then breeds its P children with one block per operator (pairs = P / 2):
 
 1. integers(0, P, size=(2, pairs, 2)): [parent slot, pair, pick] of the
    binary tournaments;
@@ -209,10 +210,16 @@ def hypervolume_2d(objectives: np.ndarray, ref_point) -> float:
 # --- genome sampling and variation ------------------------------------------
 
 
-def random_genome(space: DesignSpace, rng: np.random.Generator) -> Genome:
-    reals = rng.random(space.n_reals)
-    cats = rng.integers(0, space.cat_cardinality, size=space.n_cats)
-    return Genome(reals, cats)
+def _random_rows(space: DesignSpace, n: int,
+                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """n uniform genomes as (n, n_reals) float reals and (n, n_cats) int64
+    cats, drawn genome by genome as the module docstring sets out."""
+    reals = np.empty((n, space.n_reals))
+    cats = np.empty((n, space.n_cats), dtype=np.int64)
+    for i in range(n):
+        reals[i] = rng.random(space.n_reals)
+        cats[i] = rng.integers(0, space.cat_cardinality, size=space.n_cats)
+    return reals, cats
 
 
 def _offspring(rank: np.ndarray, crowd: np.ndarray, reals: np.ndarray, cats: np.ndarray,
@@ -267,14 +274,6 @@ def _offspring(rank: np.ndarray, crowd: np.ndarray, reals: np.ndarray, cats: np.
 EvaluateFn = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
-def _rows(genomes: list[Genome], space: DesignSpace) -> tuple[np.ndarray, np.ndarray]:
-    """Genomes as (P, n_reals) reals and (P, n_cats) int64 cats."""
-    n = len(genomes)
-    reals = np.array([g.reals for g in genomes], dtype=float).reshape(n, space.n_reals)
-    cats = np.array([g.cats for g in genomes], dtype=np.int64).reshape(n, space.n_cats)
-    return reals, cats
-
-
 def _fill(archive: ParetoArchive, row: int, reals: np.ndarray, cats: np.ndarray,
           evaluate_fn) -> int:
     """Score genome rows with one evaluator call into the archive rows from
@@ -295,7 +294,6 @@ def evolve(
     budget: int,
     seed: int,
     max_objective: float,
-    on_generation: Callable[[dict], None] | None = None,
 ) -> ParetoArchive:
     """Run NSGA-II for exactly `budget` design evaluations.
 
@@ -303,6 +301,8 @@ def evolve(
     feasible mask (see feasibility.make_evaluator).
     max_objective is the worst attainable score (directions x states); the
     pruning sentinel is one above it. The population is a set of archive rows.
+    archive.history gets one entry per generation: its front size and best
+    objectives after that generation's evaluations.
     """
     if population < 2 or population % 2:
         raise ValueError("population must be even and at least 2")
@@ -323,19 +323,15 @@ def evolve(
             np.minimum(best, scored.min(axis=0), out=best)
         front_size = len(archive.front_indices)
         e_force, e_velocity = best.tolist() if front_size else (None, None)
-        entry = {
+        archive.history.append({
             "generation": archive.generations,
             "evaluations": end,
             "front_size": front_size,
             "best_e_force": e_force,
             "best_e_velocity": e_velocity,
-        }
-        archive.history.append(entry)
-        if on_generation is not None:
-            on_generation(entry)
+        })
 
-    initial = [random_genome(space, rng) for _ in range(population)]
-    row = _fill(archive, 0, *_rows(initial, space), evaluate_fn)
+    row = _fill(archive, 0, *_random_rows(space, population, rng), evaluate_fn)
     current = np.arange(population)
     record(0, row)
 
@@ -381,7 +377,6 @@ def random_search(
     """Uniform sampling with the same budget semantics as evolve."""
     rng = np.random.default_rng(seed)
     archive = ParetoArchive.empty(space, budget, seed, float(max_objective) + 1.0)
-    samples = [random_genome(space, rng) for _ in range(budget)]
-    _fill(archive, 0, *_rows(samples, space), evaluate_fn)
+    _fill(archive, 0, *_random_rows(space, budget, rng), evaluate_fn)
     archive.front_indices = pareto_front_indices(archive.objectives, archive.feasible)
     return archive

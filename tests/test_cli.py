@@ -78,6 +78,9 @@ def base_only_design(tmp_path: Path) -> Path:
     return path
 
 
+OPTIMIZE_ARTIFACTS = ("samples.csv", "pareto.json", "run_meta.json", "progress.ndjson")
+
+
 class TestOptimize:
     def test_budget_accounting_and_outputs(self, tmp_path):
         out = tmp_path / "run"
@@ -90,17 +93,14 @@ class TestOptimize:
             rows = list(csv.reader(f))
         assert rows[0][:4] == ["index", "feasible", "e_force", "e_velocity"]
         assert len(rows) - 1 == 40
-        assert {p.name for p in out.iterdir()} == {
-            "samples.csv", "pareto.json", "run_meta.json", "progress.ndjson"
-        }
+        assert {p.name for p in out.iterdir()} == set(OPTIMIZE_ARTIFACTS)
 
     def test_failed_write_keeps_previous_samples(self, tmp_path, monkeypatch):
         out = tmp_path / "run"
         args = ["optimize", "--config", scenario_path("target1_nograv"),
                 "--out", str(out), "--budget", "40", "--population", "40"]
         assert main(args) == 0
-        before = {name: (out / name).read_bytes()
-                  for name in ("samples.csv", "pareto.json", "run_meta.json")}
+        before = {name: (out / name).read_bytes() for name in OPTIMIZE_ARTIFACTS}
         real_evolve = tlo.cli.evolve
 
         def evolve_with_bad_row(*a, **kw):
@@ -114,9 +114,35 @@ class TestOptimize:
             main(args)
         for name, data in before.items():
             assert (out / name).read_bytes() == data, name
-        assert {p.name for p in out.iterdir()} == {
-            "samples.csv", "pareto.json", "run_meta.json", "progress.ndjson"
-        }
+        assert {p.name for p in out.iterdir()} == set(OPTIMIZE_ARTIFACTS)
+
+    def test_interrupted_rerun_keeps_previous_artifacts(self, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        args = ["optimize", "--config", scenario_path("target1_nograv"),
+                "--out", str(out), "--budget", "400", "--population", "40"]
+        assert main(args) == 0
+        before = {name: (out / name).read_bytes() for name in OPTIMIZE_ARTIFACTS}
+        real_make_evaluator = tlo.cli.make_evaluator
+
+        def make_interrupted_evaluator(*a):
+            evaluator = real_make_evaluator(*a)
+            calls = 0
+
+            def interrupted(reals, cats):
+                nonlocal calls
+                calls += 1
+                if calls == 3:  # the second bred generation
+                    raise KeyboardInterrupt
+                return evaluator(reals, cats)
+
+            return interrupted
+
+        monkeypatch.setattr(tlo.cli, "make_evaluator", make_interrupted_evaluator)
+        with pytest.raises(KeyboardInterrupt):
+            main(args + ["--seed", "1"])
+        for name, data in before.items():
+            assert (out / name).read_bytes() == data, name
+        assert {p.name for p in out.iterdir()} == set(OPTIMIZE_ARTIFACTS)
 
     def test_seed_determinism(self, tmp_path):
         outs = []
@@ -198,11 +224,21 @@ class TestOptimize:
             ["optimize", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]
         ) == 1
 
-    def test_odd_population_exits_2(self, tmp_path):
+    def test_odd_population_exits_2(self, tmp_path, capsys):
         assert main(
             ["optimize", "--config", scenario_path("target1_nograv"),
              "--out", str(tmp_path / "x"), "--population", "41", "--budget", "82"]
         ) == 2
+        assert capsys.readouterr().err == (
+            "config error: $.optimizer.population: population must be even and at least 2\n")
+
+    def test_budget_below_population_exits_2(self, tmp_path, capsys):
+        assert main(
+            ["optimize", "--config", scenario_path("target1_nograv"),
+             "--out", str(tmp_path / "x"), "--population", "40", "--budget", "20"]
+        ) == 2
+        assert capsys.readouterr().err == (
+            "config error: $.optimizer.budget: budget must be at least the population size\n")
 
 
 GOLDEN_RUNS = json.loads((GOLDEN / "optimize_digests.json").read_text())["runs"]

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from tlo.arrangement import DesignSpace, genome_decode
 from tlo.nsga2 import (
     _offspring,
+    _random_rows,
     crowding_distance,
     dominates,
     evolve,
@@ -13,7 +14,6 @@ from tlo.nsga2 import (
     hypervolume_2d,
     non_dominated_sort,
     pareto_front_indices,
-    random_genome,
     random_search,
 )
 
@@ -226,11 +226,12 @@ class TestEvolve:
         assert arch.evaluation_count == 20
         assert arch.generations == 0
         assert arch.cats.dtype == np.int64
+        # per genome: its reals, then its cats
         rng = np.random.default_rng(1)
-        genomes = [random_genome(SPACE, rng) for _ in range(20)]
-        for i, g in enumerate(genomes):
-            assert np.array_equal(arch.genome(i).reals, g.reals)
-            assert np.array_equal(arch.genome(i).cats, g.cats)
+        for i in range(20):
+            assert np.array_equal(arch.reals[i], rng.random(SPACE.n_reals))
+            cats = rng.integers(0, SPACE.cat_cardinality, size=SPACE.n_cats)
+            assert np.array_equal(arch.cats[i], cats)
 
     def test_deterministic(self):
         a = evolve(toy_evaluator, SPACE, 20, 200, seed=7, max_objective=32.0)
@@ -272,17 +273,14 @@ class TestEvolve:
             scores.extend(zip(objectives[:, 0], objectives[:, 1], feasible))
             return objectives, feasible
 
-        def check(entry):
+        arch = evolve(coarse, SPACE, 20, 410, seed=4, max_objective=32.0)
+        assert [entry["generation"] for entry in arch.history] == list(range(21))
+        for entry in arch.history:
             objs, feasible = archive_columns(scores[: entry["evaluations"]])
             front = pareto_front_indices(objs, feasible)
             assert entry["front_size"] == len(front)
             assert entry["best_e_force"] == min(objs[i, 0] for i in front)
             assert entry["best_e_velocity"] == min(objs[i, 1] for i in front)
-            checked.append(entry["generation"])
-
-        checked = []
-        arch = evolve(coarse, SPACE, 20, 410, seed=4, max_objective=32.0, on_generation=check)
-        assert checked == list(range(21))
         assert (arch.front_indices.tolist()
                 == pareto_front_indices(arch.objectives, arch.feasible).tolist())
         objs = [tuple(o) for o in arch.objectives[arch.front_indices].tolist()]
@@ -334,11 +332,9 @@ class TestEvolve:
 class TestOffspring:
     def breed(self, space, population, seed=0):
         rng = np.random.default_rng(seed)
-        parents = [random_genome(space, rng) for _ in range(population)]
+        reals, cats = _random_rows(space, population, rng)
         rank = np.arange(population) % 3
         crowd = rng.random(population)
-        reals = np.array([g.reals for g in parents]).reshape(population, space.n_reals)
-        cats = np.array([g.cats for g in parents], dtype=np.int64).reshape(population, space.n_cats)
         return _offspring(rank, crowd, reals, cats, space, rng)
 
     def test_constant_space_has_empty_int_cats(self):
@@ -358,14 +354,14 @@ class TestOffspring:
         # gene: the changed counts are binomial at the mutation rate (a cat
         # reset redraws the old value with probability 1 / (D + 1))
         rng = np.random.default_rng(0)
-        parent = random_genome(WIDE_SPACE, rng)
+        parent_reals, parent_cats = _random_rows(WIDE_SPACE, 1, rng)
         n, n_reals, n_cats = 2000, WIDE_SPACE.n_reals, WIDE_SPACE.n_cats
         rate = 1.0 / (n_reals + n_cats)
         reals, cats = _offspring(np.zeros(n, dtype=np.intp), np.zeros(n),
-                                 np.tile(parent.reals, (n, 1)), np.tile(parent.cats, (n, 1)),
+                                 np.tile(parent_reals, (n, 1)), np.tile(parent_cats, (n, 1)),
                                  WIDE_SPACE, rng)
-        for changed, p in ((reals != parent.reals, rate),
-                           (cats != parent.cats, rate * (1 - 1 / WIDE_SPACE.cat_cardinality))):
+        for changed, p in ((reals != parent_reals, rate),
+                           (cats != parent_cats, rate * (1 - 1 / WIDE_SPACE.cat_cardinality))):
             trials = changed.size
             mean, sigma = p * trials, np.sqrt(trials * p * (1 - p))
             assert abs(np.count_nonzero(changed) - mean) < 5 * sigma
