@@ -15,7 +15,6 @@ from .arrangement import (
     Genome,
     VariableArrangement,
     genome_decode,
-    genome_encode,
     muscle_jacobian,
     wire_lengths,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "force_polytope_exact",
     "forward_kinematics",
     "genome_decode",
-    "genome_encode",
     "gravity_center",
     "gravity_torque",
     "hypervolume_2d",

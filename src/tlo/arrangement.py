@@ -258,20 +258,13 @@ def genome_rows_decode(reals: np.ndarray, cats: np.ndarray, space: DesignSpace):
 
 
 def genome_decode(genome: Genome, space: DesignSpace) -> WireArrangement:
-    """Inverse of genome_encode; validates gene counts and ranges."""
+    """One genome as its design; validates gene counts and ranges."""
     links, fractions = genome_rows_decode(
         np.reshape(genome.reals, (1, -1)), np.reshape(genome.cats, (1, -1)), space
     )
     if links is None:
         return ConstantArrangement(fractions[0])
     return VariableArrangement(links[0], fractions[0])
-
-
-def genome_encode(design: WireArrangement) -> Genome:
-    """Flatten a design into its genome; genome_decode inverts it exactly."""
-    if isinstance(design, ConstantArrangement):
-        return Genome(design.fractions.ravel().copy(), np.empty(0, dtype=np.int64))
-    return Genome(design.fractions.ravel().copy(), design.links[:, 1:].ravel())
 
 
 def space_for(design: WireArrangement, n_joints: int) -> DesignSpace:
@@ -284,15 +277,27 @@ def space_for(design: WireArrangement, n_joints: int) -> DesignSpace:
 
 
 def design_to_jsonable(design: WireArrangement, model: RobotModel) -> dict:
-    if isinstance(design, ConstantArrangement):
-        return {"kind": "constant", "arms": constant_arms(model, design).tolist()}
-    return {
-        "kind": "variable",
-        "wires": [
-            [{"link": link, "frac": frac} for link, frac in zip(links, fracs)]
-            for links, fracs in zip(design.links.tolist(), design.fractions.tolist())
-        ],
-    }
+    links = None if isinstance(design, ConstantArrangement) else design.links[None]
+    return designs_to_jsonable(links, design.fractions[None], model)[0]
+
+
+def designs_to_jsonable(links: np.ndarray | None, fractions: np.ndarray,
+                        model: RobotModel) -> list[dict]:
+    """The JSON form of each design of one shape, given as
+    genome_rows_decode returns them."""
+    if links is None:
+        arms = _arm_values(model, fractions).tolist()
+        return [{"kind": "constant", "arms": design_arms} for design_arms in arms]
+    return [
+        {
+            "kind": "variable",
+            "wires": [
+                [{"link": link, "frac": frac} for link, frac in zip(wire_links, wire_fracs)]
+                for wire_links, wire_fracs in zip(design_links, design_fracs)
+            ],
+        }
+        for design_links, design_fracs in zip(links.tolist(), fractions.tolist())
+    ]
 
 
 def _json_number(value, integer: bool = False):

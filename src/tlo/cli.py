@@ -7,14 +7,12 @@ Subcommands: optimize, evaluate, plot, oracle. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
 import sys
 import time
-from contextlib import contextmanager
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +22,8 @@ from .arrangement import (
     ConstantArrangement,
     design_from_jsonable,
     design_to_jsonable,
-    genome_decode,
+    designs_to_jsonable,
+    genome_rows_decode,
     muscle_jacobian,
     space_for,
 )
@@ -49,40 +48,38 @@ EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
 
-@contextmanager
-def _atomic_open(path: Path, newline: str | None = None):
-    """Text buffer that replaces path once it has been written in full.
+def _write_files(folder: Path, files: dict[str, str]) -> None:
+    """Write each {name: text} of files into folder, replacing no file
+    until every text is written.
 
-    The text goes to a temporary file in the same directory, which is then
-    renamed over path. A path that already holds exactly these bytes is left
-    as it is (move-if-change), so rerunning a command into the same folder
-    does not replace identical files.
+    Every text goes to a temporary file in the folder first; only once all
+    are written are they renamed over their targets, back to back. A target
+    that already holds exactly its new bytes is left as it is
+    (move-if-change), so rerunning a command into the same folder does not
+    replace identical files. The caller builds every text before this runs,
+    so a failure there writes nothing.
     """
-    buf = io.StringIO(newline=newline)
-    yield buf
-    data = buf.getvalue().encode()
+    folder.mkdir(parents=True, exist_ok=True)
+    temps = {}
     try:
-        if path.stat().st_size == len(data) and path.read_bytes() == data:
-            return
-    except OSError:
-        pass
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
+        for name, text in files.items():
+            path, data = folder / name, text.encode()
+            try:
+                if path.stat().st_size == len(data) and path.read_bytes() == data:
+                    continue
+            except OSError:
+                pass
+            temps[path] = path.with_name(f".{name}.{os.getpid()}.tmp")
+            temps[path].write_bytes(data)
+        for path, temp in temps.items():
+            os.replace(temp, path)
     finally:
-        tmp.unlink(missing_ok=True)
+        for temp in temps.values():
+            temp.unlink(missing_ok=True)
 
 
-def _dump_json(path: Path, obj) -> None:
-    with _atomic_open(path) as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
-def _write_text(path: Path, text: str) -> None:
-    with _atomic_open(path) as f:
-        f.write(text)
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _effective_raw(cfg: ScenarioConfig) -> dict:
@@ -105,8 +102,6 @@ def cmd_optimize(args) -> int:
     cfg = parse_config(raw, name=cfg.name)
     opt = cfg.optimizer
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     scenario = cfg.scenario()
     evaluator = make_evaluator(cfg.robot, scenario)
     evaluate_s = 0.0
@@ -130,50 +125,49 @@ def cmd_optimize(args) -> int:
     )
     elapsed = time.perf_counter() - t0
 
-    with _atomic_open(out / "samples.csv", newline="") as f:
-        writer = csv.writer(f)
-        n_r, n_c = cfg.space.n_reals, cfg.space.n_cats
-        writer.writerow(
-            ["index", "feasible", "e_force", "e_velocity"]
-            + [f"real_{i}" for i in range(n_r)]
-            + [f"cat_{i}" for i in range(n_c)]
-        )
-        rows = zip(archive.feasible.tolist(), archive.objectives.tolist(),
-                   archive.reals.tolist(), archive.cats.tolist())
-        for idx, (feasible, (e_force, e_velocity), reals, cats) in enumerate(rows):
-            writer.writerow(
-                [idx, int(feasible), repr(float(e_force)), repr(float(e_velocity))]
-                + [repr(v) for v in reals]
-                + cats
-            )
+    # csv.writer's bytes: no field needs quoting, and rows end in \r\n;
+    # float.__repr__ is repr for floats and raises on anything else
+    n_r, n_c = cfg.space.n_reals, cfg.space.n_cats
+    header = (["index", "feasible", "e_force", "e_velocity"]
+              + [f"real_{i}" for i in range(n_r)] + [f"cat_{i}" for i in range(n_c)])
+    columns = [
+        map(str, range(archive.evaluation_count)),
+        map(str, archive.feasible.astype(int).tolist()),
+        *(map(float.__repr__, column) for column in archive.objectives.T.tolist()),
+        *(map(float.__repr__, column) for column in archive.reals.T.tolist()),
+        *(map(str, column) for column in archive.cats.T.tolist()),
+    ]
+    samples = [",".join(header), *map(",".join, zip(*columns))]
 
+    f = archive.front_indices
+    designs = designs_to_jsonable(
+        *genome_rows_decode(archive.reals[f], archive.cats[f], cfg.space), cfg.robot)
+    ties = Counter(map(tuple, archive.objectives[archive.feasible].tolist()))
     front = [
         {
-            "e_force": float(archive.objectives[i, 0]),
-            "e_velocity": float(archive.objectives[i, 1]),
-            "genome": {
-                "reals": archive.reals[i].tolist(),
-                "cats": archive.cats[i].tolist(),
-            },
-            "design": design_to_jsonable(genome_decode(archive.genome(i), cfg.space), cfg.robot),
+            "e_force": e_force,
+            "e_velocity": e_velocity,
+            "n_designs": ties[e_force, e_velocity],
+            "genome": {"reals": reals, "cats": cats},
+            "design": design,
         }
-        for i in archive.front_indices
+        for (e_force, e_velocity), reals, cats, design in zip(
+            archive.objectives[f].tolist(), archive.reals[f].tolist(), archive.cats[f].tolist(),
+            designs)
     ]
-    _dump_json(
-        out / "pareto.json",
-        {
-            "schema_version": 1,
+    n_feasible = int(archive.feasible.sum())
+    out = Path(args.out)
+    _write_files(out, {
+        "samples.csv": "\r\n".join(samples) + "\r\n",
+        "pareto.json": _json_text({
+            "schema_version": 2,
             "seed": archive.seed,
             "evaluation_count": archive.evaluation_count,
             "front": front,
-        },
-    )
-    _write_text(out / "progress.ndjson",
-                "".join(json.dumps(entry, sort_keys=True) + "\n" for entry in archive.history))
-    n_feasible = int(archive.feasible.sum())
-    _dump_json(
-        out / "run_meta.json",
-        {
+        }),
+        "progress.ndjson": "".join(json.dumps(entry, sort_keys=True) + "\n"
+                                   for entry in archive.history),
+        "run_meta.json": _json_text({
             "schema_version": 1,
             "seed": archive.seed,
             "budget": opt.budget,
@@ -185,8 +179,8 @@ def cmd_optimize(args) -> int:
             "timings": {"total_s": elapsed, "evaluate_s": evaluate_s},
             "tool_version": __version__,
             "config": _effective_raw(cfg),
-        },
-    )
+        }),
+    })
     print(
         f"{cfg.name}: {archive.evaluation_count} evaluations, "
         f"{n_feasible} feasible, front size {len(archive.front_indices)} -> {out}"
@@ -222,8 +216,6 @@ def cmd_evaluate(args) -> int:
     cfg = load_config(args.config)
     design = _load_design(args.design, cfg)
     scenario = cfg.scenario()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
     result = evaluate(cfg.robot, design, scenario)
     report = {
@@ -254,8 +246,8 @@ def cmd_evaluate(args) -> int:
                 }
             )
         report["per_state"] = per_state
-    path = out / "report.json"
-    _dump_json(path, report)
+    path = Path(args.out) / "report.json"
+    _write_files(path.parent, {path.name: _json_text(report)})
     print(
         f"feasible={result.feasible} e_force={result.e_force} "
         f"e_velocity={result.e_velocity} -> {path}"
@@ -298,9 +290,7 @@ def cmd_plot(args) -> int:
     cfg = parse_config(report["scenario"])
     design = _parse_design(report["design"], cfg)
     states = _plot_states(report)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
+    svgs = {}
     for k, (theta_deg, center, force_poly, velocity_poly) in enumerate(states, 1):
         theta = ", ".join(f"{v:.0f}" for v in theta_deg)
         force = space_panel(
@@ -319,17 +309,15 @@ def cmd_plot(args) -> int:
             "m/s",
             "v",
         )
-        for name, text in ((f"force_state{k}.svg", force), (f"velocity_state{k}.svg", velocity)):
-            _write_text(out / name, text)
-            written.append(name)
+        svgs[f"force_state{k}.svg"] = force
+        svgs[f"velocity_state{k}.svg"] = velocity
     q0 = cfg.joint_states[0]
     theta = ", ".join(f"{v:.0f}" for v in np.rad2deg(q0))
-    _write_text(
-        out / "arrangement.svg",
-        arrangement_panel(cfg.robot, design, q0, f"wire arrangement (theta = {theta} deg)"),
-    )
-    written.append("arrangement.svg")
-    print(f"wrote {len(written)} SVG files -> {out}")
+    svgs["arrangement.svg"] = arrangement_panel(
+        cfg.robot, design, q0, f"wire arrangement (theta = {theta} deg)")
+    out = Path(args.out)
+    _write_files(out, svgs)
+    print(f"wrote {len(svgs)} SVG files -> {out}")
     return EXIT_OK
 
 

@@ -42,7 +42,7 @@ from typing import Callable
 
 import numpy as np
 
-from .arrangement import DesignSpace, Genome
+from .arrangement import DesignSpace
 
 SBX_ETA = 15.0
 SBX_RATE = 0.9
@@ -57,7 +57,7 @@ class ParetoArchive:
     reals (n, n_reals) and cats (n, n_cats) hold the genomes, objectives
     (n, 2) the (e_force, e_velocity) scores, with (sentinel, sentinel) on
     pruned rows, and feasible (n,) which rows were scored. front_indices
-    lists the front's rows in evaluation order.
+    lists the front's rows in evaluation order, one per distinct point.
     """
 
     reals: np.ndarray
@@ -85,14 +85,6 @@ class ParetoArchive:
     @property
     def evaluation_count(self) -> int:
         return len(self.feasible)
-
-    def genome(self, i: int) -> Genome:
-        return Genome(self.reals[i], self.cats[i])
-
-
-def dominates(a, b) -> bool:
-    """True when a is no worse in both objectives and better in one."""
-    return a[0] <= b[0] and a[1] <= b[1] and (a[0] < b[0] or a[1] < b[1])
 
 
 def non_dominated_sort(objectives: np.ndarray) -> np.ndarray:
@@ -157,12 +149,12 @@ def crowding_distance(objectives: np.ndarray, rank: np.ndarray) -> np.ndarray:
 
 
 def pareto_front_indices(objectives: np.ndarray, feasible: np.ndarray) -> np.ndarray:
-    """Rows of the non-dominated feasible samples, in evaluation order.
+    """Rows of the non-dominated feasible samples, one per distinct point
+    (its earliest row), in evaluation order.
 
-    Sweep in (e_force, e_velocity) order: within a tie group of equal
-    e_force only the minimal e_velocity survives (duplicates included, as
-    identical points do not dominate each other), and it must beat every
-    strictly-cheaper group's best e_velocity.
+    Sweep in (e_force, e_velocity, row) order: a tie group of equal e_force
+    keeps its first row, which holds the group's minimal e_velocity, when
+    that beats every strictly-cheaper group's best e_velocity.
     """
     feas = np.flatnonzero(feasible)
     if not len(feas):
@@ -173,8 +165,7 @@ def pareto_front_indices(objectives: np.ndarray, feasible: np.ndarray) -> np.nda
     new_group = np.concatenate([[True], ef[1:] != ef[:-1]])
     group_min = ev[new_group]  # each group is sorted by e_velocity
     best_before = np.minimum.accumulate(np.concatenate([[np.inf], group_min[:-1]]))
-    group = np.cumsum(new_group) - 1
-    keep = (group_min < best_before)[group] & (ev == group_min[group])
+    keep = np.flatnonzero(new_group)[group_min < best_before]
     return np.sort(feas[order[keep]])
 
 
@@ -183,8 +174,9 @@ def extend_front(objectives: np.ndarray, feasible: np.ndarray, front: np.ndarray
     """pareto_front_indices(objectives, feasible), given front, that of the
     rows before start.
 
-    A sample dominated within the prefix is dominated by a member of its
-    front, so only the front and the new rows need to be swept.
+    A prefix row outside that front is dominated by one of its members or
+    repeats one's point at a later row, so only the front and the new rows
+    need to be swept.
     """
     candidates = np.concatenate([front, np.arange(start, len(feasible))])
     return candidates[pareto_front_indices(objectives[candidates], feasible[candidates])]
@@ -301,8 +293,8 @@ def evolve(
     feasible mask (see feasibility.make_evaluator).
     max_objective is the worst attainable score (directions x states); the
     pruning sentinel is one above it. The population is a set of archive rows.
-    archive.history gets one entry per generation: its front size and best
-    objectives after that generation's evaluations.
+    archive.history gets one entry per generation: its front size (distinct
+    points) and best objectives after that generation's evaluations.
     """
     if population < 2 or population % 2:
         raise ValueError("population must be even and at least 2")

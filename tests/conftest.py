@@ -65,6 +65,16 @@ def random_constant_design(rng: np.random.Generator, m=4, d=2) -> ConstantArrang
     return ConstantArrangement(rng.random((m, d)))
 
 
+def encode_rows(designs) -> tuple[np.ndarray, np.ndarray]:
+    """Genome rows of designs of one shape, (P, n_reals) reals and
+    (P, n_cats) int64 cats, that genome_rows_decode turns back into them:
+    the fractions row by row, then every wire's links after its first."""
+    reals = np.array([design.fractions.ravel() for design in designs], dtype=float)
+    cats = np.array([design.links[:, 1:].ravel() if isinstance(design, VariableArrangement)
+                     else np.empty(0) for design in designs], dtype=np.int64)
+    return reals, cats
+
+
 def all_on_base_design(m=3) -> VariableArrangement:
     i = np.arange(m)
     return VariableArrangement(np.zeros((m, 2), dtype=np.int64),

@@ -15,11 +15,12 @@ import numpy as np
 
 from conftest import (
     all_on_base_design,
+    encode_rows,
     evaluate_via_center,
     random_constant_design,
     random_variable_design,
 )
-from tlo.arrangement import DesignSpace, genome_encode, muscle_jacobian, wire_lengths
+from tlo.arrangement import DesignSpace, muscle_jacobian, wire_lengths
 from tlo.cli import main
 from tlo.config import load_bundled_scenario
 from tlo.feasibility import (
@@ -159,9 +160,7 @@ def test_criterion_4_objective_bounds_and_cap_invariance():
         evaluator = make_evaluator(MODEL, scen)
         rows = []
         for family in (designs[:500], designs[500:]):  # one batch per genome shape
-            genomes = [genome_encode(design) for design in family]
-            objectives, feasible = evaluator(np.array([g.reals for g in genomes]),
-                                             np.array([g.cats for g in genomes]))
+            objectives, feasible = evaluator(*encode_rows(family))
             for ok, (e_force, e_velocity) in zip(feasible.tolist(), objectives.tolist()):
                 rows.append((True, e_force, e_velocity) if ok else (False, None, None))
                 if ok:

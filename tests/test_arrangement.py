@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_variable_design
+from conftest import encode_rows, random_constant_design, random_variable_design
 from tlo.arrangement import (
     ConstantArrangement,
     DesignSpace,
@@ -12,10 +12,12 @@ from tlo.arrangement import (
     constant_arms,
     design_from_jsonable,
     design_to_jsonable,
+    designs_to_jsonable,
     genome_decode,
-    genome_encode,
+    genome_rows_decode,
     muscle_jacobian,
     relay_world_positions,
+    space_for,
     wire_lengths,
 )
 
@@ -210,9 +212,9 @@ class TestGenome:
         )
         space = DesignSpace("variable", m, n, 2)
         design = genome_decode(Genome(reals, cats), space)
-        back = genome_encode(design)
-        assert np.array_equal(back.reals, reals)
-        assert np.array_equal(back.cats, cats)
+        back_reals, back_cats = encode_rows([design])
+        assert np.array_equal(back_reals[0], reals)
+        assert np.array_equal(back_cats[0], cats)
 
     def test_constant_round_trip(self):
         rng = np.random.default_rng(8)
@@ -220,7 +222,8 @@ class TestGenome:
         for _ in range(100):
             reals = rng.random(8)
             design = genome_decode(Genome(reals, np.empty(0, dtype=np.int64)), space)
-            assert np.array_equal(genome_encode(design).reals, reals)
+            back_reals, back_cats = encode_rows([design])
+            assert np.array_equal(back_reals[0], reals) and back_cats.shape == (1, 0)
 
     def test_first_relay_point_forced_to_base(self):
         space = DesignSpace("variable", 1, 2, 2)
@@ -244,6 +247,19 @@ class TestDesignJson:
         np.testing.assert_allclose(doc["arms"], [[0.1, -0.1]])
         back = design_from_jsonable(doc, paper_model)
         np.testing.assert_allclose(back.fractions, design.fractions, atol=1e-12)
+
+    @pytest.mark.parametrize("random_design", [random_variable_design, random_constant_design],
+                             ids=["variable", "constant"])
+    def test_batch_matches_one_design_at_a_time(self, paper_model, random_design):
+        rng = np.random.default_rng(11)
+        designs = [random_design(rng) for _ in range(5)]
+        space = space_for(designs[0], paper_model.n_joints)
+        reals, cats = encode_rows(designs)
+        docs = designs_to_jsonable(*genome_rows_decode(reals, cats, space), paper_model)
+        assert docs == [design_to_jsonable(genome_decode(Genome(r, c), space), paper_model)
+                        for r, c in zip(reals, cats)]
+        assert designs_to_jsonable(*genome_rows_decode(reals[:0], cats[:0], space),
+                                   paper_model) == []
 
     def test_constant_out_of_range_rejected(self, paper_model):
         with pytest.raises(ValueError):

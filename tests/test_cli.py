@@ -1,4 +1,5 @@
 import csv
+import errno
 import hashlib
 import json
 import os
@@ -144,6 +145,46 @@ class TestOptimize:
             assert (out / name).read_bytes() == data, name
         assert {p.name for p in out.iterdir()} == set(OPTIMIZE_ARTIFACTS)
 
+    def test_failed_temp_write_keeps_the_whole_previous_folder(self, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        args = ["optimize", "--config", scenario_path("target1_nograv"),
+                "--out", str(out), "--budget", "400", "--population", "40"]
+        assert main(args) == 0
+        before = {name: (out / name).read_bytes() for name in OPTIMIZE_ARTIFACTS}
+        real_write_bytes = Path.write_bytes
+
+        def write_bytes(path, data):
+            if path.name.startswith(".run_meta.json."):  # the last temporary file
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_write_bytes(path, data)
+
+        monkeypatch.setattr(Path, "write_bytes", write_bytes)
+        assert main(args + ["--seed", "1"]) == 1
+        for name, data in before.items():
+            assert (out / name).read_bytes() == data, name
+        assert {p.name for p in out.iterdir()} == set(OPTIMIZE_ARTIFACTS)
+
+    # budgets at which some front point is tied by later designs
+    @pytest.mark.parametrize("scenario, budget", [("constant_relaxed", 400),
+                                                  ("target2_nograv", 2000)])
+    def test_front_entry_is_the_earliest_of_its_point(self, tmp_path, scenario, budget):
+        out = tmp_path / "run"
+        assert main(["optimize", "--config", scenario_path(scenario), "--out", str(out),
+                     "--budget", str(budget), "--population", "40"]) == 0
+        with (out / "samples.csv").open(newline="") as f:
+            rows = [row for row in csv.DictReader(f) if row["feasible"] == "1"]
+        front = json.loads((out / "pareto.json").read_text())["front"]
+        points = [(entry["e_force"], entry["e_velocity"]) for entry in front]
+        assert len(points) == len(set(points))
+        for entry, point in zip(front, points):
+            at = [row for row in rows
+                  if (float(row["e_force"]), float(row["e_velocity"])) == point]
+            assert entry["n_designs"] == len(at)
+            genome = entry["genome"]
+            assert genome["reals"] == [float(at[0][f"real_{i}"]) for i in range(len(genome["reals"]))]
+            assert genome["cats"] == [int(at[0][f"cat_{i}"]) for i in range(len(genome["cats"]))]
+        assert any(entry["n_designs"] > 1 for entry in front)
+
     def test_seed_determinism(self, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -250,8 +291,9 @@ def test_seeded_optimize_matches_golden_digests(run, tmp_path):
 
     The digests change only with the maths or the random draws (the blocks
     listed in the tlo.nsga2 docstring); regenerate them deliberately and say
-    why in CHANGES.md. The constant_relaxed run's front holds tied
-    designs, so it also pins the front's tie rule. The two runs with an id
+    why in CHANGES.md. Later designs tie the constant_relaxed run's front
+    points, so it also pins the front's tie rule: the earliest design of
+    each point, and n_designs. The two runs with an id
     end in a partial generation; constant_relaxed_cut_front (no cat genes,
     population 100) cuts survivors inside a front by crowding distance.
     """

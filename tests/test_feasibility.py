@@ -297,8 +297,8 @@ def searched_genome_rows(cfg, n):
                      scenario.max_objective)
     reals, cats = archive.reals[-n:].copy(), archive.cats[-n:]
     reals[::3] = reals[::3].round()
-    scores = [reference_scores(cfg.robot, scenario, genome_decode(archive.genome(i), cfg.space))
-              for i in range(archive.evaluation_count)]
+    scores = [reference_scores(cfg.robot, scenario, genome_decode(Genome(r, c), cfg.space))
+              for r, c in zip(archive.reals, archive.cats)]
     later = [i for i, (e_force, state) in enumerate(scores) if e_force is None and state > 0]
     return (np.concatenate([reals, archive.reals[later]]),
             np.concatenate([cats, archive.cats[later]]))

@@ -28,11 +28,12 @@ from scipy.optimize import linprog
 from conftest import (
     PAPER_LENGTHS,
     PAPER_MASSES,
+    encode_rows,
     random_constant_design,
     random_variable_design,
 )
 from tlo import simplex
-from tlo.arrangement import genome_encode, muscle_jacobian
+from tlo.arrangement import muscle_jacobian
 from tlo.feasibility import (
     ActuatorLimits,
     Scenario,
@@ -604,12 +605,10 @@ def test_other_joint_counts_match_linprog(d, monkeypatch):
     # whole designs score through make_evaluator as well, one batch per shape
     scenario = Scenario(limits, target, [rng.uniform(-1, 1, d) for _ in range(2)])
     evaluator = make_evaluator(model, scenario)
-    genomes = [genome_encode(_random_design(rng, d)) for _ in range(20)]
+    designs = [_random_design(rng, d) for _ in range(20)]
     scored = []
-    for n_cats in {len(g.cats) for g in genomes}:
-        batch = [g for g in genomes if len(g.cats) == n_cats]
-        objectives, feasible = evaluator(np.array([g.reals for g in batch]),
-                                         np.array([g.cats for g in batch]))
+    for kind in dict.fromkeys(type(design) for design in designs):
+        objectives, feasible = evaluator(*encode_rows([x for x in designs if type(x) is kind]))
         scored += objectives[feasible].tolist()
     assert scored
     for e_force, e_velocity in scored:

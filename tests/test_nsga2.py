@@ -3,12 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tlo.arrangement import DesignSpace, genome_decode
+from tlo.arrangement import DesignSpace, VariableArrangement, genome_rows_decode
 from tlo.nsga2 import (
     _offspring,
     _random_rows,
     crowding_distance,
-    dominates,
     evolve,
     extend_front,
     hypervolume_2d,
@@ -41,12 +40,24 @@ def hill_evaluator(reals, cats):
     return np.column_stack([a, 2 * a]), np.ones(len(reals), dtype=bool)
 
 
+def dominates(a, b) -> bool:
+    """True when a is no worse in both objectives and better in one."""
+    return a[0] <= b[0] and a[1] <= b[1] and (a[0] < b[0] or a[1] < b[1])
+
+
 def brute_force_front(objectives):
+    """Rows that no row dominates, repeated points included."""
     return [
         i
         for i, oi in enumerate(objectives)
         if not any(dominates(oj, oi) for j, oj in enumerate(objectives) if j != i)
     ]
+
+
+def brute_force_front_points(objectives):
+    """The earliest row of each distinct point of brute_force_front."""
+    return [i for i in brute_force_front(objectives)
+            if not any(np.array_equal(objectives[j], objectives[i]) for j in range(i))]
 
 
 def per_front_crowding(objectives, rank):
@@ -179,7 +190,7 @@ class TestParetoFrontIndices:
     def test_matches_brute_force_with_duplicates(self, samples):
         objs, feasible = archive_columns(samples)
         rows = np.flatnonzero(feasible)
-        expect = [int(rows[k]) for k in brute_force_front(objs[rows])]
+        expect = [int(rows[k]) for k in brute_force_front_points(objs[rows])]
         assert pareto_front_indices(objs, feasible).tolist() == expect
 
     def test_excludes_infeasible(self):
@@ -284,7 +295,9 @@ class TestEvolve:
         assert (arch.front_indices.tolist()
                 == pareto_front_indices(arch.objectives, arch.feasible).tolist())
         objs = [tuple(o) for o in arch.objectives[arch.front_indices].tolist()]
-        assert len(objs) > len(set(objs))  # the front kept duplicates
+        assert len(objs) == len(set(objs))  # one row per distinct point
+        feasible = [tuple(o) for o in arch.objectives[arch.feasible].tolist()]
+        assert any(feasible.count(o) > 1 for o in objs)  # a front point that later rows tie
 
     def test_archive_hypervolume_monotone(self):
         arch = evolve(toy_evaluator, SPACE, 20, 400, seed=9, max_objective=32.0)
@@ -387,5 +400,5 @@ class TestRandomSearch:
         arch = random_search(toy_evaluator, SPACE, 50, seed=6, max_objective=32.0)
         assert np.all(arch.reals >= 0) and np.all(arch.reals <= 1)
         assert np.all(arch.cats >= 0) and np.all(arch.cats <= 2)
-        for i in range(arch.evaluation_count):
-            genome_decode(arch.genome(i), SPACE)  # decodes cleanly
+        for links, fractions in zip(*genome_rows_decode(arch.reals, arch.cats, SPACE)):
+            VariableArrangement(links, fractions)  # a valid design
