@@ -93,7 +93,9 @@ def relay_world_positions(
 
 def _relay_points(model: RobotModel, links: np.ndarray, fractions: np.ndarray,
                   pose: Pose) -> np.ndarray:
-    """World positions (..., 2) of relay points given as matching link and fraction arrays."""
+    """World positions (..., 2) of relay points given as matching link and
+    fraction arrays; a pose with a leading state axis (state_poses) adds
+    that axis in front."""
     # checked before indexing, where numpy would wrap a negative link around
     if links.size:
         lo, hi = links.min(), links.max()
@@ -102,9 +104,9 @@ def _relay_points(model: RobotModel, links: np.ndarray, fractions: np.ndarray,
     seg = model.attach_segments[links]
     local = seg[..., 0, :] + fractions[..., None] * (seg[..., 1, :] - seg[..., 0, :])
     x, y = local[..., 0], local[..., 1]
-    angles = pose.link_angles[links]
-    c, s = np.cos(angles), np.sin(angles)
-    return pose.link_origins[links] + np.stack([c * x - s * y, s * x + c * y], axis=-1)
+    # cos and sin once per link and state, then looked up per relay point
+    c, s = np.cos(pose.link_angles)[..., links], np.sin(pose.link_angles)[..., links]
+    return pose.link_origins[..., links, :] + np.stack([c * x - s * y, s * x + c * y], axis=-1)
 
 
 def wire_lengths(model: RobotModel, design: VariableArrangement, q: np.ndarray) -> np.ndarray:
@@ -128,32 +130,43 @@ def constant_arms(model: RobotModel, design: ConstantArrangement) -> np.ndarray:
 
 def muscle_jacobian(model: RobotModel, design: WireArrangement, q: np.ndarray) -> np.ndarray:
     """(M, D) matrix G with ldot = G qdot; see batch_muscle_jacobian."""
-    links = None if isinstance(design, ConstantArrangement) else design.links
-    return batch_muscle_jacobian(model, links, design.fractions, q)
+    if isinstance(design, ConstantArrangement):
+        return batch_muscle_jacobian(model, None, design.fractions, None)[0]
+    return batch_muscle_jacobian(model, design.links, design.fractions, state_poses(model, [q]))[0]
+
+
+def state_poses(model: RobotModel, joint_states) -> Pose:
+    """The poses of S joint states, every Pose field with a leading state axis."""
+    poses = [forward_kinematics(model, q) for q in joint_states]
+    return Pose(np.array([p.link_angles for p in poses]), np.array([p.link_origins for p in poses]),
+                np.array([p.joint_positions for p in poses]), np.array([p.ee_position for p in poses]))
 
 
 def batch_muscle_jacobian(model: RobotModel, links: np.ndarray | None, fractions: np.ndarray,
-                          q: np.ndarray) -> np.ndarray:
-    """G (..., M, D) of designs of one shape, stacked along the leading axes.
+                          pose: Pose | None) -> np.ndarray:
+    """G (S, ..., M, D) of designs of one shape at the S joint states of pose
+    (state_poses), the designs stacked along the axes after the first.
 
     Variable designs come as matching (..., M, N) link and fraction arrays;
     the polyline lengths are differentiated analytically, and segments
     shorter than DEGENERATE_SEGMENT contribute nothing (the derivative is
     undefined there, and zero keeps the objective continuous). Constant
     designs come as links=None and (..., M, D) arm fractions; their G is the
-    negated arm matrix, independent of q.
+    negated arm matrix, independent of q (pose is not read), so it is
+    computed once and comes as (1, ..., M, D), to broadcast against the
+    states.
     """
     d = model.n_joints
     if links is None:
         if model.moment_arm_ranges is not None and np.shape(fractions)[-1] != d:
             raise ValueError("arm matrix does not match joint count")
-        return -_arm_values(model, fractions)
+        return -_arm_values(model, fractions)[None]
 
-    pose = forward_kinematics(model, q)
     pts = _relay_points(model, links, fractions, pose)
-    # dpts[..., m, n, k, :] = d p_mn / d theta_k: rot90 about joint k when the
-    # point's link moves with that joint, else zero
-    dpts = rot90(pts[..., None, :] - pose.joint_positions)
+    joints = pose.joint_positions.reshape((len(pts),) + (1,) * links.ndim + (d, 2))
+    # dpts[s, ..., m, n, k, :] = d p_mn / d theta_k at state s: rot90 about
+    # joint k when the point's link moves with that joint, else zero
+    dpts = rot90(pts[..., None, :] - joints)
     dpts *= (links[..., None] >= np.arange(1, d + 1))[..., None]
     seg = np.diff(pts, axis=-2)
     norms = np.linalg.norm(seg, axis=-1)

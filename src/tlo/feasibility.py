@@ -10,9 +10,14 @@ exactly singular J, a two-variable LP along null(J)), which are what runs;
 the simplex solves them for any other D, one design at a time.
 
 Designs are scored in batches of one shape: make_evaluator's evaluator maps
-a generation's genome rows to objectives and a feasible mask in one pass,
-with G and both kernels carrying a leading design axis. evaluate,
-force_h_all and velocity_h_all are its one-design case.
+a generation's genome rows to objectives and a feasible mask, with G and
+both kernels carrying leading (state, design) axes. It runs the kernels in
+two passes: state 0 on every design, then all later states stacked on the
+designs state 0 admits. A design is feasible when every state admits it.
+Everything that does not depend on the design (poses, right-hand sides,
+J^-1 w) is built once per evaluator. evaluate scores one design, all its
+states in one pass; force_h_all and velocity_h_all are the one-state,
+one-design case.
 
 The h variable is unbounded inside the LPs; reported values are clipped to
 h_cap afterwards. That makes every score independent of the cap (any cap
@@ -35,6 +40,7 @@ from .arrangement import (
     genome_rows_decode,
     genome_space,
     muscle_jacobian,
+    state_poses,
 )
 from .model import RobotModel, gravity_torque, joint_jacobian
 
@@ -203,8 +209,9 @@ def force_h_all(G, rhs, cols, limits, h_cap):
     unbounded ray reads as well. For D = 2 the ray is clipped against the
     torque zonotope in closed form; other D solve one LP per direction.
     """
-    h, feasible = _force_h(np.asarray(G, dtype=float)[None], rhs, cols, limits, h_cap)
-    return h[0] if feasible[0] else None
+    h, feasible = _force_h(np.asarray(G, dtype=float)[None, None], _force_rays([rhs], [cols]),
+                           limits, h_cap)
+    return h[0, 0] if feasible[0, 0] else None
 
 
 def velocity_h_all(G, J, dirs, limits, h_cap):
@@ -218,42 +225,96 @@ def velocity_h_all(G, J, dirs, limits, h_cap):
     h J^-1 w_i where det J != 0, a two-variable LP along null(J) where J is
     exactly singular. Other D solve one LP per direction.
     """
-    h, feasible = _velocity_h(np.asarray(G, dtype=float)[None], J, dirs, limits, h_cap)
-    return h[0] if feasible[0] else None
+    h, feasible = _velocity_h(np.asarray(G, dtype=float)[None, None], _velocity_rays([J], dirs),
+                              limits, h_cap)
+    return h[0, 0] if feasible[0, 0] else None
 
 
-# --- the kernels on a stack of P designs: h (P, directions), feasible (P,) ----
+# --- the kernels on S joint states and P designs: h (S, P, directions), feasible (S, P)
+#
+# G comes as (S, P, M, D), or as (1, P, M, D) for designs whose G does not
+# depend on the state; the inputs of each state come stacked along a
+# leading axis, built once per evaluator.
 
 
-def _force_h(G, rhs, cols, limits, h_cap):
-    if G.shape[2] == 2:
-        return _force_h_planar(G, rhs, cols, limits, h_cap)
-    return _each_design(_force_h_simplex, G, len(cols), rhs, cols, limits, h_cap)
+class _ForceRays(NamedTuple):
+    """The force LP inputs of S joint states."""
+
+    rhs: np.ndarray  # (S, D)
+    cols: np.ndarray  # (S, directions, D)
+    slack: np.ndarray  # (S,) a ray's phase-1 allowance per unit |n|_inf: 1e-9 max(1, |rhs|_inf)
 
 
-def _velocity_h(G, J, dirs, limits, h_cap):
+class _VelocityRays(NamedTuple):
+    """The velocity LP inputs of S joint states; the last two only for D = 2."""
+
+    J: np.ndarray  # (S, 2, D)
+    dirs: np.ndarray  # (directions, 2), the same at every state
+    inverse: np.ndarray | None  # (S, directions, 2) J^-1 w, 0 where J is singular
+    singular: np.ndarray | None  # (S,) whether J is exactly singular (compensated det == 0)
+
+
+def _force_rays(rhs, cols) -> _ForceRays:
+    rhs = np.asarray(rhs, dtype=float)
+    return _ForceRays(rhs, np.asarray(cols, dtype=float),
+                      _SLACK_TOL * np.maximum(1.0, np.abs(rhs).max(axis=1)))
+
+
+def _velocity_rays(J, dirs) -> _VelocityRays:
+    """J^-1 w = adj(J) w / det J, each entry a difference of two error-free
+    products, like the det itself."""
+    J = np.asarray(J, dtype=float)
     dirs = np.asarray(dirs, dtype=float)
-    if G.shape[2] != 2:
-        return _each_design(_velocity_h_simplex, G, len(dirs), J, dirs, limits, h_cap)
-    (j00, j01), (j10, j11) = J.tolist()
-    det = _diff_of_products(j00, j11, j01, j10)
-    if det != 0.0:
-        h = _velocity_h_planar(G, J, dirs, det, limits, h_cap)
+    if J.shape[2] != 2:
+        return _VelocityRays(J, dirs, None, None)
+    det = np.array([_diff_of_products(j00, j11, j01, j10) for (j00, j01), (j10, j11) in J.tolist()])
+    singular = det == 0.0
+    adj = J[:, [[1, 0], [0, 1]], [[1, 0], [1, 0]]]  # [[J11, J00], [J01, J10]] per state
+    p, e = _two_product(adj[:, None], dirs[:, _ADJ_PAIRS])
+    u = (p[:, :, 0] - p[:, :, 1]) + (e[:, :, 0] - e[:, :, 1])
+    u /= np.where(singular, 1.0, det)[:, None, None]
+    u[singular] = 0.0
+    return _VelocityRays(J, dirs, u, singular)
+
+
+def _force_h(G, rays, limits, h_cap):
+    if G.shape[3] == 2:
+        return _force_h_planar(G, rays, limits, h_cap)
+    return _each_design(_force_h_simplex, G, rays.cols.shape[1], (rays.rhs, rays.cols),
+                        limits, h_cap)
+
+
+def _velocity_h(G, rays, limits, h_cap):
+    if G.shape[3] != 2:
+        return _each_design(_velocity_h_simplex, G, len(rays.dirs), (rays.J,), rays.dirs,
+                            limits, h_cap)
+    shape = (len(rays.J), G.shape[1])
+    if rays.singular.any():
+        G = np.broadcast_to(G, shape + G.shape[2:])
+        regular = ~rays.singular
+        h = np.empty(shape + (len(rays.dirs),))
+        h[regular] = _velocity_h_planar(G[regular], rays.inverse[regular], limits, h_cap)
+        for s in np.flatnonzero(rays.singular):
+            h[s] = _velocity_h_singular(G[s], rays.J[s], rays.dirs, limits, h_cap)
     else:
-        h = _velocity_h_singular(G, J, dirs, limits, h_cap)
-    return h, np.ones(len(G), dtype=bool)  # qdot = 0 always holds
+        h = _velocity_h_planar(G, rays.inverse, limits, h_cap)
+    return h, np.ones(shape, dtype=bool)  # qdot = 0 always holds
 
 
-def _each_design(kernel, G, n_dirs, *args):
-    """A one-design kernel (h or None) run on every design of the stack."""
-    h = np.zeros((len(G), n_dirs))
-    feasible = np.ones(len(G), dtype=bool)
-    for k, g in enumerate(G):
-        hk = kernel(g, *args)
+def _each_design(kernel, G, n_dirs, per_state, *shared):
+    """A one-design kernel (h or None) run on every state and design of the
+    stack; per_state holds the kernel's (S, ...) inputs that vary with the
+    state, shared the ones after them."""
+    shape = (len(per_state[0]), G.shape[1])
+    G = np.broadcast_to(G, shape + G.shape[2:])
+    h = np.zeros(shape + (n_dirs,))
+    feasible = np.ones(shape, dtype=bool)
+    for s, k in np.ndindex(shape):
+        hk = kernel(G[s, k], *(a[s] for a in per_state), *shared)
         if hk is None:
-            feasible[k] = False
+            feasible[s, k] = False
         else:
-            h[k] = hk
+            h[s, k] = hk
     return h, feasible
 
 
@@ -284,7 +345,7 @@ def _diff_of_products(a, b, c, d):
     return (p - q) + (e - f)
 
 
-def _force_h_planar(G, rhs, cols, limits, h_cap):
+def _force_h_planar(G, rays, limits, h_cap):
     """Liang-Barsky clip of each ray rhs + t col, t >= 0, against Z = {-G^T f}.
 
     Z is the center c0 = -(f_min + f_max)/2 sum_m g_m plus the generators
@@ -297,46 +358,42 @@ def _force_h_planar(G, rhs, cols, limits, h_cap):
     ray meets Z at all is decided with the simplex's phase-1 allowance: a
     slab may be missed by 1e-9 max(1, |rhs|_inf) in the L1 norm of the
     phase-1 residual, which is that times |n|_inf along n. A design is
-    infeasible when some ray misses Z.
+    infeasible at a state when some ray misses Z there.
     """
-    m = G.shape[1]
-    normals = np.empty((len(G), m + 2, 2))
-    normals[:, :m] = G @ _PERP
-    normals[:, m:] = _AXES
-    width = 0.5 * (limits.f_max - limits.f_min) * np.abs(normals @ G.transpose(0, 2, 1)).sum(axis=2)
-    middle = rhs + 0.5 * (limits.f_min + limits.f_max) * G.sum(axis=1)
+    m = G.shape[2]
+    normals = np.empty(G.shape[:2] + (m + 2, 2))
+    normals[:, :, :m] = G @ _PERP
+    normals[:, :, m:] = _AXES
+    width = 0.5 * (limits.f_max - limits.f_min) * np.abs(normals @ G.swapaxes(2, 3)).sum(axis=3)
+    middle = rays.rhs[:, None] + 0.5 * (limits.f_min + limits.f_max) * G.sum(axis=2)
     offset = (normals @ middle[..., None])[..., 0]
-    slack = _SLACK_TOL * max(1.0, float(np.abs(rhs).max())) * np.abs(normals).max(axis=2)
-    rate = cols @ normals.transpose(0, 2, 1)  # (designs, directions, normals)
+    slack = rays.slack[:, None, None] * np.abs(normals).max(axis=3)
+    rate = rays.cols[:, None] @ normals.swapaxes(2, 3)  # (states, designs, directions, normals)
     # a ray that drifts across a slab by no more than the allowance over its
     # whole capped length runs along it: that slab bounds no h
-    rate[np.abs(rate) * h_cap <= slack[:, None, :]] = 0.0
+    rate[np.abs(rate) * h_cap <= slack[:, :, None]] = 0.0
     speed = np.abs(rate)
-    along = np.sign(rate) * offset[:, None, :]  # rhs's offset from the mid-line, signed along the ray
+    along = np.sign(rate) * offset[:, :, None]  # rhs's offset from the mid-line, signed along the ray
     inside = np.abs(offset) <= width + slack
-    feasible = inside.all(axis=1)
+    feasible = inside.all(axis=2)
     with np.errstate(divide="ignore", invalid="ignore"):
         if not feasible.all():  # rhs outside Z: every ray has to enter it
-            enter = np.fmax.reduce(((-width - slack)[:, None, :] - along) / speed, axis=2)
-            leave = np.fmin.reduce(((width + slack)[:, None, :] - along) / speed, axis=2)
-            feasible |= (~((speed == 0) & ~inside[:, None, :]).any(axis=(1, 2))
-                         & ((enter <= leave) & (leave >= 0)).all(axis=1))
+            enter = np.fmax.reduce(((-width - slack)[:, :, None] - along) / speed, axis=3)
+            leave = np.fmin.reduce(((width + slack)[:, :, None] - along) / speed, axis=3)
+            feasible |= (~((speed == 0) & ~inside[:, :, None]).any(axis=(2, 3))
+                         & ((enter <= leave) & (leave >= 0)).all(axis=2))
         # 0/0 (a zero normal, or a ray along a zero-width slab) bounds nothing
-        h = np.fmin.reduce((width[:, None, :] - along) / speed, axis=2)
+        h = np.fmin.reduce((width[:, :, None] - along) / speed, axis=3)
     return np.maximum(np.fmin(h, h_cap), 0.0), feasible
 
 
-def _velocity_h_planar(G, J, dirs, det, limits, h_cap):
+def _velocity_h_planar(G, inverse, limits, h_cap):
     """min over wires of the speed bound along a = G J^-1 w, and the qdot box."""
-    # J^-1 w = adj(J) w / det, each entry a difference of two products
-    adj = np.array([[J[1, 1], J[0, 0]], [J[0, 1], J[1, 0]]])
-    p, e = _two_product(adj, dirs[:, _ADJ_PAIRS])
-    u = ((p[:, 0] - p[:, 1]) + (e[:, 0] - e[:, 1])) / det
-    a = u @ G.transpose(0, 2, 1)  # (designs, directions, wires)
+    a = inverse[:, None] @ G.swapaxes(2, 3)  # (states, designs, directions, wires)
     with np.errstate(divide="ignore"):
         h = (np.where(a > 0, limits.ldot_max, -limits.ldot_min) / np.abs(a)).min(
-            axis=2, initial=h_cap)
-        return np.minimum(h, _THETA_DOT_BOUND / np.abs(u).max(axis=1))
+            axis=3, initial=h_cap)
+        return np.minimum(h, (_THETA_DOT_BOUND / np.abs(inverse).max(axis=2))[:, None])
 
 
 def _velocity_h_singular(G, J, dirs, limits, h_cap):
@@ -450,41 +507,53 @@ def _velocity_h_simplex(G, J, dirs, limits, h_cap):
 # --- scoring designs over the joint states -----------------------------------------
 
 
-def _score(model, tables, scenario, links, fractions, per_state=None):
-    """Objectives (P, 2) and the feasible mask (P,) of P designs of one shape.
+def _score(model, passes, scenario, links, fractions):
+    """Objectives (P, 2) and the feasible mask (P,) of P designs of one
+    shape, and the force and velocity h, (S, F, directions), of the F
+    feasible ones in row order.
 
-    links and fractions are batch_muscle_jacobian's inputs. The states are
-    scored in order, each on the designs that are still feasible; a design
-    that fails a state is dropped from the later ones. A feasible design's
-    objectives are 0 + s_0 + s_1 + ..., s_k its summed shortfall at state k.
-    per_state, if given, receives each state's (force h, velocity h) of the
-    designs still feasible after it.
+    links and fractions are batch_muscle_jacobian's inputs. passes holds
+    the _stack of the states the first kernel pass scores on every design,
+    and that of the later states, or None: they are scored, stacked, on the
+    designs the first pass admits. A design is feasible when every state
+    admits it. Its objectives are s_0 + s_1 + ..., s_k its summed shortfall
+    at state k, added in state order.
     """
+    first, rest = passes
     limits, h_cap = scenario.limits, scenario.h_cap
+    rows, hf, hv = _pass(model, first, links, fractions, limits, h_cap)
+    if rest is not None and len(rows):
+        kept, hf_rest, hv_rest = _pass(model, rest, None if links is None else links[rows],
+                                       fractions[rows], limits, h_cap)
+        rows = rows[kept]
+        hf = np.concatenate((hf[:, kept], hf_rest))
+        hv = np.concatenate((hv[:, kept], hv_rest))
+    shortfall = np.maximum(1.0 - np.stack((hf, hv), axis=2), 0.0).sum(axis=3)
     totals = np.zeros((len(fractions), 2))
+    totals[rows] = np.add.accumulate(shortfall)[-1]
     feasible = np.zeros(len(fractions), dtype=bool)
-    alive = np.arange(len(fractions))
-    for t in tables:
-        if not len(alive):
-            break
-        G = batch_muscle_jacobian(model, links, fractions, t.q)
-        hf, ok = _force_h(G, t.rhs, t.force_cols, limits, h_cap)
-        alive, links, fractions, G, hf = _keep(ok, alive, links, fractions, G, hf)
-        hv, ok = _velocity_h(G, t.J, t.velocity_dirs, limits, h_cap)
-        alive, links, fractions, hf, hv = _keep(ok, alive, links, fractions, hf, hv)
-        totals[alive, 0] += np.maximum(1.0 - hf, 0.0).sum(axis=1)
-        totals[alive, 1] += np.maximum(1.0 - hv, 0.0).sum(axis=1)
-        if per_state is not None:
-            per_state.append((hf, hv))
-    feasible[alive] = True
-    return totals, feasible
+    feasible[rows] = True
+    return totals, feasible, hf, hv
 
 
-def _keep(ok, *arrays):
-    """The rows ok marks of each array (None stays None)."""
-    if ok.all():
-        return arrays
-    return tuple(None if a is None else a[ok] for a in arrays)
+def _pass(model, states, links, fractions, limits, h_cap):
+    """The rows of the P designs that every state of one pass admits, and
+    their force and velocity h, (S, rows, directions)."""
+    pose, force, velocity = states
+    G = batch_muscle_jacobian(model, links, fractions, pose)
+    hf, ok = _force_h(G, force, limits, h_cap)
+    rows = np.flatnonzero(ok.all(axis=0))
+    hv, ok = _velocity_h(G[:, rows], velocity, limits, h_cap)
+    ok = ok.all(axis=0)
+    return rows[ok], hf[:, rows[ok]], hv[:, ok]
+
+
+def _stack(model: RobotModel, tables: list[StateTables]):
+    """The design-independent inputs of one kernel pass over the states of
+    tables: their poses, force rays and velocity rays."""
+    return (state_poses(model, [t.q for t in tables]),
+            _force_rays([t.rhs for t in tables], [t.force_cols for t in tables]),
+            _velocity_rays([t.J for t in tables], tables[0].velocity_dirs))
 
 
 def _scenario_tables(model: RobotModel, scenario: Scenario) -> list[StateTables]:
@@ -493,35 +562,39 @@ def _scenario_tables(model: RobotModel, scenario: Scenario) -> list[StateTables]
 
 
 def make_evaluator(model: RobotModel, scenario: Scenario):
-    """Batch evaluator over per-state tables built once.
+    """Batch evaluator over per-state inputs built once.
 
     It maps genome rows, reals (P, n_reals) and cats (P, n_cats), to
     (objectives, feasible): the (P, 2) (e_force, e_velocity) scores and the
     (P,) mask of designs that every state's LPs admit. Rows the mask marks
     pruned carry no score. The gene counts fix the design family (see
-    genome_space).
+    genome_space). Most designs of a generation fail the first state, so it
+    is scored on its own, before the rest.
     """
     tables = _scenario_tables(model, scenario)
+    passes = (_stack(model, tables[:1]), _stack(model, tables[1:]) if len(tables) > 1 else None)
 
     def run(reals: np.ndarray, cats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         reals = np.asarray(reals, dtype=float)
         cats = np.asarray(cats)
         space = genome_space(reals.shape[1], cats.shape[1], model.n_joints)
         links, fractions = genome_rows_decode(reals, cats, space)
-        return _score(model, tables, scenario, links, fractions)
+        return _score(model, passes, scenario, links, fractions)[:2]
 
     return run
 
 
 def evaluate(model: RobotModel, design: WireArrangement, scenario: Scenario) -> EvaluationResult:
-    """Score one design over all evaluated joint states, with its per-state h."""
+    """Score one design over all evaluated joint states, with its per-state h.
+
+    All states go through one kernel pass: one design saves nothing by
+    leaving the later states to the designs the first one admits."""
     links = None if isinstance(design, ConstantArrangement) else design.links[None]
-    per_state = []
-    totals, feasible = _score(model, _scenario_tables(model, scenario), scenario, links,
-                              design.fractions[None], per_state)
+    passes = _stack(model, _scenario_tables(model, scenario)), None
+    totals, feasible, hf, hv = _score(model, passes, scenario, links, design.fractions[None])
     if not feasible[0]:
         return EvaluationResult(feasible=False)
-    return EvaluationResult(True, [hf[0] for hf, _ in per_state], [hv[0] for _, hv in per_state],
+    return EvaluationResult(True, list(hf[:, 0]), list(hv[:, 0]),
                             float(totals[0, 0]), float(totals[0, 1]))
 
 

@@ -3,12 +3,14 @@ import pytest
 
 from conftest import (
     all_on_base_design,
+    encode_rows,
     evaluate_via_center,
     random_constant_design,
     random_variable_design,
     worked_constant_design,
 )
-from tlo.arrangement import DesignSpace, Genome, genome_decode, muscle_jacobian
+import tlo.arrangement
+from tlo.arrangement import ConstantArrangement, DesignSpace, Genome, genome_decode, muscle_jacobian
 from tlo.config import load_bundled_scenario
 from tlo.feasibility import (
     DEFAULT_H_CAP,
@@ -27,7 +29,7 @@ from tlo.feasibility import (
     velocity_directions,
     velocity_h_all,
 )
-from tlo.model import RobotModel, gravity_torque, joint_jacobian
+from tlo.model import RobotModel, forward_kinematics, gravity_torque, joint_jacobian
 from tlo.nsga2 import evolve
 from tlo.oracle import force_polytope_exact, ray_h, velocity_polytope_exact
 
@@ -288,16 +290,15 @@ def random_genome_rows(space, n, rng):
     return reals, cats
 
 
-def searched_genome_rows(cfg, n):
+def searched_genome_rows(model, scenario, space, n):
     """The last n genomes of a short seeded search, where most designs pass
     the first state, every third with its fractions rounded to 0 or 1, then
     every searched genome that the reference loop prunes after state 0."""
-    scenario = cfg.scenario()
-    archive = evolve(make_evaluator(cfg.robot, scenario), cfg.space, 40, n + 400, 0,
+    archive = evolve(make_evaluator(model, scenario), space, 40, n + 400, 0,
                      scenario.max_objective)
     reals, cats = archive.reals[-n:].copy(), archive.cats[-n:]
     reals[::3] = reals[::3].round()
-    scores = [reference_scores(cfg.robot, scenario, genome_decode(Genome(r, c), cfg.space))
+    scores = [reference_scores(model, scenario, genome_decode(Genome(r, c), space))
               for r, c in zip(archive.reals, archive.cats)]
     later = [i for i, (e_force, state) in enumerate(scores) if e_force is None and state > 0]
     return (np.concatenate([reals, archive.reals[later]]),
@@ -305,21 +306,25 @@ def searched_genome_rows(cfg, n):
 
 
 def check_batch_identity(model, scenario, space, reals, cats):
-    """One batch call scores every row bit for bit as one call per row and
-    as the reference loop; returns the state index of each pruned row."""
+    """One batch call scores every row bit for bit as one call per row, as
+    evaluate and as the reference loop; returns the state index of each
+    pruned row."""
     evaluator = make_evaluator(model, scenario)
     objectives, feasible = evaluator(reals, cats)
     assert objectives.shape == (len(reals), 2) and feasible.shape == (len(reals),)
     pruned_at = []
     for i in range(len(reals)):
         one, one_feasible = evaluator(reals[i : i + 1], cats[i : i + 1])
-        ref = reference_scores(model, scenario, genome_decode(Genome(reals[i], cats[i]), space))
-        assert feasible[i] == one_feasible[0] == (ref[0] is not None), i
+        design = genome_decode(Genome(reals[i], cats[i]), space)
+        result = evaluate(model, design, scenario)
+        ref = reference_scores(model, scenario, design)
+        assert feasible[i] == one_feasible[0] == result.feasible == (ref[0] is not None), i
         if ref[0] is None:
             pruned_at.append(ref[1])
             continue
         bits = objectives[i].view(np.uint64).tolist()
         assert bits == one[0].view(np.uint64).tolist(), i
+        assert bits == np.array([result.e_force, result.e_velocity]).view(np.uint64).tolist(), i
         assert bits == np.array(ref, dtype=float).view(np.uint64).tolist(), i
     return pruned_at
 
@@ -331,25 +336,85 @@ class TestBatchEvaluator:
         ("constant_relaxed", True)])
     def test_batch_equals_one_design_at_a_time(self, name, later_prunes):
         cfg = load_bundled_scenario(name)
-        reals, cats = searched_genome_rows(cfg, 200)
-        pruned_at = check_batch_identity(cfg.robot, cfg.scenario(), cfg.space, reals, cats)
+        scenario = cfg.scenario()
+        reals, cats = searched_genome_rows(cfg.robot, scenario, cfg.space, 200)
+        pruned_at = check_batch_identity(cfg.robot, scenario, cfg.space, reals, cats)
         assert 0 < len(pruned_at) < len(reals)
         if later_prunes:  # a design dropped at a later state, after passing the first
             assert max(pruned_at) > 0
 
+    # random rows, as a screening run scores them: most fail the first state
+    @pytest.mark.parametrize("name, later_prunes", [
+        ("target1_nograv", False), ("target2_nograv", True)])
+    def test_screen_shaped_batch(self, name, later_prunes):
+        cfg = load_bundled_scenario(name)
+        reals, cats = random_genome_rows(cfg.space, 500, np.random.default_rng(0))
+        pruned_at = check_batch_identity(cfg.robot, cfg.scenario(), cfg.space, reals, cats)
+        assert 0 < len(pruned_at) < len(reals)
+        assert 0 in pruned_at
+        assert (max(pruned_at) > 0) == later_prunes
+
+    def test_singular_state_after_regular_ones(self):
+        # with gravity the force slack differs per state, and at q = (0, 0)
+        # J is exactly singular: the second pass stacks a regular state and
+        # one whose velocity h comes from the singular branch
+        cfg = load_bundled_scenario("constant_relaxed")
+        base = cfg.scenario()
+        states = [np.deg2rad([30.0, 45.0]), np.deg2rad([60.0, 75.0]), np.zeros(2)]
+        scenario = Scenario(base.limits, base.target, states, True, base.h_cap)
+        assert [np.linalg.det(joint_jacobian(cfg.robot, q)) == 0 for q in states] == [
+            False, False, True]
+        reals, cats = random_genome_rows(cfg.space, 200, np.random.default_rng(1))
+        searched = searched_genome_rows(cfg.robot, scenario, cfg.space, 200)
+        reals, cats = np.concatenate([reals, searched[0]]), np.concatenate([cats, searched[1]])
+        pruned_at = check_batch_identity(cfg.robot, scenario, cfg.space, reals, cats)
+        assert 0 < len(pruned_at) < len(reals)
+        assert set(pruned_at) == {0, 1, 2}
+
+    def test_slack_of_each_state_in_a_stack(self, paper_model):
+        # the gravity torque of state 2 lies outside the torque zonotope by
+        # more than its own phase-1 allowance, 1e-9 |tau_2|_inf, and by less
+        # than that of state 1, which the second pass stacks with it
+        states = [np.deg2rad(q) for q in ([30.0, 45.0], [15.0, 30.0], [60.0, 75.0])]
+        tau = [gravity_torque(paper_model, q) for q in states]
+        allowance = [1e-9 * np.abs(t).max() for t in tau]
+        assert allowance[2] < allowance[1]
+        # arms (0.1, 0), (0, 0.1), (0, -0.1): the zonotope's x range starts at 0.1 f_min
+        design = ConstantArrangement([[1.0, 0.5], [0.5, 1.0], [0.5, 0.0]])
+        f_min = (tau[2][0] + 0.5 * (allowance[1] + allowance[2])) / 0.1
+        scenario = Scenario(ActuatorLimits(f_min, 1000.0, -0.4, 0.4),
+                            TargetSpec([0.0, 0.0], [20.0, 20.0], [0.5, 0.5], 8), states, True)
+        reals, cats = encode_rows([design])
+        assert check_batch_identity(paper_model, scenario, DesignSpace("constant", 3, None, 2),
+                                    reals, cats) == [2]
+
     def test_three_joint_robot(self):
-        # D = 3 goes through the simplex, one design at a time
+        # D = 3 goes through the simplex, one design at a time; three states
+        # put a stack of two states through the second pass
         model = RobotModel([0.4, 0.4, 0.4, 0.4], [0.0, 4.0, 4.0, 4.0],
                            moment_arm_ranges=[[-0.1, 0.1]] * 3)
         limits = ActuatorLimits(10.0, 200.0, -0.4, 0.4)
         target = TargetSpec([0.0, 0.0], [20.0, 15.0], [0.6, 0.6], 8)
-        scenario = Scenario(limits, target, [np.deg2rad([20, 30, 30]), np.deg2rad([40, 20, 10])])
+        scenario = Scenario(limits, target, [np.deg2rad([20, 30, 30]), np.deg2rad([40, 20, 10]),
+                                             np.deg2rad([60, 10, -20])])
         rng = np.random.default_rng(3)
         pruned_at = []
         for space in (DesignSpace("variable", 4, 3, 3), DesignSpace("constant", 5, None, 3)):
             reals, cats = random_genome_rows(space, 12, rng)
             pruned_at += check_batch_identity(model, scenario, space, reals, cats)
         assert 0 < len(pruned_at) < 24
+
+    def test_poses_are_built_once_per_evaluator(self, monkeypatch):
+        cfg = load_bundled_scenario("target2_nograv")
+        calls = []
+        monkeypatch.setattr(tlo.arrangement, "forward_kinematics",
+                            lambda *args: calls.append(args) or forward_kinematics(*args))
+        evaluator = make_evaluator(cfg.robot, cfg.scenario())
+        assert len(calls) == len(cfg.scenario().joint_states)
+        reals, cats = random_genome_rows(cfg.space, 100, np.random.default_rng(0))
+        calls.clear()
+        assert evaluator(reals, cats)[1].any()
+        assert not calls
 
     def test_empty_batches_and_malformed_genes(self, paper_model, zero_center_scenario):
         evaluator = make_evaluator(paper_model, zero_center_scenario)
