@@ -13,6 +13,7 @@ import os
 import sys
 import time
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -33,13 +34,12 @@ from .feasibility import (
     InfeasibleDesign,
     evaluate,
     force_directions,
-    force_h_all,
     gravity_center,  # unused here; the benchmark's tracer wraps tlo.cli.gravity_center
     make_evaluator,
-    state_tables,
     trace_polygon,
-    velocity_h_all,
+    velocity_directions,
 )
+from .model import joint_jacobian
 from .nsga2 import evolve
 from .oracle import force_polytope_exact, ray_h, velocity_polytope_exact
 
@@ -227,25 +227,20 @@ def cmd_evaluate(args) -> int:
         "e_velocity": result.e_velocity,
     }
     if result.feasible:
-        per_state = []
-        for k, q in enumerate(scenario.joint_states):
-            state = state_tables(cfg.robot, q, scenario.target, scenario.gravity)
-            force_poly, velocity_poly = (
-                trace_polygon(cfg.robot, design, state, which, scenario.limits, args.rays)
-                for which in ("force", "velocity")
-            )
-            per_state.append(
-                {
-                    "theta_deg": np.rad2deg(q).tolist(),
-                    "h_force": result.h_force[k].tolist(),
-                    "h_velocity": result.h_velocity[k].tolist(),
-                    "force_center": state.anchor.tolist(),
-                    "gravity_center_residual": state.residual,
-                    "force_polygon": np.round(force_poly, 12).tolist(),
-                    "velocity_polygon": np.round(velocity_poly, 12).tolist(),
-                }
-            )
-        report["per_state"] = per_state
+        polygons = trace_polygon(cfg.robot, design, result.states, scenario.limits, args.rays)
+        report["per_state"] = [
+            {
+                "theta_deg": np.rad2deg(state.q).tolist(),
+                "h_force": h_force.tolist(),
+                "h_velocity": h_velocity.tolist(),
+                "force_center": state.anchor.tolist(),
+                "gravity_center_residual": state.residual,
+                "force_polygon": np.round(force_poly, 12).tolist(),
+                "velocity_polygon": np.round(velocity_poly, 12).tolist(),
+            }
+            for state, h_force, h_velocity, force_poly, velocity_poly in zip(
+                result.states, result.h_force, result.h_velocity, *polygons)
+        ]
     path = Path(args.out) / "report.json"
     _write_files(path.parent, {path.name: _json_text(report)})
     print(
@@ -328,6 +323,8 @@ def cmd_oracle(args) -> int:
     scenario = cfg.scenario()
     rng = np.random.default_rng(args.seed if args.seed is not None else cfg.optimizer.seed)
     wf = force_directions(scenario.target)
+    wv = velocity_directions(scenario.target)
+    limits, h_cap = scenario.limits, scenario.h_cap
     worst = 0.0
     failures = 0
     done = 0
@@ -335,26 +332,22 @@ def cmd_oracle(args) -> int:
     while done < args.trials and attempts < 200 * max(args.trials, 1) + 1000:
         attempts += 1
         q = rng.uniform(-np.pi / 2, np.pi / 2, size=cfg.robot.n_joints)
-        state = state_tables(cfg.robot, q, scenario.target, scenario.gravity)
-        if abs(np.linalg.det(state.J)) < 0.05:
+        J = joint_jacobian(cfg.robot, q)
+        if abs(np.linalg.det(J)) < 0.05:
             continue
         design = ConstantArrangement(rng.random((cfg.space.n_wires, cfg.robot.n_joints)))
-        G = muscle_jacobian(cfg.robot, design, q)
-        hf = force_h_all(G, state.rhs, state.force_cols, scenario.limits, scenario.h_cap)
-        if hf is None:
+        result = evaluate(cfg.robot, design, replace(scenario, joint_states=[q]))
+        if not result.feasible:
             continue  # pruned design: both routes agree it is infeasible
-        hv = velocity_h_all(G, state.J, state.velocity_dirs, scenario.limits, scenario.h_cap)
-        force_poly = force_polytope_exact(G, state.J, scenario.limits.f_min, scenario.limits.f_max)
-        velocity_poly = velocity_polytope_exact(
-            G, state.J, scenario.limits.ldot_min, scenario.limits.ldot_max
-        )
-        for i in range(scenario.target.n_directions):
-            ref = min(ray_h(force_poly, state.anchor, wf[i]), scenario.h_cap)
-            worst = max(worst, abs(hf[i] - ref))
-            failures += abs(hf[i] - ref) > args.tol
-            ref = min(ray_h(velocity_poly, np.zeros(2), state.velocity_dirs[i]), scenario.h_cap)
-            worst = max(worst, abs(hv[i] - ref))
-            failures += abs(hv[i] - ref) > args.tol
+        (state,), (hf,), (hv,) = result.states, result.h_force, result.h_velocity
+        G = muscle_jacobian(cfg.robot, design, q)
+        force_poly = force_polytope_exact(G, J, limits.f_min, limits.f_max)
+        velocity_poly = velocity_polytope_exact(G, J, limits.ldot_min, limits.ldot_max)
+        refs = [(min(ray_h(force_poly, state.anchor, f), h_cap),
+                 min(ray_h(velocity_poly, np.zeros(2), v), h_cap)) for f, v in zip(wf, wv)]
+        errors = np.abs(np.column_stack((hf, hv)) - refs)
+        worst = max(worst, float(errors.max()))
+        failures += int((errors > args.tol).sum())
         done += 1
     print(
         f"oracle cross-check: {done} trials, max |h_lp - h_geometric| = {worst:.3e}, "

@@ -16,8 +16,9 @@ two passes: state 0 on every design, then all later states stacked on the
 designs state 0 admits. A design is feasible when every state admits it.
 Everything that does not depend on the design (poses, right-hand sides,
 J^-1 w) is built once per evaluator. evaluate scores one design, all its
-states in one pass; force_h_all and velocity_h_all are the one-state,
-one-design case.
+states in one pass; trace_polygon casts n_rays unit directions through the
+same pass in place of the ellipse directions. force_h_all and
+velocity_h_all are the one-state, one-design case.
 
 The h variable is unbounded inside the LPs; reported values are clipped to
 h_cap afterwards. That makes every score independent of the cap (any cap
@@ -39,7 +40,6 @@ from .arrangement import (
     batch_muscle_jacobian,
     genome_rows_decode,
     genome_space,
-    muscle_jacobian,
     state_poses,
 )
 from .model import RobotModel, gravity_torque, joint_jacobian
@@ -47,13 +47,12 @@ from .model import RobotModel, gravity_torque, joint_jacobian
 DEFAULT_H_CAP = 10.0
 MIN_RAYS = 8  # fewest boundary rays trace_polygon accepts
 RAY_CAP = 1e6  # where trace_polygon stops a ray through an unbounded set
-_THETA_DOT_BOUND = 1e6  # formal box on joint velocities; binds only on long rays
+QDOT_BOX = 1e6  # formal box on each |qdot_k| in the velocity LPs; binds only on long rays
 _SLACK_TOL = 1e-9  # force rays may miss Z by this much, scaled like the simplex's phase 1
-_SINGULAR_RESIDUAL = 1e-6
 
 
 class InfeasibleDesign(Exception):
-    """Raised when trace_polygon cannot reach its anchor; the design is pruned."""
+    """Raised when trace_polygon cannot reach an anchor; the design is pruned."""
 
 
 @dataclass
@@ -113,22 +112,19 @@ class Scenario:
 
 @dataclass
 class EvaluationResult:
-    """Per-state h arrays and the summed shortfall objectives."""
+    """Per-state h arrays, the summed shortfall objectives and the scored states' tables."""
 
     feasible: bool
     h_force: list[np.ndarray] | None = None
     h_velocity: list[np.ndarray] | None = None
     e_force: float | None = None
     e_velocity: float | None = None
+    states: list[StateTables] | None = None
 
 
 class GravityCenter(NamedTuple):
     center: np.ndarray
     residual: float
-
-    @property
-    def singular(self) -> bool:
-        return self.residual > _SINGULAR_RESIDUAL
 
 
 def ellipse_directions(radii: np.ndarray, n_directions: int) -> np.ndarray:
@@ -167,13 +163,11 @@ class StateTables(NamedTuple):
     rhs: np.ndarray  # force LP right-hand side: J^T anchor, or the gravity torque
     anchor: np.ndarray  # tip force the force rays leave from
     residual: float | None  # gravity_center residual; None without gravity
-    force_cols: np.ndarray  # J^T w_i, one row per direction
-    velocity_dirs: np.ndarray
 
 
 def state_tables(model: RobotModel, q: np.ndarray, target: TargetSpec,
                  gravity: bool) -> StateTables:
-    """The one force-anchor rule, plus the per-direction LP inputs at q.
+    """The one force-anchor rule: J, the force LP right-hand side and the anchor at q.
 
     Without gravity the anchor is the ellipse center and rhs = J^T center.
     With gravity rhs is the gravity torque and the anchor is the force that
@@ -186,8 +180,7 @@ def state_tables(model: RobotModel, q: np.ndarray, target: TargetSpec,
     else:
         anchor, residual = target.force_center, None
         rhs = J.T @ anchor
-    return StateTables(q, J, rhs, anchor, residual, force_directions(target) @ J,
-                       velocity_directions(target))
+    return StateTables(q, J, rhs, anchor, residual)
 
 
 def _clip_h(code: int, value: float, h_cap: float) -> float | None:
@@ -393,7 +386,7 @@ def _velocity_h_planar(G, inverse, limits, h_cap):
     with np.errstate(divide="ignore"):
         h = (np.where(a > 0, limits.ldot_max, -limits.ldot_min) / np.abs(a)).min(
             axis=3, initial=h_cap)
-        return np.minimum(h, (_THETA_DOT_BOUND / np.abs(inverse).max(axis=2))[:, None])
+        return np.minimum(h, (QDOT_BOX / np.abs(inverse).max(axis=2))[:, None])
 
 
 def _velocity_h_singular(G, J, dirs, limits, h_cap):
@@ -423,7 +416,7 @@ def _velocity_h_singular(G, J, dirs, limits, h_cap):
     a = np.concatenate((gv, -gv, box_a), axis=1)
     b = np.concatenate((gn, -gn, box_b), axis=1)
     bound = np.concatenate((np.full(m, limits.ldot_max), np.full(m, -limits.ldot_min),
-                            np.full(4, _THETA_DOT_BOUND)))
+                            np.full(4, QDOT_BOX)))
     most, least = _lp_max_first(a, b, bound)[:, None], _lp_max_first(-a, b, bound)[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         h = np.where(s > 0, most / s, np.where(s < 0, least / -s, np.inf))
@@ -490,7 +483,7 @@ def _velocity_h_simplex(G, J, dirs, limits, h_cap):
     lo = np.empty(n)
     up = np.empty(n)
     lo[0], up[0] = 0.0, np.inf
-    lo[1 : 1 + d], up[1 : 1 + d] = -_THETA_DOT_BOUND, _THETA_DOT_BOUND
+    lo[1 : 1 + d], up[1 : 1 + d] = -QDOT_BOX, QDOT_BOX
     lo[1 + d :], up[1 + d :] = limits.ldot_min, limits.ldot_max
     out = np.empty(len(dirs))
     for i, w in enumerate(dirs):
@@ -548,17 +541,23 @@ def _pass(model, states, links, fractions, limits, h_cap):
     return rows[ok], hf[:, rows[ok]], hv[:, ok]
 
 
-def _stack(model: RobotModel, tables: list[StateTables]):
+def _stack(model: RobotModel, tables: list[StateTables], force_dirs, velocity_dirs):
     """The design-independent inputs of one kernel pass over the states of
-    tables: their poses, force rays and velocity rays."""
+    tables along the (directions, 2) tip-space directions: poses and rays."""
     return (state_poses(model, [t.q for t in tables]),
-            _force_rays([t.rhs for t in tables], [t.force_cols for t in tables]),
-            _velocity_rays([t.J for t in tables], tables[0].velocity_dirs))
+            _force_rays([t.rhs for t in tables], [force_dirs @ t.J for t in tables]),
+            _velocity_rays([t.J for t in tables], velocity_dirs))
 
 
 def _scenario_tables(model: RobotModel, scenario: Scenario) -> list[StateTables]:
     return [state_tables(model, q, scenario.target, scenario.gravity)
             for q in scenario.joint_states]
+
+
+def _design_rows(design: WireArrangement):
+    """One design as batch_muscle_jacobian's links and fractions of P = 1."""
+    links = None if isinstance(design, ConstantArrangement) else design.links[None]
+    return links, design.fractions[None]
 
 
 def make_evaluator(model: RobotModel, scenario: Scenario):
@@ -572,7 +571,9 @@ def make_evaluator(model: RobotModel, scenario: Scenario):
     is scored on its own, before the rest.
     """
     tables = _scenario_tables(model, scenario)
-    passes = (_stack(model, tables[:1]), _stack(model, tables[1:]) if len(tables) > 1 else None)
+    dirs = force_directions(scenario.target), velocity_directions(scenario.target)
+    passes = (_stack(model, tables[:1], *dirs),
+              _stack(model, tables[1:], *dirs) if len(tables) > 1 else None)
 
     def run(reals: np.ndarray, cats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         reals = np.asarray(reals, dtype=float)
@@ -585,41 +586,39 @@ def make_evaluator(model: RobotModel, scenario: Scenario):
 
 
 def evaluate(model: RobotModel, design: WireArrangement, scenario: Scenario) -> EvaluationResult:
-    """Score one design over all evaluated joint states, with its per-state h.
+    """Score one design over all evaluated joint states, with its per-state h
+    and the tables of those states.
 
     All states go through one kernel pass: one design saves nothing by
     leaving the later states to the designs the first one admits."""
-    links = None if isinstance(design, ConstantArrangement) else design.links[None]
-    passes = _stack(model, _scenario_tables(model, scenario)), None
-    totals, feasible, hf, hv = _score(model, passes, scenario, links, design.fractions[None])
+    tables = _scenario_tables(model, scenario)
+    dirs = force_directions(scenario.target), velocity_directions(scenario.target)
+    passes = _stack(model, tables, *dirs), None
+    totals, feasible, hf, hv = _score(model, passes, scenario, *_design_rows(design))
     if not feasible[0]:
-        return EvaluationResult(feasible=False)
+        return EvaluationResult(feasible=False, states=tables)
     return EvaluationResult(True, list(hf[:, 0]), list(hv[:, 0]),
-                            float(totals[0, 0]), float(totals[0, 1]))
+                            float(totals[0, 0]), float(totals[0, 1]), tables)
 
 
-def trace_polygon(model, design, state: StateTables, which: str, limits,
-                  n_rays: int = 64) -> np.ndarray:
-    """Boundary of the feasible force or velocity set by LP ray casting.
+def trace_polygon(model, design, states: list[StateTables], limits,
+                  n_rays: int = 64) -> tuple[np.ndarray, np.ndarray]:
+    """Boundaries of the feasible force and velocity sets by ray casting.
 
-    Rays leave the anchor (force: state.anchor, velocity: the origin) in
-    n_rays uniform directions; each boundary point is anchor + h * dir.
-    Unbounded directions stop at RAY_CAP. Raises InfeasibleDesign when the
-    anchor itself is not reachable.
+    At each of the S states, rays leave the anchor (force: the state's
+    anchor, velocity: the origin) in n_rays uniform directions; each
+    boundary point is anchor + h * dir, and unbounded directions stop at
+    RAY_CAP. All states and both sets take one kernel pass. Returns the
+    force and the velocity boundaries, (S, n_rays, 2) each. Raises
+    InfeasibleDesign when an anchor is not reachable at some state.
     """
     if n_rays < MIN_RAYS:
         raise ValueError(f"need at least {MIN_RAYS} rays")
-    if which not in ("force", "velocity"):
-        raise ValueError("which must be 'force' or 'velocity'")
     ang = 2.0 * np.pi * np.arange(n_rays) / n_rays
     dirs = np.column_stack([np.cos(ang), np.sin(ang)])
-    G = muscle_jacobian(model, design, state.q)
-    if which == "force":
-        anchor = state.anchor
-        hs = force_h_all(G, state.rhs, dirs @ state.J, limits, RAY_CAP)
-    else:
-        anchor = np.zeros(2)
-        hs = velocity_h_all(G, state.J, dirs, limits, RAY_CAP)
-    if hs is None:
-        raise InfeasibleDesign(f"{which} anchor unreachable at q={state.q}")
-    return anchor + hs[:, None] * dirs
+    rows, hf, hv = _pass(model, _stack(model, states, dirs, dirs), *_design_rows(design),
+                         limits, RAY_CAP)
+    if not len(rows):
+        raise InfeasibleDesign(f"anchor unreachable at one of q = {[s.q.tolist() for s in states]}")
+    anchors = np.stack(([s.anchor for s in states], np.zeros((len(states), 2))))
+    return tuple(anchors[:, :, None] + np.stack((hf[:, 0], hv[:, 0]))[..., None] * dirs)

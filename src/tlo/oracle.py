@@ -13,9 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .feasibility import QDOT_BOX
+
 _GEOM_TOL = 1e-12
+_DUP_TOL = 64 * np.finfo(float).eps  # vertices this close, relative to the coordinates, merge
 _ROW_TOL = 1e-12
-_QDOT_BOX = 1e6  # formal bound on |qdot_k|; must equal feasibility._THETA_DOT_BOUND
 
 
 def cross2(a, b) -> float:
@@ -64,13 +66,17 @@ class ConvexPolygon:
 
 
 def _canonicalize(v: np.ndarray) -> np.ndarray:
-    """Dedupe and orient CCW, dropping collinear vertices; start at lex-min."""
+    """Dedupe and orient CCW, dropping collinear vertices; start at lex-min.
+
+    Only vertices a few ulps apart merge, and collinearity is the sine of a
+    turn, so a thin polygon with edges far below the coordinates stays 2-D.
+    """
     scale = 1.0 + np.abs(v).max()
     keep = [v[0]]
     for p in v[1:]:
-        if np.linalg.norm(p - keep[-1]) > _GEOM_TOL * scale:
+        if np.linalg.norm(p - keep[-1]) > _DUP_TOL * scale:
             keep.append(p)
-    while len(keep) > 1 and np.linalg.norm(keep[0] - keep[-1]) <= _GEOM_TOL * scale:
+    while len(keep) > 1 and np.linalg.norm(keep[0] - keep[-1]) <= _DUP_TOL * scale:
         keep.pop()
     v = np.array(keep)
     if len(v) < 3:
@@ -82,14 +88,13 @@ def _canonicalize(v: np.ndarray) -> np.ndarray:
     n = len(v)
     for i in range(n):
         a, b, c = v[i - 1], v[i], v[(i + 1) % n]
-        cr = cross2(b - a, c - b)
-        if cr > _GEOM_TOL * scale * scale:
+        if cross2(b - a, c - b) > _GEOM_TOL * np.linalg.norm(b - a) * np.linalg.norm(c - b):
             out.append(b)
     if len(out) < 3:
         # fully collinear point set: keep the extreme pair
         idx = np.lexsort((v[:, 1], v[:, 0]))
         v = v[[idx[0], idx[-1]]]
-        if np.linalg.norm(v[0] - v[1]) <= _GEOM_TOL * scale:
+        if np.linalg.norm(v[0] - v[1]) <= _DUP_TOL * scale:
             return v[:1]
         return v
     v = np.array(out)
@@ -164,7 +169,7 @@ def velocity_polytope_exact(
 
     Intersects the 2M halfplanes ldot_min <= g_m . qdot <= ldot_max in joint
     velocity space (near-zero rows are vacuous) with the formal box
-    |qdot_k| <= _QDOT_BOX that the kernels also impose, so a strip
+    |qdot_k| <= QDOT_BOX that the kernels also impose, so a strip
     (rank(G) < 2) or an unconstrained plane is bounded as it is there, and
     maps the result through J. Vertices are enumerated from constraint-line
     pairs, which is exact and cheap at these sizes.
@@ -176,7 +181,7 @@ def velocity_polytope_exact(
     rows = G[np.linalg.norm(G, axis=1) > _ROW_TOL]
     normals = np.vstack([rows, -rows, np.eye(2), -np.eye(2)])
     offsets = np.concatenate([np.full(len(rows), ldot_max), np.full(len(rows), -ldot_min),
-                              np.full(4, _QDOT_BOX)])
+                              np.full(4, QDOT_BOX)])
     pts = []
     k = len(normals)
     for i in range(k):

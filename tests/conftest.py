@@ -13,8 +13,10 @@ from tlo.feasibility import (
     EvaluationResult,
     Scenario,
     TargetSpec,
+    force_directions,
     force_h_all,
     state_tables,
+    velocity_directions,
     velocity_h_all,
 )
 from tlo.model import RobotModel
@@ -94,8 +96,9 @@ def evaluate_via_center(model, design, scenario: Scenario) -> EvaluationResult:
     st = state_tables(model, q, scenario.target, gravity=True)
     G = muscle_jacobian(model, design, q)
     limits, cap = scenario.limits, scenario.h_cap
-    hf = force_h_all(G, st.J.T @ st.anchor, st.force_cols, limits, cap)
-    hv = None if hf is None else velocity_h_all(G, st.J, st.velocity_dirs, limits, cap)
+    hf = force_h_all(G, st.J.T @ st.anchor, force_directions(scenario.target) @ st.J, limits, cap)
+    hv = None if hf is None else velocity_h_all(G, st.J, velocity_directions(scenario.target),
+                                                limits, cap)
     if hv is None:
         return EvaluationResult(feasible=False)
     e_force = float(np.maximum(1.0 - hf, 0.0).sum())

@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import xml.etree.ElementTree as ET
+from collections import Counter
 from importlib import resources
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import tlo.cli
+import tlo.feasibility
 from conftest import DEFAULT_STATES_DEG
 from tlo.cli import main
 from tlo.config import parse_config
@@ -323,6 +325,28 @@ class TestEvaluate:
         assert len(report["per_state"]) == 4
         load_schema_validator("report").validate(report)
 
+    def test_each_state_built_once_and_polygons_in_one_pass(self, tmp_path, monkeypatch):
+        # every state_tables call builds one StateTables, whoever calls it
+        counts = Counter()
+
+        def counted(name):
+            function = getattr(tlo.feasibility, name)
+
+            def call(*args):
+                counts[name] += 1
+                return function(*args)
+
+            monkeypatch.setattr(tlo.feasibility, name, call)
+
+        for name in ("StateTables", "_force_h", "_velocity_h"):
+            counted(name)
+        assert main(
+            ["evaluate", "--config", scenario_path("target1_grav"),
+             "--design", str(DATA / "golden_design_grav.json"), "--out", str(tmp_path)]
+        ) == 0
+        # two states: one pass scores them, one more traces both polygons of both
+        assert counts == {"StateTables": 2, "_force_h": 2, "_velocity_h": 2}
+
     def test_infeasible_design_reports_false(self, tmp_path):
         cfg_doc = json.loads(zero_center_config(tmp_path).read_text())
         cfg_doc["gravity"] = "on"
@@ -496,11 +520,11 @@ class TestEvaluate:
 
 
 class TestPlot:
-    def run_pipeline(self, tmp_path):
+    def run_pipeline(self, tmp_path, scenario="target1_nograv", design="golden_design.json"):
         out_eval = tmp_path / "eval"
         main(
-            ["evaluate", "--config", scenario_path("target1_nograv"),
-             "--design", str(DATA / "golden_design.json"), "--out", str(out_eval)]
+            ["evaluate", "--config", scenario_path(scenario),
+             "--design", str(DATA / design), "--out", str(out_eval)]
         )
         out_plots = tmp_path / "plots"
         assert main(["plot", str(out_eval / "report.json"), "--out", str(out_plots)]) == 0
@@ -587,6 +611,17 @@ class TestPlot:
         for golden in sorted(GOLDEN.glob("*.svg")):
             produced = plots / golden.name
             assert produced.read_bytes() == golden.read_bytes(), golden.name
+
+    def test_gravity_golden_files(self, tmp_path):
+        # two target1_grav states, whose force rays leave the gravity center
+        out_eval, plots = self.run_pipeline(tmp_path, "target1_grav", "golden_design_grav.json")
+        golden = GOLDEN / "target1_grav"
+        report = json.loads((out_eval / "report.json").read_text())
+        assert report == json.loads((golden / "report.json").read_text())
+        svgs = sorted(golden.glob("*.svg"))
+        assert [p.name for p in svgs] == sorted(p.name for p in plots.glob("*.svg"))
+        for svg in svgs:
+            assert (plots / svg.name).read_bytes() == svg.read_bytes(), svg.name
 
 
 class TestOracleCommand:

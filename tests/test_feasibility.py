@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,7 +13,14 @@ from conftest import (
     worked_constant_design,
 )
 import tlo.arrangement
-from tlo.arrangement import ConstantArrangement, DesignSpace, Genome, genome_decode, muscle_jacobian
+from tlo.arrangement import (
+    ConstantArrangement,
+    DesignSpace,
+    Genome,
+    design_from_jsonable,
+    genome_decode,
+    muscle_jacobian,
+)
 from tlo.config import load_bundled_scenario
 from tlo.feasibility import (
     DEFAULT_H_CAP,
@@ -34,6 +44,7 @@ from tlo.nsga2 import evolve
 from tlo.oracle import force_polytope_exact, ray_h, velocity_polytope_exact
 
 Q_BENT = np.array([0.0, np.pi / 2])
+GOLDEN_DESIGN = Path(__file__).parent / "data" / "golden_design.json"
 
 
 def kernel_inputs(model, design, q, target, gravity=False):
@@ -44,14 +55,14 @@ def kernel_inputs(model, design, q, target, gravity=False):
 def force_h_one(model, design, q, target, limits, i, gravity=False, h_cap=DEFAULT_H_CAP):
     """h along force direction i alone, or None when that LP is infeasible."""
     G, st = kernel_inputs(model, design, q, target, gravity)
-    hs = force_h_all(G, st.rhs, st.force_cols[i : i + 1], limits, h_cap)
+    hs = force_h_all(G, st.rhs, force_directions(target)[i : i + 1] @ st.J, limits, h_cap)
     return None if hs is None else float(hs[0])
 
 
 def velocity_h_one(model, design, q, target, limits, i, h_cap=DEFAULT_H_CAP):
     """h along velocity direction i alone, or None when that LP is infeasible."""
     G, st = kernel_inputs(model, design, q, target)
-    hs = velocity_h_all(G, st.J, st.velocity_dirs[i : i + 1], limits, h_cap)
+    hs = velocity_h_all(G, st.J, velocity_directions(target)[i : i + 1], limits, h_cap)
     return None if hs is None else float(hs[0])
 
 
@@ -164,13 +175,11 @@ class TestGravityCenter:
         np.testing.assert_allclose(jt @ gc.center, gravity_torque(paper_model, Q_BENT),
                                    atol=1e-9)
         assert gc.residual < 1e-9
-        assert not gc.singular
 
     def test_singular_pose_reports_residual(self, paper_model):
         gc = gravity_center(paper_model, np.zeros(2))
         # straight arm: torque has a component outside range(J^T)
         assert gc.residual > 1e-6
-        assert gc.singular
         # least-squares minimum-norm solution still minimizes the residual
         jt = joint_jacobian(paper_model, np.zeros(2)).T
         tau = gravity_torque(paper_model, np.zeros(2))
@@ -255,8 +264,9 @@ class TestEvaluate:
             design = random_constant_design(rng)
             q = rng.uniform(-1.2, 1.2, 2)
             G, st = kernel_inputs(paper_model, design, q, zero_center_target)
-            h_lo = force_h_all(G, st.rhs, st.force_cols, lo, cap)
-            h_hi = force_h_all(G, st.rhs, st.force_cols, hi, cap)
+            cols = force_directions(zero_center_target) @ st.J
+            h_lo = force_h_all(G, st.rhs, cols, lo, cap)
+            h_hi = force_h_all(G, st.rhs, cols, hi, cap)
             if h_lo is None or h_hi is None:
                 continue
             assert all(b >= a - 1e-9 for a, b in zip(h_lo, h_hi))
@@ -270,8 +280,9 @@ def reference_scores(model, scenario, design):
     for k, q in enumerate(scenario.joint_states):
         st = state_tables(model, q, scenario.target, scenario.gravity)
         G = muscle_jacobian(model, design, q)
-        hf = force_h_all(G, st.rhs, st.force_cols, scenario.limits, scenario.h_cap)
-        hv = None if hf is None else velocity_h_all(G, st.J, st.velocity_dirs,
+        hf = force_h_all(G, st.rhs, force_directions(scenario.target) @ st.J, scenario.limits,
+                         scenario.h_cap)
+        hv = None if hf is None else velocity_h_all(G, st.J, velocity_directions(scenario.target),
                                                     scenario.limits, scenario.h_cap)
         if hv is None:
             return None, k
@@ -456,7 +467,7 @@ class TestTracePolygon:
     def test_polygon_on_zonotope_boundary(self, paper_model, paper_limits, zero_center_target):
         design = worked_constant_design()
         state = state_tables(paper_model, Q_BENT, zero_center_target, False)
-        poly = trace_polygon(paper_model, design, state, "force", paper_limits, n_rays=64)
+        (poly,), _ = trace_polygon(paper_model, design, [state], paper_limits, n_rays=64)
         G = muscle_jacobian(paper_model, design, Q_BENT)
         J = joint_jacobian(paper_model, Q_BENT)
         zono = force_polytope_exact(G, J, paper_limits.f_min, paper_limits.f_max)
@@ -478,7 +489,7 @@ class TestTracePolygon:
         while True:
             design = random_variable_design(rng, m=4, n=3)
             try:
-                poly = trace_polygon(cfg.robot, design, state, "force", scen.limits, n_rays=32)
+                (poly,), _ = trace_polygon(cfg.robot, design, [state], scen.limits, n_rays=32)
             except InfeasibleDesign:
                 continue
             break
@@ -500,8 +511,8 @@ class TestTracePolygon:
         dirs = np.column_stack([np.cos(ang), np.sin(ang)])
         for q in (Q_BENT, np.array([0.3, 1e-3]), np.array([-1.0, np.pi - 1e-3])):
             state = state_tables(paper_model, q, zero_center_target, False)
-            poly = trace_polygon(paper_model, all_on_base_design(), state, "velocity",
-                                 paper_limits, n_rays=64)
+            _, (poly,) = trace_polygon(paper_model, all_on_base_design(), [state], paper_limits,
+                                       n_rays=64)
             reach = np.abs(np.linalg.solve(state.J, dirs.T)).max(axis=0)
             expected = np.minimum(1e6 / reach, RAY_CAP)
             np.testing.assert_allclose(np.sum(poly * dirs, axis=1), expected, rtol=1e-9)
@@ -520,9 +531,8 @@ class TestTracePolygon:
     def test_degenerate_force_polygon_is_point(self, paper_model, paper_limits,
                                                zero_center_target):
         state = state_tables(paper_model, Q_BENT, zero_center_target, False)
-        poly = trace_polygon(
-            paper_model, all_on_base_design(), state, "force", paper_limits, n_rays=16
-        )
+        (poly,), _ = trace_polygon(paper_model, all_on_base_design(), [state], paper_limits,
+                                   n_rays=16)
         assert np.max(np.ptp(poly, axis=0)) < 1e-9
 
     def test_convexity_random_designs(self, paper_model, paper_limits, zero_center_target):
@@ -533,7 +543,7 @@ class TestTracePolygon:
             q = rng.uniform(-1.2, 1.2, 2)
             state = state_tables(paper_model, q, zero_center_target, False)
             try:
-                poly = trace_polygon(paper_model, design, state, "force", paper_limits, n_rays=32)
+                (poly,), _ = trace_polygon(paper_model, design, [state], paper_limits, n_rays=32)
             except InfeasibleDesign:
                 continue
             if np.max(np.ptp(poly, axis=0)) < 1e-9:
@@ -546,11 +556,30 @@ class TestTracePolygon:
             assert np.all(cross >= -1e-7 * scale)
             done += 1
 
+    def test_states_trace_together_as_one_by_one(self):
+        # one pass over every state draws each state's boundaries bit for bit
+        # as a pass over that state alone
+        cfg = load_bundled_scenario("target1_nograv")
+        scen = cfg.scenario()
+        design = design_from_jsonable(json.loads(GOLDEN_DESIGN.read_text()), cfg.robot)
+        states = [state_tables(cfg.robot, q, scen.target, False) for q in scen.joint_states]
+        force, velocity = trace_polygon(cfg.robot, design, states, scen.limits, n_rays=16)
+        assert force.shape == velocity.shape == (len(states), 16, 2)
+        for k, state in enumerate(states):
+            (f,), (v,) = trace_polygon(cfg.robot, design, [state], scen.limits, n_rays=16)
+            np.testing.assert_array_equal(force[k], f)
+            np.testing.assert_array_equal(velocity[k], v)
+
+    def test_unreachable_anchor_at_one_state_raises(self, paper_model, paper_limits,
+                                                    zero_center_target):
+        # with every relay point on the base G = 0, which holds no gravity torque
+        free = state_tables(paper_model, Q_BENT, zero_center_target, False)
+        loaded = state_tables(paper_model, Q_BENT, zero_center_target, True)
+        trace_polygon(paper_model, all_on_base_design(), [free], paper_limits)
+        with pytest.raises(InfeasibleDesign):
+            trace_polygon(paper_model, all_on_base_design(), [free, loaded], paper_limits)
+
     def test_ray_count_validation(self, paper_model, paper_limits, zero_center_target):
         state = state_tables(paper_model, Q_BENT, zero_center_target, False)
         with pytest.raises(ValueError):
-            trace_polygon(paper_model, all_on_base_design(), state, "force",
-                          paper_limits, n_rays=4)
-        with pytest.raises(ValueError):
-            trace_polygon(paper_model, all_on_base_design(), state, "torque",
-                          paper_limits)
+            trace_polygon(paper_model, all_on_base_design(), [state], paper_limits, n_rays=4)

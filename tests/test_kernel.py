@@ -21,7 +21,7 @@ from importlib import resources
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
@@ -39,9 +39,11 @@ from tlo.feasibility import (
     Scenario,
     TargetSpec,
     ellipse_directions,
+    force_directions,
     force_h_all,
     make_evaluator,
     state_tables,
+    velocity_directions,
     velocity_h_all,
 )
 from tlo.config import load_config
@@ -219,7 +221,8 @@ def rounding_slack(poly):
     v = poly.vertices
     e = np.roll(v, -1, axis=0) - v
     d = np.abs(e[:, 0] * v[:, 1] - e[:, 1] * v[:, 0]) / np.hypot(e[:, 0], e[:, 1])
-    return 8 * np.finfo(float).eps * np.abs(v).max() / d.min()
+    d = d[d > 0]  # an edge through the origin only bounds rays at h = 0, where no slack applies
+    return 8 * np.finfo(float).eps * np.abs(v).max() / d.min() if len(d) else 0.0
 
 
 def zonotope_center(G, limits):
@@ -475,8 +478,33 @@ def test_force_kernel_matches_the_exact_zonotope(data):
     check_force_against_oracle(case.G, case.J, rhs, cols, case.limits, case.h_cap)
 
 
+def _pinned_velocity_case(G, J, ldot_min, ldot_max):
+    """A falsifying example hypothesis once found, at h_cap 1 with the 8
+    ellipse directions of radii (r0, r1) it drew."""
+    def case(r0, r1):
+        return (Case(np.array(G), np.array(J), ActuatorLimits(1.0, 2.0, ldot_min, ldot_max), 1.0,
+                     np.random.default_rng(0)), ellipse_directions(np.array([r0, r1]), 8))
+    return case
+
+
+# one wire at a J of cond ~1e6: the image of the strip is a genuinely
+# two-dimensional polygon whose short edges are ~5e-7 long, and the exit
+# at ~1e-7 crosses one of its long edges
+_THIN_STRIP = _pinned_velocity_case(
+    [[0.44305610557236763, 0.011327552814361597]],
+    [[5.2425854679682971e-07, -2.9180956678347730e-01],
+     [2.9180982896725993e-07, 5.2425869256850599e-01]], -0.25, 0.125)
+# the same shape around a symmetric strip, whose mid-line runs through the origin
+_THIN_SYMMETRIC_STRIP = _pinned_velocity_case(
+    [[0.37024920397008465, -0.21318279091244463]],
+    [[1.0328373856172135e-07, 5.9104359432543574e-01],
+     [-5.9104354288574967e-07, 1.0328344304325676e-01]], -0.125, 0.125)
+
+
 @EXAMPLES
 @given(velocity_cases())
+@example(data=_THIN_STRIP(1.8416997043853376, 1.1606354239129542))
+@example(data=_THIN_SYMMETRIC_STRIP(2.1624201573305175, 2.7503713554469971))
 def test_velocity_kernel_matches_the_exact_polygon(data):
     case, dirs = data
     G, J, limits, cap = case.G, case.J, case.limits, case.h_cap
@@ -525,18 +553,19 @@ def test_gravity_torque_on_the_zonotope_boundary(seed, k, m):
     # on dZ: inside Z, and a step further out is not
     assert force_h_all(G, state.rhs, np.zeros((1, 2)), limits, cap) is not None
     assert force_h_all(G, state.rhs * (1 + 1e-6), np.zeros((1, 2)), limits, cap) is None
-    hs = force_h_all(G, state.rhs, state.force_cols, limits, cap)
+    cols = force_directions(GRAVITY.target) @ state.J
+    hs = force_h_all(G, state.rhs, cols, limits, cap)
     assert hs is not None
     assert min(hs) == pytest.approx(0.0, abs=1e-7)  # some ray points out of Z
     scale = max(1.0, np.abs(state.rhs).max(), limits.f_max * np.abs(G).sum())
-    for h, col in zip(hs, state.force_cols):
+    for h, col in zip(hs, cols):
         slow = 1e-13 * scale / max(np.abs(col).max(), 1e-300)
         ref = capped(lp_force_h(G, state.rhs, col, limits), cap)
         assert_close(h, ref, rel=1e-9, abs_tol=max(1e-9, slow), what="simplex")
         ref = capped(linprog_force_h(G, state.rhs, col, limits), cap)
         assert_close(h, ref, rel=1e-7, abs_tol=max(1e-7, slow), what="linprog")
     np.testing.assert_allclose(np.linalg.solve(state.J.T, state.rhs), state.anchor, rtol=1e-12)
-    assert check_force_against_oracle(G, state.J, state.rhs, state.force_cols, limits, cap)
+    assert check_force_against_oracle(G, state.J, state.rhs, cols, limits, cap)
 
 
 def test_generated_cases_reach_the_corners():
@@ -581,6 +610,7 @@ def test_other_joint_counts_match_linprog(d, monkeypatch):
     model = _robot(d)
     limits = ActuatorLimits(10.0, 200.0, -0.4, 0.4)
     target = TargetSpec([0.0, 0.0], [30.0, 20.0], [0.6, 0.6], 8)
+    wf, wv = force_directions(target), velocity_directions(target)
     rng = np.random.default_rng(d)
     scored = pruned = 0
     while scored < 10:
@@ -588,16 +618,16 @@ def test_other_joint_counts_match_linprog(d, monkeypatch):
         q = rng.uniform(-np.pi / 2, np.pi / 2, d)
         tables = state_tables(model, q, target, gravity=bool(rng.random() < 0.3))
         G = muscle_jacobian(model, _random_design(rng, d), q)
-        hf = force_h_all(G, tables.rhs, tables.force_cols, limits, 10.0)
-        ref = [capped(linprog_force_h(G, tables.rhs, c, limits), 10.0) for c in tables.force_cols]
+        cols = wf @ tables.J
+        hf = force_h_all(G, tables.rhs, cols, limits, 10.0)
+        ref = [capped(linprog_force_h(G, tables.rhs, c, limits), 10.0) for c in cols]
         assert (hf is None) == any(h is None for h in ref)
         if hf is None:
             pruned += 1
             continue
         np.testing.assert_allclose(hf, ref, rtol=1e-7, atol=1e-7)
-        hv = velocity_h_all(G, tables.J, tables.velocity_dirs, limits, 10.0)
-        ref = [capped(linprog_velocity_h(G, tables.J, w, limits), 10.0)
-               for w in tables.velocity_dirs]
+        hv = velocity_h_all(G, tables.J, wv, limits, 10.0)
+        ref = [capped(linprog_velocity_h(G, tables.J, w, limits), 10.0) for w in wv]
         np.testing.assert_allclose(hv, ref, rtol=1e-7, atol=1e-7)
         scored += 1
     assert pruned >= 1
