@@ -79,7 +79,8 @@ def _write_files(folder: Path, files: dict[str, str]) -> None:
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    # one line: indent= would run json's pure-Python encoder instead of the C one
+    return json.dumps(obj, sort_keys=True) + "\n"
 
 
 def _effective_raw(cfg: ScenarioConfig) -> dict:

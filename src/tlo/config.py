@@ -334,17 +334,24 @@ def parse_config(doc: dict, lines: dict | None = None, name: str = "scenario") -
     )
 
 
-def load_config(path: str | Path) -> ScenarioConfig:
-    text = Path(path).read_text()
+def _load_text(text: str, name: str) -> ScenarioConfig:
+    """Parse scenario text; only an invalid one is scanned for lines and parsed again."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON: {exc.msg}", (), exc.lineno) from exc
     try:
-        lines = json_value_lines(text)
+        return parse_config(doc, name=name)
     except ConfigError:
-        lines = {}
-    return parse_config(doc, lines, name=Path(path).stem)
+        try:
+            lines = json_value_lines(text)
+        except ConfigError:
+            lines = {}
+        return parse_config(doc, lines, name=name)
+
+
+def load_config(path: str | Path) -> ScenarioConfig:
+    return _load_text(Path(path).read_text(), Path(path).stem)
 
 
 def bundled_scenario_names() -> list[str]:
@@ -353,6 +360,4 @@ def bundled_scenario_names() -> list[str]:
 
 
 def load_bundled_scenario(name: str) -> ScenarioConfig:
-    text = (resources.files("tlo") / "scenarios" / f"{name}.json").read_text()
-    doc = json.loads(text)
-    return parse_config(doc, json_value_lines(text), name=name)
+    return _load_text((resources.files("tlo") / "scenarios" / f"{name}.json").read_text(), name)

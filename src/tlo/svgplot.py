@@ -45,8 +45,10 @@ class _Frame:
     def py(self, y: float) -> float:
         return self.size - self.margin - (y - self.y0) * self.scale
 
-    def point(self, p) -> str:
-        return f"{_fmt(self.px(p[0]))},{_fmt(self.py(p[1]))}"
+    def coords(self, points: np.ndarray) -> list[str]:
+        """Each (x, y) row as its "x y" pixel string, px and py applied to whole columns."""
+        xs, ys = self.px(points[:, 0]).tolist(), self.py(points[:, 1]).tolist()
+        return [f"{_fmt(x)} {_fmt(y)}" for x, y in zip(xs, ys)]
 
 
 def _ellipse_path(frame: _Frame, center, radii) -> str:
@@ -70,7 +72,7 @@ def _polygon_element(frame: _Frame, polygon: np.ndarray) -> str:
             f'<circle class="feasible-point" cx="{_fmt(frame.px(c[0]))}" '
             f'cy="{_fmt(frame.py(c[1]))}" r="3" fill="{FEASIBLE_COLOR}"/>'
         )
-    d = "M " + " L ".join(frame.point(p).replace(",", " ") for p in poly) + " Z"
+    d = "M " + " L ".join(frame.coords(poly)) + " Z"
     return (
         f'<path class="feasible-region" fill="none" stroke="{FEASIBLE_COLOR}" '
         f'stroke-width="1.5" d="{d}"/>'
@@ -145,9 +147,8 @@ def space_panel(
     polygon = np.asarray(polygon, dtype=float)
     center = np.asarray(center, dtype=float)
     radii = np.asarray(radii, dtype=float)
-    ell = np.array(
-        [center + radii * [np.cos(a), np.sin(a)] for a in np.linspace(0, 2 * np.pi, 32)]
-    )
+    angles = np.linspace(0, 2 * np.pi, 32)
+    ell = center + radii * np.column_stack((np.cos(angles), np.sin(angles)))
     pts = np.vstack([polygon, ell])
     frame = _Frame(pts[:, 0], pts[:, 1])
     body = _axes(frame, f"{symbol}_x [{unit}]", f"{symbol}_y [{unit}]")
@@ -193,7 +194,7 @@ def arrangement_panel(model, design, q, title: str) -> str:
         )
     if wires is not None:
         for poly in wires:
-            path = "M " + " L ".join(frame.point(p).replace(",", " ") for p in poly)
+            path = "M " + " L ".join(frame.coords(poly))
             body.append(
                 f'<path class="wire" fill="none" stroke="{FEASIBLE_COLOR}" '
                 f'stroke-width="1.5" d="{path}"/>'

@@ -291,9 +291,10 @@ GOLDEN_RUNS = json.loads((GOLDEN / "optimize_digests.json").read_text())["runs"]
 def test_seeded_optimize_matches_golden_digests(run, tmp_path):
     """Seeded artifacts keep their bytes across commits, not only across reruns.
 
-    The digests change only with the maths or the random draws (the blocks
-    listed in the tlo.nsga2 docstring); regenerate them deliberately and say
-    why in CHANGES.md. Later designs tie the constant_relaxed run's front
+    The digests change only with the maths, the random draws (the blocks
+    listed in the tlo.nsga2 docstring) or the artifact text format
+    (cli._json_text writes pareto.json); regenerate them deliberately and
+    say why in CHANGES.md. Later designs tie the constant_relaxed run's front
     points, so it also pins the front's tie rule: the earliest design of
     each point, and n_designs. The two runs with an id
     end in a partial generation; constant_relaxed_cut_front (no cat genes,

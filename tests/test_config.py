@@ -1,10 +1,14 @@
 import json
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from tlo import config
 from tlo.config import (
     ConfigError,
+    _load_text,
     bundled_scenario_names,
     json_value_lines,
     load_bundled_scenario,
@@ -148,13 +152,16 @@ def test_constant_mode_requires_arm_ranges():
     assert "moment_arm_ranges" in str(err.value)
 
 
+def bad_tension_text():
+    """An indented document whose tension range is invalid, and that field's line."""
+    text = json.dumps(with_patch(**{"limits.tension": [0.0, 200.0]}), indent=2)
+    bad_line = next(i + 1 for i, line in enumerate(text.splitlines()) if '"tension"' in line)
+    return text, bad_line
+
+
 class TestFileLoading:
     def test_line_precise_error(self, tmp_path):
-        doc = with_patch(**{"limits.tension": [0.0, 200.0]})
-        text = json.dumps(doc, indent=2)
-        bad_line = next(
-            i + 1 for i, line in enumerate(text.splitlines()) if '"tension"' in line
-        )
+        text, bad_line = bad_tension_text()
         path = tmp_path / "bad.json"
         path.write_text(text)
         with pytest.raises(ConfigError) as err:
@@ -168,7 +175,46 @@ class TestFileLoading:
             load_config(path)
         assert "line 3" in str(err.value)
 
+    def test_syntax_error_line_from_text(self):
+        with pytest.raises(ConfigError) as err:
+            _load_text('{\n "schema_version": 1,\n oops\n}', "broken")
+        assert "line 3" in str(err.value)
+
     def test_name_from_filename(self, tmp_path):
         path = tmp_path / "myscenario.json"
         path.write_text(json.dumps(MINIMAL))
         assert load_config(path).name == "myscenario"
+
+
+class TestLazyLineMap:
+    """The JSON path -> line map is built only when a document fails validation."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        calls = []
+        scan = config.json_value_lines
+
+        def counted(text):
+            calls.append(text)
+            return scan(text)
+
+        monkeypatch.setattr(config, "json_value_lines", counted)
+        return calls
+
+    def test_valid_scenarios_build_no_line_map(self, scans):
+        for name in bundled_scenario_names():
+            load_config(Path(str(resources.files("tlo") / "scenarios" / f"{name}.json")))
+            load_bundled_scenario(name)
+        assert scans == []
+
+    def test_invalid_document_builds_it_once(self, tmp_path, scans):
+        text, bad_line = bad_tension_text()
+        with pytest.raises(ConfigError) as eager:
+            parse_config(json.loads(text), json_value_lines(text), name="bad")
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert len(scans) == 1
+        assert str(err.value) == str(eager.value)
+        assert f"line {bad_line}" in str(err.value)
