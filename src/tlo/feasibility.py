@@ -183,14 +183,6 @@ def state_tables(model: RobotModel, q: np.ndarray, target: TargetSpec,
     return StateTables(q, J, rhs, anchor, residual)
 
 
-def _clip_h(code: int, value: float, h_cap: float) -> float | None:
-    if code == simplex.INFEASIBLE:
-        return None
-    if code == simplex.UNBOUNDED:
-        return h_cap
-    return min(value, h_cap)
-
-
 def force_h_all(G, rhs, cols, limits, h_cap):
     """h for every force direction, or None when any direction is infeasible.
 
@@ -448,52 +440,39 @@ def _lp_max_first(a, b, c):
 def _force_h_simplex(G, rhs, cols, limits, h_cap):
     """One LP per row of cols, in variables (h, f): -G^T f - h col = rhs."""
     m_wires, d = G.shape
-    n = 1 + m_wires
-    a = np.empty((d, n))
+    a = np.empty((d, 1 + m_wires))
     a[:, 1:] = -G.T
-    c = np.zeros(n)
-    c[0] = 1.0
-    lo = np.empty(n)
-    up = np.empty(n)
-    lo[0], up[0] = 0.0, np.inf
-    lo[1:], up[1:] = limits.f_min, limits.f_max
-    out = np.empty(len(cols))
-    for i, col in enumerate(cols):
-        a[:, 0] = -col
-        code, _, value = simplex.solve_arrays(a, rhs, c, lo, up)
-        h = _clip_h(code, value, h_cap)
-        if h is None:
-            return None
-        out[i] = h
-    return out
+    return _h_simplex(a, rhs, cols, np.full(m_wires, limits.f_min),
+                      np.full(m_wires, limits.f_max), h_cap)
 
 
 def _velocity_h_simplex(G, J, dirs, limits, h_cap):
     """One LP per row of dirs, in variables (h, qdot, y): J qdot = h w, y = G qdot."""
     m_wires, d = G.shape
-    n = 1 + d + m_wires
-    rows = 2 + m_wires
-    a = np.zeros((rows, n))
+    a = np.zeros((2 + m_wires, 1 + d + m_wires))
     a[:2, 1 : 1 + d] = J
     a[2:, 1 : 1 + d] = G
     a[2:, 1 + d :] = -np.eye(m_wires)
-    b = np.zeros(rows)
-    c = np.zeros(n)
+    return _h_simplex(a, np.zeros(2 + m_wires), dirs,
+                      np.repeat([-QDOT_BOX, limits.ldot_min], [d, m_wires]),
+                      np.repeat([QDOT_BOX, limits.ldot_max], [d, m_wires]), h_cap)
+
+
+def _h_simplex(a, b, rays, lo, up, h_cap):
+    """h along each ray: maximize x_0 = h >= 0 subject to a x = b and lo <=
+    (x_1, x_2, ...) <= up, where column 0 of a holds -ray in its first rows.
+    Values are clipped to h_cap, which an unbounded ray reads as well; None
+    when some ray is infeasible."""
+    c = np.zeros(a.shape[1])
     c[0] = 1.0
-    lo = np.empty(n)
-    up = np.empty(n)
-    lo[0], up[0] = 0.0, np.inf
-    lo[1 : 1 + d], up[1 : 1 + d] = -QDOT_BOX, QDOT_BOX
-    lo[1 + d :], up[1 + d :] = limits.ldot_min, limits.ldot_max
-    out = np.empty(len(dirs))
-    for i, w in enumerate(dirs):
-        a[0, 0] = -w[0]
-        a[1, 0] = -w[1]
+    lo, up = np.r_[0.0, lo], np.r_[np.inf, up]
+    out = np.empty(len(rays))
+    for i, ray in enumerate(rays):
+        a[: len(ray), 0] = -ray
         code, _, value = simplex.solve_arrays(a, b, c, lo, up)
-        h = _clip_h(code, value, h_cap)
-        if h is None:
+        if code == simplex.INFEASIBLE:
             return None
-        out[i] = h
+        out[i] = h_cap if code == simplex.UNBOUNDED else min(value, h_cap)
     return out
 
 
@@ -614,8 +593,7 @@ def trace_polygon(model, design, states: list[StateTables], limits,
     """
     if n_rays < MIN_RAYS:
         raise ValueError(f"need at least {MIN_RAYS} rays")
-    ang = 2.0 * np.pi * np.arange(n_rays) / n_rays
-    dirs = np.column_stack([np.cos(ang), np.sin(ang)])
+    dirs = ellipse_directions(np.ones(2), n_rays)
     rows, hf, hv = _pass(model, _stack(model, states, dirs, dirs), *_design_rows(design),
                          limits, RAY_CAP)
     if not len(rows):

@@ -58,11 +58,7 @@ class ConvexPolygon:
         return bool(np.all(cross >= -tol * (1 + np.abs(v).max())))
 
     def area(self) -> float:
-        v = self.vertices
-        if len(v) < 3:
-            return 0.0
-        nxt = np.roll(v, -1, axis=0)
-        return 0.5 * float(np.sum(v[:, 0] * nxt[:, 1] - nxt[:, 0] * v[:, 1]))
+        return 0.0 if self.degenerate else _signed_area(self.vertices)
 
 
 def _canonicalize(v: np.ndarray) -> np.ndarray:

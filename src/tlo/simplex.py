@@ -1,13 +1,13 @@
 """Dense two-phase simplex for small box-bounded linear programs.
 
 Solves: maximize c.x subject to A x = b and lower <= x <= upper, where the
-bounds may be infinite. The solver works on the bounded-variable tableau
-(nonbasic variables rest at a finite bound), uses Bland's rule for both the
-entering and leaving choices, and is therefore deterministic and free of
-cycling. Problems here have at most a few dozen variables, so a dense
-tableau beats any sparse machinery. The pivot loops are scalar Python: at
-these tableau sizes (a few rows by a few columns) a vectorised numpy
-formulation is slower per LP.
+bounds may be infinite, on the bounded-variable tableau (nonbasic variables
+rest at a finite bound) with Bland's rule for the entering and leaving
+choices (Bland, Math. Oper. Res. 2(2), 1977), so it is deterministic and
+free of cycling. The LPs here have a few rows and at most a few dozen
+columns, so the tableau is dense and held in Python lists of floats: at
+these sizes every numpy call costs more than the arithmetic it does, and a
+vectorised numpy formulation is slower per LP.
 
 The coverage kernels call it only for robots with D != 2 joints: for D = 2
 both LPs have closed forms, a singular J included, and never reach it. The
@@ -28,223 +28,139 @@ _STALLED = 3
 _EPS_COST = 1e-9  # optimality tolerance on reduced costs
 _EPS_PIVOT = 1e-11  # entries below this never pivot
 _EPS_FEAS = 1e-9  # phase-1 residual tolerance (scaled by |b|)
+_INF = float("inf")
 
 
-def _iterate(T, xB, basis, stat, xval, lo, up, d, enter_limit, max_iter):
-    """Run bounded-variable simplex until optimal (0), unbounded (2) or stalled (3)."""
-    m = T.shape[0]
-    for _ in range(max_iter):
-        # entering variable: Bland's rule, smallest eligible index
-        j = -1
-        sigma = 0.0
-        for jj in range(enter_limit):
-            s = stat[jj]
-            if s == 2:
+def _iterate(T, xB, basis, stat, xval, lo, up, d, enter_limit):
+    """Run bounded-variable simplex until optimal (0), unbounded (2) or stalled (3),
+    updating the lists T, xB, basis, stat (0 at lower, 1 at upper, 2 basic,
+    3 free at zero) and xval in place."""
+    for _ in range(1000 * (len(lo) + 1)):
+        # entering variable: Bland's rule, the lowest eligible index
+        for j in range(enter_limit):
+            s = stat[j]
+            if s == 2 or up[j] - lo[j] <= 0.0:
                 continue
-            if up[jj] - lo[jj] <= 0.0:
-                continue
-            dj = d[jj]
-            if s == 0:
-                if dj > _EPS_COST:
-                    j = jj
-                    sigma = 1.0
-                    break
-            elif s == 1:
-                if dj < -_EPS_COST:
-                    j = jj
-                    sigma = -1.0
-                    break
-            else:  # free at zero
-                if dj > _EPS_COST:
-                    j = jj
-                    sigma = 1.0
-                    break
-                if dj < -_EPS_COST:
-                    j = jj
-                    sigma = -1.0
-                    break
-        if j < 0:
+            if d[j] > _EPS_COST and s != 1:
+                sigma = 1.0
+                break
+            if d[j] < -_EPS_COST and s != 0:
+                sigma = -1.0
+                break
+        else:
             return OPTIMAL
 
-        # ratio test: first blocking bound among basics, else a bound flip
+        # ratio test: the first blocking bound among the basics, ties to the
+        # lowest basic index; a bound flip wins ties with the span
+        col = [row[j] for row in T]
         t_best = up[j] - lo[j]  # may be inf
         leave = -1
-        for i in range(m):
-            w = sigma * T[i, j]
+        for i, tij in enumerate(col):
+            w = sigma * tij
             bi = basis[i]
-            if w > _EPS_PIVOT:
-                if lo[bi] == -np.inf:
-                    continue
+            if w > _EPS_PIVOT and lo[bi] != -_INF:
                 t = (xB[i] - lo[bi]) / w
-            elif w < -_EPS_PIVOT:
-                if up[bi] == np.inf:
-                    continue
+            elif w < -_EPS_PIVOT and up[bi] != _INF:
                 t = (xB[i] - up[bi]) / w
             else:
                 continue
             if t < 0.0:
                 t = 0.0
             if t < t_best:
-                t_best = t
-                leave = i
+                t_best, leave = t, i
             elif t == t_best and leave >= 0 and bi < basis[leave]:
                 leave = i
-
-        if t_best == np.inf:
+        if t_best == _INF:
             return UNBOUNDED
 
-        if leave < 0:
-            # bound flip: variable crosses its span, basis unchanged
-            if stat[j] == 0:
-                xval[j] = up[j]
-                stat[j] = 1
-            else:
-                xval[j] = lo[j]
-                stat[j] = 0
-            for i in range(m):
-                xB[i] -= sigma * t_best * T[i, j]
+        step = sigma * t_best
+        xB[:] = [x - step * tij for x, tij in zip(xB, col)]
+        if leave < 0:  # bound flip: the variable crosses its span, the basis stays
+            xval[j], stat[j] = (up[j], 1) if stat[j] == 0 else (lo[j], 0)
             continue
 
-        vj = xval[j] + sigma * t_best
-        w_leave = sigma * T[leave, j]
         out = basis[leave]
-        for i in range(m):
-            xB[i] -= sigma * t_best * T[i, j]
-        if w_leave > 0.0:
-            stat[out] = 0
-            xval[out] = lo[out]
-        else:
-            stat[out] = 1
-            xval[out] = up[out]
-        xB[leave] = vj
-
-        piv = T[leave, j]
-        T[leave] /= piv
-        for i in range(m):
-            if i != leave:
-                f = T[i, j]
-                if f != 0.0:
-                    T[i] -= f * T[leave]
-                    T[i, j] = 0.0
+        xval[out], stat[out] = (lo[out], 0) if sigma * col[leave] > 0.0 else (up[out], 1)
+        xB[leave] = xval[j] + step
+        piv = col[leave]
+        prow = T[leave] = [v / piv for v in T[leave]]
+        for i, f in enumerate(col):
+            if i != leave and f != 0.0:
+                row = T[i] = [a - f * p for a, p in zip(T[i], prow)]
+                row[j] = 0.0
         dj = d[j]
         if dj != 0.0:
-            d -= dj * T[leave]
+            d = [a - dj * p for a, p in zip(d, prow)]
         d[j] = 0.0
-        stat[j] = 2
-        basis[leave] = j
+        stat[j], basis[leave] = 2, j
     return _STALLED
 
 
 def _solve_core(A, b, c, lo, up):
     """Two-phase solve; returns (status, x, value)."""
     m, n = A.shape
-    x = np.zeros(n)
-    for j in range(n):
-        if lo[j] > up[j]:
-            return INFEASIBLE, x, 0.0
+    A, b, c, lo, up = A.tolist(), b.tolist(), c.tolist(), lo.tolist(), up.tolist()
+    if any(l > u for l, u in zip(lo, up)):
+        return INFEASIBLE, np.zeros(n), 0.0
 
-    total = n + m
-    xval = np.zeros(total)
-    stat = np.zeros(total, dtype=np.int64)
-    for j in range(n):
-        if lo[j] > -np.inf:
-            xval[j] = lo[j]
-            stat[j] = 0
-        elif up[j] < np.inf:
-            xval[j] = up[j]
-            stat[j] = 1
-        else:
-            xval[j] = 0.0
-            stat[j] = 3
-
-    lo_all = np.empty(total)
-    up_all = np.empty(total)
-    for j in range(n):
-        lo_all[j] = lo[j]
-        up_all[j] = up[j]
-    for i in range(m):
-        lo_all[n + i] = 0.0
-        up_all[n + i] = np.inf
+    # start vertex: each variable at a finite bound, else free at zero; the
+    # m artificials follow at zero, bounded below by 0 only
+    stat = [0 if l > -_INF else 1 if u < _INF else 3 for l, u in zip(lo, up)] + [0] * m
+    xval = [l if l > -_INF else u if u < _INF else 0.0 for l, u in zip(lo, up)] + [0.0] * m
+    lo, up = lo + [0.0] * m, up + [_INF] * m
 
     # artificial basis diag(sign(residual)); premultiplying by its inverse
     # keeps the tableau's artificial block an identity
-    T = np.zeros((m, total))
-    xB = np.zeros(m)
-    basis = np.empty(m, dtype=np.int64)
-    bscale = 1.0
-    for i in range(m):
-        r = b[i]
-        for j in range(n):
-            r -= A[i, j] * xval[j]
+    T, xB = [], []
+    for i, (row, r) in enumerate(zip(A, b)):
+        for a, v in zip(row, xval):
+            r -= a * v
         s = 1.0 if r >= 0.0 else -1.0
-        for j in range(n):
-            T[i, j] = s * A[i, j]
-        T[i, n + i] = 1.0
-        xB[i] = s * r
-        basis[i] = n + i
-        if abs(b[i]) > bscale:
-            bscale = abs(b[i])
+        T.append([s * a for a in row] + [0.0] * i + [1.0] + [0.0] * (m - 1 - i))
+        xB.append(s * r)
+    basis = list(range(n, n + m))
+    bscale = max([1.0] + [abs(v) for v in b])
 
-    max_iter = 1000 * (total + 1)
-
-    if m > 0:
-        # phase 1: maximize -(sum of artificials); artificial basis costs -1
-        d = np.zeros(total)
-        for j in range(total):
-            acc = 0.0
-            for i in range(m):
-                acc += T[i, j]
-            d[j] = acc
-        for j in range(n, total):
-            d[j] -= 1.0
-        for i in range(m):
-            d[basis[i]] = 0.0
-        code = _iterate(T, xB, basis, stat, xval, lo_all, up_all, d, total, max_iter)
-        if code == _STALLED:
-            return _STALLED, x, 0.0
+    if m:
+        # phase 1: maximize -(sum of artificials); the structurals' reduced
+        # costs are the tableau's column sums, the basic artificials' zero
+        d = [0.0] * n
+        for row in T:
+            d = [a + t for a, t in zip(d, row)]
+        if _iterate(T, xB, basis, stat, xval, lo, up, d + [0.0] * m, n + m) == _STALLED:
+            return _STALLED, np.zeros(n), 0.0
         infeas = 0.0
-        for i in range(m):
-            if basis[i] >= n:
-                infeas += xB[i]
+        for v in [v for k, v in zip(basis, xB) if k >= n]:
+            infeas += v
         if infeas > _EPS_FEAS * bscale:
-            return INFEASIBLE, x, 0.0
+            return INFEASIBLE, np.zeros(n), 0.0
         # artificials stay pinned at zero from here on
-        for j in range(n, total):
-            up_all[j] = 0.0
-            xval[j] = 0.0
+        up[n:] = xval[n:] = [0.0] * m
 
-    d = np.zeros(total)
-    for j in range(n):
-        d[j] = c[j]
-    for i in range(m):
-        cb = 0.0
-        if basis[i] < n:
-            cb = c[basis[i]]
-        if cb != 0.0:
-            for j in range(total):
-                d[j] -= cb * T[i, j]
-    for i in range(m):
-        d[basis[i]] = 0.0
+    # phase 2: c's reduced costs on the basis phase 1 left
+    d = c + [0.0] * m
+    for row, k in zip(T, basis):
+        if k < n and (cb := c[k]) != 0.0:
+            d = [v - cb * t for v, t in zip(d, row)]
+    for k in basis:
+        d[k] = 0.0
+    code = _iterate(T, xB, basis, stat, xval, lo, up, d, n)
+    if code != OPTIMAL:
+        return code, np.zeros(n), 0.0
 
-    code = _iterate(T, xB, basis, stat, xval, lo_all, up_all, d, n, max_iter)
-    if code == _STALLED:
-        return _STALLED, x, 0.0
-    if code == UNBOUNDED:
-        return UNBOUNDED, x, 0.0
-
-    for j in range(n):
-        x[j] = xval[j]
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = xB[i]
+    for k, v in zip(basis, xB):
+        if k < n:
+            xval[k] = v
     value = 0.0
-    for j in range(n):
-        value += c[j] * x[j]
-    return OPTIMAL, x, value
+    for cj, xj in zip(c, xval):
+        value += cj * xj
+    return OPTIMAL, np.array(xval[:n], dtype=float), value
 
 
 def solve_arrays(A, b, c, lo, up):
-    """Low-level entry used by the evaluation hot path; see solve_lp_max."""
+    """(status code, x, value) of the LP of solve_lp_max from float arrays
+    A (m, n), b (m,), c, lo, up (n,); called by the coverage kernels for
+    D != 2, solve_lp_max and the tests."""
     code, x, value = _solve_core(A, b, c, lo, up)
     if code == _STALLED:  # pragma: no cover - Bland's rule prevents cycling
         raise RuntimeError("simplex iteration limit exceeded")

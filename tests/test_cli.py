@@ -287,7 +287,7 @@ class TestOptimize:
 GOLDEN_RUNS = json.loads((GOLDEN / "optimize_digests.json").read_text())["runs"]
 
 
-@pytest.mark.parametrize("run", GOLDEN_RUNS, ids=[r.get("id", r["scenario"]) for r in GOLDEN_RUNS])
+@pytest.mark.parametrize("run", GOLDEN_RUNS, ids=[r.get("id") or r["scenario"] for r in GOLDEN_RUNS])
 def test_seeded_optimize_matches_golden_digests(run, tmp_path):
     """Seeded artifacts keep their bytes across commits, not only across reruns.
 
@@ -296,13 +296,18 @@ def test_seeded_optimize_matches_golden_digests(run, tmp_path):
     (cli._json_text writes pareto.json); regenerate them deliberately and
     say why in CHANGES.md. Later designs tie the constant_relaxed run's front
     points, so it also pins the front's tie rule: the earliest design of
-    each point, and n_designs. The two runs with an id
-    end in a partial generation; constant_relaxed_cut_front (no cat genes,
-    population 100) cuts survivors inside a front by crowding distance.
+    each point, and n_designs. The runs constant_relaxed_cut_front and
+    target2_nograv_partial_generation end in a partial generation;
+    constant_relaxed_cut_front (no cat genes, population 100) cuts survivors
+    inside a front by crowding distance. three_joint, a config path rather
+    than a bundled scenario, is a D = 3 robot, so its LPs go through the
+    simplex.
     """
     out = tmp_path / "run"
+    config = (str(Path(__file__).parents[1] / run["config"]) if "config" in run
+              else scenario_path(run["scenario"]))
     code = main(
-        ["optimize", "--config", scenario_path(run["scenario"]), "--out", str(out),
+        ["optimize", "--config", config, "--out", str(out),
          "--budget", str(run["budget"]), "--population", str(run["population"]),
          "--seed", str(run["seed"])]
     )

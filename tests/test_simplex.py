@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import struct
 
 import numpy as np
 import pytest
@@ -197,3 +199,49 @@ def test_linear_program_validation():
         LinearProgram([1.0, np.nan], np.empty((0, 2)), [], [0, 0], [1, 1])
     with pytest.raises(ValueError):
         LinearProgram([1.0], [[1.0]], [1.0, 2.0], [0.0], [1.0])
+
+
+def _seeded_lps():
+    """Two seeded LP sets: Gaussian coefficients with some bounds opened
+    (free, lower-only and upper-only variables), and small integer
+    coefficients, which make ties in the ratio test and degenerate pivots
+    common. Both include m = 0."""
+    rng = np.random.default_rng(2025)
+    for trial in range(600):
+        n = int(rng.integers(1, 7))
+        m = int(rng.integers(0, min(n, 4) + 1))
+        if trial % 2:
+            a = rng.integers(-2, 3, size=(m, n)).astype(float)
+            b = rng.integers(-3, 4, size=m).astype(float)
+            c = rng.integers(-2, 3, size=n).astype(float)
+            lo = rng.integers(-2, 1, size=n).astype(float)
+            up = lo + rng.integers(0, 3, size=n)
+        else:
+            a = rng.normal(size=(m, n))
+            a[rng.random(size=a.shape) < 0.3] = 0.0
+            b = rng.normal(size=m) * 2
+            c = rng.normal(size=n)
+            lo = rng.normal(size=n) - 2
+            up = rng.normal(size=n) + 2
+        kind = rng.random(n)
+        lo[kind < 0.35] = -np.inf
+        up[(kind < 0.15) | (kind > 0.8)] = np.inf
+        yield a, b, c, lo, up
+
+
+def test_seeded_solutions_keep_their_bits():
+    """(code, x, value) of every seeded LP, bit for bit: a change to any
+    pivot rule, tolerance or float operation order shows here."""
+    digest = hashlib.sha256()
+    codes = []
+    free = empty = 0
+    for a, b, c, lo, up in _seeded_lps():
+        code, x, value = solve_arrays(a, b, c, lo, up)
+        assert x.shape == (a.shape[1],) and x.dtype == float
+        digest.update(struct.pack("<q", code) + x.tobytes() + struct.pack("<d", value))
+        codes.append(code)
+        free += bool(np.any(np.isinf(lo) & np.isinf(up)))
+        empty += a.shape[0] == 0
+    counts = [codes.count(k) for k in (OPTIMAL, INFEASIBLE, UNBOUNDED)]
+    assert min(counts) >= 50 and free >= 100 and empty >= 50, (counts, free, empty)
+    assert digest.hexdigest() == "a5bd58a4a445444f9fc9ac3ad6da085314c6e35c144598a45257ad196d579412"
