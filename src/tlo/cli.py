@@ -321,6 +321,8 @@ def cmd_oracle(args) -> int:
     cfg = load_config(args.config)
     if cfg.space.kind != "constant":
         raise ConfigError("oracle cross-check needs a constant-mode config", ("mode", "kind"))
+    if cfg.robot.n_joints != 2:
+        raise ConfigError("oracle cross-check needs a two-joint robot", ("robot", "link_lengths"))
     scenario = cfg.scenario()
     rng = np.random.default_rng(args.seed if args.seed is not None else cfg.optimizer.seed)
     wf = force_directions(scenario.target)

@@ -4,10 +4,10 @@ For every evaluated joint state and every ellipse direction, a small LP
 defines the factor h by which the feasible operational space covers the
 target along that direction: h >= 1 means covered. The objectives to
 minimize are E_force and E_velocity, the summed shortfalls max(1-h, 0).
-For the planar two-joint robots (D = 2) both LPs have closed forms, a ray
-clipped against the torque zonotope and a ray bounded through J^-1 (at an
-exactly singular J, a two-variable LP along null(J)), which are what runs;
-the simplex solves them for any other D, one design at a time.
+The force LP has a closed form at every joint count D, a ray clipped
+against the torque zonotope; the velocity LP has one for the planar robots
+(D = 2), a ray bounded through J^-1 (at an exactly singular J, a
+two-variable LP along null(J)), and the simplex solves it for other D.
 
 Designs are scored in batches of one shape: make_evaluator's evaluator maps
 a generation's genome rows to objectives and a feasible mask, with G and
@@ -29,6 +29,8 @@ and turns genuinely unbounded velocity sets into a plain h = h_cap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -191,8 +193,8 @@ def force_h_all(G, rhs, cols, limits, h_cap):
     each row of cols the joint-space image J^T w_i of one direction.
     Direction i asks for the largest h >= 0 with -G^T f - h (J^T w_i) = rhs
     for some f in the tension box. Values are clipped to h_cap, which an
-    unbounded ray reads as well. For D = 2 the ray is clipped against the
-    torque zonotope in closed form; other D solve one LP per direction.
+    unbounded ray reads as well. The ray is clipped against the torque
+    zonotope in closed form, at any D.
     """
     h, feasible = _force_h(np.asarray(G, dtype=float)[None, None], _force_rays([rhs], [cols]),
                            limits, h_cap)
@@ -262,17 +264,9 @@ def _velocity_rays(J, dirs) -> _VelocityRays:
     return _VelocityRays(J, dirs, u, singular)
 
 
-def _force_h(G, rays, limits, h_cap):
-    if G.shape[3] == 2:
-        return _force_h_planar(G, rays, limits, h_cap)
-    return _each_design(_force_h_simplex, G, rays.cols.shape[1], (rays.rhs, rays.cols),
-                        limits, h_cap)
-
-
 def _velocity_h(G, rays, limits, h_cap):
     if G.shape[3] != 2:
-        return _each_design(_velocity_h_simplex, G, len(rays.dirs), (rays.J,), rays.dirs,
-                            limits, h_cap)
+        return _velocity_h_lps(G, rays, limits, h_cap)
     shape = (len(rays.J), G.shape[1])
     if rays.singular.any():
         G = np.broadcast_to(G, shape + G.shape[2:])
@@ -286,27 +280,36 @@ def _velocity_h(G, rays, limits, h_cap):
     return h, np.ones(shape, dtype=bool)  # qdot = 0 always holds
 
 
-def _each_design(kernel, G, n_dirs, per_state, *shared):
-    """A one-design kernel (h or None) run on every state and design of the
-    stack; per_state holds the kernel's (S, ...) inputs that vary with the
-    state, shared the ones after them."""
-    shape = (len(per_state[0]), G.shape[1])
-    G = np.broadcast_to(G, shape + G.shape[2:])
-    h = np.zeros(shape + (n_dirs,))
-    feasible = np.ones(shape, dtype=bool)
-    for s, k in np.ndindex(shape):
-        hk = kernel(G[s, k], *(a[s] for a in per_state), *shared)
-        if hk is None:
-            feasible[s, k] = False
-        else:
-            h[s, k] = hk
+def _velocity_h_lps(G, rays, limits, h_cap):
+    """One LP per state, design and direction, in variables (h, qdot, y):
+    maximize h >= 0 subject to J qdot = h w, y = G qdot, |qdot_k| <= 1e6
+    and y in the wire-speed box. Values are clipped to h_cap, which an
+    unbounded ray reads as well; a design is infeasible at a state where
+    some ray is, and its h there is not read."""
+    m_wires, d = G.shape[2:]
+    G = np.broadcast_to(G, (len(rays.J),) + G.shape[1:])
+    h = np.zeros(G.shape[:2] + (len(rays.dirs),))
+    feasible = np.ones(G.shape[:2], dtype=bool)
+    a = np.zeros((2 + m_wires, 1 + d + m_wires))
+    a[2:, 1 + d :] = -np.eye(m_wires)
+    b, c = np.zeros(2 + m_wires), np.eye(1, a.shape[1])[0]  # c: maximize h
+    lo = np.repeat([0.0, -QDOT_BOX, limits.ldot_min], [1, d, m_wires])
+    up = np.repeat([np.inf, QDOT_BOX, limits.ldot_max], [1, d, m_wires])
+    for s, k in np.ndindex(feasible.shape):
+        a[:2, 1 : 1 + d] = rays.J[s]
+        a[2:, 1 : 1 + d] = G[s, k]
+        for i, w in enumerate(rays.dirs):
+            a[:2, 0] = -w
+            code, _, value = simplex.solve_arrays(a, b, c, lo, up)
+            if code == simplex.INFEASIBLE:
+                feasible[s, k] = False
+                break
+            h[s, k, i] = h_cap if code == simplex.UNBOUNDED else min(value, h_cap)
     return h, feasible
 
 
-# --- closed forms for D = 2 ---------------------------------------------------
+# --- closed forms ------------------------------------------------------------------
 
-_PERP = np.array([[0.0, 1.0], [-1.0, 0.0]])  # g @ _PERP is g turned by +90 degrees
-_AXES = np.eye(2)
 _ADJ_PAIRS = np.array([[0, 1], [1, 0]])  # dirs[:, _ADJ_PAIRS][k] = [[w0, w1], [w1, w0]]
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's constant for splitting a double
 
@@ -330,25 +333,20 @@ def _diff_of_products(a, b, c, d):
     return (p - q) + (e - f)
 
 
-def _force_h_planar(G, rays, limits, h_cap):
+def _force_h(G, rays, limits, h_cap):
     """Liang-Barsky clip of each ray rhs + t col, t >= 0, against Z = {-G^T f}.
 
     Z is the center c0 = -(f_min + f_max)/2 sum_m g_m plus the generators
     (f_max - f_min)/2 g_m, so for any normal n it lies in the slab
-    |n . (x - c0)| <= w(n) = (f_max - f_min)/2 sum_m |n . g_m|. The facet
-    normals perp(g_m) cut out a full-dimensional Z exactly. The two axes are
-    redundant there, but they close a segment (rank-1 G: a segment is never
-    perpendicular to both axes) and a point (rank-0 G). h is where the ray
-    leaves Z, also when rhs lies outside Z and the ray enters it. Whether a
-    ray meets Z at all is decided with the simplex's phase-1 allowance: a
-    slab may be missed by 1e-9 max(1, |rhs|_inf) in the L1 norm of the
-    phase-1 residual, which is that times |n|_inf along n. A design is
-    infeasible at a state when some ray misses Z there.
+    |n . (x - c0)| <= w(n) = (f_max - f_min)/2 sum_m |n . g_m|. The slabs of
+    _normals cut out Z exactly, also a flat one. h is where the ray leaves
+    Z, also when rhs lies outside Z and the ray enters it. Whether a ray
+    meets Z at all is decided with the simplex's phase-1 allowance: a slab
+    may be missed by 1e-9 max(1, |rhs|_inf) in the L1 norm of the phase-1
+    residual, which is that times |n|_inf along n. A design is infeasible at
+    a state when some ray misses Z there.
     """
-    m = G.shape[2]
-    normals = np.empty(G.shape[:2] + (m + 2, 2))
-    normals[:, :, :m] = G @ _PERP
-    normals[:, :, m:] = _AXES
+    normals = _normals(G)
     width = 0.5 * (limits.f_max - limits.f_min) * np.abs(normals @ G.swapaxes(2, 3)).sum(axis=3)
     middle = rays.rhs[:, None] + 0.5 * (limits.f_min + limits.f_max) * G.sum(axis=2)
     offset = (normals @ middle[..., None])[..., 0]
@@ -370,6 +368,46 @@ def _force_h_planar(G, rays, limits, h_cap):
         # 0/0 (a zero normal, or a ray along a zero-width slab) bounds nothing
         h = np.fmin.reduce((width[:, :, None] - along) / speed, axis=3)
     return np.maximum(np.fmin(h, h_cap), 0.0), feasible
+
+
+def _normals(G):
+    """Slab normals of Z = {-G^T f} for generators G (..., M, D), (..., K, D)
+    and C-contiguous, since matmul rounds some sums differently on a strided
+    array: the generalized cross products of every K = C(M + D, D - 1)
+    choice of D - 1 rows of [G; I_D], (-1)^k det(the rows without column k).
+
+    Every facet normal of a full-dimensional Z is the product of D - 1
+    generators (Gouttefarde and Krut, ARK 2010; Bouchard, Gosselin and
+    Moore, J. Mech. Robot. 2(1), 2010); the products with axes close a flat
+    Z. For D = 2 they are perp(g_m) and the two axes, for D = 1 just [1].
+    """
+    m, d = G.shape[-2:]
+    index, eye, signs = _minor_index(m + d, d)
+    rows = np.empty(G.shape[:-2] + ((m + d) * d,))  # [G; I_D], flattened
+    rows[..., : m * d] = G.reshape(G.shape[:-2] + (m * d,))
+    rows[..., m * d :] = eye
+    return _det(np.take(rows, index, axis=-1)) * signs
+
+
+@cache
+def _minor_index(n_rows, d):
+    """For n_rows flattened rows of D entries: the indices (K, D, D - 1, D - 1)
+    of each D - 1 of the rows without column k, I_D flattened, and (-1)^k as
+    a (K, D) array, which multiplies faster than a broadcast (D,) row."""
+    picks = np.array(list(combinations(range(n_rows), d - 1)), dtype=int)
+    cols = np.array([np.delete(np.arange(d), k) for k in range(d)])
+    index = d * picks[:, None, :, None] + cols[None, :, None, :]
+    return index, np.eye(d).ravel(), np.tile((-1.0) ** np.arange(d), (len(picks), 1))
+
+
+def _det(a):
+    """Determinants of the (..., n, n) stack by cofactor expansion along the
+    first row: exact for n = 1, a d - b c for n = 2."""
+    n = a.shape[-1]
+    if n <= 1:
+        return a[..., 0, 0] if n else np.ones(a.shape[:-2])
+    return sum((-1) ** i * a[..., 0, i] * _det(np.delete(a[..., 1:, :], i, axis=-1))
+               for i in range(n))
 
 
 def _velocity_h_planar(G, inverse, limits, h_cap):
@@ -432,48 +470,6 @@ def _lp_max_first(a, b, c):
         vertex = np.where(pair, (cj * bi - ci * bj) / k, np.inf)  # both terms >= 0
         flat = np.where((b == 0) & (a > 0), c / a, np.inf)
     return np.minimum(vertex.min(axis=(1, 2)), flat.min(axis=1))
-
-
-# --- the LP per direction: any D -----------------------------------------------
-
-
-def _force_h_simplex(G, rhs, cols, limits, h_cap):
-    """One LP per row of cols, in variables (h, f): -G^T f - h col = rhs."""
-    m_wires, d = G.shape
-    a = np.empty((d, 1 + m_wires))
-    a[:, 1:] = -G.T
-    return _h_simplex(a, rhs, cols, np.full(m_wires, limits.f_min),
-                      np.full(m_wires, limits.f_max), h_cap)
-
-
-def _velocity_h_simplex(G, J, dirs, limits, h_cap):
-    """One LP per row of dirs, in variables (h, qdot, y): J qdot = h w, y = G qdot."""
-    m_wires, d = G.shape
-    a = np.zeros((2 + m_wires, 1 + d + m_wires))
-    a[:2, 1 : 1 + d] = J
-    a[2:, 1 : 1 + d] = G
-    a[2:, 1 + d :] = -np.eye(m_wires)
-    return _h_simplex(a, np.zeros(2 + m_wires), dirs,
-                      np.repeat([-QDOT_BOX, limits.ldot_min], [d, m_wires]),
-                      np.repeat([QDOT_BOX, limits.ldot_max], [d, m_wires]), h_cap)
-
-
-def _h_simplex(a, b, rays, lo, up, h_cap):
-    """h along each ray: maximize x_0 = h >= 0 subject to a x = b and lo <=
-    (x_1, x_2, ...) <= up, where column 0 of a holds -ray in its first rows.
-    Values are clipped to h_cap, which an unbounded ray reads as well; None
-    when some ray is infeasible."""
-    c = np.zeros(a.shape[1])
-    c[0] = 1.0
-    lo, up = np.r_[0.0, lo], np.r_[np.inf, up]
-    out = np.empty(len(rays))
-    for i, ray in enumerate(rays):
-        a[: len(ray), 0] = -ray
-        code, _, value = simplex.solve_arrays(a, b, c, lo, up)
-        if code == simplex.INFEASIBLE:
-            return None
-        out[i] = h_cap if code == simplex.UNBOUNDED else min(value, h_cap)
-    return out
 
 
 # --- scoring designs over the joint states -----------------------------------------

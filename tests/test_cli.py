@@ -300,8 +300,8 @@ def test_seeded_optimize_matches_golden_digests(run, tmp_path):
     target2_nograv_partial_generation end in a partial generation;
     constant_relaxed_cut_front (no cat genes, population 100) cuts survivors
     inside a front by crowding distance. three_joint, a config path rather
-    than a bundled scenario, is a D = 3 robot, so its LPs go through the
-    simplex.
+    than a bundled scenario, is a D = 3 robot: its force h comes from the
+    zonotope clip, its velocity LPs go through the simplex.
     """
     out = tmp_path / "run"
     config = (str(Path(__file__).parents[1] / run["config"]) if "config" in run
@@ -667,6 +667,15 @@ class TestOracleCommand:
         assert main(
             ["oracle", "--config", scenario_path("target1_nograv"), "--trials", "5"]
         ) == 2
+
+    def test_three_joint_config_rejected(self, tmp_path, capsys):
+        doc = json.loads((Path(__file__).parent / "data" / "three_joint.json").read_text())
+        doc["mode"] = {"kind": "constant", "wires": 5}
+        doc["robot"]["moment_arm_ranges"] = [[-0.1, 0.1]] * 3
+        cfg = tmp_path / "three_joint_constant.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["oracle", "--config", str(cfg), "--trials", "5"]) == 2
+        assert "$.robot.link_lengths" in capsys.readouterr().err
 
 
 def test_console_entry_point_runs():

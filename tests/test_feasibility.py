@@ -400,8 +400,9 @@ class TestBatchEvaluator:
                                     reals, cats) == [2]
 
     def test_three_joint_robot(self):
-        # D = 3 goes through the simplex, one design at a time; three states
-        # put a stack of two states through the second pass
+        # D = 3: force is clipped in closed form on the whole stack, velocity
+        # goes through the simplex one design at a time; three states put a
+        # stack of two states through the second pass
         model = RobotModel([0.4, 0.4, 0.4, 0.4], [0.0, 4.0, 4.0, 4.0],
                            moment_arm_ranges=[[-0.1, 0.1]] * 3)
         limits = ActuatorLimits(10.0, 200.0, -0.4, 0.4)

@@ -1,6 +1,7 @@
 """Differential tests of the coverage kernels force_h_all / velocity_h_all.
 
-For D = 2 the kernels are closed forms. Each generated case is checked
+Force is a closed form at every D: a ray clipped against the torque
+zonotope. Velocity is one for D = 2. Each generated planar case is checked
 against the same LP built here from the public LinearProgram/solve_lp_max,
 against scipy's linprog, and (velocity) against an exact rational
 evaluation of the closed form on the same floating-point inputs (at an
@@ -11,9 +12,9 @@ near q2 = 0 and q2 = pi, exactly singular J, force directions with
 J^T w ~ 0, anchors on the zonotope boundary, h at exactly 1 and at h_cap,
 and a single ray that starts outside the zonotope and enters it; the
 gravity torque of a real target1_grav state is put on the zonotope's
-boundary by scaling G. Robots
-with D != 2 are scored by the simplex; they are checked against linprog.
-"""
+boundary by scaling G. Robots with D != 2 are checked against the LP and
+linprog, force also on flat zonotopes; their velocity goes through the
+simplex."""
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -588,7 +589,7 @@ def test_generated_cases_reach_the_corners():
     assert force_h_all(G, start, (start - c0)[None], limits, 1e9) is None
 
 
-# --- robots with D != 2 go through the simplex -------------------------------------
+# --- robots with D != 2: force clipped in closed form, velocity by the simplex ---------
 
 
 def _robot(d):
@@ -597,12 +598,14 @@ def _robot(d):
 
 
 def _random_design(rng, d):
+    # four joints take more wires before a random design is often feasible
+    constant, variable = (9, 8) if d >= 4 else (5, 4)
     if rng.random() < 0.5:
-        return random_constant_design(rng, m=5, d=d)
-    return random_variable_design(rng, m=4, n=3, d=d)
+        return random_constant_design(rng, m=constant, d=d)
+    return random_variable_design(rng, m=variable, n=3, d=d)
 
 
-@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("d", [1, 3, 4])
 def test_other_joint_counts_match_linprog(d, monkeypatch):
     calls = []
     solve = simplex.solve_arrays
@@ -612,26 +615,31 @@ def test_other_joint_counts_match_linprog(d, monkeypatch):
     target = TargetSpec([0.0, 0.0], [30.0, 20.0], [0.6, 0.6], 8)
     wf, wv = force_directions(target), velocity_directions(target)
     rng = np.random.default_rng(d)
-    scored = pruned = 0
+    scored = pruned = velocity_lps = 0
     while scored < 10:
         assert pruned < 400
         q = rng.uniform(-np.pi / 2, np.pi / 2, d)
         tables = state_tables(model, q, target, gravity=bool(rng.random() < 0.3))
         G = muscle_jacobian(model, _random_design(rng, d), q)
         cols = wf @ tables.J
-        hf = force_h_all(G, tables.rhs, cols, limits, 10.0)
+        ref_lp = [capped(lp_force_h(G, tables.rhs, c, limits), 10.0) for c in cols]
         ref = [capped(linprog_force_h(G, tables.rhs, c, limits), 10.0) for c in cols]
-        assert (hf is None) == any(h is None for h in ref)
+        calls.clear()
+        hf = force_h_all(G, tables.rhs, cols, limits, 10.0)
+        assert not calls  # the zonotope clip, not the simplex, scores force
+        assert (hf is None) == any(h is None for h in ref) == any(h is None for h in ref_lp)
         if hf is None:
             pruned += 1
             continue
+        np.testing.assert_allclose(hf, ref_lp, rtol=0, atol=1e-9)
         np.testing.assert_allclose(hf, ref, rtol=1e-7, atol=1e-7)
         hv = velocity_h_all(G, tables.J, wv, limits, 10.0)
+        velocity_lps += len(calls)
         ref = [capped(linprog_velocity_h(G, tables.J, w, limits), 10.0) for w in wv]
         np.testing.assert_allclose(hv, ref, rtol=1e-7, atol=1e-7)
         scored += 1
     assert pruned >= 1
-    assert len(calls) >= 16 * scored  # the simplex, not a closed form, scored them
+    assert velocity_lps >= 8 * scored  # the simplex scored velocity
     # whole designs score through make_evaluator as well, one batch per shape
     scenario = Scenario(limits, target, [rng.uniform(-1, 1, d) for _ in range(2)])
     evaluator = make_evaluator(model, scenario)
@@ -644,3 +652,54 @@ def test_other_joint_counts_match_linprog(d, monkeypatch):
     for e_force, e_velocity in scored:
         assert 0.0 <= e_force <= scenario.max_objective
         assert 0.0 <= e_velocity <= scenario.max_objective
+
+
+def _flat_generators(rng, m, d):
+    """G of every rank below D that the normals must close, and a full one."""
+    kinds = {"rank0": np.zeros((m, d)),
+             "rank1": np.outer(rng.uniform(-1, 1, m), rng.uniform(-0.5, 0.5, d)),
+             "zero_column": rng.uniform(-0.5, 0.5, (m, d)) * (np.arange(d) != rng.integers(d)),
+             "full": rng.uniform(-0.5, 0.5, (m, d))}
+    if d >= 3:
+        kinds["rank2"] = rng.uniform(-0.5, 0.5, (m, 2)) @ rng.uniform(-1, 1, (2, d))
+    return kinds
+
+
+def _anchors(rng, G, limits):
+    """Z's center, a vertex, a point on the facet spanned by the first D - 1
+    generators (on the relative boundary where Z is flat), and the center
+    mirrored through the vertex, outside Z unless G = 0."""
+    m, d = G.shape
+
+    def extreme(normal):  # the tensions of a point of Z that maximizes normal . x
+        return np.where(G @ normal > 0, limits.f_min, limits.f_max)
+
+    facet = extreme(np.array([(-1) ** k * np.linalg.det(np.delete(G[: d - 1], k, axis=1))
+                              for k in range(d)]))
+    facet[: d - 1] = rng.uniform(limits.f_min, limits.f_max, d - 1)
+    center, vertex = zonotope_center(G, limits), -G.T @ extreme(rng.normal(size=d))
+    return {"center": center, "vertex": vertex, "facet": -G.T @ facet,
+            "beyond": 2 * vertex - center}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_force_kernel_on_flat_zonotopes(d, monkeypatch):
+    """Rank-deficient G at every D, with the anchor at Z's center, at a
+    vertex, on a facet and outside; rays point anywhere, nowhere, along a
+    generator and to the center. The clip never calls the simplex."""
+    solve = simplex.solve_arrays
+    limits = ActuatorLimits(10.0, 200.0, -0.4, 0.4)
+    rng = np.random.default_rng(d)
+    for G in (G for _ in range(2) for G in _flat_generators(rng, 5, d).values()):
+        for rhs in _anchors(rng, G, limits).values():
+            cols = np.concatenate((rng.uniform(-40, 40, (3, d)), np.zeros((1, d)),
+                                   G[:1], (zonotope_center(G, limits) - rhs)[None]))
+            monkeypatch.setattr(simplex, "solve_arrays", None)
+            hs = force_h_all(G, rhs, cols, limits, 10.0)
+            monkeypatch.setattr(simplex, "solve_arrays", solve)
+            for reference in (lp_force_h, linprog_force_h):
+                ref = [capped(reference(G, rhs, c, limits), 10.0) for c in cols]
+                what = reference.__name__
+                assert (hs is None) == any(h is None for h in ref), what
+                if hs is not None:
+                    np.testing.assert_allclose(hs, ref, rtol=0, atol=1e-9, err_msg=what)
