@@ -12,11 +12,29 @@ order. Designs are scored one generation per evaluator call (the whole
 budget in one call for random search), as genome rows in archive order,
 and scoring never touches the generator.
 
-The initial population draws, per genome, its reals with one
-random(n_reals) and then its cats with one integers(0, D + 1,
-size=n_cats) (a size-0 draw when there are no cats), straight into
-genome rows, as random search does for its whole budget. Each generation
-then breeds its P children with one block per operator (pairs = P / 2):
+The initial population holds, per genome, the reals of one
+random(n_reals) and then the cats of one integers(0, D + 1, size=n_cats)
+(a size-0 draw when there are no cats), as random search does for its
+whole budget. These values, and the generator state they leave, come
+from one random_raw block of the PCG64 bit generator, by its layout rules:
+
+- a double is (raw >> 11) * 2**-53;
+- a cat is (u32 * (D + 1)) >> 32 (Lemire's bounded integers); the u32 are
+  the raws' 32-bit halves, low half first, and a high half stays buffered
+  in the generator state (has_uint32, uinteger) across the doubles, so the
+  raw of every double and half follows from the gene counts and the
+  buffer on entry;
+- Lemire rejects a half when (u32 * (D + 1)) mod 2**32 < 2**32 mod (D + 1)
+  and draws the next one (see _random_rows);
+- the buffer is written back as the per-genome calls leave it.
+
+NEP 19 lets numpy change Generator streams between versions; the
+differential tests in tests/test_nsga2.py (TestRandomRows) compare the
+block with the per-genome calls, forced rejections included, so such a
+change fails there.
+
+Each generation then breeds its P children with one block per operator
+(pairs = P / 2):
 
 1. integers(0, P, size=(2, pairs, 2)): [parent slot, pair, pick] of the
    binary tournaments;
@@ -205,13 +223,49 @@ def hypervolume_2d(objectives: np.ndarray, ref_point) -> float:
 def _random_rows(space: DesignSpace, n: int,
                  rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """n uniform genomes as (n, n_reals) float reals and (n, n_cats) int64
-    cats, drawn genome by genome as the module docstring sets out."""
-    reals = np.empty((n, space.n_reals))
-    cats = np.empty((n, space.n_cats), dtype=np.int64)
-    for i in range(n):
-        reals[i] = rng.random(space.n_reals)
-        cats[i] = rng.integers(0, space.cat_cardinality, size=space.n_cats)
-    return reals, cats
+    cats: the values, and the generator end state, of one random(n_reals)
+    then one integers(0, D + 1, size=n_cats) per genome, decoded from one
+    random_raw block by PCG64's layout rules (module docstring): doubles
+    from raw >> 11, cats from the buffered-then-low-then-high 32-bit halves.
+    TestRandomRows in tests/test_nsga2.py holds the per-genome calls as the
+    reference and pins this equality. Any other bit generator is refused.
+
+    A cat half that Lemire's method rejects (probability 2**-32 per draw
+    for D + 1 = 3 or 5, never for 2 or 4) shifts every later half, so the
+    genomes before it are block-drawn again from the saved state, its genome
+    is drawn with the two calls, and the rest continue as a block.
+    """
+    bitgen = rng.bit_generator
+    if not isinstance(bitgen, np.random.PCG64):
+        raise TypeError(f"random genomes decode PCG64 output, not {type(bitgen).__name__}")
+    n_reals, n_cats, card = space.n_reals, space.n_cats, space.cat_cardinality
+    saved = bitgen.state
+    buffered = saved["has_uint32"]
+    # raws drawn for cats before genome i: each gives two halves, after the buffered one
+    cat_raws = -(-np.maximum(np.arange(n + 1) * n_cats - buffered, 0) // 2)
+    is_real = np.zeros(n * n_reals + cat_raws[-1], dtype=bool)
+    is_real[(np.arange(n) * n_reals + cat_raws[:-1])[:, None] + np.arange(n_reals)] = True
+    raws = bitgen.random_raw(len(is_real))
+    reals = ((raws[is_real] >> 11) * 2.0**-53).reshape(n, n_reals)
+    cat_raw = raws[~is_real]
+    halves = np.stack([cat_raw & 0xFFFFFFFF, cat_raw >> 32], axis=1).ravel()
+    if buffered:
+        halves = np.concatenate([[np.uint64(saved["uinteger"])], halves])
+    scaled = halves[: n * n_cats] * np.uint64(card)
+    rejected = np.flatnonzero((scaled & 0xFFFFFFFF) < 2**32 % card)
+    if len(rejected):
+        g = int(rejected[0]) // n_cats
+        bitgen.state = saved
+        head = _random_rows(space, g, rng)
+        one = rng.random((1, n_reals)), rng.integers(0, card, size=(1, n_cats))
+        tail = _random_rows(space, n - g - 1, rng)
+        return tuple(np.concatenate(part) for part in zip(head, one, tail))
+    end = bitgen.state
+    end["has_uint32"] = len(halves) - n * n_cats
+    if len(halves):
+        end["uinteger"] = int(halves[-1])
+    bitgen.state = end
+    return reals, (scaled >> 32).astype(np.int64).reshape(n, n_cats)
 
 
 def _offspring(rank: np.ndarray, crowd: np.ndarray, reals: np.ndarray, cats: np.ndarray,
@@ -367,6 +421,8 @@ def random_search(
     max_objective: float,
 ) -> ParetoArchive:
     """Uniform sampling with the same budget semantics as evolve."""
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
     rng = np.random.default_rng(seed)
     archive = ParetoArchive.empty(space, budget, seed, float(max_objective) + 1.0)
     _fill(archive, 0, *_random_rows(space, budget, rng), evaluate_fn)

@@ -302,6 +302,10 @@ def test_seeded_optimize_matches_golden_digests(run, tmp_path):
     inside a front by crowding distance. three_joint, a config path rather
     than a bundled scenario, is a D = 3 robot: its force h comes from the
     zonotope clip, its velocity LPs go through the simplex.
+    target1_nograv_screen (budget = population = 500, seed 1000) is the
+    first command of the screen_variable benchmark workload at workload
+    seed 1: a random generation only, 500 genomes with cats, so it pins
+    the initial population's block decode at scale.
     """
     out = tmp_path / "run"
     config = (str(Path(__file__).parents[1] / run["config"]) if "config" in run

@@ -84,6 +84,29 @@ def per_front_crowding(objectives, rank):
     return dist
 
 
+def per_genome_rows(space, n, rng):
+    """One random(n_reals) then one integers(0, D + 1, size=n_cats) per
+    genome: the reference for _random_rows, which decodes one raw block."""
+    reals = np.empty((n, space.n_reals))
+    cats = np.empty((n, space.n_cats), dtype=np.int64)
+    for i in range(n):
+        reals[i] = rng.random(space.n_reals)
+        cats[i] = rng.integers(0, space.cat_cardinality, size=space.n_cats)
+    return reals, cats
+
+
+class CountingGenerator(np.random.Generator):
+    """A Generator that counts its integers calls."""
+
+    def __init__(self, bit_generator):
+        super().__init__(bit_generator)
+        self.integers_calls = 0
+
+    def integers(self, *args, **kwargs):
+        self.integers_calls += 1
+        return super().integers(*args, **kwargs)
+
+
 # small integer grids: ties on each objective, exact duplicates, and
 # sentinel rows (33, 33) as pruned designs carry them
 GRID = st.lists(
@@ -237,12 +260,9 @@ class TestEvolve:
         assert arch.evaluation_count == 20
         assert arch.generations == 0
         assert arch.cats.dtype == np.int64
-        # per genome: its reals, then its cats
-        rng = np.random.default_rng(1)
-        for i in range(20):
-            assert np.array_equal(arch.reals[i], rng.random(SPACE.n_reals))
-            cats = rng.integers(0, SPACE.cat_cardinality, size=SPACE.n_cats)
-            assert np.array_equal(arch.cats[i], cats)
+        reals, cats = per_genome_rows(SPACE, 20, np.random.default_rng(1))
+        assert np.array_equal(arch.reals, reals)
+        assert np.array_equal(arch.cats, cats)
 
     def test_deterministic(self):
         a = evolve(toy_evaluator, SPACE, 20, 200, seed=7, max_objective=32.0)
@@ -380,11 +400,92 @@ class TestOffspring:
             assert abs(np.count_nonzero(changed) - mean) < 5 * sigma
 
 
+class TestRandomRows:
+    """_random_rows against the per-genome calls: values, generator state
+    and the draws after it."""
+
+    @staticmethod
+    def generators(seed, buffered, state=None):
+        """Two PCG64 generators in the same state: the reference one and a
+        CountingGenerator; buffered draws one cat so that a 32-bit half is
+        buffered on entry, state overrides the bit generator state."""
+        pair = np.random.default_rng(seed), CountingGenerator(np.random.PCG64(seed))
+        for rng in pair:
+            if buffered:
+                rng.integers(0, 3)
+            if state is not None:
+                rng.bit_generator.state = state
+        assert pair[1].bit_generator.state == pair[0].bit_generator.state
+        pair[1].integers_calls = 0
+        return pair
+
+    @staticmethod
+    def assert_same_draws(space, n, reference, rng):
+        expected = per_genome_rows(space, n, reference)
+        reals, cats = _random_rows(space, n, rng)
+        assert reals.dtype == float and cats.dtype == np.int64
+        assert np.array_equal(reals, expected[0])
+        assert np.array_equal(cats, expected[1])
+        assert rng.bit_generator.state == reference.bit_generator.state
+        assert np.array_equal(rng.random(5), reference.random(5))
+        assert np.array_equal(rng.integers(0, 5, size=5), reference.integers(0, 5, size=5))
+        return cats
+
+    @pytest.mark.parametrize("space", [CONSTANT_SPACE] + [
+        DesignSpace("variable", 3, 2, d) for d in (1, 2, 3, 4)] + [WIDE_SPACE],
+        ids=["constant", "D1", "D2", "D3", "D4", "D2-even-cats"])
+    @pytest.mark.parametrize("n", [0, 1, 7, 40, 500])
+    @pytest.mark.parametrize("buffered", [False, True], ids=["empty", "buffered"])
+    def test_matches_per_genome_calls(self, space, n, buffered):
+        # 7 * 3 cats is odd: the last genome leaves a half buffered
+        for seed in range(3):
+            reference, rng = self.generators(seed, buffered)
+            assert rng.bit_generator.state["has_uint32"] == buffered
+            self.assert_same_draws(space, n, reference, rng)
+            assert rng.integers_calls == 1  # the next-draws check, not _random_rows
+
+    @pytest.mark.parametrize("n", [1, 40])
+    def test_rejection_at_the_first_genome(self, n):
+        # a buffered 0 half: (0 * 3) mod 2**32 = 0 < 2**32 mod 3 = 1
+        space = DesignSpace("variable", 3, 2, 2)
+        state = np.random.default_rng(0).bit_generator.state
+        state.update(has_uint32=1, uinteger=0)
+        reference, rng = self.generators(0, False, state)
+        self.assert_same_draws(space, n, reference, rng)
+        assert rng.integers_calls == 2  # the rejected genome, then the next-draws check
+
+    @pytest.mark.parametrize("n", [5, 40, 500])
+    def test_rejection_at_a_later_genome(self, n):
+        # genome 4 of 6 reals and 3 cats starts its cats with the low half
+        # of raw 5 * 6 + ceil(4 * 3 / 2) = 36 (counting from 0); PCG64 outputs
+        # rotr64(hi ^ lo, state >> 122) from its post-step state, so
+        # hi << 64 | (hi ^ x << 32) with state >> 122 = 0 outputs x << 32,
+        # and stepping it back 37 steps makes that the 37th raw
+        space = DesignSpace("variable", 3, 2, 2)
+        hi, x = 0x0123456789ABCDEF >> 6, 0xDEADBEEF
+        assert (hi << 64) >> 122 == 0
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        state["state"]["state"] = hi << 64 | (hi ^ x << 32)
+        rng.bit_generator.state = state
+        rng.bit_generator.advance(2**128 - 37)
+        assert rng.bit_generator.random_raw(37)[-1] == x << 32
+        rng.bit_generator.advance(2**128 - 37)
+        reference, rng = self.generators(0, False, rng.bit_generator.state)
+        cats = self.assert_same_draws(space, n, reference, rng)
+        assert rng.integers_calls == 2
+        assert cats[4, 0] == (x * 3) >> 32  # the rejected low half's high half
+
+    def test_refuses_other_bit_generators(self):
+        with pytest.raises(TypeError, match="PCG64"):
+            _random_rows(SPACE, 3, np.random.Generator(np.random.Philox(0)))
+
+
 class TestRandomSearch:
     @pytest.mark.parametrize("space", [SPACE, CONSTANT_SPACE], ids=["variable", "constant"])
     def test_first_rows_equal_generation_zero_of_evolve(self, space):
-        # both draw the initial genomes one by one, so bred generations never
-        # shift the designs a random search of the same seed starts from
+        # both take the initial genomes from _random_rows, so bred generations
+        # never shift the designs a random search of the same seed starts from
         a = evolve(toy_evaluator, space, 20, 200, seed=3, max_objective=32.0)
         r = random_search(toy_evaluator, space, 200, seed=3, max_objective=32.0)
         assert np.array_equal(a.reals[:20], r.reals[:20])
@@ -395,6 +496,17 @@ class TestRandomSearch:
         b = random_search(toy_evaluator, SPACE, 123, seed=4, max_objective=32.0)
         assert a.evaluation_count == 123
         assert np.array_equal(a.reals, b.reals)
+
+    def test_archive_equals_per_genome_calls(self):
+        arch = random_search(toy_evaluator, WIDE_SPACE, 1001, seed=11, max_objective=32.0)
+        reals, cats = per_genome_rows(WIDE_SPACE, 1001, np.random.default_rng(11))
+        assert np.array_equal(arch.reals, reals)
+        assert np.array_equal(arch.cats, cats)
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_rejects_budget_below_one(self, budget):
+        with pytest.raises(ValueError, match="budget must be at least 1"):
+            random_search(toy_evaluator, SPACE, budget, seed=0, max_objective=32.0)
 
     def test_genomes_within_ranges(self):
         arch = random_search(toy_evaluator, SPACE, 50, seed=6, max_objective=32.0)
