@@ -28,7 +28,7 @@ from .arrangement import (
     muscle_jacobian,
     space_for,
 )
-from .config import ConfigError, ScenarioConfig, load_config, parse_config
+from .config import ConfigError, ScenarioConfig, load_config, optimizer_params, parse_config
 from .feasibility import (
     MIN_RAYS,
     InfeasibleDesign,
@@ -96,12 +96,10 @@ def _effective_raw(cfg: ScenarioConfig) -> dict:
 
 def cmd_optimize(args) -> int:
     cfg = load_config(args.config)
-    raw = _effective_raw(cfg)
-    for key in ("population", "budget", "seed"):
-        if (value := getattr(args, key)) is not None:
-            raw["optimizer"][key] = value
-    cfg = parse_config(raw, name=cfg.name)
-    opt = cfg.optimizer
+    opt = optimizer_params(cfg.optimizer.population if args.population is None else args.population,
+                           cfg.optimizer.budget if args.budget is None else args.budget,
+                           cfg.optimizer.seed if args.seed is None else args.seed)
+    cfg = replace(cfg, optimizer=opt)
 
     scenario = cfg.scenario()
     evaluator = make_evaluator(cfg.robot, scenario)

@@ -210,6 +210,17 @@ class _Checker:
         return np.array([self.get(path + (i,), float) for i in range(len(node))])
 
 
+def optimizer_params(population: int, budget: int, seed: int,
+                     lines: dict | None = None) -> OptimizerParams:
+    """Checked optimizer settings; a bad one raises ConfigError at its path."""
+    c = _Checker(None, lines or {})
+    if population < 2 or population % 2:
+        c.fail(("optimizer", "population"), "population must be even and at least 2")
+    if budget < population:
+        c.fail(("optimizer", "budget"), "budget must be at least the population size")
+    return OptimizerParams(population, budget, seed)
+
+
 def parse_config(doc: dict, lines: dict | None = None, name: str = "scenario") -> ScenarioConfig:
     """Validate a scenario document; raises ConfigError with path and line."""
     lines = lines or {}
@@ -307,13 +318,9 @@ def parse_config(doc: dict, lines: dict | None = None, name: str = "scenario") -
     if h_cap < 1.0:
         c.fail(("h_cap",), "h_cap below 1 would distort the objectives")
 
-    population = c.get(("optimizer", "population"), int, required=False, default=100)
-    budget = c.get(("optimizer", "budget"), int, required=False, default=10000)
-    seed = c.get(("optimizer", "seed"), int, required=False, default=0)
-    if population < 2 or population % 2:
-        c.fail(("optimizer", "population"), "population must be even and at least 2")
-    if budget < population:
-        c.fail(("optimizer", "budget"), "budget must be at least the population size")
+    optimizer = optimizer_params(*(c.get(("optimizer", key), int, required=False,
+                                         default=getattr(OptimizerParams, key))
+                                   for key in ("population", "budget", "seed")), lines)
 
     try:
         robot = RobotModel(lengths, masses, segs, gravity_vec, arm_ranges)
@@ -328,7 +335,7 @@ def parse_config(doc: dict, lines: dict | None = None, name: str = "scenario") -
         target=target,
         gravity=gravity_flag == "on",
         joint_states=joint_states,
-        optimizer=OptimizerParams(population, budget, seed),
+        optimizer=optimizer,
         h_cap=h_cap,
         raw=doc,
     )

@@ -4,10 +4,10 @@ For every evaluated joint state and every ellipse direction, a small LP
 defines the factor h by which the feasible operational space covers the
 target along that direction: h >= 1 means covered. The objectives to
 minimize are E_force and E_velocity, the summed shortfalls max(1-h, 0).
-The force LP has a closed form at every joint count D, a ray clipped
-against the torque zonotope; the velocity LP has one for the planar robots
-(D = 2), a ray bounded through J^-1 (at an exactly singular J, a
-two-variable LP along null(J)), and the simplex solves it for other D.
+Both LPs have closed forms at every joint count D. The force ray is
+clipped against the torque zonotope. The velocity ray is bounded through
+J^-1 where D = 2 and J is regular, and everywhere else by the least of the
+LP dual's vertex bounds, one per choice of D + 1 - rank J rows of [G; I_D].
 
 Designs are scored in batches of one shape: make_evaluator's evaluator maps
 a generation's genome rows to objectives and a feasible mask, with G and
@@ -31,11 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
+from math import comb
 from typing import NamedTuple
 
 import numpy as np
 
-from . import simplex
 from .arrangement import (
     ConstantArrangement,
     WireArrangement,
@@ -51,6 +51,7 @@ MIN_RAYS = 8  # fewest boundary rays trace_polygon accepts
 RAY_CAP = 1e6  # where trace_polygon stops a ray through an unbounded set
 QDOT_BOX = 1e6  # formal box on each |qdot_k| in the velocity LPs; binds only on long rays
 _SLACK_TOL = 1e-9  # force rays may miss Z by this much, scaled like the simplex's phase 1
+_MINOR_TOL = 1e-14  # rounding bound of a velocity dual candidate's mu.omega, relative
 
 
 class InfeasibleDesign(Exception):
@@ -208,9 +209,9 @@ def velocity_h_all(G, J, dirs, limits, h_cap):
     of dirs one operational-space direction w_i. Direction i asks for the
     largest h >= 0 with J qdot = h w_i, G qdot inside the wire-speed box and
     qdot inside a wide formal box. Values are clipped to h_cap, which an
-    unbounded ray reads as well. For D = 2 h has a closed form: qdot =
-    h J^-1 w_i where det J != 0, a two-variable LP along null(J) where J is
-    exactly singular. Other D solve one LP per direction.
+    unbounded ray reads as well. h has a closed form: qdot = h J^-1 w_i
+    where D = 2 and det J != 0, the LP dual's least vertex bound at any
+    other D or J. qdot = 0 always holds, so the result is never None.
     """
     h, feasible = _velocity_h(np.asarray(G, dtype=float)[None, None], _velocity_rays([J], dirs),
                               limits, h_cap)
@@ -233,12 +234,14 @@ class _ForceRays(NamedTuple):
 
 
 class _VelocityRays(NamedTuple):
-    """The velocity LP inputs of S joint states; the last two only for D = 2."""
+    """The velocity LP inputs of S joint states: a regular J at D = 2 takes
+    J^-1 w, every other state the dual clip of J's rank r with the (R, W)
+    of dual[r] (see _velocity_h_dual)."""
 
-    J: np.ndarray  # (S, 2, D)
-    dirs: np.ndarray  # (directions, 2), the same at every state
-    inverse: np.ndarray | None  # (S, directions, 2) J^-1 w, 0 where J is singular
-    singular: np.ndarray | None  # (S,) whether J is exactly singular (compensated det == 0)
+    rank: np.ndarray  # (S,) rank of J, decided by its error-free 2x2 column minors
+    reach: np.ndarray  # (S, directions) whether w lies on range(J); h = 0 off it
+    inverse: np.ndarray | None  # (S, directions, 2) J^-1 w at D = 2, 0 where J is singular
+    dual: list  # [None, (v, -w_r) at r = 1, (minors of J, w_0 J_1 - w_1 J_0) at r = 2]
 
 
 def _force_rays(rhs, cols) -> _ForceRays:
@@ -248,64 +251,52 @@ def _force_rays(rhs, cols) -> _ForceRays:
 
 
 def _velocity_rays(J, dirs) -> _VelocityRays:
-    """J^-1 w = adj(J) w / det J, each entry a difference of two error-free
-    products, like the det itself."""
+    """Every product of two entries of J, or of J and w, is taken error-free
+    (_diff_of_products): the 2x2 minors of J decide its rank exactly, the
+    rank-1 range test is the same kind of minor, and J^-1 w = adj(J) w / det J."""
     J = np.asarray(J, dtype=float)
     dirs = np.asarray(dirs, dtype=float)
-    if J.shape[2] != 2:
-        return _VelocityRays(J, dirs, None, None)
-    det = np.array([_diff_of_products(j00, j11, j01, j10) for (j00, j01), (j10, j11) in J.tolist()])
-    singular = det == 0.0
+    s, d = np.arange(len(J)), J.shape[2]
+    pairs = _combinations(d, 2).tolist()  # a few states and pairs: Python floats are faster
+    minors = np.array([[_diff_of_products(j0[a], j1[b], j0[b], j1[a]) for a, b in pairs]
+                       for j0, j1 in J.tolist()]).reshape(len(J), len(pairs))
+    rank = np.where(minors.any(axis=1), 2, np.where(J.any(axis=(1, 2)), 1, 0))
+    reach = np.where((rank == 2)[:, None], True, ~dirs.any(axis=1))  # at J = 0, only w = 0
+    dual = [None, None, None]
+    if (rank == 1).any():  # J's largest row spans its row space, its largest column range(J)
+        row = np.abs(J).max(axis=2).argmax(axis=1)
+        col = J[s, :, np.abs(J).max(axis=1).argmax(axis=1)]
+        on_line = _diff_of_products(col[:, None, 0], dirs[:, 1], col[:, None, 1], dirs[:, 0]) == 0
+        reach |= (rank == 1)[:, None] & on_line
+        dual[1] = J[s, row], -dirs.T[row][..., None]
+    if d != 2:
+        dual[2] = minors, _diff_of_products(dirs[:, 0, None], J[:, None, 1],
+                                            dirs[:, 1, None], J[:, None, 0])
+        return _VelocityRays(rank, reach, None, dual)
     adj = J[:, [[1, 0], [0, 1]], [[1, 0], [1, 0]]]  # [[J11, J00], [J01, J10]] per state
     p, e = _two_product(adj[:, None], dirs[:, _ADJ_PAIRS])
-    u = (p[:, :, 0] - p[:, :, 1]) + (e[:, :, 0] - e[:, :, 1])
-    u /= np.where(singular, 1.0, det)[:, None, None]
-    u[singular] = 0.0
-    return _VelocityRays(J, dirs, u, singular)
+    inverse = (p[:, :, 0] - p[:, :, 1]) + (e[:, :, 0] - e[:, :, 1])
+    inverse /= np.where(rank == 2, minors[:, 0], 1.0)[:, None, None]
+    inverse[rank < 2] = 0.0
+    return _VelocityRays(rank, reach, inverse, dual)
 
 
 def _velocity_h(G, rays, limits, h_cap):
-    if G.shape[3] != 2:
-        return _velocity_h_lps(G, rays, limits, h_cap)
-    shape = (len(rays.J), G.shape[1])
-    if rays.singular.any():
-        G = np.broadcast_to(G, shape + G.shape[2:])
-        regular = ~rays.singular
-        h = np.empty(shape + (len(rays.dirs),))
-        h[regular] = _velocity_h_planar(G[regular], rays.inverse[regular], limits, h_cap)
-        for s in np.flatnonzero(rays.singular):
-            h[s] = _velocity_h_singular(G[s], rays.J[s], rays.dirs, limits, h_cap)
-    else:
-        h = _velocity_h_planar(G, rays.inverse, limits, h_cap)
-    return h, np.ones(shape, dtype=bool)  # qdot = 0 always holds
-
-
-def _velocity_h_lps(G, rays, limits, h_cap):
-    """One LP per state, design and direction, in variables (h, qdot, y):
-    maximize h >= 0 subject to J qdot = h w, y = G qdot, |qdot_k| <= 1e6
-    and y in the wire-speed box. Values are clipped to h_cap, which an
-    unbounded ray reads as well; a design is infeasible at a state where
-    some ray is, and its h there is not read."""
-    m_wires, d = G.shape[2:]
-    G = np.broadcast_to(G, (len(rays.J),) + G.shape[1:])
-    h = np.zeros(G.shape[:2] + (len(rays.dirs),))
-    feasible = np.ones(G.shape[:2], dtype=bool)
-    a = np.zeros((2 + m_wires, 1 + d + m_wires))
-    a[2:, 1 + d :] = -np.eye(m_wires)
-    b, c = np.zeros(2 + m_wires), np.eye(1, a.shape[1])[0]  # c: maximize h
-    lo = np.repeat([0.0, -QDOT_BOX, limits.ldot_min], [1, d, m_wires])
-    up = np.repeat([np.inf, QDOT_BOX, limits.ldot_max], [1, d, m_wires])
-    for s, k in np.ndindex(feasible.shape):
-        a[:2, 1 : 1 + d] = rays.J[s]
-        a[2:, 1 : 1 + d] = G[s, k]
-        for i, w in enumerate(rays.dirs):
-            a[:2, 0] = -w
-            code, _, value = simplex.solve_arrays(a, b, c, lo, up)
-            if code == simplex.INFEASIBLE:
-                feasible[s, k] = False
-                break
-            h[s, k, i] = h_cap if code == simplex.UNBOUNDED else min(value, h_cap)
-    return h, feasible
+    """h (S, P, directions) and the feasible mask, all True: qdot = 0 always holds."""
+    ok = np.ones((len(rays.rank), G.shape[1]), dtype=bool)
+    planar = rays.rank == 2 if rays.inverse is not None else np.zeros(len(ok), dtype=bool)
+    if planar.all():
+        return _velocity_h_planar(G, rays.inverse, limits, h_cap), ok
+    G = np.broadcast_to(G, ok.shape + G.shape[2:])
+    h = np.full(ok.shape + rays.reach.shape[1:], h_cap)  # at J = 0, w = 0 is reached at any h
+    if planar.any():
+        h[planar] = _velocity_h_planar(G[planar], rays.inverse[planar], limits, h_cap)
+    for r in (1, 2):
+        states = np.flatnonzero((rays.rank == r) & ~planar)
+        if len(states):
+            R, W = rays.dual[r]
+            h[states] = _velocity_h_dual(G[states], r, R[states], W[states], limits, h_cap)
+    return np.where(rays.reach[:, None], h, 0.0), ok
 
 
 # --- closed forms ------------------------------------------------------------------
@@ -381,8 +372,16 @@ def _normals(G):
     Moore, J. Mech. Robot. 2(1), 2010); the products with axes close a flat
     Z. For D = 2 they are perp(g_m) and the two axes, for D = 1 just [1].
     """
+    return _minors(G, G.shape[-1] - 1)
+
+
+def _minors(G, k):
+    """The k x k minors of [G; I_D], (..., C(M + D, k), C(D, k)), of every k
+    rows in the columns left by each choice c of D - k columns to drop,
+    signed (-1)^(sum c + (D - k)(D - k - 1) / 2), so that for Q of D - k rows
+    det([rows; Q]) = (-1)^(k (D - k)) sum_c minors[c] det(Q[:, c])."""
     m, d = G.shape[-2:]
-    index, eye, signs = _minor_index(m + d, d)
+    index, eye, signs = _minor_index(m + d, d, k)
     rows = np.empty(G.shape[:-2] + ((m + d) * d,))  # [G; I_D], flattened
     rows[..., : m * d] = G.reshape(G.shape[:-2] + (m * d,))
     rows[..., m * d :] = eye
@@ -390,14 +389,30 @@ def _normals(G):
 
 
 @cache
-def _minor_index(n_rows, d):
-    """For n_rows flattened rows of D entries: the indices (K, D, D - 1, D - 1)
-    of each D - 1 of the rows without column k, I_D flattened, and (-1)^k as
-    a (K, D) array, which multiplies faster than a broadcast (D,) row."""
-    picks = np.array(list(combinations(range(n_rows), d - 1)), dtype=int)
-    cols = np.array([np.delete(np.arange(d), k) for k in range(d)])
-    index = d * picks[:, None, :, None] + cols[None, :, None, :]
-    return index, np.eye(d).ravel(), np.tile((-1.0) ** np.arange(d), (len(picks), 1))
+def _minor_index(n_rows, d, k):
+    """_minors' gather indices (K, C, k, k) into n_rows flattened rows of D
+    entries, I_D flattened, and its signs as a (K, C) array, which
+    multiplies faster than a broadcast (C,) row."""
+    drops = list(combinations(range(d), d - k))
+    cols = np.array([[c for c in range(d) if c not in drop] for drop in drops], dtype=int)
+    index = d * _combinations(n_rows, k)[:, None, :, None] + cols[None, :, None, :]
+    signs = [(-1.0) ** (sum(drop) + (d - k) * (d - k - 1) // 2) for drop in drops]
+    return index, np.eye(d).ravel(), np.tile(signs, (index.shape[0], 1))
+
+
+@cache
+def _combinations(n, k):
+    """Every choice of k of range(n), (C(n, k), k), in combinations order."""
+    return np.array(list(combinations(range(n), k)), dtype=int).reshape(comb(n, k), k)
+
+
+@cache
+def _faces(n, k):
+    """For each choice of k of range(n): where it is without its i-th member
+    among the choices of k - 1, (C(n, k), k)."""
+    where = {c: i for i, c in enumerate(combinations(range(n), k - 1))}
+    return np.array([[where[c[:i] + c[i + 1 :]] for i in range(k)]
+                     for c in combinations(range(n), k)], dtype=int).reshape(comb(n, k), k)
 
 
 def _det(a):
@@ -419,57 +434,40 @@ def _velocity_h_planar(G, inverse, limits, h_cap):
         return np.minimum(h, (QDOT_BOX / np.abs(inverse).max(axis=2))[:, None])
 
 
-def _velocity_h_singular(G, J, dirs, limits, h_cap):
-    """h at an exactly singular J (compensated det J == 0).
+def _velocity_h_dual(G, r, R, W, limits, h_cap):
+    """h from the LP dual, at states where J has rank r and w lies on range(J).
 
-    J qdot = h w has a solution only for w on range(J), decided with the
-    same error-free products as det J; off it, h = 0. With v a nonzero row
-    of J and n = perp(v) spanning null(J), qdot = h s v + t n for the scalar
-    s = w_r / |v|^2 solves J qdot = h w, so h s ranges over the extent, in
-    its first coordinate, of one polygon in (h s, t) per design: the 2M
-    wire-speed lines and the 4 qdot-box lines. J = 0 and w = 0 leave h
-    unbounded.
+    With R the r rows that span J's row space, the LP asks for the largest h
+    with R qdot = h omega and lo <= H qdot <= up, H = [G; I_D] (wire speeds,
+    formal qdot box). Any y, mu with H^T y + R^T mu = 0 and mu.omega != 0
+    bound it: h <= sum_i max(s y_i up_i, s y_i lo_i) / |mu.omega| with
+    s = -sign(mu.omega), and by LP duality h is the least bound of the dual's
+    vertices: the null vectors of [H_S^T | R^T], S any D + 1 - r rows of H,
+    y_i = (-1)^i det([H_(S-i); R]) and mu.omega = det([H_S; W]) (by _minors,
+    up to a shared sign). R and W enter by their minors: at r = 2 the 2x2
+    minors of J and w_0 J_1 - w_1 J_0, error-free, so J enters only through
+    error-free products; at r = 1 v and -omega. Every candidate is
+    dual-feasible: no feasibility test, only a minimum. An S degenerate
+    together with R (repeated, parallel or zero rows, rows in range(J^T)) has
+    y = 0 and mu = 0 exactly: a y_i or mu.omega within its rounding bound,
+    _MINOR_TOL prod_(rows) |h|_1 |R|_1 or |W|_1, is taken as 0, and such an S
+    bounds nothing, as 0/0 in the force clip.
     """
-    n_designs, m = G.shape[:2]
-    if not J.any():
-        return np.tile(np.where(dirs.any(axis=1), 0.0, h_cap), (n_designs, 1))
-    r = int(np.argmax(np.abs(J).max(axis=1)))
-    c = int(np.argmax(np.abs(J).max(axis=0)))  # a nonzero column spans range(J)
-    on_range = _diff_of_products(J[0, c], dirs[:, 1], J[1, c], dirs[:, 0]) == 0.0
-    v = J[r]
-    n = np.array([-v[1], v[0]])
-    s = dirs[:, r] / (v @ v)
-    # a (h s) + b t <= bound: ldot_min <= G qdot <= ldot_max and |qdot_k| <= 1e6
-    gv, gn = G @ v, G @ n
-    box_a = np.broadcast_to([v[0], -v[0], v[1], -v[1]], (n_designs, 4))
-    box_b = np.broadcast_to([n[0], -n[0], n[1], -n[1]], (n_designs, 4))
-    a = np.concatenate((gv, -gv, box_a), axis=1)
-    b = np.concatenate((gn, -gn, box_b), axis=1)
-    bound = np.concatenate((np.full(m, limits.ldot_max), np.full(m, -limits.ldot_min),
-                            np.full(4, QDOT_BOX)))
-    most, least = _lp_max_first(a, b, bound)[:, None], _lp_max_first(-a, b, bound)[:, None]
+    m, d = G.shape[2:]
+    k = d + 1 - r
+    norms = np.concatenate((np.abs(G).sum(axis=3), np.ones(G.shape[:2] + (d,))), axis=2)
+    scale = [_MINOR_TOL * norms[..., _combinations(m + d, j)].prod(axis=3) for j in (k - 1, k)]
+    y = (_minors(G, k - 1) @ R[:, None, :, None])[..., 0]
+    y[np.abs(y) <= scale[0] * np.abs(R).sum(axis=1)[:, None, None]] = 0.0
+    y = y[..., _faces(m + d, k)] * (-1.0) ** np.arange(k)  # (states, designs, choices, k)
+    lo = np.repeat([limits.ldot_min, -QDOT_BOX], [m, d])[_combinations(m + d, k)]
+    up = np.repeat([limits.ldot_max, QDOT_BOX], [m, d])[_combinations(m + d, k)]
+    rise = np.where(y > 0, y * up, y * lo).sum(axis=3)[..., None]  # s = 1, where mu.omega < 0
+    fall = np.where(y < 0, -y * up, -y * lo).sum(axis=3)[..., None]
+    mu = _minors(G, k) @ W[:, None].swapaxes(2, 3)  # (states, designs, choices, directions)
+    mu[np.abs(mu) <= scale[1][..., None] * np.abs(W).sum(axis=2)[:, None, None]] = 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        h = np.where(s > 0, most / s, np.where(s < 0, least / -s, np.inf))
-    return np.where(on_range, np.minimum(h, h_cap), 0.0)
-
-
-def _lp_max_first(a, b, c):
-    """max x over {(x, t): a x + b t <= c}, one polygon per row, all c >= 0.
-
-    Eliminating t (Fourier-Motzkin) leaves the constraints with b = 0 and
-    one per pair of constraints that bound t from opposite sides; each that
-    bounds x from above does so at the vertex of its two lines. Since c >= 0
-    the origin is feasible, and the least of these bounds is the maximum
-    (inf where none bounds x).
-    """
-    ai, bi, ci = a[:, :, None], b[:, :, None], c[:, None]
-    aj, bj, cj = a[:, None, :], b[:, None, :], c[None, :]
-    k = _diff_of_products(aj, bi, ai, bj)
-    pair = (bi > 0) & (bj < 0) & (k > 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vertex = np.where(pair, (cj * bi - ci * bj) / k, np.inf)  # both terms >= 0
-        flat = np.where((b == 0) & (a > 0), c / a, np.inf)
-    return np.minimum(vertex.min(axis=(1, 2)), flat.min(axis=1))
+        return np.fmin.reduce(np.where(mu < 0, rise, fall) / np.abs(mu), axis=2, initial=h_cap)
 
 
 # --- scoring designs over the joint states -----------------------------------------

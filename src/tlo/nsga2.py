@@ -357,22 +357,17 @@ def evolve(
     rng = np.random.default_rng(seed)
     archive = ParetoArchive.empty(space, budget, seed, float(max_objective) + 1.0)
 
-    # the front's minima are those of every feasible row, so only new rows are read
-    best = np.full(2, np.inf)
-
     def record(start: int, end: int):
         archive.front_indices = extend_front(
             archive.objectives[:end], archive.feasible[:end], archive.front_indices, start
         )
-        scored = archive.objectives[start:end][archive.feasible[start:end]]
-        if len(scored):
-            np.minimum(best, scored.min(axis=0), out=best)
-        front_size = len(archive.front_indices)
-        e_force, e_velocity = best.tolist() if front_size else (None, None)
+        # each feasible row is dominated by or equal to a front point: same minima
+        front = archive.objectives[archive.front_indices]
+        e_force, e_velocity = front.min(axis=0).tolist() if len(front) else (None, None)
         archive.history.append({
             "generation": archive.generations,
             "evaluations": end,
-            "front_size": front_size,
+            "front_size": len(front),
             "best_e_force": e_force,
             "best_e_velocity": e_velocity,
         })

@@ -9,9 +9,10 @@ columns, so the tableau is dense and held in Python lists of floats: at
 these sizes every numpy call costs more than the arithmetic it does, and a
 vectorised numpy formulation is slower per LP.
 
-The coverage kernels call it only for robots with D != 2 joints: for D = 2
-both LPs have closed forms, a singular J included, and never reach it. The
-tests also use it as a reference LP next to scipy's linprog.
+The coverage kernels never call it: both LPs have closed forms at every
+joint count, a singular J included. It is the library's general LP solver
+(solve_lp_max), and the tests use it as a reference LP next to scipy's
+linprog.
 """
 
 from __future__ import annotations
@@ -159,8 +160,7 @@ def _solve_core(A, b, c, lo, up):
 
 def solve_arrays(A, b, c, lo, up):
     """(status code, x, value) of the LP of solve_lp_max from float arrays
-    A (m, n), b (m,), c, lo, up (n,); called by the coverage kernels for
-    D != 2, solve_lp_max and the tests."""
+    A (m, n), b (m,), c, lo, up (n,); called by solve_lp_max and the tests."""
     code, x, value = _solve_core(A, b, c, lo, up)
     if code == _STALLED:  # pragma: no cover - Bland's rule prevents cycling
         raise RuntimeError("simplex iteration limit exceeded")

@@ -301,7 +301,9 @@ def test_seeded_optimize_matches_golden_digests(run, tmp_path):
     constant_relaxed_cut_front (no cat genes, population 100) cuts survivors
     inside a front by crowding distance. three_joint, a config path rather
     than a bundled scenario, is a D = 3 robot: its force h comes from the
-    zonotope clip, its velocity LPs go through the simplex.
+    zonotope clip, its velocity h from the LP-dual clip. three_joint_straight
+    puts the straight arm, where J has rank 1, between two bent states, so
+    the dual clip's rank-1 branch and a pass that stacks both ranks run too.
     target1_nograv_screen (budget = population = 500, seed 1000) is the
     first command of the screen_variable benchmark workload at workload
     seed 1: a random generation only, 500 genomes with cats, so it pins

@@ -340,6 +340,23 @@ def check_batch_identity(model, scenario, space, reals, cats):
     return pruned_at
 
 
+def three_joint_pruned_at(middle):
+    """check_batch_identity on 24 random three-joint designs at the states
+    (20, 30, 30), middle and (60, 10, -20) degrees."""
+    model = RobotModel([0.4, 0.4, 0.4, 0.4], [0.0, 4.0, 4.0, 4.0],
+                       moment_arm_ranges=[[-0.1, 0.1]] * 3)
+    limits = ActuatorLimits(10.0, 200.0, -0.4, 0.4)
+    target = TargetSpec([0.0, 0.0], [20.0, 15.0], [0.6, 0.6], 8)
+    scenario = Scenario(limits, target, [np.deg2rad([20, 30, 30]), np.deg2rad(middle),
+                                         np.deg2rad([60, 10, -20])])
+    rng = np.random.default_rng(3)
+    pruned_at = []
+    for space in (DesignSpace("variable", 4, 3, 3), DesignSpace("constant", 5, None, 3)):
+        reals, cats = random_genome_rows(space, 12, rng)
+        pruned_at += check_batch_identity(model, scenario, space, reals, cats)
+    return pruned_at
+
+
 class TestBatchEvaluator:
     # the searches of target1_nograv prune at its first state only
     @pytest.mark.parametrize("name, later_prunes", [
@@ -400,21 +417,14 @@ class TestBatchEvaluator:
                                     reals, cats) == [2]
 
     def test_three_joint_robot(self):
-        # D = 3: force is clipped in closed form on the whole stack, velocity
-        # goes through the simplex one design at a time; three states put a
-        # stack of two states through the second pass
-        model = RobotModel([0.4, 0.4, 0.4, 0.4], [0.0, 4.0, 4.0, 4.0],
-                           moment_arm_ranges=[[-0.1, 0.1]] * 3)
-        limits = ActuatorLimits(10.0, 200.0, -0.4, 0.4)
-        target = TargetSpec([0.0, 0.0], [20.0, 15.0], [0.6, 0.6], 8)
-        scenario = Scenario(limits, target, [np.deg2rad([20, 30, 30]), np.deg2rad([40, 20, 10]),
-                                             np.deg2rad([60, 10, -20])])
-        rng = np.random.default_rng(3)
-        pruned_at = []
-        for space in (DesignSpace("variable", 4, 3, 3), DesignSpace("constant", 5, None, 3)):
-            reals, cats = random_genome_rows(space, 12, rng)
-            pruned_at += check_batch_identity(model, scenario, space, reals, cats)
-        assert 0 < len(pruned_at) < 24
+        # D = 3: force is clipped against Z and velocity bounded by the LP
+        # dual, both on the whole stack; three states put a stack of two
+        # states through the second pass
+        assert 0 < len(three_joint_pruned_at([40, 20, 10])) < 24
+
+    def test_three_joint_robot_at_a_straight_arm(self):
+        # at q = 0 J has rank 1, so the second pass stacks the dual clip's two ranks
+        assert 0 < len(three_joint_pruned_at([0, 0, 0])) < 24
 
     def test_poses_are_built_once_per_evaluator(self, monkeypatch):
         cfg = load_bundled_scenario("target2_nograv")

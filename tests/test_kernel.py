@@ -1,8 +1,9 @@
 """Differential tests of the coverage kernels force_h_all / velocity_h_all.
 
-Force is a closed form at every D: a ray clipped against the torque
-zonotope. Velocity is one for D = 2. Each generated planar case is checked
-against the same LP built here from the public LinearProgram/solve_lp_max,
+Both kernels are closed forms at every D: force a ray clipped against the
+torque zonotope, velocity a ray bounded through J^-1 (D = 2, regular J) or
+by the LP dual's vertices (any other D or J). Each generated planar case is
+checked against the same LP built here from the public LinearProgram/solve_lp_max,
 against scipy's linprog, and (velocity) against an exact rational
 evaluation of the closed form on the same floating-point inputs (at an
 exactly singular J, of its two-variable LP along null(J)); wherever
@@ -13,12 +14,14 @@ J^T w ~ 0, anchors on the zonotope boundary, h at exactly 1 and at h_cap,
 and a single ray that starts outside the zonotope and enters it; the
 gravity torque of a real target1_grav state is put on the zonotope's
 boundary by scaling G. Robots with D != 2 are checked against the LP and
-linprog, force also on flat zonotopes; their velocity goes through the
-simplex."""
+linprog, force also on flat zonotopes, and velocity against an exact
+rational vertex enumeration of its LP at D = 1-4, on degenerate G and J and
+near a singular three-joint J."""
 
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -184,6 +187,71 @@ def exact_singular_velocity_h(G, J, w, limits, h_cap):
             if bi > 0 > bj and aj * bi - ai * bj > 0:
                 bounds.append((cj * bi - ci * bj) / (aj * bi - ai * bj))
     return min(bounds + [Fraction(h_cap)])
+
+
+def _row_reduce(rows, n_cols):
+    """Reduced row echelon form of rational rows over their first n_cols
+    columns: (rows, pivot columns); the rows past the rank are zero there."""
+    rows = [list(row) for row in rows]
+    pivots = []
+    for c in range(n_cols):
+        i = next((i for i in range(len(pivots), len(rows)) if rows[i][c]), None)
+        if i is None:
+            continue
+        top = len(pivots)
+        rows[top], rows[i] = rows[i], rows[top]
+        rows[top] = [x / rows[top][c] for x in rows[top]]
+        for j, row in enumerate(rows):
+            if j != top and row[c]:
+                rows[j] = [a - row[c] * b for a, b in zip(row, rows[top])]
+        pivots.append(c)
+    return rows, pivots
+
+
+def exact_lp_velocity_h(G, J, w, limits, h_cap):
+    """The velocity LP in rationals at any D, by vertex enumeration: max h
+    with J qdot = h w, G qdot in the wire-speed box and qdot in the formal
+    box. Its solutions are qdot = h p + Z t, J p = w and Z a basis of
+    null(J); the largest h is at a vertex of the polytope in (h, t), where
+    1 + dim null(J) of the rows of [G; I_D] sit on a bound. w = 0 leaves h
+    unbounded, and w off range(J) allows only h = 0."""
+    w = [Fraction(x) for x in w]
+    if not any(w):
+        return Fraction(h_cap)
+    m, d = G.shape
+    augmented = [[Fraction(x) for x in row] + [b] for row, b in zip(J.tolist(), w)]
+    rows, pivots = _row_reduce(augmented, d)
+    if any(row[d] and not any(row[:d]) for row in rows):
+        return Fraction(0)
+    p = [Fraction(0)] * d
+    for row, c in zip(rows, pivots):
+        p[c] = row[d]
+    basis = [p]
+    for f in (c for c in range(d) if c not in pivots):
+        z = [Fraction(int(c == f)) for c in range(d)]
+        for row, c in zip(rows, pivots):
+            z[c] = -row[f]
+        basis.append(z)
+    H = [[Fraction(x) for x in g] for g in G.tolist()] + [[Fraction(int(i == j)) for j in range(d)]
+                                                          for i in range(d)]
+    coef = [[sum(a * b for a, b in zip(h, v)) for v in basis] for h in H]  # rows of H in (h, t)
+    bounds = ([(Fraction(limits.ldot_min), Fraction(limits.ldot_max))] * m
+              + [(-Fraction(FORMAL_BOX), Fraction(FORMAL_BOX))] * d)
+    k, best = len(basis), Fraction(0)
+    for S in combinations(range(len(H)), k):
+        inverse, rank = _row_reduce([coef[i] + [Fraction(int(i == j)) for j in S] for i in S], k)
+        if len(rank) < k:
+            continue
+        inverse = [row[k:] for row in inverse]
+        for b in product(*(bounds[i] for i in S)):
+            h = sum(a * c for a, c in zip(inverse[0], b))
+            if h <= best:
+                continue
+            x = [h] + [sum(a * c for a, c in zip(row, b)) for row in inverse[1:]]
+            if all(lo <= sum(a * c for a, c in zip(row, x)) <= up
+                   for row, (lo, up) in zip(coef, bounds)):
+                best = h
+    return min(best, Fraction(h_cap))
 
 
 def exact_singular(J):
@@ -589,7 +657,7 @@ def test_generated_cases_reach_the_corners():
     assert force_h_all(G, start, (start - c0)[None], limits, 1e9) is None
 
 
-# --- robots with D != 2: force clipped in closed form, velocity by the simplex ---------
+# --- robots with D != 2: force clipped against Z, velocity by the LP dual ---------------
 
 
 def _robot(d):
@@ -615,7 +683,7 @@ def test_other_joint_counts_match_linprog(d, monkeypatch):
     target = TargetSpec([0.0, 0.0], [30.0, 20.0], [0.6, 0.6], 8)
     wf, wv = force_directions(target), velocity_directions(target)
     rng = np.random.default_rng(d)
-    scored = pruned = velocity_lps = 0
+    scored = pruned = 0
     while scored < 10:
         assert pruned < 400
         q = rng.uniform(-np.pi / 2, np.pi / 2, d)
@@ -634,12 +702,11 @@ def test_other_joint_counts_match_linprog(d, monkeypatch):
         np.testing.assert_allclose(hf, ref_lp, rtol=0, atol=1e-9)
         np.testing.assert_allclose(hf, ref, rtol=1e-7, atol=1e-7)
         hv = velocity_h_all(G, tables.J, wv, limits, 10.0)
-        velocity_lps += len(calls)
+        assert not calls  # the dual clip, not the simplex, scores velocity
         ref = [capped(linprog_velocity_h(G, tables.J, w, limits), 10.0) for w in wv]
         np.testing.assert_allclose(hv, ref, rtol=1e-7, atol=1e-7)
         scored += 1
     assert pruned >= 1
-    assert velocity_lps >= 8 * scored  # the simplex scored velocity
     # whole designs score through make_evaluator as well, one batch per shape
     scenario = Scenario(limits, target, [rng.uniform(-1, 1, d) for _ in range(2)])
     evaluator = make_evaluator(model, scenario)
@@ -703,3 +770,93 @@ def test_force_kernel_on_flat_zonotopes(d, monkeypatch):
                 assert (hs is None) == any(h is None for h in ref), what
                 if hs is not None:
                     np.testing.assert_allclose(hs, ref, rtol=0, atol=1e-9, err_msg=what)
+
+
+def _exact_rank(J):
+    """rank J from its 2x2 column minors in rationals."""
+    J = [[Fraction(x) for x in row] for row in J.tolist()]
+    if any(J[0][a] * J[1][b] != J[0][b] * J[1][a] for a, b in combinations(range(len(J[0])), 2)):
+        return 2
+    return 1 if any(x for row in J for x in row) else 0
+
+
+def check_velocity_against_exact(G, J, dirs, limits, cap, monkeypatch):
+    """h within 1e-12 of the exact LP on every direction, with the simplex
+    out of reach, and the LPs in agreement at the tolerances of
+    test_velocity_kernel_matches_exact_and_lps where rank J = 2 and
+    cond(J) <= 1e6."""
+    monkeypatch.setattr(simplex, "solve_arrays", None)
+    hs = velocity_h_all(G, J, dirs, limits, cap)
+    monkeypatch.undo()
+    assert hs is not None  # qdot = 0 is always feasible
+    cond = np.linalg.cond(J) if _exact_rank(J) == 2 else np.inf
+    for h, w in zip(hs, dirs):
+        exact = exact_lp_velocity_h(G, J, w, limits, cap)
+        assert abs(Fraction(float(h)) - exact) <= Fraction(1, 10**12) * exact, (h, float(exact))
+        if cond <= 1e6:
+            ref = capped(lp_velocity_h(G, J, w, limits), cap)
+            assert_close(h, ref, rel=1e-7 * cond, abs_tol=1e-9, what="simplex")
+            ref = capped(linprog_velocity_h(G, J, w, limits), cap)
+            assert_close(h, ref, rel=1e-11 * cond, abs_tol=1e-9, what="linprog")
+    return hs
+
+
+def _degenerate_generators(rng, m, d, J):
+    """G of rank 0, 1 and 2 and a full one, each with a duplicate, a x3-scaled
+    and a zero row appended, and one wire with J's rows and 2 J_1 appended,
+    rows in range(J^T) that bind."""
+    kinds = {"rank0": np.zeros((m, d)),
+             "rank1": np.outer(rng.uniform(-1, 1, m), rng.uniform(-0.5, 0.5, d)),
+             "rank2": rng.uniform(-0.5, 0.5, (m, 2)) @ rng.uniform(-1, 1, (2, d)),
+             "full": rng.uniform(-0.5, 0.5, (m, d))}
+    kinds = {kind: np.concatenate((G, G[:1], 3 * G[1:2], np.zeros((1, d))))
+             for kind, G in kinds.items()}
+    kinds["range"] = np.concatenate((rng.uniform(-0.5, 0.5, (1, d)), J, 2 * J[1:]))
+    return kinds
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_velocity_kernel_on_degenerate_inputs(d, monkeypatch):
+    """Rank-deficient, repeated, scaled and zero rows of G, and rows in
+    range(J^T), at a bent arm (rank 2 for D >= 2), rows v and -2 v and a
+    straight arm (q = 0), both of rank 1 exactly, and J = 0; directions off
+    range(J), on it (power-of-two multiples of a column of J) and w = 0. The
+    dual clip never calls the simplex; at D = 2 the bent arm takes J^-1 w."""
+    limits = ActuatorLimits(10.0, 200.0, -0.4, 0.25)
+    rng = np.random.default_rng(d)
+    model = _robot(d)
+    bent = rng.choice([-1, 1], d) * rng.uniform(0.3, 1.2, d)
+    v = rng.uniform(-1, 1, d)
+    for J, rank in ((joint_jacobian(model, bent), min(d, 2)), (np.stack((v, -2.0 * v)), 1),
+                    (joint_jacobian(model, np.zeros(d)), 1), (np.zeros((2, d)), 0)):
+        assert _exact_rank(J) == rank and (rank < 2 or np.linalg.cond(J) < 1e3)
+        col = J[:, np.abs(J).max(axis=0).argmax()]
+        dirs = np.concatenate((ellipse_directions(rng.uniform(0.1, 1.0, 2), 4),
+                               [0.125 * col, -2.0 * col, np.zeros(2)]))
+        for kind, G in _degenerate_generators(rng, 2 if d == 4 else 3, d, J).items():
+            hs = check_velocity_against_exact(G, J, dirs, limits, 10.0, monkeypatch)
+            if d == 2 and _exact_rank(J) < 2:  # the two-joint closed form agrees
+                assert [exact_velocity_h(G, J, w, limits, 10.0) for w in dirs] == [
+                    exact_lp_velocity_h(G, J, w, limits, 10.0) for w in dirs]
+            assert hs[-1] == 10.0  # w = 0 is reached at any h
+
+
+def test_velocity_kernel_near_a_singular_three_joint_j(monkeypatch):
+    """A three-joint arm bent by eps at its outer joints: cond(J) from ~1e3
+    to ~1e9, with directions along J's range, where w_0 J_1 - w_1 J_0
+    cancels. h stays within 1e-12 of exact, since J enters the dual clip
+    only through error-free products; the simplex is off by up to ~2e-8
+    cond(J) there."""
+    model = _robot(3)
+    limits = ActuatorLimits(10.0, 200.0, -0.4, 0.25)
+    rng = np.random.default_rng(7)
+    conds = []
+    for eps in 10.0 ** -np.arange(2.0, 9.5, 0.5):
+        J = joint_jacobian(model, np.array([rng.uniform(-1, 1), eps, -0.6 * eps]))
+        conds.append(np.linalg.cond(J))
+        u = np.linalg.svd(J)[0]
+        dirs = np.concatenate((ellipse_directions(rng.uniform(0.1, 1.0, 2), 4), u.T,
+                               [u[:, 0] + 1e-6 * u[:, 1]], J @ rng.uniform(-1, 1, (3, 2))))
+        G = rng.uniform(-0.5, 0.5, (4, 3))
+        check_velocity_against_exact(G, J, dirs, limits, 10.0, monkeypatch)
+    assert min(conds) < 1e3 and max(conds) > 1e9
