@@ -363,7 +363,7 @@ def _count_at_least(low: int, what: str):
     def count(text: str) -> int:
         n = int(text)
         if n < low:
-            raise argparse.ArgumentTypeError(f"need at least {low} {what}, got {n}")
+            raise argparse.ArgumentTypeError(f"{what} must be at least {low}, got {n}")
         return n
 
     return count
@@ -408,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="cross-check LP scores against exact geometry")
     p.add_argument("--config", required=True, help="constant-mode scenario JSON")
     p.add_argument("--trials", type=_count_at_least(0, "trials"), default=100)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_count_at_least(0, "seed"), default=None)
     p.add_argument("--tol", type=_tolerance, default=1e-6)
     p.set_defaults(fn=cmd_oracle)
     return parser

@@ -2,13 +2,18 @@
 
 Angles are degrees in the file and radians everywhere else. Validation
 errors carry the JSON path and the line it starts on, so a bad field in a
-hand-edited config points straight at the offending line.
+hand-edited config points straight at the offending line. The lines come
+from a walk over the text that only a document failing validation gets:
+json's own `scanstring` decodes each key, so a path reads as in
+`json.loads`, and its scanner skips each scalar.
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
+import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -43,96 +48,37 @@ def _dotted(path: tuple) -> str:
 # --- JSON path -> line index -------------------------------------------------
 
 
-class _Scanner:
-    """Minimal JSON walk that records the line each value starts on."""
-
-    def __init__(self, text: str):
-        self.text = text
-        self.i = 0
-        self.line = 1
-        self.lines: dict[tuple, int] = {}
-
-    def error(self, msg: str):
-        raise ConfigError(msg, (), self.line)
-
-    def skip_ws(self):
-        while self.i < len(self.text) and self.text[self.i] in " \t\r\n":
-            if self.text[self.i] == "\n":
-                self.line += 1
-            self.i += 1
-
-    def expect(self, ch: str):
-        self.skip_ws()
-        if self.i >= len(self.text) or self.text[self.i] != ch:
-            self.error(f"expected {ch!r}")
-        self.i += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.i] if self.i < len(self.text) else ""
-
-    def string(self) -> str:
-        self.expect('"')
-        out = []
-        while True:
-            if self.i >= len(self.text):
-                self.error("unterminated string")
-            c = self.text[self.i]
-            self.i += 1
-            if c == '"':
-                return "".join(out)
-            if c == "\\":
-                self.i += 1  # escapes never contain raw newlines
-                continue
-            if c == "\n":
-                self.line += 1
-            out.append(c)
-
-    def value(self, path: tuple):
-        c = self.peek()
-        self.lines[path] = self.line
-        if c == "{":
-            self.i += 1
-            if self.peek() == "}":
-                self.i += 1
-                return
-            while True:
-                key = self.string()
-                self.expect(":")
-                self.value(path + (key,))
-                c = self.peek()
-                self.i += 1
-                if c == "}":
-                    return
-                if c != ",":
-                    self.error("expected ',' or '}'")
-        elif c == "[":
-            self.i += 1
-            if self.peek() == "]":
-                self.i += 1
-                return
-            idx = 0
-            while True:
-                self.value(path + (idx,))
-                idx += 1
-                c = self.peek()
-                self.i += 1
-                if c == "]":
-                    return
-                if c != ",":
-                    self.error("expected ',' or ']'")
-        elif c == '"':
-            self.string()
-        else:
-            while self.i < len(self.text) and self.text[self.i] not in " \t\r\n,]}":
-                self.i += 1
+_SCAN = json.scanner.make_scanner(json.JSONDecoder())
+_WS = json.decoder.WHITESPACE.match
 
 
 def json_value_lines(text: str) -> dict[tuple, int]:
-    """Line number (1-based) where each JSON value starts, keyed by path."""
-    s = _Scanner(text)
-    s.value(())
-    return s.lines
+    """Line number (1-based) where each value of a valid JSON text starts, keyed by path."""
+    newlines = [m.start() for m in re.finditer("\n", text)]
+    lines: dict[tuple, int] = {}
+
+    def value(i: int, path: tuple) -> int:
+        i = _WS(text, i).end()
+        lines[path] = bisect.bisect(newlines, i) + 1
+        opening = text[i]
+        if opening not in "{[":
+            return _SCAN(text, i)[1]
+        i = _WS(text, i + 1).end()
+        k = 0
+        while text[i] not in "}]":
+            if opening == "{":
+                key, i = json.decoder.scanstring(text, i + 1)
+                i = value(_WS(text, i).end() + 1, path + (key,))  # past the ':'
+            else:
+                i = value(i, path + (k,))
+                k += 1
+            i = _WS(text, i).end()
+            if text[i] == ",":
+                i = _WS(text, i + 1).end()
+        return i + 1
+
+    value(0, ())
+    return lines
 
 
 # --- validated config --------------------------------------------------------
@@ -218,6 +164,8 @@ def optimizer_params(population: int, budget: int, seed: int,
         c.fail(("optimizer", "population"), "population must be even and at least 2")
     if budget < population:
         c.fail(("optimizer", "budget"), "budget must be at least the population size")
+    if seed < 0:
+        c.fail(("optimizer", "seed"), "seed must be at least 0")
     return OptimizerParams(population, budget, seed)
 
 
@@ -350,11 +298,7 @@ def _load_text(text: str, name: str) -> ScenarioConfig:
     try:
         return parse_config(doc, name=name)
     except ConfigError:
-        try:
-            lines = json_value_lines(text)
-        except ConfigError:
-            lines = {}
-        return parse_config(doc, lines, name=name)
+        return parse_config(doc, json_value_lines(text), name=name)
 
 
 def load_config(path: str | Path) -> ScenarioConfig:

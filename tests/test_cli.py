@@ -275,6 +275,25 @@ class TestOptimize:
         assert capsys.readouterr().err == (
             "config error: $.optimizer.population: population must be even and at least 2\n")
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        assert main(
+            ["optimize", "--config", scenario_path("target1_nograv"),
+             "--out", str(tmp_path / "x"), "--seed", "-1"]
+        ) == 2
+        assert capsys.readouterr().err == "config error: $.optimizer.seed: seed must be at least 0\n"
+        assert not (tmp_path / "x").exists()
+
+    def test_negative_scenario_seed_exits_2_at_its_line(self, tmp_path, capsys):
+        doc = json.loads(Path(scenario_path("target1_nograv")).read_text())
+        doc["optimizer"]["seed"] = -3
+        text = json.dumps(doc, indent=2)
+        seed_line = next(i + 1 for i, line in enumerate(text.splitlines()) if '"seed"' in line)
+        bad = tmp_path / "negative_seed.json"
+        bad.write_text(text)
+        assert main(["optimize", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: $.optimizer.seed (line {seed_line}): seed must be at least 0\n")
+
     def test_budget_below_population_exits_2(self, tmp_path, capsys):
         assert main(
             ["optimize", "--config", scenario_path("target1_nograv"),
@@ -656,7 +675,7 @@ class TestOracleCommand:
         ) == 0
 
     @pytest.mark.parametrize("flag, value", [
-        ("--trials", "-3"), ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-0.5"),
+        ("--trials", "-3"), ("--seed", "-1"), ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-0.5"),
     ])
     def test_vacuous_arguments_are_usage_errors(self, flag, value):
         with pytest.raises(SystemExit) as exc:

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tlo import config
 from tlo.config import (
@@ -63,6 +65,44 @@ class TestJsonValueLines:
         text = '{\n "a": "x\\"y",\n "b": 2\n}'
         lines = json_value_lines(text)
         assert lines[("b",)] == 3
+
+
+def test_escaped_keys_decode_as_json_loads():
+    lines = json_value_lines('{"a\\"b": 1,\n "c": 2}')
+    assert lines == {(): 1, ('a"b',): 1, ("c",): 2}
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+def document_paths(node, path=()):
+    """Every JSON path of a decoded document, in document order."""
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from document_paths(child, path + (key,))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(doc=JSON_VALUES, indent=st.sampled_from([None, 0, 1, 2, 4]),
+       separators=st.sampled_from([None, (",", ":"), (", ", ": "), (" ,", " : ")]),
+       ensure_ascii=st.booleans())
+def test_value_lines_follow_any_dumped_document(doc, indent, separators, ensure_ascii):
+    """Escaped and non-ASCII keys, NaN and Infinity, empty containers, any layout."""
+    text = json.dumps(doc, indent=indent, separators=separators, ensure_ascii=ensure_ascii)
+    lines = json_value_lines(text)
+    paths = list(document_paths(json.loads(text)))
+    assert len(lines) == len(paths) and set(lines) == set(paths)
+    in_order = [lines[p] for p in paths]
+    if indent is None:
+        assert set(in_order) == {1}
+    else:
+        assert in_order == sorted(set(in_order))
+        assert in_order[-1] <= text.count("\n") + 1
 
 
 class TestParsing:
@@ -184,6 +224,15 @@ class TestFileLoading:
         path = tmp_path / "myscenario.json"
         path.write_text(json.dumps(MINIMAL))
         assert load_config(path).name == "myscenario"
+
+
+def test_escaped_key_keeps_its_line():
+    text, bad_line = bad_tension_text()
+    escaped = text.replace('"limits"', '"l\\u0069mits"')
+    assert json.loads(escaped) == json.loads(text)
+    with pytest.raises(ConfigError) as err:
+        _load_text(escaped, "escaped")
+    assert str(err.value).startswith(f"$.limits.tension (line {bad_line}): ")
 
 
 class TestLazyLineMap:
