@@ -13,12 +13,13 @@ Designs are scored in batches of one shape: make_evaluator's evaluator maps
 a generation's genome rows to objectives and a feasible mask, with G and
 both kernels carrying leading (state, design) axes. It runs the kernels in
 two passes: state 0 on every design, then all later states stacked on the
-designs state 0 admits. A design is feasible when every state admits it.
-Everything that does not depend on the design (poses, right-hand sides,
-J^-1 w) is built once per evaluator. evaluate scores one design, all its
-states in one pass; trace_polygon casts n_rays unit directions through the
-same pass in place of the ellipse directions. force_h_all and
-velocity_h_all are the one-state, one-design case.
+designs state 0 admits. A design is feasible when every state's force LP
+admits it: qdot = 0 solves every velocity LP. What does not depend on the
+design (poses, right-hand sides, the velocity table, J^-1 w at D = 2) is
+built once per evaluator. evaluate scores one design, all its states in one
+pass; trace_polygon casts n_rays unit directions through the same pass in
+place of the ellipse directions. force_h_all and velocity_h_all (never
+None) are the one-state, one-design case.
 
 The h variable is unbounded inside the LPs; reported values are clipped to
 h_cap afterwards. That makes every score independent of the cap (any cap
@@ -203,22 +204,20 @@ def force_h_all(G, rhs, cols, limits, h_cap):
 
 
 def velocity_h_all(G, J, dirs, limits, h_cap):
-    """h for every velocity direction, or None when any direction is infeasible.
+    """h for every velocity direction, never None: qdot = 0 always holds.
 
     G is the (M, D) muscle Jacobian, J the (2, D) joint Jacobian and each row
     of dirs one operational-space direction w_i. Direction i asks for the
     largest h >= 0 with J qdot = h w_i, G qdot inside the wire-speed box and
     qdot inside a wide formal box. Values are clipped to h_cap, which an
     unbounded ray reads as well. h has a closed form: qdot = h J^-1 w_i
-    where D = 2 and det J != 0, the LP dual's least vertex bound at any
-    other D or J. qdot = 0 always holds, so the result is never None.
+    where D = 2 and det J != 0, the LP dual's least vertex bound elsewhere.
     """
-    h, feasible = _velocity_h(np.asarray(G, dtype=float)[None, None], _velocity_rays([J], dirs),
-                              limits, h_cap)
-    return h[0, 0] if feasible[0, 0] else None
+    return _velocity_h(np.asarray(G, dtype=float)[None, None], _velocity_rays([J], dirs),
+                       limits, h_cap)[0, 0]
 
 
-# --- the kernels on S joint states and P designs: h (S, P, directions), feasible (S, P)
+# --- the kernels on S joint states and P designs: h (S, P, directions), force also feasible (S, P)
 #
 # G comes as (S, P, M, D), or as (1, P, M, D) for designs whose G does not
 # depend on the state; the inputs of each state come stacked along a
@@ -234,14 +233,13 @@ class _ForceRays(NamedTuple):
 
 
 class _VelocityRays(NamedTuple):
-    """The velocity LP inputs of S joint states: a regular J at D = 2 takes
-    J^-1 w, every other state the dual clip of J's rank r with the (R, W)
-    of dual[r] (see _velocity_h_dual)."""
+    """The velocity LP inputs of S joint states: the (R, W) of dual[r] feed the
+    dual clip of the states where J has rank r (see _velocity_h_dual), except
+    at D = 2, where the W of dual[2] is J^-1 w, for _velocity_h_planar."""
 
     rank: np.ndarray  # (S,) rank of J, decided by its error-free 2x2 column minors
     reach: np.ndarray  # (S, directions) whether w lies on range(J); h = 0 off it
-    inverse: np.ndarray | None  # (S, directions, 2) J^-1 w at D = 2, 0 where J is singular
-    dual: list  # [None, (v, -w_r) at r = 1, (minors of J, w_0 J_1 - w_1 J_0) at r = 2]
+    dual: list  # [None, (v, -w_r) at r = 1, (minors of J, w_0 J_1 - w_1 J_0 or J^-1 w) at r = 2]
 
 
 def _force_rays(rhs, cols) -> _ForceRays:
@@ -253,7 +251,9 @@ def _force_rays(rhs, cols) -> _ForceRays:
 def _velocity_rays(J, dirs) -> _VelocityRays:
     """Every product of two entries of J, or of J and w, is taken error-free
     (_diff_of_products): the 2x2 minors of J decide its rank exactly, the
-    rank-1 range test is the same kind of minor, and J^-1 w = adj(J) w / det J."""
+    rank-1 range test is the same kind of minor, and W = w_0 J_1 - w_1 J_0 is
+    formed once. At D = 2 J^-1 w = (W_1, -W_0) / det J replaces it, laid out
+    (2, S, directions) for the planar matmul; 0 - W_0 keeps +0 at W_0 = 0."""
     J = np.asarray(J, dtype=float)
     dirs = np.asarray(dirs, dtype=float)
     s, d = np.arange(len(J)), J.shape[2]
@@ -269,39 +269,33 @@ def _velocity_rays(J, dirs) -> _VelocityRays:
         on_line = _diff_of_products(col[:, None, 0], dirs[:, 1], col[:, None, 1], dirs[:, 0]) == 0
         reach |= (rank == 1)[:, None] & on_line
         dual[1] = J[s, row], -dirs.T[row][..., None]
-    if d != 2:
-        dual[2] = minors, _diff_of_products(dirs[:, 0, None], J[:, None, 1],
-                                            dirs[:, 1, None], J[:, None, 0])
-        return _VelocityRays(rank, reach, None, dual)
-    adj = J[:, [[1, 0], [0, 1]], [[1, 0], [1, 0]]]  # [[J11, J00], [J01, J10]] per state
-    p, e = _two_product(adj[:, None], dirs[:, _ADJ_PAIRS])
-    inverse = (p[:, :, 0] - p[:, :, 1]) + (e[:, :, 0] - e[:, :, 1])
-    inverse /= np.where(rank == 2, minors[:, 0], 1.0)[:, None, None]
-    inverse[rank < 2] = 0.0
-    return _VelocityRays(rank, reach, inverse, dual)
+    W = _diff_of_products(dirs[:, 0, None], J[:, None, 1], dirs[:, 1, None], J[:, None, 0])
+    if d == 2:
+        det = np.where(rank == 2, minors[:, 0], 1.0)[:, None]  # no other state reads it
+        W = (np.stack((W[..., 1], 0.0 - W[..., 0])) / det).transpose(1, 2, 0)
+    dual[2] = minors, W
+    return _VelocityRays(rank, reach, dual)
 
 
 def _velocity_h(G, rays, limits, h_cap):
-    """h (S, P, directions) and the feasible mask, all True: qdot = 0 always holds."""
-    ok = np.ones((len(rays.rank), G.shape[1]), dtype=bool)
-    planar = rays.rank == 2 if rays.inverse is not None else np.zeros(len(ok), dtype=bool)
-    if planar.all():
-        return _velocity_h_planar(G, rays.inverse, limits, h_cap), ok
-    G = np.broadcast_to(G, ok.shape + G.shape[2:])
-    h = np.full(ok.shape + rays.reach.shape[1:], h_cap)  # at J = 0, w = 0 is reached at any h
-    if planar.any():
-        h[planar] = _velocity_h_planar(G[planar], rays.inverse[planar], limits, h_cap)
+    """h (S, P, directions), never masked: J^-1 w at rank 2 and D = 2, else the dual clip."""
+    planar = G.shape[3] == 2
+    if planar and (rays.rank == 2).all():
+        return _velocity_h_planar(G, rays.dual[2][1], limits, h_cap)
+    G = np.broadcast_to(G, (len(rays.rank),) + G.shape[1:])
+    h = np.full(G.shape[:2] + rays.reach.shape[1:], h_cap)  # at J = 0, w = 0 is reached at any h
     for r in (1, 2):
-        states = np.flatnonzero((rays.rank == r) & ~planar)
+        states = np.flatnonzero(rays.rank == r)
         if len(states):
             R, W = rays.dual[r]
-            h[states] = _velocity_h_dual(G[states], r, R[states], W[states], limits, h_cap)
-    return np.where(rays.reach[:, None], h, 0.0), ok
+            h[states] = (_velocity_h_planar(G[states], W[states], limits, h_cap)
+                         if planar and r == 2 else
+                         _velocity_h_dual(G[states], r, R[states], W[states], limits, h_cap))
+    return np.where(rays.reach[:, None], h, 0.0)
 
 
 # --- closed forms ------------------------------------------------------------------
 
-_ADJ_PAIRS = np.array([[0, 1], [1, 0]])  # dirs[:, _ADJ_PAIRS][k] = [[w0, w1], [w1, w0]]
 _SPLIT = 134217729.0  # 2**27 + 1: Veltkamp's constant for splitting a double
 
 
@@ -503,15 +497,13 @@ def _score(model, passes, scenario, links, fractions):
 
 
 def _pass(model, states, links, fractions, limits, h_cap):
-    """The rows of the P designs that every state of one pass admits, and
-    their force and velocity h, (S, rows, directions)."""
+    """The rows of the P designs that every state's force LP of one pass
+    admits, and their force and velocity h, (S, rows, directions)."""
     pose, force, velocity = states
     G = batch_muscle_jacobian(model, links, fractions, pose)
     hf, ok = _force_h(G, force, limits, h_cap)
     rows = np.flatnonzero(ok.all(axis=0))
-    hv, ok = _velocity_h(G[:, rows], velocity, limits, h_cap)
-    ok = ok.all(axis=0)
-    return rows[ok], hf[:, rows[ok]], hv[:, ok]
+    return rows, hf[:, rows], _velocity_h(G[:, rows], velocity, limits, h_cap)
 
 
 def _stack(model: RobotModel, tables: list[StateTables], force_dirs, velocity_dirs):

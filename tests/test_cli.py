@@ -323,6 +323,10 @@ def test_seeded_optimize_matches_golden_digests(run, tmp_path):
     zonotope clip, its velocity h from the LP-dual clip. three_joint_straight
     puts the straight arm, where J has rank 1, between two bent states, so
     the dual clip's rank-1 branch and a pass that stacks both ranks run too.
+    three_joint_constant sends one state-independent G, (1, P, M, 3), through
+    the velocity kernel's broadcast over the states; two_joint_straight puts
+    a straight two-joint arm (rank-1 J, dual clip) before a bent one (J^-1 w),
+    so that one velocity pass runs both kernels.
     target1_nograv_screen (budget = population = 500, seed 1000) is the
     first command of the screen_variable benchmark workload at workload
     seed 1: a random generation only, 500 genomes with cats, so it pins

@@ -42,6 +42,9 @@ from tlo.feasibility import (
     ActuatorLimits,
     Scenario,
     TargetSpec,
+    _diff_of_products,
+    _two_product,
+    _velocity_rays,
     ellipse_directions,
     force_directions,
     force_h_all,
@@ -516,6 +519,59 @@ def test_singular_j_off_its_range_scores_zero_not_pruned():
     assert exact_singular(J)
     assert exact_velocity_h(G, J, w[0], limits, 1.0) == 0
     assert velocity_h_all(G, J, w, limits, 1.0).tolist() == [0.0]
+
+
+def adjugate_inverse(J, dirs):
+    """J^-1 w = adj(J) w / det J of a stack of 2x2 J, (S, directions, 2), from
+    error-free products of adj(J) = [[J11, -J01], [-J10, J00]] with w, in the
+    memory order that this gather leaves: the reference for _velocity_rays'
+    (W_1, -W_0) / det J. Singular states are divided by 1."""
+    adj = J[:, [[1, 0], [0, 1]], [[1, 0], [1, 0]]]  # [[J11, J00], [J01, J10]] per state
+    p, e = _two_product(adj[:, None], dirs[:, [[0, 1], [1, 0]]])  # w as [[w0, w1], [w1, w0]]
+    det = _diff_of_products(J[:, 0, 0], J[:, 1, 1], J[:, 0, 1], J[:, 1, 0])
+    inverse = (p[:, :, 0] - p[:, :, 1]) + (e[:, :, 0] - e[:, :, 1])
+    return inverse / np.where(det != 0, det, 1.0)[:, None, None]
+
+
+@st.composite
+def planar_inverse_cases(draw):
+    """(J, dirs): S = 1-3 two-joint J with entries of magnitude 1e-6 to 1e3,
+    some near-singular (the second column a multiple of the first up to a
+    relative 1e-6, or exactly), and ellipse or random directions, exact 0s
+    included."""
+    magnitude = st.floats(1e-6, 1e3)
+    entry = st.builds(lambda m, sign: sign * m, magnitude, st.sampled_from([-1.0, 1.0]))
+    J = np.array(draw(st.lists(st.lists(entry, min_size=4, max_size=4), min_size=1,
+                               max_size=3))).reshape(-1, 2, 2)
+    for k in range(len(J)):
+        if draw(st.booleans()):
+            scale = draw(st.sampled_from([1.0, -0.5, 3.0]))
+            J[k, :, 1] = J[k, :, 0] * scale * (1.0 + draw(st.floats(-1e-6, 1e-6)))
+    if draw(st.booleans()):
+        radii = np.array(draw(st.lists(st.floats(0.05, 3.0), min_size=2, max_size=2)))
+        dirs = ellipse_directions(radii, draw(st.integers(3, 16)))
+    else:
+        component = st.one_of(st.just(0.0), entry)
+        dirs = np.array(draw(st.lists(st.lists(component, min_size=2, max_size=2), min_size=1,
+                                      max_size=8)))
+    return J, dirs
+
+
+@EXAMPLES
+@given(planar_inverse_cases())
+def test_planar_inverse_is_the_adjugate_formula_bit_for_bit(data):
+    """At D = 2 _velocity_rays keeps J^-1 w = (W_1, -W_0) / det J, with
+    W = w_0 J_1 - w_1 J_0, in dual[2]: since Dekker's products are exact it
+    has the bits and the (2, S, directions) memory order of adj(J) w / det J
+    at every regular J, +0 where a component is 0 included."""
+    J, dirs = data
+    rays = _velocity_rays(J, dirs)
+    inverse, ref = rays.dual[2][1], adjugate_inverse(J, dirs)
+    assert inverse.shape == ref.shape
+    assert ([k for k, n in zip(inverse.strides, inverse.shape) if n > 1]
+            == [k for k, n in zip(ref.strides, ref.shape) if n > 1])  # a length-1 axis has any
+    regular = rays.rank == 2
+    assert inverse[regular].tobytes() == ref[regular].tobytes()
 
 
 # --- the exact polygons of tlo.oracle as a third reference, where J is regular ----
