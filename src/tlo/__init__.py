@@ -49,7 +49,6 @@ from .nsga2 import (
     random_search,
 )
 from .oracle import ConvexPolygon, force_polytope_exact, ray_h, velocity_polytope_exact
-from .simplex import LinearProgram, LPResult, solve_lp_max
 
 __all__ = [
     "ActuatorLimits",
@@ -60,8 +59,6 @@ __all__ = [
     "EvaluationResult",
     "Genome",
     "InfeasibleDesign",
-    "LPResult",
-    "LinearProgram",
     "ParetoArchive",
     "Pose",
     "RobotModel",
@@ -86,7 +83,6 @@ __all__ = [
     "non_dominated_sort",
     "random_search",
     "ray_h",
-    "solve_lp_max",
     "state_tables",
     "trace_polygon",
     "velocity_h_all",

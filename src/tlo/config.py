@@ -215,6 +215,8 @@ def parse_config(doc: dict, lines: dict | None = None, name: str = "scenario") -
         if len(rows) != d:
             c.fail(("robot", "moment_arm_ranges"), f"need one range per joint ({d})")
         arm_ranges = np.array([c.vec(("robot", "moment_arm_ranges", i), 2) for i in range(d)])
+        if np.any(arm_ranges[:, 0] == arm_ranges[:, 1]):
+            c.fail(("robot", "moment_arm_ranges"), "each range needs two different ends")
 
     mode_kind = c.get(("mode", "kind"), str)
     if mode_kind not in ("variable", "constant"):

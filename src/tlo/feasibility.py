@@ -51,7 +51,7 @@ DEFAULT_H_CAP = 10.0
 MIN_RAYS = 8  # fewest boundary rays trace_polygon accepts
 RAY_CAP = 1e6  # where trace_polygon stops a ray through an unbounded set
 QDOT_BOX = 1e6  # formal box on each |qdot_k| in the velocity LPs; binds only on long rays
-_SLACK_TOL = 1e-9  # force rays may miss Z by this much, scaled like the simplex's phase 1
+_SLACK_TOL = 1e-9  # force rays may miss Z by this times max(1, |rhs|_inf) in the L1 norm
 _MINOR_TOL = 1e-14  # rounding bound of a velocity dual candidate's mu.omega, relative
 
 
@@ -326,10 +326,11 @@ def _force_h(G, rays, limits, h_cap):
     |n . (x - c0)| <= w(n) = (f_max - f_min)/2 sum_m |n . g_m|. The slabs of
     _normals cut out Z exactly, also a flat one. h is where the ray leaves
     Z, also when rhs lies outside Z and the ray enters it. Whether a ray
-    meets Z at all is decided with the simplex's phase-1 allowance: a slab
-    may be missed by 1e-9 max(1, |rhs|_inf) in the L1 norm of the phase-1
-    residual, which is that times |n|_inf along n. A design is infeasible at
-    a state when some ray misses Z there.
+    meets Z at all is decided with an allowance: a point of the ray may lie
+    1e-9 max(1, |rhs|_inf) from Z in the L1 norm, so a slab may be missed by
+    |n|_inf times that along n. It is the residual that the reference
+    simplex of the tests allows in its phase 1. A design is infeasible at a
+    state when some ray misses Z there.
     """
     normals = _normals(G)
     width = 0.5 * (limits.f_max - limits.f_min) * np.abs(normals @ G.swapaxes(2, 3)).sum(axis=3)

@@ -39,7 +39,7 @@ class RobotModel:
     per link, the two endpoints (in the link frame) of the straight segment
     that wire relay points may occupy. moment_arm_ranges is only consulted
     for constant-moment-arm designs: per joint, the (start, end) arm values
-    in meters that fractions 0 and 1 map to.
+    in meters that fractions 0 and 1 map to, two different values.
     """
 
     link_lengths: np.ndarray
@@ -75,6 +75,8 @@ class RobotModel:
             self.moment_arm_ranges = np.asarray(self.moment_arm_ranges, dtype=float)
             if self.moment_arm_ranges.shape != (self.n_joints, 2):
                 raise ValueError("moment_arm_ranges must be (D, 2)")
+            if np.any(self.moment_arm_ranges[:, 0] == self.moment_arm_ranges[:, 1]):
+                raise ValueError("each moment arm range needs two different ends")
 
     @property
     def n_joints(self) -> int:

@@ -9,10 +9,9 @@ columns, so the tableau is dense and held in Python lists of floats: at
 these sizes every numpy call costs more than the arithmetic it does, and a
 vectorised numpy formulation is slower per LP.
 
-The coverage kernels never call it: both LPs have closed forms at every
-joint count, a singular J included. It is the library's general LP solver
-(solve_lp_max), and the tests use it as a reference LP next to scipy's
-linprog.
+The tests use it as a reference LP next to scipy's linprog and an exact
+rational evaluation. The package does not: its coverage kernels are closed
+forms at every joint count, a singular J included.
 """
 
 from __future__ import annotations

@@ -294,6 +294,22 @@ class TestOptimize:
         assert capsys.readouterr().err == (
             f"config error: $.optimizer.seed (line {seed_line}): seed must be at least 0\n")
 
+    def test_zero_width_arm_range_exits_2_at_its_line(self, tmp_path, capsys):
+        """Both ends equal would give the search a gene that changes nothing,
+        and evaluate could not map the arms of its designs back to fractions."""
+        doc = json.loads(Path(scenario_path("constant_relaxed")).read_text())
+        doc["robot"]["moment_arm_ranges"] = [[-0.4, 0.4], [0.05, 0.05]]
+        text = json.dumps(doc, indent=2)
+        line = next(i + 1 for i, row in enumerate(text.splitlines()) if '"moment_arm_ranges"' in row)
+        bad = tmp_path / "zero_width.json"
+        bad.write_text(text)
+        assert main(["optimize", "--config", str(bad), "--out", str(tmp_path / "x"),
+                     "--budget", "200", "--population", "20"]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: $.robot.moment_arm_ranges (line {line}): "
+            "each range needs two different ends\n")
+        assert not (tmp_path / "x").exists()
+
     def test_budget_below_population_exits_2(self, tmp_path, capsys):
         assert main(
             ["optimize", "--config", scenario_path("target1_nograv"),

@@ -3,11 +3,12 @@
 Both kernels are closed forms at every D: force a ray clipped against the
 torque zonotope, velocity a ray bounded through J^-1 (D = 2, regular J) or
 by the LP dual's vertices (any other D or J). Each generated planar case is
-checked against the same LP built here from the public LinearProgram/solve_lp_max,
-against scipy's linprog, and (velocity) against an exact rational
-evaluation of the closed form on the same floating-point inputs (at an
-exactly singular J, of its two-variable LP along null(J)); wherever
-J is regular the exact polygons of tlo.oracle are a third reference. The cases
+checked against the same LP solved by the reference simplex of
+tests/reference_lp.py, against scipy's linprog, and (velocity) against an
+exact rational evaluation of the closed form on the same floating-point
+inputs (at an exactly singular J, of its two-variable LP along null(J));
+wherever J is regular the exact polygons of tlo.oracle are a third
+reference. The cases
 aim at the degenerate geometry: rank-0/1 and parallel-row G, joint states
 near q2 = 0 and q2 = pi, exactly singular J, force directions with
 J^T w ~ 0, anchors on the zonotope boundary, h at exactly 1 and at h_cap,
@@ -36,7 +37,7 @@ from conftest import (
     random_constant_design,
     random_variable_design,
 )
-from tlo import simplex
+from reference_lp import LinearProgram, solve_lp_max
 from tlo.arrangement import muscle_jacobian
 from tlo.feasibility import (
     ActuatorLimits,
@@ -56,7 +57,6 @@ from tlo.feasibility import (
 from tlo.config import load_config
 from tlo.model import RobotModel, gravity_torque, joint_jacobian
 from tlo.oracle import force_polytope_exact, ray_h, velocity_polytope_exact
-from tlo.simplex import LinearProgram, solve_lp_max
 
 FORMAL_BOX = 1e6  # the kernels' bound on |qdot_k|
 EXAMPLES = settings(max_examples=300, deadline=None, derandomize=True)
@@ -730,10 +730,7 @@ def _random_design(rng, d):
 
 
 @pytest.mark.parametrize("d", [1, 3, 4])
-def test_other_joint_counts_match_linprog(d, monkeypatch):
-    calls = []
-    solve = simplex.solve_arrays
-    monkeypatch.setattr(simplex, "solve_arrays", lambda *a: calls.append(1) or solve(*a))
+def test_other_joint_counts_match_linprog(d):
     model = _robot(d)
     limits = ActuatorLimits(10.0, 200.0, -0.4, 0.4)
     target = TargetSpec([0.0, 0.0], [30.0, 20.0], [0.6, 0.6], 8)
@@ -748,9 +745,7 @@ def test_other_joint_counts_match_linprog(d, monkeypatch):
         cols = wf @ tables.J
         ref_lp = [capped(lp_force_h(G, tables.rhs, c, limits), 10.0) for c in cols]
         ref = [capped(linprog_force_h(G, tables.rhs, c, limits), 10.0) for c in cols]
-        calls.clear()
         hf = force_h_all(G, tables.rhs, cols, limits, 10.0)
-        assert not calls  # the zonotope clip, not the simplex, scores force
         assert (hf is None) == any(h is None for h in ref) == any(h is None for h in ref_lp)
         if hf is None:
             pruned += 1
@@ -758,7 +753,6 @@ def test_other_joint_counts_match_linprog(d, monkeypatch):
         np.testing.assert_allclose(hf, ref_lp, rtol=0, atol=1e-9)
         np.testing.assert_allclose(hf, ref, rtol=1e-7, atol=1e-7)
         hv = velocity_h_all(G, tables.J, wv, limits, 10.0)
-        assert not calls  # the dual clip, not the simplex, scores velocity
         ref = [capped(linprog_velocity_h(G, tables.J, w, limits), 10.0) for w in wv]
         np.testing.assert_allclose(hv, ref, rtol=1e-7, atol=1e-7)
         scored += 1
@@ -806,20 +800,17 @@ def _anchors(rng, G, limits):
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
-def test_force_kernel_on_flat_zonotopes(d, monkeypatch):
+def test_force_kernel_on_flat_zonotopes(d):
     """Rank-deficient G at every D, with the anchor at Z's center, at a
     vertex, on a facet and outside; rays point anywhere, nowhere, along a
-    generator and to the center. The clip never calls the simplex."""
-    solve = simplex.solve_arrays
+    generator and to the center."""
     limits = ActuatorLimits(10.0, 200.0, -0.4, 0.4)
     rng = np.random.default_rng(d)
     for G in (G for _ in range(2) for G in _flat_generators(rng, 5, d).values()):
         for rhs in _anchors(rng, G, limits).values():
             cols = np.concatenate((rng.uniform(-40, 40, (3, d)), np.zeros((1, d)),
                                    G[:1], (zonotope_center(G, limits) - rhs)[None]))
-            monkeypatch.setattr(simplex, "solve_arrays", None)
             hs = force_h_all(G, rhs, cols, limits, 10.0)
-            monkeypatch.setattr(simplex, "solve_arrays", solve)
             for reference in (lp_force_h, linprog_force_h):
                 ref = [capped(reference(G, rhs, c, limits), 10.0) for c in cols]
                 what = reference.__name__
@@ -836,14 +827,11 @@ def _exact_rank(J):
     return 1 if any(x for row in J for x in row) else 0
 
 
-def check_velocity_against_exact(G, J, dirs, limits, cap, monkeypatch):
-    """h within 1e-12 of the exact LP on every direction, with the simplex
-    out of reach, and the LPs in agreement at the tolerances of
-    test_velocity_kernel_matches_exact_and_lps where rank J = 2 and
-    cond(J) <= 1e6."""
-    monkeypatch.setattr(simplex, "solve_arrays", None)
+def check_velocity_against_exact(G, J, dirs, limits, cap):
+    """h within 1e-12 of the exact LP on every direction, and the LPs in
+    agreement at the tolerances of test_velocity_kernel_matches_exact_and_lps
+    where rank J = 2 and cond(J) <= 1e6."""
     hs = velocity_h_all(G, J, dirs, limits, cap)
-    monkeypatch.undo()
     assert hs is not None  # qdot = 0 is always feasible
     cond = np.linalg.cond(J) if _exact_rank(J) == 2 else np.inf
     for h, w in zip(hs, dirs):
@@ -872,12 +860,12 @@ def _degenerate_generators(rng, m, d, J):
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
-def test_velocity_kernel_on_degenerate_inputs(d, monkeypatch):
+def test_velocity_kernel_on_degenerate_inputs(d):
     """Rank-deficient, repeated, scaled and zero rows of G, and rows in
     range(J^T), at a bent arm (rank 2 for D >= 2), rows v and -2 v and a
     straight arm (q = 0), both of rank 1 exactly, and J = 0; directions off
-    range(J), on it (power-of-two multiples of a column of J) and w = 0. The
-    dual clip never calls the simplex; at D = 2 the bent arm takes J^-1 w."""
+    range(J), on it (power-of-two multiples of a column of J) and w = 0. At
+    D = 2 the bent arm takes J^-1 w."""
     limits = ActuatorLimits(10.0, 200.0, -0.4, 0.25)
     rng = np.random.default_rng(d)
     model = _robot(d)
@@ -890,14 +878,14 @@ def test_velocity_kernel_on_degenerate_inputs(d, monkeypatch):
         dirs = np.concatenate((ellipse_directions(rng.uniform(0.1, 1.0, 2), 4),
                                [0.125 * col, -2.0 * col, np.zeros(2)]))
         for kind, G in _degenerate_generators(rng, 2 if d == 4 else 3, d, J).items():
-            hs = check_velocity_against_exact(G, J, dirs, limits, 10.0, monkeypatch)
+            hs = check_velocity_against_exact(G, J, dirs, limits, 10.0)
             if d == 2 and _exact_rank(J) < 2:  # the two-joint closed form agrees
                 assert [exact_velocity_h(G, J, w, limits, 10.0) for w in dirs] == [
                     exact_lp_velocity_h(G, J, w, limits, 10.0) for w in dirs]
             assert hs[-1] == 10.0  # w = 0 is reached at any h
 
 
-def test_velocity_kernel_near_a_singular_three_joint_j(monkeypatch):
+def test_velocity_kernel_near_a_singular_three_joint_j():
     """A three-joint arm bent by eps at its outer joints: cond(J) from ~1e3
     to ~1e9, with directions along J's range, where w_0 J_1 - w_1 J_0
     cancels. h stays within 1e-12 of exact, since J enters the dual clip
@@ -914,5 +902,5 @@ def test_velocity_kernel_near_a_singular_three_joint_j(monkeypatch):
         dirs = np.concatenate((ellipse_directions(rng.uniform(0.1, 1.0, 2), 4), u.T,
                                [u[:, 0] + 1e-6 * u[:, 1]], J @ rng.uniform(-1, 1, (3, 2))))
         G = rng.uniform(-0.5, 0.5, (4, 3))
-        check_velocity_against_exact(G, J, dirs, limits, 10.0, monkeypatch)
+        check_velocity_against_exact(G, J, dirs, limits, 10.0)
     assert min(conds) < 1e3 and max(conds) > 1e9

@@ -141,6 +141,7 @@ def test_rot90():
         dict(link_lengths=[0.4, -0.6], link_masses=[0.0, 4.0]),
         dict(link_lengths=[0.4, 0.6], link_masses=[0.0, -1.0]),
         dict(link_lengths=[0.4, 0.6], link_masses=[0.0]),
+        dict(link_lengths=[0.4, 0.6], link_masses=[0.0, 4.0], moment_arm_ranges=[[0.05, 0.05]]),
     ],
 )
 def test_model_validation(kwargs):

@@ -1,11 +1,19 @@
+"""The reference simplex of tests/reference_lp.py, against brute-force vertex
+enumeration and its own seeded bits; and that the package ships no LP solver."""
+
 import hashlib
 import itertools
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tlo.simplex import (
+import tlo
+from reference_lp import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
@@ -13,6 +21,27 @@ from tlo.simplex import (
     solve_arrays,
     solve_lp_max,
 )
+
+
+def test_the_package_ships_no_lp_solver(tmp_path):
+    """Importing tlo, tlo.cli and every other tlo module loads neither the
+    reference LP nor a tlo.simplex, and there is no tlo.simplex to find."""
+    src = Path(tlo.__file__).resolve().parent
+    script = (
+        "import importlib, importlib.util, pkgutil, sys\n"
+        "import tlo, tlo.cli\n"
+        "for module in pkgutil.iter_modules(tlo.__path__, 'tlo.'):\n"
+        "    importlib.import_module(module.name)\n"
+        "assert 'tlo.simplex' not in sys.modules and 'reference_lp' not in sys.modules\n"
+        "assert importlib.util.find_spec('tlo.simplex') is None\n"
+        "print(' '.join(sorted(name for name in sys.modules if name.startswith('tlo.'))))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src.parent)})
+    assert proc.returncode == 0, proc.stderr
+    # every module file of the package was imported, so none was left unchecked
+    assert {f"tlo.{p.stem}" for p in src.glob("*.py") if p.stem != "__init__"} <= set(
+        proc.stdout.split())
 
 
 def enumerate_vertices_max(a, b, c, lo, up):
