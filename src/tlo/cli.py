@@ -28,7 +28,8 @@ from .arrangement import (
     muscle_jacobian,
     space_for,
 )
-from .config import ConfigError, ScenarioConfig, load_config, optimizer_params, parse_config
+from .config import (ConfigError, ScenarioConfig, load_config, optimizer_params, parse_config,
+                     read_json)
 from .feasibility import (
     MIN_RAYS,
     InfeasibleDesign,
@@ -85,22 +86,14 @@ def _json_text(obj) -> str:
 
 def _effective_raw(cfg: ScenarioConfig) -> dict:
     """Config echo with the optimizer values written out, defaults included."""
-    raw = json.loads(json.dumps(cfg.raw))
-    raw["optimizer"] = {
-        "population": cfg.optimizer.population,
-        "budget": cfg.optimizer.budget,
-        "seed": cfg.optimizer.seed,
-    }
-    return raw
+    opt = cfg.optimizer
+    return {**cfg.raw, "optimizer": {"population": opt.population, "budget": opt.budget,
+                                     "seed": opt.seed}}
 
 
-def cmd_optimize(args) -> int:
-    cfg = load_config(args.config)
-    opt = optimizer_params(cfg.optimizer.population if args.population is None else args.population,
-                           cfg.optimizer.budget if args.budget is None else args.budget,
-                           cfg.optimizer.seed if args.seed is None else args.seed)
-    cfg = replace(cfg, optimizer=opt)
-
+def optimize(cfg: ScenarioConfig):
+    """The search a config describes -> (archive, timings): total_s, the wall
+    time of evolve, and evaluate_s, the time inside evaluator calls."""
     scenario = cfg.scenario()
     evaluator = make_evaluator(cfg.robot, scenario)
     evaluate_s = 0.0
@@ -113,17 +106,16 @@ def cmd_optimize(args) -> int:
         finally:
             evaluate_s += time.perf_counter() - t
 
+    opt = cfg.optimizer
     t0 = time.perf_counter()
-    archive = evolve(
-        timed_evaluator,
-        cfg.space,
-        population=opt.population,
-        budget=opt.budget,
-        seed=opt.seed,
-        max_objective=scenario.max_objective,
-    )
-    elapsed = time.perf_counter() - t0
+    archive = evolve(timed_evaluator, cfg.space, population=opt.population, budget=opt.budget,
+                     seed=opt.seed, max_objective=scenario.max_objective)
+    return archive, {"total_s": time.perf_counter() - t0, "evaluate_s": evaluate_s}
 
+
+def run_files(archive, cfg: ScenarioConfig, timings: dict) -> dict[str, str]:
+    """The texts of tlo optimize's four artifacts, {name: text}, in writing
+    order; built from the arguments alone, with no clock and no file."""
     # csv.writer's bytes: no field needs quoting, and rows end in \r\n;
     # float.__repr__ is repr for floats and raises on anything else
     n_r, n_c = cfg.space.n_reals, cfg.space.n_cats
@@ -155,8 +147,7 @@ def cmd_optimize(args) -> int:
             designs)
     ]
     n_feasible = int(archive.feasible.sum())
-    out = Path(args.out)
-    _write_files(out, {
+    return {
         "samples.csv": "\r\n".join(samples) + "\r\n",
         "pareto.json": _json_text({
             "schema_version": 2,
@@ -169,30 +160,34 @@ def cmd_optimize(args) -> int:
         "run_meta.json": _json_text({
             "schema_version": 1,
             "seed": archive.seed,
-            "budget": opt.budget,
-            "population": opt.population,
+            "budget": cfg.optimizer.budget,
+            "population": cfg.optimizer.population,
             "generations": archive.generations,
             "evaluation_count": archive.evaluation_count,
             "n_feasible": n_feasible,
             "n_pruned": archive.evaluation_count - n_feasible,
-            "timings": {"total_s": elapsed, "evaluate_s": evaluate_s},
+            "timings": timings,
             "tool_version": __version__,
             "config": _effective_raw(cfg),
         }),
-    })
+    }
+
+
+def cmd_optimize(args) -> int:
+    cfg = load_config(args.config)
+    opt = cfg.optimizer
+    cfg = replace(cfg, optimizer=optimizer_params(
+        opt.population if args.population is None else args.population,
+        opt.budget if args.budget is None else args.budget,
+        opt.seed if args.seed is None else args.seed))
+    archive, timings = optimize(cfg)
+    out = Path(args.out)
+    _write_files(out, run_files(archive, cfg, timings))
     print(
         f"{cfg.name}: {archive.evaluation_count} evaluations, "
-        f"{n_feasible} feasible, front size {len(archive.front_indices)} -> {out}"
+        f"{int(archive.feasible.sum())} feasible, front size {len(archive.front_indices)} -> {out}"
     )
     return EXIT_OK
-
-
-def _load_design(path: str, cfg: ScenarioConfig):
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid design JSON: {exc.msg}", (), exc.lineno) from exc
-    return _parse_design(doc, cfg)
 
 
 def _parse_design(doc, cfg: ScenarioConfig):
@@ -213,7 +208,7 @@ def _parse_design(doc, cfg: ScenarioConfig):
 
 def cmd_evaluate(args) -> int:
     cfg = load_config(args.config)
-    design = _load_design(args.design, cfg)
+    design = _parse_design(read_json(args.design, "design JSON")[0], cfg)
     scenario = cfg.scenario()
 
     result = evaluate(cfg.robot, design, scenario)
@@ -273,10 +268,7 @@ def _plot_states(report: dict) -> list[list[np.ndarray]]:
 
 
 def cmd_plot(args) -> int:
-    try:
-        report = json.loads(Path(args.report).read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid report JSON: {exc.msg}", (), exc.lineno) from exc
+    report, _ = read_json(args.report, "report JSON")
     from .svgplot import arrangement_panel, space_panel
 
     if not isinstance(report, dict) or not {"scenario", "design"} <= report.keys():

@@ -291,20 +291,27 @@ def parse_config(doc: dict, lines: dict | None = None, name: str = "scenario") -
     )
 
 
-def _load_text(text: str, name: str) -> ScenarioConfig:
-    """Parse scenario text; only an invalid one is scanned for lines and parsed again."""
+def read_json(path: str | Path, what: str = "JSON") -> tuple[object, str]:
+    """A JSON file's document and text. The file is decoded as UTF-8, as RFC 8259
+    requires; bytes that do not decode and text that does not parse raise
+    ConfigError ("invalid <what>: ...") at their line."""
     try:
-        doc = json.loads(text)
+        text = Path(path).read_text(encoding="utf-8")
+        return json.loads(text), text
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"invalid {what}: {exc}", (), line) from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON: {exc.msg}", (), exc.lineno) from exc
-    try:
-        return parse_config(doc, name=name)
-    except ConfigError:
-        return parse_config(doc, json_value_lines(text), name=name)
+        raise ConfigError(f"invalid {what}: {exc.msg}", (), exc.lineno) from exc
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
-    return _load_text(Path(path).read_text(), Path(path).stem)
+    """Read a scenario file; only an invalid one is scanned for lines and parsed again."""
+    doc, text = read_json(path)
+    try:
+        return parse_config(doc, name=Path(path).stem)
+    except ConfigError:
+        return parse_config(doc, json_value_lines(text), name=Path(path).stem)
 
 
 def bundled_scenario_names() -> list[str]:
@@ -313,4 +320,4 @@ def bundled_scenario_names() -> list[str]:
 
 
 def load_bundled_scenario(name: str) -> ScenarioConfig:
-    return _load_text((resources.files("tlo") / "scenarios" / f"{name}.json").read_text(), name)
+    return load_config(resources.files("tlo") / "scenarios" / f"{name}.json")

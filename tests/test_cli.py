@@ -1,10 +1,14 @@
+import builtins
 import csv
 import errno
 import hashlib
+import io
 import json
 import os
+import time
 import xml.etree.ElementTree as ET
 from collections import Counter
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -14,8 +18,8 @@ import pytest
 import tlo.cli
 import tlo.feasibility
 from conftest import DEFAULT_STATES_DEG
-from tlo.cli import main
-from tlo.config import parse_config
+from tlo.cli import main, optimize, run_files
+from tlo.config import ScenarioConfig, load_config, optimizer_params, parse_config
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 DATA = Path(__file__).parent / "data"
@@ -81,7 +85,25 @@ def base_only_design(tmp_path: Path) -> Path:
     return path
 
 
+def utf16_copy(text: str, path: Path) -> Path:
+    """text as UTF-16 with its byte-order mark, ff fe: what some editors save as "Unicode"."""
+    path.write_bytes(b"\xff\xfe" + text.encode("utf-16-le"))
+    return path
+
+
+def assert_not_utf8(capsys, what: str) -> None:
+    """One config error line for a file whose first byte, 0xff, is not UTF-8."""
+    assert capsys.readouterr().err == (
+        f"config error: document (line 1): invalid {what}: 'utf-8' codec can't decode "
+        "byte 0xff in position 0: invalid start byte\n")
+
+
 OPTIMIZE_ARTIFACTS = ("samples.csv", "pareto.json", "run_meta.json", "progress.ndjson")
+
+
+def seeded_config(config: str, population: int, budget: int, seed: int) -> ScenarioConfig:
+    """The config at a path with the optimizer settings tlo optimize's overrides give."""
+    return replace(load_config(config), optimizer=optimizer_params(population, budget, seed))
 
 
 class TestOptimize:
@@ -318,6 +340,13 @@ class TestOptimize:
         assert capsys.readouterr().err == (
             "config error: $.optimizer.budget: budget must be at least the population size\n")
 
+    def test_utf16_config_exits_2(self, tmp_path, capsys):
+        config = utf16_copy(Path(scenario_path("target2_nograv")).read_text(),
+                            tmp_path / "utf16.json")
+        assert main(["optimize", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+        assert_not_utf8(capsys, "JSON")
+        assert not (tmp_path / "x").exists()
+
 
 GOLDEN_RUNS = json.loads((GOLDEN / "optimize_digests.json").read_text())["runs"]
 
@@ -359,6 +388,37 @@ def test_seeded_optimize_matches_golden_digests(run, tmp_path):
     assert code == 0
     for name, digest in run["sha256"].items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+    # the same run in-process, with no argparse and no disk: given main's
+    # timings, run_files returns the bytes main wrote, run_meta.json included
+    cfg = seeded_config(config, run["population"], run["budget"], run["seed"])
+    archive, _ = optimize(cfg)
+    timings = json.loads((out / "run_meta.json").read_text())["timings"]
+    files = run_files(archive, cfg, timings)
+    for name, digest in run["sha256"].items():
+        assert hashlib.sha256(files[name].encode()).hexdigest() == digest, name
+    assert {name: text.encode() for name, text in files.items()} == {
+        name: (out / name).read_bytes() for name in OPTIMIZE_ARTIFACTS}
+
+
+def test_run_files_reads_no_clock_and_no_file(monkeypatch):
+    cfg = seeded_config(scenario_path("target2_nograv"), 20, 200, 0)
+    archive, timings = optimize(cfg)
+    assert timings.keys() == {"total_s", "evaluate_s"}
+    fixed = {"total_s": 1.5, "evaluate_s": 0.25}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("run_files read a clock or a file")
+
+    with monkeypatch.context() as m:
+        for name in ("time", "perf_counter", "monotonic", "process_time"):
+            m.setattr(time, name, refuse)
+        m.setattr(builtins, "open", refuse)
+        m.setattr(io, "open", refuse)
+        first, second = run_files(archive, cfg, fixed), run_files(archive, cfg, fixed)
+    assert list(first) == ["samples.csv", "pareto.json", "progress.ndjson", "run_meta.json"]
+    assert first == second
+    assert json.loads(first["run_meta.json"])["timings"] == fixed
 
 
 class TestEvaluate:
@@ -496,6 +556,15 @@ class TestEvaluate:
         ) == 2
         assert "config error:" in capsys.readouterr().err
 
+    def test_utf16_design_exits_2(self, tmp_path, capsys):
+        design = utf16_copy(base_only_design(tmp_path).read_text(), tmp_path / "utf16.json")
+        assert main(
+            ["evaluate", "--config", str(zero_center_config(tmp_path)),
+             "--design", str(design), "--out", str(tmp_path / "x")]
+        ) == 2
+        assert_not_utf8(capsys, "design JSON")
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("key, value", [
         ("link", 1.9), ("link", True), ("frac", "0.5"), ("frac", False),
     ])
@@ -620,6 +689,14 @@ class TestPlot:
         report.write_text('{"x": 1}')
         assert main(["plot", str(report), "--out", str(tmp_path / "plots")]) == 2
         assert "config error:" in capsys.readouterr().err
+
+    def test_utf16_report_exits_2(self, tmp_path, capsys):
+        out_eval, _ = self.run_pipeline(tmp_path)
+        report = utf16_copy((out_eval / "report.json").read_text(), tmp_path / "utf16.json")
+        plots = tmp_path / "utf16_plots"
+        assert main(["plot", str(report), "--out", str(plots)]) == 2
+        assert_not_utf8(capsys, "report JSON")
+        assert not plots.exists()
 
     @pytest.mark.parametrize("per_state", [
         [{}],

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from tlo import config
 from tlo.config import (
     ConfigError,
-    _load_text,
     bundled_scenario_names,
     json_value_lines,
     load_bundled_scenario,
@@ -215,10 +214,13 @@ class TestFileLoading:
             load_config(path)
         assert "line 3" in str(err.value)
 
-    def test_syntax_error_line_from_text(self):
+    def test_non_utf8_bytes_are_a_config_error_at_their_line(self, tmp_path):
+        """JSON files are UTF-8 (RFC 8259); a Latin-1 byte fails at its line."""
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{\n "schema_version": 1,\n "notes": "caf\xe9"\n}')
         with pytest.raises(ConfigError) as err:
-            _load_text('{\n "schema_version": 1,\n oops\n}', "broken")
-        assert "line 3" in str(err.value)
+            load_config(path)
+        assert str(err.value).startswith("document (line 3): invalid JSON: 'utf-8' codec ")
 
     def test_name_from_filename(self, tmp_path):
         path = tmp_path / "myscenario.json"
@@ -226,12 +228,14 @@ class TestFileLoading:
         assert load_config(path).name == "myscenario"
 
 
-def test_escaped_key_keeps_its_line():
+def test_escaped_key_keeps_its_line(tmp_path):
     text, bad_line = bad_tension_text()
     escaped = text.replace('"limits"', '"l\\u0069mits"')
     assert json.loads(escaped) == json.loads(text)
+    path = tmp_path / "escaped.json"
+    path.write_text(escaped)
     with pytest.raises(ConfigError) as err:
-        _load_text(escaped, "escaped")
+        load_config(path)
     assert str(err.value).startswith(f"$.limits.tension (line {bad_line}): ")
 
 

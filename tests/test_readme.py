@@ -25,3 +25,6 @@ def test_library_example_scores_a_feasible_design():
     assert archive.evaluation_count == 200
     front = archive.objectives[archive.front_indices]
     assert len(front) and np.all(np.isfinite(front)) and np.all(front < archive.sentinel)
+    assert list(namespace["files"]) == ["samples.csv", "pareto.json", "progress.ndjson",
+                                        "run_meta.json"]
+    assert namespace["run_archive"].evaluation_count == 200
