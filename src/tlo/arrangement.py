@@ -69,7 +69,7 @@ class ConstantArrangement:
         self.fractions = np.asarray(self.fractions, dtype=float)
         if self.fractions.ndim != 2 or self.fractions.shape[0] < 1:
             raise ValueError("fractions must be an (M, D) matrix")
-        if np.any(self.fractions < 0) or np.any(self.fractions > 1):
+        if not np.all((self.fractions >= 0) & (self.fractions <= 1)):  # NaN fails
             raise ValueError("arm fractions must lie in [0, 1]")
 
     @property
@@ -80,22 +80,18 @@ class ConstantArrangement:
 WireArrangement = VariableArrangement | ConstantArrangement
 
 
-def relay_world_positions(
-    model: RobotModel, design: VariableArrangement, q: np.ndarray, pose: Pose | None = None
-) -> np.ndarray:
+def relay_world_positions(model: RobotModel, design: VariableArrangement,
+                          q: np.ndarray) -> np.ndarray:
     """World positions of every relay point, (M, N, 2)."""
     if not isinstance(design, VariableArrangement):
         raise TypeError("relay points exist only for variable arrangements")
-    if pose is None:
-        pose = forward_kinematics(model, q)
-    return _relay_points(model, design.links, design.fractions, pose)
+    return _relay_points(model, design.links, design.fractions, forward_kinematics(model, q))
 
 
 def _relay_points(model: RobotModel, links: np.ndarray, fractions: np.ndarray,
                   pose: Pose) -> np.ndarray:
     """World positions (..., 2) of relay points given as matching link and
-    fraction arrays; a pose with a leading state axis (state_poses) adds
-    that axis in front."""
+    fraction arrays; a pose with leading state axes adds them in front."""
     # checked before indexing, where numpy would wrap a negative link around
     if links.size:
         lo, hi = links.min(), links.max()
@@ -132,20 +128,15 @@ def muscle_jacobian(model: RobotModel, design: WireArrangement, q: np.ndarray) -
     """(M, D) matrix G with ldot = G qdot; see batch_muscle_jacobian."""
     if isinstance(design, ConstantArrangement):
         return batch_muscle_jacobian(model, None, design.fractions, None)[0]
-    return batch_muscle_jacobian(model, design.links, design.fractions, state_poses(model, [q]))[0]
-
-
-def state_poses(model: RobotModel, joint_states) -> Pose:
-    """The poses of S joint states, every Pose field with a leading state axis."""
-    poses = [forward_kinematics(model, q) for q in joint_states]
-    return Pose(np.array([p.link_angles for p in poses]), np.array([p.link_origins for p in poses]),
-                np.array([p.joint_positions for p in poses]), np.array([p.ee_position for p in poses]))
+    pose = forward_kinematics(model, np.asarray(q, dtype=float)[None])
+    return batch_muscle_jacobian(model, design.links, design.fractions, pose)[0]
 
 
 def batch_muscle_jacobian(model: RobotModel, links: np.ndarray | None, fractions: np.ndarray,
                           pose: Pose | None) -> np.ndarray:
     """G (S, ..., M, D) of designs of one shape at the S joint states of pose
-    (state_poses), the designs stacked along the axes after the first.
+    (forward_kinematics of an (S, D) stack), the designs stacked along the
+    axes after the first.
 
     Variable designs come as matching (..., M, N) link and fraction arrays;
     the polyline lengths are differentiated analytically, and segments

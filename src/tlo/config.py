@@ -293,10 +293,11 @@ def parse_config(doc: dict, lines: dict | None = None, name: str = "scenario") -
 
 def read_json(path: str | Path, what: str = "JSON") -> tuple[object, str]:
     """A JSON file's document and text. The file is decoded as UTF-8, as RFC 8259
-    requires; bytes that do not decode and text that does not parse raise
-    ConfigError ("invalid <what>: ...") at their line."""
+    requires, and a leading byte-order mark is ignored, as it allows; bytes that
+    do not decode and text that does not parse raise ConfigError ("invalid
+    <what>: ...") at their line."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
         return json.loads(text), text
     except UnicodeDecodeError as exc:
         line = exc.object.count(b"\n", 0, exc.start) + 1

@@ -43,9 +43,8 @@ from .arrangement import (
     batch_muscle_jacobian,
     genome_rows_decode,
     genome_space,
-    state_poses,
 )
-from .model import RobotModel, gravity_torque, joint_jacobian
+from .model import RobotModel, forward_kinematics, gravity_torque, joint_jacobian
 
 DEFAULT_H_CAP = 10.0
 MIN_RAYS = 8  # fewest boundary rays trace_polygon accepts
@@ -72,8 +71,11 @@ class TargetSpec:
         self.force_center = np.asarray(self.force_center, dtype=float).reshape(2)
         self.force_radii = np.asarray(self.force_radii, dtype=float).reshape(2)
         self.velocity_radii = np.asarray(self.velocity_radii, dtype=float).reshape(2)
-        if np.any(self.force_radii <= 0) or np.any(self.velocity_radii <= 0):
-            raise ValueError("ellipse radii must be positive")
+        if not np.isfinite(self.force_center).all():
+            raise ValueError("force center must be finite")
+        radii = np.concatenate((self.force_radii, self.velocity_radii))
+        if not np.all((radii > 0) & (radii < np.inf)):  # NaN fails
+            raise ValueError("ellipse radii must be positive and finite")
         if self.n_directions < 3:
             raise ValueError("need at least 3 ellipse directions")
 
@@ -86,10 +88,10 @@ class ActuatorLimits:
     ldot_max: float
 
     def __post_init__(self):
-        if not 0 < self.f_min < self.f_max:
-            raise ValueError("need 0 < f_min < f_max")
-        if not self.ldot_min < 0 < self.ldot_max:
-            raise ValueError("need ldot_min < 0 < ldot_max")
+        if not 0 < self.f_min < self.f_max < np.inf:  # NaN fails
+            raise ValueError("need 0 < f_min < f_max, all finite")
+        if not -np.inf < self.ldot_min < 0 < self.ldot_max < np.inf:
+            raise ValueError("need ldot_min < 0 < ldot_max, all finite")
 
 
 @dataclass
@@ -106,8 +108,10 @@ class Scenario:
         if not self.joint_states:
             raise ValueError("need at least one evaluated joint state")
         self.joint_states = [np.asarray(q, dtype=float) for q in self.joint_states]
-        if self.h_cap < 1.0:
-            raise ValueError("h_cap below 1 would distort the objectives")
+        if not all(np.isfinite(q).all() for q in self.joint_states):
+            raise ValueError("joint states must be finite")
+        if not 1.0 <= self.h_cap < np.inf:  # NaN fails
+            raise ValueError("h_cap must be finite; below 1 it would distort the objectives")
 
     @property
     def max_objective(self) -> float:
@@ -510,7 +514,7 @@ def _pass(model, states, links, fractions, limits, h_cap):
 def _stack(model: RobotModel, tables: list[StateTables], force_dirs, velocity_dirs):
     """The design-independent inputs of one kernel pass over the states of
     tables along the (directions, 2) tip-space directions: poses and rays."""
-    return (state_poses(model, [t.q for t in tables]),
+    return (forward_kinematics(model, np.array([t.q for t in tables])),
             _force_rays([t.rhs for t in tables], [force_dirs @ t.J for t in tables]),
             _velocity_rays([t.J for t in tables], velocity_dirs))
 

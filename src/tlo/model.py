@@ -53,28 +53,32 @@ class RobotModel:
         self.link_masses = np.asarray(self.link_masses, dtype=float)
         if self.link_lengths.ndim != 1 or len(self.link_lengths) < 2:
             raise ValueError("need LINK_0 plus at least one movable link")
-        if np.any(self.link_lengths <= 0):
-            raise ValueError("link lengths must be positive")
+        # each check is written so that NaN fails it
+        if not np.all((self.link_lengths > 0) & (self.link_lengths < np.inf)):
+            raise ValueError("link lengths must be positive and finite")
         if len(self.link_masses) != len(self.link_lengths):
             raise ValueError("link_masses must align with link_lengths")
-        if np.any(self.link_masses < 0):
-            raise ValueError("link masses must be non-negative")
+        if not np.all((self.link_masses >= 0) & (self.link_masses < np.inf)):
+            raise ValueError("link masses must be non-negative and finite")
         if self.attach_segments is None:
             self.attach_segments = default_attach_segments(self.link_lengths)
         self.attach_segments = np.asarray(self.attach_segments, dtype=float)
         if self.attach_segments.shape != (len(self.link_lengths), 2, 2):
             raise ValueError("attach_segments must be (D+1, 2, 2)")
-        for d, seg in enumerate(self.attach_segments):
-            limit = self.link_lengths[d] + _SEGMENT_X_TOL
-            if np.any(np.abs(seg[:, 0]) > limit):
-                raise ValueError(f"attach segment of link {d} extends past the link")
+        if not np.isfinite(self.attach_segments).all():
+            raise ValueError("attach segments must be finite")
+        past = np.abs(self.attach_segments[..., 0]).max(axis=1) > self.link_lengths + _SEGMENT_X_TOL
+        if past.any():
+            raise ValueError(f"attach segment of link {past.argmax()} extends past the link")
         self.gravity = np.asarray(self.gravity, dtype=float)
-        if self.gravity.shape != (2,):
-            raise ValueError("gravity must be a 2-vector")
+        if self.gravity.shape != (2,) or not np.isfinite(self.gravity).all():
+            raise ValueError("gravity must be a finite 2-vector")
         if self.moment_arm_ranges is not None:
             self.moment_arm_ranges = np.asarray(self.moment_arm_ranges, dtype=float)
             if self.moment_arm_ranges.shape != (self.n_joints, 2):
                 raise ValueError("moment_arm_ranges must be (D, 2)")
+            if not np.isfinite(self.moment_arm_ranges).all():
+                raise ValueError("moment arm ranges must be finite")
             if np.any(self.moment_arm_ranges[:, 0] == self.moment_arm_ranges[:, 1]):
                 raise ValueError("each moment arm range needs two different ends")
 
@@ -99,61 +103,58 @@ class Pose:
 
 
 def forward_kinematics(model: RobotModel, q: np.ndarray) -> Pose:
-    """Pose of every link for joint angles q (radians, length D)."""
+    """Pose of every link for joint angles q (radians), (..., D); the leading
+    axes of q lead every Pose field."""
     q = np.asarray(q, dtype=float)
     d = model.n_joints
-    if q.shape != (d,):
+    if q.shape[-1:] != (d,):
         raise ValueError(f"expected {d} joint angles, got shape {q.shape}")
-    angles = np.zeros(d + 1)
-    angles[1:] = np.cumsum(q)
-    origins = np.zeros((d + 1, 2))
-    for k in range(1, d + 1):
-        a = angles[k - 1]
-        origins[k] = origins[k - 1] + model.link_lengths[k - 1] * np.array(
-            [np.cos(a), np.sin(a)]
-        )
-    ee = origins[d] + model.link_lengths[d] * np.array(
-        [np.cos(angles[d]), np.sin(angles[d])]
-    )
-    return Pose(angles, origins, origins[1:], ee)
+    # cumulative sums as np.add.accumulate, np.cumsum's ufunc without its
+    # per-call overhead: most calls are one state
+    angles = np.zeros(q.shape[:-1] + (d + 1,))
+    np.add.accumulate(q, axis=-1, out=angles[..., 1:])
+    # each link's step from its origin to the next one, summed in link order:
+    # the origins of links 1..D and, last, the tip
+    ends = np.add.accumulate(model.link_lengths[:, None] * _directions(angles), axis=-2)
+    origins = np.zeros_like(ends)
+    origins[..., 1:, :] = ends[..., :-1, :]
+    return Pose(angles, origins, origins[..., 1:, :], ends[..., -1, :])
+
+
+def _directions(angles: np.ndarray) -> np.ndarray:
+    """Unit vectors (cos a, sin a), (..., 2)."""
+    out = np.empty(angles.shape + (2,))
+    out[..., 0], out[..., 1] = np.cos(angles), np.sin(angles)
+    return out
 
 
 def joint_jacobian(model: RobotModel, q: np.ndarray) -> np.ndarray:
-    """2xD Jacobian of the end-effector position wrt joint angles."""
+    """(..., 2, D) Jacobian of the end-effector position wrt joint angles."""
     pose = forward_kinematics(model, q)
-    return rot90(pose.ee_position - pose.joint_positions).T
+    return np.swapaxes(rot90(pose.ee_position[..., None, :] - pose.joint_positions), -1, -2)
 
 
 def link_centers_of_mass(model: RobotModel, pose: Pose) -> np.ndarray:
-    """World COM of each movable link (midpoint, uniform density), (D, 2)."""
-    d = model.n_joints
-    coms = np.empty((d, 2))
-    for k in range(1, d + 1):
-        a = pose.link_angles[k]
-        coms[k - 1] = pose.link_origins[k] + 0.5 * model.link_lengths[k] * np.array(
-            [np.cos(a), np.sin(a)]
-        )
-    return coms
+    """World COM of each movable link (midpoint, uniform density), (..., D, 2)."""
+    half = 0.5 * model.link_lengths[1:, None]
+    return pose.link_origins[..., 1:, :] + half * _directions(pose.link_angles[..., 1:])
 
 
-def potential_energy(model: RobotModel, q: np.ndarray) -> float:
-    """Gravitational potential energy of the movable links."""
-    pose = forward_kinematics(model, q)
-    coms = link_centers_of_mass(model, pose)
-    return float(np.sum(model.link_masses[1:] * (-(coms @ model.gravity))))
+def potential_energy(model: RobotModel, q: np.ndarray) -> np.ndarray:
+    """Gravitational potential energy of the movable links, one per state of q."""
+    coms = link_centers_of_mass(model, forward_kinematics(model, q))
+    return np.sum(model.link_masses[1:] * (-(coms @ model.gravity)), axis=-1)
 
 
 def gravity_torque(model: RobotModel, q: np.ndarray) -> np.ndarray:
-    """Joint torque that holds the pose statically against gravity.
+    """Joint torque (..., D) that holds the pose statically against gravity.
 
     Equals the gradient of potential_energy wrt the joint angles.
     """
     pose = forward_kinematics(model, q)
     coms = link_centers_of_mass(model, pose)
-    d = model.n_joints
-    tau = np.zeros(d)
-    for k in range(d):
-        # joint k moves links k+1..D
-        arms = rot90(coms[k:] - pose.joint_positions[k])
-        tau[k] = np.sum(model.link_masses[k + 1 :] * (-(arms @ model.gravity)))
-    return tau
+    # moments[..., k, j]: link j+1's weight about joint_positions[k]; that
+    # joint moves links k+1..D, so only j >= k counts
+    arms = rot90(coms[..., None, :, :] - pose.joint_positions[..., :, None, :])
+    moments = model.link_masses[1:] * (-(arms @ model.gravity))
+    return np.sum(np.triu(moments), axis=-1)

@@ -172,7 +172,7 @@ def arrangement_panel(model, design, q, title: str) -> str:
     wires = None
     pts = joints
     if not isinstance(design, ConstantArrangement):
-        wires = relay_world_positions(model, design, q, pose)
+        wires = relay_world_positions(model, design, q)
         pts = np.vstack([joints, wires.reshape(-1, 2)])
     frame = _Frame(pts[:, 0], pts[:, 1])
     body = _axes(frame, "x [m]", "y [m]")

@@ -282,3 +282,7 @@ class TestValidation:
     def test_constant_fraction_range(self):
         with pytest.raises(ValueError):
             ConstantArrangement(np.array([[0.5, 1.2]]))
+
+    def test_constant_fraction_not_a_number(self):
+        with pytest.raises(ValueError):
+            ConstantArrangement([[np.nan, 0.5], [0.2, 0.3]])

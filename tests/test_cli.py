@@ -91,6 +91,13 @@ def utf16_copy(text: str, path: Path) -> Path:
     return path
 
 
+def bom_copy(text: str, path: Path) -> Path:
+    """text as UTF-8 behind a byte-order mark, ef bb bf, which RFC 8259 lets a parser ignore."""
+    path.parent.mkdir(exist_ok=True)
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    return path
+
+
 def assert_not_utf8(capsys, what: str) -> None:
     """One config error line for a file whose first byte, 0xff, is not UTF-8."""
     assert capsys.readouterr().err == (
@@ -347,6 +354,16 @@ class TestOptimize:
         assert_not_utf8(capsys, "JSON")
         assert not (tmp_path / "x").exists()
 
+    def test_utf8_bom_config_runs_as_the_plain_file(self, tmp_path):
+        plain = Path(scenario_path("target2_nograv"))
+        config = bom_copy(plain.read_text(), tmp_path / "bom" / plain.name)
+        for path, out in ((plain, "run-plain"), (config, "run-bom")):
+            assert main(["optimize", "--config", str(path), "--out", str(tmp_path / out),
+                         "--budget", "40", "--population", "20", "--seed", "0"]) == 0
+        for name in ("samples.csv", "pareto.json", "progress.ndjson"):
+            assert (tmp_path / "run-bom" / name).read_bytes() == (
+                tmp_path / "run-plain" / name).read_bytes()
+
 
 GOLDEN_RUNS = json.loads((GOLDEN / "optimize_digests.json").read_text())["runs"]
 
@@ -565,6 +582,16 @@ class TestEvaluate:
         assert_not_utf8(capsys, "design JSON")
         assert not (tmp_path / "x").exists()
 
+    def test_utf8_bom_design_evaluates_as_the_plain_file(self, tmp_path):
+        plain = base_only_design(tmp_path)
+        design = bom_copy(plain.read_text(), tmp_path / "bom" / plain.name)
+        config = zero_center_config(tmp_path)
+        for path, out in ((plain, "eval-plain"), (design, "eval-bom")):
+            assert main(["evaluate", "--config", str(config), "--design", str(path),
+                         "--out", str(tmp_path / out)]) == 0
+        assert (tmp_path / "eval-bom" / "report.json").read_bytes() == (
+            tmp_path / "eval-plain" / "report.json").read_bytes()
+
     @pytest.mark.parametrize("key, value", [
         ("link", 1.9), ("link", True), ("frac", "0.5"), ("frac", False),
     ])
@@ -697,6 +724,15 @@ class TestPlot:
         assert main(["plot", str(report), "--out", str(plots)]) == 2
         assert_not_utf8(capsys, "report JSON")
         assert not plots.exists()
+
+    def test_utf8_bom_report_plots_as_the_plain_file(self, tmp_path):
+        out_eval, plots = self.run_pipeline(tmp_path)
+        report = bom_copy((out_eval / "report.json").read_text(), tmp_path / "bom" / "report.json")
+        assert main(["plot", str(report), "--out", str(tmp_path / "bom_plots")]) == 0
+        svgs = sorted(p.name for p in plots.iterdir())
+        assert sorted(p.name for p in (tmp_path / "bom_plots").iterdir()) == svgs
+        for name in svgs:
+            assert (tmp_path / "bom_plots" / name).read_bytes() == (plots / name).read_bytes()
 
     @pytest.mark.parametrize("per_state", [
         [{}],

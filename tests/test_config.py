@@ -222,6 +222,22 @@ class TestFileLoading:
             load_config(path)
         assert str(err.value).startswith("document (line 3): invalid JSON: 'utf-8' codec ")
 
+    def test_utf8_bom_is_ignored_and_keeps_error_lines(self, tmp_path):
+        """A leading byte-order mark (RFC 8259 lets a parser ignore it) is no
+        newline: errors after it keep their lines."""
+        path = tmp_path / "bom.json"
+        path.write_bytes(b"\xef\xbb\xbf" + json.dumps(MINIMAL).encode())
+        assert load_config(path).raw == MINIMAL
+        text, bad_line = bad_tension_text()
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert str(err.value).startswith(f"$.limits.tension (line {bad_line}): ")
+        path.write_bytes(b'\xef\xbb\xbf{\n "schema_version": 1,\n "notes": "caf\xe9"\n}')
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert str(err.value).startswith("document (line 3): invalid JSON: 'utf-8' codec ")
+
     def test_name_from_filename(self, tmp_path):
         path = tmp_path / "myscenario.json"
         path.write_text(json.dumps(MINIMAL))

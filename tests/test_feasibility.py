@@ -12,7 +12,7 @@ from conftest import (
     random_variable_design,
     worked_constant_design,
 )
-import tlo.arrangement
+import tlo.feasibility
 from tlo.arrangement import (
     ConstantArrangement,
     DesignSpace,
@@ -429,10 +429,14 @@ class TestBatchEvaluator:
     def test_poses_are_built_once_per_evaluator(self, monkeypatch):
         cfg = load_bundled_scenario("target2_nograv")
         calls = []
-        monkeypatch.setattr(tlo.arrangement, "forward_kinematics",
+        monkeypatch.setattr(tlo.feasibility, "forward_kinematics",
                             lambda *args: calls.append(args) or forward_kinematics(*args))
         evaluator = make_evaluator(cfg.robot, cfg.scenario())
-        assert len(calls) == len(cfg.scenario().joint_states)
+        # one stacked call per kernel pass: the first state, then the other three
+        states = np.array(cfg.scenario().joint_states)
+        assert len(calls) == 2
+        np.testing.assert_array_equal(calls[0][1], states[:1])
+        np.testing.assert_array_equal(calls[1][1], states[1:])
         reals, cats = random_genome_rows(cfg.space, 100, np.random.default_rng(0))
         calls.clear()
         assert evaluator(reals, cats)[1].any()
@@ -594,3 +598,35 @@ class TestTracePolygon:
         state = state_tables(paper_model, Q_BENT, zero_center_target, False)
         with pytest.raises(ValueError):
             trace_polygon(paper_model, all_on_base_design(), [state], paper_limits, n_rays=4)
+
+
+class TestValidation:
+    """NaN and infinities fail the constructors' checks, as out-of-range values do."""
+
+    @pytest.mark.parametrize("center, force_radii, velocity_radii", [
+        ([np.nan, 0.0], [1.0, 1.0], [1.0, 1.0]),
+        ([0.0, np.inf], [1.0, 1.0], [1.0, 1.0]),
+        ([0.0, 0.0], [np.nan, 1.0], [1.0, 1.0]),
+        ([0.0, 0.0], [1.0, np.inf], [1.0, 1.0]),
+        ([0.0, 0.0], [1.0, 1.0], [1.0, np.nan]),
+        ([0.0, 0.0], [1.0, 1.0], [np.inf, 1.0]),
+        ([0.0, 0.0], [0.0, 1.0], [1.0, 1.0]),
+    ])
+    def test_target(self, center, force_radii, velocity_radii):
+        with pytest.raises(ValueError):
+            TargetSpec(center, force_radii, velocity_radii, 8)
+
+    @pytest.mark.parametrize("limits", [(10.0, np.inf, -0.4, 0.4), (10.0, 200.0, -np.inf, 0.4),
+                                        (10.0, 200.0, -0.4, np.inf), (np.nan, 200.0, -0.4, 0.4)])
+    def test_limits(self, limits):
+        with pytest.raises(ValueError):
+            ActuatorLimits(*limits)
+
+    @pytest.mark.parametrize("h_cap", [np.nan, np.inf, 0.5])
+    def test_h_cap(self, paper_limits, zero_center_target, h_cap):
+        with pytest.raises(ValueError, match="h_cap"):
+            Scenario(paper_limits, zero_center_target, [Q_BENT], h_cap=h_cap)
+
+    def test_joint_states(self, paper_limits, zero_center_target):
+        with pytest.raises(ValueError, match="joint states"):
+            Scenario(paper_limits, zero_center_target, [Q_BENT, [0.3, np.nan]])

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from tlo.model import (
+    Pose,
     RobotModel,
     forward_kinematics,
     gravity_torque,
     joint_jacobian,
+    link_centers_of_mass,
     potential_energy,
     rot90,
 )
@@ -130,6 +132,97 @@ def test_gravity_torque_matches_potential_gradient(paper_model):
             assert abs(tau[k] - fd) < 1e-4
 
 
+# The single-state kinematics as loops over the joints: the reference for
+# the stacked forms.
+
+
+def loop_forward_kinematics(model, q):
+    d = model.n_joints
+    angles = np.zeros(d + 1)
+    angles[1:] = np.cumsum(q)
+    origins = np.zeros((d + 1, 2))
+    for k in range(1, d + 1):
+        a = angles[k - 1]
+        origins[k] = origins[k - 1] + model.link_lengths[k - 1] * np.array(
+            [np.cos(a), np.sin(a)]
+        )
+    ee = origins[d] + model.link_lengths[d] * np.array(
+        [np.cos(angles[d]), np.sin(angles[d])]
+    )
+    return Pose(angles, origins, origins[1:], ee)
+
+
+def loop_joint_jacobian(model, q):
+    pose = loop_forward_kinematics(model, q)
+    return rot90(pose.ee_position - pose.joint_positions).T
+
+
+def loop_gravity_torque(model, q):
+    pose = loop_forward_kinematics(model, q)
+    d = model.n_joints
+    coms = np.empty((d, 2))
+    for k in range(1, d + 1):
+        a = pose.link_angles[k]
+        coms[k - 1] = pose.link_origins[k] + 0.5 * model.link_lengths[k] * np.array(
+            [np.cos(a), np.sin(a)]
+        )
+    tau = np.zeros(d)
+    for k in range(d):
+        arms = rot90(coms[k:] - pose.joint_positions[k])
+        tau[k] = np.sum(model.link_masses[k + 1 :] * (-(arms @ model.gravity)))
+    return tau
+
+
+POSE_FIELDS = ("link_angles", "link_origins", "joint_positions", "ee_position")
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("s", [1, 2, 3, 4, 5])
+def test_stacked_kinematics_equal_per_state_and_loop_forms(d, s):
+    rng = np.random.default_rng(10 * d + s)
+    lengths, masses = rng.uniform(0.1, 1.0, d + 1), rng.uniform(0.0, 5.0, d + 1)
+    states = rng.uniform(-np.pi, np.pi, (s, d))
+    # With gravity along an axis, as in every bundled scenario, each moment
+    # is one exact product, so the loop form's (D - k, 2) @ gravity rounds as
+    # the stacked form does. Off the axes numpy's one-row product (k = D - 1)
+    # may round the last moment differently by an ulp, so there the loop form
+    # is matched to within a few ulps of the largest possible moment sum.
+    for gravity in ([0.0, -rng.uniform(1, 20)], [rng.uniform(-20, 20), 0.0], rng.normal(size=2)):
+        model = RobotModel(lengths, masses, gravity=gravity)
+        pose = forward_kinematics(model, states)
+        jac = joint_jacobian(model, states)
+        tau = gravity_torque(model, states)
+        assert jac.shape == (s, 2, d) and tau.shape == (s, d)
+        for i, q in enumerate(states):
+            one, ref = forward_kinematics(model, q), loop_forward_kinematics(model, q)
+            for name in POSE_FIELDS:
+                np.testing.assert_array_equal(getattr(pose, name)[i], getattr(one, name))
+                np.testing.assert_array_equal(getattr(pose, name)[i], getattr(ref, name))
+            np.testing.assert_array_equal(jac[i], joint_jacobian(model, q))
+            np.testing.assert_array_equal(jac[i], loop_joint_jacobian(model, q))
+            np.testing.assert_array_equal(tau[i], gravity_torque(model, q))
+            if not np.all(gravity):
+                np.testing.assert_array_equal(tau[i], loop_gravity_torque(model, q))
+            else:
+                bound = masses.sum() * lengths.sum() * np.linalg.norm(gravity)
+                np.testing.assert_allclose(tau[i], loop_gravity_torque(model, q), rtol=0,
+                                           atol=4 * np.finfo(float).eps * bound)
+
+
+def test_leading_axes_lead_every_output(paper_model):
+    states = np.random.default_rng(4).uniform(-np.pi, np.pi, (3, 4, 2))
+    pose = forward_kinematics(paper_model, states)
+    assert [getattr(pose, name).shape for name in POSE_FIELDS] == [
+        (3, 4, 3), (3, 4, 3, 2), (3, 4, 2, 2), (3, 4, 2)]
+    assert link_centers_of_mass(paper_model, pose).shape == (3, 4, 2, 2)
+    assert joint_jacobian(paper_model, states).shape == (3, 4, 2, 2)
+    assert gravity_torque(paper_model, states).shape == (3, 4, 2)
+    # one energy per state, never the states added together
+    energy = potential_energy(paper_model, states)
+    assert energy.shape == (3, 4)
+    assert energy[2, 1] == potential_energy(paper_model, states[2, 1])
+
+
 def test_rot90():
     np.testing.assert_allclose(rot90(np.array([2.0, 3.0])), [-3.0, 2.0])
 
@@ -142,6 +235,19 @@ def test_rot90():
         dict(link_lengths=[0.4, 0.6], link_masses=[0.0, -1.0]),
         dict(link_lengths=[0.4, 0.6], link_masses=[0.0]),
         dict(link_lengths=[0.4, 0.6], link_masses=[0.0, 4.0], moment_arm_ranges=[[0.05, 0.05]]),
+        # NaN and infinities, which fail no comparison written as "x <= 0"
+        dict(link_lengths=[0.4, np.nan], link_masses=[0.0, 4.0]),
+        dict(link_lengths=[0.4, np.inf], link_masses=[0.0, 4.0]),
+        dict(link_lengths=[0.4, 0.6], link_masses=[0.0, np.nan]),
+        dict(link_lengths=[0.4, 0.6], link_masses=[0.0, np.inf]),
+        dict(link_lengths=[0.4, 0.6], link_masses=[0.0, 4.0], gravity=[0.0, np.nan]),
+        dict(link_lengths=[0.4, 0.6], link_masses=[0.0, 4.0], gravity=[np.inf, -9.81]),
+        dict(link_lengths=[0.4, 0.6], link_masses=[0.0, 4.0], moment_arm_ranges=[[np.nan, 0.1]]),
+        dict(link_lengths=[0.4, 0.6], link_masses=[0.0, 4.0], moment_arm_ranges=[[-0.1, np.inf]]),
+        dict(link_lengths=[0.4, 0.6], link_masses=[0.0, 4.0],
+             attach_segments=[[[0.0, 0.0], [0.4, 0.0]], [[0.0, 0.0], [np.nan, 0.0]]]),
+        dict(link_lengths=[0.4, 0.6], link_masses=[0.0, 4.0],
+             attach_segments=[[[0.0, 0.0], [0.4, 0.0]], [[0.0, 0.0], [0.6, np.nan]]]),
     ],
 )
 def test_model_validation(kwargs):
@@ -150,9 +256,12 @@ def test_model_validation(kwargs):
 
 
 def test_attach_segment_bounds():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="link 0 extends"):
         RobotModel(
             [0.4, 0.6],
             [0.0, 4.0],
             attach_segments=[[[0.0, 0.0], [0.5, 0.0]], [[0.0, 0.0], [0.6, 0.0]]],
         )
+    with pytest.raises(ValueError, match="link 1 extends"):
+        RobotModel([0.4, 0.6], [0.0, 4.0],
+                   attach_segments=[[[0.0, 0.0], [0.4, 0.0]], [[-0.7, 0.0], [0.6, 0.0]]])
