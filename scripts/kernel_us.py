@@ -1,0 +1,134 @@
+"""Median microseconds per call of the batch kernels, printed as JSON.
+
+    PYTHONPATH=src python scripts/kernel_us.py [--repeat 200] [--seed 0]
+
+Times arrangement.batch_muscle_jacobian and the force and velocity kernels
+of tlo.feasibility (_force_h, _velocity_h) on S joint states and P designs,
+at the shapes the evaluator's passes give them:
+
+- (S, P) = (1, 500) on target1_nograv: the first pass of a random
+  500-genome generation, the screening shape;
+- (1, 40): the first pass of a population-40 search generation, on
+  target1_nograv and on tests/data/three_joint.json (D = 3);
+- (3, 28): the second pass, states 1-3 on designs that state 0 admits;
+- (2, 1): one design at two states, the shape of evaluate and
+  trace_polygon on a two-state scenario.
+
+Bred designs come from a seeded desk search (budget 2000, population 40):
+its last generation for S = 1, its first feasible designs for S > 1.
+Random ones are uniform genome rows. The velocity kernel runs on the
+designs that every state's force LP admits (force_h_all), as in the
+evaluator. Each kernel is called --repeat times per case, after a few
+untimed calls; the medians are wall-clock microseconds of this process.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import platform
+import time
+from pathlib import Path
+
+import numpy as np
+
+from tlo.arrangement import batch_muscle_jacobian, genome_rows_decode
+from tlo.config import load_bundled_scenario, load_config
+from tlo.feasibility import (
+    _force_h,
+    _stack,
+    _velocity_h,
+    force_directions,
+    force_h_all,
+    make_evaluator,
+    state_tables,
+    velocity_directions,
+)
+from tlo.nsga2 import evolve
+
+ROOT = Path(__file__).resolve().parents[1]
+CASES = (  # (config, S, P, designs)
+    ("target1_nograv", 2, 1, "bred"),
+    ("target1_nograv", 1, 40, "bred"),
+    ("target1_nograv", 3, 28, "bred"),
+    ("target1_nograv", 1, 500, "random"),
+    ("tests/data/three_joint.json", 1, 40, "bred"),
+)
+WARMUP = 3
+
+
+def _config(name):
+    return load_config(ROOT / name) if name.endswith(".json") else load_bundled_scenario(name)
+
+
+def _designs(cfg, s, p, kind, seed):
+    """(reals, cats) rows of P designs for a case at S states."""
+    space = cfg.space
+    if kind == "random":
+        rng = np.random.default_rng(seed)
+        return (rng.random((p, space.n_reals)),
+                rng.integers(0, space.cat_cardinality, size=(p, space.n_cats)))
+    scenario = cfg.scenario()
+    archive = evolve(make_evaluator(cfg.robot, scenario), space, population=40, budget=2000,
+                     seed=seed, max_objective=scenario.max_objective)
+    rows = np.flatnonzero(archive.feasible)[:p] if s > 1 else np.arange(2000 - p, 2000)
+    return archive.reals[rows], archive.cats[rows]
+
+
+def _median_us(fn, repeat):
+    for _ in range(WARMUP):
+        fn()
+    samples = []
+    for _ in range(repeat):
+        t = time.perf_counter()
+        fn()
+        samples.append(time.perf_counter() - t)
+    return round(float(np.median(samples)) * 1e6, 1)
+
+
+def time_case(name, s, p, kind, repeat, seed):
+    cfg = _config(name)
+    model, scenario = cfg.robot, cfg.scenario()
+    tables = [state_tables(model, q, scenario.target, scenario.gravity)
+              for q in scenario.joint_states]
+    tables = tables[:1] if s == 1 else tables[1 : 1 + s]
+    pose, force, velocity = _stack(model, tables, force_directions(scenario.target),
+                                   velocity_directions(scenario.target))
+    links, fractions = genome_rows_decode(*_designs(cfg, s, p, kind, seed), cfg.space)
+    G = batch_muscle_jacobian(model, links, fractions, pose)
+    limits, h_cap = scenario.limits, scenario.h_cap
+    admitted = [k for k in range(p)
+                if all(force_h_all(G[j if len(G) > 1 else 0, k], t.rhs, force.cols[j],
+                                   limits, h_cap) is not None
+                       for j, t in enumerate(tables))]
+    G_admitted = G[:, admitted]
+    return {
+        "config": name,
+        "S": s,
+        "P": p,
+        "designs": kind,
+        "admitted": len(admitted),
+        "batch_muscle_jacobian": _median_us(
+            lambda: batch_muscle_jacobian(model, links, fractions, pose), repeat),
+        "_force_h": _median_us(lambda: _force_h(G, force, limits, h_cap), repeat),
+        "_velocity_h": _median_us(lambda: _velocity_h(G_admitted, velocity, limits, h_cap),
+                                  repeat),
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeat", type=int, default=200, help="timed calls per kernel and case")
+    parser.add_argument("--seed", type=int, default=0, help="seed of the designs")
+    args = parser.parse_args(argv)
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
+    cases = [time_case(*case, args.repeat, args.seed) for case in CASES]
+    print(json.dumps({"unit": "us", "statistic": "median", "repeat": args.repeat,
+                      "seed": args.seed, "python": platform.python_version(),
+                      "numpy": np.__version__, "cases": cases}, indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

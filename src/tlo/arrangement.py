@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Pose, RobotModel, forward_kinematics, rot90
+from .model import Pose, RobotModel, forward_kinematics
 
 DEGENERATE_SEGMENT = 1e-9
 
@@ -97,12 +97,20 @@ def _relay_points(model: RobotModel, links: np.ndarray, fractions: np.ndarray,
         lo, hi = links.min(), links.max()
         if lo < 0 or hi >= len(model.link_lengths):
             raise ValueError(f"relay link {lo if lo < 0 else hi} out of range")
-    seg = model.attach_segments[links]
-    local = seg[..., 0, :] + fractions[..., None] * (seg[..., 1, :] - seg[..., 0, :])
-    x, y = local[..., 0], local[..., 1]
-    # cos and sin once per link and state, then looked up per relay point
-    c, s = np.cos(pose.link_angles)[..., links], np.sin(pose.link_angles)[..., links]
-    return pose.link_origins[..., links, :] + np.stack([c * x - s * y, s * x + c * y], axis=-1)
+    # per-link tables, looked up per relay point: each attach segment's start
+    # and step in the link frame, and each link's cos, sin and origin per state
+    seg = model.attach_segments
+    x0, y0, dx, dy = np.take(np.concatenate((seg[:, 0], seg[:, 1] - seg[:, 0]), axis=1).T,
+                             links, axis=1)
+    x = x0 + fractions * dx
+    y = y0 + fractions * dy
+    angles, origins = pose.link_angles, pose.link_origins
+    c, s, ox, oy = np.take(np.stack((np.cos(angles), np.sin(angles),
+                                     origins[..., 0], origins[..., 1])), links, axis=-1)
+    pts = np.empty(c.shape + (2,))
+    pts[..., 0] = ox + (c * x - s * y)
+    pts[..., 1] = oy + (s * x + c * y)
+    return pts
 
 
 def wire_lengths(model: RobotModel, design: VariableArrangement, q: np.ndarray) -> np.ndarray:
@@ -157,8 +165,11 @@ def batch_muscle_jacobian(model: RobotModel, links: np.ndarray | None, fractions
     joints = pose.joint_positions.reshape((len(pts),) + (1,) * links.ndim + (d, 2))
     # dpts[s, ..., m, n, k, :] = d p_mn / d theta_k at state s: rot90 about
     # joint k when the point's link moves with that joint, else zero
-    dpts = rot90(pts[..., None, :] - joints)
-    dpts *= (links[..., None] >= np.arange(1, d + 1))[..., None]
+    arm = pts[..., None, :] - joints
+    moves = links[..., None] >= np.arange(1, d + 1)
+    dpts = np.empty_like(arm)
+    np.multiply(np.negative(arm[..., 1]), moves, out=dpts[..., 0])
+    np.multiply(arm[..., 0], moves, out=dpts[..., 1])
     seg = np.diff(pts, axis=-2)
     norms = np.linalg.norm(seg, axis=-1)
     ok = norms > DEGENERATE_SEGMENT

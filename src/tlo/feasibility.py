@@ -14,12 +14,22 @@ a generation's genome rows to objectives and a feasible mask, with G and
 both kernels carrying leading (state, design) axes. It runs the kernels in
 two passes: state 0 on every design, then all later states stacked on the
 designs state 0 admits. A design is feasible when every state's force LP
-admits it: qdot = 0 solves every velocity LP. What does not depend on the
-design (poses, right-hand sides, the velocity table, J^-1 w at D = 2) is
-built once per evaluator. evaluate scores one design, all its states in one
-pass; trace_polygon casts n_rays unit directions through the same pass in
-place of the ellipse directions. force_h_all and velocity_h_all (never
-None) are the one-state, one-design case.
+admits it: qdot = 0 solves every velocity LP. The force kernel decides
+that first and clips h only for the designs that every state of the pass
+admits. What does not depend on the design (poses, right-hand sides, the
+velocity table, J^-1 w and its qdot-box bound at D = 2) is built once per
+evaluator. evaluate scores one design, all its states in one pass;
+trace_polygon casts n_rays unit directions through the same pass in place
+of the ellipse directions. force_h_all and velocity_h_all (never None) are
+the one-state, one-design case.
+
+Every min, max, all and any that the kernels take over a short axis (slab
+normals, joint columns, wires, directions) runs over a leading contiguous
+axis, which numpy reduces row by row; over the last axis its inner loop
+would be a few elements long and cost several times more. Sums and
+matmuls keep their layout: numpy adds 8 or more trailing elements
+pairwise, and BLAS does not round like an elementwise sum. So every h has
+the bits of the plain layout, which tests/reference_kernels.py keeps.
 
 The h variable is unbounded inside the LPs; reported values are clipped to
 h_cap afterwards. That makes every score independent of the cap (any cap
@@ -202,9 +212,9 @@ def force_h_all(G, rhs, cols, limits, h_cap):
     unbounded ray reads as well. The ray is clipped against the torque
     zonotope in closed form, at any D.
     """
-    h, feasible = _force_h(np.asarray(G, dtype=float)[None, None], _force_rays([rhs], [cols]),
-                           limits, h_cap)
-    return h[0, 0] if feasible[0, 0] else None
+    rows, h = _force_h(np.asarray(G, dtype=float)[None, None], _force_rays([rhs], [cols]),
+                       limits, h_cap)
+    return h[0, 0] if len(rows) else None
 
 
 def velocity_h_all(G, J, dirs, limits, h_cap):
@@ -221,7 +231,8 @@ def velocity_h_all(G, J, dirs, limits, h_cap):
                        limits, h_cap)[0, 0]
 
 
-# --- the kernels on S joint states and P designs: h (S, P, directions), force also feasible (S, P)
+# --- the kernels on S joint states and P designs: h (S, P, directions); force
+# gives it only for the rows of the designs that every state admits
 #
 # G comes as (S, P, M, D), or as (1, P, M, D) for designs whose G does not
 # depend on the state; the inputs of each state come stacked along a
@@ -244,6 +255,7 @@ class _VelocityRays(NamedTuple):
     rank: np.ndarray  # (S,) rank of J, decided by its error-free 2x2 column minors
     reach: np.ndarray  # (S, directions) whether w lies on range(J); h = 0 off it
     dual: list  # [None, (v, -w_r) at r = 1, (minors of J, w_0 J_1 - w_1 J_0 or J^-1 w) at r = 2]
+    box: np.ndarray | None  # (S, directions) at D = 2: QDOT_BOX / max_k |(J^-1 w)_k|, else None
 
 
 def _force_rays(rhs, cols) -> _ForceRays:
@@ -257,7 +269,9 @@ def _velocity_rays(J, dirs) -> _VelocityRays:
     (_diff_of_products): the 2x2 minors of J decide its rank exactly, the
     rank-1 range test is the same kind of minor, and W = w_0 J_1 - w_1 J_0 is
     formed once. At D = 2 J^-1 w = (W_1, -W_0) / det J replaces it, laid out
-    (2, S, directions) for the planar matmul; 0 - W_0 keeps +0 at W_0 = 0."""
+    (2, S, directions) for the planar matmul; 0 - W_0 keeps +0 at W_0 = 0.
+    Its bound on h from the qdot box, QDOT_BOX / max_k |(J^-1 w)_k|, does
+    not depend on the design and is taken here too."""
     J = np.asarray(J, dtype=float)
     dirs = np.asarray(dirs, dtype=float)
     s, d = np.arange(len(J)), J.shape[2]
@@ -274,25 +288,29 @@ def _velocity_rays(J, dirs) -> _VelocityRays:
         reach |= (rank == 1)[:, None] & on_line
         dual[1] = J[s, row], -dirs.T[row][..., None]
     W = _diff_of_products(dirs[:, 0, None], J[:, None, 1], dirs[:, 1, None], J[:, None, 0])
+    box = None
     if d == 2:
         det = np.where(rank == 2, minors[:, 0], 1.0)[:, None]  # no other state reads it
-        W = (np.stack((W[..., 1], 0.0 - W[..., 0])) / det).transpose(1, 2, 0)
+        inverse = np.stack((W[..., 1], 0.0 - W[..., 0])) / det
+        with np.errstate(divide="ignore"):
+            box = QDOT_BOX / np.maximum.reduce(np.abs(inverse))
+        W = inverse.transpose(1, 2, 0)
     dual[2] = minors, W
-    return _VelocityRays(rank, reach, dual)
+    return _VelocityRays(rank, reach, dual, box)
 
 
 def _velocity_h(G, rays, limits, h_cap):
     """h (S, P, directions), never masked: J^-1 w at rank 2 and D = 2, else the dual clip."""
     planar = G.shape[3] == 2
     if planar and (rays.rank == 2).all():
-        return _velocity_h_planar(G, rays.dual[2][1], limits, h_cap)
+        return _velocity_h_planar(G, rays.dual[2][1], rays.box, limits, h_cap)
     G = np.broadcast_to(G, (len(rays.rank),) + G.shape[1:])
     h = np.full(G.shape[:2] + rays.reach.shape[1:], h_cap)  # at J = 0, w = 0 is reached at any h
     for r in (1, 2):
         states = np.flatnonzero(rays.rank == r)
         if len(states):
             R, W = rays.dual[r]
-            h[states] = (_velocity_h_planar(G[states], W[states], limits, h_cap)
+            h[states] = (_velocity_h_planar(G[states], W[states], rays.box[states], limits, h_cap)
                          if planar and r == 2 else
                          _velocity_h_dual(G[states], r, R[states], W[states], limits, h_cap))
     return np.where(rays.reach[:, None], h, 0.0)
@@ -323,7 +341,9 @@ def _diff_of_products(a, b, c, d):
 
 
 def _force_h(G, rays, limits, h_cap):
-    """Liang-Barsky clip of each ray rhs + t col, t >= 0, against Z = {-G^T f}.
+    """Liang-Barsky clip of each ray rhs + t col, t >= 0, against Z = {-G^T f}:
+    the rows of the designs that every state admits and their h, (S, rows,
+    directions).
 
     Z is the center c0 = -(f_min + f_max)/2 sum_m g_m plus the generators
     (f_max - f_min)/2 g_m, so for any normal n it lies in the slab
@@ -334,30 +354,42 @@ def _force_h(G, rays, limits, h_cap):
     1e-9 max(1, |rhs|_inf) from Z in the L1 norm, so a slab may be missed by
     |n|_inf times that along n. It is the residual that the reference
     simplex of the tests allows in its phase 1. A design is infeasible at a
-    state when some ray misses Z there.
+    state when some ray misses Z there. Feasibility is decided first, and h
+    is clipped only for the designs that every state admits.
     """
     normals = _normals(G)
-    width = 0.5 * (limits.f_max - limits.f_min) * np.abs(normals @ G.swapaxes(2, 3)).sum(axis=3)
-    middle = rays.rhs[:, None] + 0.5 * (limits.f_min + limits.f_max) * G.sum(axis=2)
-    offset = (normals @ middle[..., None])[..., 0]
-    slack = rays.slack[:, None, None] * np.abs(normals).max(axis=3)
-    rate = rays.cols[:, None] @ normals.swapaxes(2, 3)  # (states, designs, directions, normals)
+    # the slab normals lead from here on, then the directions: every min,
+    # max, all and any over them runs over leading axes, (normals,
+    # directions, states, designs); sums and matmuls keep their layout
+    width = (0.5 * (limits.f_max - limits.f_min)
+             * np.add.reduce(np.abs(normals @ G.swapaxes(2, 3)), axis=3)).transpose(2, 0, 1)
+    middle = rays.rhs[:, None] + 0.5 * (limits.f_min + limits.f_max) * np.add.reduce(G, axis=2)
+    offset = (normals @ middle[..., None])[..., 0].transpose(2, 0, 1)
+    slack = rays.slack[:, None] * np.maximum.reduce(
+        np.abs(normals.transpose(3, 2, 0, 1), order="C"))  # times the largest |n_k|
+    rate = (rays.cols[:, None] @ normals.swapaxes(2, 3)).transpose(3, 2, 0, 1).copy()
     # a ray that drifts across a slab by no more than the allowance over its
     # whole capped length runs along it: that slab bounds no h
-    rate[np.abs(rate) * h_cap <= slack[:, :, None]] = 0.0
+    rate[np.abs(rate) * h_cap <= slack[:, None]] = 0.0
     speed = np.abs(rate)
-    along = np.sign(rate) * offset[:, :, None]  # rhs's offset from the mid-line, signed along the ray
+    along = np.sign(rate)
+    along *= offset[:, None]  # rhs's offset from the mid-line, signed along the ray
     inside = np.abs(offset) <= width + slack
-    feasible = inside.all(axis=2)
+    feasible = np.logical_and.reduce(inside)  # (states, designs)
+    rows = np.arange(feasible.shape[1])
     with np.errstate(divide="ignore", invalid="ignore"):
-        if not feasible.all():  # rhs outside Z: every ray has to enter it
-            enter = np.fmax.reduce(((-width - slack)[:, :, None] - along) / speed, axis=3)
-            leave = np.fmin.reduce(((width + slack)[:, :, None] - along) / speed, axis=3)
-            feasible |= (~((speed == 0) & ~inside[:, :, None]).any(axis=(2, 3))
-                         & ((enter <= leave) & (leave >= 0)).all(axis=2))
+        if not np.logical_and.reduce(feasible, axis=None):
+            # rhs outside Z: every ray has to enter it
+            enter = np.fmax.reduce(((-width - slack)[:, None] - along) / speed)
+            leave = np.fmin.reduce(((width + slack)[:, None] - along) / speed)
+            feasible |= (~np.logical_or.reduce((speed == 0) & ~inside[:, None], axis=(0, 1))
+                         & np.logical_and.reduce((enter <= leave) & (leave >= 0)))
+            rows = np.flatnonzero(np.logical_and.reduce(feasible))
+            if len(rows) < feasible.shape[1]:
+                width, along, speed = width[..., rows], along[..., rows], speed[..., rows]
         # 0/0 (a zero normal, or a ray along a zero-width slab) bounds nothing
-        h = np.fmin.reduce((width[:, :, None] - along) / speed, axis=3)
-    return np.maximum(np.fmin(h, h_cap), 0.0), feasible
+        h = np.fmin.reduce((width[:, None] - along) / speed)
+    return rows, np.maximum(np.fmin(h, h_cap), 0.0).transpose(1, 2, 0)
 
 
 def _normals(G):
@@ -424,13 +456,15 @@ def _det(a):
                for i in range(n))
 
 
-def _velocity_h_planar(G, inverse, limits, h_cap):
-    """min over wires of the speed bound along a = G J^-1 w, and the qdot box."""
-    a = inverse[:, None] @ G.swapaxes(2, 3)  # (states, designs, directions, wires)
+def _velocity_h_planar(G, inverse, box, limits, h_cap):
+    """min over wires of the speed bound along a = G J^-1 w, and box, the
+    qdot box's bound (S, directions)."""
+    # the wires lead: (wires, states, designs, directions)
+    a = (inverse[:, None] @ G.swapaxes(2, 3)).transpose(3, 0, 1, 2).copy()
     with np.errstate(divide="ignore"):
-        h = (np.where(a > 0, limits.ldot_max, -limits.ldot_min) / np.abs(a)).min(
-            axis=3, initial=h_cap)
-        return np.minimum(h, (QDOT_BOX / np.abs(inverse).max(axis=2))[:, None])
+        h = np.minimum.reduce(np.where(a > 0, limits.ldot_max, -limits.ldot_min) / np.abs(a),
+                              initial=h_cap)
+    return np.minimum(h, box[:, None])
 
 
 def _velocity_h_dual(G, r, R, W, limits, h_cap):
@@ -465,8 +499,11 @@ def _velocity_h_dual(G, r, R, W, limits, h_cap):
     fall = np.where(y < 0, -y * up, -y * lo).sum(axis=3)[..., None]
     mu = _minors(G, k) @ W[:, None].swapaxes(2, 3)  # (states, designs, choices, directions)
     mu[np.abs(mu) <= scale[1][..., None] * np.abs(W).sum(axis=2)[:, None, None]] = 0.0
+    # the choices lead: (choices, states, designs, directions)
+    mu = mu.transpose(2, 0, 1, 3).copy()
+    rise, fall = rise.transpose(2, 0, 1, 3), fall.transpose(2, 0, 1, 3)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.fmin.reduce(np.where(mu < 0, rise, fall) / np.abs(mu), axis=2, initial=h_cap)
+        return np.fmin.reduce(np.where(mu < 0, rise, fall) / np.abs(mu), initial=h_cap)
 
 
 # --- scoring designs over the joint states -----------------------------------------
@@ -506,9 +543,10 @@ def _pass(model, states, links, fractions, limits, h_cap):
     admits, and their force and velocity h, (S, rows, directions)."""
     pose, force, velocity = states
     G = batch_muscle_jacobian(model, links, fractions, pose)
-    hf, ok = _force_h(G, force, limits, h_cap)
-    rows = np.flatnonzero(ok.all(axis=0))
-    return rows, hf[:, rows], _velocity_h(G[:, rows], velocity, limits, h_cap)
+    rows, hf = _force_h(G, force, limits, h_cap)
+    if len(rows) < G.shape[1]:
+        G = G[:, rows]
+    return rows, hf, _velocity_h(G, velocity, limits, h_cap)
 
 
 def _stack(model: RobotModel, tables: list[StateTables], force_dirs, velocity_dirs):

@@ -375,10 +375,10 @@ def evolve(
     row = _fill(archive, 0, *_random_rows(space, population, rng), evaluate_fn)
     current = np.arange(population)
     record(0, row)
+    rank = non_dominated_sort(archive.objectives[current])
 
     while row < budget:
         objs = archive.objectives[current]
-        rank = non_dominated_sort(objs)
         crowd = crowding_distance(objs, rank)
         reals, cats = _offspring(rank, crowd, archive.reals[current], archive.cats[current],
                                  space, rng)
@@ -390,22 +390,33 @@ def evolve(
         if row - start < population:
             break  # partial final batch: budget exhausted, no further selection
 
-        # whole fronts by rank, rows in index order; a front that does not
-        # fit keeps its most isolated rows, ties going to the lower index
         merged = np.concatenate([current, np.arange(start, row)])
         objs = archive.objectives[merged]
         rank = non_dominated_sort(objs)
-        survivors = np.argsort(rank, kind="stable")[:population]
-        cut = rank[survivors[-1]]
-        if np.count_nonzero(rank <= cut) > population:
-            crowd = crowding_distance(objs, rank)
-            tied = np.flatnonzero(rank == cut)
-            kept = survivors[rank[survivors] < cut]
-            tied = tied[np.argsort(-crowd[tied], kind="stable")]
-            survivors = np.concatenate([kept, tied[: population - len(kept)]])
-        current = merged[survivors]
+        survivors = _survivors(objs, rank, population)
+        current, rank = merged[survivors], rank[survivors]
 
     return archive
+
+
+def _survivors(objectives: np.ndarray, rank: np.ndarray, population: int) -> np.ndarray:
+    """The population rows of a merged generation that survive, given its
+    ranks: whole fronts by rank, rows in index order; a front that does not
+    fit keeps its most isolated rows, ties going to the lower index.
+
+    Every dominator of a survivor has a lower rank and survives too, so the
+    survivors' ranks among themselves are their ranks in the merged sort:
+    evolve carries them to the next generation instead of sorting again.
+    """
+    survivors = np.argsort(rank, kind="stable")[:population]
+    cut = rank[survivors[-1]]
+    if np.count_nonzero(rank <= cut) > population:
+        crowd = crowding_distance(objectives, rank)
+        tied = np.flatnonzero(rank == cut)
+        kept = survivors[rank[survivors] < cut]
+        tied = tied[np.argsort(-crowd[tied], kind="stable")]
+        survivors = np.concatenate([kept, tied[: population - len(kept)]])
+    return survivors
 
 
 def random_search(

@@ -388,7 +388,9 @@ def test_seeded_optimize_matches_golden_digests(run, tmp_path):
     three_joint_constant sends one state-independent G, (1, P, M, 3), through
     the velocity kernel's broadcast over the states; two_joint_straight puts
     a straight two-joint arm (rank-1 J, dual clip) before a bent one (J^-1 w),
-    so that one velocity pass runs both kernels.
+    so that one velocity pass runs both kernels. two_joint_ten_wires has
+    ten wires of three points: numpy adds the force kernel's sums over 8 or
+    more wires pairwise, so it pins the order of those sums.
     target1_nograv_screen (budget = population = 500, seed 1000) is the
     first command of the screen_variable benchmark workload at workload
     seed 1: a random generation only, 500 genomes with cats, so it pins

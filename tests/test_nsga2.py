@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tlo.arrangement import DesignSpace, VariableArrangement, genome_rows_decode
+import tlo.nsga2
 from tlo.nsga2 import (
     _offspring,
     _random_rows,
+    _survivors,
     crowding_distance,
     evolve,
     extend_front,
@@ -158,6 +160,22 @@ class TestSorting:
                 assert any(dominates(objs[j], oi) for j in np.flatnonzero(rank == rank[i] - 1))
 
 
+class TestSurvivors:
+    @given(GRID, st.integers(1, 60))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_carried_ranks_equal_a_fresh_sort(self, pairs, population):
+        """evolve carries the survivors' merged ranks to the next generation:
+        they equal a sort of the survivors alone, with tied points, fronts
+        cut by crowding and sentinel rows (33, 33) included."""
+        objs = np.array(pairs, dtype=float)
+        population = min(population, len(objs))
+        rank = non_dominated_sort(objs)
+        survivors = _survivors(objs, rank, population)
+        assert sorted(survivors.tolist()) == sorted(set(survivors.tolist()))
+        assert len(survivors) == population
+        assert rank[survivors].tolist() == non_dominated_sort(objs[survivors]).tolist()
+
+
 class TestCrowding:
     def test_pair_is_infinite(self):
         d = crowding_distance(np.array([[0.0, 1.0], [1.0, 0.0]]), np.zeros(2, dtype=int))
@@ -282,6 +300,19 @@ class TestEvolve:
             for column in (arch.reals, arch.cats, arch.objectives, arch.feasible):
                 assert len(column) == budget
             assert arch.generations == math.ceil(budget / 20) - 1
+
+    def test_one_sort_per_selection(self, monkeypatch):
+        """Generation 0's parents are sorted; later parents carry their ranks
+        from the merged sort that selected them."""
+        calls = []
+
+        def counted(objectives):
+            calls.append(len(objectives))
+            return non_dominated_sort(objectives)
+
+        monkeypatch.setattr(tlo.nsga2, "non_dominated_sort", counted)
+        evolve(toy_evaluator, SPACE, 20, 101, seed=3, max_objective=32.0)
+        assert calls == [20] + [40] * 4  # four full bred generations; the fifth is partial
 
     def test_sentinel_and_front_exclusion(self):
         arch = evolve(toy_evaluator, SPACE, 20, 400, seed=5, max_objective=32.0)
