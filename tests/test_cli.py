@@ -390,7 +390,9 @@ def test_seeded_optimize_matches_golden_digests(run, tmp_path):
     a straight two-joint arm (rank-1 J, dual clip) before a bent one (J^-1 w),
     so that one velocity pass runs both kernels. two_joint_ten_wires has
     ten wires of three points: numpy adds the force kernel's sums over 8 or
-    more wires pairwise, so it pins the order of those sums.
+    more wires pairwise, so it pins the order of those sums. three_joint_grav
+    is the D = 3 robot with gravity on: its force rays leave a gravity
+    center whose least-squares fit leaves a residual well above 0.
     target1_nograv_screen (budget = population = 500, seed 1000) is the
     first command of the screen_variable benchmark workload at workload
     seed 1: a random generation only, 500 genomes with cats, so it pins
@@ -476,6 +478,20 @@ class TestEvaluate:
         ) == 0
         # two states: one pass scores them, one more traces both polygons of both
         assert counts == {"StateTables": 2, "_force_h": 2, "_velocity_h": 2}
+
+    def test_three_joint_gravity_report_keeps_its_bytes(self, tmp_path):
+        # the first front design of the three_joint_grav golden run (budget
+        # 400, population 40, seed 0); its gravity center residuals are 1.506
+        # and 0.115, where two-joint gravity configs have about 0
+        assert main(
+            ["evaluate", "--config", str(DATA / "three_joint_grav.json"),
+             "--design", str(DATA / "golden_design_three_joint_grav.json"), "--out", str(tmp_path)]
+        ) == 0
+        report = (tmp_path / "report.json").read_bytes()
+        assert hashlib.sha256(report).hexdigest() == (
+            "26f84f1100e8f42239dab2ced7a64105c1679c1d66bdb9097731183d9d4a2701")
+        residuals = [s["gravity_center_residual"] for s in json.loads(report)["per_state"]]
+        assert residuals == [pytest.approx(1.506, abs=1e-3), pytest.approx(0.115, abs=1e-3)]
 
     def test_infeasible_design_reports_false(self, tmp_path):
         cfg_doc = json.loads(zero_center_config(tmp_path).read_text())
