@@ -17,9 +17,10 @@ at the shapes the evaluator's passes give them:
 Bred designs come from a seeded desk search (budget 2000, population 40):
 its last generation for S = 1, its first feasible designs for S > 1.
 Random ones are uniform genome rows. The velocity kernel runs on the
-designs that every state's force LP admits (force_h_all), as in the
-evaluator. Each kernel is called --repeat times per case, after a few
-untimed calls; the medians are wall-clock microseconds of this process.
+designs that every state's force LP admits (the rows _force_h returns),
+as in the evaluator. Each kernel is called --repeat times per case, after
+a few untimed calls; the medians are wall-clock microseconds of this
+process.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from tlo.feasibility import (
     _stack,
     _velocity_h,
     force_directions,
-    force_h_all,
     make_evaluator,
     state_tables,
     velocity_directions,
@@ -89,18 +89,15 @@ def _median_us(fn, repeat):
 def time_case(name, s, p, kind, repeat, seed):
     cfg = _config(name)
     model, scenario = cfg.robot, cfg.scenario()
-    tables = [state_tables(model, q, scenario.target, scenario.gravity)
-              for q in scenario.joint_states]
-    tables = tables[:1] if s == 1 else tables[1 : 1 + s]
+    q = scenario.joint_states
+    tables = state_tables(model, q[:1] if s == 1 else q[1 : 1 + s], scenario.target,
+                          scenario.gravity)
     pose, force, velocity = _stack(model, tables, force_directions(scenario.target),
                                    velocity_directions(scenario.target))
     links, fractions = genome_rows_decode(*_designs(cfg, s, p, kind, seed), cfg.space)
     G = batch_muscle_jacobian(model, links, fractions, pose)
     limits, h_cap = scenario.limits, scenario.h_cap
-    admitted = [k for k in range(p)
-                if all(force_h_all(G[j if len(G) > 1 else 0, k], t.rhs, force.cols[j],
-                                   limits, h_cap) is not None
-                       for j, t in enumerate(tables))]
+    admitted, _ = _force_h(G, force, limits, h_cap)
     G_admitted = G[:, admitted]
     return {
         "config": name,

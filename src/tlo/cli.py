@@ -155,8 +155,7 @@ def run_files(archive, cfg: ScenarioConfig, timings: dict) -> dict[str, str]:
             "evaluation_count": archive.evaluation_count,
             "front": front,
         }),
-        "progress.ndjson": "".join(json.dumps(entry, sort_keys=True) + "\n"
-                                   for entry in archive.history),
+        "progress.ndjson": "".join(map(_json_text, archive.history)),
         "run_meta.json": _json_text({
             "schema_version": 1,
             "seed": archive.seed,
@@ -209,9 +208,7 @@ def _parse_design(doc, cfg: ScenarioConfig):
 def cmd_evaluate(args) -> int:
     cfg = load_config(args.config)
     design = _parse_design(read_json(args.design, "design JSON")[0], cfg)
-    scenario = cfg.scenario()
-
-    result = evaluate(cfg.robot, design, scenario)
+    result = evaluate(cfg.robot, design, cfg.scenario())
     report = {
         "schema_version": 1,
         "feasible": result.feasible,
@@ -221,20 +218,20 @@ def cmd_evaluate(args) -> int:
         "e_velocity": result.e_velocity,
     }
     if result.feasible:
-        polygons = trace_polygon(cfg.robot, design, result.states, scenario.limits, args.rays)
-        report["per_state"] = [
-            {
-                "theta_deg": np.rad2deg(state.q).tolist(),
-                "h_force": h_force.tolist(),
-                "h_velocity": h_velocity.tolist(),
-                "force_center": state.anchor.tolist(),
-                "gravity_center_residual": state.residual,
-                "force_polygon": np.round(force_poly, 12).tolist(),
-                "velocity_polygon": np.round(velocity_poly, 12).tolist(),
-            }
-            for state, h_force, h_velocity, force_poly, velocity_poly in zip(
-                result.states, result.h_force, result.h_velocity, *polygons)
-        ]
+        states = result.states
+        polygons = np.round(trace_polygon(cfg.robot, design, states, cfg.limits, args.rays), 12)
+        columns = {  # one row per state
+            "theta_deg": np.rad2deg(states.q),
+            "h_force": result.h_force,
+            "h_velocity": result.h_velocity,
+            "force_center": states.anchor,
+            # a row of None without gravity
+            "gravity_center_residual": np.broadcast_to(states.residual, len(states.q)),
+            "force_polygon": polygons[0],
+            "velocity_polygon": polygons[1],
+        }
+        report["per_state"] = [dict(zip(columns, row))
+                               for row in zip(*(column.tolist() for column in columns.values()))]
     path = Path(args.out) / "report.json"
     _write_files(path.parent, {path.name: _json_text(report)})
     print(
@@ -329,14 +326,14 @@ def cmd_oracle(args) -> int:
         if abs(np.linalg.det(J)) < 0.05:
             continue
         design = ConstantArrangement(rng.random((cfg.space.n_wires, cfg.robot.n_joints)))
-        result = evaluate(cfg.robot, design, replace(scenario, joint_states=[q]))
+        result = evaluate(cfg.robot, design, replace(scenario, joint_states=q[None]))
         if not result.feasible:
             continue  # pruned design: both routes agree it is infeasible
-        (state,), (hf,), (hv,) = result.states, result.h_force, result.h_velocity
+        hf, hv, anchor = result.h_force[0], result.h_velocity[0], result.states.anchor[0]
         G = muscle_jacobian(cfg.robot, design, q)
         force_poly = force_polytope_exact(G, J, limits.f_min, limits.f_max)
         velocity_poly = velocity_polytope_exact(G, J, limits.ldot_min, limits.ldot_max)
-        refs = [(min(ray_h(force_poly, state.anchor, f), h_cap),
+        refs = [(min(ray_h(force_poly, anchor, f), h_cap),
                  min(ray_h(velocity_poly, np.zeros(2), v), h_cap)) for f, v in zip(wf, wv)]
         errors = np.abs(np.column_stack((hf, hv)) - refs)
         worst = max(worst, float(errors.max()))

@@ -101,7 +101,7 @@ class ScenarioConfig:
     limits: ActuatorLimits
     target: TargetSpec
     gravity: bool
-    joint_states: list[np.ndarray]  # radians
+    joint_states: np.ndarray  # (S, D) radians
     optimizer: OptimizerParams
     h_cap: float
     raw: dict
@@ -260,9 +260,8 @@ def parse_config(doc: dict, lines: dict | None = None, name: str = "scenario") -
     states_node = c.get(("evaluated_joint_states",), list)
     if not states_node:
         c.fail(("evaluated_joint_states",), "need at least one joint state")
-    joint_states = [
-        np.deg2rad(c.vec(("evaluated_joint_states", i), d)) for i in range(len(states_node))
-    ]
+    joint_states = np.deg2rad([c.vec(("evaluated_joint_states", i), d)
+                               for i in range(len(states_node))])
 
     h_cap = c.get(("h_cap",), float, required=False, default=10.0)
     if h_cap < 1.0:

@@ -16,12 +16,14 @@ two passes: state 0 on every design, then all later states stacked on the
 designs state 0 admits. A design is feasible when every state's force LP
 admits it: qdot = 0 solves every velocity LP. The force kernel decides
 that first and clips h only for the designs that every state of the pass
-admits. What does not depend on the design (poses, right-hand sides, the
-velocity table, J^-1 w and its qdot-box bound at D = 2) is built once per
-evaluator. evaluate scores one design, all its states in one pass;
-trace_polygon casts n_rays unit directions through the same pass in place
-of the ellipse directions. force_h_all and velocity_h_all (never None) are
-the one-state, one-design case.
+admits. The joint states are one (S, D) stack, and what does not depend
+on the design (state_tables' J, force right-hand sides and anchors; poses,
+rays, the velocity table, J^-1 w and its qdot-box bound at D = 2) is built
+once per evaluator, with that leading state axis. evaluate scores one
+design, all its states in one pass; trace_polygon casts n_rays unit
+directions through the same pass in place of the ellipse directions.
+force_h_all and velocity_h_all (never None) are the one-state, one-design
+case.
 
 Every min, max, all and any that the kernels take over a short axis (slab
 normals, joint columns, wires, directions) runs over a leading contiguous
@@ -110,16 +112,17 @@ class Scenario:
 
     limits: ActuatorLimits
     target: TargetSpec
-    joint_states: list[np.ndarray]
+    joint_states: np.ndarray  # (S, D) radians
     gravity: bool = False
     h_cap: float = DEFAULT_H_CAP
 
     def __post_init__(self):
-        if not self.joint_states:
-            raise ValueError("need at least one evaluated joint state")
-        self.joint_states = [np.asarray(q, dtype=float) for q in self.joint_states]
-        if not all(np.isfinite(q).all() for q in self.joint_states):
-            raise ValueError("joint states must be finite")
+        try:
+            q = self.joint_states = np.asarray(self.joint_states, dtype=float)
+        except ValueError:  # ragged rows
+            q = np.empty(0)
+        if q.ndim != 2 or 0 in q.shape or not np.isfinite(q).all():
+            raise ValueError("joint states must be a finite (S, D) array, S and D at least 1")
         if not 1.0 <= self.h_cap < np.inf:  # NaN fails
             raise ValueError("h_cap must be finite; below 1 it would distort the objectives")
 
@@ -130,19 +133,19 @@ class Scenario:
 
 @dataclass
 class EvaluationResult:
-    """Per-state h arrays, the summed shortfall objectives and the scored states' tables."""
+    """Force and velocity h (S, directions), the summed shortfalls and the states' tables."""
 
     feasible: bool
-    h_force: list[np.ndarray] | None = None
-    h_velocity: list[np.ndarray] | None = None
+    h_force: np.ndarray | None = None
+    h_velocity: np.ndarray | None = None
     e_force: float | None = None
     e_velocity: float | None = None
-    states: list[StateTables] | None = None
+    states: StateTables | None = None
 
 
 class GravityCenter(NamedTuple):
-    center: np.ndarray
-    residual: float
+    center: np.ndarray  # (..., 2)
+    residual: np.ndarray  # (...)
 
 
 def ellipse_directions(radii: np.ndarray, n_directions: int) -> np.ndarray:
@@ -160,32 +163,38 @@ def velocity_directions(target: TargetSpec) -> np.ndarray:
 
 
 def gravity_center(model: RobotModel, q: np.ndarray) -> GravityCenter:
-    """Minimum-norm tip force whose joint torque equals the gravity torque.
+    """Minimum-norm tip force whose joint torque equals the gravity torque,
+    at joint angles q (..., D): center (..., 2) and residual (...).
 
     This is the force anchor in gravity mode; the LPs use the torque
-    directly. Falls back to the least-squares minimum-norm solution at a
-    singular J and reports the residual.
+    directly. Where no force holds the torque (J singular, or D > 2) it is
+    the least-squares minimum-norm solution. lstsq takes one state a call.
     """
     tau_g = gravity_torque(model, q)
-    jt = joint_jacobian(model, q).T
-    center, *_ = np.linalg.lstsq(jt, tau_g, rcond=None)
-    residual = float(np.linalg.norm(jt @ center - tau_g))
+    jt = joint_jacobian(model, q).swapaxes(-1, -2)
+    center = np.empty(tau_g.shape[:-1] + (2,))
+    residual = np.empty(tau_g.shape[:-1])
+    for k in np.ndindex(residual.shape):
+        center[k] = np.linalg.lstsq(jt[k], tau_g[k], rcond=None)[0]
+        residual[k] = np.linalg.norm(jt[k] @ center[k] - tau_g[k])
     return GravityCenter(center, residual)
 
 
 class StateTables(NamedTuple):
-    """Design-independent pieces of one evaluated joint state."""
+    """Design-independent pieces of evaluated joint states; the leading axes
+    of q, (S,) for a stack of S states, lead every field."""
 
-    q: np.ndarray
-    J: np.ndarray
-    rhs: np.ndarray  # force LP right-hand side: J^T anchor, or the gravity torque
-    anchor: np.ndarray  # tip force the force rays leave from
-    residual: float | None  # gravity_center residual; None without gravity
+    q: np.ndarray  # (..., D)
+    J: np.ndarray  # (..., 2, D)
+    rhs: np.ndarray  # (..., D) force LP right-hand side: J^T anchor, or the gravity torque
+    anchor: np.ndarray  # (..., 2) tip force the force rays leave from
+    residual: np.ndarray | None  # (...) gravity_center residual; None without gravity
 
 
 def state_tables(model: RobotModel, q: np.ndarray, target: TargetSpec,
                  gravity: bool) -> StateTables:
-    """The one force-anchor rule: J, the force LP right-hand side and the anchor at q.
+    """The one force-anchor rule: J, the force LP right-hand side and the
+    anchor at joint angles q (..., D).
 
     Without gravity the anchor is the ellipse center and rhs = J^T center.
     With gravity rhs is the gravity torque and the anchor is the force that
@@ -196,8 +205,8 @@ def state_tables(model: RobotModel, q: np.ndarray, target: TargetSpec,
         rhs = gravity_torque(model, q)
         anchor, residual = gravity_center(model, q)
     else:
-        anchor, residual = target.force_center, None
-        rhs = J.T @ anchor
+        anchor = np.broadcast_to(target.force_center, J.shape[:-2] + (2,))
+        rhs, residual = J.swapaxes(-1, -2) @ target.force_center, None
     return StateTables(q, J, rhs, anchor, residual)
 
 
@@ -549,17 +558,11 @@ def _pass(model, states, links, fractions, limits, h_cap):
     return rows, hf, _velocity_h(G, velocity, limits, h_cap)
 
 
-def _stack(model: RobotModel, tables: list[StateTables], force_dirs, velocity_dirs):
-    """The design-independent inputs of one kernel pass over the states of
+def _stack(model: RobotModel, tables: StateTables, force_dirs, velocity_dirs):
+    """The design-independent inputs of one kernel pass over the S states of
     tables along the (directions, 2) tip-space directions: poses and rays."""
-    return (forward_kinematics(model, np.array([t.q for t in tables])),
-            _force_rays([t.rhs for t in tables], [force_dirs @ t.J for t in tables]),
-            _velocity_rays([t.J for t in tables], velocity_dirs))
-
-
-def _scenario_tables(model: RobotModel, scenario: Scenario) -> list[StateTables]:
-    return [state_tables(model, q, scenario.target, scenario.gravity)
-            for q in scenario.joint_states]
+    return (forward_kinematics(model, tables.q), _force_rays(tables.rhs, force_dirs @ tables.J),
+            _velocity_rays(tables.J, velocity_dirs))
 
 
 def _design_rows(design: WireArrangement):
@@ -578,10 +581,10 @@ def make_evaluator(model: RobotModel, scenario: Scenario):
     genome_space). Most designs of a generation fail the first state, so it
     is scored on its own, before the rest.
     """
-    tables = _scenario_tables(model, scenario)
-    dirs = force_directions(scenario.target), velocity_directions(scenario.target)
-    passes = (_stack(model, tables[:1], *dirs),
-              _stack(model, tables[1:], *dirs) if len(tables) > 1 else None)
+    q, target = scenario.joint_states, scenario.target
+    dirs = force_directions(target), velocity_directions(target)
+    passes = [_stack(model, state_tables(model, states, target, scenario.gravity), *dirs)
+              if len(states) else None for states in (q[:1], q[1:])]
 
     def run(reals: np.ndarray, cats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         reals = np.asarray(reals, dtype=float)
@@ -599,24 +602,24 @@ def evaluate(model: RobotModel, design: WireArrangement, scenario: Scenario) -> 
 
     All states go through one kernel pass: one design saves nothing by
     leaving the later states to the designs the first one admits."""
-    tables = _scenario_tables(model, scenario)
-    dirs = force_directions(scenario.target), velocity_directions(scenario.target)
-    passes = _stack(model, tables, *dirs), None
+    target = scenario.target
+    tables = state_tables(model, scenario.joint_states, target, scenario.gravity)
+    passes = _stack(model, tables, force_directions(target), velocity_directions(target)), None
     totals, feasible, hf, hv = _score(model, passes, scenario, *_design_rows(design))
     if not feasible[0]:
         return EvaluationResult(feasible=False, states=tables)
-    return EvaluationResult(True, list(hf[:, 0]), list(hv[:, 0]),
-                            float(totals[0, 0]), float(totals[0, 1]), tables)
+    return EvaluationResult(True, hf[:, 0], hv[:, 0], float(totals[0, 0]), float(totals[0, 1]),
+                            tables)
 
 
-def trace_polygon(model, design, states: list[StateTables], limits,
+def trace_polygon(model, design, states: StateTables, limits,
                   n_rays: int = 64) -> tuple[np.ndarray, np.ndarray]:
     """Boundaries of the feasible force and velocity sets by ray casting.
 
-    At each of the S states, rays leave the anchor (force: the state's
-    anchor, velocity: the origin) in n_rays uniform directions; each
-    boundary point is anchor + h * dir, and unbounded directions stop at
-    RAY_CAP. All states and both sets take one kernel pass. Returns the
+    At each of the S states of the tables, rays leave the anchor (force:
+    the state's anchor, velocity: the origin) in n_rays uniform directions;
+    each boundary point is anchor + h * dir, and unbounded directions stop
+    at RAY_CAP. All states and both sets take one kernel pass. Returns the
     force and the velocity boundaries, (S, n_rays, 2) each. Raises
     InfeasibleDesign when an anchor is not reachable at some state.
     """
@@ -626,6 +629,6 @@ def trace_polygon(model, design, states: list[StateTables], limits,
     rows, hf, hv = _pass(model, _stack(model, states, dirs, dirs), *_design_rows(design),
                          limits, RAY_CAP)
     if not len(rows):
-        raise InfeasibleDesign(f"anchor unreachable at one of q = {[s.q.tolist() for s in states]}")
-    anchors = np.stack(([s.anchor for s in states], np.zeros((len(states), 2))))
+        raise InfeasibleDesign(f"anchor unreachable at one of q = {states.q.tolist()}")
+    anchors = np.stack((states.anchor, np.zeros_like(states.anchor)))
     return tuple(anchors[:, :, None] + np.stack((hf[:, 0], hv[:, 0]))[..., None] * dirs)

@@ -38,8 +38,8 @@ def paper_limits() -> ActuatorLimits:
 
 
 @pytest.fixture
-def default_states() -> list[np.ndarray]:
-    return [np.deg2rad(s) for s in DEFAULT_STATES_DEG]
+def default_states() -> np.ndarray:
+    return np.deg2rad(DEFAULT_STATES_DEG)
 
 
 @pytest.fixture
@@ -103,4 +103,4 @@ def evaluate_via_center(model, design, scenario: Scenario) -> EvaluationResult:
         return EvaluationResult(feasible=False)
     e_force = float(np.maximum(1.0 - hf, 0.0).sum())
     e_velocity = float(np.maximum(1.0 - hv, 0.0).sum())
-    return EvaluationResult(True, [hf], [hv], e_force, e_velocity)
+    return EvaluationResult(True, hf[None], hv[None], e_force, e_velocity)

@@ -458,7 +458,8 @@ class TestEvaluate:
         load_schema_validator("report").validate(report)
 
     def test_each_state_built_once_and_polygons_in_one_pass(self, tmp_path, monkeypatch):
-        # every state_tables call builds one StateTables, whoever calls it
+        # every state_tables call builds one StateTables, whoever calls it:
+        # one stack of every state
         counts = Counter()
 
         def counted(name):
@@ -470,14 +471,15 @@ class TestEvaluate:
 
             monkeypatch.setattr(tlo.feasibility, name, call)
 
-        for name in ("StateTables", "_force_h", "_velocity_h"):
+        for name in ("StateTables", "gravity_center", "_force_h", "_velocity_h"):
             counted(name)
         assert main(
             ["evaluate", "--config", scenario_path("target1_grav"),
              "--design", str(DATA / "golden_design_grav.json"), "--out", str(tmp_path)]
         ) == 0
-        # two states: one pass scores them, one more traces both polygons of both
-        assert counts == {"StateTables": 2, "_force_h": 2, "_velocity_h": 2}
+        # two states in one stack: one pass scores them, one more traces both
+        # polygons of both
+        assert counts == {"StateTables": 1, "gravity_center": 1, "_force_h": 2, "_velocity_h": 2}
 
     def test_three_joint_gravity_report_keeps_its_bytes(self, tmp_path):
         # the first front design of the three_joint_grav golden run (budget

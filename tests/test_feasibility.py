@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import (
+    PAPER_LENGTHS,
+    PAPER_MASSES,
     all_on_base_design,
     encode_rows,
     evaluate_via_center,
@@ -481,8 +483,8 @@ class TestOracleAgreement:
 class TestTracePolygon:
     def test_polygon_on_zonotope_boundary(self, paper_model, paper_limits, zero_center_target):
         design = worked_constant_design()
-        state = state_tables(paper_model, Q_BENT, zero_center_target, False)
-        (poly,), _ = trace_polygon(paper_model, design, [state], paper_limits, n_rays=64)
+        state = state_tables(paper_model, Q_BENT[None], zero_center_target, False)
+        (poly,), _ = trace_polygon(paper_model, design, state, paper_limits, n_rays=64)
         G = muscle_jacobian(paper_model, design, Q_BENT)
         J = joint_jacobian(paper_model, Q_BENT)
         zono = force_polytope_exact(G, J, paper_limits.f_min, paper_limits.f_max)
@@ -498,19 +500,19 @@ class TestTracePolygon:
         cfg = load_bundled_scenario("target1_grav")
         scen = cfg.scenario()
         q = scen.joint_states[0]
-        state = state_tables(cfg.robot, q, scen.target, True)
-        assert state.residual < 1e-9
+        state = state_tables(cfg.robot, q[None], scen.target, True)
+        assert state.residual[0] < 1e-9
         rng = np.random.default_rng(0)
         while True:
             design = random_variable_design(rng, m=4, n=3)
             try:
-                (poly,), _ = trace_polygon(cfg.robot, design, [state], scen.limits, n_rays=32)
+                (poly,), _ = trace_polygon(cfg.robot, design, state, scen.limits, n_rays=32)
             except InfeasibleDesign:
                 continue
             break
         G = muscle_jacobian(cfg.robot, design, q)
-        zono = force_polytope_exact(G, state.J, scen.limits.f_min, scen.limits.f_max)
-        assert zono.contains(state.anchor, tol=1e-6)
+        zono = force_polytope_exact(G, state.J[0], scen.limits.f_min, scen.limits.f_max)
+        assert zono.contains(state.anchor[0], tol=1e-6)
         ang = 2 * np.pi * np.arange(32) / 32
         dirs = np.column_stack([np.cos(ang), np.sin(ang)])
         for p, d in zip(poly, dirs):
@@ -525,10 +527,10 @@ class TestTracePolygon:
         ang = 2 * np.pi * np.arange(64) / 64
         dirs = np.column_stack([np.cos(ang), np.sin(ang)])
         for q in (Q_BENT, np.array([0.3, 1e-3]), np.array([-1.0, np.pi - 1e-3])):
-            state = state_tables(paper_model, q, zero_center_target, False)
-            _, (poly,) = trace_polygon(paper_model, all_on_base_design(), [state], paper_limits,
+            state = state_tables(paper_model, q[None], zero_center_target, False)
+            _, (poly,) = trace_polygon(paper_model, all_on_base_design(), state, paper_limits,
                                        n_rays=64)
-            reach = np.abs(np.linalg.solve(state.J, dirs.T)).max(axis=0)
+            reach = np.abs(np.linalg.solve(state.J[0], dirs.T)).max(axis=0)
             expected = np.minimum(1e6 / reach, RAY_CAP)
             np.testing.assert_allclose(np.sum(poly * dirs, axis=1), expected, rtol=1e-9)
             assert np.any(reach > 1)
@@ -545,8 +547,8 @@ class TestTracePolygon:
 
     def test_degenerate_force_polygon_is_point(self, paper_model, paper_limits,
                                                zero_center_target):
-        state = state_tables(paper_model, Q_BENT, zero_center_target, False)
-        (poly,), _ = trace_polygon(paper_model, all_on_base_design(), [state], paper_limits,
+        state = state_tables(paper_model, Q_BENT[None], zero_center_target, False)
+        (poly,), _ = trace_polygon(paper_model, all_on_base_design(), state, paper_limits,
                                    n_rays=16)
         assert np.max(np.ptp(poly, axis=0)) < 1e-9
 
@@ -555,10 +557,10 @@ class TestTracePolygon:
         done = 0
         while done < 20:
             design = random_constant_design(rng)
-            q = rng.uniform(-1.2, 1.2, 2)
+            q = rng.uniform(-1.2, 1.2, (1, 2))
             state = state_tables(paper_model, q, zero_center_target, False)
             try:
-                (poly,), _ = trace_polygon(paper_model, design, [state], paper_limits, n_rays=32)
+                (poly,), _ = trace_polygon(paper_model, design, state, paper_limits, n_rays=32)
             except InfeasibleDesign:
                 continue
             if np.max(np.ptp(poly, axis=0)) < 1e-9:
@@ -577,27 +579,31 @@ class TestTracePolygon:
         cfg = load_bundled_scenario("target1_nograv")
         scen = cfg.scenario()
         design = design_from_jsonable(json.loads(GOLDEN_DESIGN.read_text()), cfg.robot)
-        states = [state_tables(cfg.robot, q, scen.target, False) for q in scen.joint_states]
+        q = scen.joint_states
+        states = state_tables(cfg.robot, q, scen.target, False)
         force, velocity = trace_polygon(cfg.robot, design, states, scen.limits, n_rays=16)
-        assert force.shape == velocity.shape == (len(states), 16, 2)
-        for k, state in enumerate(states):
-            (f,), (v,) = trace_polygon(cfg.robot, design, [state], scen.limits, n_rays=16)
+        assert force.shape == velocity.shape == (len(q), 16, 2)
+        for k in range(len(q)):
+            state = state_tables(cfg.robot, q[k : k + 1], scen.target, False)
+            (f,), (v,) = trace_polygon(cfg.robot, design, state, scen.limits, n_rays=16)
             np.testing.assert_array_equal(force[k], f)
             np.testing.assert_array_equal(velocity[k], v)
 
-    def test_unreachable_anchor_at_one_state_raises(self, paper_model, paper_limits,
-                                                    zero_center_target):
-        # with every relay point on the base G = 0, which holds no gravity torque
-        free = state_tables(paper_model, Q_BENT, zero_center_target, False)
-        loaded = state_tables(paper_model, Q_BENT, zero_center_target, True)
-        trace_polygon(paper_model, all_on_base_design(), [free], paper_limits)
+    def test_unreachable_anchor_at_one_state_raises(self, paper_limits, zero_center_target):
+        # with every relay point on the base G = 0, which holds no gravity
+        # torque; gravity along the straight arm of the first state exerts none
+        model = RobotModel(PAPER_LENGTHS, PAPER_MASSES, gravity=[-9.81, 0.0])
+        q = np.array([[0.0, 0.0], Q_BENT])
+        free, both = (state_tables(model, s, zero_center_target, True) for s in (q[:1], q))
+        assert free.rhs.tolist() == [[0.0, 0.0]]
+        trace_polygon(model, all_on_base_design(), free, paper_limits)
         with pytest.raises(InfeasibleDesign):
-            trace_polygon(paper_model, all_on_base_design(), [free, loaded], paper_limits)
+            trace_polygon(model, all_on_base_design(), both, paper_limits)
 
     def test_ray_count_validation(self, paper_model, paper_limits, zero_center_target):
-        state = state_tables(paper_model, Q_BENT, zero_center_target, False)
+        state = state_tables(paper_model, Q_BENT[None], zero_center_target, False)
         with pytest.raises(ValueError):
-            trace_polygon(paper_model, all_on_base_design(), [state], paper_limits, n_rays=4)
+            trace_polygon(paper_model, all_on_base_design(), state, paper_limits, n_rays=4)
 
 
 class TestValidation:
@@ -630,3 +636,10 @@ class TestValidation:
     def test_joint_states(self, paper_limits, zero_center_target):
         with pytest.raises(ValueError, match="joint states"):
             Scenario(paper_limits, zero_center_target, [Q_BENT, [0.3, np.nan]])
+
+    @pytest.mark.parametrize("joint_states", [[[0.1, 0.2], [0.3]], [0.1, 0.2], [], [[]],
+                                              np.zeros((1, 2, 2))])
+    def test_malformed_joint_states(self, paper_limits, zero_center_target, joint_states):
+        # ragged, one state without its stack axis, no state, no joint, one axis too many
+        with pytest.raises(ValueError, match="joint states"):
+            Scenario(paper_limits, zero_center_target, joint_states)
