@@ -1,4 +1,5 @@
-"""Median microseconds per call of the batch kernels, printed as JSON.
+"""Median microseconds per call of the batch kernels and of NSGA-II's
+generation step, printed as JSON.
 
     PYTHONPATH=src python scripts/kernel_us.py [--repeat 200] [--seed 0]
 
@@ -18,9 +19,17 @@ Bred designs come from a seeded desk search (budget 2000, population 40):
 its last generation for S = 1, its first feasible designs for S > 1.
 Random ones are uniform genome rows. The velocity kernel runs on the
 designs that every state's force LP admits (the rows _force_h returns),
-as in the evaluator. Each kernel is called --repeat times per case, after
-a few untimed calls; the medians are wall-clock microseconds of this
-process.
+as in the evaluator.
+
+The "nsga2" section times tlo.nsga2's non_dominated_sort (of the merged
+2P rows), _survivors (of them), crowding_distance (of the P survivors, as
+the tournament takes it), _offspring and extend_front (of the last
+generation's rows) on the last merged generation of a seeded desk search
+(budget 2000) at population 40 and 100, on constant_relaxed and on
+target1_nograv; "fronts" counts the fronts among the merged rows.
+
+Each function is called --repeat times per case, after a few untimed
+calls; the medians are wall-clock microseconds of this process.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ import json
 import platform
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -44,7 +54,16 @@ from tlo.feasibility import (
     state_tables,
     velocity_directions,
 )
-from tlo.nsga2 import evolve
+from tlo import nsga2
+from tlo.nsga2 import (
+    _offspring,
+    _survivors,
+    crowding_distance,
+    evolve,
+    extend_front,
+    non_dominated_sort,
+    pareto_front_indices,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 CASES = (  # (config, S, P, designs)
@@ -54,6 +73,13 @@ CASES = (  # (config, S, P, designs)
     ("target1_nograv", 1, 500, "random"),
     ("tests/data/three_joint.json", 1, 40, "bred"),
 )
+GENERATION_CASES = (  # (config, population)
+    ("constant_relaxed", 40),
+    ("constant_relaxed", 100),
+    ("target1_nograv", 40),
+    ("target1_nograv", 100),
+)
+BUDGET = 2000
 WARMUP = 3
 
 
@@ -113,17 +139,51 @@ def time_case(name, s, p, kind, repeat, seed):
     }
 
 
+def time_generation(name, population, repeat, seed):
+    """The generation step's functions on the last merged generation of a
+    seeded desk search: the arguments of its last _survivors and _offspring
+    calls, and the archive rows before its last generation."""
+    cfg = _config(name)
+    scenario = cfg.scenario()
+    with mock.patch.object(nsga2, "_survivors", wraps=_survivors) as selected, \
+            mock.patch.object(nsga2, "_offspring", wraps=_offspring) as bred:
+        archive = evolve(make_evaluator(cfg.robot, scenario), cfg.space, population, BUDGET,
+                         seed, scenario.max_objective)
+    merged, merged_rank, _ = selected.call_args.args
+    rank, crowd, reals, cats, space, _ = bred.call_args.args
+    survivors = _survivors(merged, merged_rank, population)
+    objs, survivor_rank = merged[survivors], merged_rank[survivors]
+    start = BUDGET - population
+    objectives, feasible = archive.objectives, archive.feasible
+    front = pareto_front_indices(objectives[:start], feasible[:start])
+    rng = np.random.default_rng(seed)
+    return {
+        "config": name,
+        "P": population,
+        "fronts": int(merged_rank.max()) + 1,
+        "non_dominated_sort": _median_us(lambda: non_dominated_sort(merged), repeat),
+        "_survivors": _median_us(lambda: _survivors(merged, merged_rank, population), repeat),
+        "crowding_distance": _median_us(lambda: crowding_distance(objs, survivor_rank), repeat),
+        "_offspring": _median_us(lambda: _offspring(rank, crowd, reals, cats, space, rng), repeat),
+        "extend_front": _median_us(lambda: extend_front(objectives, feasible, front, start),
+                                   repeat),
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--repeat", type=int, default=200, help="timed calls per kernel and case")
+    parser.add_argument("--repeat", type=int, default=200,
+                        help="timed calls per function and case")
     parser.add_argument("--seed", type=int, default=0, help="seed of the designs")
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
     cases = [time_case(*case, args.repeat, args.seed) for case in CASES]
+    generations = [time_generation(*case, args.repeat, args.seed) for case in GENERATION_CASES]
     print(json.dumps({"unit": "us", "statistic": "median", "repeat": args.repeat,
                       "seed": args.seed, "python": platform.python_version(),
-                      "numpy": np.__version__, "cases": cases}, indent=2))
+                      "numpy": np.__version__, "cases": cases, "nsga2": generations},
+                     indent=2))
     return 0
 
 

@@ -116,16 +116,20 @@ def optimize(cfg: ScenarioConfig):
 def run_files(archive, cfg: ScenarioConfig, timings: dict) -> dict[str, str]:
     """The texts of tlo optimize's four artifacts, {name: text}, in writing
     order; built from the arguments alone, with no clock and no file."""
-    # csv.writer's bytes: no field needs quoting, and rows end in \r\n;
-    # float.__repr__ is repr for floats and raises on anything else
+    # csv.writer's bytes: no field needs quoting, and rows end in \r\n.
+    # Children inherit most genes, so each distinct float is formatted once,
+    # keyed by its bits (which keep -0.0 apart from 0.0); float.__repr__ is
+    # repr for floats, and an object column fails the int64 view
     n_r, n_c = cfg.space.n_reals, cfg.space.n_cats
     header = (["index", "feasible", "e_force", "e_velocity"]
               + [f"real_{i}" for i in range(n_r)] + [f"cat_{i}" for i in range(n_c)])
+    floats = np.concatenate((archive.objectives, archive.reals), axis=1)
+    bits, inverse = np.unique(floats.view(np.int64), return_inverse=True)
+    texts = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())), dtype=object)
     columns = [
         map(str, range(archive.evaluation_count)),
         map(str, archive.feasible.astype(int).tolist()),
-        *(map(float.__repr__, column) for column in archive.objectives.T.tolist()),
-        *(map(float.__repr__, column) for column in archive.reals.T.tolist()),
+        *texts[inverse.reshape(floats.shape)].T.tolist(),
         *(map(str, column) for column in archive.cats.T.tolist()),
     ]
     samples = [",".join(header), *map(",".join, zip(*columns))]

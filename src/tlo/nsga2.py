@@ -49,7 +49,13 @@ Each generation then breeds its P children with one block per operator
    integers(0, D + 1, size=(P, n_cats)): the reset values.
 
 The golden digests in tests/golden/optimize_digests.json pin these draws.
-Selection (sorting, crowding, survivors) draws nothing.
+Every block is drawn whole, but polynomial mutation and the cat reset
+compute only on the genes their masks select. Selection (sorting,
+crowding, survivors) draws nothing; it takes crowding twice per
+generation, on the cut front of the merged rows when one is cut, and on
+the survivors for the next tournaments. tests/reference_nsga2.py keeps
+the operators computed on every gene and the crowding of all merged rows,
+and TestAgainstReference in tests/test_nsga2.py requires the same bytes.
 """
 
 from __future__ import annotations
@@ -120,19 +126,19 @@ def non_dominated_sort(objectives: np.ndarray) -> np.ndarray:
     objs = np.asarray(objectives, dtype=float)
     f0, f1 = objs[:, 0].tolist(), objs[:, 1].tolist()
     rank = [0] * len(f0)
-    last: list[tuple[float, float]] = []
+    last_f0: list[float] = []
     last_f1: list[float] = []
     for i in np.lexsort((objs[:, 1], objs[:, 0])).tolist():
-        point = (f0[i], f1[i])
-        r = bisect_right(last_f1, point[1])
-        if r and last[r - 1] == point:
+        a, b = f0[i], f1[i]
+        r = bisect_right(last_f1, b)
+        if r and last_f1[r - 1] == b and last_f0[r - 1] == a:
             r -= 1
-        if r == len(last):
-            last.append(point)
-            last_f1.append(point[1])
+        if r == len(last_f1):
+            last_f0.append(a)
+            last_f1.append(b)
         else:
-            last[r] = point
-            last_f1[r] = point[1]
+            last_f0[r] = a
+            last_f1[r] = b
         rank[i] = r
     return np.array(rank, dtype=np.intp)
 
@@ -143,26 +149,34 @@ def crowding_distance(objectives: np.ndarray, rank: np.ndarray) -> np.ndarray:
 
     One sort per objective orders every front at once (by rank, then by the
     objective, then by row); the gaps, spans and their sums are those of a
-    separate stable sort per front, bit for bit.
+    separate stable sort per front, bit for bit. Each front's values depend
+    on its own rows alone.
     """
     objectives = np.asarray(objectives, dtype=float)
     rank = np.asarray(rank)
     n = len(objectives)
-    dist = np.zeros(n)
     # every sort puts the fronts in rank order, so they share one layout
     sorted_rank = np.sort(rank)
-    first = np.ones(n, dtype=bool)
+    first = np.empty(n, dtype=bool)
+    first[:1] = True
     first[1:] = sorted_rank[1:] != sorted_rank[:-1]
-    last = np.roll(first, -1)
+    last = np.empty(n, dtype=bool)
+    last[:-1] = first[1:]
+    last[-1:] = True
     edge = first | last
-    front = np.cumsum(first) - 1
-    for k in range(objectives.shape[1]):
-        order = np.lexsort((objectives[:, k], rank))
-        vals = objectives[order, k]
-        span = (vals[last] - vals[first])[front]
-        inner = np.flatnonzero(~edge & (span > 0))
-        dist[order[inner]] += (vals[inner + 1] - vals[inner - 1]) / span[inner]
-        dist[order[edge]] = np.inf
+    lo, hi = first.nonzero()[0], last.nonzero()[0]
+    inner_front = (first.cumsum() - 1)[1:-1]
+    dist = np.zeros(n)
+    for column in objectives.T:
+        order = np.lexsort((column, rank))
+        vals = column[order]
+        span = vals[hi] - vals[lo]
+        # a front without spread has no gaps either, and 0 / inf adds 0
+        span[span == 0] = np.inf
+        terms = np.empty(n)
+        np.divide(vals[2:] - vals[:-2], span[inner_front], out=terms[1:-1])
+        terms[edge] = np.inf
+        dist[order] += terms
     return dist
 
 
@@ -174,16 +188,20 @@ def pareto_front_indices(objectives: np.ndarray, feasible: np.ndarray) -> np.nda
     keeps its first row, which holds the group's minimal e_velocity, when
     that beats every strictly-cheaper group's best e_velocity.
     """
-    feas = np.flatnonzero(feasible)
+    feas = np.asarray(feasible).nonzero()[0]
     if not len(feas):
         return feas
     objs = np.asarray(objectives)[feas]
     order = np.lexsort((objs[:, 1], objs[:, 0]))
-    ef, ev = objs[order, 0], objs[order, 1]
-    new_group = np.concatenate([[True], ef[1:] != ef[:-1]])
+    ef, ev = objs[order].T
+    new_group = np.empty(len(ef), dtype=bool)
+    new_group[0] = True
+    new_group[1:] = ef[1:] != ef[:-1]
     group_min = ev[new_group]  # each group is sorted by e_velocity
-    best_before = np.minimum.accumulate(np.concatenate([[np.inf], group_min[:-1]]))
-    keep = np.flatnonzero(new_group)[group_min < best_before]
+    best_before = np.empty(len(group_min))
+    best_before[0] = np.inf
+    best_before[1:] = np.minimum.accumulate(group_min[:-1])
+    keep = new_group.nonzero()[0][group_min < best_before]
     return np.sort(feas[order[keep]])
 
 
@@ -275,43 +293,52 @@ def _offspring(rank: np.ndarray, crowd: np.ndarray, reals: np.ndarray, cats: np.
     crossover (Deb's formulation) with uniform cat swaps, then polynomial and
     uniform-reset mutation. Returns P children as float reals and int64
     cats; the children of pair k are rows 2k and 2k + 1. Each operator draws
-    one block, in the order set out in the module docstring.
+    one block, in the order set out in the module docstring; mutation and
+    reset compute only on the genes their masks select.
     """
     n, n_reals = reals.shape
     pairs, n_cats = n // 2, space.n_cats
     rate = 1.0 / max(1, n_reals + n_cats)
     sbx_power = 1.0 / (SBX_ETA + 1.0)
-    mutation_power = 1.0 / (MUTATION_ETA + 1)
+    eta = MUTATION_ETA + 1.0
+    mutation_power = 1.0 / eta
 
-    # ties go to the first pick, keeping selection uniform on plateaus
-    picks = rng.integers(0, n, size=(2, pairs, 2))
-    first, second = picks[..., 0], picks[..., 1]
-    wins = (rank[second] < rank[first]) | (
-        (rank[second] == rank[first]) & (crowd[second] > crowd[first]))
-    a, b = np.where(wins, second, first)
+    # [pick, pair, parent slot]; ties go to the first pick, keeping
+    # selection uniform on plateaus
+    picks = rng.integers(0, n, size=(2, pairs, 2)).T
+    (rank0, rank1), (crowd0, crowd1) = rank[picks], crowd[picks]
+    wins = (rank1 < rank0) | ((rank1 == rank0) & (crowd1 > crowd0))
+    parents = np.where(wins, picks[1], picks[0])
 
-    x1, x2 = reals[a], reals[b]
+    # each child starts as its parent: [pair, child, gene]
+    x = reals[parents]
+    x1, x2 = x[:, 0], x[:, 1]
     crossing = rng.random(pairs) < SBX_RATE
     genes = crossing[:, None] & (rng.random((pairs, n_reals)) <= 0.5) & (abs(x1 - x2) >= 1e-14)
     u = rng.random((pairs, n_reals))
     beta = np.where(u <= 0.5, 2.0 * u, 1.0 / (2.0 * (1.0 - u))) ** sbx_power
-    r1 = np.where(genes, np.clip(0.5 * ((1 + beta) * x1 + (1 - beta) * x2), 0.0, 1.0), x1)
-    r2 = np.where(genes, np.clip(0.5 * ((1 - beta) * x1 + (1 + beta) * x2), 0.0, 1.0), x2)
+    # child j is 0.5 * ((1 + beta) * its parent + (1 - beta) * the other
+    # one); the sum commutes, so the second child's bits are those of
+    # 0.5 * ((1 - beta) * x1 + (1 + beta) * x2)
+    sbx = 0.5 * ((1.0 + beta)[:, None] * x + (1.0 - beta)[:, None] * x[:, ::-1])
+    x = np.where(genes[:, None], sbx.clip(0.0, 1.0), x)
     swap = crossing[:, None] & (rng.random((pairs, n_cats)) < 0.5)
-    c1, c2 = np.where(swap, cats[b], cats[a]), np.where(swap, cats[a], cats[b])
-    x = np.stack([r1, r2], axis=1).reshape(n, n_reals)
-    c = np.stack([c1, c2], axis=1).reshape(n, n_cats)
+    c = cats[parents]
+    c = np.where(swap[:, None], c[:, ::-1], c).reshape(n, n_cats)
+    x = x.reshape(n, n_reals)
 
     mutate = rng.random((n, n_reals)) < rate
-    u = rng.random((n, n_reals))
+    u = rng.random((n, n_reals))[mutate]
+    xm = x[mutate]
     delta = np.where(
         u < 0.5,
-        (2 * u + (1 - 2 * u) * (1.0 - x) ** (MUTATION_ETA + 1)) ** mutation_power - 1.0,
-        1.0 - (2 * (1 - u) + 2 * (u - 0.5) * x ** (MUTATION_ETA + 1)) ** mutation_power,
+        (2.0 * u + (1.0 - 2.0 * u) * (1.0 - xm) ** eta) ** mutation_power - 1.0,
+        1.0 - (2.0 * (1.0 - u) + 2.0 * (u - 0.5) * xm ** eta) ** mutation_power,
     )
+    x[mutate] = (xm + delta).clip(0.0, 1.0)
     reset = rng.random((n, n_cats)) < rate
     values = rng.integers(0, space.cat_cardinality, size=(n, n_cats))
-    return np.where(mutate, np.clip(x + delta, 0.0, 1.0), x), np.where(reset, values, c)
+    return x, np.where(reset, values, c)
 
 
 # --- the optimizer -----------------------------------------------------------
@@ -373,8 +400,10 @@ def evolve(
         })
 
     row = _fill(archive, 0, *_random_rows(space, population, rng), evaluate_fn)
-    current = np.arange(population)
     record(0, row)
+    if row == budget:
+        return archive  # no generation follows, so nothing is selected
+    current = np.arange(population)
     rank = non_dominated_sort(archive.objectives[current])
 
     while row < budget:
@@ -403,20 +432,23 @@ def _survivors(objectives: np.ndarray, rank: np.ndarray, population: int) -> np.
     """The population rows of a merged generation that survive, given its
     ranks: whole fronts by rank, rows in index order; a front that does not
     fit keeps its most isolated rows, ties going to the lower index.
+    Crowding is taken on that cut front's rows alone: a front's distances
+    depend on its own rows only, so they are those among all merged rows.
 
     Every dominator of a survivor has a lower rank and survives too, so the
     survivors' ranks among themselves are their ranks in the merged sort:
     evolve carries them to the next generation instead of sorting again.
     """
-    survivors = np.argsort(rank, kind="stable")[:population]
-    cut = rank[survivors[-1]]
-    if np.count_nonzero(rank <= cut) > population:
-        crowd = crowding_distance(objectives, rank)
-        tied = np.flatnonzero(rank == cut)
-        kept = survivors[rank[survivors] < cut]
-        tied = tied[np.argsort(-crowd[tied], kind="stable")]
-        survivors = np.concatenate([kept, tied[: population - len(kept)]])
-    return survivors
+    order = np.argsort(rank, kind="stable")
+    cut = rank[order[population - 1]]
+    end = np.count_nonzero(rank <= cut)
+    if end > population:
+        # the cut front's rows, in index order
+        kept = np.count_nonzero(rank < cut)
+        tied = order[kept:end]
+        crowd = crowding_distance(objectives[tied], rank[tied])
+        order[kept:population] = tied[np.argsort(-crowd, kind="stable")[: population - kept]]
+    return order[:population]
 
 
 def random_search(

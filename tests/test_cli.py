@@ -442,6 +442,27 @@ def test_run_files_reads_no_clock_and_no_file(monkeypatch):
     assert json.loads(first["run_meta.json"])["timings"] == fixed
 
 
+def test_samples_csv_writes_each_float_by_its_repr():
+    """run_files formats each distinct float once, keyed by its bits: the
+    rows are csv.writer's rows of every value's repr, -0.0 kept apart from
+    0.0 and repeated values written alike."""
+    cfg = seeded_config(scenario_path("target2_nograv"), 20, 40, 0)
+    archive, timings = optimize(cfg)
+    archive.reals[0, :2] = -0.0, 0.0
+    archive.reals[1, :2] = 0.0, -0.0
+    archive.objectives[2] = -0.0, 0.0
+    archive.reals[3] = archive.reals[4]
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    for i in range(archive.evaluation_count):
+        writer.writerow([i, int(archive.feasible[i]),
+                         *map(repr, archive.objectives[i].tolist()),
+                         *map(repr, archive.reals[i].tolist()), *archive.cats[i].tolist()])
+    header, rows = run_files(archive, cfg, timings)["samples.csv"].split("\r\n", 1)
+    assert rows == expected.getvalue()
+    assert rows.split("\r\n")[0].split(",")[4:6] == ["-0.0", "0.0"]
+
+
 class TestEvaluate:
     def test_base_only_design_scores_exactly(self, tmp_path):
         cfg = zero_center_config(tmp_path)

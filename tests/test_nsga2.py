@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tlo.arrangement import DesignSpace, VariableArrangement, genome_rows_decode
+import reference_nsga2 as reference
 import tlo.nsga2
 from tlo.nsga2 import (
     _offspring,
@@ -302,8 +303,9 @@ class TestEvolve:
             assert arch.generations == math.ceil(budget / 20) - 1
 
     def test_one_sort_per_selection(self, monkeypatch):
-        """Generation 0's parents are sorted; later parents carry their ranks
-        from the merged sort that selected them."""
+        """Generation 0's parents are sorted when a generation follows;
+        later parents carry their ranks from the merged sort that selected
+        them."""
         calls = []
 
         def counted(objectives):
@@ -313,6 +315,9 @@ class TestEvolve:
         monkeypatch.setattr(tlo.nsga2, "non_dominated_sort", counted)
         evolve(toy_evaluator, SPACE, 20, 101, seed=3, max_objective=32.0)
         assert calls == [20] + [40] * 4  # four full bred generations; the fifth is partial
+        calls.clear()
+        evolve(toy_evaluator, SPACE, 20, 20, seed=3, max_objective=32.0)
+        assert calls == []  # no generation follows the initial population
 
     def test_sentinel_and_front_exclusion(self):
         arch = evolve(toy_evaluator, SPACE, 20, 400, seed=5, max_objective=32.0)
@@ -429,6 +434,71 @@ class TestOffspring:
             trials = changed.size
             mean, sigma = p * trials, np.sqrt(trials * p * (1 - p))
             assert abs(np.count_nonzero(changed) - mean) < 5 * sigma
+
+
+def grid_objectives(rng, n):
+    """n rows drawn as GRID draws them: a 6 x 6 integer grid (ties and
+    duplicate points) with about a fifth of the rows at the sentinel."""
+    objs = rng.integers(0, 6, size=(n, 2)).astype(float)
+    objs[rng.random(n) < 0.2] = 33.0
+    return objs
+
+
+class TestAgainstReference:
+    """The generation step against its plain copies in
+    tests/reference_nsga2.py, by their bytes: distances, survivors,
+    children, and the generator state after breeding."""
+
+    @given(GRID, st.integers(0, 3))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_crowding(self, pairs, groups):
+        # groups 0: the ranks of a sort; else rows split round-robin into
+        # groups that are not fronts
+        objs = np.array(pairs, dtype=float)
+        rank = non_dominated_sort(objs) if groups == 0 else np.arange(len(objs)) % groups
+        assert (crowding_distance(objs, rank).tobytes()
+                == reference.crowding_distance(objs, rank).tobytes())
+
+    @given(GRID, st.integers(1, 60))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_survivors_on_grids(self, pairs, population):
+        objs = np.array(pairs, dtype=float)
+        population = min(population, len(objs))
+        rank = non_dominated_sort(objs)
+        assert (_survivors(objs, rank, population).tobytes()
+                == reference.survivors(objs, rank, population).tobytes())
+
+    @given(st.sampled_from([2, 4, 40, 100, 500]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_survivors_of_merged_generations(self, population, seed):
+        objs = grid_objectives(np.random.default_rng(seed), 2 * population)
+        rank = non_dominated_sort(objs)
+        assert (_survivors(objs, rank, population).tobytes()
+                == reference.survivors(objs, rank, population).tobytes())
+
+    @given(st.sampled_from([2, 4, 40, 100, 500]),
+           st.sampled_from([SPACE, WIDE_SPACE, CONSTANT_SPACE]),
+           st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_offspring(self, population, space, seed, clones):
+        # reals at exactly 0 and 1; clones: every parent one genome, so
+        # that no gene crosses and only mutation moves the children
+        rng = np.random.default_rng(seed)
+        reals, cats = _random_rows(space, population, rng)
+        reals[rng.random(reals.shape) < 0.2] = 0.0
+        reals[rng.random(reals.shape) < 0.2] = 1.0
+        if clones:
+            reals, cats = reals[[0] * population], cats[[0] * population]
+        objs = grid_objectives(rng, population)
+        rank = non_dominated_sort(objs)
+        crowd = crowding_distance(objs, rank)
+        ours, theirs = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        children = _offspring(rank, crowd, reals, cats, space, ours)
+        expected = reference.offspring(rank, crowd, reals, cats, space, theirs)
+        for got, want in zip(children, expected):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 class TestRandomRows:
