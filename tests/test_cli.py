@@ -828,6 +828,24 @@ class TestPlot:
         for svg in svgs:
             assert (plots / svg.name).read_bytes() == svg.read_bytes(), svg.name
 
+    def test_constant_golden_files(self, tmp_path):
+        # the first front design of tlo optimize on constant_relaxed (budget
+        # 400, population 40, seed 0): the constant branches of the design's
+        # JSON form and of the arrangement panel, with its "wire k arms [m]"
+        # lines, byte for byte
+        out_eval, plots = self.run_pipeline(tmp_path, "constant_relaxed",
+                                            "golden_design_constant.json")
+        golden = GOLDEN / "constant_relaxed"
+        report = json.loads((out_eval / "report.json").read_text())
+        assert (report["e_force"], report["e_velocity"]) == (
+            pytest.approx(0.73874, abs=1e-5), pytest.approx(1.09241, abs=1e-5))
+        assert "wire 4 arms [m]" in (golden / "arrangement.svg").read_text()
+        files = sorted(p.name for p in golden.iterdir())
+        assert files == sorted(["report.json", *(p.name for p in plots.glob("*.svg"))])
+        for name in files:
+            produced = (out_eval if name == "report.json" else plots) / name
+            assert produced.read_bytes() == (golden / name).read_bytes(), name
+
 
 class TestOracleCommand:
     def test_clean_pass(self):
