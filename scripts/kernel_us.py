@@ -120,8 +120,8 @@ def time_case(name, s, p, kind, repeat, seed):
                           scenario.gravity)
     pose, force, velocity = _stack(model, tables, force_directions(scenario.target),
                                    velocity_directions(scenario.target))
-    links, fractions = genome_rows_decode(*_designs(cfg, s, p, kind, seed), cfg.space)
-    G = batch_muscle_jacobian(model, links, fractions, pose)
+    designs = genome_rows_decode(*_designs(cfg, s, p, kind, seed), cfg.space)
+    G = batch_muscle_jacobian(model, designs, pose)
     limits, h_cap = scenario.limits, scenario.h_cap
     admitted, _ = _force_h(G, force, limits, h_cap)
     G_admitted = G[:, admitted]
@@ -132,7 +132,7 @@ def time_case(name, s, p, kind, repeat, seed):
         "designs": kind,
         "admitted": len(admitted),
         "batch_muscle_jacobian": _median_us(
-            lambda: batch_muscle_jacobian(model, links, fractions, pose), repeat),
+            lambda: batch_muscle_jacobian(model, designs, pose), repeat),
         "_force_h": _median_us(lambda: _force_h(G, force, limits, h_cap), repeat),
         "_velocity_h": _median_us(lambda: _velocity_h(G_admitted, velocity, limits, h_cap),
                                   repeat),

@@ -10,12 +10,13 @@ design space with NSGA-II.
 __version__ = "0.1.0"
 
 from .arrangement import (
-    ConstantArrangement,
+    Design,
     DesignSpace,
     Genome,
-    VariableArrangement,
     genome_decode,
+    genome_rows_decode,
     muscle_jacobian,
+    relay_points,
     wire_lengths,
 )
 from .config import ConfigError, ScenarioConfig, load_config
@@ -53,8 +54,8 @@ from .oracle import ConvexPolygon, force_polytope_exact, ray_h, velocity_polytop
 __all__ = [
     "ActuatorLimits",
     "ConfigError",
-    "ConstantArrangement",
     "ConvexPolygon",
+    "Design",
     "DesignSpace",
     "EvaluationResult",
     "Genome",
@@ -66,7 +67,6 @@ __all__ = [
     "ScenarioConfig",
     "StateTables",
     "TargetSpec",
-    "VariableArrangement",
     "crowding_distance",
     "evaluate",
     "evolve",
@@ -74,6 +74,7 @@ __all__ = [
     "force_polytope_exact",
     "forward_kinematics",
     "genome_decode",
+    "genome_rows_decode",
     "gravity_center",
     "gravity_torque",
     "hypervolume_2d",
@@ -83,6 +84,7 @@ __all__ = [
     "non_dominated_sort",
     "random_search",
     "ray_h",
+    "relay_points",
     "state_tables",
     "trace_polygon",
     "velocity_h_all",

@@ -1,4 +1,4 @@
-"""Wire-arrangement encodings and the muscle Jacobian.
+"""Wire-arrangement designs and the muscle Jacobian.
 
 Two design families are supported. A *variable* arrangement routes each
 wire through an ordered list of relay points, each pinned to a link at a
@@ -6,6 +6,13 @@ fractional position along that link's attach segment; moment arms then
 change with the joint angles. A *constant* arrangement abstracts the
 routing away and directly assigns each wire a fixed moment arm per joint
 (pulley-style), stored as fractions of the model's per-joint arm range.
+
+Both families are one type, Design: relay links (..., M, N), or None for
+constant arms, and fractions (..., M, N) or (..., M, D). The leading axes
+stack designs of one shape. genome_rows_decode gives one per genome row,
+and a design file gives one design, with no leading axes. relay_points
+and batch_muscle_jacobian take any leading axes, and the one-design forms
+(muscle_jacobian, design_to_jsonable, genome_decode) call the same code.
 
 Sign conventions: wire length rates follow ldot = G(theta) qdot and wire
 tensions f (pulling, positive) produce joint torque tau = -G^T f. For a
@@ -25,73 +32,66 @@ DEGENERATE_SEGMENT = 1e-9
 
 
 @dataclass
-class VariableArrangement:
-    """Relay points as matching (M, N) arrays, one row per wire.
+class Design:
+    """Designs of one shape, stacked along the leading axes, checked once, here.
 
-    links[m, n] is the link that point n of wire m is pinned to and
-    fractions[m, n] its position along that link's attach segment. The
-    first point of every wire sits on LINK_0.
+    Variable designs: links[..., m, n] is the link that point n of wire m
+    is pinned to and fractions[..., m, n] its position along that link's
+    attach segment. The first point of every wire sits on LINK_0. Constant
+    designs: links is None and fractions[..., m, d] is wire m's moment arm
+    at joint d, as a fraction of the model's arm range.
     """
 
-    links: np.ndarray
+    links: np.ndarray | None
     fractions: np.ndarray
 
     def __post_init__(self):
-        if np.size(self.links) and np.asarray(self.links).dtype.kind not in "iu":
-            raise TypeError("relay links must be integers")
-        self.links = np.asarray(self.links, dtype=np.int64)
-        self.fractions = np.asarray(self.fractions, dtype=float)
-        if self.links.ndim != 2 or self.links.shape != self.fractions.shape:
+        constant = self.links is None
+        if not constant:
+            if np.size(self.links) and np.asarray(self.links).dtype.kind not in "iu":
+                raise TypeError("relay links must be integers")
+            links = self.links = np.asarray(self.links, dtype=np.int64)
+        fractions = self.fractions = np.asarray(self.fractions, dtype=float)
+        if constant:
+            if fractions.ndim < 2 or fractions.shape[-2] < 1:
+                raise ValueError("fractions must be an (M, D) matrix")
+        elif links.ndim < 2 or links.shape != fractions.shape:
             raise ValueError("links and fractions must be matching (M, N) arrays")
-        if not len(self.links):
+        elif not links.shape[-2]:
             raise ValueError("need at least one wire")
-        if self.links.shape[1] < 2:
+        elif links.shape[-1] < 2:
             raise ValueError("every wire needs at least 2 relay points")
-        if self.links[:, 0].any():
+        elif links[..., 0].any():
             raise ValueError("every wire must start on LINK_0")
-        if not 0.0 <= self.fractions.min() <= self.fractions.max() <= 1.0:  # NaN fails
-            raise ValueError("relay fractions must lie in [0, 1]")
-        if self.links.min() < 0:
+        if not np.all((fractions >= 0.0) & (fractions <= 1.0)):  # NaN fails
+            raise ValueError(f"{'arm' if constant else 'relay'} fractions must lie in [0, 1]")
+        if not constant and (links < 0).any():
             raise ValueError("negative link index")
 
     @property
-    def n_wires(self) -> int:
-        return len(self.links)
+    def shape(self) -> tuple:
+        """The leading axes."""
+        return self.fractions.shape[:-2]
+
+    def __getitem__(self, index) -> Design:
+        """The designs at index of the leading axes."""
+        return Design(None if self.links is None else self.links[index], self.fractions[index])
+
+    def reshape(self, *shape: int) -> Design:
+        """The same designs with leading axes of the given shape, not checked
+        again: regrouping the leading axes leaves every design as it was."""
+        view = object.__new__(Design)
+        view.links, view.fractions = (None if a is None else a.reshape(shape + a.shape[-2:])
+                                      for a in (self.links, self.fractions))
+        return view
 
 
-@dataclass
-class ConstantArrangement:
-    """Constant moment arms as an (M, D) matrix of range fractions in [0, 1]."""
-
-    fractions: np.ndarray
-
-    def __post_init__(self):
-        self.fractions = np.asarray(self.fractions, dtype=float)
-        if self.fractions.ndim != 2 or self.fractions.shape[0] < 1:
-            raise ValueError("fractions must be an (M, D) matrix")
-        if not np.all((self.fractions >= 0) & (self.fractions <= 1)):  # NaN fails
-            raise ValueError("arm fractions must lie in [0, 1]")
-
-    @property
-    def n_wires(self) -> int:
-        return self.fractions.shape[0]
-
-
-WireArrangement = VariableArrangement | ConstantArrangement
-
-
-def relay_world_positions(model: RobotModel, design: VariableArrangement,
-                          q: np.ndarray) -> np.ndarray:
-    """World positions of every relay point, (M, N, 2)."""
-    if not isinstance(design, VariableArrangement):
+def relay_points(model: RobotModel, designs: Design, pose: Pose) -> np.ndarray:
+    """World positions (..., M, N, 2) of the relay points of variable designs
+    at a pose; a pose with leading state axes adds them in front."""
+    links = designs.links
+    if links is None:
         raise TypeError("relay points exist only for variable arrangements")
-    return _relay_points(model, design.links, design.fractions, forward_kinematics(model, q))
-
-
-def _relay_points(model: RobotModel, links: np.ndarray, fractions: np.ndarray,
-                  pose: Pose) -> np.ndarray:
-    """World positions (..., 2) of relay points given as matching link and
-    fraction arrays; a pose with leading state axes adds them in front."""
     # checked before indexing, where numpy would wrap a negative link around
     if links.size:
         lo, hi = links.min(), links.max()
@@ -102,8 +102,8 @@ def _relay_points(model: RobotModel, links: np.ndarray, fractions: np.ndarray,
     seg = model.attach_segments
     x0, y0, dx, dy = np.take(np.concatenate((seg[:, 0], seg[:, 1] - seg[:, 0]), axis=1).T,
                              links, axis=1)
-    x = x0 + fractions * dx
-    y = y0 + fractions * dy
+    x = x0 + designs.fractions * dx
+    y = y0 + designs.fractions * dy
     angles, origins = pose.link_angles, pose.link_origins
     c, s, ox, oy = np.take(np.stack((np.cos(angles), np.sin(angles),
                                      origins[..., 0], origins[..., 1])), links, axis=-1)
@@ -113,10 +113,10 @@ def _relay_points(model: RobotModel, links: np.ndarray, fractions: np.ndarray,
     return pts
 
 
-def wire_lengths(model: RobotModel, design: VariableArrangement, q: np.ndarray) -> np.ndarray:
+def wire_lengths(model: RobotModel, design: Design, q: np.ndarray) -> np.ndarray:
     """Total polyline length of each wire, meters."""
-    segments = np.diff(relay_world_positions(model, design, q), axis=1)
-    return np.linalg.norm(segments, axis=2).sum(axis=1)
+    segments = np.diff(relay_points(model, design, forward_kinematics(model, q)), axis=-2)
+    return np.linalg.norm(segments, axis=-1).sum(axis=-1)
 
 
 def _arm_values(model: RobotModel, fractions: np.ndarray) -> np.ndarray:
@@ -127,41 +127,32 @@ def _arm_values(model: RobotModel, fractions: np.ndarray) -> np.ndarray:
     return lo + fractions * (hi - lo)
 
 
-def constant_arms(model: RobotModel, design: ConstantArrangement) -> np.ndarray:
-    """Moment arm values in meters, (M, D), from fractions and model ranges."""
-    return _arm_values(model, design.fractions)
-
-
-def muscle_jacobian(model: RobotModel, design: WireArrangement, q: np.ndarray) -> np.ndarray:
-    """(M, D) matrix G with ldot = G qdot; see batch_muscle_jacobian."""
-    if isinstance(design, ConstantArrangement):
-        return batch_muscle_jacobian(model, None, design.fractions, None)[0]
+def muscle_jacobian(model: RobotModel, design: Design, q: np.ndarray) -> np.ndarray:
+    """(M, D) matrix G with ldot = G qdot at joint angles q (D,); see batch_muscle_jacobian."""
     pose = forward_kinematics(model, np.asarray(q, dtype=float)[None])
-    return batch_muscle_jacobian(model, design.links, design.fractions, pose)[0]
+    return batch_muscle_jacobian(model, design, pose)[0]
 
 
-def batch_muscle_jacobian(model: RobotModel, links: np.ndarray | None, fractions: np.ndarray,
-                          pose: Pose | None) -> np.ndarray:
-    """G (S, ..., M, D) of designs of one shape at the S joint states of pose
-    (forward_kinematics of an (S, D) stack), the designs stacked along the
-    axes after the first.
+def batch_muscle_jacobian(model: RobotModel, designs: Design, pose: Pose | None) -> np.ndarray:
+    """G (S, ..., M, D) of designs at the S joint states of pose
+    (forward_kinematics of an (S, D) stack), the designs' leading axes
+    after the first.
 
-    Variable designs come as matching (..., M, N) link and fraction arrays;
-    the polyline lengths are differentiated analytically, and segments
-    shorter than DEGENERATE_SEGMENT contribute nothing (the derivative is
-    undefined there, and zero keeps the objective continuous). Constant
-    designs come as links=None and (..., M, D) arm fractions; their G is the
-    negated arm matrix, independent of q (pose is not read), so it is
-    computed once and comes as (1, ..., M, D), to broadcast against the
-    states.
+    Variable designs' polyline lengths are differentiated analytically, and
+    segments shorter than DEGENERATE_SEGMENT contribute nothing (the
+    derivative is undefined there, and zero keeps the objective continuous).
+    A constant design's G is its negated arm matrix, independent of q (pose
+    is not read), so it is computed once and comes as (1, ..., M, D), to
+    broadcast against the states.
     """
     d = model.n_joints
+    links = designs.links
     if links is None:
-        if model.moment_arm_ranges is not None and np.shape(fractions)[-1] != d:
+        if model.moment_arm_ranges is not None and designs.fractions.shape[-1] != d:
             raise ValueError("arm matrix does not match joint count")
-        return -_arm_values(model, fractions)[None]
+        return -_arm_values(model, designs.fractions)[None]
 
-    pts = _relay_points(model, links, fractions, pose)
+    pts = relay_points(model, designs, pose)
     joints = pose.joint_positions.reshape((len(pts),) + (1,) * links.ndim + (d, 2))
     # dpts[s, ..., m, n, k, :] = d p_mn / d theta_k at state s: rot90 about
     # joint k when the point's link moves with that joint, else zero
@@ -251,57 +242,41 @@ def genome_space(n_reals: int, n_cats: int, n_joints: int) -> DesignSpace:
     return DesignSpace("variable", m, n_reals // m, n_joints)
 
 
-def genome_rows_decode(reals: np.ndarray, cats: np.ndarray, space: DesignSpace):
-    """Genome rows, (P, n_reals) and (P, n_cats), as batch_muscle_jacobian's
-    (links, fractions): (P, M, N) arrays for variable designs and
-    (None, (P, M, D) arm fractions) for constant ones."""
+def genome_rows_decode(reals: np.ndarray, cats: np.ndarray, space: DesignSpace) -> Design:
+    """Genome rows, (..., n_reals) and (..., n_cats), as the Design of each
+    row, with the rows' leading axes."""
     reals = np.asarray(reals, dtype=float)
     cats = np.asarray(cats)
-    p = len(reals)
-    if reals.shape != (p, space.n_reals) or cats.shape != (p, space.n_cats):
+    lead = reals.shape[:-1]
+    if reals.shape != lead + (space.n_reals,) or cats.shape != lead + (space.n_cats,):
         raise ValueError(
             f"genome length mismatch: got ({reals.shape[-1]}, {cats.shape[-1]}), "
             f"expected ({space.n_reals}, {space.n_cats})"
         )
-    if not np.all((reals >= 0.0) & (reals <= 1.0)):  # NaN fails
-        raise ValueError("genome reals must lie in [0, 1]")
     if space.kind == "constant":
-        return None, reals.reshape(p, space.n_wires, space.n_joints)
-    links = np.zeros((p, space.n_wires, space.n_relay_points), dtype=np.int64)
-    links[..., 1:] = cats.reshape(p, space.n_wires, space.n_relay_points - 1)
-    return links, reals.reshape(links.shape)
+        return Design(None, reals.reshape(lead + (space.n_wires, space.n_joints)))
+    links = np.zeros(lead + (space.n_wires, space.n_relay_points), dtype=np.int64)
+    links[..., 1:] = cats.reshape(lead + (space.n_wires, space.n_relay_points - 1))
+    return Design(links, reals.reshape(links.shape))
 
 
-def genome_decode(genome: Genome, space: DesignSpace) -> WireArrangement:
-    """One genome as its design; validates gene counts and ranges."""
-    links, fractions = genome_rows_decode(
-        np.reshape(genome.reals, (1, -1)), np.reshape(genome.cats, (1, -1)), space
-    )
-    if links is None:
-        return ConstantArrangement(fractions[0])
-    return VariableArrangement(links[0], fractions[0])
-
-
-def space_for(design: WireArrangement, n_joints: int) -> DesignSpace:
-    if isinstance(design, ConstantArrangement):
-        return DesignSpace("constant", design.n_wires, None, n_joints)
-    return DesignSpace("variable", *design.links.shape, n_joints)
+def genome_decode(genome: Genome, space: DesignSpace) -> Design:
+    """One genome as its design, with no leading axes."""
+    return genome_rows_decode(genome.reals, genome.cats, space)
 
 
 # --- JSON form: variable as relay point lists, constant as arm values in meters
 
 
-def design_to_jsonable(design: WireArrangement, model: RobotModel) -> dict:
-    links = None if isinstance(design, ConstantArrangement) else design.links[None]
-    return designs_to_jsonable(links, design.fractions[None], model)[0]
+def design_to_jsonable(design: Design, model: RobotModel) -> dict:
+    """The JSON form of one design, with no leading axes."""
+    return designs_to_jsonable(design.reshape(1), model)[0]
 
 
-def designs_to_jsonable(links: np.ndarray | None, fractions: np.ndarray,
-                        model: RobotModel) -> list[dict]:
-    """The JSON form of each design of one shape, given as
-    genome_rows_decode returns them."""
-    if links is None:
-        arms = _arm_values(model, fractions).tolist()
+def designs_to_jsonable(designs: Design, model: RobotModel) -> list[dict]:
+    """The JSON form of each design of a (P,) stack."""
+    if designs.links is None:
+        arms = _arm_values(model, designs.fractions).tolist()
         return [{"kind": "constant", "arms": design_arms} for design_arms in arms]
     return [
         {
@@ -311,7 +286,7 @@ def designs_to_jsonable(links: np.ndarray | None, fractions: np.ndarray,
                 for wire_links, wire_fracs in zip(design_links, design_fracs)
             ],
         }
-        for design_links, design_fracs in zip(links.tolist(), fractions.tolist())
+        for design_links, design_fracs in zip(designs.links.tolist(), designs.fractions.tolist())
     ]
 
 
@@ -322,7 +297,8 @@ def _json_number(value, integer: bool = False):
     return value
 
 
-def design_from_jsonable(doc: dict, model: RobotModel) -> WireArrangement:
+def design_from_jsonable(doc: dict, model: RobotModel) -> Design:
+    """A design document as its Design, with no leading axes."""
     if not isinstance(doc, dict):
         raise TypeError("design document must be a JSON object")
     kind = doc.get("kind")
@@ -330,7 +306,7 @@ def design_from_jsonable(doc: dict, model: RobotModel) -> WireArrangement:
         wires = doc["wires"]
         if len({len(wire) for wire in wires}) > 1:
             raise ValueError("all wires need the same number of relay points")
-        design = VariableArrangement(
+        design = Design(
             [[_json_number(p["link"], integer=True) for p in wire] for wire in wires],
             [[_json_number(p["frac"]) for p in wire] for wire in wires],
         )
@@ -346,7 +322,7 @@ def design_from_jsonable(doc: dict, model: RobotModel) -> WireArrangement:
         if arms.ndim != 2 or arms.shape[1] != model.n_joints:
             raise ValueError("arms must be an (M, D) matrix")
         frac = (arms - lo) / (hi - lo)
-        if not np.all((frac >= -1e-9) & (frac <= 1 + 1e-9)):  # NaN fails both
+        if not np.all((frac >= -1e-9) & (frac <= 1 + 1e-9)):  # NaN fails
             raise ValueError("arm values outside the robot's moment_arm_ranges")
-        return ConstantArrangement(np.clip(frac, 0.0, 1.0))
+        return Design(None, np.clip(frac, 0.0, 1.0))
     raise ValueError(f"unknown design kind {kind!r}")

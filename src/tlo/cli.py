@@ -20,13 +20,12 @@ import numpy as np
 
 from . import __version__
 from .arrangement import (
-    ConstantArrangement,
+    Design,
     design_from_jsonable,
     design_to_jsonable,
     designs_to_jsonable,
     genome_rows_decode,
     muscle_jacobian,
-    space_for,
 )
 from .config import (ConfigError, ScenarioConfig, load_config, optimizer_params, parse_config,
                      read_json)
@@ -136,7 +135,7 @@ def run_files(archive, cfg: ScenarioConfig, timings: dict) -> dict[str, str]:
 
     f = archive.front_indices
     designs = designs_to_jsonable(
-        *genome_rows_decode(archive.reals[f], archive.cats[f], cfg.space), cfg.robot)
+        genome_rows_decode(archive.reals[f], archive.cats[f], cfg.space), cfg.robot)
     ties = Counter(map(tuple, archive.objectives[archive.feasible].tolist()))
     front = [
         {
@@ -193,18 +192,19 @@ def cmd_optimize(args) -> int:
     return EXIT_OK
 
 
-def _parse_design(doc, cfg: ScenarioConfig):
-    """Design document -> arrangement matching the config's design space."""
+def _parse_design(doc, cfg: ScenarioConfig) -> Design:
+    """Design document -> one design matching the config's design space."""
     try:
         design = design_from_jsonable(doc, cfg.robot)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad design document: {exc}") from exc
-    space = space_for(design, cfg.robot.n_joints)
-    if space != cfg.space:
+    m, n = design.fractions.shape
+    shape = ("constant", m, None) if design.links is None else ("variable", m, n)
+    space = cfg.space
+    if shape != (space.kind, space.n_wires, space.n_relay_points):
         raise ConfigError(
-            f"design shape {space.kind} M={space.n_wires} N={space.n_relay_points} "
-            f"does not match config mode {cfg.space.kind} M={cfg.space.n_wires} "
-            f"N={cfg.space.n_relay_points}"
+            "design shape {} M={} N={} does not match config mode {} M={} N={}".format(
+                *shape, space.kind, space.n_wires, space.n_relay_points)
         )
     return design
 
@@ -213,15 +213,18 @@ def cmd_evaluate(args) -> int:
     cfg = load_config(args.config)
     design = _parse_design(read_json(args.design, "design JSON")[0], cfg)
     result = evaluate(cfg.robot, design, cfg.scenario())
+    feasible = bool(result.feasible)
+    # a pruned design's NaN scores are written as null
+    e_force, e_velocity = (result.e_force, result.e_velocity) if feasible else (None, None)
     report = {
         "schema_version": 1,
-        "feasible": result.feasible,
+        "feasible": feasible,
         "design": design_to_jsonable(design, cfg.robot),
         "scenario": _effective_raw(cfg),
-        "e_force": result.e_force,
-        "e_velocity": result.e_velocity,
+        "e_force": e_force,
+        "e_velocity": e_velocity,
     }
-    if result.feasible:
+    if feasible:
         states = result.states
         polygons = np.round(trace_polygon(cfg.robot, design, states, cfg.limits, args.rays), 12)
         columns = {  # one row per state
@@ -238,15 +241,13 @@ def cmd_evaluate(args) -> int:
                                for row in zip(*(column.tolist() for column in columns.values()))]
     path = Path(args.out) / "report.json"
     _write_files(path.parent, {path.name: _json_text(report)})
-    print(
-        f"feasible={result.feasible} e_force={result.e_force} "
-        f"e_velocity={result.e_velocity} -> {path}"
-    )
+    print(f"feasible={feasible} e_force={e_force} e_velocity={e_velocity} -> {path}")
     return EXIT_OK
 
 
 def _plot_states(report: dict) -> list[list[np.ndarray]]:
-    """Each per_state entry as float arrays: theta, force center, force and velocity polygons."""
+    """Each per_state entry as float arrays of finite numbers: theta, force
+    center, force and velocity polygons."""
     states = report.get("per_state", [])
     if not isinstance(states, list):
         raise ConfigError("report 'per_state' must be a list")
@@ -264,6 +265,9 @@ def _plot_states(report: dict) -> list[list[np.ndarray]]:
                 f"report per_state[{k}] needs theta_deg, force_center [x, y] and "
                 "non-empty N x 2 force_polygon and velocity_polygon"
             )
+        for key, array in zip(keys, arrays):
+            if not np.isfinite(array).all():  # JSON text may hold NaN and Infinity
+                raise ConfigError("every number must be finite", ("per_state", k, key))
         parsed.append(arrays)
     return parsed
 
@@ -329,7 +333,7 @@ def cmd_oracle(args) -> int:
         J = joint_jacobian(cfg.robot, q)
         if abs(np.linalg.det(J)) < 0.05:
             continue
-        design = ConstantArrangement(rng.random((cfg.space.n_wires, cfg.robot.n_joints)))
+        design = Design(None, rng.random((cfg.space.n_wires, cfg.robot.n_joints)))
         result = evaluate(cfg.robot, design, replace(scenario, joint_states=q[None]))
         if not result.feasible:
             continue  # pruned design: both routes agree it is infeasible

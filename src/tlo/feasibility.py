@@ -9,21 +9,22 @@ clipped against the torque zonotope. The velocity ray is bounded through
 J^-1 where D = 2 and J is regular, and everywhere else by the least of the
 LP dual's vertex bounds, one per choice of D + 1 - rank J rows of [G; I_D].
 
-Designs are scored in batches of one shape: make_evaluator's evaluator maps
-a generation's genome rows to objectives and a feasible mask, with G and
-both kernels carrying leading (state, design) axes. It runs the kernels in
-two passes: state 0 on every design, then all later states stacked on the
-designs state 0 admits. A design is feasible when every state's force LP
-admits it: qdot = 0 solves every velocity LP. The force kernel decides
-that first and clips h only for the designs that every state of the pass
-admits. The joint states are one (S, D) stack, and what does not depend
-on the design (state_tables' J, force right-hand sides and anchors; poses,
-rays, the velocity table, J^-1 w and its qdot-box bound at D = 2) is built
-once per evaluator, with that leading state axis. evaluate scores one
-design, all its states in one pass; trace_polygon casts n_rays unit
-directions through the same pass in place of the ellipse directions.
-force_h_all and velocity_h_all (never None) are the one-state, one-design
-case.
+Designs are scored in batches of one shape, as one arrangement.Design with
+leading axes: make_evaluator's evaluator maps a generation's genome rows to
+objectives and a feasible mask, with G and both kernels carrying leading
+(state, design) axes. It runs the kernels in two passes: state 0 on every
+design, then all later states stacked on the designs state 0 admits. A
+design is feasible when every state's force LP admits it: qdot = 0 solves
+every velocity LP. The force kernel decides that first and clips h only
+for the designs that every state of the pass admits. The joint states are
+one (S, D) stack, and what does not depend on the design (state_tables' J,
+force right-hand sides and anchors; poses, rays, the velocity table, J^-1 w
+and its qdot-box bound at D = 2) is built once per evaluator, with that
+leading state axis. evaluate scores designs
+with any leading axes, a whole front or one design, all their states in
+one pass; trace_polygon casts n_rays unit directions through the same pass
+in place of the ellipse directions. force_h_all and velocity_h_all (never
+None) are the one-state, one-design case.
 
 Every min, max, all and any that the kernels take over a short axis (slab
 normals, joint columns, wires, directions) runs over a leading contiguous
@@ -49,13 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arrangement import (
-    ConstantArrangement,
-    WireArrangement,
-    batch_muscle_jacobian,
-    genome_rows_decode,
-    genome_space,
-)
+from .arrangement import Design, batch_muscle_jacobian, genome_rows_decode, genome_space
 from .model import RobotModel, forward_kinematics, gravity_torque, joint_jacobian
 
 DEFAULT_H_CAP = 10.0
@@ -133,13 +128,15 @@ class Scenario:
 
 @dataclass
 class EvaluationResult:
-    """Force and velocity h (S, directions), the summed shortfalls and the states' tables."""
+    """Of designs with leading axes (...): the feasible mask (...), force and
+    velocity h (..., S, directions), the summed shortfalls (...), NaN where
+    pruned, and the states' tables."""
 
-    feasible: bool
+    feasible: np.ndarray
     h_force: np.ndarray | None = None
     h_velocity: np.ndarray | None = None
-    e_force: float | None = None
-    e_velocity: float | None = None
+    e_force: np.ndarray | None = None
+    e_velocity: np.ndarray | None = None
     states: StateTables | None = None
 
 
@@ -518,40 +515,38 @@ def _velocity_h_dual(G, r, R, W, limits, h_cap):
 # --- scoring designs over the joint states -----------------------------------------
 
 
-def _score(model, passes, scenario, links, fractions):
-    """Objectives (P, 2) and the feasible mask (P,) of P designs of one
-    shape, and the force and velocity h, (S, F, directions), of the F
+def _score(model, passes, scenario, designs):
+    """Objectives (P, 2) and the feasible mask (P,) of a (P,) stack of
+    designs, and the force and velocity h, (S, F, directions), of the F
     feasible ones in row order.
 
-    links and fractions are batch_muscle_jacobian's inputs. passes holds
-    the _stack of the states the first kernel pass scores on every design,
-    and that of the later states, or None: they are scored, stacked, on the
-    designs the first pass admits. A design is feasible when every state
-    admits it. Its objectives are s_0 + s_1 + ..., s_k its summed shortfall
-    at state k, added in state order.
+    passes holds the _stack of the states the first kernel pass scores on
+    every design, and that of the later states, or None: they are scored,
+    stacked, on the designs the first pass admits. A design is feasible when
+    every state admits it. Its objectives are s_0 + s_1 + ..., s_k its
+    summed shortfall at state k, added in state order.
     """
     first, rest = passes
     limits, h_cap = scenario.limits, scenario.h_cap
-    rows, hf, hv = _pass(model, first, links, fractions, limits, h_cap)
+    rows, hf, hv = _pass(model, first, designs, limits, h_cap)
     if rest is not None and len(rows):
-        kept, hf_rest, hv_rest = _pass(model, rest, None if links is None else links[rows],
-                                       fractions[rows], limits, h_cap)
+        kept, hf_rest, hv_rest = _pass(model, rest, designs[rows], limits, h_cap)
         rows = rows[kept]
         hf = np.concatenate((hf[:, kept], hf_rest))
         hv = np.concatenate((hv[:, kept], hv_rest))
     shortfall = np.maximum(1.0 - np.stack((hf, hv), axis=2), 0.0).sum(axis=3)
-    totals = np.zeros((len(fractions), 2))
+    totals = np.zeros((len(designs.fractions), 2))
     totals[rows] = np.add.accumulate(shortfall)[-1]
-    feasible = np.zeros(len(fractions), dtype=bool)
+    feasible = np.zeros(len(designs.fractions), dtype=bool)
     feasible[rows] = True
     return totals, feasible, hf, hv
 
 
-def _pass(model, states, links, fractions, limits, h_cap):
-    """The rows of the P designs that every state's force LP of one pass
-    admits, and their force and velocity h, (S, rows, directions)."""
+def _pass(model, states, designs, limits, h_cap):
+    """The rows of a (P,) stack of designs that every state's force LP of one
+    pass admits, and their force and velocity h, (S, rows, directions)."""
     pose, force, velocity = states
-    G = batch_muscle_jacobian(model, links, fractions, pose)
+    G = batch_muscle_jacobian(model, designs, pose)
     rows, hf = _force_h(G, force, limits, h_cap)
     if len(rows) < G.shape[1]:
         G = G[:, rows]
@@ -563,12 +558,6 @@ def _stack(model: RobotModel, tables: StateTables, force_dirs, velocity_dirs):
     tables along the (directions, 2) tip-space directions: poses and rays."""
     return (forward_kinematics(model, tables.q), _force_rays(tables.rhs, force_dirs @ tables.J),
             _velocity_rays(tables.J, velocity_dirs))
-
-
-def _design_rows(design: WireArrangement):
-    """One design as batch_muscle_jacobian's links and fractions of P = 1."""
-    links = None if isinstance(design, ConstantArrangement) else design.links[None]
-    return links, design.fractions[None]
 
 
 def make_evaluator(model: RobotModel, scenario: Scenario):
@@ -590,45 +579,50 @@ def make_evaluator(model: RobotModel, scenario: Scenario):
         reals = np.asarray(reals, dtype=float)
         cats = np.asarray(cats)
         space = genome_space(reals.shape[1], cats.shape[1], model.n_joints)
-        links, fractions = genome_rows_decode(reals, cats, space)
-        return _score(model, passes, scenario, links, fractions)[:2]
+        return _score(model, passes, scenario, genome_rows_decode(reals, cats, space))[:2]
 
     return run
 
 
-def evaluate(model: RobotModel, design: WireArrangement, scenario: Scenario) -> EvaluationResult:
-    """Score one design over all evaluated joint states, with its per-state h
+def evaluate(model: RobotModel, designs: Design, scenario: Scenario) -> EvaluationResult:
+    """Score designs over all evaluated joint states, with their per-state h
     and the tables of those states.
 
-    All states go through one kernel pass: one design saves nothing by
-    leaving the later states to the designs the first one admits."""
+    The result's fields take the designs' leading axes, and a design with
+    none gives numpy scalars. Pruned designs read NaN. All designs and
+    states go through one kernel pass: evaluate leaves no state to the
+    designs that the first one admits, as the evaluator does."""
     target = scenario.target
     tables = state_tables(model, scenario.joint_states, target, scenario.gravity)
     passes = _stack(model, tables, force_directions(target), velocity_directions(target)), None
-    totals, feasible, hf, hv = _score(model, passes, scenario, *_design_rows(design))
-    if not feasible[0]:
-        return EvaluationResult(feasible=False, states=tables)
-    return EvaluationResult(True, hf[:, 0], hv[:, 0], float(totals[0, 0]), float(totals[0, 1]),
-                            tables)
+    totals, feasible, hf, hv = _score(model, passes, scenario, designs.reshape(-1))
+    h = np.full((2, len(feasible)) + hf.shape[::2], np.nan)  # (force|velocity, P, S, directions)
+    h[:, feasible] = np.stack((hf, hv)).swapaxes(1, 2)
+    totals[~feasible] = np.nan
+    fields = (feasible, *h, *totals.T)
+    return EvaluationResult(*(a.reshape(designs.shape + a.shape[1:])[()] for a in fields), tables)
 
 
-def trace_polygon(model, design, states: StateTables, limits,
+def trace_polygon(model, designs: Design, states: StateTables, limits,
                   n_rays: int = 64) -> tuple[np.ndarray, np.ndarray]:
     """Boundaries of the feasible force and velocity sets by ray casting.
 
     At each of the S states of the tables, rays leave the anchor (force:
     the state's anchor, velocity: the origin) in n_rays uniform directions;
     each boundary point is anchor + h * dir, and unbounded directions stop
-    at RAY_CAP. All states and both sets take one kernel pass. Returns the
-    force and the velocity boundaries, (S, n_rays, 2) each. Raises
-    InfeasibleDesign when an anchor is not reachable at some state.
+    at RAY_CAP. All designs, states and both sets take one kernel pass.
+    Returns the force and the velocity boundaries, (..., S, n_rays, 2) each
+    for designs with leading axes (...). Raises InfeasibleDesign when an
+    anchor is not reachable at some state.
     """
     if n_rays < MIN_RAYS:
         raise ValueError(f"need at least {MIN_RAYS} rays")
     dirs = ellipse_directions(np.ones(2), n_rays)
-    rows, hf, hv = _pass(model, _stack(model, states, dirs, dirs), *_design_rows(design),
-                         limits, RAY_CAP)
-    if not len(rows):
+    flat = designs.reshape(-1)
+    rows, hf, hv = _pass(model, _stack(model, states, dirs, dirs), flat, limits, RAY_CAP)
+    if len(rows) < len(flat.fractions):
         raise InfeasibleDesign(f"anchor unreachable at one of q = {states.q.tolist()}")
     anchors = np.stack((states.anchor, np.zeros_like(states.anchor)))
-    return tuple(anchors[:, :, None] + np.stack((hf[:, 0], hv[:, 0]))[..., None] * dirs)
+    h = np.stack((hf, hv)).swapaxes(1, 2)
+    points = anchors[:, None, :, None] + h[..., None] * dirs
+    return tuple(points.reshape((2,) + designs.shape + points.shape[2:]))

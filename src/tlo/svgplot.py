@@ -158,12 +158,13 @@ def space_panel(
 
 
 def arrangement_panel(model, design, q, title: str) -> str:
-    """Robot links at pose q with relay points and wire polylines.
+    """Robot links at pose q with one design's relay points and wire
+    polylines; the design has no leading axes.
 
     Constant designs have no drawable routing, so the links are annotated
     with each wire's moment arm values instead.
     """
-    from .arrangement import ConstantArrangement, constant_arms, relay_world_positions
+    from .arrangement import design_to_jsonable, relay_points
     from .model import forward_kinematics
 
     pose = forward_kinematics(model, np.asarray(q, dtype=float))
@@ -171,8 +172,8 @@ def arrangement_panel(model, design, q, title: str) -> str:
     joints = np.vstack([np.zeros(2), pose.link_origins[1:], pose.ee_position[None, :]])
     wires = None
     pts = joints
-    if not isinstance(design, ConstantArrangement):
-        wires = relay_world_positions(model, design, q)
+    if design.links is not None:
+        wires = relay_points(model, design, pose)
         pts = np.vstack([joints, wires.reshape(-1, 2)])
     frame = _Frame(pts[:, 0], pts[:, 1])
     body = _axes(frame, "x [m]", "y [m]")
@@ -205,8 +206,7 @@ def arrangement_panel(model, design, q, title: str) -> str:
                     f'cy="{_fmt(frame.py(p[1]))}" r="3" fill="{FEASIBLE_COLOR}"/>'
                 )
     else:
-        arms = constant_arms(model, design)
-        for m, row in enumerate(arms):
+        for m, row in enumerate(design_to_jsonable(design, model)["arms"]):
             vals = ", ".join(f"{v:+.3f}" for v in row)
             body.append(
                 f'<text x="{_fmt(_MARGIN)}" y="{_fmt(40 + 16 * m)}" font-size="12" '

@@ -3,11 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from tlo.arrangement import (
-    ConstantArrangement,
-    VariableArrangement,
-    muscle_jacobian,
-)
+from tlo.arrangement import Design, muscle_jacobian
 from tlo.feasibility import (
     ActuatorLimits,
     EvaluationResult,
@@ -52,7 +48,7 @@ def zero_center_scenario(paper_limits, default_states, zero_center_target) -> Sc
     return Scenario(paper_limits, zero_center_target, default_states)
 
 
-def random_variable_design(rng: np.random.Generator, m=3, n=3, d=2) -> VariableArrangement:
+def random_variable_design(rng: np.random.Generator, m=3, n=3, d=2) -> Design:
     links = np.zeros((m, n), dtype=np.int64)
     fractions = np.empty((m, n))
     for w in range(m):
@@ -60,11 +56,11 @@ def random_variable_design(rng: np.random.Generator, m=3, n=3, d=2) -> VariableA
         for i in range(1, n):
             links[w, i] = rng.integers(0, d + 1)
             fractions[w, i] = rng.random()
-    return VariableArrangement(links, fractions)
+    return Design(links, fractions)
 
 
-def random_constant_design(rng: np.random.Generator, m=4, d=2) -> ConstantArrangement:
-    return ConstantArrangement(rng.random((m, d)))
+def random_constant_design(rng: np.random.Generator, m=4, d=2) -> Design:
+    return Design(None, rng.random((m, d)))
 
 
 def encode_rows(designs) -> tuple[np.ndarray, np.ndarray]:
@@ -72,21 +68,21 @@ def encode_rows(designs) -> tuple[np.ndarray, np.ndarray]:
     (P, n_cats) int64 cats, that genome_rows_decode turns back into them:
     the fractions row by row, then every wire's links after its first."""
     reals = np.array([design.fractions.ravel() for design in designs], dtype=float)
-    cats = np.array([design.links[:, 1:].ravel() if isinstance(design, VariableArrangement)
-                     else np.empty(0) for design in designs], dtype=np.int64)
+    cats = np.array([np.empty(0) if design.links is None else design.links[:, 1:].ravel()
+                     for design in designs], dtype=np.int64)
     return reals, cats
 
 
-def all_on_base_design(m=3) -> VariableArrangement:
+def all_on_base_design(m=3) -> Design:
     i = np.arange(m)
-    return VariableArrangement(np.zeros((m, 2), dtype=np.int64),
-                               np.column_stack([0.1 + 0.2 * i, 0.9 - 0.1 * i]))
+    return Design(np.zeros((m, 2), dtype=np.int64),
+                  np.column_stack([0.1 + 0.2 * i, 0.9 - 0.1 * i]))
 
 
-def worked_constant_design() -> ConstantArrangement:
+def worked_constant_design() -> Design:
     # arm rows (0.1, 0), (-0.1, 0), (0, 0.1), (0, -0.1) under ranges [-0.1, 0.1]
     arms = np.array([[0.1, 0.0], [-0.1, 0.0], [0.0, 0.1], [0.0, -0.1]])
-    return ConstantArrangement((arms + 0.1) / 0.2)
+    return Design(None, (arms + 0.1) / 0.2)
 
 
 def evaluate_via_center(model, design, scenario: Scenario) -> EvaluationResult:

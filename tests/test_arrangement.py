@@ -5,39 +5,41 @@ from hypothesis import strategies as st
 
 from conftest import encode_rows, random_constant_design, random_variable_design
 from tlo.arrangement import (
-    ConstantArrangement,
+    Design,
     DesignSpace,
     Genome,
-    VariableArrangement,
-    constant_arms,
     design_from_jsonable,
     design_to_jsonable,
     designs_to_jsonable,
     genome_decode,
     genome_rows_decode,
+    genome_space,
     muscle_jacobian,
-    relay_world_positions,
-    space_for,
+    relay_points,
     wire_lengths,
 )
+from tlo.model import RobotModel, forward_kinematics
+
+
+def relay_world_positions(model, design, q):
+    """Relay points of one design at one joint state, (M, N, 2)."""
+    return relay_points(model, design, forward_kinematics(model, q))
 
 
 class TestRelayPositions:
     def test_fixed_link_midpoint(self, paper_model):
-        design = VariableArrangement([[0, 0]], [[0.5, 1.0]])
+        design = Design([[0, 0]], [[0.5, 1.0]])
         pts = relay_world_positions(paper_model, design, np.zeros(2))[0]
         np.testing.assert_allclose(pts[0], [0.2, 0.0], atol=1e-12)
 
     def test_straight_link_midpoint(self, paper_model):
-        design = VariableArrangement([[0, 1]], [[0.0, 0.5]])
+        design = Design([[0, 1]], [[0.0, 0.5]])
         pts = relay_world_positions(paper_model, design, np.zeros(2))[0]
         np.testing.assert_allclose(pts[1], [0.7, 0.0], atol=1e-12)
 
     def test_tip_matches_forward_kinematics(self, paper_model):
-        from tlo.model import forward_kinematics
-
         q = np.array([0.0, np.pi / 2])
-        design = VariableArrangement([[0, 2]], [[0.0, 1.0]])
+        design = Design([[0, 2]], [[0.0, 1.0]])
         pts = relay_world_positions(paper_model, design, q)[0]
         np.testing.assert_allclose(
             pts[1], forward_kinematics(paper_model, q).ee_position, atol=1e-12
@@ -45,25 +47,25 @@ class TestRelayPositions:
 
     def test_out_of_range_link(self, paper_model):
         for link in (7, 3, -1):  # numpy indexing would wrap -1 to the last link
-            design = VariableArrangement([[0, 2]], [[0.0, 1.0]])
+            design = Design([[0, 2]], [[0.0, 1.0]])
             design.links[0, 1] = link
             with pytest.raises(ValueError):
                 relay_world_positions(paper_model, design, np.zeros(2))
 
     def test_constant_mode_rejected(self, paper_model):
         with pytest.raises(TypeError):
-            relay_world_positions(paper_model, ConstantArrangement(np.zeros((1, 2))), np.zeros(2))
+            relay_world_positions(paper_model, Design(None, np.zeros((1, 2))), np.zeros(2))
 
 
 class TestWireLengths:
     def test_straight_segment(self, paper_model):
-        design = VariableArrangement([[0, 1]], [[0.5, 0.5]])
+        design = Design([[0, 1]], [[0.5, 0.5]])
         np.testing.assert_allclose(
             wire_lengths(paper_model, design, np.zeros(2)), [0.5], atol=1e-12
         )
 
     def test_same_link_length_constant(self, paper_model):
-        design = VariableArrangement([[0, 0], [0, 2]], [[0.1, 0.9], [0.0, 0.3]])
+        design = Design([[0, 0], [0, 2]], [[0.1, 0.9], [0.0, 0.3]])
         rng = np.random.default_rng(1)
         base = wire_lengths(paper_model, design, rng.uniform(-np.pi, np.pi, 2))
         for _ in range(10):
@@ -87,7 +89,7 @@ class TestWireLengths:
 
 class TestMuscleJacobian:
     def test_zero_row_for_base_only_wire(self, paper_model):
-        design = VariableArrangement([[0, 0]], [[0.1, 0.9]])
+        design = Design([[0, 0]], [[0.1, 0.9]])
         rng = np.random.default_rng(2)
         for _ in range(10):
             g = muscle_jacobian(paper_model, design, rng.uniform(-np.pi, np.pi, 2))
@@ -96,7 +98,7 @@ class TestMuscleJacobian:
     def test_wire_along_joint_plane(self, paper_model):
         # straight wire (0.2, 0) -> (0.7, 0) at zero pose: unit direction is
         # perpendicular to the joint-1 lever term, so dl/dtheta_1 = 0
-        design = VariableArrangement([[0, 1]], [[0.5, 0.5]])
+        design = Design([[0, 1]], [[0.5, 0.5]])
         g = muscle_jacobian(paper_model, design, np.zeros(2))
         assert g[0, 0] == pytest.approx(0.0, abs=1e-12)
 
@@ -136,8 +138,8 @@ class TestMuscleJacobian:
 
     @pytest.mark.parametrize("links, fracs, short_links, short_fracs", DUPLICATES)
     def test_repeated_point_drops_out(self, paper_model, links, fracs, short_links, short_fracs):
-        with_dup = VariableArrangement([links], [fracs])
-        without = VariableArrangement([short_links], [short_fracs])
+        with_dup = Design([links], [fracs])
+        without = Design([short_links], [short_fracs])
         for q in self.STATES:
             segments = np.diff(relay_world_positions(paper_model, with_dup, q), axis=1)
             assert np.linalg.norm(segments, axis=2).min() == 0.0
@@ -148,9 +150,9 @@ class TestMuscleJacobian:
     def test_coincident_wire_has_zero_row(self, paper_model):
         # wire 0 sits at joint 1 three times over, wire 1 at the origin;
         # wire 2 is regular and keeps its row
-        coincident = VariableArrangement([[0, 0, 1], [0, 0, 0], [0, 2, 1]],
+        coincident = Design([[0, 0, 1], [0, 0, 0], [0, 2, 1]],
                                          [[1.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.2, 0.3, 1.0]])
-        rest = VariableArrangement([[0, 2, 1]], [[0.2, 0.3, 1.0]])
+        rest = Design([[0, 2, 1]], [[0.2, 0.3, 1.0]])
         for q in self.STATES:
             g = muscle_jacobian(paper_model, coincident, q)
             assert np.all(np.isfinite(g))
@@ -159,7 +161,7 @@ class TestMuscleJacobian:
 
     def test_constant_mode_value_and_theta_independence(self, paper_model):
         frac = np.array([[1.0, 0.5], [0.0, 1.0]])
-        design = ConstantArrangement(frac)
+        design = Design(None, frac)
         g0 = muscle_jacobian(paper_model, design, np.zeros(2))
         np.testing.assert_allclose(g0, [[-0.1, 0.0], [0.1, -0.1]], atol=1e-15)
         rng = np.random.default_rng(3)
@@ -168,11 +170,12 @@ class TestMuscleJacobian:
             assert np.array_equal(g, g0)
 
     def test_constant_arms_requires_ranges(self):
-        from tlo.model import RobotModel
-
         model = RobotModel([0.4, 0.6], [0.0, 4.0])
-        with pytest.raises(ValueError):
-            constant_arms(model, ConstantArrangement(np.zeros((1, 1))))
+        design = Design(None, np.zeros((1, 1)))
+        for arms in (lambda: muscle_jacobian(model, design, np.zeros(1)),
+                     lambda: design_to_jsonable(design, model)):
+            with pytest.raises(ValueError, match="no moment_arm_ranges for constant designs"):
+                arms()
 
 
 class TestGenome:
@@ -242,7 +245,7 @@ class TestDesignJson:
         assert np.array_equal(back.fractions, design.fractions)
 
     def test_constant_arms_in_meters(self, paper_model):
-        design = ConstantArrangement(np.array([[1.0, 0.0]]))
+        design = Design(None, np.array([[1.0, 0.0]]))
         doc = design_to_jsonable(design, paper_model)
         np.testing.assert_allclose(doc["arms"], [[0.1, -0.1]])
         back = design_from_jsonable(doc, paper_model)
@@ -253,12 +256,13 @@ class TestDesignJson:
     def test_batch_matches_one_design_at_a_time(self, paper_model, random_design):
         rng = np.random.default_rng(11)
         designs = [random_design(rng) for _ in range(5)]
-        space = space_for(designs[0], paper_model.n_joints)
         reals, cats = encode_rows(designs)
-        docs = designs_to_jsonable(*genome_rows_decode(reals, cats, space), paper_model)
+        space = genome_space(reals.shape[1], cats.shape[1], paper_model.n_joints)
+        docs = designs_to_jsonable(genome_rows_decode(reals, cats, space), paper_model)
         assert docs == [design_to_jsonable(genome_decode(Genome(r, c), space), paper_model)
                         for r, c in zip(reals, cats)]
-        assert designs_to_jsonable(*genome_rows_decode(reals[:0], cats[:0], space),
+        assert docs == [design_to_jsonable(design, paper_model) for design in designs]
+        assert designs_to_jsonable(genome_rows_decode(reals[:0], cats[:0], space),
                                    paper_model) == []
 
     def test_constant_out_of_range_rejected(self, paper_model):
@@ -267,22 +271,100 @@ class TestDesignJson:
 
 
 class TestValidation:
+    """Every check of the one design type, with its message."""
+
     def test_first_point_must_be_on_base(self):
-        with pytest.raises(ValueError):
-            VariableArrangement([[1, 2]], [[0.5, 0.5]])
+        with pytest.raises(ValueError, match="every wire must start on LINK_0"):
+            Design([[1, 2]], [[0.5, 0.5]])
 
     def test_fraction_range(self):
-        with pytest.raises(ValueError):
-            VariableArrangement([[0, 1]], [[1.5, 0.5]])
+        with pytest.raises(ValueError, match=r"relay fractions must lie in \[0, 1\]"):
+            Design([[0, 1]], [[1.5, 0.5]])
 
     def test_minimum_points(self):
-        with pytest.raises(ValueError):
-            VariableArrangement([[0]], [[0.5]])
+        with pytest.raises(ValueError, match="every wire needs at least 2 relay points"):
+            Design([[0]], [[0.5]])
 
     def test_constant_fraction_range(self):
-        with pytest.raises(ValueError):
-            ConstantArrangement(np.array([[0.5, 1.2]]))
+        with pytest.raises(ValueError, match=r"arm fractions must lie in \[0, 1\]"):
+            Design(None, np.array([[0.5, 1.2]]))
 
     def test_constant_fraction_not_a_number(self):
-        with pytest.raises(ValueError):
-            ConstantArrangement([[np.nan, 0.5], [0.2, 0.3]])
+        with pytest.raises(ValueError, match=r"arm fractions must lie in \[0, 1\]"):
+            Design(None, [[np.nan, 0.5], [0.2, 0.3]])
+
+    @pytest.mark.parametrize("links, fractions, error, message", [
+        ([[0.0, 1.0]], [[0.5, 0.5]], TypeError, "relay links must be integers"),
+        ([0, 1], [0.5, 0.5], ValueError, r"links and fractions must be matching \(M, N\) arrays"),
+        ([[0, 1]], [[0.5, 0.5, 0.5]], ValueError, "must be matching"),
+        (np.zeros((2, 0, 2), dtype=int), np.zeros((2, 0, 2)), ValueError,
+         "need at least one wire"),
+        ([[0, -1]], [[0.5, 0.5]], ValueError, "negative link index"),
+        ([[0, 1]], [[np.nan, 0.5]], ValueError, r"relay fractions must lie in \[0, 1\]"),
+        (None, [0.5, 0.5], ValueError, r"fractions must be an \(M, D\) matrix"),
+        (None, np.zeros((3, 0, 2)), ValueError, r"fractions must be an \(M, D\) matrix"),
+    ])
+    def test_each_rule_has_its_message(self, links, fractions, error, message):
+        with pytest.raises(error, match=message):
+            Design(links, fractions)
+
+    def test_a_design_in_a_stack_fails_the_whole_stack(self):
+        links = np.zeros((3, 2, 2), dtype=np.int64)
+        fractions = np.full((3, 2, 2), 0.5)
+        Design(links, fractions)
+        links[2, 1, 0] = 1
+        with pytest.raises(ValueError, match="every wire must start on LINK_0"):
+            Design(links, fractions)
+        with pytest.raises(ValueError, match=r"arm fractions must lie in \[0, 1\]"):
+            Design(None, np.concatenate((fractions, [[[0.5, -0.5], [0.5, 0.5]]])))
+
+    def test_genome_rows_out_of_range(self):
+        space = DesignSpace("variable", 1, 2, 2)
+        with pytest.raises(ValueError, match=r"relay fractions must lie in \[0, 1\]"):
+            genome_rows_decode(np.array([[0.5, 1.5]]), np.array([[1]]), space)
+        space = DesignSpace("constant", 1, None, 2)
+        with pytest.raises(ValueError, match=r"arm fractions must lie in \[0, 1\]"):
+            genome_rows_decode(np.array([[np.nan, 0.5]]), np.zeros((1, 0)), space)
+
+
+class TestLeadingAxes:
+    """A Design's leading axes stack designs of one shape."""
+
+    def test_an_empty_stack_is_a_design(self):
+        space = DesignSpace("variable", 2, 3, 2)
+        designs = genome_rows_decode(np.zeros((0, 6)), np.zeros((0, 4)), space)
+        assert designs.shape == (0,) and designs.links.shape == (0, 2, 3)
+
+    @pytest.mark.parametrize("random_design", [random_variable_design, random_constant_design],
+                             ids=["variable", "constant"])
+    def test_rows_index_and_reshape(self, random_design):
+        rng = np.random.default_rng(6)
+        designs = [random_design(rng) for _ in range(6)]
+        reals, cats = encode_rows(designs)
+        space = genome_space(reals.shape[1], cats.shape[1], 2)
+        stack = genome_rows_decode(reals.reshape(2, 3, -1), cats.reshape(2, 3, -1), space)
+        assert stack.shape == (2, 3)
+        flat = stack.reshape(-1)
+        assert flat.shape == (6,)
+        for i, design in enumerate(designs):
+            one = genome_decode(Genome(reals[i], cats[i]), space)
+            assert one.shape == ()
+            for part in (flat[i], stack[divmod(i, 3)], one):
+                assert part.fractions.tobytes() == design.fractions.tobytes()
+                assert (part.links is None) == (design.links is None)
+                if design.links is not None:
+                    assert part.links.tobytes() == design.links.tobytes()
+
+    def test_muscle_jacobian_of_a_stack(self, paper_model):
+        rng = np.random.default_rng(12)
+        designs = [random_variable_design(rng) for _ in range(4)]
+        stack = Design(np.stack([d.links for d in designs]),
+                       np.stack([d.fractions for d in designs]))
+        q = np.array([0.3, -0.7])
+        G = muscle_jacobian(paper_model, stack, q)
+        assert G.shape == (4, 3, 2)
+        for g, design in zip(G, designs):
+            assert g.tobytes() == muscle_jacobian(paper_model, design, q).tobytes()
+        pts = relay_world_positions(paper_model, stack, q)
+        assert pts.shape == (4, 3, 3, 2)
+        assert pts[2].tobytes() == relay_world_positions(paper_model, designs[2], q).tobytes()

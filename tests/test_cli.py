@@ -559,16 +559,15 @@ class TestEvaluate:
         assert not (out / "report.json").exists()
 
     def test_failed_write_keeps_previous_report(self, tmp_path, monkeypatch):
-        from tlo.feasibility import EvaluationResult
-
         out = tmp_path / "eval"
         args = ["evaluate", "--config", str(zero_center_config(tmp_path)),
                 "--design", str(base_only_design(tmp_path)), "--out", str(out)]
         assert main(args) == 0
         before = (out / "report.json").read_bytes()
         # "design" and "e_force" serialize before e_velocity fails
-        bad = EvaluationResult(feasible=False, e_force=1.0, e_velocity=object())
-        monkeypatch.setattr(tlo.cli, "evaluate", lambda *a: bad)
+        evaluate = tlo.cli.evaluate
+        monkeypatch.setattr(tlo.cli, "evaluate",
+                            lambda *a: replace(evaluate(*a), e_velocity=object()))
         with pytest.raises(TypeError):
             main(args)
         assert (out / "report.json").read_bytes() == before
@@ -796,6 +795,25 @@ class TestPlot:
         assert main(["plot", str(bad), "--out", str(plots)]) == 2
         assert "config error:" in capsys.readouterr().err
         assert not list(plots.glob("*.svg"))
+
+    @pytest.mark.parametrize("key, value", [
+        ("force_polygon", [[float("inf"), 0.0]]),
+        ("theta_deg", [float("nan"), 30.0]),
+        ("force_center", [0.0, float("-inf")]),
+    ])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, key, value):
+        # Python's json reads NaN and Infinity; the panels would print nan
+        out_eval, _ = self.run_pipeline(tmp_path)
+        report = json.loads((out_eval / "report.json").read_text())
+        state = report["per_state"][1]
+        state[key] = value + state[key][1:] if key == "force_polygon" else value
+        bad = tmp_path / "non_finite.json"
+        bad.write_text(json.dumps(report))
+        plots = tmp_path / "non_finite_plots"
+        assert main(["plot", str(bad), "--out", str(plots)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: $.per_state[1].{key}: every number must be finite\n")
+        assert not plots.exists()
 
     def test_ragged_design_exits_2(self, tmp_path, capsys):
         out_eval, _ = self.run_pipeline(tmp_path)

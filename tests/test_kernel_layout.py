@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_kernels as reference
-from tlo.arrangement import VariableArrangement, batch_muscle_jacobian, relay_world_positions
+from tlo.arrangement import Design, batch_muscle_jacobian, relay_points
 from tlo.feasibility import (
     RAY_CAP,
     ActuatorLimits,
@@ -168,7 +168,7 @@ def jacobian_cases(draw):
 @given(jacobian_cases())
 def test_muscle_jacobian_equals_the_reference_bit_for_bit(case):
     model, links, fractions, pose = case
-    G = batch_muscle_jacobian(model, links, fractions, pose)
+    G = batch_muscle_jacobian(model, Design(links, fractions), pose)
     G_ref = reference.batch_muscle_jacobian(model, links, fractions, pose)
     assert G.shape == G_ref.shape
     assert G.tobytes() == G_ref.tobytes()
@@ -177,9 +177,12 @@ def test_muscle_jacobian_equals_the_reference_bit_for_bit(case):
 @EXAMPLES
 @given(jacobian_cases())
 def test_relay_points_equal_the_reference_bit_for_bit(case):
-    """One design at one state, the public relay_world_positions."""
-    model, links, fractions, _ = case
+    """One design at one state, and every design at every state."""
+    model, links, fractions, pose = case
     q = np.linspace(-1.0, 2.0, model.n_joints)
-    pts = relay_world_positions(model, VariableArrangement(links[0], fractions[0]), q)
-    ref = reference.relay_points(model, links[0], fractions[0], forward_kinematics(model, q))
+    one = forward_kinematics(model, q)
+    pts = relay_points(model, Design(links[0], fractions[0]), one)
+    ref = reference.relay_points(model, links[0], fractions[0], one)
     assert pts.tobytes() == ref.tobytes()
+    pts = relay_points(model, Design(links, fractions), pose)
+    assert pts.tobytes() == reference.relay_points(model, links, fractions, pose).tobytes()

@@ -25,6 +25,10 @@ def test_library_example_scores_a_feasible_design():
     assert archive.evaluation_count == 200
     front = archive.objectives[archive.front_indices]
     assert len(front) and np.all(np.isfinite(front)) and np.all(front < archive.sentinel)
+    scores = namespace["scores"]  # one evaluate call scores the front as the search did
+    assert scores.feasible.all()
+    assert np.column_stack((scores.e_force, scores.e_velocity)).tobytes() == front.tobytes()
+    assert namespace["first"].shape == ()
     assert list(namespace["files"]) == ["samples.csv", "pareto.json", "progress.ndjson",
                                         "run_meta.json"]
     assert namespace["run_archive"].evaluation_count == 200
