@@ -21,6 +21,15 @@ Random ones are uniform genome rows. The velocity kernel runs on the
 designs that every state's force LP admits (the rows _force_h returns),
 as in the evaluator.
 
+The "evaluator" section times one call of make_evaluator's evaluator,
+screened (its default: state 0 on every row, then the later states on the
+rows it admits) and unscreened (screen=False: all states in one pass), on
+the last bred generation of a seeded desk search (budget 2000) at
+population 40 and 100, on target1_nograv, constant_relaxed and
+tests/data/three_joint.json, and on 500 uniform genome rows of each;
+"evolve_screen" is the screen evolve chose for that generation (True for
+random rows) and "feasible" counts the rows that every state admits.
+
 The "nsga2" section times tlo.nsga2's non_dominated_sort (of the merged
 2P rows), _survivors (of them), crowding_distance (of the P survivors, as
 the tournament takes it), _offspring and extend_front (of the last
@@ -79,6 +88,10 @@ GENERATION_CASES = (  # (config, population)
     ("target1_nograv", 40),
     ("target1_nograv", 100),
 )
+EVALUATOR_CASES = tuple(  # (config, P, designs)
+    (name, p, kind)
+    for name in ("target1_nograv", "constant_relaxed", "tests/data/three_joint.json")
+    for p, kind in ((40, "bred"), (100, "bred"), (500, "random")))
 BUDGET = 2000
 WARMUP = 3
 
@@ -139,6 +152,33 @@ def time_case(name, s, p, kind, repeat, seed):
     }
 
 
+def time_evaluator(name, p, kind, repeat, seed):
+    """One evaluator call on P rows, screened and unscreened: the last
+    generation of a seeded desk search at population P, or P uniform rows."""
+    cfg = _config(name)
+    scenario = cfg.scenario()
+    evaluator = make_evaluator(cfg.robot, scenario)
+    screens = [True]
+    if kind == "random":
+        reals, cats = _designs(cfg, 1, p, kind, seed)
+    else:
+        def recorded(reals, cats, screen=True):
+            screens.append(screen)
+            return evaluator(reals, cats, screen=screen)
+
+        archive = evolve(recorded, cfg.space, p, BUDGET, seed, scenario.max_objective)
+        reals, cats = archive.reals[-p:], archive.cats[-p:]
+    return {
+        "config": name,
+        "P": p,
+        "designs": kind,
+        "evolve_screen": screens[-1],
+        "feasible": int(evaluator(reals, cats)[1].sum()),
+        "screened": _median_us(lambda: evaluator(reals, cats), repeat),
+        "unscreened": _median_us(lambda: evaluator(reals, cats, screen=False), repeat),
+    }
+
+
 def time_generation(name, population, repeat, seed):
     """The generation step's functions on the last merged generation of a
     seeded desk search: the arguments of its last _survivors and _offspring
@@ -179,11 +219,12 @@ def main(argv=None) -> int:
     if args.repeat < 1:
         parser.error("--repeat must be at least 1")
     cases = [time_case(*case, args.repeat, args.seed) for case in CASES]
+    evaluators = [time_evaluator(*case, args.repeat, args.seed) for case in EVALUATOR_CASES]
     generations = [time_generation(*case, args.repeat, args.seed) for case in GENERATION_CASES]
     print(json.dumps({"unit": "us", "statistic": "median", "repeat": args.repeat,
                       "seed": args.seed, "python": platform.python_version(),
-                      "numpy": np.__version__, "cases": cases, "nsga2": generations},
-                     indent=2))
+                      "numpy": np.__version__, "cases": cases, "evaluator": evaluators,
+                      "nsga2": generations}, indent=2))
     return 0
 
 

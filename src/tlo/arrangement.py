@@ -129,7 +129,8 @@ def _arm_values(model: RobotModel, fractions: np.ndarray) -> np.ndarray:
 
 def muscle_jacobian(model: RobotModel, design: Design, q: np.ndarray) -> np.ndarray:
     """(M, D) matrix G with ldot = G qdot at joint angles q (D,); see batch_muscle_jacobian."""
-    pose = forward_kinematics(model, np.asarray(q, dtype=float)[None])
+    q = np.asarray(q, dtype=float)[None]
+    pose = None if design.links is None else forward_kinematics(model, q)
     return batch_muscle_jacobian(model, design, pose)[0]
 
 

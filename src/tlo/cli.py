@@ -27,8 +27,8 @@ from .arrangement import (
     genome_rows_decode,
     muscle_jacobian,
 )
-from .config import (ConfigError, ScenarioConfig, load_config, optimizer_params, parse_config,
-                     read_json)
+from .config import (ConfigError, ScenarioConfig, json_value_lines, load_config, optimizer_params,
+                     parse_config, read_json)
 from .feasibility import (
     MIN_RAYS,
     InfeasibleDesign,
@@ -97,11 +97,11 @@ def optimize(cfg: ScenarioConfig):
     evaluator = make_evaluator(cfg.robot, scenario)
     evaluate_s = 0.0
 
-    def timed_evaluator(reals, cats):
+    def timed_evaluator(reals, cats, screen=True):
         nonlocal evaluate_s
         t = time.perf_counter()
         try:
-            return evaluator(reals, cats)
+            return evaluator(reals, cats, screen=screen)
         finally:
             evaluate_s += time.perf_counter() - t
 
@@ -250,7 +250,7 @@ def _plot_states(report: dict) -> list[list[np.ndarray]]:
     center, force and velocity polygons."""
     states = report.get("per_state", [])
     if not isinstance(states, list):
-        raise ConfigError("report 'per_state' must be a list")
+        raise ConfigError("must be a list", ("per_state",))
     keys = ("theta_deg", "force_center", "force_polygon", "velocity_polygon")
     parsed = []
     for k, state in enumerate(states):
@@ -262,8 +262,8 @@ def _plot_states(report: dict) -> list[list[np.ndarray]]:
             p.ndim == 2 and p.shape[1] == 2 and len(p) for p in arrays[2:]
         ):
             raise ConfigError(
-                f"report per_state[{k}] needs theta_deg, force_center [x, y] and "
-                "non-empty N x 2 force_polygon and velocity_polygon"
+                "needs theta_deg, force_center [x, y] and "
+                "non-empty N x 2 force_polygon and velocity_polygon", ("per_state", k)
             )
         for key, array in zip(keys, arrays):
             if not np.isfinite(array).all():  # JSON text may hold NaN and Infinity
@@ -273,14 +273,17 @@ def _plot_states(report: dict) -> list[list[np.ndarray]]:
 
 
 def cmd_plot(args) -> int:
-    report, _ = read_json(args.report, "report JSON")
+    report, text = read_json(args.report, "report JSON")
     from .svgplot import arrangement_panel, space_panel
 
     if not isinstance(report, dict) or not {"scenario", "design"} <= report.keys():
         raise ConfigError("report needs 'scenario' and 'design' entries (see tlo evaluate)")
     cfg = parse_config(report["scenario"])
     design = _parse_design(report["design"], cfg)
-    states = _plot_states(report)
+    try:
+        states = _plot_states(report)
+    except ConfigError as exc:  # only a bad report is scanned for lines
+        raise ConfigError(exc.message, exc.path, json_value_lines(text).get(exc.path)) from None
     svgs = {}
     for k, (theta_deg, center, force_poly, velocity_poly) in enumerate(states, 1):
         theta = ", ".join(f"{v:.0f}" for v in theta_deg)

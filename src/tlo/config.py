@@ -31,6 +31,7 @@ class ConfigError(Exception):
     """Invalid scenario document; message carries JSON path and line."""
 
     def __init__(self, message: str, path: tuple = (), line: int | None = None):
+        self.message = message
         self.path = path
         self.line = line
         where = _dotted(path) if path else "document"

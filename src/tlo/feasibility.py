@@ -12,15 +12,18 @@ LP dual's vertex bounds, one per choice of D + 1 - rank J rows of [G; I_D].
 Designs are scored in batches of one shape, as one arrangement.Design with
 leading axes: make_evaluator's evaluator maps a generation's genome rows to
 objectives and a feasible mask, with G and both kernels carrying leading
-(state, design) axes. It runs the kernels in two passes: state 0 on every
-design, then all later states stacked on the designs state 0 admits. A
-design is feasible when every state's force LP admits it: qdot = 0 solves
-every velocity LP. The force kernel decides that first and clips h only
-for the designs that every state of the pass admits. The joint states are
-one (S, D) stack, and what does not depend on the design (state_tables' J,
-force right-hand sides and anchors; poses, rays, the velocity table, J^-1 w
-and its qdot-box bound at D = 2) is built once per evaluator, with that
-leading state axis. evaluate scores designs
+(state, design) axes. Screened, it runs the kernels in two passes: state 0
+on every design, then all later states stacked on the designs state 0
+admits; unscreened, in one pass over all states. screen changes the cost,
+never a result: a design's per-state arithmetic does not depend on the
+pass that scores it. A design is feasible when every state's force LP
+admits it: qdot = 0 solves every velocity LP. The force kernel decides that
+first and clips h only for the designs that every state of the pass
+admits. The joint states are one (S, D) stack, and what does not depend on
+the design (state_tables' J, force right-hand sides and anchors; poses,
+rays, the velocity table, J^-1 w and its qdot-box bound at D = 2) is built
+once per evaluator, with that leading state axis, and each pass takes its
+states from it by index. evaluate scores designs
 with any leading axes, a whole front or one design, all their states in
 one pass; trace_polygon casts n_rays unit directions through the same pass
 in place of the ellipse directions. force_h_all and velocity_h_all (never
@@ -42,7 +45,7 @@ and turns genuinely unbounded velocity sets into a plain h = h_cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cache
 from itertools import combinations
 from math import comb
@@ -51,7 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .arrangement import Design, batch_muscle_jacobian, genome_rows_decode, genome_space
-from .model import RobotModel, forward_kinematics, gravity_torque, joint_jacobian
+from .model import Pose, RobotModel, forward_kinematics, gravity_torque, joint_jacobian
 
 DEFAULT_H_CAP = 10.0
 MIN_RAYS = 8  # fewest boundary rays trace_polygon accepts
@@ -560,6 +563,17 @@ def _stack(model: RobotModel, tables: StateTables, force_dirs, velocity_dirs):
             _velocity_rays(tables.J, velocity_dirs))
 
 
+def _take(stack, states: slice):
+    """The inputs of one kernel pass over the states of a _stack that a
+    slice picks, as views: every field leads with the state axis."""
+    pose, force, velocity = stack
+    dual = [None if part is None else tuple(a[states] for a in part) for part in velocity.dual]
+    box = None if velocity.box is None else velocity.box[states]
+    return (Pose(*(getattr(pose, f.name)[states] for f in fields(Pose))),
+            _ForceRays(*(a[states] for a in force)),
+            _VelocityRays(velocity.rank[states], velocity.reach[states], dual, box))
+
+
 def make_evaluator(model: RobotModel, scenario: Scenario):
     """Batch evaluator over per-state inputs built once.
 
@@ -567,19 +581,26 @@ def make_evaluator(model: RobotModel, scenario: Scenario):
     (objectives, feasible): the (P, 2) (e_force, e_velocity) scores and the
     (P,) mask of designs that every state's LPs admit. Rows the mask marks
     pruned carry no score. The gene counts fix the design family (see
-    genome_space). Most designs of a generation fail the first state, so it
-    is scored on its own, before the rest.
+    genome_space). Most random designs fail the first state, so by default
+    (screen=True) it is scored on its own, before the rest; screen=False
+    scores every state in one pass, which costs less where few designs
+    fail, as in a generation bred from feasible parents. Either way gives
+    the same bytes.
     """
-    q, target = scenario.joint_states, scenario.target
-    dirs = force_directions(target), velocity_directions(target)
-    passes = [_stack(model, state_tables(model, states, target, scenario.gravity), *dirs)
-              if len(states) else None for states in (q[:1], q[1:])]
+    target = scenario.target
+    tables = state_tables(model, scenario.joint_states, target, scenario.gravity)
+    stack = _stack(model, tables, force_directions(target), velocity_directions(target))
+    whole = screened = stack, None
+    if len(tables.q) > 1:
+        screened = _take(stack, slice(1)), _take(stack, slice(1, None))
 
-    def run(reals: np.ndarray, cats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def run(reals: np.ndarray, cats: np.ndarray,
+            screen: bool = True) -> tuple[np.ndarray, np.ndarray]:
         reals = np.asarray(reals, dtype=float)
         cats = np.asarray(cats)
         space = genome_space(reals.shape[1], cats.shape[1], model.n_joints)
-        return _score(model, passes, scenario, genome_rows_decode(reals, cats, space))[:2]
+        designs = genome_rows_decode(reals, cats, space)
+        return _score(model, screened if screen else whole, scenario, designs)[:2]
 
     return run
 

@@ -10,7 +10,10 @@ multiple of the population size.
 All randomness flows through one seeded generator consumed in a fixed
 order. Designs are scored one generation per evaluator call (the whole
 budget in one call for random search), as genome rows in archive order,
-and scoring never touches the generator.
+and scoring never touches the generator. A bred generation whose parents
+are all feasible is scored with screen=False: the evaluator then skips
+its state-0 screen, which pays only where many rows are pruned; screen
+changes the cost of a call, never its result.
 
 The initial population holds, per genome, the reals of one
 random(n_reals) and then the cats of one integers(0, D + 1, size=n_cats)
@@ -48,6 +51,9 @@ Each generation then breeds its P children with one block per operator
 8. random((P, n_cats)) < 1 / n_genes: the cat-reset mask, then
    integers(0, D + 1, size=(P, n_cats)): the reset values.
 
+Without cats (constant designs) the cat draws of 5 and 8 are skipped: a
+size-0 draw leaves the generator state as it is, buffered half included.
+
 The golden digests in tests/golden/optimize_digests.json pin these draws.
 Every block is drawn whole, but polynomial mutation and the cat reset
 compute only on the genes their masks select. Selection (sorting,
@@ -62,7 +68,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Protocol
 
 import numpy as np
 
@@ -322,9 +328,10 @@ def _offspring(rank: np.ndarray, crowd: np.ndarray, reals: np.ndarray, cats: np.
     # 0.5 * ((1 - beta) * x1 + (1 + beta) * x2)
     sbx = 0.5 * ((1.0 + beta)[:, None] * x + (1.0 - beta)[:, None] * x[:, ::-1])
     x = np.where(genes[:, None], sbx.clip(0.0, 1.0), x)
-    swap = crossing[:, None] & (rng.random((pairs, n_cats)) < 0.5)
-    c = cats[parents]
-    c = np.where(swap[:, None], c[:, ::-1], c).reshape(n, n_cats)
+    if n_cats:
+        swap = crossing[:, None] & (rng.random((pairs, n_cats)) < 0.5)
+        c = cats[parents]
+        c = np.where(swap[:, None], c[:, ::-1], c).reshape(n, n_cats)
     x = x.reshape(n, n_reals)
 
     mutate = rng.random((n, n_reals)) < rate
@@ -336,6 +343,8 @@ def _offspring(rank: np.ndarray, crowd: np.ndarray, reals: np.ndarray, cats: np.
         1.0 - (2.0 * (1.0 - u) + 2.0 * (u - 0.5) * xm ** eta) ** mutation_power,
     )
     x[mutate] = (xm + delta).clip(0.0, 1.0)
+    if not n_cats:
+        return x, np.empty((n, 0), dtype=np.int64)
     reset = rng.random((n, n_cats)) < rate
     values = rng.integers(0, space.cat_cardinality, size=(n, n_cats))
     return x, np.where(reset, values, c)
@@ -343,18 +352,25 @@ def _offspring(rank: np.ndarray, crowd: np.ndarray, reals: np.ndarray, cats: np.
 
 # --- the optimizer -----------------------------------------------------------
 
-# (reals (P, n_reals), cats (P, n_cats)) -> (objectives (P, 2), feasible (P,))
-EvaluateFn = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+class EvaluateFn(Protocol):
+    """(reals (P, n_reals), cats (P, n_cats)) -> (objectives (P, 2),
+    feasible (P,)). screen=False says that the rows were bred from
+    feasible parents, so few will be pruned; it may change the cost of the
+    call, never its result."""
+
+    def __call__(self, reals: np.ndarray, cats: np.ndarray,
+                 screen: bool = True) -> tuple[np.ndarray, np.ndarray]: ...
 
 
 def _fill(archive: ParetoArchive, row: int, reals: np.ndarray, cats: np.ndarray,
-          evaluate_fn) -> int:
-    """Score genome rows with one evaluator call into the archive rows from
-    row on; returns the next free row. Pruned rows keep the sentinel."""
+          evaluate_fn, **options) -> int:
+    """Score genome rows with one evaluator call, given options, into the
+    archive rows from row on; returns the next free row. Pruned rows keep
+    the sentinel."""
     end = row + len(reals)
     archive.reals[row:end] = reals
     archive.cats[row:end] = cats
-    objectives, feasible = evaluate_fn(reals, cats)
+    objectives, feasible = evaluate_fn(reals, cats, **options)
     archive.objectives[row:end][feasible] = objectives[feasible]
     archive.feasible[row:end] = feasible
     return end
@@ -371,7 +387,9 @@ def evolve(
     """Run NSGA-II for exactly `budget` design evaluations.
 
     evaluate_fn maps a generation's genome rows to their objectives and
-    feasible mask (see feasibility.make_evaluator).
+    feasible mask (see feasibility.make_evaluator). Generation 0 takes its
+    default screen; a bred generation passes screen=False exactly when its
+    parents are all feasible.
     max_objective is the worst attainable score (directions x states); the
     pruning sentinel is one above it. The population is a set of archive rows.
     archive.history gets one entry per generation: its front size (distinct
@@ -413,7 +431,8 @@ def evolve(
                                  space, rng)
 
         start = row
-        row = _fill(archive, start, reals[: budget - start], cats[: budget - start], evaluate_fn)
+        row = _fill(archive, start, reals[: budget - start], cats[: budget - start], evaluate_fn,
+                    screen=not archive.feasible[current].all())
         archive.generations += 1
         record(start, row)
         if row - start < population:

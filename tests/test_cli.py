@@ -160,12 +160,12 @@ class TestOptimize:
             evaluator = real_make_evaluator(*a)
             calls = 0
 
-            def interrupted(reals, cats):
+            def interrupted(reals, cats, **options):
                 nonlocal calls
                 calls += 1
                 if calls == 3:  # the second bred generation
                     raise KeyboardInterrupt
-                return evaluator(reals, cats)
+                return evaluator(reals, cats, **options)
 
             return interrupted
 
@@ -812,7 +812,33 @@ class TestPlot:
         plots = tmp_path / "non_finite_plots"
         assert main(["plot", str(bad), "--out", str(plots)]) == 2
         assert capsys.readouterr().err == (
-            f"config error: $.per_state[1].{key}: every number must be finite\n")
+            f"config error: $.per_state[1].{key} (line 1): every number must be finite\n")
+        assert not plots.exists()
+
+    @pytest.mark.parametrize("key, value, path, message", [
+        ("force_center", [0.0, float("nan")], "$.per_state[1].force_center",
+         "every number must be finite"),
+        ("velocity_polygon", [], "$.per_state[1]",
+         "needs theta_deg, force_center [x, y] and non-empty N x 2 force_polygon and "
+         "velocity_polygon"),
+    ])
+    def test_bad_state_of_an_indented_report_names_its_line(self, tmp_path, capsys, key, value,
+                                                             path, message):
+        out_eval, _ = self.run_pipeline(tmp_path)
+        report = json.loads((out_eval / "report.json").read_text())
+        report["per_state"][1][key] = value
+        text = json.dumps(report, indent=2)
+        # the second state's key, or the brace that opens the second state
+        keys = [n for n, line in enumerate(text.splitlines(), 1) if f'"{key}": ' in line]
+        opens = [n - 1 for n, line in enumerate(text.splitlines(), 1)
+                 if line.lstrip().startswith(f'"{next(iter(report["per_state"][1]))}": ')]
+        line = keys[1] if path.endswith(key) else opens[1]
+        assert line > 1
+        bad = tmp_path / "indented.json"
+        bad.write_text(text)
+        plots = tmp_path / "indented_plots"
+        assert main(["plot", str(bad), "--out", str(plots)]) == 2
+        assert capsys.readouterr().err == f"config error: {path} (line {line}): {message}\n"
         assert not plots.exists()
 
     def test_ragged_design_exits_2(self, tmp_path, capsys):

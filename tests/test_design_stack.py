@@ -14,6 +14,10 @@ configs of tests/data), gravity on and off, and P in {1, 3, 40} genome
 rows. Each row is a row of a short seeded search, which most states admit,
 or a uniform random one, which most prune, so that pruned rows sit among
 the scored ones.
+
+The evaluator's screen changes the cost of a call and never its bytes:
+with and without it, every bundled scenario and tests/data config scores
+bred, mixed and random rows, P in {1, 2, 40, 100, 500}, alike.
 """
 
 from dataclasses import replace
@@ -34,14 +38,17 @@ FIELDS = ("feasible", "e_force", "e_velocity", "h_force", "h_velocity")
 DATA = Path(__file__).parent / "data"
 CONFIGS = ("target1_nograv", "target1_grav", "constant_relaxed", "three_joint",
            "three_joint_grav", "three_joint_constant")
+EVERY_CONFIG = ("target1_nograv", "target1_grav", "target2_nograv", "constant_relaxed",
+                *(path.stem for path in sorted(DATA.glob("*.json"))
+                  if not path.stem.startswith("golden")))
 
 
 @cache
 def searched(name):
     """A config and the last 100 genome rows of a seeded search on it
     (budget 200, population 20)."""
-    cfg = load_config(DATA / f"{name}.json") if name.startswith("three") else (
-        load_bundled_scenario(name))
+    path = DATA / f"{name}.json"
+    cfg = load_config(path) if path.exists() else load_bundled_scenario(name)
     scenario = cfg.scenario()
     archive = evolve(make_evaluator(cfg.robot, scenario), cfg.space, 20, 200, 0,
                      scenario.max_objective)
@@ -49,14 +56,16 @@ def searched(name):
 
 
 @st.composite
-def cases(draw):
-    """(model, scenario, space, reals, cats)."""
-    cfg, reals, cats = searched(draw(st.sampled_from(CONFIGS)))
-    p = draw(st.sampled_from([1, 3, 40]))
+def cases(draw, configs=CONFIGS, sizes=(1, 3, 40), shares=st.just(0.4)):
+    """(model, scenario, space, reals, cats): P of sizes searched rows, a
+    share of them, drawn from shares, replaced by random ones."""
+    cfg, reals, cats = searched(draw(st.sampled_from(configs)))
+    p = draw(st.sampled_from(sizes))
+    share = draw(shares)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     pick = rng.integers(len(reals), size=p)
     reals, cats = reals[pick], cats[pick]
-    space, fresh = cfg.space, rng.random(p) < 0.4
+    space, fresh = cfg.space, rng.random(p) < share
     reals[fresh] = rng.random((fresh.sum(), space.n_reals))
     cats[fresh] = rng.integers(0, space.cat_cardinality, (fresh.sum(), space.n_cats))
     scenario = replace(cfg.scenario(), gravity=draw(st.booleans()))
@@ -109,3 +118,16 @@ def test_a_stack_traces_as_one_design_at_a_time(case):
     for k, i in enumerate(rows):
         f, v = trace_polygon(model, stack[i], result.states, scenario.limits, n_rays=16)
         assert force[k].tobytes() == f.tobytes() and velocity[k].tobytes() == v.tobytes()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(cases(EVERY_CONFIG, (1, 2, 40, 100, 500), st.sampled_from([0.0, 0.4, 1.0])))
+def test_the_screen_changes_no_byte(case):
+    model, scenario, space, reals, cats = case
+    evaluator = make_evaluator(model, scenario)
+    screened = evaluator(reals, cats)
+    assert evaluator(reals, cats, screen=True)[1].tobytes() == screened[1].tobytes()
+    whole = evaluator(reals, cats, screen=False)
+    for a, b in zip(screened, whole):
+        assert a.shape == b.shape and a.dtype == b.dtype
+        assert a.tobytes() == b.tobytes()

@@ -436,14 +436,14 @@ class TestBatchEvaluator:
         monkeypatch.setattr(tlo.feasibility, "forward_kinematics",
                             lambda *args: calls.append(args) or forward_kinematics(*args))
         evaluator = make_evaluator(cfg.robot, cfg.scenario())
-        # one stacked call per kernel pass: the first state, then the other three
+        # one stacked call on all S states; each kernel pass takes its states from it
         states = np.array(cfg.scenario().joint_states)
-        assert len(calls) == 2
-        np.testing.assert_array_equal(calls[0][1], states[:1])
-        np.testing.assert_array_equal(calls[1][1], states[1:])
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0][1], states)
         reals, cats = random_genome_rows(cfg.space, 100, np.random.default_rng(0))
         calls.clear()
         assert evaluator(reals, cats)[1].any()
+        assert evaluator(reals, cats, screen=False)[1].any()
         assert not calls
 
     def test_empty_batches_and_malformed_genes(self, paper_model, zero_center_scenario):

@@ -24,12 +24,12 @@ WIDE_SPACE = DesignSpace("variable", 3, 3, 2)
 CONSTANT_SPACE = DesignSpace("constant", 2, None, 2)
 
 
-def toy_evaluator(reals, cats):
+def toy_evaluator(reals, cats, screen=True):
     """Cheap deterministic objectives: smooth trade-off plus a pruned pocket.
 
     Scores derive from relay fractions (the reals) and link choices (the
     cats) only, so the optimizer sees a realistic mixed landscape without
-    any LP work.
+    any LP work. screen, as for make_evaluator's evaluator, changes nothing.
     """
     feasible = reals[:, 0] >= 0.1  # outside the pruned pocket
     a = 5 * np.sum((reals - 0.35) ** 2, axis=1) + 0.1 * np.sum(cats == 1, axis=1)
@@ -37,7 +37,7 @@ def toy_evaluator(reals, cats):
     return np.column_stack([a, b]), feasible
 
 
-def hill_evaluator(reals, cats):
+def hill_evaluator(reals, cats, screen=True):
     """Perfectly correlated objectives: a pure descent task for selection."""
     a = np.sum((reals - 0.4) ** 2, axis=1)
     return np.column_stack([a, 2 * a]), np.ones(len(reals), dtype=bool)
@@ -334,7 +334,7 @@ class TestEvolve:
         # rounded objectives give ties and duplicates across generations
         scores = []
 
-        def coarse(reals, cats):
+        def coarse(reals, cats, screen=True):
             objectives, feasible = toy_evaluator(reals, cats)
             objectives = objectives.round(1)
             scores.extend(zip(objectives[:, 0], objectives[:, 1], feasible))
@@ -380,6 +380,30 @@ class TestEvolve:
         assert arch.cats.shape == (21, space.n_cats)
         again = evolve(toy_evaluator, space, 2, 21, seed=1, max_objective=32.0)
         assert np.array_equal(arch.reals, again.reals)
+
+    @pytest.mark.parametrize("space", [SPACE, CONSTANT_SPACE], ids=["variable", "constant"])
+    def test_screens_unless_every_parent_is_feasible(self, space, monkeypatch):
+        # toy_evaluator prunes a genome by its first real, so the parents
+        # that _offspring breeds from tell whether one of them is pruned
+        calls, parents_pruned = [], [None]
+
+        def recorded(reals, cats, **options):
+            calls.append(options)
+            return toy_evaluator(reals, cats)
+
+        def breed(rank, crowd, reals, cats, *rest):
+            parents_pruned.append(bool((reals[:, 0] < 0.1).any()))
+            return _offspring(rank, crowd, reals, cats, *rest)
+
+        monkeypatch.setattr(tlo.nsga2, "_offspring", breed)
+        arch = evolve(recorded, space, 20, 410, seed=5, max_objective=32.0)
+        assert len(calls) == arch.generations + 1 == 21
+        assert calls[0] == {}  # generation 0 is random: the evaluator's default
+        assert calls[1:] == [{"screen": pruned} for pruned in parents_pruned[1:]]
+        assert {False, True} <= set(parents_pruned[1:])
+        calls.clear()
+        random_search(recorded, space, 50, seed=5, max_objective=32.0)
+        assert calls == [{}]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -499,6 +523,26 @@ class TestAgainstReference:
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
         assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+class TestEmptyDraws:
+    """_offspring skips the cat draws of a genome without cats: a size-0
+    draw must leave the PCG64 state as it is, a buffered 32-bit half
+    (has_uint32, uinteger) included."""
+
+    @pytest.mark.parametrize("shape", [0, (0,), (20, 0), (0, 3)])
+    @pytest.mark.parametrize("buffered", [False, True], ids=["empty", "buffered"])
+    def test_size_zero_draws_leave_the_state(self, shape, buffered):
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            if buffered:
+                rng.integers(0, 3)
+            before = rng.bit_generator.state
+            assert before["has_uint32"] == buffered
+            assert rng.random(shape).size == 0
+            for cardinality in (2, 3, 4, 5):
+                assert rng.integers(0, cardinality, size=shape).size == 0
+            assert rng.bit_generator.state == before
 
 
 class TestRandomRows:
