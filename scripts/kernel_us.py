@@ -21,14 +21,18 @@ Random ones are uniform genome rows. The velocity kernel runs on the
 designs that every state's force LP admits (the rows _force_h returns),
 as in the evaluator.
 
-The "evaluator" section times one call of make_evaluator's evaluator,
-screened (its default: state 0 on every row, then the later states on the
-rows it admits) and unscreened (screen=False: all states in one pass), on
-the last bred generation of a seeded desk search (budget 2000) at
-population 40 and 100, on target1_nograv, constant_relaxed and
-tests/data/three_joint.json, and on 500 uniform genome rows of each;
-"evolve_screen" is the screen evolve chose for that generation (True for
-random rows) and "feasible" counts the rows that every state admits.
+The "evaluator" section times tlo.feasibility._score, the evaluator's
+scoring of a batch, in each kernel pass layout on the same rows:
+"one_pass", all S states in one pass, and "screened", state 0 on every
+row, then the later states on the rows it admits. The two calls alternate
+within the process, so that its drift touches both alike. The P rows are
+uniform genome rows, or the last P rows of a seeded desk search (budget
+2000) at population min(P, 100): its last generation at P = 40 and 100,
+its last two and five at 200 and 500. P is 40, 100, 200 and 500, on
+target1_nograv, constant_relaxed and tests/data/three_joint.json (D = 3).
+"pick" is the layout that the evaluator's rule (feasibility._passes)
+takes for a batch of P rows, "screen_rows" is its SCREEN_ROWS, and
+"feasible" counts the rows that every state admits.
 
 The "nsga2" section times tlo.nsga2's non_dominated_sort (of the merged
 2P rows), _survivors (of them), crowding_distance (of the P survivors, as
@@ -55,8 +59,12 @@ import numpy as np
 from tlo.arrangement import batch_muscle_jacobian, genome_rows_decode
 from tlo.config import load_bundled_scenario, load_config
 from tlo.feasibility import (
+    SCREEN_ROWS,
     _force_h,
+    _passes,
+    _score,
     _stack,
+    _take,
     _velocity_h,
     force_directions,
     make_evaluator,
@@ -91,7 +99,7 @@ GENERATION_CASES = (  # (config, population)
 EVALUATOR_CASES = tuple(  # (config, P, designs)
     (name, p, kind)
     for name in ("target1_nograv", "constant_relaxed", "tests/data/three_joint.json")
-    for p, kind in ((40, "bred"), (100, "bred"), (500, "random")))
+    for kind in ("random", "bred") for p in (40, 100, 200, 500))
 BUDGET = 2000
 WARMUP = 3
 
@@ -115,14 +123,22 @@ def _designs(cfg, s, p, kind, seed):
 
 
 def _median_us(fn, repeat):
+    return _medians_us([fn], repeat)[0]
+
+
+def _medians_us(fns, repeat):
+    """Median microseconds per call of each function; each round calls them
+    all, in turn, in alternating order."""
     for _ in range(WARMUP):
-        fn()
-    samples = []
-    for _ in range(repeat):
-        t = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - t)
-    return round(float(np.median(samples)) * 1e6, 1)
+        for fn in fns:
+            fn()
+    samples = [[] for _ in fns]
+    for k in range(repeat):
+        for fn, times in list(zip(fns, samples))[:: 1 if k % 2 else -1]:
+            t = time.perf_counter()
+            fn()
+            times.append(time.perf_counter() - t)
+    return [round(float(np.median(times)) * 1e6, 1) for times in samples]
 
 
 def time_case(name, s, p, kind, repeat, seed):
@@ -153,29 +169,32 @@ def time_case(name, s, p, kind, repeat, seed):
 
 
 def time_evaluator(name, p, kind, repeat, seed):
-    """One evaluator call on P rows, screened and unscreened: the last
-    generation of a seeded desk search at population P, or P uniform rows."""
+    """_score of P rows in each kernel pass layout: P uniform rows, or the
+    last P rows of a seeded desk search at population min(P, 100)."""
     cfg = _config(name)
-    scenario = cfg.scenario()
-    evaluator = make_evaluator(cfg.robot, scenario)
-    screens = [True]
+    model, scenario = cfg.robot, cfg.scenario()
+    target = scenario.target
+    tables = state_tables(model, scenario.joint_states, target, scenario.gravity)
+    stack = _stack(model, tables, force_directions(target), velocity_directions(target))
     if kind == "random":
         reals, cats = _designs(cfg, 1, p, kind, seed)
     else:
-        def recorded(reals, cats, screen=True):
-            screens.append(screen)
-            return evaluator(reals, cats, screen=screen)
-
-        archive = evolve(recorded, cfg.space, p, BUDGET, seed, scenario.max_objective)
+        archive = evolve(make_evaluator(model, scenario), cfg.space, min(p, 100), BUDGET, seed,
+                         scenario.max_objective)
         reals, cats = archive.reals[-p:], archive.cats[-p:]
+    designs = genome_rows_decode(reals, cats, cfg.space)
+    layouts = {"one_pass": (stack, None),
+               "screened": (_take(stack, slice(1)), _take(stack, slice(1, None)))}
+    times = _medians_us([lambda passes=passes: _score(model, passes, scenario, designs)
+                         for passes in layouts.values()], repeat)
     return {
         "config": name,
+        "S": len(tables.q),
         "P": p,
         "designs": kind,
-        "evolve_screen": screens[-1],
-        "feasible": int(evaluator(reals, cats)[1].sum()),
-        "screened": _median_us(lambda: evaluator(reals, cats), repeat),
-        "unscreened": _median_us(lambda: evaluator(reals, cats, screen=False), repeat),
+        "feasible": int(_score(model, layouts["one_pass"], scenario, designs)[1].sum()),
+        **dict(zip(layouts, times)),
+        "pick": "one_pass" if _passes(stack, p)[1] is None else "screened",
     }
 
 
@@ -223,8 +242,8 @@ def main(argv=None) -> int:
     generations = [time_generation(*case, args.repeat, args.seed) for case in GENERATION_CASES]
     print(json.dumps({"unit": "us", "statistic": "median", "repeat": args.repeat,
                       "seed": args.seed, "python": platform.python_version(),
-                      "numpy": np.__version__, "cases": cases, "evaluator": evaluators,
-                      "nsga2": generations}, indent=2))
+                      "numpy": np.__version__, "cases": cases, "screen_rows": SCREEN_ROWS,
+                      "evaluator": evaluators, "nsga2": generations}, indent=2))
     return 0
 
 

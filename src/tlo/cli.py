@@ -97,11 +97,11 @@ def optimize(cfg: ScenarioConfig):
     evaluator = make_evaluator(cfg.robot, scenario)
     evaluate_s = 0.0
 
-    def timed_evaluator(reals, cats, screen=True):
+    def timed_evaluator(reals, cats):
         nonlocal evaluate_s
         t = time.perf_counter()
         try:
-            return evaluator(reals, cats, screen=screen)
+            return evaluator(reals, cats)
         finally:
             evaluate_s += time.perf_counter() - t
 

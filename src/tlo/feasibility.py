@@ -12,22 +12,24 @@ LP dual's vertex bounds, one per choice of D + 1 - rank J rows of [G; I_D].
 Designs are scored in batches of one shape, as one arrangement.Design with
 leading axes: make_evaluator's evaluator maps a generation's genome rows to
 objectives and a feasible mask, with G and both kernels carrying leading
-(state, design) axes. Screened, it runs the kernels in two passes: state 0
-on every design, then all later states stacked on the designs state 0
-admits; unscreened, in one pass over all states. screen changes the cost,
-never a result: a design's per-state arithmetic does not depend on the
-pass that scores it. A design is feasible when every state's force LP
-admits it: qdot = 0 solves every velocity LP. The force kernel decides that
-first and clips h only for the designs that every state of the pass
-admits. The joint states are one (S, D) stack, and what does not depend on
-the design (state_tables' J, force right-hand sides and anchors; poses,
-rays, the velocity table, J^-1 w and its qdot-box bound at D = 2) is built
-once per evaluator, with that leading state axis, and each pass takes its
-states from it by index. evaluate scores designs
-with any leading axes, a whole front or one design, all their states in
-one pass; trace_polygon casts n_rays unit directions through the same pass
-in place of the ellipse directions. force_h_all and velocity_h_all (never
-None) are the one-state, one-design case.
+(state, design) axes. A batch of more than SCREEN_ROWS designs at S > 1
+states is screened in two kernel passes: state 0 on every design, then all
+later states stacked on the designs state 0 admits. A smaller batch, such
+as a search generation, takes one pass over all states (see _passes). The
+choice changes the cost, never a result: a design's per-state arithmetic
+does not depend on the pass that scores it.
+A design is feasible when every state's force LP admits it: qdot = 0
+solves every velocity LP. The force kernel decides that first and clips h
+only for the designs that every state of the pass admits. The joint
+states are one (S, D) stack, and what does not depend on the design
+(state_tables' J, force right-hand sides and anchors; poses, rays, the
+velocity table, J^-1 w and its qdot-box bound at D = 2) is built once per
+evaluator, with that leading state axis, and each pass takes its states
+from it by index. evaluate scores designs with any leading axes, a whole
+front or one design, by the same rule; trace_polygon casts n_rays unit
+directions through one pass over all states in place of the ellipse
+directions. force_h_all and velocity_h_all (never None) are the
+one-state, one-design case.
 
 Every min, max, all and any that the kernels take over a short axis (slab
 normals, joint columns, wires, directions) runs over a leading contiguous
@@ -62,6 +64,7 @@ RAY_CAP = 1e6  # where trace_polygon stops a ray through an unbounded set
 QDOT_BOX = 1e6  # formal box on each |qdot_k| in the velocity LPs; binds only on long rays
 _SLACK_TOL = 1e-9  # force rays may miss Z by this times max(1, |rhs|_inf) in the L1 norm
 _MINOR_TOL = 1e-14  # rounding bound of a velocity dual candidate's mu.omega, relative
+SCREEN_ROWS = 200  # a larger batch is screened on state 0 first (see _passes)
 
 
 class InfeasibleDesign(Exception):
@@ -525,9 +528,9 @@ def _score(model, passes, scenario, designs):
 
     passes holds the _stack of the states the first kernel pass scores on
     every design, and that of the later states, or None: they are scored,
-    stacked, on the designs the first pass admits. A design is feasible when
-    every state admits it. Its objectives are s_0 + s_1 + ..., s_k its
-    summed shortfall at state k, added in state order.
+    stacked, on the designs the first pass admits (see _passes). A design
+    is feasible when every state admits it. Its objectives are s_0 + s_1 +
+    ..., s_k its summed shortfall at state k, added in state order.
     """
     first, rest = passes
     limits, h_cap = scenario.limits, scenario.h_cap
@@ -563,6 +566,21 @@ def _stack(model: RobotModel, tables: StateTables, force_dirs, velocity_dirs):
             _velocity_rays(tables.J, velocity_dirs))
 
 
+def _passes(stack, rows: int):
+    """_score's passes for a batch of rows designs over a _stack: state 0,
+    then the later states, when the batch has more than SCREEN_ROWS rows
+    and there is a later state; else the whole stack in one pass.
+
+    The screen spares the later states the rows that state 0 prunes, for
+    the fixed cost of a second pass, and a pass over every state costs
+    more than its share per row on a large batch. On the last rows of a
+    desk search (scripts/kernel_us.py) one pass is the cheaper at 40 and
+    100 rows, the screen at 500, and they cross near 200."""
+    if rows <= SCREEN_ROWS or len(stack[1].rhs) == 1:
+        return stack, None
+    return _take(stack, slice(1)), _take(stack, slice(1, None))
+
+
 def _take(stack, states: slice):
     """The inputs of one kernel pass over the states of a _stack that a
     slice picks, as views: every field leads with the state axis."""
@@ -581,26 +599,19 @@ def make_evaluator(model: RobotModel, scenario: Scenario):
     (objectives, feasible): the (P, 2) (e_force, e_velocity) scores and the
     (P,) mask of designs that every state's LPs admit. Rows the mask marks
     pruned carry no score. The gene counts fix the design family (see
-    genome_space). Most random designs fail the first state, so by default
-    (screen=True) it is scored on its own, before the rest; screen=False
-    scores every state in one pass, which costs less where few designs
-    fail, as in a generation bred from feasible parents. Either way gives
-    the same bytes.
+    genome_space). The batch's size picks its kernel passes (_passes),
+    never its bytes.
     """
     target = scenario.target
     tables = state_tables(model, scenario.joint_states, target, scenario.gravity)
     stack = _stack(model, tables, force_directions(target), velocity_directions(target))
-    whole = screened = stack, None
-    if len(tables.q) > 1:
-        screened = _take(stack, slice(1)), _take(stack, slice(1, None))
 
-    def run(reals: np.ndarray, cats: np.ndarray,
-            screen: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    def run(reals: np.ndarray, cats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         reals = np.asarray(reals, dtype=float)
         cats = np.asarray(cats)
         space = genome_space(reals.shape[1], cats.shape[1], model.n_joints)
         designs = genome_rows_decode(reals, cats, space)
-        return _score(model, screened if screen else whole, scenario, designs)[:2]
+        return _score(model, _passes(stack, len(reals)), scenario, designs)[:2]
 
     return run
 
@@ -610,13 +621,13 @@ def evaluate(model: RobotModel, designs: Design, scenario: Scenario) -> Evaluati
     and the tables of those states.
 
     The result's fields take the designs' leading axes, and a design with
-    none gives numpy scalars. Pruned designs read NaN. All designs and
-    states go through one kernel pass: evaluate leaves no state to the
-    designs that the first one admits, as the evaluator does."""
+    none gives numpy scalars. Pruned designs read NaN. The designs' count
+    picks the kernel passes, as it does for the evaluator."""
     target = scenario.target
     tables = state_tables(model, scenario.joint_states, target, scenario.gravity)
-    passes = _stack(model, tables, force_directions(target), velocity_directions(target)), None
-    totals, feasible, hf, hv = _score(model, passes, scenario, designs.reshape(-1))
+    stack = _stack(model, tables, force_directions(target), velocity_directions(target))
+    flat = designs.reshape(-1)
+    totals, feasible, hf, hv = _score(model, _passes(stack, len(flat.fractions)), scenario, flat)
     h = np.full((2, len(feasible)) + hf.shape[::2], np.nan)  # (force|velocity, P, S, directions)
     h[:, feasible] = np.stack((hf, hv)).swapaxes(1, 2)
     totals[~feasible] = np.nan

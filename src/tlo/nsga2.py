@@ -10,10 +10,7 @@ multiple of the population size.
 All randomness flows through one seeded generator consumed in a fixed
 order. Designs are scored one generation per evaluator call (the whole
 budget in one call for random search), as genome rows in archive order,
-and scoring never touches the generator. A bred generation whose parents
-are all feasible is scored with screen=False: the evaluator then skips
-its state-0 screen, which pays only where many rows are pruned; screen
-changes the cost of a call, never its result.
+and scoring never touches the generator.
 
 The initial population holds, per genome, the reals of one
 random(n_reals) and then the cats of one integers(0, D + 1, size=n_cats)
@@ -67,8 +64,8 @@ and TestAgainstReference in tests/test_nsga2.py requires the same bytes.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import Protocol
 
 import numpy as np
 
@@ -352,25 +349,18 @@ def _offspring(rank: np.ndarray, crowd: np.ndarray, reals: np.ndarray, cats: np.
 
 # --- the optimizer -----------------------------------------------------------
 
-class EvaluateFn(Protocol):
-    """(reals (P, n_reals), cats (P, n_cats)) -> (objectives (P, 2),
-    feasible (P,)). screen=False says that the rows were bred from
-    feasible parents, so few will be pruned; it may change the cost of the
-    call, never its result."""
-
-    def __call__(self, reals: np.ndarray, cats: np.ndarray,
-                 screen: bool = True) -> tuple[np.ndarray, np.ndarray]: ...
+# (reals (P, n_reals), cats (P, n_cats)) -> (objectives (P, 2), feasible (P,))
+EvaluateFn = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 def _fill(archive: ParetoArchive, row: int, reals: np.ndarray, cats: np.ndarray,
-          evaluate_fn, **options) -> int:
-    """Score genome rows with one evaluator call, given options, into the
-    archive rows from row on; returns the next free row. Pruned rows keep
-    the sentinel."""
+          evaluate_fn: EvaluateFn) -> int:
+    """Score genome rows with one evaluator call into the archive rows from
+    row on; returns the next free row. Pruned rows keep the sentinel."""
     end = row + len(reals)
     archive.reals[row:end] = reals
     archive.cats[row:end] = cats
-    objectives, feasible = evaluate_fn(reals, cats, **options)
+    objectives, feasible = evaluate_fn(reals, cats)
     archive.objectives[row:end][feasible] = objectives[feasible]
     archive.feasible[row:end] = feasible
     return end
@@ -387,9 +377,7 @@ def evolve(
     """Run NSGA-II for exactly `budget` design evaluations.
 
     evaluate_fn maps a generation's genome rows to their objectives and
-    feasible mask (see feasibility.make_evaluator). Generation 0 takes its
-    default screen; a bred generation passes screen=False exactly when its
-    parents are all feasible.
+    feasible mask (see feasibility.make_evaluator).
     max_objective is the worst attainable score (directions x states); the
     pruning sentinel is one above it. The population is a set of archive rows.
     archive.history gets one entry per generation: its front size (distinct
@@ -431,8 +419,7 @@ def evolve(
                                  space, rng)
 
         start = row
-        row = _fill(archive, start, reals[: budget - start], cats[: budget - start], evaluate_fn,
-                    screen=not archive.feasible[current].all())
+        row = _fill(archive, start, reals[: budget - start], cats[: budget - start], evaluate_fn)
         archive.generations += 1
         record(start, row)
         if row - start < population:

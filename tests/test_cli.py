@@ -160,12 +160,12 @@ class TestOptimize:
             evaluator = real_make_evaluator(*a)
             calls = 0
 
-            def interrupted(reals, cats, **options):
+            def interrupted(reals, cats):
                 nonlocal calls
                 calls += 1
                 if calls == 3:  # the second bred generation
                     raise KeyboardInterrupt
-                return evaluator(reals, cats, **options)
+                return evaluator(reals, cats)
 
             return interrupted
 

@@ -15,9 +15,12 @@ rows. Each row is a row of a short seeded search, which most states admit,
 or a uniform random one, which most prune, so that pruned rows sit among
 the scored ones.
 
-The evaluator's screen changes the cost of a call and never its bytes:
-with and without it, every bundled scenario and tests/data config scores
-bred, mixed and random rows, P in {1, 2, 40, 100, 500}, alike.
+A batch of more than SCREEN_ROWS rows is screened on state 0 before the
+later states, a smaller one takes every state in one pass; that changes
+the cost of a call and never its bytes: every bundled scenario and
+tests/data config scores bred, mixed and random rows, P in {1, 2, 40, 100,
+500}, alike in one call past SCREEN_ROWS and in calls of at most
+SCREEN_ROWS rows.
 """
 
 from dataclasses import replace
@@ -25,12 +28,14 @@ from functools import cache
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tlo.arrangement import Genome, genome_decode, genome_rows_decode
+import tlo.feasibility
+from tlo.arrangement import Genome, batch_muscle_jacobian, genome_decode, genome_rows_decode
 from tlo.config import load_bundled_scenario, load_config
-from tlo.feasibility import evaluate, make_evaluator, trace_polygon
+from tlo.feasibility import SCREEN_ROWS, evaluate, make_evaluator, trace_polygon
 from tlo.nsga2 import evolve
 
 EXAMPLES = settings(max_examples=40, deadline=None, derandomize=True)
@@ -125,9 +130,33 @@ def test_a_stack_traces_as_one_design_at_a_time(case):
 def test_the_screen_changes_no_byte(case):
     model, scenario, space, reals, cats = case
     evaluator = make_evaluator(model, scenario)
+    rows = np.arange(max(len(reals), SCREEN_ROWS + 1)) % len(reals)
+    reals, cats = reals[rows], cats[rows]
     screened = evaluator(reals, cats)
-    assert evaluator(reals, cats, screen=True)[1].tobytes() == screened[1].tobytes()
-    whole = evaluator(reals, cats, screen=False)
-    for a, b in zip(screened, whole):
+    parts = [evaluator(reals[i : i + SCREEN_ROWS], cats[i : i + SCREEN_ROWS])
+             for i in range(0, len(reals), SCREEN_ROWS)]
+    for a, b in zip(screened, map(np.concatenate, zip(*parts))):
         assert a.shape == b.shape and a.dtype == b.dtype
         assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name, states", [("target1_nograv", 4), ("three_joint_constant", 2),
+                                          ("target1_nograv", 1)])
+def test_the_batch_size_picks_the_passes(name, states, monkeypatch):
+    # searched rows, which state 0 admits; at one state no later state is left
+    cfg, reals, cats = searched(name)
+    scenario = cfg.scenario()
+    scenario = replace(scenario, joint_states=scenario.joint_states[:states])
+    calls = []
+    monkeypatch.setattr(tlo.feasibility, "batch_muscle_jacobian",
+                        lambda *args: calls.append(args) or batch_muscle_jacobian(*args))
+    evaluator = make_evaluator(cfg.robot, scenario)
+    rows = np.arange(SCREEN_ROWS + 1) % len(reals)
+    for n, passes in ((SCREEN_ROWS, 1), (SCREEN_ROWS + 1, 1 if states == 1 else 2)):
+        designs = genome_rows_decode(reals[rows[:n]], cats[rows[:n]], cfg.space)
+        calls.clear()
+        assert evaluator(reals[rows[:n]], cats[rows[:n]])[1].any()
+        assert len(calls) == passes, n
+        calls.clear()  # evaluate follows the same rule
+        evaluate(cfg.robot, designs, scenario)
+        assert len(calls) == passes, n

@@ -27,6 +27,7 @@ from tlo.config import load_bundled_scenario
 from tlo.feasibility import (
     DEFAULT_H_CAP,
     RAY_CAP,
+    SCREEN_ROWS,
     ActuatorLimits,
     InfeasibleDesign,
     Scenario,
@@ -323,10 +324,16 @@ def searched_genome_rows(model, scenario, space, n):
 def check_batch_identity(model, scenario, space, reals, cats):
     """One batch call scores every row bit for bit as one call per row, as
     evaluate and as the reference loop; returns the state index of each
-    pruned row."""
+    pruned row. A batch of more than SCREEN_ROWS rows is screened and a row
+    alone is not, so both kernel layouts score every row: a smaller batch
+    is also scored tiled past SCREEN_ROWS."""
     evaluator = make_evaluator(model, scenario)
     objectives, feasible = evaluator(reals, cats)
     assert objectives.shape == (len(reals), 2) and feasible.shape == (len(reals),)
+    if len(reals) <= SCREEN_ROWS:
+        tiled = np.arange(SCREEN_ROWS + 1) % len(reals)
+        for a, b in zip(evaluator(reals[tiled], cats[tiled]), (objectives, feasible)):
+            assert a.tobytes() == b[tiled].tobytes()
     pruned_at = []
     for i in range(len(reals)):
         one, one_feasible = evaluator(reals[i : i + 1], cats[i : i + 1])
@@ -388,8 +395,9 @@ class TestBatchEvaluator:
 
     def test_singular_state_after_regular_ones(self):
         # with gravity the force slack differs per state, and at q = (0, 0)
-        # J is exactly singular: the second pass stacks a regular state and
-        # one whose velocity h comes from the singular branch
+        # J is exactly singular: the screened batch's second pass and every
+        # one-row pass stack a regular state and one whose velocity h comes
+        # from the singular branch
         cfg = load_bundled_scenario("constant_relaxed")
         base = cfg.scenario()
         states = [np.deg2rad([30.0, 45.0]), np.deg2rad([60.0, 75.0]), np.zeros(2)]
@@ -399,6 +407,7 @@ class TestBatchEvaluator:
         reals, cats = random_genome_rows(cfg.space, 200, np.random.default_rng(1))
         searched = searched_genome_rows(cfg.robot, scenario, cfg.space, 200)
         reals, cats = np.concatenate([reals, searched[0]]), np.concatenate([cats, searched[1]])
+        assert len(reals) > SCREEN_ROWS
         pruned_at = check_batch_identity(cfg.robot, scenario, cfg.space, reals, cats)
         assert 0 < len(pruned_at) < len(reals)
         assert set(pruned_at) == {0, 1, 2}
@@ -406,7 +415,8 @@ class TestBatchEvaluator:
     def test_slack_of_each_state_in_a_stack(self, paper_model):
         # the gravity torque of state 2 lies outside the torque zonotope by
         # more than its own phase-1 allowance, 1e-9 |tau_2|_inf, and by less
-        # than that of state 1, which the second pass stacks with it
+        # than that of state 1, which every pass that scores state 2 stacks
+        # with it: the design's own one, and the second of its tiled batch
         states = [np.deg2rad(q) for q in ([30.0, 45.0], [15.0, 30.0], [60.0, 75.0])]
         tau = [gravity_torque(paper_model, q) for q in states]
         allowance = [1e-9 * np.abs(t).max() for t in tau]
@@ -423,11 +433,11 @@ class TestBatchEvaluator:
     def test_three_joint_robot(self):
         # D = 3: force is clipped against Z and velocity bounded by the LP
         # dual, both on the whole stack; three states put a stack of two
-        # states through the second pass
+        # states through the second pass of each batch's tiled call
         assert 0 < len(three_joint_pruned_at([40, 20, 10])) < 24
 
     def test_three_joint_robot_at_a_straight_arm(self):
-        # at q = 0 J has rank 1, so the second pass stacks the dual clip's two ranks
+        # at q = 0 J has rank 1, so every pass of states 1-2 stacks the dual clip's two ranks
         assert 0 < len(three_joint_pruned_at([0, 0, 0])) < 24
 
     def test_poses_are_built_once_per_evaluator(self, monkeypatch):
@@ -440,10 +450,10 @@ class TestBatchEvaluator:
         states = np.array(cfg.scenario().joint_states)
         assert len(calls) == 1
         np.testing.assert_array_equal(calls[0][1], states)
-        reals, cats = random_genome_rows(cfg.space, 100, np.random.default_rng(0))
+        reals, cats = random_genome_rows(cfg.space, SCREEN_ROWS + 1, np.random.default_rng(0))
         calls.clear()
-        assert evaluator(reals, cats)[1].any()
-        assert evaluator(reals, cats, screen=False)[1].any()
+        assert evaluator(reals[:-1], cats[:-1])[1].any()  # one pass
+        assert evaluator(reals, cats)[1].any()  # screened
         assert not calls
 
     def test_empty_batches_and_malformed_genes(self, paper_model, zero_center_scenario):

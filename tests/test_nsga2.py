@@ -24,12 +24,12 @@ WIDE_SPACE = DesignSpace("variable", 3, 3, 2)
 CONSTANT_SPACE = DesignSpace("constant", 2, None, 2)
 
 
-def toy_evaluator(reals, cats, screen=True):
+def toy_evaluator(reals, cats):
     """Cheap deterministic objectives: smooth trade-off plus a pruned pocket.
 
     Scores derive from relay fractions (the reals) and link choices (the
     cats) only, so the optimizer sees a realistic mixed landscape without
-    any LP work. screen, as for make_evaluator's evaluator, changes nothing.
+    any LP work.
     """
     feasible = reals[:, 0] >= 0.1  # outside the pruned pocket
     a = 5 * np.sum((reals - 0.35) ** 2, axis=1) + 0.1 * np.sum(cats == 1, axis=1)
@@ -37,7 +37,7 @@ def toy_evaluator(reals, cats, screen=True):
     return np.column_stack([a, b]), feasible
 
 
-def hill_evaluator(reals, cats, screen=True):
+def hill_evaluator(reals, cats):
     """Perfectly correlated objectives: a pure descent task for selection."""
     a = np.sum((reals - 0.4) ** 2, axis=1)
     return np.column_stack([a, 2 * a]), np.ones(len(reals), dtype=bool)
@@ -334,7 +334,7 @@ class TestEvolve:
         # rounded objectives give ties and duplicates across generations
         scores = []
 
-        def coarse(reals, cats, screen=True):
+        def coarse(reals, cats):
             objectives, feasible = toy_evaluator(reals, cats)
             objectives = objectives.round(1)
             scores.extend(zip(objectives[:, 0], objectives[:, 1], feasible))
@@ -382,28 +382,17 @@ class TestEvolve:
         assert np.array_equal(arch.reals, again.reals)
 
     @pytest.mark.parametrize("space", [SPACE, CONSTANT_SPACE], ids=["variable", "constant"])
-    def test_screens_unless_every_parent_is_feasible(self, space, monkeypatch):
-        # toy_evaluator prunes a genome by its first real, so the parents
-        # that _offspring breeds from tell whether one of them is pruned
-        calls, parents_pruned = [], [None]
+    def test_any_two_argument_function_is_an_evaluator(self, space):
+        # the search hands the evaluator genome rows and nothing else
+        sizes = []
 
-        def recorded(reals, cats, **options):
-            calls.append(options)
+        def plain(reals, cats):
+            sizes.append(len(reals))
             return toy_evaluator(reals, cats)
 
-        def breed(rank, crowd, reals, cats, *rest):
-            parents_pruned.append(bool((reals[:, 0] < 0.1).any()))
-            return _offspring(rank, crowd, reals, cats, *rest)
-
-        monkeypatch.setattr(tlo.nsga2, "_offspring", breed)
-        arch = evolve(recorded, space, 20, 410, seed=5, max_objective=32.0)
-        assert len(calls) == arch.generations + 1 == 21
-        assert calls[0] == {}  # generation 0 is random: the evaluator's default
-        assert calls[1:] == [{"screen": pruned} for pruned in parents_pruned[1:]]
-        assert {False, True} <= set(parents_pruned[1:])
-        calls.clear()
-        random_search(recorded, space, 50, seed=5, max_objective=32.0)
-        assert calls == [{}]
+        evolve(plain, space, 20, 410, seed=5, max_objective=32.0)
+        random_search(plain, space, 50, seed=5, max_objective=32.0)
+        assert sizes == [20] * 20 + [10, 50]
 
     def test_validation(self):
         with pytest.raises(ValueError):
