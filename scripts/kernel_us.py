@@ -19,7 +19,10 @@ Bred designs come from a seeded desk search (budget 2000, population 40):
 its last generation for S = 1, its first feasible designs for S > 1.
 Random ones are uniform genome rows. The velocity kernel runs on the
 designs that every state's force LP admits (the rows _force_h returns),
-as in the evaluator.
+as in the evaluator; "admitted" counts them. _force_h casts and clips its
+rays for those rows only, so its time depends on that count as well as
+on P: the random (1, 500) case is nearly all pruned, the bred ones
+mostly admitted.
 
 The "evaluator" section times tlo.feasibility._score, the evaluator's
 scoring of a batch, in each kernel pass layout on the same rows:

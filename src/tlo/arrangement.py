@@ -256,8 +256,8 @@ def genome_rows_decode(reals: np.ndarray, cats: np.ndarray, space: DesignSpace) 
         )
     if space.kind == "constant":
         return Design(None, reals.reshape(lead + (space.n_wires, space.n_joints)))
-    links = np.zeros(lead + (space.n_wires, space.n_relay_points), dtype=np.int64)
-    links[..., 1:] = cats.reshape(lead + (space.n_wires, space.n_relay_points - 1))
+    cats = cats.reshape(lead + (space.n_wires, space.n_relay_points - 1))
+    links = np.concatenate((np.zeros_like(cats[..., :1]), cats), axis=-1)  # Design checks the type
     return Design(links, reals.reshape(links.shape))
 
 

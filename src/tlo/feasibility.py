@@ -18,9 +18,10 @@ later states stacked on the designs state 0 admits. A smaller batch, such
 as a search generation, takes one pass over all states (see _passes). The
 choice changes the cost, never a result: a design's per-state arithmetic
 does not depend on the pass that scores it.
-A design is feasible when every state's force LP admits it: qdot = 0
-solves every velocity LP. The force kernel decides that first and clips h
-only for the designs that every state of the pass admits. The joint
+A design is feasible when its force anchor lies in the torque zonotope Z
+at every state, so that h = 0 solves every force LP: qdot = 0 solves every
+velocity LP. The force kernel decides that first and casts and clips its
+rays only for the designs that every state of the pass admits. The joint
 states are one (S, D) stack, and what does not depend on the design
 (state_tables' J, force right-hand sides and anchors; poses, rays, the
 velocity table, J^-1 w and its qdot-box bound at D = 2) is built once per
@@ -214,15 +215,16 @@ def state_tables(model: RobotModel, q: np.ndarray, target: TargetSpec,
 
 
 def force_h_all(G, rhs, cols, limits, h_cap):
-    """h for every force direction, or None when any direction is infeasible.
+    """h for every force direction, or None when rhs lies outside the torque
+    zonotope Z = {-G^T f}: no tension in the box holds the anchor.
 
     G is the (M, D) muscle Jacobian, rhs the joint-space right-hand side at
     the anchor (J^T times the ellipse center, or the gravity torque) and
     each row of cols the joint-space image J^T w_i of one direction.
     Direction i asks for the largest h >= 0 with -G^T f - h (J^T w_i) = rhs
     for some f in the tension box. Values are clipped to h_cap, which an
-    unbounded ray reads as well. The ray is clipped against the torque
-    zonotope in closed form, at any D.
+    unbounded ray reads as well. The ray is clipped against Z in closed
+    form, at any D.
     """
     rows, h = _force_h(np.asarray(G, dtype=float)[None, None], _force_rays([rhs], [cols]),
                        limits, h_cap)
@@ -360,14 +362,13 @@ def _force_h(G, rays, limits, h_cap):
     Z is the center c0 = -(f_min + f_max)/2 sum_m g_m plus the generators
     (f_max - f_min)/2 g_m, so for any normal n it lies in the slab
     |n . (x - c0)| <= w(n) = (f_max - f_min)/2 sum_m |n . g_m|. The slabs of
-    _normals cut out Z exactly, also a flat one. h is where the ray leaves
-    Z, also when rhs lies outside Z and the ray enters it. Whether a ray
-    meets Z at all is decided with an allowance: a point of the ray may lie
-    1e-9 max(1, |rhs|_inf) from Z in the L1 norm, so a slab may be missed by
-    |n|_inf times that along n. It is the residual that the reference
-    simplex of the tests allows in its phase 1. A design is infeasible at a
-    state when some ray misses Z there. Feasibility is decided first, and h
-    is clipped only for the designs that every state admits.
+    _normals cut out Z exactly, also a flat one. A design is feasible at a
+    state when rhs lies in Z, with an allowance: 1e-9 max(1, |rhs|_inf) from
+    Z in the L1 norm, so a slab may be missed by |n|_inf times that along n.
+    It is the residual that the reference simplex of the tests allows in its
+    phase 1. Feasibility is decided first, from the slab offsets alone, and
+    the rays are built and clipped only for the designs that every state
+    admits: h is where the ray leaves Z.
     """
     normals = _normals(G)
     # the slab normals lead from here on, then the directions: every min,
@@ -379,6 +380,10 @@ def _force_h(G, rays, limits, h_cap):
     offset = (normals @ middle[..., None])[..., 0].transpose(2, 0, 1)
     slack = rays.slack[:, None] * np.maximum.reduce(
         np.abs(normals.transpose(3, 2, 0, 1), order="C"))  # times the largest |n_k|
+    rows = np.flatnonzero(np.logical_and.reduce(np.abs(offset) <= width + slack, axis=(0, 1)))
+    if len(rows) < offset.shape[2]:
+        width, offset, slack = width[..., rows], offset[..., rows], slack[..., rows]
+        normals = normals[:, rows]
     rate = (rays.cols[:, None] @ normals.swapaxes(2, 3)).transpose(3, 2, 0, 1).copy()
     # a ray that drifts across a slab by no more than the allowance over its
     # whole capped length runs along it: that slab bounds no h
@@ -386,20 +391,8 @@ def _force_h(G, rays, limits, h_cap):
     speed = np.abs(rate)
     along = np.sign(rate)
     along *= offset[:, None]  # rhs's offset from the mid-line, signed along the ray
-    inside = np.abs(offset) <= width + slack
-    feasible = np.logical_and.reduce(inside)  # (states, designs)
-    rows = np.arange(feasible.shape[1])
+    # 0/0 (a zero normal, or a ray along a zero-width slab) bounds nothing
     with np.errstate(divide="ignore", invalid="ignore"):
-        if not np.logical_and.reduce(feasible, axis=None):
-            # rhs outside Z: every ray has to enter it
-            enter = np.fmax.reduce(((-width - slack)[:, None] - along) / speed)
-            leave = np.fmin.reduce(((width + slack)[:, None] - along) / speed)
-            feasible |= (~np.logical_or.reduce((speed == 0) & ~inside[:, None], axis=(0, 1))
-                         & np.logical_and.reduce((enter <= leave) & (leave >= 0)))
-            rows = np.flatnonzero(np.logical_and.reduce(feasible))
-            if len(rows) < feasible.shape[1]:
-                width, along, speed = width[..., rows], along[..., rows], speed[..., rows]
-        # 0/0 (a zero normal, or a ray along a zero-width slab) bounds nothing
         h = np.fmin.reduce((width[:, None] - along) / speed)
     return rows, np.maximum(np.fmin(h, h_cap), 0.0).transpose(1, 2, 0)
 

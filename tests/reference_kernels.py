@@ -10,8 +10,9 @@ per-point lookups and qdot box inline. tests/test_kernel_layout.py
 requires the package's results to have the same bytes as these.
 
 force_h returns (h, feasible), h (S, P, directions) for every design and
-feasible (S, P) per state; velocity_h_planar takes J^-1 w as it is laid
-out in _VelocityRays.dual[2] and bounds the qdot box itself.
+feasible (S, P) per state, where rhs lies in Z; velocity_h_planar takes
+J^-1 w as it is laid out in _VelocityRays.dual[2] and bounds the qdot box
+itself.
 """
 
 from __future__ import annotations
@@ -53,18 +54,12 @@ def force_h(G, rays, limits, h_cap):
     middle = rays.rhs[:, None] + 0.5 * (limits.f_min + limits.f_max) * G.sum(axis=2)
     offset = (normals @ middle[..., None])[..., 0]
     slack = rays.slack[:, None, None] * np.abs(normals).max(axis=3)
+    feasible = (np.abs(offset) <= width + slack).all(axis=2)
     rate = rays.cols[:, None] @ normals.swapaxes(2, 3)
     rate[np.abs(rate) * h_cap <= slack[:, :, None]] = 0.0
     speed = np.abs(rate)
     along = np.sign(rate) * offset[:, :, None]
-    inside = np.abs(offset) <= width + slack
-    feasible = inside.all(axis=2)
     with np.errstate(divide="ignore", invalid="ignore"):
-        if not feasible.all():
-            enter = np.fmax.reduce(((-width - slack)[:, :, None] - along) / speed, axis=3)
-            leave = np.fmin.reduce(((width + slack)[:, :, None] - along) / speed, axis=3)
-            feasible |= (~((speed == 0) & ~inside[:, :, None]).any(axis=(2, 3))
-                         & ((enter <= leave) & (leave >= 0)).all(axis=2))
         h = np.fmin.reduce((width[:, :, None] - along) / speed, axis=3)
     return np.maximum(np.fmin(h, h_cap), 0.0), feasible
 

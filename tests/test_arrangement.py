@@ -329,6 +329,19 @@ class TestValidation:
         with pytest.raises(ValueError, match=r"arm fractions must lie in \[0, 1\]"):
             genome_rows_decode(np.array([[np.nan, 0.5]]), np.zeros((1, 0)), space)
 
+    def test_genome_rows_with_float_cats(self):
+        # link genes are not rounded: a float cat fails Design's one type check
+        space = DesignSpace("variable", 1, 4, 2)
+        with pytest.raises(TypeError, match="relay links must be integers"):
+            genome_rows_decode(np.full((1, 4), 0.5), np.array([[1.5, 0.9, 2.7]]), space)
+        with pytest.raises(TypeError, match="relay links must be integers"):
+            genome_decode(Genome(np.full(4, 0.5), np.array([1.0, 0.0, 2.0])), space)
+        assert genome_rows_decode(np.full((1, 4), 0.5), np.array([[1, 0, 2]]),
+                                  space).links.tolist() == [[[0, 1, 0, 2]]]
+        # the empty cats of constant designs may have any type
+        space = DesignSpace("constant", 1, None, 2)
+        assert genome_rows_decode(np.full((1, 2), 0.5), np.zeros((1, 0)), space).links is None
+
 
 class TestLeadingAxes:
     """A Design's leading axes stack designs of one shape."""

@@ -56,7 +56,7 @@ def kernel_inputs(model, design, q, target, gravity=False):
 
 
 def force_h_one(model, design, q, target, limits, i, gravity=False, h_cap=DEFAULT_H_CAP):
-    """h along force direction i alone, or None when that LP is infeasible."""
+    """h along force direction i alone, or None when the anchor lies outside Z."""
     G, st = kernel_inputs(model, design, q, target, gravity)
     hs = force_h_all(G, st.rhs, force_directions(target)[i : i + 1] @ st.J, limits, h_cap)
     return None if hs is None else float(hs[0])
@@ -129,6 +129,7 @@ class TestForceH:
 
     def test_scale_covariance(self, paper_model, paper_limits):
         rng = np.random.default_rng(4)
+        compared = 0
         for _ in range(20):
             design = random_constant_design(rng)
             q = rng.uniform(-1.2, 1.2, 2)
@@ -139,6 +140,8 @@ class TestForceH:
             if h1 is None or h2 is None:
                 continue
             assert h2 == pytest.approx(h1 / 2, abs=1e-12)
+            compared += 1
+        assert compared >= 7  # 7 of the 20 draws hold their anchor in Z
 
 
 class TestVelocityH:
@@ -468,6 +471,16 @@ class TestBatchEvaluator:
             evaluator(np.full((1, 5), 0.5), np.zeros((1, 0), dtype=np.int64))
         with pytest.raises(ValueError):
             evaluator(np.full((1, 6), 1.5), np.zeros((1, 3), dtype=np.int64))
+
+    def test_float_link_genes_raise(self, paper_model, zero_center_scenario):
+        # link genes are not rounded: 1.5 is no link, and 1.0 is no integer
+        evaluator = make_evaluator(paper_model, zero_center_scenario)
+        for cats in ([[1.5, 0.9, 2.7]], [[1.0, 0.0, 2.0]]):
+            with pytest.raises(TypeError, match="relay links must be integers"):
+                evaluator(np.full((1, 6), 0.5), np.array(cats))
+        # constant designs have no link genes: their empty cats may be floats
+        objectives, feasible = evaluator(np.full((1, 6), 0.5), np.zeros((1, 0)))
+        assert objectives.shape == (1, 2) and feasible.shape == (1,)
 
 
 class TestOracleAgreement:

@@ -12,12 +12,12 @@ reference. The cases
 aim at the degenerate geometry: rank-0/1 and parallel-row G, joint states
 near q2 = 0 and q2 = pi, exactly singular J, force directions with
 J^T w ~ 0, anchors on the zonotope boundary, h at exactly 1 and at h_cap,
-and a single ray that starts outside the zonotope and enters it; the
-gravity torque of a real target1_grav state is put on the zonotope's
-boundary by scaling G. Robots with D != 2 are checked against the LP and
-linprog, force also on flat zonotopes, and velocity against an exact
-rational vertex enumeration of its LP at D = 1-4, on degenerate G and J and
-near a singular three-joint J."""
+and a single ray that starts outside the zonotope and enters it, pruned
+like every anchor outside the zonotope; the gravity torque of a real
+target1_grav state is put on the zonotope's boundary by scaling G. Robots
+with D != 2 are checked against the LP and linprog, force also on flat
+zonotopes, and velocity against an exact rational vertex enumeration of its
+LP at D = 1-4, on degenerate G and J and near a singular three-joint J."""
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -371,7 +371,7 @@ def force_cases(draw):
     elif kind == "boundary":
         rhs = edge
     elif kind == "entering":
-        # further out than Z reaches, aimed through its center: h is the far exit
+        # further out than Z reaches, aimed through its center: pruned
         aim = ellipse_directions(np.ones(2), 360)[rng.integers(360)]
         rhs = center - rng.uniform(2.0, 50.0) * (1 + limits.f_max * np.abs(G).sum()) * aim
         cols = rng.uniform(0.1, 2.0) * aim[None]
@@ -421,13 +421,15 @@ def test_force_kernel_matches_the_lps(data):
     case, rhs, cols = data
     G, limits, cap = case.G, case.limits, case.h_cap
     hs = force_h_all(G, rhs, cols, limits, cap)
-    simplex_h = [capped(lp_force_h(G, rhs, c, limits), cap) for c in cols]
-    highs_h = [capped(linprog_force_h(G, rhs, c, limits), cap) for c in cols]
-    # the kernel prunes exactly when some direction's LP is infeasible
-    assert (hs is None) == any(h is None for h in simplex_h)
-    assert (hs is None) == any(h is None for h in highs_h)
+    # the kernel prunes exactly when the anchor's own LP, a zero column, is
+    # infeasible: when no tension holds rhs, whatever the rays
+    zero = np.zeros(len(rhs))
+    assert (hs is None) == (lp_force_h(G, rhs, zero, limits) is None)
+    assert (hs is None) == (linprog_force_h(G, rhs, zero, limits) is None)
     if hs is None:
         return
+    simplex_h = [capped(lp_force_h(G, rhs, c, limits), cap) for c in cols]
+    highs_h = [capped(linprog_force_h(G, rhs, c, limits), cap) for c in cols]
     # torque-space rounding of size ~1e-13 * scale moves the exit of a slow
     # ray (small |J^T w|) by that over |J^T w|
     scale = max(1.0, np.abs(rhs).max(), limits.f_max * np.abs(G).sum())
@@ -705,11 +707,9 @@ def test_generated_cases_reach_the_corners():
     # h exactly at 1 and at the cap
     assert force_h_all(G, c0, (b - c0)[None], limits, 100.0)[0] == pytest.approx(1.0, abs=1e-12)
     assert force_h_all(G, c0, ((b - c0) / 10.0)[None], limits, 10.0)[0] == pytest.approx(10.0)
-    # a single ray from outside that enters: h is the far exit, not None
+    # an anchor outside Z is pruned, also where its single ray enters Z
     start = c0 + 100 * (b - c0)
-    h = force_h_all(G, start, (c0 - start)[None], limits, 1e9)
-    assert h is not None and h[0] > 1.0
-    # the same start with the ray turned away is pruned
+    assert force_h_all(G, start, (c0 - start)[None], limits, 1e9) is None
     assert force_h_all(G, start, (start - c0)[None], limits, 1e9) is None
 
 
