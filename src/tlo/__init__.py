@@ -12,12 +12,9 @@ __version__ = "0.1.0"
 from .arrangement import (
     Design,
     DesignSpace,
-    Genome,
-    genome_decode,
     genome_rows_decode,
     muscle_jacobian,
     relay_points,
-    wire_lengths,
 )
 from .config import ConfigError, ScenarioConfig, load_config
 from .feasibility import (
@@ -47,7 +44,6 @@ from .nsga2 import (
     evolve,
     hypervolume_2d,
     non_dominated_sort,
-    random_search,
 )
 from .oracle import ConvexPolygon, force_polytope_exact, ray_h, velocity_polytope_exact
 
@@ -58,7 +54,6 @@ __all__ = [
     "Design",
     "DesignSpace",
     "EvaluationResult",
-    "Genome",
     "InfeasibleDesign",
     "ParetoArchive",
     "Pose",
@@ -73,7 +68,6 @@ __all__ = [
     "force_h_all",
     "force_polytope_exact",
     "forward_kinematics",
-    "genome_decode",
     "genome_rows_decode",
     "gravity_center",
     "gravity_torque",
@@ -82,12 +76,10 @@ __all__ = [
     "load_config",
     "muscle_jacobian",
     "non_dominated_sort",
-    "random_search",
     "ray_h",
     "relay_points",
     "state_tables",
     "trace_polygon",
     "velocity_h_all",
     "velocity_polytope_exact",
-    "wire_lengths",
 ]

@@ -113,12 +113,6 @@ def relay_points(model: RobotModel, designs: Design, pose: Pose) -> np.ndarray:
     return pts
 
 
-def wire_lengths(model: RobotModel, design: Design, q: np.ndarray) -> np.ndarray:
-    """Total polyline length of each wire, meters."""
-    segments = np.diff(relay_points(model, design, forward_kinematics(model, q)), axis=-2)
-    return np.linalg.norm(segments, axis=-1).sum(axis=-1)
-
-
 def _arm_values(model: RobotModel, fractions: np.ndarray) -> np.ndarray:
     if model.moment_arm_ranges is None:
         raise ValueError("model has no moment_arm_ranges for constant designs")
@@ -181,7 +175,11 @@ def batch_muscle_jacobian(model: RobotModel, designs: Design, pose: Pose | None)
 
 @dataclass(frozen=True)
 class Genome:
-    """Flat design encoding: unit-interval reals plus link-choice categoricals."""
+    """Flat design encoding: unit-interval reals plus link-choice categoricals.
+
+    Kept, with genome_decode, for benchmarks/ only (ROADMAP item 1): the
+    program decodes genome rows with genome_rows_decode.
+    """
 
     reals: np.ndarray
     cats: np.ndarray
@@ -262,7 +260,8 @@ def genome_rows_decode(reals: np.ndarray, cats: np.ndarray, space: DesignSpace) 
 
 
 def genome_decode(genome: Genome, space: DesignSpace) -> Design:
-    """One genome as its design, with no leading axes."""
+    """One genome as its design, with no leading axes (kept for benchmarks/,
+    see Genome)."""
     return genome_rows_decode(genome.reals, genome.cats, space)
 
 
@@ -298,13 +297,27 @@ def _json_number(value, integer: bool = False):
     return value
 
 
+def _known_keys(node: dict, keys: tuple, where: str):
+    """Reject a node that is not a JSON object, or has keys outside keys, as
+    design.schema.json does."""
+    if not isinstance(node, dict):
+        raise TypeError(f"{where} must be a JSON object")
+    for key in node:
+        if key not in keys:
+            raise ValueError(f"unknown key {key!r} in {where}")
+
+
 def design_from_jsonable(doc: dict, model: RobotModel) -> Design:
     """A design document as its Design, with no leading axes."""
     if not isinstance(doc, dict):
         raise TypeError("design document must be a JSON object")
     kind = doc.get("kind")
     if kind == "variable":
+        _known_keys(doc, ("kind", "wires"), "the design")
         wires = doc["wires"]
+        for m, wire in enumerate(wires):
+            for n, point in enumerate(wire):
+                _known_keys(point, ("link", "frac"), f"wires[{m}][{n}]")
         if len({len(wire) for wire in wires}) > 1:
             raise ValueError("all wires need the same number of relay points")
         design = Design(
@@ -315,6 +328,7 @@ def design_from_jsonable(doc: dict, model: RobotModel) -> Design:
             raise ValueError(f"relay link {design.links.max()} out of range for this robot")
         return design
     if kind == "constant":
+        _known_keys(doc, ("kind", "arms"), "the design")
         if model.moment_arm_ranges is None:
             raise ValueError("constant designs need robot.moment_arm_ranges")
         arms = np.array([[_json_number(v) for v in row] for row in doc["arms"]], dtype=float)

@@ -117,6 +117,19 @@ class ScenarioConfig:
         )
 
 
+# the fields of each object of scenario.schema.json, which allows no others
+SCHEMA_FIELDS = {
+    (): ("schema_version", "name", "notes", "robot", "mode", "limits", "targets", "gravity",
+         "evaluated_joint_states", "h_cap", "optimizer"),
+    ("robot",): ("link_lengths", "link_masses", "gravity", "attach_segments",
+                 "moment_arm_ranges"),
+    ("mode",): ("kind", "wires", "relay_points"),
+    ("limits",): ("tension", "wire_speed"),
+    ("targets",): ("force_center", "force_radii", "velocity_radii", "directions"),
+    ("optimizer",): ("population", "budget", "seed"),
+}
+
+
 class _Checker:
     def __init__(self, doc, lines):
         self.doc = doc
@@ -150,11 +163,21 @@ class _Checker:
             self.fail(path, f"expected {kind.__name__}")
         return node
 
-    def vec(self, path, n=None):
+    def items(self, path, n=None, what="numbers"):
+        """The paths of the items of the list at path, which must hold n if given."""
         node = self.get(path, list)
         if n is not None and len(node) != n:
-            self.fail(path, f"expected {n} numbers")
-        return np.array([self.get(path + (i,), float) for i in range(len(node))])
+            self.fail(path, f"expected {n} {what}")
+        return [path + (i,) for i in range(len(node))]
+
+    def vec(self, path, n=None):
+        return np.array([self.get(item, float) for item in self.items(path, n)])
+
+    def known(self, path, fields):
+        """Reject the keys of the object at path, if it is there, outside fields."""
+        for key in self.get(path, dict, required=False, default={}):
+            if key not in fields:
+                self.fail(path + (key,), "unknown field")
 
 
 def optimizer_params(population: int, budget: int, seed: int,
@@ -180,6 +203,8 @@ def parse_config(doc: dict, lines: dict | None = None, name: str = "scenario") -
     version = c.get(("schema_version",), int)
     if version != SCHEMA_VERSION:
         c.fail(("schema_version",), f"unsupported schema_version {version}, expected {SCHEMA_VERSION}")
+    for path, fields in SCHEMA_FIELDS.items():
+        c.known(path, fields)
     name = c.get(("name",), str, required=False, default=name)
 
     lengths = c.vec(("robot", "link_lengths"))
@@ -193,12 +218,8 @@ def parse_config(doc: dict, lines: dict | None = None, name: str = "scenario") -
         c.fail(("robot", "link_masses"), "masses must be non-negative")
 
     if "attach_segments" in doc.get("robot", {}):
-        segs = np.array(
-            [
-                [c.vec(("robot", "attach_segments", i, j), 2) for j in range(2)]
-                for i in range(len(c.get(("robot", "attach_segments"), list)))
-            ]
-        )
+        segs = np.array([[c.vec(point, 2) for point in c.items(segment, 2, "points")]
+                         for segment in c.items(("robot", "attach_segments"))])
         if segs.shape[0] != len(lengths):
             c.fail(("robot", "attach_segments"), f"need one segment per link ({len(lengths)})")
     else:
@@ -313,11 +334,6 @@ def load_config(path: str | Path) -> ScenarioConfig:
         return parse_config(doc, name=Path(path).stem)
     except ConfigError:
         return parse_config(doc, json_value_lines(text), name=Path(path).stem)
-
-
-def bundled_scenario_names() -> list[str]:
-    root = resources.files("tlo") / "scenarios"
-    return sorted(p.name.removesuffix(".json") for p in root.iterdir() if p.name.endswith(".json"))
 
 
 def load_bundled_scenario(name: str) -> ScenarioConfig:

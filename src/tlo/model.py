@@ -140,16 +140,11 @@ def link_centers_of_mass(model: RobotModel, pose: Pose) -> np.ndarray:
     return pose.link_origins[..., 1:, :] + half * _directions(pose.link_angles[..., 1:])
 
 
-def potential_energy(model: RobotModel, q: np.ndarray) -> np.ndarray:
-    """Gravitational potential energy of the movable links, one per state of q."""
-    coms = link_centers_of_mass(model, forward_kinematics(model, q))
-    return np.sum(model.link_masses[1:] * (-(coms @ model.gravity)), axis=-1)
-
-
 def gravity_torque(model: RobotModel, q: np.ndarray) -> np.ndarray:
     """Joint torque (..., D) that holds the pose statically against gravity.
 
-    Equals the gradient of potential_energy wrt the joint angles.
+    Equals the gradient of the movable links' gravitational potential
+    energy wrt the joint angles.
     """
     pose = forward_kinematics(model, q)
     coms = link_centers_of_mass(model, pose)

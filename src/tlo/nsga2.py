@@ -1,4 +1,9 @@
-"""NSGA-II over mixed real/categorical genomes, plus a random-search baseline.
+"""NSGA-II over mixed real/categorical genomes.
+
+Its generation 0 is a uniform random population, so the equal-budget
+random-search baseline is evolve with population = budget (an even one):
+one evaluator call on `budget` random genomes, no selection, one history
+entry.
 
 Designs whose coverage LPs are infeasible are pruned: they stay in the
 sample archive with sentinel objectives strictly above the worst attainable
@@ -8,15 +13,14 @@ generation is evaluated (but not selected from) when the budget is not a
 multiple of the population size.
 
 All randomness flows through one seeded generator consumed in a fixed
-order. Designs are scored one generation per evaluator call (the whole
-budget in one call for random search), as genome rows in archive order,
-and scoring never touches the generator.
+order. Designs are scored one generation per evaluator call, as genome
+rows in archive order, and scoring never touches the generator.
 
 The initial population holds, per genome, the reals of one
 random(n_reals) and then the cats of one integers(0, D + 1, size=n_cats)
-(a size-0 draw when there are no cats), as random search does for its
-whole budget. These values, and the generator state they leave, come
-from one random_raw block of the PCG64 bit generator, by its layout rules:
+(a size-0 draw when there are no cats). These values, and the generator
+state they leave, come from one random_raw block of the PCG64 bit
+generator, by its layout rules:
 
 - a double is (raw >> 11) * 2**-53;
 - a cat is (u32 * (D + 1)) >> 32 (Lemire's bounded integers); the u32 are
@@ -456,19 +460,3 @@ def _survivors(objectives: np.ndarray, rank: np.ndarray, population: int) -> np.
         order[kept:population] = tied[np.argsort(-crowd, kind="stable")[: population - kept]]
     return order[:population]
 
-
-def random_search(
-    evaluate_fn: EvaluateFn,
-    space: DesignSpace,
-    budget: int,
-    seed: int,
-    max_objective: float,
-) -> ParetoArchive:
-    """Uniform sampling with the same budget semantics as evolve."""
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
-    rng = np.random.default_rng(seed)
-    archive = ParetoArchive.empty(space, budget, seed, float(max_objective) + 1.0)
-    _fill(archive, 0, *_random_rows(space, budget, rng), evaluate_fn)
-    archive.front_indices = pareto_front_indices(archive.objectives, archive.feasible)
-    return archive

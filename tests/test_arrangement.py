@@ -17,9 +17,9 @@ from tlo.arrangement import (
     genome_space,
     muscle_jacobian,
     relay_points,
-    wire_lengths,
 )
 from tlo.model import RobotModel, forward_kinematics
+from reference_geometry import wire_lengths
 
 
 def relay_world_positions(model, design, q):
@@ -271,6 +271,25 @@ class TestDesignJson:
     def test_constant_out_of_range_rejected(self, paper_model):
         with pytest.raises(ValueError):
             design_from_jsonable({"kind": "constant", "arms": [[0.5, 0.0]]}, paper_model)
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"kind": "variable", "wires": [[{"link": 0, "frac": 0.5}, {"link": 1, "frac": 0.5}]],
+          "extra": 1}, "unknown key 'extra' in the design"),
+        ({"kind": "variable", "wires": [[{"link": 0, "frac": 0.5},
+                                         {"link": 1, "frac": 0.5, "x": 0.1}]]},
+         r"unknown key 'x' in wires\[0\]\[1\]"),
+        ({"kind": "constant", "arms": [[0.05, 0.0]], "wires": []},
+         "unknown key 'wires' in the design"),
+    ], ids=["top", "relay point", "constant"])
+    def test_unknown_keys_rejected(self, paper_model, doc, message):
+        # design.schema.json allows no other keys ("additionalProperties": false)
+        with pytest.raises(ValueError, match=message):
+            design_from_jsonable(doc, paper_model)
+
+    def test_relay_point_must_be_an_object(self, paper_model):
+        doc = {"kind": "variable", "wires": [[{"link": 0, "frac": 0.5}, "ab"]]}
+        with pytest.raises(TypeError, match=r"wires\[0\]\[1\] must be a JSON object"):
+            design_from_jsonable(doc, paper_model)
 
 
 class TestValidation:

@@ -657,6 +657,19 @@ class TestEvaluate:
         assert "config error:" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("point", [False, True], ids=["top", "relay point"])
+    def test_unknown_design_key_exits_2(self, tmp_path, capsys, point):
+        doc = json.loads(base_only_design(tmp_path).read_text())
+        key = "x" if point else "extra"
+        (doc["wires"][1][1] if point else doc)[key] = 1
+        design = tmp_path / "unknown.json"
+        design.write_text(json.dumps(doc))
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--config", str(zero_center_config(tmp_path)),
+                     "--design", str(design), "--out", str(out)]) == 2
+        assert f"bad design document: unknown key '{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_ragged_design_exits_2(self, tmp_path, capsys):
         # target1_nograv has 2 relay points per wire; wire 1 has 3 here
         doc = json.loads((DATA / "golden_design.json").read_text())
@@ -839,6 +852,19 @@ class TestPlot:
         plots = tmp_path / "indented_plots"
         assert main(["plot", str(bad), "--out", str(plots)]) == 2
         assert capsys.readouterr().err == f"config error: {path} (line {line}): {message}\n"
+        assert not plots.exists()
+
+    @pytest.mark.parametrize("point", [False, True], ids=["top", "relay point"])
+    def test_unknown_design_key_exits_2(self, tmp_path, capsys, point):
+        out_eval, _ = self.run_pipeline(tmp_path)
+        report = json.loads((out_eval / "report.json").read_text())
+        key = "x" if point else "extra"
+        (report["design"]["wires"][1][1] if point else report["design"])[key] = 1
+        bad = tmp_path / "unknown_report.json"
+        bad.write_text(json.dumps(report))
+        plots = tmp_path / "unknown_plots"
+        assert main(["plot", str(bad), "--out", str(plots)]) == 2
+        assert f"bad design document: unknown key '{key}'" in capsys.readouterr().err
         assert not plots.exists()
 
     def test_ragged_design_exits_2(self, tmp_path, capsys):

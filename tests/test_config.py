@@ -10,12 +10,15 @@ from hypothesis import strategies as st
 from tlo import config
 from tlo.config import (
     ConfigError,
-    bundled_scenario_names,
     json_value_lines,
     load_bundled_scenario,
     load_config,
     parse_config,
 )
+
+BUNDLED_NAMES = sorted(p.name.removesuffix(".json")
+                       for p in (resources.files("tlo") / "scenarios").iterdir()
+                       if p.name.endswith(".json"))
 
 MINIMAL = {
     "schema_version": 1,
@@ -115,7 +118,7 @@ class TestParsing:
         assert scenario.max_objective == 32.0
 
     def test_bundled_scenarios_parse(self):
-        names = bundled_scenario_names()
+        names = BUNDLED_NAMES
         assert set(names) == {
             "constant_relaxed",
             "target1_grav",
@@ -134,7 +137,7 @@ class TestParsing:
         schema = json.loads(
             (resources.files("tlo") / "schemas" / "scenario.schema.json").read_text()
         )
-        for name in bundled_scenario_names():
+        for name in BUNDLED_NAMES:
             doc = json.loads(
                 (resources.files("tlo") / "scenarios" / f"{name}.json").read_text()
             )
@@ -174,6 +177,18 @@ class TestParsing:
         (dict(**{"optimizer.budget": 10}), "budget"),
         (dict(**{"h_cap": 0.5}), "h_cap"),
         (dict(**{"targets.force_center": None}), "force_center"),
+        # scenario.schema.json allows no fields but its own, at every level
+        (dict(**{"optimiser": {"population": 40}}), "optimiser"),
+        (dict(**{"targets.direction": 16}), "targets.direction"),
+        (dict(**{"h_caps": 5.0}), "h_caps"),
+        (dict(**{"robot.mass": 1.0}), "robot.mass"),
+        (dict(**{"mode.relay_point": 3}), "mode.relay_point"),
+        (dict(**{"limits.torque": [0.0, 1.0]}), "limits.torque"),
+        (dict(**{"optimizer.seeds": 3}), "optimizer.seeds"),
+        (dict(**{"robot.attach_segments": [[[0.0, 0.0], [0.4, 0.0], [0.2, 0.0]],
+                                           [[0.0, 0.0], [0.6, 0.0]],
+                                           [[0.0, 0.0], [0.6, 0.0]]]}),
+         "robot.attach_segments[0]"),
     ],
 )
 def test_validation_failures_include_path(patch, path_fragment):
@@ -181,6 +196,16 @@ def test_validation_failures_include_path(patch, path_fragment):
     with pytest.raises(ConfigError) as err:
         parse_config(doc)
     assert path_fragment.split(".")[-1] in str(err.value)
+
+
+def test_schema_fields_are_the_schema_properties():
+    schema = json.loads((resources.files("tlo") / "schemas" / "scenario.schema.json").read_text())
+    objects = {(): schema}
+    objects.update(((key,), node) for key, node in schema["properties"].items()
+                   if node.get("type") == "object")
+    assert all(node["additionalProperties"] is False for node in objects.values())
+    assert {path: set(node["properties"]) for path, node in objects.items()} == {
+        path: set(fields) for path, fields in config.SCHEMA_FIELDS.items()}
 
 
 def test_constant_mode_requires_arm_ranges():
@@ -206,6 +231,17 @@ class TestFileLoading:
         with pytest.raises(ConfigError) as err:
             load_config(path)
         assert f"line {bad_line}" in str(err.value)
+
+    def test_unknown_field_names_its_line(self, tmp_path):
+        doc = json.loads(json.dumps(MINIMAL))
+        doc["optimiser"] = doc.pop("optimizer")
+        text = json.dumps(doc, indent=2)
+        line = next(i + 1 for i, row in enumerate(text.splitlines()) if '"optimiser"' in row)
+        path = tmp_path / "misspelled.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert str(err.value) == f"$.optimiser (line {line}): unknown field"
 
     def test_syntax_error_line(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -271,7 +307,7 @@ class TestLazyLineMap:
         return calls
 
     def test_valid_scenarios_build_no_line_map(self, scans):
-        for name in bundled_scenario_names():
+        for name in BUNDLED_NAMES:
             load_config(Path(str(resources.files("tlo") / "scenarios" / f"{name}.json")))
             load_bundled_scenario(name)
         assert scans == []

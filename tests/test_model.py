@@ -8,9 +8,9 @@ from tlo.model import (
     gravity_torque,
     joint_jacobian,
     link_centers_of_mass,
-    potential_energy,
     rot90,
 )
+from reference_geometry import potential_energy
 
 
 def homogeneous_fk_oracle(lengths, q):

@@ -16,7 +16,6 @@ from tlo.nsga2 import (
     hypervolume_2d,
     non_dominated_sort,
     pareto_front_indices,
-    random_search,
 )
 
 SPACE = DesignSpace("variable", 2, 2, 2)
@@ -391,7 +390,7 @@ class TestEvolve:
             return toy_evaluator(reals, cats)
 
         evolve(plain, space, 20, 410, seed=5, max_objective=32.0)
-        random_search(plain, space, 50, seed=5, max_objective=32.0)
+        evolve(plain, space, 50, 50, seed=5, max_objective=32.0)
         assert sizes == [20] * 20 + [10, 50]
 
     def test_validation(self):
@@ -406,7 +405,7 @@ class TestEvolve:
         wins = 0
         for seed in range(5):
             a = evolve(hill_evaluator, WIDE_SPACE, 20, 400, seed=seed, max_objective=32.0)
-            r = random_search(hill_evaluator, WIDE_SPACE, 400, seed=seed, max_objective=32.0)
+            r = evolve(hill_evaluator, WIDE_SPACE, 400, 400, seed=seed, max_objective=32.0)
             wins += a.objectives[:, 0].min() <= r.objectives[:, 0].min()
         assert wins >= 4
 
@@ -616,34 +615,44 @@ class TestRandomRows:
 
 
 class TestRandomSearch:
+    """The random-search baseline is generation 0 of evolve at population = budget."""
+
     @pytest.mark.parametrize("space", [SPACE, CONSTANT_SPACE], ids=["variable", "constant"])
     def test_first_rows_equal_generation_zero_of_evolve(self, space):
         # both take the initial genomes from _random_rows, so bred generations
         # never shift the designs a random search of the same seed starts from
         a = evolve(toy_evaluator, space, 20, 200, seed=3, max_objective=32.0)
-        r = random_search(toy_evaluator, space, 200, seed=3, max_objective=32.0)
+        r = evolve(toy_evaluator, space, 200, 200, seed=3, max_objective=32.0)
         assert np.array_equal(a.reals[:20], r.reals[:20])
         assert np.array_equal(a.cats[:20], r.cats[:20])
 
     def test_budget_and_determinism(self):
-        a = random_search(toy_evaluator, SPACE, 123, seed=4, max_objective=32.0)
-        b = random_search(toy_evaluator, SPACE, 123, seed=4, max_objective=32.0)
-        assert a.evaluation_count == 123
-        assert np.array_equal(a.reals, b.reals)
+        a = evolve(toy_evaluator, SPACE, 124, 124, seed=4, max_objective=32.0)
+        b = evolve(toy_evaluator, SPACE, 124, 124, seed=4, max_objective=32.0)
+        assert a.evaluation_count == 124
+        assert a.generations == 0 and len(a.history) == 1
+        for column in ("reals", "cats", "objectives", "feasible", "front_indices"):
+            assert np.array_equal(getattr(a, column), getattr(b, column))
 
     def test_archive_equals_per_genome_calls(self):
-        arch = random_search(toy_evaluator, WIDE_SPACE, 1001, seed=11, max_objective=32.0)
-        reals, cats = per_genome_rows(WIDE_SPACE, 1001, np.random.default_rng(11))
+        arch = evolve(toy_evaluator, WIDE_SPACE, 1000, 1000, seed=11, max_objective=32.0)
+        reals, cats = per_genome_rows(WIDE_SPACE, 1000, np.random.default_rng(11))
         assert np.array_equal(arch.reals, reals)
         assert np.array_equal(arch.cats, cats)
+        objectives, feasible = toy_evaluator(reals, cats)
+        assert np.array_equal(arch.feasible, feasible)
+        assert np.array_equal(arch.objectives[feasible], objectives[feasible])
+        assert np.all(arch.objectives[~feasible] == 33.0)
+        assert arch.front_indices.tolist() == pareto_front_indices(arch.objectives,
+                                                                   feasible).tolist()
 
     @pytest.mark.parametrize("budget", [0, -1])
     def test_rejects_budget_below_one(self, budget):
-        with pytest.raises(ValueError, match="budget must be at least 1"):
-            random_search(toy_evaluator, SPACE, budget, seed=0, max_objective=32.0)
+        with pytest.raises(ValueError, match="population must be even and at least 2"):
+            evolve(toy_evaluator, SPACE, budget, budget, seed=0, max_objective=32.0)
 
     def test_genomes_within_ranges(self):
-        arch = random_search(toy_evaluator, SPACE, 50, seed=6, max_objective=32.0)
+        arch = evolve(toy_evaluator, SPACE, 50, 50, seed=6, max_objective=32.0)
         assert np.all(arch.reals >= 0) and np.all(arch.reals <= 1)
         assert np.all(arch.cats >= 0) and np.all(arch.cats <= 2)
         designs = genome_rows_decode(arch.reals, arch.cats, SPACE)  # checks every design
