@@ -278,12 +278,16 @@ def cmd_plot(args) -> int:
 
     if not isinstance(report, dict) or not {"scenario", "design"} <= report.keys():
         raise ConfigError("report needs 'scenario' and 'design' entries (see tlo evaluate)")
-    cfg = parse_config(report["scenario"])
-    design = _parse_design(report["design"], cfg)
+    within = ("scenario",)  # the part of the report being read
     try:
+        cfg = parse_config(report["scenario"])
+        within = ("design",)
+        design = _parse_design(report["design"], cfg)
+        within = ()
         states = _plot_states(report)
     except ConfigError as exc:  # only a bad report is scanned for lines
-        raise ConfigError(exc.message, exc.path, json_value_lines(text).get(exc.path)) from None
+        path = within + exc.path
+        raise ConfigError(exc.message, path, json_value_lines(text).get(path)) from None
     svgs = {}
     for k, (theta_deg, center, force_poly, velocity_poly) in enumerate(states, 1):
         theta = ", ".join(f"{v:.0f}" for v in theta_deg)

@@ -1,30 +1,38 @@
 """Scenario configuration: one JSON document per experiment.
 
-Angles are degrees in the file and radians everywhere else. Validation
-errors carry the JSON path and the line it starts on, so a bad field in a
-hand-edited config points straight at the offending line. The lines come
-from a walk over the text that only a document failing validation gets:
-json's own `scanstring` decodes each key, so a path reads as in
-`json.loads`, and its scanner skips each scalar.
+Angles are degrees in the file and radians everywhere else. A document is
+checked against the bundled scenario.schema.json itself, the one list of
+fields, types and single-value bounds. The code adds only the rules that tie
+values to each other, which the schema does not state: array lengths that
+follow the link count, 0 < min < max tension, a wire-speed range that
+straddles 0, positive link lengths and radii, non-negative masses, arm
+ranges with two different ends, relay points in variable mode and arm
+ranges in constant mode, and an even population within the budget.
+
+Validation errors carry the JSON path and the line it starts on, so a bad
+field in a hand-edited config points straight at the offending line. The
+lines come from a walk over the text that only a document failing
+validation gets: json's own `scanstring` decodes each key, so a path reads
+as in `json.loads`, and its scanner skips each scalar.
 """
 
 from __future__ import annotations
 
 import bisect
 import json
-import math
 import re
-from dataclasses import dataclass
+import sys
+from dataclasses import asdict, dataclass
+from functools import cache
 from importlib import resources
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
 from .arrangement import DesignSpace
 from .feasibility import ActuatorLimits, Scenario, TargetSpec
 from .model import RobotModel, default_attach_segments
-
-SCHEMA_VERSION = 1
 
 
 class ConfigError(Exception):
@@ -117,197 +125,147 @@ class ScenarioConfig:
         )
 
 
-# the fields of each object of scenario.schema.json, which allows no others
-SCHEMA_FIELDS = {
-    (): ("schema_version", "name", "notes", "robot", "mode", "limits", "targets", "gravity",
-         "evaluated_joint_states", "h_cap", "optimizer"),
-    ("robot",): ("link_lengths", "link_masses", "gravity", "attach_segments",
-                 "moment_arm_ranges"),
-    ("mode",): ("kind", "wires", "relay_points"),
-    ("limits",): ("tension", "wire_speed"),
-    ("targets",): ("force_center", "force_radii", "velocity_radii", "directions"),
-    ("optimizer",): ("population", "budget", "seed"),
-}
+_TYPES = {"object": (dict, "an object"), "array": (list, "an array"), "string": (str, "a string"),
+          "integer": (int, "an integer"), "number": ((int, float), "a number")}
 
 
-class _Checker:
-    def __init__(self, doc, lines):
-        self.doc = doc
-        self.lines = lines
+@cache
+def _scenario_schema() -> dict:
+    return json.loads((resources.files("tlo") / "schemas" / "scenario.schema.json").read_text())
 
-    def fail(self, path, msg):
-        raise ConfigError(msg, path, self.lines.get(path))
 
-    def get(self, path, kind, required=True, default=None):
-        node = self.doc
-        for p in path:
-            if isinstance(node, dict) and isinstance(p, str) and p in node:
-                node = node[p]
-            elif isinstance(node, list) and isinstance(p, int) and p < len(node):
-                node = node[p]
-            else:
-                if required:
-                    self.fail(path[:-1] if path else (), f"missing required field {_dotted(path)}")
-                return default
-        if kind is float:
-            if isinstance(node, bool) or not isinstance(node, (int, float)):
-                self.fail(path, "expected a number")
-            if not math.isfinite(node):
-                self.fail(path, "number must be finite")
-            return float(node)
-        if kind is int:
-            if isinstance(node, bool) or not isinstance(node, int):
-                self.fail(path, "expected an integer")
-            return node
-        if not isinstance(node, kind):
-            self.fail(path, f"expected {kind.__name__}")
-        return node
+def _fail(message: str, path: tuple, lines: dict) -> NoReturn:
+    raise ConfigError(message, path, lines.get(path))
 
-    def items(self, path, n=None, what="numbers"):
-        """The paths of the items of the list at path, which must hold n if given."""
-        node = self.get(path, list)
-        if n is not None and len(node) != n:
-            self.fail(path, f"expected {n} {what}")
-        return [path + (i,) for i in range(len(node))]
 
-    def vec(self, path, n=None):
-        return np.array([self.get(item, float) for item in self.items(path, n)])
+def _check(node, schema: dict, path: tuple, lines: dict) -> None:
+    """Check node, the value at path, against schema, a part of
+    scenario.schema.json; raise ConfigError at the first fault.
 
-    def known(self, path, fields):
-        """Reject the keys of the object at path, if it is there, outside fields."""
-        for key in self.get(path, dict, required=False, default={}):
-            if key not in fields:
-                self.fail(path + (key,), "unknown field")
+    Implements the keywords that file uses. An object schema with properties
+    allows no other keys, as the file's additionalProperties: false says of
+    each one. Stricter than JSON Schema in three ways: a number must be
+    finite (Python's json reads NaN and Infinity) and within float range, a
+    bool is never a number, an integer or const 1, and 3.0 is not an integer.
+    """
+    if "$ref" in schema:
+        _check(node, _scenario_schema()["$defs"][schema["$ref"].removeprefix("#/$defs/")],
+               path, lines)
+    if "type" in schema:
+        kind, word = _TYPES[schema["type"]]
+        if isinstance(node, bool) or not isinstance(node, kind):
+            _fail(f"expected {word}", path, lines)
+        if schema["type"] == "number" and not abs(node) <= sys.float_info.max:
+            _fail("number must be finite", path, lines)
+    if "const" in schema and (isinstance(node, bool) or node != schema["const"]):
+        _fail(f"{path[-1]} must be {schema['const']}", path, lines)
+    if "enum" in schema and node not in schema["enum"]:
+        _fail(f"{path[-1]} must be " + " or ".join(map(repr, schema["enum"])), path, lines)
+    if "minimum" in schema and node < schema["minimum"]:
+        _fail(f"{path[-1]} must be at least {schema['minimum']}", path, lines)
+    if "properties" in schema:
+        for key, value in node.items():
+            if key not in schema["properties"]:
+                _fail("unknown field", path + (key,), lines)
+            _check(value, schema["properties"][key], path + (key,), lines)
+    for key in schema.get("required", ()):
+        if key not in node:
+            _fail(f"missing required field {_dotted(path + (key,))}", path, lines)
+    if "minItems" in schema and len(node) < schema["minItems"]:
+        _fail(f"expected at least {schema['minItems']} items", path, lines)
+    if "maxItems" in schema and len(node) > schema["maxItems"]:
+        _fail(f"expected at most {schema['maxItems']} items", path, lines)
+    if "items" in schema:
+        for i, item in enumerate(node):
+            _check(item, schema["items"], path + (i,), lines)
 
 
 def optimizer_params(population: int, budget: int, seed: int,
                      lines: dict | None = None) -> OptimizerParams:
     """Checked optimizer settings; a bad one raises ConfigError at its path."""
-    c = _Checker(None, lines or {})
-    if population < 2 or population % 2:
-        c.fail(("optimizer", "population"), "population must be even and at least 2")
+    lines = lines or {}
+    params = {"population": population, "budget": budget, "seed": seed}
+    _check(params, _scenario_schema()["properties"]["optimizer"], ("optimizer",), lines)
+    if population % 2:
+        _fail("population must be even and at least 2", ("optimizer", "population"), lines)
     if budget < population:
-        c.fail(("optimizer", "budget"), "budget must be at least the population size")
-    if seed < 0:
-        c.fail(("optimizer", "seed"), "seed must be at least 0")
-    return OptimizerParams(population, budget, seed)
+        _fail("budget must be at least the population size", ("optimizer", "budget"), lines)
+    return OptimizerParams(**params)
 
 
 def parse_config(doc: dict, lines: dict | None = None, name: str = "scenario") -> ScenarioConfig:
-    """Validate a scenario document; raises ConfigError with path and line."""
+    """Validate a scenario document; raises ConfigError with path and line.
+
+    scenario.schema.json is the one list of fields, types and single-value
+    bounds; the rules here tie values to each other, which it cannot state."""
     lines = lines or {}
-    if not isinstance(doc, dict):
-        raise ConfigError("top level must be an object")
-    c = _Checker(doc, lines)
+    _check(doc, _scenario_schema(), (), lines)
+    robot, mode, targets = doc["robot"], doc["mode"], doc["targets"]
 
-    version = c.get(("schema_version",), int)
-    if version != SCHEMA_VERSION:
-        c.fail(("schema_version",), f"unsupported schema_version {version}, expected {SCHEMA_VERSION}")
-    for path, fields in SCHEMA_FIELDS.items():
-        c.known(path, fields)
-    name = c.get(("name",), str, required=False, default=name)
-
-    lengths = c.vec(("robot", "link_lengths"))
-    if len(lengths) < 2:
-        c.fail(("robot", "link_lengths"), "need LINK_0 plus at least one movable link")
+    lengths = np.array(robot["link_lengths"], dtype=float)
     if np.any(lengths <= 0):
-        c.fail(("robot", "link_lengths"), "link lengths must be positive")
+        _fail("link lengths must be positive", ("robot", "link_lengths"), lines)
     d = len(lengths) - 1
-    masses = c.vec(("robot", "link_masses"), len(lengths))
+    for key, n, per in (("link_masses", d + 1, "link"), ("attach_segments", d + 1, "link"),
+                        ("moment_arm_ranges", d, "joint")):
+        if key in robot and len(robot[key]) != n:
+            _fail(f"need one item per {per} ({n})", ("robot", key), lines)
+    masses = np.array(robot["link_masses"], dtype=float)
     if np.any(masses < 0):
-        c.fail(("robot", "link_masses"), "masses must be non-negative")
-
-    if "attach_segments" in doc.get("robot", {}):
-        segs = np.array([[c.vec(point, 2) for point in c.items(segment, 2, "points")]
-                         for segment in c.items(("robot", "attach_segments"))])
-        if segs.shape[0] != len(lengths):
-            c.fail(("robot", "attach_segments"), f"need one segment per link ({len(lengths)})")
-    else:
-        segs = default_attach_segments(lengths)
-
-    gravity_vec = (
-        c.vec(("robot", "gravity"), 2)
-        if "gravity" in doc.get("robot", {})
-        else np.array([0.0, -9.81])
-    )
-
+        _fail("masses must be non-negative", ("robot", "link_masses"), lines)
+    segs = (np.array(robot["attach_segments"], dtype=float) if "attach_segments" in robot
+            else default_attach_segments(lengths))
+    gravity_vec = np.array(robot.get("gravity", (0.0, -9.81)), dtype=float)
     arm_ranges = None
-    if "moment_arm_ranges" in doc.get("robot", {}):
-        rows = c.get(("robot", "moment_arm_ranges"), list)
-        if len(rows) != d:
-            c.fail(("robot", "moment_arm_ranges"), f"need one range per joint ({d})")
-        arm_ranges = np.array([c.vec(("robot", "moment_arm_ranges", i), 2) for i in range(d)])
+    if "moment_arm_ranges" in robot:
+        arm_ranges = np.array(robot["moment_arm_ranges"], dtype=float)
         if np.any(arm_ranges[:, 0] == arm_ranges[:, 1]):
-            c.fail(("robot", "moment_arm_ranges"), "each range needs two different ends")
+            _fail("each range needs two different ends", ("robot", "moment_arm_ranges"), lines)
 
-    mode_kind = c.get(("mode", "kind"), str)
-    if mode_kind not in ("variable", "constant"):
-        c.fail(("mode", "kind"), "kind must be 'variable' or 'constant'")
-    wires = c.get(("mode", "wires"), int)
-    if wires < 1:
-        c.fail(("mode", "wires"), "need at least one wire")
-    relay_points = None
-    if mode_kind == "variable":
-        relay_points = c.get(("mode", "relay_points"), int)
-        if relay_points < 2:
-            c.fail(("mode", "relay_points"), "need at least 2 relay points per wire")
-    elif arm_ranges is None:
-        c.fail(("robot",), "constant mode requires robot.moment_arm_ranges")
-    space = DesignSpace(mode_kind, wires, relay_points, d)
+    kind = mode["kind"]
+    if kind == "variable" and "relay_points" not in mode:
+        _fail("variable mode requires mode.relay_points", ("mode",), lines)
+    if kind == "constant" and arm_ranges is None:
+        _fail("constant mode requires robot.moment_arm_ranges", ("robot",), lines)
+    space = DesignSpace(kind, mode["wires"], mode["relay_points"] if kind == "variable" else None, d)
 
-    tension = c.vec(("limits", "tension"), 2)
+    tension, wire_speed = (np.array(doc["limits"][key], dtype=float)
+                           for key in ("tension", "wire_speed"))
     if not 0 < tension[0] < tension[1]:
-        c.fail(("limits", "tension"), "need 0 < min < max tension")
-    wire_speed = c.vec(("limits", "wire_speed"), 2)
+        _fail("need 0 < min < max tension", ("limits", "tension"), lines)
     if not wire_speed[0] < 0 < wire_speed[1]:
-        c.fail(("limits", "wire_speed"), "wire speed range must straddle zero")
+        _fail("wire speed range must straddle zero", ("limits", "wire_speed"), lines)
     limits = ActuatorLimits(tension[0], tension[1], wire_speed[0], wire_speed[1])
 
-    force_center = c.vec(("targets", "force_center"), 2)
-    force_radii = c.vec(("targets", "force_radii"), 2)
-    velocity_radii = c.vec(("targets", "velocity_radii"), 2)
-    if np.any(force_radii <= 0):
-        c.fail(("targets", "force_radii"), "radii must be positive")
-    if np.any(velocity_radii <= 0):
-        c.fail(("targets", "velocity_radii"), "radii must be positive")
-    directions = c.get(("targets", "directions"), int, required=False, default=8)
-    if directions < 3:
-        c.fail(("targets", "directions"), "need at least 3 directions")
-    target = TargetSpec(force_center, force_radii, velocity_radii, directions)
+    force_center, force_radii, velocity_radii = (
+        np.array(targets[key], dtype=float)
+        for key in ("force_center", "force_radii", "velocity_radii"))
+    for key, radii in (("force_radii", force_radii), ("velocity_radii", velocity_radii)):
+        if np.any(radii <= 0):
+            _fail("radii must be positive", ("targets", key), lines)
+    target = TargetSpec(force_center, force_radii, velocity_radii, targets.get("directions", 8))
 
-    gravity_flag = c.get(("gravity",), str)
-    if gravity_flag not in ("on", "off"):
-        c.fail(("gravity",), "gravity must be 'on' or 'off'")
+    for i, state in enumerate(doc["evaluated_joint_states"]):
+        if len(state) != d:
+            _fail(f"need one angle per joint ({d})", ("evaluated_joint_states", i), lines)
 
-    states_node = c.get(("evaluated_joint_states",), list)
-    if not states_node:
-        c.fail(("evaluated_joint_states",), "need at least one joint state")
-    joint_states = np.deg2rad([c.vec(("evaluated_joint_states", i), d)
-                               for i in range(len(states_node))])
-
-    h_cap = c.get(("h_cap",), float, required=False, default=10.0)
-    if h_cap < 1.0:
-        c.fail(("h_cap",), "h_cap below 1 would distort the objectives")
-
-    optimizer = optimizer_params(*(c.get(("optimizer", key), int, required=False,
-                                         default=getattr(OptimizerParams, key))
-                                   for key in ("population", "budget", "seed")), lines)
-
+    optimizer = optimizer_params(**{**asdict(OptimizerParams()), **doc.get("optimizer", {})},
+                                 lines=lines)
     try:
-        robot = RobotModel(lengths, masses, segs, gravity_vec, arm_ranges)
+        robot_model = RobotModel(lengths, masses, segs, gravity_vec, arm_ranges)
     except ValueError as exc:
-        c.fail(("robot",), str(exc))
+        _fail(str(exc), ("robot",), lines)
 
     return ScenarioConfig(
-        name=name,
-        robot=robot,
+        name=doc.get("name", name),
+        robot=robot_model,
         space=space,
         limits=limits,
         target=target,
-        gravity=gravity_flag == "on",
-        joint_states=joint_states,
+        gravity=doc["gravity"] == "on",
+        joint_states=np.deg2rad(np.array(doc["evaluated_joint_states"], dtype=float)),
         optimizer=optimizer,
-        h_cap=h_cap,
+        h_cap=float(doc.get("h_cap", 10.0)),
         raw=doc,
     )
 

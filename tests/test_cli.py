@@ -867,6 +867,30 @@ class TestPlot:
         assert f"bad design document: unknown key '{key}'" in capsys.readouterr().err
         assert not plots.exists()
 
+    @pytest.mark.parametrize("path, message", [
+        ("$.scenario.limits.tension", "need 0 < min < max tension"),
+        ("$.design", "bad design document: unknown key 'extra' in the design"),
+    ])
+    def test_bad_embedded_scenario_or_design_names_its_report_line(self, tmp_path, capsys,
+                                                                   path, message):
+        out_eval, _ = self.run_pipeline(tmp_path)
+        report = json.loads((out_eval / "report.json").read_text())
+        if path == "$.design":
+            report["design"]["extra"] = 1
+        else:
+            report["scenario"]["limits"]["tension"] = [0.0, 200.0]
+        text = json.dumps(report, indent=2)
+        key = path.rsplit(".", 1)[1]
+        line = next(n for n, row in enumerate(text.splitlines(), 1)
+                    if row.lstrip().startswith(f'"{key}": '))
+        assert line > 1
+        bad = tmp_path / "embedded.json"
+        bad.write_text(text)
+        plots = tmp_path / "embedded_plots"
+        assert main(["plot", str(bad), "--out", str(plots)]) == 2
+        assert capsys.readouterr().err == f"config error: {path} (line {line}): {message}\n"
+        assert not plots.exists()
+
     def test_ragged_design_exits_2(self, tmp_path, capsys):
         out_eval, _ = self.run_pipeline(tmp_path)
         report = json.loads((out_eval / "report.json").read_text())

@@ -1,4 +1,6 @@
+import copy
 import json
+import random
 from importlib import resources
 from pathlib import Path
 
@@ -198,14 +200,145 @@ def test_validation_failures_include_path(patch, path_fragment):
     assert path_fragment.split(".")[-1] in str(err.value)
 
 
-def test_schema_fields_are_the_schema_properties():
-    schema = json.loads((resources.files("tlo") / "schemas" / "scenario.schema.json").read_text())
-    objects = {(): schema}
-    objects.update(((key,), node) for key, node in schema["properties"].items()
-                   if node.get("type") == "object")
-    assert all(node["additionalProperties"] is False for node in objects.values())
-    assert {path: set(node["properties"]) for path, node in objects.items()} == {
-        path: set(fields) for path, fields in config.SCHEMA_FIELDS.items()}
+# the keywords config._check implements, and those that only annotate
+CHECKED_KEYWORDS = {"$ref", "type", "const", "enum", "minimum", "required", "properties",
+                    "additionalProperties", "items", "minItems", "maxItems"}
+ANNOTATIONS = {"$schema", "$id", "title", "description", "$defs"}
+
+
+def schema_nodes(node):
+    """Every schema object within a schema: the root, each property's and
+    each $defs entry's schema, and each items schema."""
+    yield node
+    for key in ("properties", "$defs"):
+        for child in node.get(key, {}).values():
+            yield from schema_nodes(child)
+    if "items" in node:
+        yield from schema_nodes(node["items"])
+
+
+def test_check_implements_every_keyword_of_the_schema():
+    """A keyword added to scenario.schema.json that _check does not know
+    would be skipped without notice; this fails first."""
+    schema = config._scenario_schema()
+    nodes = list(schema_nodes(schema))
+    assert set().union(*nodes) <= CHECKED_KEYWORDS | ANNOTATIONS
+    # _check reads properties as a closed list of fields
+    closed = [node for node in nodes if "properties" in node]
+    assert all(node.get("additionalProperties") is False for node in closed)
+    assert sum("additionalProperties" in node for node in nodes) == len(closed)
+    assert all(node["$ref"].startswith("#/$defs/") for node in nodes if "$ref" in node)
+
+
+@pytest.mark.parametrize("patch, error", [
+    ({"notes": 5}, "$.notes: expected an array"),
+    ({"notes": [1]}, "$.notes[0]: expected a string"),
+    ({"optimizer": 5}, "$.optimizer: expected an object"),
+    ({"robot": []}, "$.robot: expected an object"),
+    ({"evaluated_joint_states": {}}, "$.evaluated_joint_states: expected an array"),
+    ({"schema_version": True}, "$.schema_version: schema_version must be 1"),
+    ({"mode.wires": True}, "$.mode.wires: expected an integer"),
+    ({"optimizer.seed": -1}, "$.optimizer.seed: seed must be at least 0"),
+    ({"gravity": "yes"}, "$.gravity: gravity must be 'on' or 'off'"),
+    ({"limits.tension": [10.0, 200.0, 300.0]}, "$.limits.tension: expected at most 2 items"),
+    ({"mode.relay_points": None}, "$.mode: variable mode requires mode.relay_points"),
+    ({"limits.tension": None}, "$.limits: missing required field $.limits.tension"),
+])
+def test_schema_errors_name_the_json_type_at_their_path(patch, error):
+    with pytest.raises(ConfigError) as err:
+        parse_config(with_patch(**patch))
+    assert str(err.value) == error
+
+
+@pytest.mark.parametrize("path, value", [
+    ("h_cap", float("nan")),
+    ("h_cap", float("inf")),
+    ("targets.force_center", [0.0, float("-inf")]),
+    ("robot.link_lengths", [0.4, 0.6, 10**400]),  # an integer beyond float range
+    ("optimizer.population", 40.0),
+    ("targets.directions", 8.0),
+])
+def test_stricter_than_json_schema(path, value):
+    """Non-finite numbers and integer-valued floats, which JSON Schema would
+    accept here, are rejected."""
+    jsonschema = pytest.importorskip("jsonschema")
+    doc = with_patch(**{path: value})
+    jsonschema.Draft202012Validator(config._scenario_schema()).validate(doc)
+    with pytest.raises(ConfigError) as err:
+        parse_config(doc)
+    assert err.value.path[:2] == tuple(path.split("."))[:2]
+
+
+SCENARIO_FILES = [*sorted(Path(str(resources.files("tlo") / "scenarios")).glob("*.json")),
+                  *sorted(p for p in (Path(__file__).parent / "data").glob("*.json")
+                          if not p.name.startswith("golden_design"))]
+# replacement values: every JSON type, but no non-finite number and no
+# integer-valued float, which _check rejects on purpose (see above); numbers
+# on both sides of the schema's minimums; known and unknown keys
+NUMBERS = [-1, 0, 1, 2, 3, 0.5, -0.25]
+STRINGS = ["", "on", "off", "variable", "constant", "x"]
+POOL = [None, True, False, *NUMBERS, *STRINGS, [], [0.5, 1.5], [1, 2, 3], [[0.5, 1.5]], ["a"],
+        {}, {"a": 1}]
+KEYS = ["x", "seeds", "optimiser", "robots", "kind", "directions", "relay_points", "name"]
+
+
+def containers(node):
+    """Every object and array in a document."""
+    if isinstance(node, (dict, list)):
+        yield node
+        for child in (node.values() if isinstance(node, dict) else node):
+            yield from containers(child)
+
+
+def mutate(doc, rng):
+    """One random change to doc's keys, types, values or item counts, in place."""
+    kind = rng.choice((dict, list))  # objects are few: pick the kind first
+    node = rng.choice([n for n in containers(doc) if isinstance(n, kind)])
+    slots = list(node) if kind is dict else list(range(len(node)))
+    move = rng.choice(("add", "drop", "type", "value"))
+    if move == "add" and kind is dict:
+        node[rng.choice(KEYS)] = copy.deepcopy(rng.choice(POOL))
+    elif move == "add":  # one more item: a copy of one of its own, or any value
+        node.append(copy.deepcopy(rng.choice(node + POOL)))
+    elif slots and move == "drop":
+        del node[rng.choice(slots)]
+    elif slots:
+        slot = rng.choice(slots)
+        old = node[slot]
+        if move == "value" and isinstance(old, (int, float)) and not isinstance(old, bool):
+            node[slot] = rng.choice(NUMBERS)
+        elif move == "value" and isinstance(old, str):
+            node[slot] = rng.choice(STRINGS)
+        else:
+            node[slot] = copy.deepcopy(rng.choice(POOL))
+
+
+def test_check_agrees_with_json_schema_on_mutated_scenarios():
+    """_check accepts a document exactly when jsonschema does, and names a
+    path that jsonschema reports (the parent, for an unknown field)."""
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = config._scenario_schema()
+    validator = jsonschema.Draft202012Validator(schema)
+    rng = random.Random(0)
+    seen = {"accepted": 0, "rejected": 0}
+    for path in SCENARIO_FILES:
+        original = json.loads(path.read_text())
+        for _ in range(200):
+            doc = json.loads(json.dumps(original))
+            for _ in range(rng.randint(1, 3)):
+                mutate(doc, rng)
+            reported = {tuple(e.absolute_path) for e in validator.iter_errors(doc)}
+            try:
+                config._check(doc, schema, (), {})
+            except ConfigError as err:
+                seen["rejected"] += 1
+                assert reported, (path.name, doc, str(err))
+                at = err.path[:-1] if err.message == "unknown field" else err.path
+                assert at in reported, (path.name, str(err), reported)
+            else:
+                seen["accepted"] += 1
+                assert not reported, (path.name, doc)
+    assert min(seen.values()) > 100, seen
 
 
 def test_constant_mode_requires_arm_ranges():
