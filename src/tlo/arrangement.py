@@ -265,7 +265,8 @@ def genome_decode(genome: Genome, space: DesignSpace) -> Design:
     return genome_rows_decode(genome.reals, genome.cats, space)
 
 
-# --- JSON form: variable as relay point lists, constant as arm values in meters
+# --- JSON form: variable as relay point lists, constant as arm values in meters;
+# design.schema.json states it, and tlo.config.parse_design reads it back
 
 
 def design_to_jsonable(design: Design, model: RobotModel) -> dict:
@@ -288,56 +289,3 @@ def designs_to_jsonable(designs: Design, model: RobotModel) -> list[dict]:
         }
         for design_links, design_fracs in zip(designs.links.tolist(), designs.fractions.tolist())
     ]
-
-
-def _json_number(value, integer: bool = False):
-    """value, if it is a JSON number (an integer if asked); bools are neither."""
-    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-        raise TypeError(f"expected a JSON {'integer' if integer else 'number'}, got {value!r}")
-    return value
-
-
-def _known_keys(node: dict, keys: tuple, where: str):
-    """Reject a node that is not a JSON object, or has keys outside keys, as
-    design.schema.json does."""
-    if not isinstance(node, dict):
-        raise TypeError(f"{where} must be a JSON object")
-    for key in node:
-        if key not in keys:
-            raise ValueError(f"unknown key {key!r} in {where}")
-
-
-def design_from_jsonable(doc: dict, model: RobotModel) -> Design:
-    """A design document as its Design, with no leading axes."""
-    if not isinstance(doc, dict):
-        raise TypeError("design document must be a JSON object")
-    kind = doc.get("kind")
-    if kind == "variable":
-        _known_keys(doc, ("kind", "wires"), "the design")
-        wires = doc["wires"]
-        for m, wire in enumerate(wires):
-            for n, point in enumerate(wire):
-                _known_keys(point, ("link", "frac"), f"wires[{m}][{n}]")
-        if len({len(wire) for wire in wires}) > 1:
-            raise ValueError("all wires need the same number of relay points")
-        design = Design(
-            [[_json_number(p["link"], integer=True) for p in wire] for wire in wires],
-            [[_json_number(p["frac"]) for p in wire] for wire in wires],
-        )
-        if design.links.max() >= len(model.link_lengths):
-            raise ValueError(f"relay link {design.links.max()} out of range for this robot")
-        return design
-    if kind == "constant":
-        _known_keys(doc, ("kind", "arms"), "the design")
-        if model.moment_arm_ranges is None:
-            raise ValueError("constant designs need robot.moment_arm_ranges")
-        arms = np.array([[_json_number(v) for v in row] for row in doc["arms"]], dtype=float)
-        lo = model.moment_arm_ranges[:, 0]
-        hi = model.moment_arm_ranges[:, 1]
-        if arms.ndim != 2 or arms.shape[1] != model.n_joints:
-            raise ValueError("arms must be an (M, D) matrix")
-        frac = (arms - lo) / (hi - lo)
-        if not np.all((frac >= -1e-9) & (frac <= 1 + 1e-9)):  # NaN fails
-            raise ValueError("arm values outside the robot's moment_arm_ranges")
-        return Design(None, np.clip(frac, 0.0, 1.0))
-    raise ValueError(f"unknown design kind {kind!r}")

@@ -21,14 +21,13 @@ import numpy as np
 from . import __version__
 from .arrangement import (
     Design,
-    design_from_jsonable,
     design_to_jsonable,
     designs_to_jsonable,
     genome_rows_decode,
     muscle_jacobian,
 )
-from .config import (ConfigError, ScenarioConfig, json_value_lines, load_config, optimizer_params,
-                     parse_config, read_json)
+from .config import (ConfigError, ScenarioConfig, load_config, load_document, optimizer_params,
+                     parse_config, parse_design)
 from .feasibility import (
     MIN_RAYS,
     InfeasibleDesign,
@@ -192,26 +191,9 @@ def cmd_optimize(args) -> int:
     return EXIT_OK
 
 
-def _parse_design(doc, cfg: ScenarioConfig) -> Design:
-    """Design document -> one design matching the config's design space."""
-    try:
-        design = design_from_jsonable(doc, cfg.robot)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad design document: {exc}") from exc
-    m, n = design.fractions.shape
-    shape = ("constant", m, None) if design.links is None else ("variable", m, n)
-    space = cfg.space
-    if shape != (space.kind, space.n_wires, space.n_relay_points):
-        raise ConfigError(
-            "design shape {} M={} N={} does not match config mode {} M={} N={}".format(
-                *shape, space.kind, space.n_wires, space.n_relay_points)
-        )
-    return design
-
-
 def cmd_evaluate(args) -> int:
     cfg = load_config(args.config)
-    design = _parse_design(read_json(args.design, "design JSON")[0], cfg)
+    design = load_document(args.design, lambda doc: parse_design(doc, cfg), "design JSON")
     result = evaluate(cfg.robot, design, cfg.scenario())
     feasible = bool(result.feasible)
     # a pruned design's NaN scores are written as null
@@ -272,22 +254,25 @@ def _plot_states(report: dict) -> list[list[np.ndarray]]:
     return parsed
 
 
-def cmd_plot(args) -> int:
-    report, text = read_json(args.report, "report JSON")
-    from .svgplot import arrangement_panel, space_panel
-
+def _read_report(report) -> tuple[ScenarioConfig, Design, list[list[np.ndarray]]]:
+    """A report's scenario, design and states; an error in its embedded
+    scenario or design is named at its path in the report."""
     if not isinstance(report, dict) or not {"scenario", "design"} <= report.keys():
         raise ConfigError("report needs 'scenario' and 'design' entries (see tlo evaluate)")
     within = ("scenario",)  # the part of the report being read
     try:
         cfg = parse_config(report["scenario"])
         within = ("design",)
-        design = _parse_design(report["design"], cfg)
-        within = ()
-        states = _plot_states(report)
-    except ConfigError as exc:  # only a bad report is scanned for lines
-        path = within + exc.path
-        raise ConfigError(exc.message, path, json_value_lines(text).get(path)) from None
+        design = parse_design(report["design"], cfg)
+    except ConfigError as exc:
+        raise ConfigError(exc.message, within + exc.path) from None
+    return cfg, design, _plot_states(report)
+
+
+def cmd_plot(args) -> int:
+    cfg, design, states = load_document(args.report, _read_report, "report JSON")
+    from .svgplot import arrangement_panel, space_panel
+
     svgs = {}
     for k, (theta_deg, center, force_poly, velocity_poly) in enumerate(states, 1):
         theta = ", ".join(f"{v:.0f}" for v in theta_deg)

@@ -1,19 +1,21 @@
-"""Scenario configuration: one JSON document per experiment.
+"""The documents tlo reads: scenarios (one per experiment) and designs.
 
-Angles are degrees in the file and radians everywhere else. A document is
-checked against the bundled scenario.schema.json itself, the one list of
-fields, types and single-value bounds. The code adds only the rules that tie
-values to each other, which the schema does not state: array lengths that
-follow the link count, 0 < min < max tension, a wire-speed range that
-straddles 0, positive link lengths and radii, non-negative masses, arm
-ranges with two different ends, relay points in variable mode and arm
-ranges in constant mode, and an even population within the budget.
+Angles are degrees in a scenario and radians everywhere else. A document is
+checked against its bundled schema itself (scenario.schema.json or
+design.schema.json), the one list of its fields, types and single-value
+bounds. The code adds only the rules that tie values to each other, which a
+schema does not state: for a scenario, array lengths that follow the link
+count, 0 < min < max tension, a wire-speed range that straddles 0, positive
+link lengths and radii, non-negative masses, arm ranges with two different
+ends, relay points in variable mode and arm ranges in constant mode, and an
+even population within the budget; for a design, the scenario's design
+space, wires that start on LINK_0, links on the robot and arms within its
+ranges.
 
-Validation errors carry the JSON path and the line it starts on, so a bad
-field in a hand-edited config points straight at the offending line. The
-lines come from a walk over the text that only a document failing
-validation gets: json's own `scanstring` decodes each key, so a path reads
-as in `json.loads`, and its scanner skips each scalar.
+Errors carry the JSON path. The line it starts on is looked up once, by
+load_document, which read the text, and only for a failing document: json's
+own `scanstring` decodes each key, so a path reads as in `json.loads`, and
+its scanner skips each scalar.
 """
 
 from __future__ import annotations
@@ -26,22 +28,21 @@ from dataclasses import asdict, dataclass
 from functools import cache
 from importlib import resources
 from pathlib import Path
-from typing import NoReturn
+from typing import Callable
 
 import numpy as np
 
-from .arrangement import DesignSpace
+from .arrangement import Design, DesignSpace
 from .feasibility import ActuatorLimits, Scenario, TargetSpec
 from .model import RobotModel, default_attach_segments
 
 
 class ConfigError(Exception):
-    """Invalid scenario document; message carries JSON path and line."""
+    """Invalid input document; message carries JSON path and line."""
 
     def __init__(self, message: str, path: tuple = (), line: int | None = None):
         self.message = message
         self.path = path
-        self.line = line
         where = _dotted(path) if path else "document"
         at = f" (line {line})" if line else ""
         super().__init__(f"{where}{at}: {message}")
@@ -130,89 +131,106 @@ _TYPES = {"object": (dict, "an object"), "array": (list, "an array"), "string": 
 
 
 @cache
-def _scenario_schema() -> dict:
-    return json.loads((resources.files("tlo") / "schemas" / "scenario.schema.json").read_text())
+def _schema(name: str) -> dict:
+    """The bundled <name>.schema.json."""
+    return json.loads((resources.files("tlo") / "schemas" / f"{name}.schema.json").read_text())
 
 
-def _fail(message: str, path: tuple, lines: dict) -> NoReturn:
-    raise ConfigError(message, path, lines.get(path))
+class _ConstMismatch(ConfigError):
+    """A const that does not hold: in a oneOf, the branch the document does not mean."""
 
 
-def _check(node, schema: dict, path: tuple, lines: dict) -> None:
-    """Check node, the value at path, against schema, a part of
-    scenario.schema.json; raise ConfigError at the first fault.
+def _check(node, schema: dict, path: tuple = (), root: dict | None = None) -> None:
+    """Check node, the value at path, against schema, a part of the bundled
+    schema root (schema itself by default); raise ConfigError at the first fault.
 
-    Implements the keywords that file uses. An object schema with properties
-    allows no other keys, as the file's additionalProperties: false says of
-    each one. Stricter than JSON Schema in three ways: a number must be
-    finite (Python's json reads NaN and Infinity) and within float range, a
-    bool is never a number, an integer or const 1, and 3.0 is not an integer.
+    Implements the keywords the bundled files use. An object schema with
+    properties allows no other keys, as the files' additionalProperties: false
+    says of each one. A oneOf accepts the node when one branch does: the
+    branches of design.schema.json differ by a const kind, so no two can.
+    Otherwise it raises the error of the branch that got furthest, at the
+    deepest path; a branch rejected by a const ranks last. Stricter than JSON
+    Schema in three ways: a number must be finite (Python's json reads NaN
+    and Infinity) and within float range, a bool is never a number, an
+    integer or const 1, and 3.0 is not an integer.
     """
+    root = schema if root is None else root
     if "$ref" in schema:
-        _check(node, _scenario_schema()["$defs"][schema["$ref"].removeprefix("#/$defs/")],
-               path, lines)
+        _check(node, root["$defs"][schema["$ref"].removeprefix("#/$defs/")], path, root)
+    if "oneOf" in schema:
+        errors = []
+        for branch in schema["oneOf"]:
+            try:
+                _check(node, branch, path, root)
+                break
+            except ConfigError as exc:
+                errors.append(exc)
+        else:
+            raise max(errors, key=lambda exc: (not isinstance(exc, _ConstMismatch), len(exc.path)))
     if "type" in schema:
         kind, word = _TYPES[schema["type"]]
         if isinstance(node, bool) or not isinstance(node, kind):
-            _fail(f"expected {word}", path, lines)
+            raise ConfigError(f"expected {word}", path)
         if schema["type"] == "number" and not abs(node) <= sys.float_info.max:
-            _fail("number must be finite", path, lines)
+            raise ConfigError("number must be finite", path)
     if "const" in schema and (isinstance(node, bool) or node != schema["const"]):
-        _fail(f"{path[-1]} must be {schema['const']}", path, lines)
+        raise _ConstMismatch(f"{path[-1]} must be {schema['const']}", path)
     if "enum" in schema and node not in schema["enum"]:
-        _fail(f"{path[-1]} must be " + " or ".join(map(repr, schema["enum"])), path, lines)
+        raise ConfigError(f"{path[-1]} must be " + " or ".join(map(repr, schema["enum"])), path)
     if "minimum" in schema and node < schema["minimum"]:
-        _fail(f"{path[-1]} must be at least {schema['minimum']}", path, lines)
-    if "properties" in schema:
-        for key, value in node.items():
+        raise ConfigError(f"{path[-1]} must be at least {schema['minimum']}", path)
+    if "maximum" in schema and node > schema["maximum"]:
+        raise ConfigError(f"{path[-1]} must be at most {schema['maximum']}", path)
+    if "properties" in schema:  # in the schema's order, so a oneOf meets its const kind first
+        for key, value in schema["properties"].items():
+            if key in node:
+                _check(node[key], value, path + (key,), root)
+        for key in node:
             if key not in schema["properties"]:
-                _fail("unknown field", path + (key,), lines)
-            _check(value, schema["properties"][key], path + (key,), lines)
+                raise ConfigError("unknown field", path + (key,))
     for key in schema.get("required", ()):
         if key not in node:
-            _fail(f"missing required field {_dotted(path + (key,))}", path, lines)
+            raise ConfigError(f"missing required field {_dotted(path + (key,))}", path)
     if "minItems" in schema and len(node) < schema["minItems"]:
-        _fail(f"expected at least {schema['minItems']} items", path, lines)
+        raise ConfigError(f"expected at least {schema['minItems']} items", path)
     if "maxItems" in schema and len(node) > schema["maxItems"]:
-        _fail(f"expected at most {schema['maxItems']} items", path, lines)
+        raise ConfigError(f"expected at most {schema['maxItems']} items", path)
     if "items" in schema:
         for i, item in enumerate(node):
-            _check(item, schema["items"], path + (i,), lines)
+            _check(item, schema["items"], path + (i,), root)
 
 
-def optimizer_params(population: int, budget: int, seed: int,
-                     lines: dict | None = None) -> OptimizerParams:
+def optimizer_params(population: int, budget: int, seed: int) -> OptimizerParams:
     """Checked optimizer settings; a bad one raises ConfigError at its path."""
-    lines = lines or {}
     params = {"population": population, "budget": budget, "seed": seed}
-    _check(params, _scenario_schema()["properties"]["optimizer"], ("optimizer",), lines)
+    scenario = _schema("scenario")
+    _check(params, scenario["properties"]["optimizer"], ("optimizer",), scenario)
     if population % 2:
-        _fail("population must be even and at least 2", ("optimizer", "population"), lines)
+        raise ConfigError("population must be even and at least 2", ("optimizer", "population"))
     if budget < population:
-        _fail("budget must be at least the population size", ("optimizer", "budget"), lines)
+        raise ConfigError("budget must be at least the population size", ("optimizer", "budget"))
     return OptimizerParams(**params)
 
 
-def parse_config(doc: dict, lines: dict | None = None, name: str = "scenario") -> ScenarioConfig:
-    """Validate a scenario document; raises ConfigError with path and line.
+def parse_config(doc: dict, name: str = "scenario") -> ScenarioConfig:
+    """Validate a scenario document; raises ConfigError at its path.
 
     scenario.schema.json is the one list of fields, types and single-value
     bounds; the rules here tie values to each other, which it cannot state."""
-    lines = lines or {}
-    _check(doc, _scenario_schema(), (), lines)
+    _check(doc, _schema("scenario"))
     robot, mode, targets = doc["robot"], doc["mode"], doc["targets"]
 
     lengths = np.array(robot["link_lengths"], dtype=float)
     if np.any(lengths <= 0):
-        _fail("link lengths must be positive", ("robot", "link_lengths"), lines)
+        raise ConfigError("link lengths must be positive", ("robot", "link_lengths"))
     d = len(lengths) - 1
     for key, n, per in (("link_masses", d + 1, "link"), ("attach_segments", d + 1, "link"),
                         ("moment_arm_ranges", d, "joint")):
         if key in robot and len(robot[key]) != n:
-            _fail(f"need one item per {per} ({n})", ("robot", key), lines)
+            raise ConfigError(f"need one item per {per} ({n})", ("robot", key))
     masses = np.array(robot["link_masses"], dtype=float)
     if np.any(masses < 0):
-        _fail("masses must be non-negative", ("robot", "link_masses"), lines)
+        raise ConfigError("masses must be non-negative", ("robot", "link_masses"))
     segs = (np.array(robot["attach_segments"], dtype=float) if "attach_segments" in robot
             else default_attach_segments(lengths))
     gravity_vec = np.array(robot.get("gravity", (0.0, -9.81)), dtype=float)
@@ -220,21 +238,21 @@ def parse_config(doc: dict, lines: dict | None = None, name: str = "scenario") -
     if "moment_arm_ranges" in robot:
         arm_ranges = np.array(robot["moment_arm_ranges"], dtype=float)
         if np.any(arm_ranges[:, 0] == arm_ranges[:, 1]):
-            _fail("each range needs two different ends", ("robot", "moment_arm_ranges"), lines)
+            raise ConfigError("each range needs two different ends", ("robot", "moment_arm_ranges"))
 
     kind = mode["kind"]
     if kind == "variable" and "relay_points" not in mode:
-        _fail("variable mode requires mode.relay_points", ("mode",), lines)
+        raise ConfigError("variable mode requires mode.relay_points", ("mode",))
     if kind == "constant" and arm_ranges is None:
-        _fail("constant mode requires robot.moment_arm_ranges", ("robot",), lines)
+        raise ConfigError("constant mode requires robot.moment_arm_ranges", ("robot",))
     space = DesignSpace(kind, mode["wires"], mode["relay_points"] if kind == "variable" else None, d)
 
     tension, wire_speed = (np.array(doc["limits"][key], dtype=float)
                            for key in ("tension", "wire_speed"))
     if not 0 < tension[0] < tension[1]:
-        _fail("need 0 < min < max tension", ("limits", "tension"), lines)
+        raise ConfigError("need 0 < min < max tension", ("limits", "tension"))
     if not wire_speed[0] < 0 < wire_speed[1]:
-        _fail("wire speed range must straddle zero", ("limits", "wire_speed"), lines)
+        raise ConfigError("wire speed range must straddle zero", ("limits", "wire_speed"))
     limits = ActuatorLimits(tension[0], tension[1], wire_speed[0], wire_speed[1])
 
     force_center, force_radii, velocity_radii = (
@@ -242,19 +260,18 @@ def parse_config(doc: dict, lines: dict | None = None, name: str = "scenario") -
         for key in ("force_center", "force_radii", "velocity_radii"))
     for key, radii in (("force_radii", force_radii), ("velocity_radii", velocity_radii)):
         if np.any(radii <= 0):
-            _fail("radii must be positive", ("targets", key), lines)
+            raise ConfigError("radii must be positive", ("targets", key))
     target = TargetSpec(force_center, force_radii, velocity_radii, targets.get("directions", 8))
 
     for i, state in enumerate(doc["evaluated_joint_states"]):
         if len(state) != d:
-            _fail(f"need one angle per joint ({d})", ("evaluated_joint_states", i), lines)
+            raise ConfigError(f"need one angle per joint ({d})", ("evaluated_joint_states", i))
 
-    optimizer = optimizer_params(**{**asdict(OptimizerParams()), **doc.get("optimizer", {})},
-                                 lines=lines)
+    optimizer = optimizer_params(**{**asdict(OptimizerParams()), **doc.get("optimizer", {})})
     try:
         robot_model = RobotModel(lengths, masses, segs, gravity_vec, arm_ranges)
     except ValueError as exc:
-        _fail(str(exc), ("robot",), lines)
+        raise ConfigError(str(exc), ("robot",))
 
     return ScenarioConfig(
         name=doc.get("name", name),
@@ -268,6 +285,48 @@ def parse_config(doc: dict, lines: dict | None = None, name: str = "scenario") -
         h_cap=float(doc.get("h_cap", 10.0)),
         raw=doc,
     )
+
+
+def parse_design(doc, cfg: ScenarioConfig) -> Design:
+    """Validate a design document for cfg's design space; raises ConfigError
+    at its path.
+
+    design.schema.json is the one list of the format's fields, types and
+    single-value bounds, and designs_to_jsonable writes it; the rules here tie
+    values to the scenario, which it cannot state."""
+    _check(doc, _schema("design"))
+    space, robot = cfg.space, cfg.robot
+    if doc["kind"] != space.kind:
+        raise ConfigError(f"kind must be {space.kind}, the config's mode.kind", ("kind",))
+    key = "wires" if space.kind == "variable" else "arms"
+    rows = doc[key]
+    if len(rows) != space.n_wires:
+        raise ConfigError(f"need {space.n_wires} wires, the config's mode.wires", (key,))
+    if space.kind == "constant":
+        for i, row in enumerate(rows):
+            if len(row) != robot.n_joints:
+                raise ConfigError(f"need one arm per joint ({robot.n_joints})", ("arms", i))
+        lo, hi = robot.moment_arm_ranges.T
+        frac = (np.array(rows, dtype=float) - lo) / (hi - lo)
+        outside = np.argwhere((frac < -1e-9) | (frac > 1 + 1e-9))
+        if len(outside):
+            i, j = outside[0].tolist()
+            raise ConfigError(f"arm must lie within the robot's moment_arm_ranges[{j}]",
+                              ("arms", i, j))
+        return Design(None, np.clip(frac, 0.0, 1.0))
+    last = len(robot.link_lengths) - 1
+    for m, wire in enumerate(rows):
+        if len(wire) != space.n_relay_points:
+            raise ConfigError(f"need {space.n_relay_points} relay points, "
+                              "the config's mode.relay_points", ("wires", m))
+        if wire[0]["link"]:
+            raise ConfigError("every wire must start on LINK_0", ("wires", m, 0, "link"))
+        for n, point in enumerate(wire):
+            if point["link"] > last:
+                raise ConfigError(f"link must be at most {last}, the robot's last link",
+                                  ("wires", m, n, "link"))
+    return Design([[point["link"] for point in wire] for wire in rows],
+                  [[point["frac"] for point in wire] for wire in rows])
 
 
 def read_json(path: str | Path, what: str = "JSON") -> tuple[object, str]:
@@ -285,13 +344,20 @@ def read_json(path: str | Path, what: str = "JSON") -> tuple[object, str]:
         raise ConfigError(f"invalid {what}: {exc.msg}", (), exc.lineno) from exc
 
 
-def load_config(path: str | Path) -> ScenarioConfig:
-    """Read a scenario file; only an invalid one is scanned for lines and parsed again."""
-    doc, text = read_json(path)
+def load_document(path: str | Path, parse: Callable, what: str = "JSON"):
+    """parse's result for the document of a JSON file, read by read_json. A
+    ConfigError from parse gets the line of its path: only a document that
+    fails is scanned for lines, once, here."""
+    doc, text = read_json(path, what)
     try:
-        return parse_config(doc, name=Path(path).stem)
-    except ConfigError:
-        return parse_config(doc, json_value_lines(text), name=Path(path).stem)
+        return parse(doc)
+    except ConfigError as exc:
+        raise ConfigError(exc.message, exc.path, json_value_lines(text).get(exc.path)) from None
+
+
+def load_config(path: str | Path) -> ScenarioConfig:
+    """Read and validate a scenario file, named after it unless it names itself."""
+    return load_document(path, lambda doc: parse_config(doc, name=Path(path).stem))
 
 
 def load_bundled_scenario(name: str) -> ScenarioConfig:

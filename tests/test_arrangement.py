@@ -3,13 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import encode_rows, random_constant_design, random_variable_design
+from conftest import (
+    DEFAULT_STATES_DEG,
+    PAPER_ARM_RANGES,
+    PAPER_LENGTHS,
+    PAPER_MASSES,
+    encode_rows,
+    random_constant_design,
+    random_variable_design,
+)
 import tlo.arrangement
 from tlo.arrangement import (
     Design,
     DesignSpace,
     Genome,
-    design_from_jsonable,
     design_to_jsonable,
     designs_to_jsonable,
     genome_decode,
@@ -18,6 +25,7 @@ from tlo.arrangement import (
     muscle_jacobian,
     relay_points,
 )
+from tlo.config import ConfigError, ScenarioConfig, parse_config, parse_design
 from tlo.model import RobotModel, forward_kinematics
 from reference_geometry import wire_lengths
 
@@ -238,12 +246,27 @@ class TestGenome:
         assert design.links[0, 1] == 2
 
 
+def paper_config(**mode) -> ScenarioConfig:
+    """A scenario of paper_model's robot whose design space is mode."""
+    return parse_config({
+        "schema_version": 1,
+        "robot": {"link_lengths": PAPER_LENGTHS, "link_masses": PAPER_MASSES,
+                  "moment_arm_ranges": PAPER_ARM_RANGES},
+        "mode": mode,
+        "limits": {"tension": [10.0, 200.0], "wire_speed": [-0.4, 0.4]},
+        "targets": {"force_center": [0.0, 0.0], "force_radii": [40.0, 40.0],
+                    "velocity_radii": [1.0, 1.0]},
+        "gravity": "off",
+        "evaluated_joint_states": DEFAULT_STATES_DEG,
+    })
+
+
 class TestDesignJson:
     def test_variable_round_trip(self, paper_model):
         rng = np.random.default_rng(4)
         design = random_variable_design(rng)
         doc = design_to_jsonable(design, paper_model)
-        back = design_from_jsonable(doc, paper_model)
+        back = parse_design(doc, paper_config(kind="variable", wires=3, relay_points=3))
         assert np.array_equal(back.links, design.links)
         assert np.array_equal(back.fractions, design.fractions)
 
@@ -251,7 +274,7 @@ class TestDesignJson:
         design = Design(None, np.array([[1.0, 0.0]]))
         doc = design_to_jsonable(design, paper_model)
         np.testing.assert_allclose(doc["arms"], [[0.1, -0.1]])
-        back = design_from_jsonable(doc, paper_model)
+        back = parse_design(doc, paper_config(kind="constant", wires=1))
         np.testing.assert_allclose(back.fractions, design.fractions, atol=1e-12)
 
     @pytest.mark.parametrize("random_design", [random_variable_design, random_constant_design],
@@ -268,28 +291,32 @@ class TestDesignJson:
         assert designs_to_jsonable(genome_rows_decode(reals[:0], cats[:0], space),
                                    paper_model) == []
 
-    def test_constant_out_of_range_rejected(self, paper_model):
-        with pytest.raises(ValueError):
-            design_from_jsonable({"kind": "constant", "arms": [[0.5, 0.0]]}, paper_model)
+    def test_constant_out_of_range_rejected(self):
+        # 0.5 m lies outside the first joint's arm range, [-0.1, 0.1]
+        with pytest.raises(ConfigError) as err:
+            parse_design({"kind": "constant", "arms": [[0.5, 0.0]]},
+                         paper_config(kind="constant", wires=1))
+        assert str(err.value) == "$.arms[0][0]: arm must lie within the robot's moment_arm_ranges[0]"
 
     @pytest.mark.parametrize("doc, message", [
         ({"kind": "variable", "wires": [[{"link": 0, "frac": 0.5}, {"link": 1, "frac": 0.5}]],
-          "extra": 1}, "unknown key 'extra' in the design"),
+          "extra": 1}, "$.extra: unknown field"),
         ({"kind": "variable", "wires": [[{"link": 0, "frac": 0.5},
                                          {"link": 1, "frac": 0.5, "x": 0.1}]]},
-         r"unknown key 'x' in wires\[0\]\[1\]"),
-        ({"kind": "constant", "arms": [[0.05, 0.0]], "wires": []},
-         "unknown key 'wires' in the design"),
+         "$.wires[0][1].x: unknown field"),
+        ({"kind": "constant", "arms": [[0.05, 0.0]], "wires": []}, "$.wires: unknown field"),
     ], ids=["top", "relay point", "constant"])
-    def test_unknown_keys_rejected(self, paper_model, doc, message):
+    def test_unknown_keys_rejected(self, doc, message):
         # design.schema.json allows no other keys ("additionalProperties": false)
-        with pytest.raises(ValueError, match=message):
-            design_from_jsonable(doc, paper_model)
+        with pytest.raises(ConfigError) as err:
+            parse_design(doc, paper_config(kind="variable", wires=1, relay_points=2))
+        assert str(err.value) == message
 
-    def test_relay_point_must_be_an_object(self, paper_model):
+    def test_relay_point_must_be_an_object(self):
         doc = {"kind": "variable", "wires": [[{"link": 0, "frac": 0.5}, "ab"]]}
-        with pytest.raises(TypeError, match=r"wires\[0\]\[1\] must be a JSON object"):
-            design_from_jsonable(doc, paper_model)
+        with pytest.raises(ConfigError) as err:
+            parse_design(doc, paper_config(kind="variable", wires=1, relay_points=2))
+        assert str(err.value) == "$.wires[0][1]: expected an object"
 
 
 class TestValidation:

@@ -105,6 +105,55 @@ def assert_not_utf8(capsys, what: str) -> None:
         "byte 0xff in position 0: invalid start byte\n")
 
 
+def value_line(doc, path: tuple) -> int:
+    """The line where the value at path starts in json.dumps(doc, indent=2):
+    the line of a marker put in its place."""
+    marked = json.loads(json.dumps(doc))
+    node = marked
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = "@marker@"
+    return next(n for n, row in enumerate(json.dumps(marked, indent=2).splitlines(), 1)
+                if "@marker@" in row)
+
+
+def dotted(path: tuple) -> str:
+    return "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path)
+
+
+def golden_design(name: str) -> dict:
+    return json.loads((DATA / name).read_text())
+
+
+# design faults: the design file and scenario, a change to the design, and
+# the error's path and message
+DESIGN_FAULTS = {
+    "unknown key": ("golden_design.json", "target1_nograv",
+                    lambda d: d["wires"][1][1].update(x=1),
+                    ("wires", 1, 1, "x"), "unknown field"),
+    "missing frac": ("golden_design.json", "target1_nograv",
+                     lambda d: d["wires"][1][0].pop("frac"),
+                     ("wires", 1, 0), "missing required field $.wires[1][0].frac"),
+    "wire not an array": ("golden_design.json", "target1_nograv",
+                          lambda d: d.update(wires=[5]), ("wires", 0), "expected an array"),
+    "wire count": ("golden_design.json", "target1_nograv", lambda d: d["wires"].pop(),
+                   ("wires",), "need 3 wires, the config's mode.wires"),
+    "ragged wire": ("golden_design.json", "target1_nograv",
+                    lambda d: d["wires"][1].append({"link": 1, "frac": 0.5}),
+                    ("wires", 1), "need 2 relay points, the config's mode.relay_points"),
+    "link past the robot": ("golden_design.json", "target1_nograv",
+                            lambda d: d["wires"][2][1].update(link=3),
+                            ("wires", 2, 1, "link"), "link must be at most 2, the robot's last link"),
+    "wire off the base": ("golden_design.json", "target1_nograv",
+                          lambda d: d["wires"][0][0].update(link=1),
+                          ("wires", 0, 0, "link"), "every wire must start on LINK_0"),
+    "arms row": ("golden_design_constant.json", "constant_relaxed",
+                 lambda d: d["arms"][1].append(0.0), ("arms", 1), "need one arm per joint (2)"),
+    "kind": ("golden_design_constant.json", "target1_nograv", lambda d: None,
+             ("kind",), "kind must be variable, the config's mode.kind"),
+}
+
+
 OPTIMIZE_ARTIFACTS = ("samples.csv", "pareto.json", "run_meta.json", "progress.ndjson")
 
 
@@ -667,7 +716,24 @@ class TestEvaluate:
         out = tmp_path / "eval"
         assert main(["evaluate", "--config", str(zero_center_config(tmp_path)),
                      "--design", str(design), "--out", str(out)]) == 2
-        assert f"bad design document: unknown key '{key}'" in capsys.readouterr().err
+        path = "$.wires[1][1].x" if point else "$.extra"
+        assert capsys.readouterr().err == f"config error: {path} (line 1): unknown field\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fault", DESIGN_FAULTS)
+    def test_design_error_names_its_path_and_line(self, tmp_path, capsys, fault):
+        name, scenario, change, path, message = DESIGN_FAULTS[fault]
+        doc = golden_design(name)
+        change(doc)
+        design = tmp_path / "design.json"
+        design.write_text(json.dumps(doc, indent=2))
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--config", scenario_path(scenario),
+                     "--design", str(design), "--out", str(out)]) == 2
+        line = value_line(doc, path)
+        assert line > 1
+        assert capsys.readouterr().err == (
+            f"config error: {dotted(path)} (line {line}): {message}\n")
         assert not out.exists()
 
     def test_ragged_design_exits_2(self, tmp_path, capsys):
@@ -704,10 +770,10 @@ class TestEvaluate:
         ) == 0
         report = json.loads((out / "report.json").read_text())
         cfg = load_config(cfg_path)
-        from tlo.arrangement import design_from_jsonable
+        from tlo.config import parse_design
         from tlo.feasibility import force_directions
 
-        arrangement = design_from_jsonable(report["design"], cfg.robot)
+        arrangement = parse_design(report["design"], cfg)
         wf = force_directions(cfg.target)
         for state in report["per_state"]:
             q = np.deg2rad(state["theta_deg"])
@@ -864,18 +930,37 @@ class TestPlot:
         bad.write_text(json.dumps(report))
         plots = tmp_path / "unknown_plots"
         assert main(["plot", str(bad), "--out", str(plots)]) == 2
-        assert f"bad design document: unknown key '{key}'" in capsys.readouterr().err
+        path = "$.design.wires[1][1].x" if point else "$.design.extra"
+        assert capsys.readouterr().err == f"config error: {path} (line 1): unknown field\n"
+        assert not plots.exists()
+
+    @pytest.mark.parametrize("fault", DESIGN_FAULTS)
+    def test_design_error_names_its_report_path_and_line(self, tmp_path, capsys, fault):
+        name, scenario, change, path, message = DESIGN_FAULTS[fault]
+        # a report of the scenario's own golden design, then the faulty design in its place
+        out_eval, _ = self.run_pipeline(tmp_path, scenario, "golden_design_constant.json"
+                                        if scenario == "constant_relaxed" else "golden_design.json")
+        report = json.loads((out_eval / "report.json").read_text())
+        report["design"] = golden_design(name)
+        change(report["design"])
+        bad = tmp_path / "bad_design.json"
+        bad.write_text(json.dumps(report, indent=2))
+        plots = tmp_path / "bad_design_plots"
+        assert main(["plot", str(bad), "--out", str(plots)]) == 2
+        path = ("design", *path)
+        assert capsys.readouterr().err == (
+            f"config error: {dotted(path)} (line {value_line(report, path)}): {message}\n")
         assert not plots.exists()
 
     @pytest.mark.parametrize("path, message", [
         ("$.scenario.limits.tension", "need 0 < min < max tension"),
-        ("$.design", "bad design document: unknown key 'extra' in the design"),
+        ("$.design.extra", "unknown field"),
     ])
     def test_bad_embedded_scenario_or_design_names_its_report_line(self, tmp_path, capsys,
                                                                    path, message):
         out_eval, _ = self.run_pipeline(tmp_path)
         report = json.loads((out_eval / "report.json").read_text())
-        if path == "$.design":
+        if path == "$.design.extra":
             report["design"]["extra"] = 1
         else:
             report["scenario"]["limits"]["tension"] = [0.0, 200.0]

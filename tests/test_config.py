@@ -201,33 +201,44 @@ def test_validation_failures_include_path(patch, path_fragment):
 
 
 # the keywords config._check implements, and those that only annotate
-CHECKED_KEYWORDS = {"$ref", "type", "const", "enum", "minimum", "required", "properties",
-                    "additionalProperties", "items", "minItems", "maxItems"}
+CHECKED_KEYWORDS = {"$ref", "oneOf", "type", "const", "enum", "minimum", "maximum", "required",
+                    "properties", "additionalProperties", "items", "minItems", "maxItems"}
 ANNOTATIONS = {"$schema", "$id", "title", "description", "$defs"}
 
 
 def schema_nodes(node):
-    """Every schema object within a schema: the root, each property's and
-    each $defs entry's schema, and each items schema."""
+    """Every schema object within a schema: the root, each property's, each
+    $defs entry's and each oneOf branch's schema, and each items schema."""
     yield node
     for key in ("properties", "$defs"):
         for child in node.get(key, {}).values():
             yield from schema_nodes(child)
+    for branch in node.get("oneOf", ()):
+        yield from schema_nodes(branch)
     if "items" in node:
         yield from schema_nodes(node["items"])
 
 
 def test_check_implements_every_keyword_of_the_schema():
-    """A keyword added to scenario.schema.json that _check does not know
-    would be skipped without notice; this fails first."""
-    schema = config._scenario_schema()
-    nodes = list(schema_nodes(schema))
+    """A keyword added to a schema file that _check does not know would be
+    skipped without notice; this fails first."""
+    nodes = [node for name in ("scenario", "design") for node in schema_nodes(config._schema(name))]
     assert set().union(*nodes) <= CHECKED_KEYWORDS | ANNOTATIONS
     # _check reads properties as a closed list of fields
     closed = [node for node in nodes if "properties" in node]
     assert all(node.get("additionalProperties") is False for node in closed)
     assert sum("additionalProperties" in node for node in nodes) == len(closed)
     assert all(node["$ref"].startswith("#/$defs/") for node in nodes if "$ref" in node)
+    # _check accepts a oneOf at its first passing branch: no two may pass, as
+    # when each branch requires its own const value of one shared field
+    oneofs = [node["oneOf"] for node in nodes if "oneOf" in node]
+    assert oneofs
+    for branches in oneofs:
+        consts = [[(key, sub["const"]) for key, sub in branch["properties"].items()
+                   if "const" in sub and key in branch["required"]] for branch in branches]
+        assert all(len(const) == 1 for const in consts)
+        assert len({key for ((key, _),) in consts}) == 1
+        assert len({value for ((_, value),) in consts}) == len(branches)
 
 
 @pytest.mark.parametrize("patch, error", [
@@ -263,7 +274,7 @@ def test_stricter_than_json_schema(path, value):
     accept here, are rejected."""
     jsonschema = pytest.importorskip("jsonschema")
     doc = with_patch(**{path: value})
-    jsonschema.Draft202012Validator(config._scenario_schema()).validate(doc)
+    jsonschema.Draft202012Validator(config._schema("scenario")).validate(doc)
     with pytest.raises(ConfigError) as err:
         parse_config(doc)
     assert err.value.path[:2] == tuple(path.split("."))[:2]
@@ -290,14 +301,16 @@ def containers(node):
             yield from containers(child)
 
 
-def mutate(doc, rng):
+def mutate(doc, rng, keys=KEYS):
     """One random change to doc's keys, types, values or item counts, in place."""
     kind = rng.choice((dict, list))  # objects are few: pick the kind first
-    node = rng.choice([n for n in containers(doc) if isinstance(n, kind)])
+    node = rng.choice([n for n in containers(doc) if isinstance(n, kind)]
+                      or [doc])  # a design can be left with no array
+    kind = type(node)
     slots = list(node) if kind is dict else list(range(len(node)))
     move = rng.choice(("add", "drop", "type", "value"))
     if move == "add" and kind is dict:
-        node[rng.choice(KEYS)] = copy.deepcopy(rng.choice(POOL))
+        node[rng.choice(keys)] = copy.deepcopy(rng.choice(POOL))
     elif move == "add":  # one more item: a copy of one of its own, or any value
         node.append(copy.deepcopy(rng.choice(node + POOL)))
     elif slots and move == "drop":
@@ -313,23 +326,31 @@ def mutate(doc, rng):
             node[slot] = copy.deepcopy(rng.choice(POOL))
 
 
-def test_check_agrees_with_json_schema_on_mutated_scenarios():
-    """_check accepts a document exactly when jsonschema does, and names a
-    path that jsonschema reports (the parent, for an unknown field)."""
+def reported_paths(errors):
+    """The paths of jsonschema's errors, and of each oneOf branch's errors."""
+    for error in errors:
+        yield tuple(error.absolute_path)
+        yield from reported_paths(error.context)
+
+
+def assert_check_agrees_with_json_schema(name, files, keys=KEYS, runs=200):
+    """_check accepts each of runs seeded mutations of each file's document
+    exactly when jsonschema does, and names a path that jsonschema reports
+    (the parent, for an unknown field)."""
     jsonschema = pytest.importorskip("jsonschema")
-    schema = config._scenario_schema()
+    schema = config._schema(name)
     validator = jsonschema.Draft202012Validator(schema)
     rng = random.Random(0)
     seen = {"accepted": 0, "rejected": 0}
-    for path in SCENARIO_FILES:
+    for path in files:
         original = json.loads(path.read_text())
-        for _ in range(200):
+        for _ in range(runs):
             doc = json.loads(json.dumps(original))
             for _ in range(rng.randint(1, 3)):
-                mutate(doc, rng)
-            reported = {tuple(e.absolute_path) for e in validator.iter_errors(doc)}
+                mutate(doc, rng, keys)
+            reported = set(reported_paths(validator.iter_errors(doc)))
             try:
-                config._check(doc, schema, (), {})
+                config._check(doc, schema)
             except ConfigError as err:
                 seen["rejected"] += 1
                 assert reported, (path.name, doc, str(err))
@@ -339,6 +360,44 @@ def test_check_agrees_with_json_schema_on_mutated_scenarios():
                 seen["accepted"] += 1
                 assert not reported, (path.name, doc)
     assert min(seen.values()) > 100, seen
+
+
+def test_check_agrees_with_json_schema_on_mutated_scenarios():
+    assert_check_agrees_with_json_schema("scenario", SCENARIO_FILES)
+
+
+DESIGN_FILES = sorted((Path(__file__).parent / "data").glob("golden_design*.json"))
+
+
+def test_check_agrees_with_json_schema_on_mutated_designs():
+    """Both kinds of design, through design.schema.json's oneOf: an error
+    path may be that of either branch."""
+    kinds = {json.loads(path.read_text())["kind"] for path in DESIGN_FILES}
+    assert kinds == {"variable", "constant"}
+    assert_check_agrees_with_json_schema("design", DESIGN_FILES,
+                                         ["x", "kind", "wires", "arms", "link", "frac"], runs=500)
+
+
+RELAY = {"link": 0, "frac": 0.5}
+
+
+@pytest.mark.parametrize("doc, error", [
+    ({"arms": 5, "kind": "constant"}, "$.arms: expected an array"),
+    ({"kind": "constant"}, "document: missing required field $.arms"),
+    ({"kind": "constant", "arms": [[0.05, 0.0]], "wires": []}, "$.wires: unknown field"),
+    ({"kind": "variable"}, "document: missing required field $.wires"),
+    ({"wires": [[RELAY, RELAY]], "kind": "variable", "arms": []}, "$.arms: unknown field"),
+    ({"kind": "variable", "wires": [[RELAY, {"link": 1, "frac": 1.5}]]},
+     "$.wires[0][1].frac: frac must be at most 1"),
+    ({"kind": "other", "wires": []}, "$.kind: kind must be variable"),
+    ([], "document: expected an object"),
+])
+def test_a_design_error_comes_from_the_branch_of_its_kind(doc, error):
+    """Of design.schema.json's two branches, the error named is that of the
+    branch whose kind the document states, wherever its keys stand."""
+    with pytest.raises(ConfigError) as err:
+        config._check(doc, config._schema("design"))
+    assert str(err.value) == error
 
 
 def test_constant_mode_requires_arm_ranges():
@@ -445,14 +504,24 @@ class TestLazyLineMap:
             load_bundled_scenario(name)
         assert scans == []
 
-    def test_invalid_document_builds_it_once(self, tmp_path, scans):
+    def test_invalid_document_builds_it_once(self, tmp_path, scans, monkeypatch):
+        """load_config parses an invalid document once, then scans its text
+        once for the line of the error's path."""
+        parses = []
+        parse = config.parse_config
+
+        def counted(doc, **kwargs):
+            parses.append(doc)
+            return parse(doc, **kwargs)
+
+        monkeypatch.setattr(config, "parse_config", counted)
+        path = tmp_path / "good.json"
+        path.write_text(json.dumps(MINIMAL, indent=2))
+        load_config(path)
+        assert len(parses) == 1 and scans == []
         text, bad_line = bad_tension_text()
-        with pytest.raises(ConfigError) as eager:
-            parse_config(json.loads(text), json_value_lines(text), name="bad")
-        path = tmp_path / "bad.json"
         path.write_text(text)
         with pytest.raises(ConfigError) as err:
             load_config(path)
-        assert len(scans) == 1
-        assert str(err.value) == str(eager.value)
-        assert f"line {bad_line}" in str(err.value)
+        assert len(parses) == 2 and scans == [text]
+        assert str(err.value) == f"$.limits.tension (line {bad_line}): need 0 < min < max tension"

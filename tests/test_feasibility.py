@@ -19,11 +19,10 @@ from tlo.arrangement import (
     Design,
     DesignSpace,
     Genome,
-    design_from_jsonable,
     genome_decode,
     muscle_jacobian,
 )
-from tlo.config import load_bundled_scenario
+from tlo.config import load_bundled_scenario, parse_design
 from tlo.feasibility import (
     DEFAULT_H_CAP,
     RAY_CAP,
@@ -603,7 +602,7 @@ class TestTracePolygon:
         # as a pass over that state alone
         cfg = load_bundled_scenario("target1_nograv")
         scen = cfg.scenario()
-        design = design_from_jsonable(json.loads(GOLDEN_DESIGN.read_text()), cfg.robot)
+        design = parse_design(json.loads(GOLDEN_DESIGN.read_text()), cfg)
         q = scen.joint_states
         states = state_tables(cfg.robot, q, scen.target, False)
         force, velocity = trace_polygon(cfg.robot, design, states, scen.limits, n_rays=16)
