@@ -5,24 +5,26 @@ generation step, printed as JSON.
 
 Times arrangement.batch_muscle_jacobian and the force and velocity kernels
 of tlo.feasibility (_force_h, _velocity_h) on S joint states and P designs,
-at the shapes the evaluator's passes give them:
+at the shapes the evaluator's passes give them. A batch of at most
+SCREEN_ROWS rows, such as a search generation, takes one pass over all S
+states; a larger one is screened on state 0 first (feasibility._passes):
 
-- (S, P) = (1, 500) on target1_nograv: the first pass of a random
-  500-genome generation, the screening shape;
-- (1, 40): the first pass of a population-40 search generation, on
-  target1_nograv and on tests/data/three_joint.json (D = 3);
-- (3, 28): the second pass, states 1-3 on designs that state 0 admits;
+- (S, P) = (4, 40) on target1_nograv and (2, 40) on
+  tests/data/three_joint.json (D = 3): a population-40 search generation;
+- (1, 500) on target1_nograv: the screen's state-0 pass over a random
+  500-genome batch;
 - (2, 1): one design at two states, the shape of evaluate and
   trace_polygon on a two-state scenario.
 
-Bred designs come from a seeded desk search (budget 2000, population 40):
-its last generation for S = 1, its first feasible designs for S > 1.
-Random ones are uniform genome rows. The velocity kernel runs on the
-designs that every state's force LP admits (the rows _force_h returns),
-as in the evaluator; "admitted" counts them. _force_h casts and clips its
-rays for those rows only, so its time depends on that count as well as
-on P: the random (1, 500) case is nearly all pruned, the bred ones
-mostly admitted.
+The Jacobian takes the link tables that the evaluator builds once per
+state stack (feasibility._stack). Bred designs come from a seeded desk
+search (budget 2000, population 40): its last generation, and for P = 1
+the first design of its front. Random ones are uniform genome rows. The
+velocity kernel runs on the designs that every state's force LP admits
+(the rows _force_h returns), as in the evaluator; "admitted" counts them.
+_force_h casts and clips its rays for those rows only, so its time
+depends on that count as well as on P: the random (1, 500) case is nearly
+all pruned, the bred ones mostly admitted.
 
 The "evaluator" section times tlo.feasibility._score, the evaluator's
 scoring of a batch, in each kernel pass layout on the same rows:
@@ -86,12 +88,11 @@ from tlo.nsga2 import (
 )
 
 ROOT = Path(__file__).resolve().parents[1]
-CASES = (  # (config, S, P, designs)
+CASES = (  # (config, S, P, designs): the first S states
     ("target1_nograv", 2, 1, "bred"),
-    ("target1_nograv", 1, 40, "bred"),
-    ("target1_nograv", 3, 28, "bred"),
+    ("target1_nograv", 4, 40, "bred"),
     ("target1_nograv", 1, 500, "random"),
-    ("tests/data/three_joint.json", 1, 40, "bred"),
+    ("tests/data/three_joint.json", 2, 40, "bred"),
 )
 GENERATION_CASES = (  # (config, population)
     ("constant_relaxed", 40),
@@ -111,8 +112,8 @@ def _config(name):
     return load_config(ROOT / name) if name.endswith(".json") else load_bundled_scenario(name)
 
 
-def _designs(cfg, s, p, kind, seed):
-    """(reals, cats) rows of P designs for a case at S states."""
+def _designs(cfg, p, kind, seed):
+    """(reals, cats) rows of P designs for a case."""
     space = cfg.space
     if kind == "random":
         rng = np.random.default_rng(seed)
@@ -121,7 +122,7 @@ def _designs(cfg, s, p, kind, seed):
     scenario = cfg.scenario()
     archive = evolve(make_evaluator(cfg.robot, scenario), space, population=40, budget=2000,
                      seed=seed, max_objective=scenario.max_objective)
-    rows = np.flatnonzero(archive.feasible)[:p] if s > 1 else np.arange(2000 - p, 2000)
+    rows = archive.front_indices[:1] if p == 1 else np.arange(2000 - p, 2000)
     return archive.reals[rows], archive.cats[rows]
 
 
@@ -147,13 +148,11 @@ def _medians_us(fns, repeat):
 def time_case(name, s, p, kind, repeat, seed):
     cfg = _config(name)
     model, scenario = cfg.robot, cfg.scenario()
-    q = scenario.joint_states
-    tables = state_tables(model, q[:1] if s == 1 else q[1 : 1 + s], scenario.target,
-                          scenario.gravity)
-    pose, force, velocity = _stack(model, tables, force_directions(scenario.target),
-                                   velocity_directions(scenario.target))
-    designs = genome_rows_decode(*_designs(cfg, s, p, kind, seed), cfg.space)
-    G = batch_muscle_jacobian(model, designs, pose)
+    tables = state_tables(model, scenario.joint_states[:s], scenario.target, scenario.gravity)
+    links, force, velocity = _stack(model, tables, force_directions(scenario.target),
+                                    velocity_directions(scenario.target))
+    designs = genome_rows_decode(*_designs(cfg, p, kind, seed), cfg.space)
+    G = batch_muscle_jacobian(model, designs, links)
     limits, h_cap = scenario.limits, scenario.h_cap
     admitted, _ = _force_h(G, force, limits, h_cap)
     G_admitted = G[:, admitted]
@@ -164,7 +163,7 @@ def time_case(name, s, p, kind, repeat, seed):
         "designs": kind,
         "admitted": len(admitted),
         "batch_muscle_jacobian": _median_us(
-            lambda: batch_muscle_jacobian(model, designs, pose), repeat),
+            lambda: batch_muscle_jacobian(model, designs, links), repeat),
         "_force_h": _median_us(lambda: _force_h(G, force, limits, h_cap), repeat),
         "_velocity_h": _median_us(lambda: _velocity_h(G_admitted, velocity, limits, h_cap),
                                   repeat),
@@ -180,7 +179,7 @@ def time_evaluator(name, p, kind, repeat, seed):
     tables = state_tables(model, scenario.joint_states, target, scenario.gravity)
     stack = _stack(model, tables, force_directions(target), velocity_directions(target))
     if kind == "random":
-        reals, cats = _designs(cfg, 1, p, kind, seed)
+        reals, cats = _designs(cfg, p, kind, seed)
     else:
         archive = evolve(make_evaluator(model, scenario), cfg.space, min(p, 100), BUDGET, seed,
                          scenario.max_objective)

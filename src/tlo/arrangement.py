@@ -13,6 +13,9 @@ stack designs of one shape. genome_rows_decode gives one per genome row,
 and a design file gives one design, with no leading axes. relay_points
 and batch_muscle_jacobian take any leading axes, and the one-design forms
 (muscle_jacobian, design_to_jsonable, genome_decode) call the same code.
+Both compute in component layout, x and y as separate arrays whose inner
+loops run over all relay points of all designs, and look each point's
+link up in LinkTables, which the evaluator builds once per state stack.
 
 Sign conventions: wire length rates follow ldot = G(theta) qdot and wire
 tensions f (pulling, positive) produce joint torque tau = -G^T f. For a
@@ -23,6 +26,7 @@ arm yields positive torque per unit tension.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,9 +90,30 @@ class Design:
         return view
 
 
-def relay_points(model: RobotModel, designs: Design, pose: Pose) -> np.ndarray:
-    """World positions (..., M, N, 2) of the relay points of variable designs
-    at a pose; a pose with leading state axes adds them in front."""
+class LinkTables(NamedTuple):
+    """What relay points look up per link at joint states (...), built once
+    per state stack, the components leading. Joint k is the origin of link k."""
+
+    segments: np.ndarray  # (4, D + 1): each attach segment's start x, y and step x, y
+    frames: np.ndarray  # (4, ..., D + 1): each link's cos, sin and origin x, y per state
+
+
+def link_tables(model: RobotModel, pose: Pose | LinkTables) -> LinkTables:
+    """The LinkTables of the joint states of pose; tables pass through."""
+    if isinstance(pose, LinkTables):
+        return pose
+    seg = model.attach_segments
+    angles, origins = pose.link_angles, pose.link_origins
+    frames = np.empty((4,) + angles.shape)
+    np.cos(angles, out=frames[0])
+    np.sin(angles, out=frames[1])
+    frames[2], frames[3] = origins[..., 0], origins[..., 1]
+    return LinkTables(np.concatenate((seg[:, 0], seg[:, 1] - seg[:, 0]), axis=1).T, frames)
+
+
+def _relay_xy(model: RobotModel, designs: Design, tables: LinkTables):
+    """x and y, (..., M, N) each, of the relay points of variable designs,
+    the states' axes in front of the designs'."""
     links = designs.links
     if links is None:
         raise TypeError("relay points exist only for variable arrangements")
@@ -97,20 +122,18 @@ def relay_points(model: RobotModel, designs: Design, pose: Pose) -> np.ndarray:
         lo, hi = links.min(), links.max()
         if lo < 0 or hi >= len(model.link_lengths):
             raise ValueError(f"relay link {lo if lo < 0 else hi} out of range")
-    # per-link tables, looked up per relay point: each attach segment's start
-    # and step in the link frame, and each link's cos, sin and origin per state
-    seg = model.attach_segments
-    x0, y0, dx, dy = np.take(np.concatenate((seg[:, 0], seg[:, 1] - seg[:, 0]), axis=1).T,
-                             links, axis=1)
+    x0, y0, dx, dy = np.take(tables.segments, links, axis=1)
     x = x0 + designs.fractions * dx
     y = y0 + designs.fractions * dy
-    angles, origins = pose.link_angles, pose.link_origins
-    c, s, ox, oy = np.take(np.stack((np.cos(angles), np.sin(angles),
-                                     origins[..., 0], origins[..., 1])), links, axis=-1)
-    pts = np.empty(c.shape + (2,))
-    pts[..., 0] = ox + (c * x - s * y)
-    pts[..., 1] = oy + (s * x + c * y)
-    return pts
+    c, s, ox, oy = np.take(tables.frames, links, axis=-1)
+    return ox + (c * x - s * y), oy + (s * x + c * y)
+
+
+def relay_points(model: RobotModel, designs: Design, pose: Pose | LinkTables) -> np.ndarray:
+    """World positions (..., M, N, 2) of the relay points of variable designs
+    at a pose, or at the states of its link_tables; a pose with leading
+    state axes adds them in front."""
+    return np.stack(_relay_xy(model, designs, link_tables(model, pose)), axis=-1)
 
 
 def _arm_values(model: RobotModel, fractions: np.ndarray) -> np.ndarray:
@@ -128,10 +151,11 @@ def muscle_jacobian(model: RobotModel, design: Design, q: np.ndarray) -> np.ndar
     return batch_muscle_jacobian(model, design, pose)[0]
 
 
-def batch_muscle_jacobian(model: RobotModel, designs: Design, pose: Pose | None) -> np.ndarray:
-    """G (S, ..., M, D) of designs at the S joint states of pose
-    (forward_kinematics of an (S, D) stack), the designs' leading axes
-    after the first.
+def batch_muscle_jacobian(model: RobotModel, designs: Design,
+                          pose: Pose | LinkTables | None) -> np.ndarray:
+    """G (S, ..., M, D), C-contiguous, of designs at the S joint states of
+    pose (forward_kinematics of an (S, D) stack, or its link_tables), the
+    designs' leading axes after the first.
 
     Variable designs' polyline lengths are differentiated analytically, and
     segments shorter than DEGENERATE_SEGMENT contribute nothing (the
@@ -139,6 +163,11 @@ def batch_muscle_jacobian(model: RobotModel, designs: Design, pose: Pose | None)
     A constant design's G is its negated arm matrix, independent of q (pose
     is not read), so it is computed once and comes as (1, ..., M, D), to
     broadcast against the states.
+
+    x and y are separate arrays, and the joint axis k leads: (k, S, ..., M,
+    N). The values are those of the plain layout (tests/reference_kernels.py),
+    rounding for rounding; only the sign of a zero rate may differ, and
+    adding +0 to every rate makes it +0, as the plain layout's einsum has it.
     """
     d = model.n_joints
     links = designs.links
@@ -147,23 +176,30 @@ def batch_muscle_jacobian(model: RobotModel, designs: Design, pose: Pose | None)
             raise ValueError("arm matrix does not match joint count")
         return -_arm_values(model, designs.fractions)[None]
 
-    pts = relay_points(model, designs, pose)
-    joints = pose.joint_positions.reshape((len(pts),) + (1,) * links.ndim + (d, 2))
-    # dpts[s, ..., m, n, k, :] = d p_mn / d theta_k at state s: rot90 about
-    # joint k when the point's link moves with that joint, else zero
-    arm = pts[..., None, :] - joints
-    moves = links[..., None] >= np.arange(1, d + 1)
-    dpts = np.empty_like(arm)
-    np.multiply(np.negative(arm[..., 1]), moves, out=dpts[..., 0])
-    np.multiply(arm[..., 0], moves, out=dpts[..., 1])
-    seg = np.diff(pts, axis=-2)
-    norms = np.linalg.norm(seg, axis=-1)
-    ok = norms > DEGENERATE_SEGMENT
-    # degenerate segments divide by 1, not by their length, and are dropped
-    # after the dot product
-    unit = seg / np.where(ok, norms, 1.0)[..., None]
-    rates = np.einsum("...si,...ski->...sk", unit, np.diff(dpts, axis=-3))
-    return np.where(ok[..., None], rates, 0.0).sum(axis=-2)
+    tables = link_tables(model, pose)
+    px, py = _relay_xy(model, designs, tables)
+    joints = tables.frames[2:, :, 1:].swapaxes(1, 2)  # joint k: the origin of link k
+    jx, jy = joints.reshape((2, d, len(px)) + (1,) * links.ndim)
+    # d p / d theta_k: rot90(p - joint k) where the point's link moves with
+    # joint k, else zero; jy - py is -(py - jy)
+    moves = links >= np.arange(1, d + 1).reshape((d, 1) + (1,) * links.ndim)
+    dpx = (jy - py) * moves
+    dpy = (px - jx) * moves
+    sx = px[..., 1:] - px[..., :-1]
+    sy = py[..., 1:] - py[..., :-1]
+    norms = np.sqrt(sx * sx + sy * sy)
+    # a degenerate segment divides by inf: its unit vector and rates are 0
+    scale = np.where(norms > DEGENERATE_SEGMENT, norms, np.inf)
+    ux = sx / scale
+    uy = sy / scale
+    # the segments are summed from an (S, ..., M, N - 1, k) array, as the
+    # plain layout sums them: in order, and pairwise at one joint, where they
+    # are its inner axis
+    rates = np.empty((len(px),) + links.shape[:-1] + (links.shape[-1] - 1, d))
+    np.add(ux * (dpx[..., 1:] - dpx[..., :-1]), uy * (dpy[..., 1:] - dpy[..., :-1]),
+           out=np.moveaxis(rates, -1, 0))
+    rates += 0.0  # a -0 rate becomes +0
+    return rates.sum(axis=-2)
 
 
 # --- genome codec -----------------------------------------------------------

@@ -12,7 +12,6 @@ import math
 import os
 import sys
 import time
-from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -135,18 +134,22 @@ def run_files(archive, cfg: ScenarioConfig, timings: dict) -> dict[str, str]:
     f = archive.front_indices
     designs = designs_to_jsonable(
         genome_rows_decode(archive.reals[f], archive.cats[f], cfg.space), cfg.robot)
-    ties = Counter(map(tuple, archive.objectives[archive.feasible].tolist()))
+    # each front point's feasible rows, counted by float value (-0.0 is 0.0):
+    # a pair as a complex number sorts by e_force, then e_velocity
+    tied = np.sort(archive.objectives[archive.feasible].view(np.complex128)[:, 0])
+    points = archive.objectives[f].view(np.complex128)[:, 0]
+    ties = np.searchsorted(tied, points, "right") - np.searchsorted(tied, points, "left")
     front = [
         {
             "e_force": e_force,
             "e_velocity": e_velocity,
-            "n_designs": ties[e_force, e_velocity],
+            "n_designs": n_designs,
             "genome": {"reals": reals, "cats": cats},
             "design": design,
         }
-        for (e_force, e_velocity), reals, cats, design in zip(
-            archive.objectives[f].tolist(), archive.reals[f].tolist(), archive.cats[f].tolist(),
-            designs)
+        for (e_force, e_velocity), n_designs, reals, cats, design in zip(
+            archive.objectives[f].tolist(), ties.tolist(), archive.reals[f].tolist(),
+            archive.cats[f].tolist(), designs)
     ]
     n_feasible = int(archive.feasible.sum())
     return {
@@ -305,11 +308,16 @@ def cmd_plot(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    cfg = load_config(args.config)
-    if cfg.space.kind != "constant":
-        raise ConfigError("oracle cross-check needs a constant-mode config", ("mode", "kind"))
-    if cfg.robot.n_joints != 2:
-        raise ConfigError("oracle cross-check needs a two-joint robot", ("robot", "link_lengths"))
+    def parse(doc):  # a config the oracle cannot check fails with its line
+        cfg = parse_config(doc, name=Path(args.config).stem)
+        if cfg.space.kind != "constant":
+            raise ConfigError("oracle cross-check needs a constant-mode config", ("mode", "kind"))
+        if cfg.robot.n_joints != 2:
+            raise ConfigError("oracle cross-check needs a two-joint robot",
+                              ("robot", "link_lengths"))
+        return cfg
+
+    cfg = load_document(args.config, parse)
     scenario = cfg.scenario()
     rng = np.random.default_rng(args.seed if args.seed is not None else cfg.optimizer.seed)
     wf = force_directions(scenario.target)

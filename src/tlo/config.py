@@ -139,6 +139,14 @@ def _schema(name: str) -> dict:
 class _ConstMismatch(ConfigError):
     """A const that does not hold: in a oneOf, the branch the document does not mean."""
 
+    def __init__(self, const, path: tuple):
+        super().__init__(f"{path[-1]} must be {const}", path)
+        self.const = const
+
+
+def _must_be_one_of(values, path: tuple) -> ConfigError:
+    return ConfigError(f"{path[-1]} must be " + " or ".join(map(repr, values)), path)
+
 
 def _check(node, schema: dict, path: tuple = (), root: dict | None = None) -> None:
     """Check node, the value at path, against schema, a part of the bundled
@@ -149,10 +157,11 @@ def _check(node, schema: dict, path: tuple = (), root: dict | None = None) -> No
     says of each one. A oneOf accepts the node when one branch does: the
     branches of design.schema.json differ by a const kind, so no two can.
     Otherwise it raises the error of the branch that got furthest, at the
-    deepest path; a branch rejected by a const ranks last. Stricter than JSON
-    Schema in three ways: a number must be finite (Python's json reads NaN
-    and Infinity) and within float range, a bool is never a number, an
-    integer or const 1, and 3.0 is not an integer.
+    deepest path; a branch rejected by a const ranks last, and when every
+    branch is, at one path, the error names each const, as an enum does.
+    Stricter than JSON Schema in three ways: a number must be finite
+    (Python's json reads NaN and Infinity) and within float range, a bool
+    is never a number, an integer or const 1, and 3.0 is not an integer.
     """
     root = schema if root is None else root
     if "$ref" in schema:
@@ -166,6 +175,9 @@ def _check(node, schema: dict, path: tuple = (), root: dict | None = None) -> No
             except ConfigError as exc:
                 errors.append(exc)
         else:
+            at = errors[0].path
+            if all(isinstance(exc, _ConstMismatch) and exc.path == at for exc in errors):
+                raise _must_be_one_of([exc.const for exc in errors], at)
             raise max(errors, key=lambda exc: (not isinstance(exc, _ConstMismatch), len(exc.path)))
     if "type" in schema:
         kind, word = _TYPES[schema["type"]]
@@ -174,9 +186,9 @@ def _check(node, schema: dict, path: tuple = (), root: dict | None = None) -> No
         if schema["type"] == "number" and not abs(node) <= sys.float_info.max:
             raise ConfigError("number must be finite", path)
     if "const" in schema and (isinstance(node, bool) or node != schema["const"]):
-        raise _ConstMismatch(f"{path[-1]} must be {schema['const']}", path)
+        raise _ConstMismatch(schema["const"], path)
     if "enum" in schema and node not in schema["enum"]:
-        raise ConfigError(f"{path[-1]} must be " + " or ".join(map(repr, schema["enum"])), path)
+        raise _must_be_one_of(schema["enum"], path)
     if "minimum" in schema and node < schema["minimum"]:
         raise ConfigError(f"{path[-1]} must be at least {schema['minimum']}", path)
     if "maximum" in schema and node > schema["maximum"]:

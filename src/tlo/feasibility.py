@@ -23,10 +23,11 @@ at every state, so that h = 0 solves every force LP: qdot = 0 solves every
 velocity LP. The force kernel decides that first and casts and clips its
 rays only for the designs that every state of the pass admits. The joint
 states are one (S, D) stack, and what does not depend on the design
-(state_tables' J, force right-hand sides and anchors; poses, rays, the
-velocity table, J^-1 w and its qdot-box bound at D = 2) is built once per
-evaluator, with that leading state axis, and each pass takes its states
-from it by index. evaluate scores designs with any leading axes, a whole
+(state_tables' J, force right-hand sides and anchors; each link's cos,
+sin and origin and the attach segments that relay points look up, rays,
+the velocity table, J^-1 w and its qdot-box bound at D = 2) is built once
+per evaluator, with a state axis, and each pass takes its states from it
+by index. evaluate scores designs with any leading axes, a whole
 front or one design, by the same rule; trace_polygon casts n_rays unit
 directions through one pass over all states in place of the ellipse
 directions. force_h_all and velocity_h_all (never None) are the
@@ -48,7 +49,7 @@ and turns genuinely unbounded velocity sets into a plain h = h_cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 from math import comb
@@ -56,8 +57,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arrangement import Design, batch_muscle_jacobian, genome_rows_decode, genome_space
-from .model import Pose, RobotModel, forward_kinematics, gravity_torque, joint_jacobian
+from .arrangement import (Design, batch_muscle_jacobian, genome_rows_decode, genome_space,
+                          link_tables)
+from .model import RobotModel, forward_kinematics, gravity_torque, joint_jacobian
 
 DEFAULT_H_CAP = 10.0
 MIN_RAYS = 8  # fewest boundary rays trace_polygon accepts
@@ -544,8 +546,8 @@ def _score(model, passes, scenario, designs):
 def _pass(model, states, designs, limits, h_cap):
     """The rows of a (P,) stack of designs that every state's force LP of one
     pass admits, and their force and velocity h, (S, rows, directions)."""
-    pose, force, velocity = states
-    G = batch_muscle_jacobian(model, designs, pose)
+    links, force, velocity = states
+    G = batch_muscle_jacobian(model, designs, links)
     rows, hf = _force_h(G, force, limits, h_cap)
     if len(rows) < G.shape[1]:
         G = G[:, rows]
@@ -554,8 +556,10 @@ def _pass(model, states, designs, limits, h_cap):
 
 def _stack(model: RobotModel, tables: StateTables, force_dirs, velocity_dirs):
     """The design-independent inputs of one kernel pass over the S states of
-    tables along the (directions, 2) tip-space directions: poses and rays."""
-    return (forward_kinematics(model, tables.q), _force_rays(tables.rhs, force_dirs @ tables.J),
+    tables along the (directions, 2) tip-space directions: the link tables
+    that relay points look up, and rays."""
+    return (link_tables(model, forward_kinematics(model, tables.q)),
+            _force_rays(tables.rhs, force_dirs @ tables.J),
             _velocity_rays(tables.J, velocity_dirs))
 
 
@@ -576,11 +580,12 @@ def _passes(stack, rows: int):
 
 def _take(stack, states: slice):
     """The inputs of one kernel pass over the states of a _stack that a
-    slice picks, as views: every field leads with the state axis."""
-    pose, force, velocity = stack
+    slice picks, as views: the state axis follows the link tables' components
+    and leads every other field."""
+    links, force, velocity = stack
     dual = [None if part is None else tuple(a[states] for a in part) for part in velocity.dual]
     box = None if velocity.box is None else velocity.box[states]
-    return (Pose(*(getattr(pose, f.name)[states] for f in fields(Pose))),
+    return (links._replace(frames=links.frames[:, states]),
             _ForceRays(*(a[states] for a in force)),
             _VelocityRays(velocity.rank[states], velocity.reach[states], dual, box))
 

@@ -45,7 +45,10 @@ def batch_muscle_jacobian(model, links, fractions, pose):
     ok = norms > DEGENERATE_SEGMENT
     unit = seg / np.where(ok, norms, 1.0)[..., None]
     rates = np.einsum("...si,...ski->...sk", unit, np.diff(dpts, axis=-3))
-    return np.where(ok[..., None], rates, 0.0).sum(axis=-2)
+    # summed in C order, as the package sums them: the order of numpy's sum
+    # follows the memory layout, and einsum lays its result out after that
+    # of pts, whose states relay_points interleaves
+    return np.ascontiguousarray(np.where(ok[..., None], rates, 0.0)).sum(axis=-2)
 
 
 def force_h(G, rays, limits, h_cap):

@@ -512,6 +512,26 @@ def test_samples_csv_writes_each_float_by_its_repr():
     assert rows.split("\r\n")[0].split(",")[4:6] == ["-0.0", "0.0"]
 
 
+def test_n_designs_counts_ties_by_float_value():
+    """Each front entry's n_designs is the Counter of the feasible rows'
+    objective pairs at its point: -0.0 ties with 0.0, and pruned rows do
+    not count."""
+    cfg = seeded_config(scenario_path("constant_relaxed"), 40, 400, 0)
+    archive, timings = optimize(cfg)
+    rows = np.flatnonzero(archive.feasible)
+    pruned = np.flatnonzero(~archive.feasible)
+    archive.objectives[rows[:4]] = [[0.0, -0.0], [-0.0, 0.0], [0.0, 0.0], [-0.0, -0.0]]
+    archive.objectives[rows[4:7]] = [[-0.0, 1.5], [0.0, 1.5], [1.5, 0.0]]
+    archive.objectives[pruned[:2]] = [[0.0, 0.0], [1.5, -0.0]]
+    archive.front_indices = np.concatenate((rows[[1, 5, 6]], archive.front_indices))
+    ties = Counter(map(tuple, archive.objectives[archive.feasible].tolist()))
+    front = json.loads(run_files(archive, cfg, timings)["pareto.json"])["front"]
+    counts = [entry["n_designs"] for entry in front]
+    points = map(tuple, archive.objectives[archive.front_indices].tolist())
+    assert counts == [ties[point] for point in points]
+    assert counts[:3] == [4, 2, 1]
+
+
 class TestEvaluate:
     def test_base_only_design_scores_exactly(self, tmp_path):
         cfg = zero_center_config(tmp_path)
@@ -1059,10 +1079,13 @@ class TestOracleCommand:
              "--trials", "25", "--seed", "3", "--tol", "0"]
         ) == 1
 
-    def test_variable_config_rejected(self):
-        assert main(
-            ["oracle", "--config", scenario_path("target1_nograv"), "--trials", "5"]
-        ) == 2
+    def test_variable_config_rejected(self, capsys):
+        path = scenario_path("target1_nograv")
+        assert main(["oracle", "--config", path, "--trials", "5"]) == 2
+        line = next(i for i, text in enumerate(Path(path).read_text().splitlines(), 1)
+                    if '"kind": "variable"' in text)
+        assert f"$.mode.kind (line {line}): oracle cross-check needs a constant-mode config" \
+            in capsys.readouterr().err
 
     def test_three_joint_config_rejected(self, tmp_path, capsys):
         doc = json.loads((Path(__file__).parent / "data" / "three_joint.json").read_text())
@@ -1071,7 +1094,8 @@ class TestOracleCommand:
         cfg = tmp_path / "three_joint_constant.json"
         cfg.write_text(json.dumps(doc))
         assert main(["oracle", "--config", str(cfg), "--trials", "5"]) == 2
-        assert "$.robot.link_lengths" in capsys.readouterr().err
+        assert "$.robot.link_lengths (line 1): oracle cross-check needs a two-joint robot" \
+            in capsys.readouterr().err
 
 
 def test_console_entry_point_runs():

@@ -389,7 +389,7 @@ RELAY = {"link": 0, "frac": 0.5}
     ({"wires": [[RELAY, RELAY]], "kind": "variable", "arms": []}, "$.arms: unknown field"),
     ({"kind": "variable", "wires": [[RELAY, {"link": 1, "frac": 1.5}]]},
      "$.wires[0][1].frac: frac must be at most 1"),
-    ({"kind": "other", "wires": []}, "$.kind: kind must be variable"),
+    ({"kind": "other", "wires": []}, "$.kind: kind must be 'variable' or 'constant'"),
     ([], "document: expected an object"),
 ])
 def test_a_design_error_comes_from_the_branch_of_its_kind(doc, error):

@@ -4,8 +4,10 @@ tests/reference_kernels.py, bit for bit.
 The package's force, velocity and muscle Jacobian kernels move every min,
 max, all and any over a short axis to a leading axis, clip the force h
 only for the designs every state admits, and look relay points up in
-per-link tables. None of that may change a result: h is compared by its
-bytes (signed zeros count), and so are the admitted rows and G.
+per-link tables built once per state stack; the Jacobian keeps x and y
+apart, with the joint axis leading. None of that may change a result: h
+is compared by its bytes (signed zeros count), and so are the admitted
+rows, the relay points and G, which must also come C-contiguous.
 
 The cases draw D = 1-4 joints, M = 1-12 wires, P in {1, 2, 40, 500}
 designs and S in {1, 3} states, G per state or one constant G with a
@@ -13,7 +15,8 @@ leading axis of 1, zero (also G = 0), parallel and repeated wire rows, right-han
 inside, on and outside Z, rays along a generator and zero rays, J of rank
 0, 1 and 2, and h_cap 10 and RAY_CAP. M is capped so that C(M + D, D) P S,
 the size of the velocity dual's largest minor stack, stays below
-SIZE_BUDGET: the large P come with few wires.
+SIZE_BUDGET: the large P come with few wires. The Jacobian cases draw
+their own shapes (see jacobian_cases).
 """
 
 from math import comb
@@ -23,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_kernels as reference
-from tlo.arrangement import Design, batch_muscle_jacobian, relay_points
+from tlo.arrangement import Design, batch_muscle_jacobian, link_tables, relay_points
 from tlo.feasibility import (
     RAY_CAP,
     ActuatorLimits,
@@ -37,6 +40,7 @@ from tlo.model import RobotModel, forward_kinematics
 
 EXAMPLES = settings(max_examples=120, deadline=None, derandomize=True)
 SIZE_BUDGET = 40_000
+JACOBIAN_BUDGET = 200_000
 
 
 @st.composite
@@ -143,15 +147,25 @@ def test_velocity_kernel_equals_the_reference_bit_for_bit(case):
 
 @st.composite
 def jacobian_cases(draw):
-    """(model, links, fractions, pose): P variable designs of M wires with N
-    relay points at S states; some consecutive points coincide."""
-    d, m, p, s = draw(shapes())
-    n = draw(st.integers(2, 4))
+    """(model, links, fractions, pose): P variable designs of M <= 12 wires
+    with N <= 10 relay points at S states, D = 1-4; some consecutive points
+    coincide, and the arm may be straight, with points behind a joint on
+    its centerline, so that some segments' rates are -0. Up to 7
+    segments numpy adds in order, 8 or more at one joint pairwise; D P S M
+    N is capped by JACOBIAN_BUDGET."""
+    d = draw(st.integers(1, 4))
+    p = draw(st.sampled_from([1, 2, 40, 500]))
+    s = draw(st.sampled_from([1, 3]))
+    m = draw(st.integers(1, 12))
+    n = draw(st.integers(2, max(2, min(10, JACOBIAN_BUDGET // (d * p * s * m)))))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     lengths = rng.uniform(0.2, 0.8, d + 1)
+    kind = draw(st.sampled_from(["centerline", "off", "behind"]))
     segments = None
-    if draw(st.booleans()):  # attach segments off the centerline, inside each link's length
+    if kind != "centerline":  # inside each link's length, also behind its joint
         segments = rng.uniform(-0.5, 0.5, (d + 1, 2, 2)) * lengths[:, None, None]
+        if kind == "behind":  # on the centerline
+            segments[..., 1] = 0.0
     model = RobotModel(lengths, np.ones(d + 1), attach_segments=segments)
     links = rng.integers(0, d + 1, (p, m, n))
     links[..., 0] = 0
@@ -168,9 +182,16 @@ def jacobian_cases(draw):
 @given(jacobian_cases())
 def test_muscle_jacobian_equals_the_reference_bit_for_bit(case):
     model, links, fractions, pose = case
-    G = batch_muscle_jacobian(model, Design(links, fractions), pose)
+    designs = Design(links, fractions)
+    G = batch_muscle_jacobian(model, designs, pose)
+    tables = link_tables(model, pose)
+    assert batch_muscle_jacobian(model, designs, tables).tobytes() == G.tobytes()
+    # a state's G does not depend on the states stacked with it
+    first = tables._replace(frames=tables.frames[:, :1])
+    assert batch_muscle_jacobian(model, designs, first).tobytes() == G[:1].tobytes()
     G_ref = reference.batch_muscle_jacobian(model, links, fractions, pose)
     assert G.shape == G_ref.shape
+    assert G.flags.c_contiguous  # the force and velocity kernels' sums read its layout
     assert G.tobytes() == G_ref.tobytes()
 
 
