@@ -36,8 +36,9 @@ uniform genome rows, or the last P rows of a seeded desk search (budget
 its last two and five at 200 and 500. P is 40, 100, 200 and 500, on
 target1_nograv, constant_relaxed and tests/data/three_joint.json (D = 3).
 "pick" is the layout that the evaluator's rule (feasibility._passes)
-takes for a batch of P rows, "screen_rows" is its SCREEN_ROWS, and
-"feasible" counts the rows that every state admits.
+takes for the batch (one pass for constant designs at any P),
+"screen_rows" is its SCREEN_ROWS, and "feasible" counts the rows that
+every state admits.
 
 The "nsga2" section times tlo.nsga2's non_dominated_sort (of the merged
 2P rows), _survivors (of them), crowding_distance (of the P survivors, as
@@ -131,8 +132,14 @@ def _median_us(fn, repeat):
 
 
 def _medians_us(fns, repeat):
-    """Median microseconds per call of each function; each round calls them
-    all, in turn, in alternating order."""
+    """Median microseconds per call of each function (see _round_times)."""
+    return [round(float(np.median(times)) * 1e6, 1) for times in _round_times(fns, repeat)]
+
+
+def _round_times(fns, repeat):
+    """Seconds of each of repeat calls of each function, one list per
+    function: each round calls them all, in turn, in alternating order,
+    after WARMUP untimed rounds."""
     for _ in range(WARMUP):
         for fn in fns:
             fn()
@@ -142,7 +149,7 @@ def _medians_us(fns, repeat):
             t = time.perf_counter()
             fn()
             times.append(time.perf_counter() - t)
-    return [round(float(np.median(times)) * 1e6, 1) for times in samples]
+    return samples
 
 
 def time_case(name, s, p, kind, repeat, seed):
@@ -150,11 +157,11 @@ def time_case(name, s, p, kind, repeat, seed):
     model, scenario = cfg.robot, cfg.scenario()
     tables = state_tables(model, scenario.joint_states[:s], scenario.target, scenario.gravity)
     links, force, velocity = _stack(model, tables, force_directions(scenario.target),
-                                    velocity_directions(scenario.target))
+                                    velocity_directions(scenario.target), scenario.h_cap)
     designs = genome_rows_decode(*_designs(cfg, p, kind, seed), cfg.space)
     G = batch_muscle_jacobian(model, designs, links)
-    limits, h_cap = scenario.limits, scenario.h_cap
-    admitted, _ = _force_h(G, force, limits, h_cap)
+    limits = scenario.limits
+    admitted, _ = _force_h(G, force, limits)
     G_admitted = G[:, admitted]
     return {
         "config": name,
@@ -164,9 +171,8 @@ def time_case(name, s, p, kind, repeat, seed):
         "admitted": len(admitted),
         "batch_muscle_jacobian": _median_us(
             lambda: batch_muscle_jacobian(model, designs, links), repeat),
-        "_force_h": _median_us(lambda: _force_h(G, force, limits, h_cap), repeat),
-        "_velocity_h": _median_us(lambda: _velocity_h(G_admitted, velocity, limits, h_cap),
-                                  repeat),
+        "_force_h": _median_us(lambda: _force_h(G, force, limits), repeat),
+        "_velocity_h": _median_us(lambda: _velocity_h(G_admitted, velocity, limits), repeat),
     }
 
 
@@ -177,7 +183,8 @@ def time_evaluator(name, p, kind, repeat, seed):
     model, scenario = cfg.robot, cfg.scenario()
     target = scenario.target
     tables = state_tables(model, scenario.joint_states, target, scenario.gravity)
-    stack = _stack(model, tables, force_directions(target), velocity_directions(target))
+    stack = _stack(model, tables, force_directions(target), velocity_directions(target),
+                   scenario.h_cap)
     if kind == "random":
         reals, cats = _designs(cfg, p, kind, seed)
     else:
@@ -196,7 +203,7 @@ def time_evaluator(name, p, kind, repeat, seed):
         "designs": kind,
         "feasible": int(_score(model, layouts["one_pass"], scenario, designs)[1].sum()),
         **dict(zip(layouts, times)),
-        "pick": "one_pass" if _passes(stack, p)[1] is None else "screened",
+        "pick": "one_pass" if _passes(stack, designs)[1] is None else "screened",
     }
 
 

@@ -34,7 +34,7 @@ from .feasibility import (
     force_directions,
     gravity_center,  # unused here; the benchmark's tracer wraps tlo.cli.gravity_center
     make_evaluator,
-    trace_polygon,
+    trace_polygon,  # unused here; the benchmark's tracer wraps tlo.cli.trace_polygon
     velocity_directions,
 )
 from .model import joint_jacobian
@@ -197,7 +197,8 @@ def cmd_optimize(args) -> int:
 def cmd_evaluate(args) -> int:
     cfg = load_config(args.config)
     design = load_document(args.design, lambda doc: parse_design(doc, cfg), "design JSON")
-    result = evaluate(cfg.robot, design, cfg.scenario())
+    # one kernel pass scores the design and traces both boundaries
+    result = evaluate(cfg.robot, design, cfg.scenario(), args.rays)
     feasible = bool(result.feasible)
     # a pruned design's NaN scores are written as null
     e_force, e_velocity = (result.e_force, result.e_velocity) if feasible else (None, None)
@@ -211,7 +212,6 @@ def cmd_evaluate(args) -> int:
     }
     if feasible:
         states = result.states
-        polygons = np.round(trace_polygon(cfg.robot, design, states, cfg.limits, args.rays), 12)
         columns = {  # one row per state
             "theta_deg": np.rad2deg(states.q),
             "h_force": result.h_force,
@@ -219,8 +219,8 @@ def cmd_evaluate(args) -> int:
             "force_center": states.anchor,
             # a row of None without gravity
             "gravity_center_residual": np.broadcast_to(states.residual, len(states.q)),
-            "force_polygon": polygons[0],
-            "velocity_polygon": polygons[1],
+            "force_polygon": np.round(result.force_boundary, 12),
+            "velocity_polygon": np.round(result.velocity_boundary, 12),
         }
         report["per_state"] = [dict(zip(columns, row))
                                for row in zip(*(column.tolist() for column in columns.values()))]

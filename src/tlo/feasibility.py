@@ -12,10 +12,11 @@ LP dual's vertex bounds, one per choice of D + 1 - rank J rows of [G; I_D].
 Designs are scored in batches of one shape, as one arrangement.Design with
 leading axes: make_evaluator's evaluator maps a generation's genome rows to
 objectives and a feasible mask, with G and both kernels carrying leading
-(state, design) axes. A batch of more than SCREEN_ROWS designs at S > 1
-states is screened in two kernel passes: state 0 on every design, then all
-later states stacked on the designs state 0 admits. A smaller batch, such
-as a search generation, takes one pass over all states (see _passes). The
+(state, design) axes. A batch of more than SCREEN_ROWS variable designs
+at S > 1 states is screened in two kernel passes: state 0 on every design,
+then all later states stacked on the designs state 0 admits. A smaller
+batch, such as a search generation, and any batch of constant designs
+take one pass over all states (see _passes). The
 choice changes the cost, never a result: a design's per-state arithmetic
 does not depend on the pass that scores it.
 A design is feasible when its force anchor lies in the torque zonotope Z
@@ -28,10 +29,11 @@ sin and origin and the attach segments that relay points look up, rays,
 the velocity table, J^-1 w and its qdot-box bound at D = 2) is built once
 per evaluator, with a state axis, and each pass takes its states from it
 by index. evaluate scores designs with any leading axes, a whole
-front or one design, by the same rule; trace_polygon casts n_rays unit
-directions through one pass over all states in place of the ellipse
-directions. force_h_all and velocity_h_all (never None) are the
-one-state, one-design case.
+front or one design, by the same rule, and casts n_rays unit directions
+(boundary rays) after the ellipse directions in the same passes;
+trace_polygon casts them alone, through one pass over all states.
+force_h_all and velocity_h_all (never None) are the one-state, one-design
+case.
 
 Every min, max, all and any that the kernels take over a short axis (slab
 normals, joint columns, wires, directions) runs over a leading contiguous
@@ -42,9 +44,10 @@ pairwise, and BLAS does not round like an elementwise sum. So every h has
 the bits of the plain layout, which tests/reference_kernels.py keeps.
 
 The h variable is unbounded inside the LPs; reported values are clipped to
-h_cap afterwards. That makes every score independent of the cap (any cap
->= 1 yields identical objectives, since contributions vanish at h >= 1)
-and turns genuinely unbounded velocity sets into a plain h = h_cap.
+h_cap afterwards (boundary rays to RAY_CAP). That makes every score
+independent of the cap (any cap >= 1 yields identical objectives, since
+contributions vanish at h >= 1) and turns genuinely unbounded velocity
+sets into a plain h = h_cap.
 """
 
 from __future__ import annotations
@@ -139,7 +142,8 @@ class Scenario:
 class EvaluationResult:
     """Of designs with leading axes (...): the feasible mask (...), force and
     velocity h (..., S, directions), the summed shortfalls (...), NaN where
-    pruned, and the states' tables."""
+    pruned, the states' tables, and the force and velocity boundaries
+    (..., S, n_rays, 2) that evaluate traces, NaN where pruned."""
 
     feasible: np.ndarray
     h_force: np.ndarray | None = None
@@ -147,6 +151,8 @@ class EvaluationResult:
     e_force: np.ndarray | None = None
     e_velocity: np.ndarray | None = None
     states: StateTables | None = None
+    force_boundary: np.ndarray | None = None
+    velocity_boundary: np.ndarray | None = None
 
 
 class GravityCenter(NamedTuple):
@@ -228,8 +234,8 @@ def force_h_all(G, rhs, cols, limits, h_cap):
     unbounded ray reads as well. The ray is clipped against Z in closed
     form, at any D.
     """
-    rows, h = _force_h(np.asarray(G, dtype=float)[None, None], _force_rays([rhs], [cols]),
-                       limits, h_cap)
+    rows, h = _force_h(np.asarray(G, dtype=float)[None, None], _force_rays([rhs], [cols], h_cap),
+                       limits)
     return h[0, 0] if len(rows) else None
 
 
@@ -243,8 +249,8 @@ def velocity_h_all(G, J, dirs, limits, h_cap):
     unbounded ray reads as well. h has a closed form: qdot = h J^-1 w_i
     where D = 2 and det J != 0, the LP dual's least vertex bound elsewhere.
     """
-    return _velocity_h(np.asarray(G, dtype=float)[None, None], _velocity_rays([J], dirs),
-                       limits, h_cap)[0, 0]
+    return _velocity_h(np.asarray(G, dtype=float)[None, None], _velocity_rays([J], dirs, h_cap),
+                       limits)[0, 0]
 
 
 # --- the kernels on S joint states and P designs: h (S, P, directions); force
@@ -252,7 +258,10 @@ def velocity_h_all(G, J, dirs, limits, h_cap):
 #
 # G comes as (S, P, M, D), or as (1, P, M, D) for designs whose G does not
 # depend on the state; the inputs of each state come stacked along a
-# leading axis, built once per evaluator.
+# leading axis, built once per evaluator. Each direction's h is clipped to
+# its own cap, which its rays carry: h_cap on the ellipse directions,
+# RAY_CAP on boundary rays. No direction reads another, so a pass over
+# several blocks of directions gives each block the bytes of a pass of its own.
 
 
 class _ForceRays(NamedTuple):
@@ -261,6 +270,7 @@ class _ForceRays(NamedTuple):
     rhs: np.ndarray  # (S, D)
     cols: np.ndarray  # (S, directions, D)
     slack: np.ndarray  # (S,) a ray's phase-1 allowance per unit |n|_inf: 1e-9 max(1, |rhs|_inf)
+    cap: np.ndarray  # the most h of each direction: 0-d if one for all, else (directions, 1, 1)
 
 
 class _VelocityRays(NamedTuple):
@@ -271,25 +281,33 @@ class _VelocityRays(NamedTuple):
     rank: np.ndarray  # (S,) rank of J, decided by its error-free 2x2 column minors
     reach: np.ndarray  # (S, directions) whether w lies on range(J); h = 0 off it
     dual: list  # [None, (v, -w_r) at r = 1, (minors of J, w_0 J_1 - w_1 J_0 or J^-1 w) at r = 2]
-    box: np.ndarray | None  # (S, directions) at D = 2: QDOT_BOX / max_k |(J^-1 w)_k|, else None
+    box: np.ndarray | None  # (S, directions) at D = 2: min(cap, QDOT_BOX / max_k |(J^-1 w)_k|)
+    cap: np.ndarray  # the most h of each direction: 0-d if one for all, else (directions,)
 
 
-def _force_rays(rhs, cols) -> _ForceRays:
+def _force_rays(rhs, cols, cap) -> _ForceRays:
+    """cap is one for all directions, or one per direction; a single one
+    stays 0-d, which numpy broadcasts at no cost, and a row of them is laid
+    out against _force_h's (directions, states, designs) axes."""
     rhs = np.asarray(rhs, dtype=float)
+    cap = np.asarray(cap, dtype=float)
     return _ForceRays(rhs, np.asarray(cols, dtype=float),
-                      _SLACK_TOL * np.maximum(1.0, np.abs(rhs).max(axis=1)))
+                      _SLACK_TOL * np.maximum(1.0, np.abs(rhs).max(axis=1)),
+                      cap[:, None, None] if cap.ndim else cap)
 
 
-def _velocity_rays(J, dirs) -> _VelocityRays:
+def _velocity_rays(J, dirs, cap) -> _VelocityRays:
     """Every product of two entries of J, or of J and w, is taken error-free
     (_diff_of_products): the 2x2 minors of J decide its rank exactly, the
     rank-1 range test is the same kind of minor, and W = w_0 J_1 - w_1 J_0 is
     formed once. At D = 2 J^-1 w = (W_1, -W_0) / det J replaces it, laid out
     (2, S, directions) for the planar matmul; 0 - W_0 keeps +0 at W_0 = 0.
     Its bound on h from the qdot box, QDOT_BOX / max_k |(J^-1 w)_k|, does
-    not depend on the design and is taken here too."""
+    not depend on the design and is taken here too, together with the cap
+    (one for all directions, or one per direction)."""
     J = np.asarray(J, dtype=float)
     dirs = np.asarray(dirs, dtype=float)
+    cap = np.asarray(cap, dtype=float)
     s, d = np.arange(len(J)), J.shape[2]
     pairs = _combinations(d, 2).tolist()  # a few states and pairs: Python floats are faster
     minors = np.array([[_diff_of_products(j0[a], j1[b], j0[b], j1[a]) for a, b in pairs]
@@ -309,26 +327,26 @@ def _velocity_rays(J, dirs) -> _VelocityRays:
         det = np.where(rank == 2, minors[:, 0], 1.0)[:, None]  # no other state reads it
         inverse = np.stack((W[..., 1], 0.0 - W[..., 0])) / det
         with np.errstate(divide="ignore"):
-            box = QDOT_BOX / np.maximum.reduce(np.abs(inverse))
+            box = np.minimum(QDOT_BOX / np.maximum.reduce(np.abs(inverse)), cap)
         W = inverse.transpose(1, 2, 0)
     dual[2] = minors, W
-    return _VelocityRays(rank, reach, dual, box)
+    return _VelocityRays(rank, reach, dual, box, cap)
 
 
-def _velocity_h(G, rays, limits, h_cap):
+def _velocity_h(G, rays, limits):
     """h (S, P, directions), never masked: J^-1 w at rank 2 and D = 2, else the dual clip."""
     planar = G.shape[3] == 2
     if planar and (rays.rank == 2).all():
-        return _velocity_h_planar(G, rays.dual[2][1], rays.box, limits, h_cap)
+        return _velocity_h_planar(G, rays.dual[2][1], rays.box, limits)
     G = np.broadcast_to(G, (len(rays.rank),) + G.shape[1:])
-    h = np.full(G.shape[:2] + rays.reach.shape[1:], h_cap)  # at J = 0, w = 0 is reached at any h
+    h = np.full(G.shape[:2] + rays.reach.shape[1:], rays.cap)  # at J = 0, w = 0 is reached at any h
     for r in (1, 2):
         states = np.flatnonzero(rays.rank == r)
         if len(states):
             R, W = rays.dual[r]
-            h[states] = (_velocity_h_planar(G[states], W[states], rays.box[states], limits, h_cap)
+            h[states] = (_velocity_h_planar(G[states], W[states], rays.box[states], limits)
                          if planar and r == 2 else
-                         _velocity_h_dual(G[states], r, R[states], W[states], limits, h_cap))
+                         _velocity_h_dual(G[states], r, R[states], W[states], limits, rays.cap))
     return np.where(rays.reach[:, None], h, 0.0)
 
 
@@ -356,7 +374,7 @@ def _diff_of_products(a, b, c, d):
     return (p - q) + (e - f)
 
 
-def _force_h(G, rays, limits, h_cap):
+def _force_h(G, rays, limits):
     """Liang-Barsky clip of each ray rhs + t col, t >= 0, against Z = {-G^T f}:
     the rows of the designs that every state admits and their h, (S, rows,
     directions).
@@ -370,7 +388,7 @@ def _force_h(G, rays, limits, h_cap):
     It is the residual that the reference simplex of the tests allows in its
     phase 1. Feasibility is decided first, from the slab offsets alone, and
     the rays are built and clipped only for the designs that every state
-    admits: h is where the ray leaves Z.
+    admits: h is where the ray leaves Z, clipped to the direction's cap.
     """
     normals = _normals(G)
     # the slab normals lead from here on, then the directions: every min,
@@ -389,14 +407,14 @@ def _force_h(G, rays, limits, h_cap):
     rate = (rays.cols[:, None] @ normals.swapaxes(2, 3)).transpose(3, 2, 0, 1).copy()
     # a ray that drifts across a slab by no more than the allowance over its
     # whole capped length runs along it: that slab bounds no h
-    rate[np.abs(rate) * h_cap <= slack[:, None]] = 0.0
+    rate[np.abs(rate) * rays.cap <= slack[:, None]] = 0.0
     speed = np.abs(rate)
     along = np.sign(rate)
     along *= offset[:, None]  # rhs's offset from the mid-line, signed along the ray
     # 0/0 (a zero normal, or a ray along a zero-width slab) bounds nothing
     with np.errstate(divide="ignore", invalid="ignore"):
         h = np.fmin.reduce((width[:, None] - along) / speed)
-    return rows, np.maximum(np.fmin(h, h_cap), 0.0).transpose(1, 2, 0)
+    return rows, np.maximum(np.fmin(h, rays.cap), 0.0).transpose(1, 2, 0)
 
 
 def _normals(G):
@@ -463,18 +481,17 @@ def _det(a):
                for i in range(n))
 
 
-def _velocity_h_planar(G, inverse, box, limits, h_cap):
+def _velocity_h_planar(G, inverse, box, limits):
     """min over wires of the speed bound along a = G J^-1 w, and box, the
-    qdot box's bound (S, directions)."""
+    cap and the qdot box's bound (S, directions)."""
     # the wires lead: (wires, states, designs, directions)
     a = (inverse[:, None] @ G.swapaxes(2, 3)).transpose(3, 0, 1, 2).copy()
     with np.errstate(divide="ignore"):
-        h = np.minimum.reduce(np.where(a > 0, limits.ldot_max, -limits.ldot_min) / np.abs(a),
-                              initial=h_cap)
+        h = np.minimum.reduce(np.where(a > 0, limits.ldot_max, -limits.ldot_min) / np.abs(a))
     return np.minimum(h, box[:, None])
 
 
-def _velocity_h_dual(G, r, R, W, limits, h_cap):
+def _velocity_h_dual(G, r, R, W, limits, cap):
     """h from the LP dual, at states where J has rank r and w lies on range(J).
 
     With R the r rows that span J's row space, the LP asks for the largest h
@@ -491,7 +508,8 @@ def _velocity_h_dual(G, r, R, W, limits, h_cap):
     together with R (repeated, parallel or zero rows, rows in range(J^T)) has
     y = 0 and mu = 0 exactly: a y_i or mu.omega within its rounding bound,
     _MINOR_TOL prod_(rows) |h|_1 |R|_1 or |W|_1, is taken as 0, and such an S
-    bounds nothing, as 0/0 in the force clip.
+    bounds nothing, as 0/0 in the force clip. h is clipped to cap, 0-d or
+    (directions,).
     """
     m, d = G.shape[2:]
     k = d + 1 - r
@@ -510,7 +528,8 @@ def _velocity_h_dual(G, r, R, W, limits, h_cap):
     mu = mu.transpose(2, 0, 1, 3).copy()
     rise, fall = rise.transpose(2, 0, 1, 3), fall.transpose(2, 0, 1, 3)
     with np.errstate(divide="ignore", invalid="ignore"):
-        return np.fmin.reduce(np.where(mu < 0, rise, fall) / np.abs(mu), initial=h_cap)
+        h = np.fmin.reduce(np.where(mu < 0, rise, fall) / np.abs(mu))
+    return np.fmin(h, cap, out=h)
 
 
 # --- scoring designs over the joint states -----------------------------------------
@@ -519,7 +538,9 @@ def _velocity_h_dual(G, r, R, W, limits, h_cap):
 def _score(model, passes, scenario, designs):
     """Objectives (P, 2) and the feasible mask (P,) of a (P,) stack of
     designs, and the force and velocity h, (S, F, directions), of the F
-    feasible ones in row order.
+    feasible ones in row order. The objectives read the first
+    n_directions directions, the ellipse's; any after them (boundary rays)
+    are scored alongside.
 
     passes holds the _stack of the states the first kernel pass scores on
     every design, and that of the later states, or None: they are scored,
@@ -528,14 +549,14 @@ def _score(model, passes, scenario, designs):
     ..., s_k its summed shortfall at state k, added in state order.
     """
     first, rest = passes
-    limits, h_cap = scenario.limits, scenario.h_cap
-    rows, hf, hv = _pass(model, first, designs, limits, h_cap)
+    rows, hf, hv = _pass(model, first, designs, scenario.limits)
     if rest is not None and len(rows):
-        kept, hf_rest, hv_rest = _pass(model, rest, designs[rows], limits, h_cap)
+        kept, hf_rest, hv_rest = _pass(model, rest, designs[rows], scenario.limits)
         rows = rows[kept]
         hf = np.concatenate((hf[:, kept], hf_rest))
         hv = np.concatenate((hv[:, kept], hv_rest))
-    shortfall = np.maximum(1.0 - np.stack((hf, hv), axis=2), 0.0).sum(axis=3)
+    n = scenario.target.n_directions
+    shortfall = np.maximum(1.0 - np.stack((hf[..., :n], hv[..., :n]), axis=2), 0.0).sum(axis=3)
     totals = np.zeros((len(designs.fractions), 2))
     totals[rows] = np.add.accumulate(shortfall)[-1]
     feasible = np.zeros(len(designs.fractions), dtype=bool)
@@ -543,37 +564,43 @@ def _score(model, passes, scenario, designs):
     return totals, feasible, hf, hv
 
 
-def _pass(model, states, designs, limits, h_cap):
+def _pass(model, states, designs, limits):
     """The rows of a (P,) stack of designs that every state's force LP of one
     pass admits, and their force and velocity h, (S, rows, directions)."""
     links, force, velocity = states
     G = batch_muscle_jacobian(model, designs, links)
-    rows, hf = _force_h(G, force, limits, h_cap)
+    rows, hf = _force_h(G, force, limits)
     if len(rows) < G.shape[1]:
         G = G[:, rows]
-    return rows, hf, _velocity_h(G, velocity, limits, h_cap)
+    return rows, hf, _velocity_h(G, velocity, limits)
 
 
-def _stack(model: RobotModel, tables: StateTables, force_dirs, velocity_dirs):
+def _stack(model: RobotModel, tables: StateTables, force_dirs, velocity_dirs, cap):
     """The design-independent inputs of one kernel pass over the S states of
-    tables along the (directions, 2) tip-space directions: the link tables
-    that relay points look up, and rays."""
+    tables along the (directions, 2) tip-space directions, each clipped to
+    its cap (a scalar or one per direction): the link tables that relay
+    points look up, and rays."""
     return (link_tables(model, forward_kinematics(model, tables.q)),
-            _force_rays(tables.rhs, force_dirs @ tables.J),
-            _velocity_rays(tables.J, velocity_dirs))
+            _force_rays(tables.rhs, force_dirs @ tables.J, cap),
+            _velocity_rays(tables.J, velocity_dirs, cap))
 
 
-def _passes(stack, rows: int):
-    """_score's passes for a batch of rows designs over a _stack: state 0,
-    then the later states, when the batch has more than SCREEN_ROWS rows
-    and there is a later state; else the whole stack in one pass.
+def _passes(stack, designs: Design):
+    """_score's passes for a (P,) stack of designs over a _stack: state 0,
+    then the later states, when the batch has more than SCREEN_ROWS
+    variable designs and there is a later state; else the whole stack in
+    one pass.
 
     The screen spares the later states the rows that state 0 prunes, for
     the fixed cost of a second pass, and a pass over every state costs
     more than its share per row on a large batch. On the last rows of a
     desk search (scripts/kernel_us.py) one pass is the cheaper at 40 and
-    100 rows, the screen at 500, and they cross near 200."""
-    if rows <= SCREEN_ROWS or len(stack[1].rhs) == 1:
+    100 rows, the screen at 500, and they cross near 200. Constant designs
+    take one pass at any size: their G does not depend on the state, so
+    the screen spares no Jacobian work, and one pass is the cheaper on
+    every constant_relaxed case there."""
+    if (designs.links is None or len(designs.fractions) <= SCREEN_ROWS
+            or len(stack[1].rhs) == 1):
         return stack, None
     return _take(stack, slice(1)), _take(stack, slice(1, None))
 
@@ -581,13 +608,13 @@ def _passes(stack, rows: int):
 def _take(stack, states: slice):
     """The inputs of one kernel pass over the states of a _stack that a
     slice picks, as views: the state axis follows the link tables' components
-    and leads every other field."""
+    and leads every other field but the caps, which have none."""
     links, force, velocity = stack
     dual = [None if part is None else tuple(a[states] for a in part) for part in velocity.dual]
     box = None if velocity.box is None else velocity.box[states]
     return (links._replace(frames=links.frames[:, states]),
-            _ForceRays(*(a[states] for a in force)),
-            _VelocityRays(velocity.rank[states], velocity.reach[states], dual, box))
+            _ForceRays(*(a[states] for a in force[:3]), force.cap),
+            _VelocityRays(velocity.rank[states], velocity.reach[states], dual, box, velocity.cap))
 
 
 def make_evaluator(model: RobotModel, scenario: Scenario):
@@ -602,35 +629,47 @@ def make_evaluator(model: RobotModel, scenario: Scenario):
     """
     target = scenario.target
     tables = state_tables(model, scenario.joint_states, target, scenario.gravity)
-    stack = _stack(model, tables, force_directions(target), velocity_directions(target))
+    stack = _stack(model, tables, force_directions(target), velocity_directions(target),
+                   scenario.h_cap)
 
     def run(reals: np.ndarray, cats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         reals = np.asarray(reals, dtype=float)
         cats = np.asarray(cats)
         space = genome_space(reals.shape[1], cats.shape[1], model.n_joints)
         designs = genome_rows_decode(reals, cats, space)
-        return _score(model, _passes(stack, len(reals)), scenario, designs)[:2]
+        return _score(model, _passes(stack, designs), scenario, designs)[:2]
 
     return run
 
 
-def evaluate(model: RobotModel, designs: Design, scenario: Scenario) -> EvaluationResult:
+def evaluate(model: RobotModel, designs: Design, scenario: Scenario,
+             n_rays: int = 0) -> EvaluationResult:
     """Score designs over all evaluated joint states, with their per-state h
-    and the tables of those states.
+    and the tables of those states; with n_rays > 0 (at least MIN_RAYS),
+    trace their force and velocity boundaries too, as trace_polygon does.
 
-    The result's fields take the designs' leading axes, and a design with
-    none gives numpy scalars. Pruned designs read NaN. The designs' count
-    picks the kernel passes, as it does for the evaluator."""
+    The rays are cast in the scoring pass: one kernel pass takes the
+    ellipse directions, capped at h_cap, followed by the n_rays boundary
+    rays, capped at RAY_CAP, and every value has the bytes of a pass of
+    its own. The result's fields take the designs' leading axes, and a
+    design with none gives numpy scalars. Pruned designs read NaN, their
+    boundaries too. The designs' count picks the kernel passes, as it does
+    for the evaluator."""
     target = scenario.target
     tables = state_tables(model, scenario.joint_states, target, scenario.gravity)
-    stack = _stack(model, tables, force_directions(target), velocity_directions(target))
+    rays = _unit_rays(n_rays) if n_rays else np.empty((0, 2))
+    n = target.n_directions
+    stack = _stack(model, tables, np.concatenate((force_directions(target), rays)),
+                   np.concatenate((velocity_directions(target), rays)),
+                   np.repeat([scenario.h_cap, RAY_CAP], [n, n_rays]))
     flat = designs.reshape(-1)
-    totals, feasible, hf, hv = _score(model, _passes(stack, len(flat.fractions)), scenario, flat)
+    totals, feasible, hf, hv = _score(model, _passes(stack, flat), scenario, flat)
     h = np.full((2, len(feasible)) + hf.shape[::2], np.nan)  # (force|velocity, P, S, directions)
     h[:, feasible] = np.stack((hf, hv)).swapaxes(1, 2)
     totals[~feasible] = np.nan
-    fields = (feasible, *h, *totals.T)
-    return EvaluationResult(*(a.reshape(designs.shape + a.shape[1:])[()] for a in fields), tables)
+    fields = (feasible, *h[..., :n], *totals.T, *_boundaries(tables, h[..., n:], rays))
+    fields = [a.reshape(designs.shape + a.shape[1:])[()] for a in fields]
+    return EvaluationResult(*fields[:5], tables, *fields[5:])
 
 
 def trace_polygon(model, designs: Design, states: StateTables, limits,
@@ -643,16 +682,28 @@ def trace_polygon(model, designs: Design, states: StateTables, limits,
     at RAY_CAP. All designs, states and both sets take one kernel pass.
     Returns the force and the velocity boundaries, (..., S, n_rays, 2) each
     for designs with leading axes (...). Raises InfeasibleDesign when an
-    anchor is not reachable at some state.
+    anchor is not reachable at some state. evaluate(..., n_rays) traces
+    the same boundaries in its scoring pass.
     """
-    if n_rays < MIN_RAYS:
-        raise ValueError(f"need at least {MIN_RAYS} rays")
-    dirs = ellipse_directions(np.ones(2), n_rays)
+    rays = _unit_rays(n_rays)
     flat = designs.reshape(-1)
-    rows, hf, hv = _pass(model, _stack(model, states, dirs, dirs), flat, limits, RAY_CAP)
+    rows, hf, hv = _pass(model, _stack(model, states, rays, rays, RAY_CAP), flat, limits)
     if len(rows) < len(flat.fractions):
         raise InfeasibleDesign(f"anchor unreachable at one of q = {states.q.tolist()}")
-    anchors = np.stack((states.anchor, np.zeros_like(states.anchor)))
-    h = np.stack((hf, hv)).swapaxes(1, 2)
-    points = anchors[:, None, :, None] + h[..., None] * dirs
+    points = _boundaries(states, np.stack((hf, hv)).swapaxes(1, 2), rays)
     return tuple(points.reshape((2,) + designs.shape + points.shape[2:]))
+
+
+def _unit_rays(n_rays: int) -> np.ndarray:
+    """n_rays uniform unit directions, (n_rays, 2)."""
+    if n_rays < MIN_RAYS:
+        raise ValueError(f"need at least {MIN_RAYS} rays")
+    return ellipse_directions(np.ones(2), n_rays)
+
+
+def _boundaries(states: StateTables, h, rays):
+    """The force and velocity boundary points anchor + h * ray, (2, P, S,
+    rays, 2), of h (2, P, S, rays): force rays leave each state's anchor,
+    velocity rays the origin."""
+    anchors = np.stack((states.anchor, np.zeros_like(states.anchor)))
+    return anchors[:, None, :, None] + h[..., None] * rays

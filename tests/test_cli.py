@@ -561,15 +561,16 @@ class TestEvaluate:
 
             monkeypatch.setattr(tlo.feasibility, name, call)
 
-        for name in ("StateTables", "gravity_center", "_force_h", "_velocity_h"):
+        kernels = ("_stack", "batch_muscle_jacobian", "_force_h", "_velocity_h")
+        for name in ("StateTables", "gravity_center", *kernels):
             counted(name)
         assert main(
             ["evaluate", "--config", scenario_path("target1_grav"),
              "--design", str(DATA / "golden_design_grav.json"), "--out", str(tmp_path)]
         ) == 0
-        # two states in one stack: one pass scores them, one more traces both
-        # polygons of both
-        assert counts == {"StateTables": 1, "gravity_center": 1, "_force_h": 2, "_velocity_h": 2}
+        # two states in one stack, and one pass over them that scores the
+        # ellipse directions and traces both polygons' rays
+        assert counts == {"StateTables": 1, "gravity_center": 1, **dict.fromkeys(kernels, 1)}
 
     def test_three_joint_gravity_report_keeps_its_bytes(self, tmp_path):
         # the first front design of the three_joint_grav golden run (budget

@@ -35,7 +35,8 @@ from hypothesis import strategies as st
 import tlo.feasibility
 from tlo.arrangement import Genome, batch_muscle_jacobian, genome_decode, genome_rows_decode
 from tlo.config import load_bundled_scenario, load_config
-from tlo.feasibility import SCREEN_ROWS, evaluate, make_evaluator, trace_polygon
+from tlo.feasibility import (MIN_RAYS, SCREEN_ROWS, evaluate, force_directions, make_evaluator,
+                             trace_polygon, velocity_directions)
 from tlo.nsga2 import evolve
 
 EXAMPLES = settings(max_examples=40, deadline=None, derandomize=True)
@@ -125,6 +126,34 @@ def test_a_stack_traces_as_one_design_at_a_time(case):
         assert force[k].tobytes() == f.tobytes() and velocity[k].tobytes() == v.tobytes()
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(cases(EVERY_CONFIG, (1, 3, 40, 250), st.sampled_from([0.0, 0.4, 1.0])),
+       st.sampled_from([MIN_RAYS, 64, 100]))
+def test_a_report_pass_equals_evaluate_then_trace_polygon(case, n_rays):
+    """evaluate(..., n_rays) scores and traces in one pass what evaluate and
+    trace_polygon give in two, bit for bit: its boundary rays, capped at
+    RAY_CAP, change no score, and sharing the pass with the ellipse
+    directions, capped at h_cap, changes no boundary point. Past
+    SCREEN_ROWS the rays ride the screen's two passes."""
+    model, scenario, space, reals, cats = case
+    stack = genome_rows_decode(reals, cats, space)
+    report = evaluate(model, stack, scenario, n_rays)
+    scored = evaluate(model, stack, scenario)
+    for field in FIELDS:
+        assert getattr(report, field).tobytes() == getattr(scored, field).tobytes()
+    shape = (len(reals), len(scenario.joint_states), n_rays, 2)
+    assert report.force_boundary.shape == report.velocity_boundary.shape == shape
+    rows = np.flatnonzero(scored.feasible)
+    traced = (trace_polygon(model, stack[rows], scored.states, scenario.limits, n_rays)
+              if len(rows) else (np.empty((0,) + shape[1:]),) * 2)
+    for boundary, expected in zip((report.force_boundary, report.velocity_boundary), traced):
+        assert boundary[rows].tobytes() == expected.tobytes()
+        assert np.isnan(np.delete(boundary, rows, axis=0)).all()
+    one = evaluate(model, stack[0], scenario, n_rays)  # a design with no leading axes
+    assert one.force_boundary.tobytes() == report.force_boundary[0].tobytes()
+    assert one.velocity_boundary.tobytes() == report.velocity_boundary[0].tobytes()
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(cases(EVERY_CONFIG, (1, 2, 40, 100, 500), st.sampled_from([0.0, 0.4, 1.0])))
 def test_the_screen_changes_no_byte(case):
@@ -143,7 +172,8 @@ def test_the_screen_changes_no_byte(case):
 @pytest.mark.parametrize("name, states", [("target1_nograv", 4), ("three_joint_constant", 2),
                                           ("target1_nograv", 1)])
 def test_the_batch_size_picks_the_passes(name, states, monkeypatch):
-    # searched rows, which state 0 admits; at one state no later state is left
+    # searched rows, which state 0 admits; at one state no later state is
+    # left, and constant designs take one pass at any size
     cfg, reals, cats = searched(name)
     scenario = cfg.scenario()
     scenario = replace(scenario, joint_states=scenario.joint_states[:states])
@@ -152,7 +182,8 @@ def test_the_batch_size_picks_the_passes(name, states, monkeypatch):
                         lambda *args: calls.append(args) or batch_muscle_jacobian(*args))
     evaluator = make_evaluator(cfg.robot, scenario)
     rows = np.arange(SCREEN_ROWS + 1) % len(reals)
-    for n, passes in ((SCREEN_ROWS, 1), (SCREEN_ROWS + 1, 1 if states == 1 else 2)):
+    screened = 1 if states == 1 or cfg.space.kind == "constant" else 2
+    for n, passes in ((SCREEN_ROWS, 1), (SCREEN_ROWS + 1, screened)):
         designs = genome_rows_decode(reals[rows[:n]], cats[rows[:n]], cfg.space)
         calls.clear()
         assert evaluator(reals[rows[:n]], cats[rows[:n]])[1].any()
@@ -160,3 +191,32 @@ def test_the_batch_size_picks_the_passes(name, states, monkeypatch):
         calls.clear()  # evaluate follows the same rule
         evaluate(cfg.robot, designs, scenario)
         assert len(calls) == passes, n
+
+
+@pytest.mark.parametrize("name", ["constant_relaxed", "three_joint_constant"])
+def test_constant_designs_take_one_pass_at_any_size(name, monkeypatch):
+    """A 500-row batch of constant designs, searched and random rows, takes
+    one kernel pass over every state, with the bytes of the screen's two."""
+    cfg, reals, cats = searched(name)
+    rng = np.random.default_rng(0)
+    rows = rng.integers(len(reals), size=500)
+    reals, cats = reals[rows], cats[rows]
+    fresh = rng.random(500) < 0.4
+    reals[fresh] = rng.random((fresh.sum(), cfg.space.n_reals))
+    scenario = cfg.scenario()
+    designs = genome_rows_decode(reals, cats, cfg.space)
+    tables = tlo.feasibility.state_tables(cfg.robot, scenario.joint_states, scenario.target,
+                                          scenario.gravity)
+    stack = tlo.feasibility._stack(cfg.robot, tables, force_directions(scenario.target),
+                                   velocity_directions(scenario.target), scenario.h_cap)
+    screen = (tlo.feasibility._take(stack, slice(1)), tlo.feasibility._take(stack, slice(1, None)))
+    expected = tlo.feasibility._score(cfg.robot, screen, scenario, designs)
+    calls = []
+    pass_ = tlo.feasibility._pass
+    monkeypatch.setattr(tlo.feasibility, "_pass",
+                        lambda *args: calls.append(len(args[2].fractions)) or pass_(*args))
+    objectives, feasible = make_evaluator(cfg.robot, scenario)(reals, cats)
+    assert calls == [500]
+    assert 0 < feasible.sum() < 500
+    assert feasible.tobytes() == expected[1].tobytes()
+    assert objectives[feasible].tobytes() == expected[0][feasible].tobytes()

@@ -25,6 +25,7 @@ from tlo.arrangement import (
 from tlo.config import load_bundled_scenario, parse_design
 from tlo.feasibility import (
     DEFAULT_H_CAP,
+    MIN_RAYS,
     RAY_CAP,
     SCREEN_ROWS,
     ActuatorLimits,
@@ -628,6 +629,16 @@ class TestTracePolygon:
         state = state_tables(paper_model, Q_BENT[None], zero_center_target, False)
         with pytest.raises(ValueError):
             trace_polygon(paper_model, all_on_base_design(), state, paper_limits, n_rays=4)
+
+    def test_evaluate_traces_no_rays_or_at_least_min_rays(self, paper_model,
+                                                          zero_center_scenario):
+        design = all_on_base_design()
+        result = evaluate(paper_model, design, zero_center_scenario)
+        states = len(zero_center_scenario.joint_states)
+        assert result.force_boundary.shape == result.velocity_boundary.shape == (states, 0, 2)
+        for n_rays in (-1, 1, MIN_RAYS - 1):
+            with pytest.raises(ValueError):
+                evaluate(paper_model, design, zero_center_scenario, n_rays)
 
 
 class TestValidation:

@@ -17,7 +17,9 @@ like every anchor outside the zonotope; the gravity torque of a real
 target1_grav state is put on the zonotope's boundary by scaling G. Robots
 with D != 2 are checked against the LP and linprog, force also on flat
 zonotopes, and velocity against an exact rational vertex enumeration of its
-LP at D = 1-4, on degenerate G and J and near a singular three-joint J."""
+LP at D = 1-4, on degenerate G and J and near a singular three-joint J.
+A pass over two blocks of directions, each with its own cap, gives each
+block the bytes of a pass of its own."""
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,8 +45,12 @@ from tlo.feasibility import (
     ActuatorLimits,
     Scenario,
     TargetSpec,
+    RAY_CAP,
     _diff_of_products,
+    _force_h,
+    _force_rays,
     _two_product,
+    _velocity_h,
     _velocity_rays,
     ellipse_directions,
     force_directions,
@@ -567,7 +573,7 @@ def test_planar_inverse_is_the_adjugate_formula_bit_for_bit(data):
     has the bits and the (2, S, directions) memory order of adj(J) w / det J
     at every regular J, +0 where a component is 0 included."""
     J, dirs = data
-    rays = _velocity_rays(J, dirs)
+    rays = _velocity_rays(J, dirs, 10.0)
     inverse, ref = rays.dual[2][1], adjugate_inverse(J, dirs)
     assert inverse.shape == ref.shape
     assert ([k for k, n in zip(inverse.strides, inverse.shape) if n > 1]
@@ -905,3 +911,64 @@ def test_velocity_kernel_near_a_singular_three_joint_j():
         G = rng.uniform(-0.5, 0.5, (4, 3))
         check_velocity_against_exact(G, J, dirs, limits, 10.0)
     assert min(conds) < 1e3 and max(conds) > 1e9
+
+
+# --- a cap per direction ------------------------------------------------------------
+
+
+def _one_pass_and_two(rays, kernel, blocks, caps):
+    """h of one kernel pass over the concatenated blocks of directions, each
+    with its own cap, and of one pass per block at its scalar cap."""
+    cap = np.repeat(caps, [len(block) for block in blocks])
+    return kernel(rays(np.concatenate(blocks), cap)), [
+        kernel(rays(block, c)) for block, c in zip(blocks, caps)]
+
+
+def test_force_cap_per_direction_equals_a_pass_per_cap():
+    """Z is the box [-f_max, -f_min]^2 (G = I), the anchor of state 0 on its
+    top edge and that of state 1 above it within the slack. The ray
+    (1, 1e-9) runs along the top slab within the allowance at cap 10, so
+    that slab bounds nothing and h is the cap; at RAY_CAP it crosses the
+    slab, and h is 0. (1, 0) and (0, -1) reach the cap 10 and stop short of
+    RAY_CAP; the zero ray reads each cap."""
+    limits = ActuatorLimits(10.0, 200.0, -0.4, 0.4)
+    G = np.eye(2)[None, None]
+    rhs = np.array([[-105.0, -10.0], [-105.0, -10.0 + 5e-8]])
+    along = [[1.0, 1e-9], [1.0, 0.0], [0.0, -1.0], [0.0, 0.0]]
+    blocks = [np.array(along), np.array(along[::-1])]
+    caps = [10.0, RAY_CAP]
+
+    def rays(dirs, cap):
+        return _force_rays(rhs, np.broadcast_to(dirs, (2,) + dirs.shape), cap)
+
+    (rows, h), parts = _one_pass_and_two(rays, lambda r: _force_h(G, r, limits), blocks, caps)
+    assert rows.tolist() == [0] and all(part[0].tolist() == [0] for part in parts)
+    assert h.tobytes() == np.concatenate([part[1] for part in parts], axis=2).tobytes()
+    assert h[:, 0, 0].tolist() == [10.0, 10.0]  # the slab is passed by at cap 10
+    assert h[:, 0, -1].tolist() == [0.0, 0.0]  # and crossed at RAY_CAP
+    assert h[:, 0, 1:4].tolist() == [[10.0] * 3] * 2
+    assert h[:, 0, 4].tolist() == [RAY_CAP] * 2
+    assert h[0, 0, [5, 6]].tolist() == [190.0, 95.0]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_velocity_cap_per_direction_equals_a_pass_per_cap(d):
+    """States with J regular (J^-1 w at D = 2, the dual clip at D = 3), of
+    rank 1 (the dual clip) and 0, where only w = 0 is reached and h is the
+    cap; the blocks hold w = 0, a w on the rank-1 range and ellipse
+    directions."""
+    limits = ActuatorLimits(10.0, 200.0, -0.4, 0.25)
+    rng = np.random.default_rng(3)
+    J = rng.uniform(-0.8, 0.8, (3, 2, d))
+    J[1] = np.outer([0.6, -0.3], rng.uniform(-0.8, 0.8, d))
+    J[2] = 0.0
+    G = rng.uniform(-0.5, 0.5, (3, 5, 4, d))
+    G[:, 1] *= 1e-8  # wires too slow to bound h: the qdot box or the cap does
+    blocks = [np.concatenate(([[0.0, 0.0], [1.2, -0.6]], ellipse_directions([1.0, 0.5], 8))),
+              np.concatenate((ellipse_directions([1.0, 1.0], 16), [[0.0, 0.0], [-2.0, 1.0]]))]
+    caps = [10.0, RAY_CAP]
+    h, parts = _one_pass_and_two(lambda dirs, cap: _velocity_rays(J, dirs, cap),
+                                 lambda r: _velocity_h(G, r, limits), blocks, caps)
+    assert h.tobytes() == np.concatenate(parts, axis=2).tobytes()
+    assert (h[2, :, 0] == 10.0).all() and (h[2, :, 26] == RAY_CAP).all()
+    assert (h[:2, 1, :10] == 10.0).any() and (h[:2, 1, 10:] > 10.0).any()

@@ -98,14 +98,14 @@ def force_cases(draw):
     if draw(st.booleans()):
         cols[:, -1] = G[:, 0, 0]  # along a generator of design 0
     h_cap = draw(st.sampled_from([10.0, RAY_CAP]))
-    return G, _force_rays(rhs, cols), limits, h_cap
+    return G, _force_rays(rhs, cols, h_cap), limits, h_cap
 
 
 @EXAMPLES
 @given(force_cases())
 def test_force_kernel_equals_the_reference_bit_for_bit(case):
     G, rays, limits, h_cap = case
-    rows, h = _force_h(G, rays, limits, h_cap)
+    rows, h = _force_h(G, rays, limits)
     h_ref, feasible = reference.force_h(G, rays, limits, h_cap)
     rows_ref = np.flatnonzero(feasible.all(axis=0))
     assert rows.tolist() == rows_ref.tolist()
@@ -132,14 +132,14 @@ def velocity_cases(draw):
     if draw(st.booleans()):
         dirs = np.concatenate((dirs, J[:1, :, 0], np.zeros((1, 2))))  # on range(J_0), and 0
     h_cap = draw(st.sampled_from([10.0, RAY_CAP]))
-    return G, _velocity_rays(J, dirs), limits, h_cap
+    return G, _velocity_rays(J, dirs, h_cap), limits, h_cap
 
 
 @EXAMPLES
 @given(velocity_cases())
 def test_velocity_kernel_equals_the_reference_bit_for_bit(case):
     G, rays, limits, h_cap = case
-    h = _velocity_h(G, rays, limits, h_cap)
+    h = _velocity_h(G, rays, limits)
     h_ref = reference.velocity_h(G, rays, limits, h_cap)
     assert h.shape == h_ref.shape
     assert h.tobytes() == h_ref.tobytes()

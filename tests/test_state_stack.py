@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tlo.feasibility import (
+    DEFAULT_H_CAP,
     TargetSpec,
     _stack,
     force_directions,
@@ -78,7 +79,7 @@ def test_stacked_tables_equal_one_state_at_a_time(case):
         assert stacked.shape == (len(q),) + np.shape(reference[0]), field
         assert stacked.tobytes() == np.array(reference).tobytes(), field
     dirs = force_directions(target)
-    _, force, _ = _stack(model, tables, dirs, velocity_directions(target))
+    _, force, _ = _stack(model, tables, dirs, velocity_directions(target), DEFAULT_H_CAP)
     assert force.cols.tobytes() == np.array([dirs @ row[1] for row in rows]).tobytes()
     straight = ~q.any(axis=1)
     if gravity and straight.any() and model.n_joints > 1:
