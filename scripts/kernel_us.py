@@ -13,8 +13,8 @@ states; a larger one is screened on state 0 first (feasibility._passes):
   tests/data/three_joint.json (D = 3): a population-40 search generation;
 - (1, 500) on target1_nograv: the screen's state-0 pass over a random
   500-genome batch;
-- (2, 1): one design at two states, the shape of evaluate and
-  trace_polygon on a two-state scenario.
+- (2, 1): one design at two states, the shape of evaluate (and of a
+  tlo evaluate report) on a two-state scenario.
 
 The Jacobian takes the link tables that the evaluator builds once per
 state stack (feasibility._stack). Bred designs come from a seeded desk

@@ -20,7 +20,6 @@ from .config import ConfigError, ScenarioConfig, load_config
 from .feasibility import (
     ActuatorLimits,
     EvaluationResult,
-    InfeasibleDesign,
     Scenario,
     StateTables,
     TargetSpec,
@@ -28,7 +27,6 @@ from .feasibility import (
     force_h_all,
     gravity_center,
     state_tables,
-    trace_polygon,
     velocity_h_all,
 )
 from .model import (
@@ -54,7 +52,6 @@ __all__ = [
     "Design",
     "DesignSpace",
     "EvaluationResult",
-    "InfeasibleDesign",
     "ParetoArchive",
     "Pose",
     "RobotModel",
@@ -79,7 +76,6 @@ __all__ = [
     "ray_h",
     "relay_points",
     "state_tables",
-    "trace_polygon",
     "velocity_h_all",
     "velocity_polytope_exact",
 ]

@@ -29,12 +29,10 @@ from .config import (ConfigError, ScenarioConfig, load_config, load_document, op
                      parse_config, parse_design)
 from .feasibility import (
     MIN_RAYS,
-    InfeasibleDesign,
     evaluate,
     force_directions,
     gravity_center,  # unused here; the benchmark's tracer wraps tlo.cli.gravity_center
     make_evaluator,
-    trace_polygon,  # unused here; the benchmark's tracer wraps tlo.cli.trace_polygon
     velocity_directions,
 )
 from .model import joint_jacobian
@@ -419,9 +417,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except InfeasibleDesign as exc:
-        print(f"infeasible design: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -30,10 +30,10 @@ the velocity table, J^-1 w and its qdot-box bound at D = 2) is built once
 per evaluator, with a state axis, and each pass takes its states from it
 by index. evaluate scores designs with any leading axes, a whole
 front or one design, by the same rule, and casts n_rays unit directions
-(boundary rays) after the ellipse directions in the same passes;
-trace_polygon casts them alone, through one pass over all states.
+(boundary rays) after the ellipse directions in the same passes: it is
+the one tracer of the force and velocity boundaries.
 force_h_all and velocity_h_all (never None) are the one-state, one-design
-case.
+case, and take the design's G; force_h_all gives None for a pruned one.
 
 Every min, max, all and any that the kernels take over a short axis (slab
 normals, joint columns, wires, directions) runs over a leading contiguous
@@ -65,16 +65,12 @@ from .arrangement import (Design, batch_muscle_jacobian, genome_rows_decode, gen
 from .model import RobotModel, forward_kinematics, gravity_torque, joint_jacobian
 
 DEFAULT_H_CAP = 10.0
-MIN_RAYS = 8  # fewest boundary rays trace_polygon accepts
-RAY_CAP = 1e6  # where trace_polygon stops a ray through an unbounded set
+MIN_RAYS = 8  # fewest boundary rays evaluate casts, when it casts any
+RAY_CAP = 1e6  # where a boundary ray through an unbounded set stops
 QDOT_BOX = 1e6  # formal box on each |qdot_k| in the velocity LPs; binds only on long rays
 _SLACK_TOL = 1e-9  # force rays may miss Z by this times max(1, |rhs|_inf) in the L1 norm
 _MINOR_TOL = 1e-14  # rounding bound of a velocity dual candidate's mu.omega, relative
 SCREEN_ROWS = 200  # a larger batch is screened on state 0 first (see _passes)
-
-
-class InfeasibleDesign(Exception):
-    """Raised when trace_polygon cannot reach an anchor; the design is pruned."""
 
 
 @dataclass
@@ -646,7 +642,8 @@ def evaluate(model: RobotModel, designs: Design, scenario: Scenario,
              n_rays: int = 0) -> EvaluationResult:
     """Score designs over all evaluated joint states, with their per-state h
     and the tables of those states; with n_rays > 0 (at least MIN_RAYS),
-    trace their force and velocity boundaries too, as trace_polygon does.
+    trace their force and velocity boundaries too, anchor + h * ray along
+    n_rays uniform rays from each state's anchor (force) or the origin.
 
     The rays are cast in the scoring pass: one kernel pass takes the
     ellipse directions, capped at h_cap, followed by the n_rays boundary
@@ -670,28 +667,6 @@ def evaluate(model: RobotModel, designs: Design, scenario: Scenario,
     fields = (feasible, *h[..., :n], *totals.T, *_boundaries(tables, h[..., n:], rays))
     fields = [a.reshape(designs.shape + a.shape[1:])[()] for a in fields]
     return EvaluationResult(*fields[:5], tables, *fields[5:])
-
-
-def trace_polygon(model, designs: Design, states: StateTables, limits,
-                  n_rays: int = 64) -> tuple[np.ndarray, np.ndarray]:
-    """Boundaries of the feasible force and velocity sets by ray casting.
-
-    At each of the S states of the tables, rays leave the anchor (force:
-    the state's anchor, velocity: the origin) in n_rays uniform directions;
-    each boundary point is anchor + h * dir, and unbounded directions stop
-    at RAY_CAP. All designs, states and both sets take one kernel pass.
-    Returns the force and the velocity boundaries, (..., S, n_rays, 2) each
-    for designs with leading axes (...). Raises InfeasibleDesign when an
-    anchor is not reachable at some state. evaluate(..., n_rays) traces
-    the same boundaries in its scoring pass.
-    """
-    rays = _unit_rays(n_rays)
-    flat = designs.reshape(-1)
-    rows, hf, hv = _pass(model, _stack(model, states, rays, rays, RAY_CAP), flat, limits)
-    if len(rows) < len(flat.fractions):
-        raise InfeasibleDesign(f"anchor unreachable at one of q = {states.q.tolist()}")
-    points = _boundaries(states, np.stack((hf, hv)).swapaxes(1, 2), rays)
-    return tuple(points.reshape((2,) + designs.shape + points.shape[2:]))
 
 
 def _unit_rays(n_rays: int) -> np.ndarray:

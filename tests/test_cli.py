@@ -606,6 +606,8 @@ class TestEvaluate:
         assert report.get("per_state") is None
         assert report["e_force"] is None
         load_schema_validator("report").validate(report)
+        assert main(["plot", str(out / "report.json"), "--out", str(out / "plots")]) == 0
+        assert [p.name for p in (out / "plots").iterdir()] == ["arrangement.svg"]
 
     def test_dimension_mismatch_exits_2(self, tmp_path):
         cfg = zero_center_config(tmp_path)  # expects M=3
@@ -637,8 +639,8 @@ class TestEvaluate:
         # "design" and "e_force" serialize before e_velocity fails
         evaluate = tlo.cli.evaluate
         monkeypatch.setattr(tlo.cli, "evaluate",
-                            lambda *a: replace(evaluate(*a), e_velocity=object()))
-        with pytest.raises(TypeError):
+                            lambda *a, **k: replace(evaluate(*a, **k), e_velocity=object()))
+        with pytest.raises(TypeError, match="not JSON serializable"):
             main(args)
         assert (out / "report.json").read_bytes() == before
         assert [p.name for p in out.iterdir()] == ["report.json"]

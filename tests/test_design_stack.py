@@ -1,5 +1,5 @@
-"""evaluate and trace_polygon on a stack of designs against one call per
-design, bit for bit.
+"""evaluate on a stack of designs against one call per design, bit for
+bit, with and without boundary rays.
 
 A Design's leading axes stack designs of one shape, and evaluate scores
 them all in one kernel pass. The reference is one evaluate per design, the
@@ -35,8 +35,9 @@ from hypothesis import strategies as st
 import tlo.feasibility
 from tlo.arrangement import Genome, batch_muscle_jacobian, genome_decode, genome_rows_decode
 from tlo.config import load_bundled_scenario, load_config
-from tlo.feasibility import (MIN_RAYS, SCREEN_ROWS, evaluate, force_directions, make_evaluator,
-                             trace_polygon, velocity_directions)
+from tlo.feasibility import (MIN_RAYS, RAY_CAP, SCREEN_ROWS, _boundaries, _pass, _stack,
+                             _unit_rays, evaluate, force_directions, make_evaluator,
+                             velocity_directions)
 from tlo.nsga2 import evolve
 
 EXAMPLES = settings(max_examples=40, deadline=None, derandomize=True)
@@ -114,26 +115,23 @@ def test_a_stack_scores_as_one_design_at_a_time(case):
 def test_a_stack_traces_as_one_design_at_a_time(case):
     model, scenario, space, reals, cats = case
     stack = genome_rows_decode(reals, cats, space)
-    result = evaluate(model, stack, scenario)
-    rows = np.flatnonzero(result.feasible)
-    if not len(rows):
-        return
-    force, velocity = trace_polygon(model, stack[rows], result.states, scenario.limits,
-                                    n_rays=16)
-    assert force.shape == velocity.shape == (len(rows), len(scenario.joint_states), 16, 2)
-    for k, i in enumerate(rows):
-        f, v = trace_polygon(model, stack[i], result.states, scenario.limits, n_rays=16)
-        assert force[k].tobytes() == f.tobytes() and velocity[k].tobytes() == v.tobytes()
+    result = evaluate(model, stack, scenario, n_rays=16)
+    shape = (len(reals), len(scenario.joint_states), 16, 2)
+    assert result.force_boundary.shape == result.velocity_boundary.shape == shape
+    for i in range(len(reals)):
+        one = evaluate(model, stack[i], scenario, n_rays=16)
+        assert one.force_boundary.tobytes() == result.force_boundary[i].tobytes()
+        assert one.velocity_boundary.tobytes() == result.velocity_boundary[i].tobytes()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(cases(EVERY_CONFIG, (1, 3, 40, 250), st.sampled_from([0.0, 0.4, 1.0])),
        st.sampled_from([MIN_RAYS, 64, 100]))
-def test_a_report_pass_equals_evaluate_then_trace_polygon(case, n_rays):
+def test_a_report_pass_equals_a_scoring_pass_and_a_rays_pass(case, n_rays):
     """evaluate(..., n_rays) scores and traces in one pass what evaluate and
-    trace_polygon give in two, bit for bit: its boundary rays, capped at
-    RAY_CAP, change no score, and sharing the pass with the ellipse
-    directions, capped at h_cap, changes no boundary point. Past
+    a pass of the boundary rays alone give in two, bit for bit: its boundary
+    rays, capped at RAY_CAP, change no score, and sharing the pass with the
+    ellipse directions, capped at h_cap, changes no boundary point. Past
     SCREEN_ROWS the rays ride the screen's two passes."""
     model, scenario, space, reals, cats = case
     stack = genome_rows_decode(reals, cats, space)
@@ -144,8 +142,13 @@ def test_a_report_pass_equals_evaluate_then_trace_polygon(case, n_rays):
     shape = (len(reals), len(scenario.joint_states), n_rays, 2)
     assert report.force_boundary.shape == report.velocity_boundary.shape == shape
     rows = np.flatnonzero(scored.feasible)
-    traced = (trace_polygon(model, stack[rows], scored.states, scenario.limits, n_rays)
-              if len(rows) else (np.empty((0,) + shape[1:]),) * 2)
+    traced = np.empty((2, 0) + shape[1:])
+    if len(rows):  # the reference: one pass over every state of the rays alone
+        rays = _unit_rays(n_rays)
+        kept, hf, hv = _pass(model, _stack(model, scored.states, rays, rays, RAY_CAP),
+                             stack[rows], scenario.limits)
+        assert len(kept) == len(rows)
+        traced = _boundaries(scored.states, np.stack((hf, hv)).swapaxes(1, 2), rays)
     for boundary, expected in zip((report.force_boundary, report.velocity_boundary), traced):
         assert boundary[rows].tobytes() == expected.tobytes()
         assert np.isnan(np.delete(boundary, rows, axis=0)).all()

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +30,6 @@ from tlo.feasibility import (
     RAY_CAP,
     SCREEN_ROWS,
     ActuatorLimits,
-    InfeasibleDesign,
     Scenario,
     TargetSpec,
     evaluate,
@@ -38,7 +38,6 @@ from tlo.feasibility import (
     gravity_center,
     make_evaluator,
     state_tables,
-    trace_polygon,
     velocity_directions,
     velocity_h_all,
 )
@@ -506,10 +505,12 @@ class TestOracleAgreement:
 
 
 class TestTracePolygon:
+    """The force and velocity boundaries that evaluate(..., n_rays) traces."""
+
     def test_polygon_on_zonotope_boundary(self, paper_model, paper_limits, zero_center_target):
         design = worked_constant_design()
-        state = state_tables(paper_model, Q_BENT[None], zero_center_target, False)
-        (poly,), _ = trace_polygon(paper_model, design, state, paper_limits, n_rays=64)
+        scenario = Scenario(paper_limits, zero_center_target, Q_BENT[None])
+        (poly,) = evaluate(paper_model, design, scenario, n_rays=64).force_boundary
         G = muscle_jacobian(paper_model, design, Q_BENT)
         J = joint_jacobian(paper_model, Q_BENT)
         zono = force_polytope_exact(G, J, paper_limits.f_min, paper_limits.f_max)
@@ -525,16 +526,17 @@ class TestTracePolygon:
         cfg = load_bundled_scenario("target1_grav")
         scen = cfg.scenario()
         q = scen.joint_states[0]
-        state = state_tables(cfg.robot, q[None], scen.target, True)
-        assert state.residual[0] < 1e-9
+        scenario = replace(scen, joint_states=q[None], gravity=True)
         rng = np.random.default_rng(0)
         while True:
             design = random_variable_design(rng, m=4, n=3)
-            try:
-                (poly,), _ = trace_polygon(cfg.robot, design, state, scen.limits, n_rays=32)
-            except InfeasibleDesign:
+            result = evaluate(cfg.robot, design, scenario, n_rays=32)
+            if not result.feasible:
                 continue
             break
+        state = result.states
+        assert state.residual[0] < 1e-9
+        (poly,) = result.force_boundary
         G = muscle_jacobian(cfg.robot, design, q)
         zono = force_polytope_exact(G, state.J[0], scen.limits.f_min, scen.limits.f_max)
         assert zono.contains(state.anchor[0], tol=1e-6)
@@ -552,10 +554,10 @@ class TestTracePolygon:
         ang = 2 * np.pi * np.arange(64) / 64
         dirs = np.column_stack([np.cos(ang), np.sin(ang)])
         for q in (Q_BENT, np.array([0.3, 1e-3]), np.array([-1.0, np.pi - 1e-3])):
-            state = state_tables(paper_model, q[None], zero_center_target, False)
-            _, (poly,) = trace_polygon(paper_model, all_on_base_design(), state, paper_limits,
-                                       n_rays=64)
-            reach = np.abs(np.linalg.solve(state.J[0], dirs.T)).max(axis=0)
+            result = evaluate(paper_model, all_on_base_design(),
+                              Scenario(paper_limits, zero_center_target, q[None]), n_rays=64)
+            (poly,) = result.velocity_boundary
+            reach = np.abs(np.linalg.solve(result.states.J[0], dirs.T)).max(axis=0)
             expected = np.minimum(1e6 / reach, RAY_CAP)
             np.testing.assert_allclose(np.sum(poly * dirs, axis=1), expected, rtol=1e-9)
             assert np.any(reach > 1)
@@ -572,9 +574,8 @@ class TestTracePolygon:
 
     def test_degenerate_force_polygon_is_point(self, paper_model, paper_limits,
                                                zero_center_target):
-        state = state_tables(paper_model, Q_BENT[None], zero_center_target, False)
-        (poly,), _ = trace_polygon(paper_model, all_on_base_design(), state, paper_limits,
-                                   n_rays=16)
+        scenario = Scenario(paper_limits, zero_center_target, Q_BENT[None])
+        (poly,) = evaluate(paper_model, all_on_base_design(), scenario, n_rays=16).force_boundary
         assert np.max(np.ptp(poly, axis=0)) < 1e-9
 
     def test_convexity_random_designs(self, paper_model, paper_limits, zero_center_target):
@@ -583,11 +584,11 @@ class TestTracePolygon:
         while done < 20:
             design = random_constant_design(rng)
             q = rng.uniform(-1.2, 1.2, (1, 2))
-            state = state_tables(paper_model, q, zero_center_target, False)
-            try:
-                (poly,), _ = trace_polygon(paper_model, design, state, paper_limits, n_rays=32)
-            except InfeasibleDesign:
+            scenario = Scenario(paper_limits, zero_center_target, q)
+            result = evaluate(paper_model, design, scenario, n_rays=32)
+            if not result.feasible:
                 continue
+            (poly,) = result.force_boundary
             if np.max(np.ptp(poly, axis=0)) < 1e-9:
                 continue
             nxt = np.roll(poly, -1, axis=0)
@@ -605,30 +606,31 @@ class TestTracePolygon:
         scen = cfg.scenario()
         design = parse_design(json.loads(GOLDEN_DESIGN.read_text()), cfg)
         q = scen.joint_states
-        states = state_tables(cfg.robot, q, scen.target, False)
-        force, velocity = trace_polygon(cfg.robot, design, states, scen.limits, n_rays=16)
-        assert force.shape == velocity.shape == (len(q), 16, 2)
+        result = evaluate(cfg.robot, design, scen, n_rays=16)
+        assert result.force_boundary.shape == result.velocity_boundary.shape == (len(q), 16, 2)
         for k in range(len(q)):
-            state = state_tables(cfg.robot, q[k : k + 1], scen.target, False)
-            (f,), (v,) = trace_polygon(cfg.robot, design, state, scen.limits, n_rays=16)
-            np.testing.assert_array_equal(force[k], f)
-            np.testing.assert_array_equal(velocity[k], v)
+            one = evaluate(cfg.robot, design, replace(scen, joint_states=q[k : k + 1]), n_rays=16)
+            np.testing.assert_array_equal(result.force_boundary[k], one.force_boundary[0])
+            np.testing.assert_array_equal(result.velocity_boundary[k], one.velocity_boundary[0])
 
-    def test_unreachable_anchor_at_one_state_raises(self, paper_limits, zero_center_target):
+    def test_unreachable_anchor_at_one_state_prunes(self, paper_limits, zero_center_target):
         # with every relay point on the base G = 0, which holds no gravity
         # torque; gravity along the straight arm of the first state exerts none
         model = RobotModel(PAPER_LENGTHS, PAPER_MASSES, gravity=[-9.81, 0.0])
         q = np.array([[0.0, 0.0], Q_BENT])
-        free, both = (state_tables(model, s, zero_center_target, True) for s in (q[:1], q))
-        assert free.rhs.tolist() == [[0.0, 0.0]]
-        trace_polygon(model, all_on_base_design(), free, paper_limits)
-        with pytest.raises(InfeasibleDesign):
-            trace_polygon(model, all_on_base_design(), both, paper_limits)
+        free, both = (evaluate(model, all_on_base_design(),
+                               Scenario(paper_limits, zero_center_target, s, gravity=True), 64)
+                      for s in (q[:1], q))
+        assert free.states.rhs.tolist() == [[0.0, 0.0]]
+        assert free.feasible and not np.isnan(free.force_boundary).any()
+        assert not both.feasible
+        assert both.force_boundary.shape == both.velocity_boundary.shape == (2, 64, 2)
+        assert np.isnan(both.force_boundary).all() and np.isnan(both.velocity_boundary).all()
 
     def test_ray_count_validation(self, paper_model, paper_limits, zero_center_target):
-        state = state_tables(paper_model, Q_BENT[None], zero_center_target, False)
+        scenario = Scenario(paper_limits, zero_center_target, Q_BENT[None])
         with pytest.raises(ValueError):
-            trace_polygon(paper_model, all_on_base_design(), state, paper_limits, n_rays=4)
+            evaluate(paper_model, all_on_base_design(), scenario, n_rays=4)
 
     def test_evaluate_traces_no_rays_or_at_least_min_rays(self, paper_model,
                                                           zero_center_scenario):

@@ -1,4 +1,5 @@
-"""The README's library example runs as written."""
+"""The README's library example runs as written, and every name that tlo
+exports resolves."""
 
 import contextlib
 import io
@@ -6,6 +7,8 @@ import re
 from pathlib import Path
 
 import numpy as np
+
+import tlo
 
 README = Path(__file__).parents[1] / "README.md"
 
@@ -32,3 +35,7 @@ def test_library_example_scores_a_feasible_design():
     assert list(namespace["files"]) == ["samples.csv", "pareto.json", "progress.ndjson",
                                         "run_meta.json"]
     assert namespace["run_archive"].evaluation_count == 200
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in tlo.__all__ if not hasattr(tlo, name)] == []
