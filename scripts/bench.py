@@ -20,10 +20,15 @@ Every side reads the input files of its own checkout and writes into a
 folder of its own. Each round runs the parent's unit and this checkout's
 in turn, in alternating order, after a few untimed rounds
 (kernel_us._round_times). Per case the file holds both sides' median and
-quartiles in milliseconds, the ratio of the medians, the rounds this
-checkout won, and whether every artifact the two sides wrote is
-byte-identical; run_meta.json is compared without its wall-clock
-"timings". The env record names Python, numpy, the cores and the commit of
+quartiles in milliseconds, the ratio of the medians, its paired-bootstrap
+90 % interval, the rounds this checkout won, and whether every artifact
+the two sides wrote is byte-identical; run_meta.json is compared without
+its wall-clock "timings". The interval resamples the rounds with
+replacement, each keeping its two times, BOOTSTRAP times from a fixed
+seed, and takes the 5th and 95th percentiles of the ratio of the medians:
+a ratio whose interval holds 1 is not told from noise. A few rounds give
+few distinct resamples and too narrow an interval; it is meant for the
+default 21. The env record names Python, numpy, the cores and the commit of
 each checkout that is a git work tree.
 """
 
@@ -56,6 +61,7 @@ REPORTS = (  # (case, scenario, design), relative to a checkout's root
 )
 SEARCHES = ("target1_nograv", "target1_grav", "target2_nograv", "constant_relaxed")
 DESK = ("--budget", "2000", "--population", "40", "--seed", "0")
+BOOTSTRAP = 2000  # resamples of the rounds behind a ratio's interval
 
 
 def _load_package(root: Path, name: str):
@@ -114,6 +120,15 @@ def _summary(seconds) -> dict:
             "q3": round(float(q3), 3)}
 
 
+def _ratio_interval(parent, change) -> list[float]:
+    """Paired-bootstrap 90 % interval of the ratio of the medians, change
+    over parent, of the rounds' times."""
+    parent, change = np.asarray(parent), np.asarray(change)
+    rounds = np.random.default_rng(0).integers(0, len(parent), (BOOTSTRAP, len(parent)))
+    ratios = np.median(change[rounds], axis=1) / np.median(parent[rounds], axis=1)
+    return [round(float(r), 4) for r in np.percentile(ratios, [5, 95])]
+
+
 def _commit(root: Path):
     """HEAD of the checkout at root and whether its work tree differs from
     it, or None where root is not the top of a git work tree."""
@@ -148,6 +163,7 @@ def run(parent_root: Path, repeat: int) -> dict:
                 "case": case,
                 **summary,
                 "ratio": round(summary["change"]["median"] / summary["parent"]["median"], 4),
+                "ratio_ci90": _ratio_interval(parent, change),
                 "won": int(np.sum(np.asarray(change) < np.asarray(parent))),
                 "rounds": repeat,
                 "artifacts": len(b),
@@ -179,9 +195,10 @@ def main(argv=None) -> int:
     result = run(args.parent, args.repeat)
     args.out.write_text(json.dumps(result, indent=2) + "\n")
     for r in result["cases"]:
+        lo, hi = r["ratio_ci90"]
         print(f"{r['kind']:8} {r['case']:17} {r['parent']['median']:9.3f} -> "
-              f"{r['change']['median']:9.3f} ms  x{r['ratio']:.3f}  won {r['won']}/{r['rounds']}"
-              f"  identical={r['identical']}")
+              f"{r['change']['median']:9.3f} ms  x{r['ratio']:.3f} [{lo:.3f}, {hi:.3f}]"
+              f"  won {r['won']}/{r['rounds']}  identical={r['identical']}")
     print(f"-> {args.out}")
     return 0 if result["identical"] else 1
 

@@ -47,6 +47,12 @@ generation's rows) on the last merged generation of a seeded desk search
 (budget 2000) at population 40 and 100, on constant_relaxed and on
 target1_nograv; "fronts" counts the fronts among the merged rows.
 
+The "state_tables" section times tlo.feasibility.state_tables, the one
+forward kinematics call of a state stack with the J, force right-hand
+sides and anchors built from its pose, at S = 2 joint states (the first
+two) on target1_nograv and on target1_grav, where it adds the gravity
+torque and the gravity centers' lstsq solves.
+
 Each function is called --repeat times per case, after a few untimed
 calls; the medians are wall-clock microseconds of this process.
 """
@@ -101,6 +107,7 @@ GENERATION_CASES = (  # (config, population)
     ("target1_nograv", 40),
     ("target1_nograv", 100),
 )
+STATE_TABLE_CASES = ("target1_nograv", "target1_grav")  # without and with gravity, S = 2
 EVALUATOR_CASES = tuple(  # (config, P, designs)
     (name, p, kind)
     for name in ("target1_nograv", "constant_relaxed", "tests/data/three_joint.json")
@@ -207,6 +214,20 @@ def time_evaluator(name, p, kind, repeat, seed):
     }
 
 
+def time_state_tables(name, repeat):
+    """state_tables of the first two joint states of a scenario."""
+    cfg = _config(name)
+    scenario = cfg.scenario()
+    q = scenario.joint_states[:2]
+    return {
+        "config": name,
+        "S": len(q),
+        "gravity": scenario.gravity,
+        "state_tables": _median_us(
+            lambda: state_tables(cfg.robot, q, scenario.target, scenario.gravity), repeat),
+    }
+
+
 def time_generation(name, population, repeat, seed):
     """The generation step's functions on the last merged generation of a
     seeded desk search: the arguments of its last _survivors and _offspring
@@ -249,10 +270,12 @@ def main(argv=None) -> int:
     cases = [time_case(*case, args.repeat, args.seed) for case in CASES]
     evaluators = [time_evaluator(*case, args.repeat, args.seed) for case in EVALUATOR_CASES]
     generations = [time_generation(*case, args.repeat, args.seed) for case in GENERATION_CASES]
+    tables = [time_state_tables(name, args.repeat) for name in STATE_TABLE_CASES]
     print(json.dumps({"unit": "us", "statistic": "median", "repeat": args.repeat,
                       "seed": args.seed, "python": platform.python_version(),
                       "numpy": np.__version__, "cases": cases, "screen_rows": SCREEN_ROWS,
-                      "evaluator": evaluators, "nsga2": generations}, indent=2))
+                      "evaluator": evaluators, "nsga2": generations,
+                      "state_tables": tables}, indent=2))
     return 0
 
 

@@ -24,9 +24,10 @@ at every state, so that h = 0 solves every force LP: qdot = 0 solves every
 velocity LP. The force kernel decides that first and casts and clips its
 rays only for the designs that every state of the pass admits. The joint
 states are one (S, D) stack, and what does not depend on the design
-(state_tables' J, force right-hand sides and anchors; each link's cos,
-sin and origin and the attach segments that relay points look up, rays,
-the velocity table, J^-1 w and its qdot-box bound at D = 2) is built once
+(state_tables' pose, J, force right-hand sides and anchors, all from one
+forward kinematics call; each link's cos, sin and origin, read off that
+pose, and the attach segments that relay points look up, rays, the
+velocity table, J^-1 w and its qdot-box bound at D = 2) is built once
 per evaluator, with a state axis, and each pass takes its states from it
 by index. evaluate scores designs with any leading axes, a whole
 front or one design, by the same rule, and casts n_rays unit directions
@@ -62,7 +63,7 @@ import numpy as np
 
 from .arrangement import (Design, batch_muscle_jacobian, genome_rows_decode, genome_space,
                           link_tables)
-from .model import RobotModel, forward_kinematics, gravity_torque, joint_jacobian
+from .model import Pose, RobotModel, forward_kinematics, gravity_torque, joint_jacobian
 
 DEFAULT_H_CAP = 10.0
 MIN_RAYS = 8  # fewest boundary rays evaluate casts, when it casts any
@@ -176,15 +177,25 @@ def gravity_center(model: RobotModel, q: np.ndarray) -> GravityCenter:
 
     This is the force anchor in gravity mode; the LPs use the torque
     directly. Where no force holds the torque (J singular, or D > 2) it is
-    the least-squares minimum-norm solution. lstsq takes one state a call.
+    the least-squares minimum-norm solution. J and the torque come from one
+    forward_kinematics pose, and _holding_force solves for the force: the
+    solve that state_tables makes on its stack's J and torque.
     """
-    tau_g = gravity_torque(model, q)
-    jt = joint_jacobian(model, q).swapaxes(-1, -2)
-    center = np.empty(tau_g.shape[:-1] + (2,))
-    residual = np.empty(tau_g.shape[:-1])
+    pose = forward_kinematics(model, q)
+    return _holding_force(joint_jacobian(model, pose), gravity_torque(model, pose))
+
+
+def _holding_force(J, tau) -> GravityCenter:
+    """The minimum-norm tip force f with J^T f = tau, of J (..., 2, D) and
+    tau (..., D), and the residual |J^T f - tau|. Where no force holds the
+    torque (J singular, or D > 2) f is the least-squares minimum-norm
+    solution. lstsq takes one state a call."""
+    jt = J.swapaxes(-1, -2)
+    center = np.empty(tau.shape[:-1] + (2,))
+    residual = np.empty(tau.shape[:-1])
     for k in np.ndindex(residual.shape):
-        center[k] = np.linalg.lstsq(jt[k], tau_g[k], rcond=None)[0]
-        residual[k] = np.linalg.norm(jt[k] @ center[k] - tau_g[k])
+        center[k] = np.linalg.lstsq(jt[k], tau[k], rcond=None)[0]
+        residual[k] = np.linalg.norm(jt[k] @ center[k] - tau[k])
     return GravityCenter(center, residual)
 
 
@@ -197,25 +208,27 @@ class StateTables(NamedTuple):
     rhs: np.ndarray  # (..., D) force LP right-hand side: J^T anchor, or the gravity torque
     anchor: np.ndarray  # (..., 2) tip force the force rays leave from
     residual: np.ndarray | None  # (...) gravity_center residual; None without gravity
+    pose: Pose  # forward_kinematics of q, which J, rhs and a pass's link tables read
 
 
 def state_tables(model: RobotModel, q: np.ndarray, target: TargetSpec,
                  gravity: bool) -> StateTables:
     """The one force-anchor rule: J, the force LP right-hand side and the
-    anchor at joint angles q (..., D).
+    anchor at joint angles q (..., D), all from one forward_kinematics pose.
 
     Without gravity the anchor is the ellipse center and rhs = J^T center.
     With gravity rhs is the gravity torque and the anchor is the force that
     holds it (gravity_center); the two agree whenever J is invertible.
     """
-    J = joint_jacobian(model, q)
+    pose = forward_kinematics(model, q)
+    J = joint_jacobian(model, pose)
     if gravity:
-        rhs = gravity_torque(model, q)
-        anchor, residual = gravity_center(model, q)
+        rhs = gravity_torque(model, pose)
+        anchor, residual = _holding_force(J, rhs)
     else:
         anchor = np.broadcast_to(target.force_center, J.shape[:-2] + (2,))
         rhs, residual = J.swapaxes(-1, -2) @ target.force_center, None
-    return StateTables(q, J, rhs, anchor, residual)
+    return StateTables(q, J, rhs, anchor, residual, pose)
 
 
 def force_h_all(G, rhs, cols, limits, h_cap):
@@ -575,8 +588,8 @@ def _stack(model: RobotModel, tables: StateTables, force_dirs, velocity_dirs, ca
     """The design-independent inputs of one kernel pass over the S states of
     tables along the (directions, 2) tip-space directions, each clipped to
     its cap (a scalar or one per direction): the link tables that relay
-    points look up, and rays."""
-    return (link_tables(model, forward_kinematics(model, tables.q)),
+    points look up, of the tables' pose, and rays."""
+    return (link_tables(model, tables.pose),
             _force_rays(tables.rhs, force_dirs @ tables.J, cap),
             _velocity_rays(tables.J, velocity_dirs, cap))
 

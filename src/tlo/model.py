@@ -128,9 +128,10 @@ def _directions(angles: np.ndarray) -> np.ndarray:
     return out
 
 
-def joint_jacobian(model: RobotModel, q: np.ndarray) -> np.ndarray:
-    """(..., 2, D) Jacobian of the end-effector position wrt joint angles."""
-    pose = forward_kinematics(model, q)
+def joint_jacobian(model: RobotModel, q: np.ndarray | Pose) -> np.ndarray:
+    """(..., 2, D) Jacobian of the end-effector position wrt joint angles q
+    (..., D), or at their forward_kinematics Pose, which passes through."""
+    pose = q if isinstance(q, Pose) else forward_kinematics(model, q)
     return np.swapaxes(rot90(pose.ee_position[..., None, :] - pose.joint_positions), -1, -2)
 
 
@@ -140,13 +141,14 @@ def link_centers_of_mass(model: RobotModel, pose: Pose) -> np.ndarray:
     return pose.link_origins[..., 1:, :] + half * _directions(pose.link_angles[..., 1:])
 
 
-def gravity_torque(model: RobotModel, q: np.ndarray) -> np.ndarray:
-    """Joint torque (..., D) that holds the pose statically against gravity.
+def gravity_torque(model: RobotModel, q: np.ndarray | Pose) -> np.ndarray:
+    """Joint torque (..., D) that holds the pose statically against gravity,
+    at joint angles q (..., D) or at their Pose, as joint_jacobian takes them.
 
     Equals the gradient of the movable links' gravitational potential
     energy wrt the joint angles.
     """
-    pose = forward_kinematics(model, q)
+    pose = q if isinstance(q, Pose) else forward_kinematics(model, q)
     coms = link_centers_of_mass(model, pose)
     # moments[..., k, j]: link j+1's weight about joint_positions[k]; that
     # joint moves links k+1..D, so only j >= k counts

@@ -16,10 +16,9 @@ AXIS_COLOR = "#444444"
 _SIZE = 420.0
 _MARGIN = 52.0
 _POINT_EXTENT = 1e-9  # polygons tighter than this render as a marker
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.3f}"
+_ANGLES = np.linspace(0, 2 * np.pi, 32)
+# a space panel's frame spans its target ellipse at these 32 unit-circle points
+_CIRCLE = np.column_stack((np.cos(_ANGLES), np.sin(_ANGLES)))
 
 
 class _Frame:
@@ -48,7 +47,7 @@ class _Frame:
     def coords(self, points: np.ndarray) -> list[str]:
         """Each (x, y) row as its "x y" pixel string, px and py applied to whole columns."""
         xs, ys = self.px(points[:, 0]).tolist(), self.py(points[:, 1]).tolist()
-        return [f"{_fmt(x)} {_fmt(y)}" for x, y in zip(xs, ys)]
+        return ["%.3f %.3f" % xy for xy in zip(xs, ys)]
 
 
 def _ellipse_path(frame: _Frame, center, radii) -> str:
@@ -57,9 +56,9 @@ def _ellipse_path(frame: _Frame, center, radii) -> str:
     ry = radii[1] * frame.scale
     return (
         f'<path class="target-ellipse" fill="none" stroke="{TARGET_COLOR}" stroke-width="1.5" d="'
-        f"M {_fmt(cx + rx)} {_fmt(cy)} "
-        f"A {_fmt(rx)} {_fmt(ry)} 0 1 0 {_fmt(cx - rx)} {_fmt(cy)} "
-        f"A {_fmt(rx)} {_fmt(ry)} 0 1 0 {_fmt(cx + rx)} {_fmt(cy)} Z\"/>"
+        f"M {cx + rx:.3f} {cy:.3f} "
+        f"A {rx:.3f} {ry:.3f} 0 1 0 {cx - rx:.3f} {cy:.3f} "
+        f"A {rx:.3f} {ry:.3f} 0 1 0 {cx + rx:.3f} {cy:.3f} Z\"/>"
     )
 
 
@@ -69,8 +68,8 @@ def _polygon_element(frame: _Frame, polygon: np.ndarray) -> str:
     if len(poly) < 3 or extent < _POINT_EXTENT:
         c = poly.mean(axis=0)
         return (
-            f'<circle class="feasible-point" cx="{_fmt(frame.px(c[0]))}" '
-            f'cy="{_fmt(frame.py(c[1]))}" r="3" fill="{FEASIBLE_COLOR}"/>'
+            f'<circle class="feasible-point" cx="{frame.px(c[0]):.3f}" '
+            f'cy="{frame.py(c[1]):.3f}" r="3" fill="{FEASIBLE_COLOR}"/>'
         )
     d = "M " + " L ".join(frame.coords(poly)) + " Z"
     return (
@@ -83,42 +82,42 @@ def _axes(frame: _Frame, x_label: str, y_label: str) -> list[str]:
     parts = []
     m, s = frame.margin, frame.size
     parts.append(
-        f'<line x1="{_fmt(m)}" y1="{_fmt(s - m)}" x2="{_fmt(s - m)}" y2="{_fmt(s - m)}" '
+        f'<line x1="{m:.3f}" y1="{s - m:.3f}" x2="{s - m:.3f}" y2="{s - m:.3f}" '
         f'stroke="{AXIS_COLOR}" stroke-width="1"/>'
     )
     parts.append(
-        f'<line x1="{_fmt(m)}" y1="{_fmt(m)}" x2="{_fmt(m)}" y2="{_fmt(s - m)}" '
+        f'<line x1="{m:.3f}" y1="{m:.3f}" x2="{m:.3f}" y2="{s - m:.3f}" '
         f'stroke="{AXIS_COLOR}" stroke-width="1"/>'
     )
     for frac in (0.0, 0.5, 1.0):
         x = frame.x0 + frac * (frame.x1 - frame.x0)
         y = frame.y0 + frac * (frame.y1 - frame.y0)
         parts.append(
-            f'<text x="{_fmt(frame.px(x))}" y="{_fmt(s - m + 16)}" font-size="11" '
+            f'<text x="{frame.px(x):.3f}" y="{s - m + 16:.3f}" font-size="11" '
             f'text-anchor="middle" fill="{AXIS_COLOR}">{x:.3g}</text>'
         )
         parts.append(
-            f'<text x="{_fmt(m - 6)}" y="{_fmt(frame.py(y) + 4)}" font-size="11" '
+            f'<text x="{m - 6:.3f}" y="{frame.py(y) + 4:.3f}" font-size="11" '
             f'text-anchor="end" fill="{AXIS_COLOR}">{y:.3g}</text>'
         )
     # zero grid lines when visible
     if frame.x0 < 0 < frame.x1:
         parts.append(
-            f'<line x1="{_fmt(frame.px(0))}" y1="{_fmt(m)}" x2="{_fmt(frame.px(0))}" '
-            f'y2="{_fmt(s - m)}" stroke="#cccccc" stroke-width="0.7"/>'
+            f'<line x1="{frame.px(0):.3f}" y1="{m:.3f}" x2="{frame.px(0):.3f}" '
+            f'y2="{s - m:.3f}" stroke="#cccccc" stroke-width="0.7"/>'
         )
     if frame.y0 < 0 < frame.y1:
         parts.append(
-            f'<line x1="{_fmt(m)}" y1="{_fmt(frame.py(0))}" x2="{_fmt(s - m)}" '
-            f'y2="{_fmt(frame.py(0))}" stroke="#cccccc" stroke-width="0.7"/>'
+            f'<line x1="{m:.3f}" y1="{frame.py(0):.3f}" x2="{s - m:.3f}" '
+            f'y2="{frame.py(0):.3f}" stroke="#cccccc" stroke-width="0.7"/>'
         )
     parts.append(
-        f'<text x="{_fmt(s / 2)}" y="{_fmt(s - 12)}" font-size="13" '
+        f'<text x="{s / 2:.3f}" y="{s - 12:.3f}" font-size="13" '
         f'text-anchor="middle" fill="{AXIS_COLOR}">{x_label}</text>'
     )
     parts.append(
-        f'<text x="14" y="{_fmt(s / 2)}" font-size="13" text-anchor="middle" '
-        f'fill="{AXIS_COLOR}" transform="rotate(-90 14 {_fmt(s / 2)})">{y_label}</text>'
+        f'<text x="14" y="{s / 2:.3f}" font-size="13" text-anchor="middle" '
+        f'fill="{AXIS_COLOR}" transform="rotate(-90 14 {s / 2:.3f})">{y_label}</text>'
     )
     return parts
 
@@ -129,7 +128,7 @@ def _document(title: str, body: list[str]) -> str:
         f'viewBox="0 0 {_SIZE:.0f} {_SIZE:.0f}">',
         f'<title>{title}</title>',
         '<rect width="100%" height="100%" fill="white"/>',
-        f'<text x="{_fmt(_SIZE / 2)}" y="22" font-size="14" text-anchor="middle" '
+        f'<text x="{_SIZE / 2:.3f}" y="22" font-size="14" text-anchor="middle" '
         f'fill="black">{title}</text>',
     ]
     return "\n".join(head + body + ["</svg>"]) + "\n"
@@ -147,8 +146,7 @@ def space_panel(
     polygon = np.asarray(polygon, dtype=float)
     center = np.asarray(center, dtype=float)
     radii = np.asarray(radii, dtype=float)
-    angles = np.linspace(0, 2 * np.pi, 32)
-    ell = center + radii * np.column_stack((np.cos(angles), np.sin(angles)))
+    ell = center + radii * _CIRCLE
     pts = np.vstack([polygon, ell])
     frame = _Frame(pts[:, 0], pts[:, 1])
     body = _axes(frame, f"{symbol}_x [{unit}]", f"{symbol}_y [{unit}]")
@@ -183,14 +181,14 @@ def arrangement_panel(model, design, q, title: str) -> str:
         a = joints[k]
         b = ends[k]
         body.append(
-            f'<line class="link" x1="{_fmt(frame.px(a[0]))}" y1="{_fmt(frame.py(a[1]))}" '
-            f'x2="{_fmt(frame.px(b[0]))}" y2="{_fmt(frame.py(b[1]))}" '
+            f'<line class="link" x1="{frame.px(a[0]):.3f}" y1="{frame.py(a[1]):.3f}" '
+            f'x2="{frame.px(b[0]):.3f}" y2="{frame.py(b[1]):.3f}" '
             f'stroke="#888888" stroke-width="7" stroke-linecap="round"/>'
         )
     for k in range(1, d + 1):
         j = pose.link_origins[k]
         body.append(
-            f'<circle class="joint" cx="{_fmt(frame.px(j[0]))}" cy="{_fmt(frame.py(j[1]))}" '
+            f'<circle class="joint" cx="{frame.px(j[0]):.3f}" cy="{frame.py(j[1]):.3f}" '
             f'r="5" fill="white" stroke="black" stroke-width="1.5"/>'
         )
     if wires is not None:
@@ -202,14 +200,14 @@ def arrangement_panel(model, design, q, title: str) -> str:
             )
             for p in poly:
                 body.append(
-                    f'<circle class="relay" cx="{_fmt(frame.px(p[0]))}" '
-                    f'cy="{_fmt(frame.py(p[1]))}" r="3" fill="{FEASIBLE_COLOR}"/>'
+                    f'<circle class="relay" cx="{frame.px(p[0]):.3f}" '
+                    f'cy="{frame.py(p[1]):.3f}" r="3" fill="{FEASIBLE_COLOR}"/>'
                 )
     else:
         for m, row in enumerate(design_to_jsonable(design, model)["arms"]):
             vals = ", ".join(f"{v:+.3f}" for v in row)
             body.append(
-                f'<text x="{_fmt(_MARGIN)}" y="{_fmt(40 + 16 * m)}" font-size="12" '
+                f'<text x="{_MARGIN:.3f}" y="{40 + 16 * m:.3f}" font-size="12" '
                 f'fill="black">wire {m + 1} arms [m]: {vals}</text>'
             )
     return _document(title, body)

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 CASES = {  # (kind, case): the files each side writes, report.json and its SVG panels
     ("report", "target1_nograv"): 10,  # four states: two panels each, and the arrangement
@@ -38,3 +40,5 @@ def test_bench_against_its_own_checkout(tmp_path):
             times = case[side]
             assert 0 < times["q1"] <= times["median"] <= times["q3"]
         assert case["ratio"] > 0
+        low, high = case["ratio_ci90"]  # one round resamples to itself
+        assert 0 < low == high == pytest.approx(case["ratio"], rel=1e-3)

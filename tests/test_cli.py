@@ -549,7 +549,8 @@ class TestEvaluate:
 
     def test_each_state_built_once_and_polygons_in_one_pass(self, tmp_path, monkeypatch):
         # every state_tables call builds one StateTables, whoever calls it:
-        # one stack of every state
+        # one stack of every state, whose gravity centers are one solve from
+        # its J and gravity torque
         counts = Counter()
 
         def counted(name):
@@ -562,7 +563,7 @@ class TestEvaluate:
             monkeypatch.setattr(tlo.feasibility, name, call)
 
         kernels = ("_stack", "batch_muscle_jacobian", "_force_h", "_velocity_h")
-        for name in ("StateTables", "gravity_center", *kernels):
+        for name in ("StateTables", "_holding_force", *kernels):
             counted(name)
         assert main(
             ["evaluate", "--config", scenario_path("target1_grav"),
@@ -570,7 +571,7 @@ class TestEvaluate:
         ) == 0
         # two states in one stack, and one pass over them that scores the
         # ellipse directions and traces both polygons' rays
-        assert counts == {"StateTables": 1, "gravity_center": 1, **dict.fromkeys(kernels, 1)}
+        assert counts == {"StateTables": 1, "_holding_force": 1, **dict.fromkeys(kernels, 1)}
 
     def test_three_joint_gravity_report_keeps_its_bytes(self, tmp_path):
         # the first front design of the three_joint_grav golden run (budget

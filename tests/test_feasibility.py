@@ -15,7 +15,9 @@ from conftest import (
     random_variable_design,
     worked_constant_design,
 )
+import tlo.arrangement
 import tlo.feasibility
+import tlo.model
 from tlo.arrangement import (
     Design,
     DesignSpace,
@@ -443,20 +445,32 @@ class TestBatchEvaluator:
         assert 0 < len(three_joint_pruned_at([0, 0, 0])) < 24
 
     def test_poses_are_built_once_per_evaluator(self, monkeypatch):
-        cfg = load_bundled_scenario("target2_nograv")
+        # every module that looks forward_kinematics up is wrapped, so a call
+        # through joint_jacobian, gravity_torque or gravity_center counts too
         calls = []
-        monkeypatch.setattr(tlo.feasibility, "forward_kinematics",
-                            lambda *args: calls.append(args) or forward_kinematics(*args))
-        evaluator = make_evaluator(cfg.robot, cfg.scenario())
-        # one stacked call on all S states; each kernel pass takes its states from it
-        states = np.array(cfg.scenario().joint_states)
-        assert len(calls) == 1
-        np.testing.assert_array_equal(calls[0][1], states)
-        reals, cats = random_genome_rows(cfg.space, SCREEN_ROWS + 1, np.random.default_rng(0))
-        calls.clear()
-        assert evaluator(reals[:-1], cats[:-1])[1].any()  # one pass
-        assert evaluator(reals, cats)[1].any()  # screened
-        assert not calls
+        for module in (tlo.model, tlo.feasibility, tlo.arrangement):
+            monkeypatch.setattr(module, "forward_kinematics",
+                                lambda *args: calls.append(args) or forward_kinematics(*args))
+        for name, design in (("target1_grav", "golden_design_grav.json"),
+                             ("target1_nograv", "golden_design.json")):
+            cfg = load_bundled_scenario(name)
+            scenario = cfg.scenario()
+            calls.clear()
+            evaluator = make_evaluator(cfg.robot, scenario)
+            # one stacked call on all S states; the tables, the anchors and
+            # each kernel pass's link tables read its pose
+            assert len(calls) == 1, name
+            np.testing.assert_array_equal(calls[0][1], scenario.joint_states)
+            reals, cats = random_genome_rows(cfg.space, SCREEN_ROWS + 1, np.random.default_rng(0))
+            calls.clear()
+            assert evaluator(reals[:-1], cats[:-1])[1].any()  # one pass
+            assert evaluator(reals, cats)[1].any()  # screened
+            assert not calls, name
+            # a report's evaluate, rays and all, builds one stack too
+            design = parse_design(json.loads((GOLDEN_DESIGN.parent / design).read_text()), cfg)
+            assert evaluate(cfg.robot, design, scenario, MIN_RAYS).feasible
+            assert len(calls) == 1, name
+            np.testing.assert_array_equal(calls[0][1], scenario.joint_states)
 
     def test_empty_batches_and_malformed_genes(self, paper_model, zero_center_scenario):
         evaluator = make_evaluator(paper_model, zero_center_scenario)

@@ -193,6 +193,9 @@ def test_stacked_kinematics_equal_per_state_and_loop_forms(d, s):
         jac = joint_jacobian(model, states)
         tau = gravity_torque(model, states)
         assert jac.shape == (s, 2, d) and tau.shape == (s, d)
+        # at the states' Pose, which passes through, they keep their bytes
+        assert joint_jacobian(model, pose).tobytes() == jac.tobytes()
+        assert gravity_torque(model, pose).tobytes() == tau.tobytes()
         for i, q in enumerate(states):
             one, ref = forward_kinematics(model, q), loop_forward_kinematics(model, q)
             for name in POSE_FIELDS:

@@ -2,9 +2,10 @@
 
 state_tables and gravity_center take a stack of joint states (S, D) and
 give every field that leading axis. The reference below is their code for
-one state of shape (D,), before they took a stack: a state's tables, and
-the force columns force_dirs @ J that a kernel pass builds from them, must
-keep their bytes (signed zeros count) whichever way they are formed.
+one state of shape (D,), before they took a stack: a state's tables, their
+pose among them, and the force columns force_dirs @ J that a kernel pass
+builds from them, must keep their bytes (signed zeros count) whichever way
+they are formed.
 
 The cases draw D = 1-4 joints, S in {1, 3} states, gravity on and off,
 random link lengths and masses, and a straight arm among the states, where
@@ -24,7 +25,7 @@ from tlo.feasibility import (
     state_tables,
     velocity_directions,
 )
-from tlo.model import RobotModel, gravity_torque, joint_jacobian
+from tlo.model import RobotModel, forward_kinematics, gravity_torque, joint_jacobian
 
 EXAMPLES = settings(max_examples=100, deadline=None, derandomize=True)
 
@@ -38,7 +39,7 @@ def reference_gravity_center(model, q):
 
 
 def reference_state_tables(model, q, target, gravity):
-    """(q, J, rhs, anchor, residual) of one joint state q (D,)."""
+    """(q, J, rhs, anchor, residual, pose) of one joint state q (D,)."""
     J = joint_jacobian(model, q)
     if gravity:
         rhs = gravity_torque(model, q)
@@ -46,7 +47,7 @@ def reference_state_tables(model, q, target, gravity):
     else:
         anchor, residual = target.force_center, None
         rhs = J.T @ anchor
-    return q, J, rhs, anchor, residual
+    return q, J, rhs, anchor, residual, forward_kinematics(model, q)
 
 
 @st.composite
@@ -74,6 +75,11 @@ def test_stacked_tables_equal_one_state_at_a_time(case):
         reference = [row[i] for row in rows]
         if field == "residual" and not gravity:
             assert stacked is None and reference == [None] * len(q)
+            continue
+        if field == "pose":
+            for name, part in vars(stacked).items():
+                one = np.array([getattr(pose, name) for pose in reference])
+                assert part.shape == one.shape and part.tobytes() == one.tobytes(), name
             continue
         stacked = np.asarray(stacked)
         assert stacked.shape == (len(q),) + np.shape(reference[0]), field
