@@ -274,13 +274,14 @@ def cmd_plot(args) -> int:
     cfg, design, states = load_document(args.report, _read_report, "report JSON")
     from .svgplot import arrangement_panel, space_panel
 
+    scenario = cfg.scenario()
     svgs = {}
     for k, (theta_deg, center, force_poly, velocity_poly) in enumerate(states, 1):
         theta = ", ".join(f"{v:.0f}" for v in theta_deg)
         force = space_panel(
             force_poly,
             center,
-            cfg.target.force_radii,
+            scenario.target.force_radii,
             f"force space, state {k} (theta = {theta} deg)",
             "N",
             "F",
@@ -288,14 +289,14 @@ def cmd_plot(args) -> int:
         velocity = space_panel(
             velocity_poly,
             np.zeros(2),
-            cfg.target.velocity_radii,
+            scenario.target.velocity_radii,
             f"velocity space, state {k} (theta = {theta} deg)",
             "m/s",
             "v",
         )
         svgs[f"force_state{k}.svg"] = force
         svgs[f"velocity_state{k}.svg"] = velocity
-    q0 = cfg.joint_states[0]
+    q0 = scenario.joint_states[0]
     theta = ", ".join(f"{v:.0f}" for v in np.rad2deg(q0))
     svgs["arrangement.svg"] = arrangement_panel(
         cfg.robot, design, q0, f"wire arrangement (theta = {theta} deg)")
@@ -349,6 +350,9 @@ def cmd_oracle(args) -> int:
         f"oracle cross-check: {done} trials, max |h_lp - h_geometric| = {worst:.3e}, "
         f"{failures} failures at tol {args.tol:g}"
     )
+    if done == 0 < args.trials:
+        print("error: every trial was pruned, so nothing was checked", file=sys.stderr)
+        return EXIT_RUNTIME
     if done < args.trials:
         print(f"warning: only {done}/{args.trials} unpruned trials found", file=sys.stderr)
     return EXIT_OK if failures == 0 else EXIT_RUNTIME

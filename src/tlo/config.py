@@ -6,11 +6,11 @@ design.schema.json), the one list of its fields, types and single-value
 bounds. The code adds only the rules that tie values to each other, which a
 schema does not state: for a scenario, array lengths that follow the link
 count, 0 < min < max tension, a wire-speed range that straddles 0, positive
-link lengths and radii, non-negative masses, arm ranges with two different
-ends, relay points in variable mode and arm ranges in constant mode, and an
-even population within the budget; for a design, the scenario's design
-space, wires that start on LINK_0, links on the robot and arms within its
-ranges.
+link lengths and radii, non-negative masses, attach segments that stay
+within their links' lengths, arm ranges with two different ends, relay
+points in variable mode and arm ranges in constant mode, and an even
+population within the budget; for a design, the scenario's design space,
+wires that start on LINK_0, links on the robot and arms within its ranges.
 
 Errors carry the JSON path. The line it starts on is looked up once, by
 load_document, which read the text, and only for a failing document: json's
@@ -34,7 +34,7 @@ import numpy as np
 
 from .arrangement import Design, DesignSpace
 from .feasibility import ActuatorLimits, Scenario, TargetSpec
-from .model import RobotModel, default_attach_segments
+from .model import SEGMENT_X_TOL, RobotModel
 
 
 class ConfigError(Exception):
@@ -108,22 +108,13 @@ class ScenarioConfig:
     name: str
     robot: RobotModel
     space: DesignSpace
-    limits: ActuatorLimits
-    target: TargetSpec
-    gravity: bool
-    joint_states: np.ndarray  # (S, D) radians
     optimizer: OptimizerParams
-    h_cap: float
     raw: dict
+    _scenario: Scenario
 
     def scenario(self) -> Scenario:
-        return Scenario(
-            limits=self.limits,
-            target=self.target,
-            joint_states=self.joint_states,
-            gravity=self.gravity,
-            h_cap=self.h_cap,
-        )
+        """The Scenario parse_config built: the same object on every call."""
+        return self._scenario
 
 
 _TYPES = {"object": (dict, "an object"), "array": (list, "an array"), "string": (str, "a string"),
@@ -224,6 +215,12 @@ def optimizer_params(population: int, budget: int, seed: int) -> OptimizerParams
     return OptimizerParams(**params)
 
 
+def _given(node: dict, **keys) -> dict:
+    """{parameter: node[key]} for each parameter=key that node sets; the
+    constructor's default stands for the others."""
+    return {param: node[key] for param, key in keys.items() if key in node}
+
+
 def parse_config(doc: dict, name: str = "scenario") -> ScenarioConfig:
     """Validate a scenario document; raises ConfigError at its path.
 
@@ -243,9 +240,13 @@ def parse_config(doc: dict, name: str = "scenario") -> ScenarioConfig:
     masses = np.array(robot["link_masses"], dtype=float)
     if np.any(masses < 0):
         raise ConfigError("masses must be non-negative", ("robot", "link_masses"))
-    segs = (np.array(robot["attach_segments"], dtype=float) if "attach_segments" in robot
-            else default_attach_segments(lengths))
-    gravity_vec = np.array(robot.get("gravity", (0.0, -9.81)), dtype=float)
+    if "attach_segments" in robot:
+        reach = np.abs(np.array(robot["attach_segments"], dtype=float)[..., 0]).max(axis=1)
+        past = np.flatnonzero(reach > lengths + SEGMENT_X_TOL)
+        if len(past):
+            k = int(past[0])
+            raise ConfigError(f"attach segment extends past link {k} (length {lengths[k]:g})",
+                              ("robot", "attach_segments", k))
     arm_ranges = None
     if "moment_arm_ranges" in robot:
         arm_ranges = np.array(robot["moment_arm_ranges"], dtype=float)
@@ -273,7 +274,8 @@ def parse_config(doc: dict, name: str = "scenario") -> ScenarioConfig:
     for key, radii in (("force_radii", force_radii), ("velocity_radii", velocity_radii)):
         if np.any(radii <= 0):
             raise ConfigError("radii must be positive", ("targets", key))
-    target = TargetSpec(force_center, force_radii, velocity_radii, targets.get("directions", 8))
+    target = TargetSpec(force_center, force_radii, velocity_radii,
+                        **_given(targets, n_directions="directions"))
 
     for i, state in enumerate(doc["evaluated_joint_states"]):
         if len(state) != d:
@@ -281,22 +283,15 @@ def parse_config(doc: dict, name: str = "scenario") -> ScenarioConfig:
 
     optimizer = optimizer_params(**{**asdict(OptimizerParams()), **doc.get("optimizer", {})})
     try:
-        robot_model = RobotModel(lengths, masses, segs, gravity_vec, arm_ranges)
+        robot_model = RobotModel(lengths, masses, moment_arm_ranges=arm_ranges,
+                                 **_given(robot, attach_segments="attach_segments",
+                                          gravity="gravity"))
     except ValueError as exc:
         raise ConfigError(str(exc), ("robot",))
-
-    return ScenarioConfig(
-        name=doc.get("name", name),
-        robot=robot_model,
-        space=space,
-        limits=limits,
-        target=target,
-        gravity=doc["gravity"] == "on",
-        joint_states=np.deg2rad(np.array(doc["evaluated_joint_states"], dtype=float)),
-        optimizer=optimizer,
-        h_cap=float(doc.get("h_cap", 10.0)),
-        raw=doc,
-    )
+    joint_states = np.deg2rad(np.array(doc["evaluated_joint_states"], dtype=float))
+    scenario = Scenario(limits, target, joint_states, gravity=doc["gravity"] == "on",
+                        **_given(doc, h_cap="h_cap"))
+    return ScenarioConfig(doc.get("name", name), robot_model, space, optimizer, doc, scenario)
 
 
 def parse_design(doc, cfg: ScenarioConfig) -> Design:

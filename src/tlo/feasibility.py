@@ -129,6 +129,7 @@ class Scenario:
             raise ValueError("joint states must be a finite (S, D) array, S and D at least 1")
         if not 1.0 <= self.h_cap < np.inf:  # NaN fails
             raise ValueError("h_cap must be finite; below 1 it would distort the objectives")
+        self.h_cap = float(self.h_cap)
 
     @property
     def max_objective(self) -> float:

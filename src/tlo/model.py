@@ -7,11 +7,11 @@ from the origin; joint k rotates link k counterclockwise (z out of plane).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-_SEGMENT_X_TOL = 1e-9
+SEGMENT_X_TOL = 1e-9  # how far an attach segment's |x| may exceed its link's length, m
 
 
 def rot90(v: np.ndarray) -> np.ndarray:
@@ -44,8 +44,8 @@ class RobotModel:
 
     link_lengths: np.ndarray
     link_masses: np.ndarray
-    attach_segments: np.ndarray = None
-    gravity: np.ndarray = field(default_factory=lambda: np.array([0.0, -9.81]))
+    attach_segments: np.ndarray | None = None
+    gravity: np.ndarray | None = None  # None: (0, -9.81) m/s^2
     moment_arm_ranges: np.ndarray | None = None
 
     def __post_init__(self):
@@ -67,10 +67,11 @@ class RobotModel:
             raise ValueError("attach_segments must be (D+1, 2, 2)")
         if not np.isfinite(self.attach_segments).all():
             raise ValueError("attach segments must be finite")
-        past = np.abs(self.attach_segments[..., 0]).max(axis=1) > self.link_lengths + _SEGMENT_X_TOL
+        past = np.abs(self.attach_segments[..., 0]).max(axis=1) > self.link_lengths + SEGMENT_X_TOL
         if past.any():
             raise ValueError(f"attach segment of link {past.argmax()} extends past the link")
-        self.gravity = np.asarray(self.gravity, dtype=float)
+        self.gravity = np.asarray((0.0, -9.81) if self.gravity is None else self.gravity,
+                                  dtype=float)
         if self.gravity.shape != (2,) or not np.isfinite(self.gravity).all():
             raise ValueError("gravity must be a finite 2-vector")
         if self.moment_arm_ranges is not None:

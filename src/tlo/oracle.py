@@ -87,12 +87,11 @@ def _canonicalize(v: np.ndarray) -> np.ndarray:
         if cross2(b - a, c - b) > _GEOM_TOL * np.linalg.norm(b - a) * np.linalg.norm(c - b):
             out.append(b)
     if len(out) < 3:
-        # fully collinear point set: keep the extreme pair
-        idx = np.lexsort((v[:, 1], v[:, 0]))
-        v = v[[idx[0], idx[-1]]]
-        if np.linalg.norm(v[0] - v[1]) <= _DUP_TOL * scale:
-            return v[:1]
-        return v
+        # collinear point set: keep the pair farthest apart, lex-min first
+        # (the least and greatest x fall short on a nearly vertical line)
+        far = v[np.argmax(np.linalg.norm(v - v[0], axis=1))]
+        v = np.array([far, v[np.argmax(np.linalg.norm(v - far, axis=1))]])
+        return v[np.lexsort((v[:, 1], v[:, 0]))]
     v = np.array(out)
     start = np.lexsort((v[:, 1], v[:, 0]))[0]
     return np.roll(v, -start, axis=0)

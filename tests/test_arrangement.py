@@ -180,6 +180,11 @@ class TestMuscleJacobian:
             g = muscle_jacobian(paper_model, design, rng.uniform(-np.pi, np.pi, 2))
             assert np.array_equal(g, g0)
 
+    def test_arm_matrix_must_match_the_joint_count(self, paper_model):
+        design = Design(None, np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="arm matrix does not match joint count"):
+            muscle_jacobian(paper_model, design, np.zeros(2))
+
     def test_constant_arms_requires_ranges(self):
         model = RobotModel([0.4, 0.6], [0.0, 4.0])
         design = Design(None, np.zeros((1, 1)))
@@ -194,6 +199,17 @@ class TestGenome:
         space = DesignSpace("variable", 1, 2, 2)
         assert (space.n_reals, space.n_cats) == (2, 1)
         assert len(Genome(np.zeros(2), np.zeros(1, dtype=int))) == 3
+
+    @pytest.mark.parametrize("args, message", [
+        (("magic", 1, 2, 2), "unknown design kind 'magic'"),
+        (("variable", 0, 2, 2), "need at least one wire"),
+        (("variable", 1, None, 2), "variable designs need >= 2 relay points"),
+        (("variable", 1, 1, 2), "variable designs need >= 2 relay points"),
+        (("constant", 1, None, 0), "need at least one joint"),
+    ])
+    def test_space_rules_have_their_messages(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            DesignSpace(*args)
 
     def test_gene_counts_paper_scale(self):
         space = DesignSpace("variable", 4, 3, 2)

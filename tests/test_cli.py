@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import time
 import xml.etree.ElementTree as ET
 from collections import Counter
@@ -798,14 +799,15 @@ class TestEvaluate:
         from tlo.feasibility import force_directions
 
         arrangement = parse_design(report["design"], cfg)
-        wf = force_directions(cfg.target)
+        scenario = cfg.scenario()
+        wf = force_directions(scenario.target)
         for state in report["per_state"]:
             q = np.deg2rad(state["theta_deg"])
             G = muscle_jacobian(cfg.robot, arrangement, q)
             J = joint_jacobian(cfg.robot, q)
-            poly = force_polytope_exact(G, J, cfg.limits.f_min, cfg.limits.f_max)
+            poly = force_polytope_exact(G, J, scenario.limits.f_min, scenario.limits.f_max)
             for i, h in enumerate(state["h_force"]):
-                ref = min(ray_h(poly, np.zeros(2), wf[i]), cfg.h_cap)
+                ref = min(ray_h(poly, np.zeros(2), wf[i]), scenario.h_cap)
                 assert h == pytest.approx(ref, abs=1e-6)
 
 
@@ -1076,6 +1078,26 @@ class TestOracleCommand:
         with pytest.raises(SystemExit) as exc:
             main(["oracle", "--config", scenario_path("constant_relaxed"), flag, value])
         assert exc.value.code == 2
+
+    def oracle_at_center(self, tmp_path, center):
+        """tlo oracle, 5 trials, on constant_relaxed with its force target moved."""
+        doc = json.loads(Path(scenario_path("constant_relaxed")).read_text())
+        doc["targets"]["force_center"] = center
+        cfg = tmp_path / "moved.json"
+        cfg.write_text(json.dumps(doc))
+        return main(["oracle", "--config", str(cfg), "--trials", "5"])
+
+    def test_every_trial_pruned_fails(self, tmp_path, capsys):
+        # a target far beyond every tension box: no trial is checked
+        assert self.oracle_at_center(tmp_path, [5000.0, 5000.0]) == 1
+        out, err = capsys.readouterr()
+        assert "0 trials" in out
+        assert "error: every trial was pruned, so nothing was checked" in err
+
+    def test_some_trials_pruned_pass_with_a_warning(self, tmp_path, capsys):
+        assert self.oracle_at_center(tmp_path, [1000.0, 0.0]) == 0
+        err = capsys.readouterr().err
+        assert re.search(r"warning: only [1-4]/5 unpruned trials found", err)
 
     def test_zero_tolerance_fails(self):
         assert main(

@@ -17,6 +17,8 @@ from tlo.config import (
     load_config,
     parse_config,
 )
+from tlo.feasibility import Scenario, TargetSpec
+from tlo.model import RobotModel
 
 BUNDLED_NAMES = sorted(p.name.removesuffix(".json")
                        for p in (resources.files("tlo") / "scenarios").iterdir()
@@ -115,9 +117,10 @@ class TestParsing:
         assert cfg.space.kind == "variable"
         assert cfg.robot.n_joints == 2
         assert cfg.optimizer.budget == 200
-        np.testing.assert_allclose(cfg.joint_states[0], np.deg2rad([15, 30]))
         scenario = cfg.scenario()
+        np.testing.assert_allclose(scenario.joint_states[0], np.deg2rad([15, 30]))
         assert scenario.max_objective == 32.0
+        assert cfg.scenario() is scenario
 
     def test_bundled_scenarios_parse(self):
         names = BUNDLED_NAMES
@@ -149,13 +152,13 @@ class TestParsing:
         cfg = parse_config(MINIMAL)
         again = parse_config(cfg.raw)
         assert again.space == cfg.space
-        assert again.gravity == cfg.gravity
+        assert again.scenario().gravity == cfg.scenario().gravity
         assert again.optimizer == cfg.optimizer
         np.testing.assert_array_equal(again.robot.link_lengths, cfg.robot.link_lengths)
         np.testing.assert_array_equal(
-            again.target.force_center, cfg.target.force_center
+            again.scenario().target.force_center, cfg.scenario().target.force_center
         )
-        for a, b in zip(again.joint_states, cfg.joint_states):
+        for a, b in zip(again.scenario().joint_states, cfg.scenario().joint_states):
             np.testing.assert_array_equal(a, b)
 
 
@@ -191,6 +194,10 @@ class TestParsing:
                                            [[0.0, 0.0], [0.6, 0.0]],
                                            [[0.0, 0.0], [0.6, 0.0]]]}),
          "robot.attach_segments[0]"),
+        (dict(**{"robot.attach_segments": [[[0.0, 0.0], [0.4, 0.0]],
+                                           [[0.0, 0.0], [5.0, 0.0]],
+                                           [[0.0, 0.0], [0.6, 0.0]]]}),
+         "robot.attach_segments[1]"),
     ],
 )
 def test_validation_failures_include_path(patch, path_fragment):
@@ -398,6 +405,60 @@ def test_a_design_error_comes_from_the_branch_of_its_kind(doc, error):
     with pytest.raises(ConfigError) as err:
         config._check(doc, config._schema("design"))
     assert str(err.value) == error
+
+
+@pytest.mark.parametrize("patch, path, message", [
+    ({"robot.link_lengths": [0.4, 0.0, 0.6]}, ("robot", "link_lengths"),
+     "link lengths must be positive"),
+    ({"robot.link_masses": [0.0, -1.0, 4.0]}, ("robot", "link_masses"),
+     "masses must be non-negative"),
+    ({"robot.attach_segments": [[[0.0, 0.0], [0.4, 0.0]], [[-0.7, 0.0], [0.6, 0.0]],
+                                [[0.0, 0.0], [0.6, 0.0]]]},
+     ("robot", "attach_segments", 1), "attach segment extends past link 1 (length 0.6)"),
+])
+def test_rule_errors_name_their_path(patch, path, message):
+    with pytest.raises(ConfigError) as err:
+        parse_config(with_patch(**patch))
+    assert (err.value.path, err.value.message) == (path, message)
+
+
+@pytest.mark.parametrize("past, allowed", [(0.0, True), (0.5e-9, True), (2e-9, False),
+                                           (1e-6, False)])
+def test_attach_segment_rule_is_the_robot_models(past, allowed):
+    """A segment end just past its link parses exactly when RobotModel takes it."""
+    segments = [[[0.0, 0.0], [0.4, 0.0]], [[0.0, 0.0], [0.6, 0.0]], [[0.0, 0.0], [0.6 + past, 0.0]]]
+    doc = with_patch(**{"robot.attach_segments": segments})
+    if allowed:
+        RobotModel([0.4, 0.6, 0.6], [0.0, 4.0, 4.0], attach_segments=segments)
+        np.testing.assert_array_equal(parse_config(doc).robot.attach_segments, segments)
+    else:
+        with pytest.raises(ValueError, match="extends past"):
+            RobotModel([0.4, 0.6, 0.6], [0.0, 4.0, 4.0], attach_segments=segments)
+        with pytest.raises(ConfigError) as err:
+            parse_config(doc)
+        assert err.value.path == ("robot", "attach_segments", 2)
+
+
+def test_unset_fields_take_the_constructors_defaults():
+    """Gravity, attach segments, directions and h_cap a file leaves out are
+    the defaults of RobotModel, TargetSpec and Scenario."""
+    doc = with_patch(**{"targets.directions": None})
+    assert not {"gravity", "attach_segments"} & doc["robot"].keys() and "h_cap" not in doc
+    cfg = parse_config(doc)
+    scenario = cfg.scenario()
+    model = RobotModel(cfg.robot.link_lengths, cfg.robot.link_masses)
+    np.testing.assert_array_equal(cfg.robot.gravity, model.gravity)
+    np.testing.assert_array_equal(cfg.robot.attach_segments, model.attach_segments)
+    target = TargetSpec(scenario.target.force_center, scenario.target.force_radii,
+                        scenario.target.velocity_radii)
+    assert scenario.target.n_directions == target.n_directions
+    assert scenario.h_cap == Scenario(scenario.limits, target, scenario.joint_states).h_cap
+    # and a set value passes through, an integer h_cap as a float
+    cfg = parse_config(with_patch(**{"robot.gravity": [1.0, -2.0], "targets.directions": 5,
+                                     "h_cap": 4}))
+    assert cfg.robot.gravity.tolist() == [1.0, -2.0]
+    assert cfg.scenario().target.n_directions == 5
+    assert type(cfg.scenario().h_cap) is float and cfg.scenario().h_cap == 4.0
 
 
 def test_constant_mode_requires_arm_ranges():

@@ -673,6 +673,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             TargetSpec(center, force_radii, velocity_radii, 8)
 
+    def test_target_directions(self):
+        with pytest.raises(ValueError, match="need at least 3 ellipse directions"):
+            TargetSpec([0.0, 0.0], [1.0, 1.0], [1.0, 1.0], 2)
+
     @pytest.mark.parametrize("limits", [(10.0, np.inf, -0.4, 0.4), (10.0, 200.0, -np.inf, 0.4),
                                         (10.0, 200.0, -0.4, np.inf), (np.nan, 200.0, -0.4, 0.4)])
     def test_limits(self, limits):

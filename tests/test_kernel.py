@@ -652,7 +652,8 @@ def test_velocity_kernel_matches_the_exact_polygon(data):
         assert_close(h, ref, rel=1e-11 * cond, abs_tol=1e-9 + slack * ref, what="oracle")
 
 
-GRAVITY = load_config(resources.files("tlo") / "scenarios" / "target1_grav.json")
+GRAVITY_CFG = load_config(resources.files("tlo") / "scenarios" / "target1_grav.json")
+GRAVITY = GRAVITY_CFG.scenario()
 
 
 def far_boundary_scale(G, tau, limits):
@@ -677,8 +678,8 @@ def test_gravity_torque_on_the_zonotope_boundary(seed, k, m):
     that it lies on the far boundary of Z, where rays pointing out leave at once."""
     limits, cap = GRAVITY.limits, GRAVITY.h_cap
     q = GRAVITY.joint_states[k]
-    state = state_tables(GRAVITY.robot, q, GRAVITY.target, gravity=True)
-    assert np.array_equal(state.rhs, gravity_torque(GRAVITY.robot, q))
+    state = state_tables(GRAVITY_CFG.robot, q, GRAVITY.target, gravity=True)
+    assert np.array_equal(state.rhs, gravity_torque(GRAVITY_CFG.robot, q))
     G = np.random.default_rng(seed).uniform(-0.5, 0.5, (m, 2))
     u = far_boundary_scale(G, state.rhs, limits)
     assume(u is not None)

@@ -258,6 +258,23 @@ def test_model_validation(kwargs):
         RobotModel(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(attach_segments=[[[0.0, 0.0], [0.4, 0.0]]]), r"attach_segments must be \(D\+1, 2, 2\)"),
+    (dict(attach_segments=np.zeros((2, 3, 2))), r"attach_segments must be \(D\+1, 2, 2\)"),
+    (dict(moment_arm_ranges=[[-0.1, 0.1], [-0.1, 0.1]]), r"moment_arm_ranges must be \(D, 2\)"),
+    (dict(moment_arm_ranges=[-0.1, 0.1]), r"moment_arm_ranges must be \(D, 2\)"),
+])
+def test_shape_errors_name_their_field(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        RobotModel([0.4, 0.6], [0.0, 4.0], **kwargs)
+
+
+def test_unset_gravity_and_segments_take_their_defaults():
+    model = RobotModel([0.4, 0.6], [0.0, 4.0], attach_segments=None, gravity=None)
+    assert model.gravity.tolist() == [0.0, -9.81]
+    assert model.attach_segments.tolist() == [[[0.0, 0.0], [0.4, 0.0]], [[0.0, 0.0], [0.6, 0.0]]]
+
+
 def test_attach_segment_bounds():
     with pytest.raises(ValueError, match="link 0 extends"):
         RobotModel(

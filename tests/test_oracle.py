@@ -102,6 +102,11 @@ class TestVelocityPolytope:
         along = np.array([-2.0, 1.0])
         assert ray_h(poly, np.zeros(2), J_BENT @ along) == pytest.approx(5e5, rel=1e-9)
 
+    def test_singular_j_rejected(self):
+        with pytest.raises(ValueError, match="J is singular; the velocity polygon needs an "
+                                             "invertible J"):
+            velocity_polytope_exact(np.eye(2), np.ones((2, 2)), -0.4, 0.4)
+
     def test_redundant_parallel_halfplane(self):
         G = np.array([[0.1, 0.0], [0.0, 0.2]])
         base = velocity_polytope_exact(G, J_BENT, -0.4, 0.4)
@@ -134,6 +139,11 @@ class TestRayH:
         assert ray_h(seg, np.array([0.5, 0.0]), np.array([1.0, 0.0])) == pytest.approx(1.5)
         assert ray_h(seg, np.array([0.5, 0.0]), np.array([0.0, 1.0])) == 0.0
 
+    def test_anchor_off_a_segment_region(self):
+        seg = ConvexPolygon(np.array([[0.0, 0.0], [2.0, 0.0]]))
+        assert ray_h(seg, np.array([0.5, 0.1]), np.array([1.0, 0.0])) == 0.0
+        assert ray_h(seg, np.array([3.0, 0.0]), np.array([-1.0, 0.0])) == 0.0
+
     def test_inverse_homogeneity_in_w(self):
         rng = np.random.default_rng(1)
         poly = ConvexPolygon(convex_hull(rng.normal(size=(12, 2))))
@@ -160,6 +170,30 @@ class TestPolygonHygiene:
     def test_collinear_input_collapses_to_segment(self):
         poly = ConvexPolygon(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]))
         assert len(poly.vertices) == 2
+
+    @pytest.mark.parametrize("points, ends", [
+        ([[2.0, 2.0], [1.0, 1.0], [0.0, 0.0], [3.0, 3.0]], [[0.0, 0.0], [3.0, 3.0]]),
+        ([[0.0, 0.0], [0.0, 1.0], [0.0, 2.0]], [[0.0, 0.0], [0.0, 2.0]]),
+        # nearly vertical: x varies by rounding alone, and the points with the
+        # least and greatest x are not the ends (nor, below, apart at all)
+        ([[0.0, 0.0], [1e-17, 1.0], [0.0, 2.0]], [[0.0, 0.0], [0.0, 2.0]]),
+        ([[-1e-17, 0.0], [0.0, 1.0], [1e-17, 0.0], [0.0, 2.0]], [[-1e-17, 0.0], [0.0, 2.0]]),
+    ])
+    def test_collinear_input_keeps_its_farthest_points(self, points, ends):
+        poly = ConvexPolygon(np.array(points))
+        assert poly.vertices.tolist() == ends
+        # a ray along the segment runs to its far end
+        w = np.subtract(ends[1], ends[0])
+        assert ray_h(poly, np.array(ends[0]), w) == pytest.approx(1.0)
+
+    def test_no_vertex_rejected(self):
+        with pytest.raises(ValueError, match="polygon needs at least one vertex"):
+            ConvexPolygon(np.empty((0, 2)))
+
+    def test_closing_duplicate_dropped(self):
+        # a closed ring repeats its first vertex last
+        poly = ConvexPolygon(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1e-17]]))
+        assert poly.vertices.tolist() == [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]]
 
     def test_contains(self):
         poly = ConvexPolygon(np.array([[0, 0], [2, 0], [2, 2], [0, 2.0]]))
