@@ -3,14 +3,16 @@
 Angles are degrees in a scenario and radians everywhere else. A document is
 checked against its bundled schema itself (scenario.schema.json or
 design.schema.json), the one list of its fields, types and single-value
-bounds. The code adds only the rules that tie values to each other, which a
-schema does not state: for a scenario, array lengths that follow the link
-count, 0 < min < max tension, a wire-speed range that straddles 0, positive
-link lengths and radii, non-negative masses, attach segments that stay
-within their links' lengths, arm ranges with two different ends, relay
-points in variable mode and arm ranges in constant mode, and an even
-population within the budget; for a design, the scenario's design space,
-wires that start on LINK_0, links on the robot and arms within its ranges.
+bounds. The code adds the rules a schema does not state. For a scenario,
+RobotModel, ActuatorLimits and TargetSpec state those about their own
+values (item counts that follow the link count, link lengths, masses,
+attach segments, arm ranges, tension, wire speed and radii), which
+parse_config reports at the file's path, and parse_config those that tie
+one part of the file to another: one angle per joint in each joint state,
+relay points in variable mode, arm ranges in constant mode, and an even
+population within the budget. For a design, they are the scenario's design
+space, wires that start on LINK_0, links on the robot and arms within its
+ranges.
 
 Errors carry the JSON path. The line it starts on is looked up once, by
 load_document, which read the text, and only for a failing document: json's
@@ -24,6 +26,7 @@ import bisect
 import json
 import re
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from functools import cache
 from importlib import resources
@@ -34,7 +37,7 @@ import numpy as np
 
 from .arrangement import Design, DesignSpace
 from .feasibility import ActuatorLimits, Scenario, TargetSpec
-from .model import SEGMENT_X_TOL, RobotModel
+from .model import FieldError, RobotModel
 
 
 class ConfigError(Exception):
@@ -204,7 +207,12 @@ def _check(node, schema: dict, path: tuple = (), root: dict | None = None) -> No
 
 
 def optimizer_params(population: int, budget: int, seed: int) -> OptimizerParams:
-    """Checked optimizer settings; a bad one raises ConfigError at its path."""
+    """Checked optimizer settings; a bad one raises ConfigError at its path.
+
+    nsga2.evolve, the library's entry point, states the population and
+    budget rules too, in the same words: a file or a --population override
+    must fail at its path before a search starts, and cli.main maps only a
+    ConfigError to exit 2."""
     params = {"population": population, "budget": budget, "seed": seed}
     scenario = _schema("scenario")
     _check(params, scenario["properties"]["optimizer"], ("optimizer",), scenario)
@@ -221,75 +229,43 @@ def _given(node: dict, **keys) -> dict:
     return {param: node[key] for param, key in keys.items() if key in node}
 
 
+@contextmanager
+def _within(section: tuple):
+    """Report a constructor's FieldError as a ConfigError at section + its path."""
+    try:
+        yield
+    except FieldError as exc:
+        raise ConfigError(str(exc), section + exc.path) from None
+
+
 def parse_config(doc: dict, name: str = "scenario") -> ScenarioConfig:
     """Validate a scenario document; raises ConfigError at its path.
 
-    scenario.schema.json is the one list of fields, types and single-value
-    bounds; the rules here tie values to each other, which it cannot state."""
+    scenario.schema.json and the constructors state the rules about one
+    value or object (see the module docstring); those here tie one part of
+    the file to another."""
     _check(doc, _schema("scenario"))
-    robot, mode, targets = doc["robot"], doc["mode"], doc["targets"]
-
-    lengths = np.array(robot["link_lengths"], dtype=float)
-    if np.any(lengths <= 0):
-        raise ConfigError("link lengths must be positive", ("robot", "link_lengths"))
-    d = len(lengths) - 1
-    for key, n, per in (("link_masses", d + 1, "link"), ("attach_segments", d + 1, "link"),
-                        ("moment_arm_ranges", d, "joint")):
-        if key in robot and len(robot[key]) != n:
-            raise ConfigError(f"need one item per {per} ({n})", ("robot", key))
-    masses = np.array(robot["link_masses"], dtype=float)
-    if np.any(masses < 0):
-        raise ConfigError("masses must be non-negative", ("robot", "link_masses"))
-    if "attach_segments" in robot:
-        reach = np.abs(np.array(robot["attach_segments"], dtype=float)[..., 0]).max(axis=1)
-        past = np.flatnonzero(reach > lengths + SEGMENT_X_TOL)
-        if len(past):
-            k = int(past[0])
-            raise ConfigError(f"attach segment extends past link {k} (length {lengths[k]:g})",
-                              ("robot", "attach_segments", k))
-    arm_ranges = None
-    if "moment_arm_ranges" in robot:
-        arm_ranges = np.array(robot["moment_arm_ranges"], dtype=float)
-        if np.any(arm_ranges[:, 0] == arm_ranges[:, 1]):
-            raise ConfigError("each range needs two different ends", ("robot", "moment_arm_ranges"))
-
+    robot, mode, limits, targets = doc["robot"], doc["mode"], doc["limits"], doc["targets"]
+    with _within(("robot",)):  # the schema's robot fields are RobotModel's parameters
+        robot_model = RobotModel(**robot)
+    d = robot_model.n_joints
     kind = mode["kind"]
     if kind == "variable" and "relay_points" not in mode:
         raise ConfigError("variable mode requires mode.relay_points", ("mode",))
-    if kind == "constant" and arm_ranges is None:
+    if kind == "constant" and robot_model.moment_arm_ranges is None:
         raise ConfigError("constant mode requires robot.moment_arm_ranges", ("robot",))
     space = DesignSpace(kind, mode["wires"], mode["relay_points"] if kind == "variable" else None, d)
-
-    tension, wire_speed = (np.array(doc["limits"][key], dtype=float)
-                           for key in ("tension", "wire_speed"))
-    if not 0 < tension[0] < tension[1]:
-        raise ConfigError("need 0 < min < max tension", ("limits", "tension"))
-    if not wire_speed[0] < 0 < wire_speed[1]:
-        raise ConfigError("wire speed range must straddle zero", ("limits", "wire_speed"))
-    limits = ActuatorLimits(tension[0], tension[1], wire_speed[0], wire_speed[1])
-
-    force_center, force_radii, velocity_radii = (
-        np.array(targets[key], dtype=float)
-        for key in ("force_center", "force_radii", "velocity_radii"))
-    for key, radii in (("force_radii", force_radii), ("velocity_radii", velocity_radii)):
-        if np.any(radii <= 0):
-            raise ConfigError("radii must be positive", ("targets", key))
-    target = TargetSpec(force_center, force_radii, velocity_radii,
-                        **_given(targets, n_directions="directions"))
-
+    with _within(("limits",)):
+        actuator_limits = ActuatorLimits(*limits["tension"], *limits["wire_speed"])
+    with _within(("targets",)):
+        target = TargetSpec(targets["force_center"], targets["force_radii"],
+                            targets["velocity_radii"], **_given(targets, n_directions="directions"))
     for i, state in enumerate(doc["evaluated_joint_states"]):
         if len(state) != d:
             raise ConfigError(f"need one angle per joint ({d})", ("evaluated_joint_states", i))
-
     optimizer = optimizer_params(**{**asdict(OptimizerParams()), **doc.get("optimizer", {})})
-    try:
-        robot_model = RobotModel(lengths, masses, moment_arm_ranges=arm_ranges,
-                                 **_given(robot, attach_segments="attach_segments",
-                                          gravity="gravity"))
-    except ValueError as exc:
-        raise ConfigError(str(exc), ("robot",))
     joint_states = np.deg2rad(np.array(doc["evaluated_joint_states"], dtype=float))
-    scenario = Scenario(limits, target, joint_states, gravity=doc["gravity"] == "on",
+    scenario = Scenario(actuator_limits, target, joint_states, gravity=doc["gravity"] == "on",
                         **_given(doc, h_cap="h_cap"))
     return ScenarioConfig(doc.get("name", name), robot_model, space, optimizer, doc, scenario)
 

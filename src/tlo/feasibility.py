@@ -53,7 +53,7 @@ sets into a plain h = h_cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from functools import cache
 from itertools import combinations
 from math import comb
@@ -63,7 +63,7 @@ import numpy as np
 
 from .arrangement import (Design, batch_muscle_jacobian, genome_rows_decode, genome_space,
                           link_tables)
-from .model import Pose, RobotModel, forward_kinematics, gravity_torque, joint_jacobian
+from .model import FieldError, Pose, RobotModel, forward_kinematics, gravity_torque, joint_jacobian
 
 DEFAULT_H_CAP = 10.0
 MIN_RAYS = 8  # fewest boundary rays evaluate casts, when it casts any
@@ -88,26 +88,30 @@ class TargetSpec:
         self.force_radii = np.asarray(self.force_radii, dtype=float).reshape(2)
         self.velocity_radii = np.asarray(self.velocity_radii, dtype=float).reshape(2)
         if not np.isfinite(self.force_center).all():
-            raise ValueError("force center must be finite")
-        radii = np.concatenate((self.force_radii, self.velocity_radii))
-        if not np.all((radii > 0) & (radii < np.inf)):  # NaN fails
-            raise ValueError("ellipse radii must be positive and finite")
+            raise FieldError("force center must be finite", "force_center")
+        for key in ("force_radii", "velocity_radii"):
+            radii = getattr(self, key)
+            if not np.all((radii > 0) & (radii < np.inf)):  # NaN fails
+                raise FieldError("radii must be positive", key)
         if self.n_directions < 3:
-            raise ValueError("need at least 3 ellipse directions")
+            raise FieldError("need at least 3 ellipse directions", "directions")
 
 
 @dataclass
 class ActuatorLimits:
+    """Wire tension range (N) and wire speed range (m/s), stored as floats."""
+
     f_min: float
     f_max: float
     ldot_min: float
     ldot_max: float
 
     def __post_init__(self):
+        self.f_min, self.f_max, self.ldot_min, self.ldot_max = np.array(astuple(self), dtype=float)
         if not 0 < self.f_min < self.f_max < np.inf:  # NaN fails
-            raise ValueError("need 0 < f_min < f_max, all finite")
+            raise FieldError("need 0 < min < max tension", "tension")
         if not -np.inf < self.ldot_min < 0 < self.ldot_max < np.inf:
-            raise ValueError("need ldot_min < 0 < ldot_max, all finite")
+            raise FieldError("wire speed range must straddle zero", "wire_speed")
 
 
 @dataclass

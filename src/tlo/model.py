@@ -11,7 +11,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-SEGMENT_X_TOL = 1e-9  # how far an attach segment's |x| may exceed its link's length, m
+_SEGMENT_X_TOL = 1e-9  # how far an attach segment's |x| may exceed its link's length, m
+
+
+class FieldError(ValueError):
+    """A constructor argument that breaks a rule. path names the field as a
+    scenario file does within its section, such as ("attach_segments", 1)."""
+
+    def __init__(self, message: str, *path):
+        super().__init__(message)
+        self.path = path
 
 
 def rot90(v: np.ndarray) -> np.ndarray:
@@ -39,7 +48,8 @@ class RobotModel:
     per link, the two endpoints (in the link frame) of the straight segment
     that wire relay points may occupy. moment_arm_ranges is only consulted
     for constant-moment-arm designs: per joint, the (start, end) arm values
-    in meters that fractions 0 and 1 map to, two different values.
+    in meters that fractions 0 and 1 map to, two different values. A value
+    that breaks a rule raises a FieldError naming its field.
     """
 
     link_lengths: np.ndarray
@@ -49,39 +59,48 @@ class RobotModel:
     moment_arm_ranges: np.ndarray | None = None
 
     def __post_init__(self):
-        self.link_lengths = np.asarray(self.link_lengths, dtype=float)
-        self.link_masses = np.asarray(self.link_masses, dtype=float)
-        if self.link_lengths.ndim != 1 or len(self.link_lengths) < 2:
-            raise ValueError("need LINK_0 plus at least one movable link")
-        # each check is written so that NaN fails it
-        if not np.all((self.link_lengths > 0) & (self.link_lengths < np.inf)):
-            raise ValueError("link lengths must be positive and finite")
-        if len(self.link_masses) != len(self.link_lengths):
-            raise ValueError("link_masses must align with link_lengths")
-        if not np.all((self.link_masses >= 0) & (self.link_masses < np.inf)):
-            raise ValueError("link masses must be non-negative and finite")
+        lengths = self.link_lengths = np.asarray(self.link_lengths, dtype=float)
+        masses = self.link_masses = np.asarray(self.link_masses, dtype=float)
+        if lengths.ndim != 1 or len(lengths) < 2:
+            raise FieldError("need LINK_0 plus at least one movable link", "link_lengths")
+        n = len(lengths)
+        # each check is written so that NaN and infinities fail it
+        if not np.all((lengths > 0) & (lengths < np.inf)):
+            raise FieldError("link lengths must be positive", "link_lengths")
+        if masses.ndim != 1:
+            raise FieldError("link_masses must be (D+1,)", "link_masses")
+        if len(masses) != n:
+            raise FieldError(f"need one item per link ({n})", "link_masses")
+        if not np.all((masses >= 0) & (masses < np.inf)):
+            raise FieldError("masses must be non-negative", "link_masses")
         if self.attach_segments is None:
-            self.attach_segments = default_attach_segments(self.link_lengths)
-        self.attach_segments = np.asarray(self.attach_segments, dtype=float)
-        if self.attach_segments.shape != (len(self.link_lengths), 2, 2):
-            raise ValueError("attach_segments must be (D+1, 2, 2)")
-        if not np.isfinite(self.attach_segments).all():
-            raise ValueError("attach segments must be finite")
-        past = np.abs(self.attach_segments[..., 0]).max(axis=1) > self.link_lengths + SEGMENT_X_TOL
+            self.attach_segments = default_attach_segments(lengths)
+        segments = self.attach_segments = np.asarray(self.attach_segments, dtype=float)
+        if segments.shape[1:] != (2, 2):
+            raise FieldError("attach_segments must be (D+1, 2, 2)", "attach_segments")
+        if len(segments) != n:
+            raise FieldError(f"need one item per link ({n})", "attach_segments")
+        if not np.isfinite(segments).all():
+            raise FieldError("attach segments must be finite", "attach_segments")
+        past = np.abs(segments[..., 0]).max(axis=1) > lengths + _SEGMENT_X_TOL
         if past.any():
-            raise ValueError(f"attach segment of link {past.argmax()} extends past the link")
+            k = int(past.argmax())
+            raise FieldError(f"attach segment extends past link {k} (length {lengths[k]:g})",
+                             "attach_segments", k)
         self.gravity = np.asarray((0.0, -9.81) if self.gravity is None else self.gravity,
                                   dtype=float)
         if self.gravity.shape != (2,) or not np.isfinite(self.gravity).all():
-            raise ValueError("gravity must be a finite 2-vector")
+            raise FieldError("gravity must be a finite 2-vector", "gravity")
         if self.moment_arm_ranges is not None:
-            self.moment_arm_ranges = np.asarray(self.moment_arm_ranges, dtype=float)
-            if self.moment_arm_ranges.shape != (self.n_joints, 2):
-                raise ValueError("moment_arm_ranges must be (D, 2)")
-            if not np.isfinite(self.moment_arm_ranges).all():
-                raise ValueError("moment arm ranges must be finite")
-            if np.any(self.moment_arm_ranges[:, 0] == self.moment_arm_ranges[:, 1]):
-                raise ValueError("each moment arm range needs two different ends")
+            arms = self.moment_arm_ranges = np.asarray(self.moment_arm_ranges, dtype=float)
+            if arms.shape[1:] != (2,):
+                raise FieldError("moment_arm_ranges must be (D, 2)", "moment_arm_ranges")
+            if len(arms) != n - 1:
+                raise FieldError(f"need one item per joint ({n - 1})", "moment_arm_ranges")
+            if not np.isfinite(arms).all():
+                raise FieldError("moment arm ranges must be finite", "moment_arm_ranges")
+            if np.any(arms[:, 0] == arms[:, 1]):
+                raise FieldError("each range needs two different ends", "moment_arm_ranges")
 
     @property
     def n_joints(self) -> int:

@@ -390,7 +390,7 @@ def evolve(
     if population < 2 or population % 2:
         raise ValueError("population must be even and at least 2")
     if budget < population:
-        raise ValueError("budget must cover at least one population")
+        raise ValueError("budget must be at least the population size")
     rng = np.random.default_rng(seed)
     archive = ParetoArchive.empty(space, budget, seed, float(max_objective) + 1.0)
 

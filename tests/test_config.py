@@ -17,8 +17,8 @@ from tlo.config import (
     load_config,
     parse_config,
 )
-from tlo.feasibility import Scenario, TargetSpec
-from tlo.model import RobotModel
+from tlo.feasibility import ActuatorLimits, Scenario, TargetSpec
+from tlo.model import FieldError, RobotModel
 
 BUNDLED_NAMES = sorted(p.name.removesuffix(".json")
                        for p in (resources.files("tlo") / "scenarios").iterdir()
@@ -415,6 +415,19 @@ def test_a_design_error_comes_from_the_branch_of_its_kind(doc, error):
     ({"robot.attach_segments": [[[0.0, 0.0], [0.4, 0.0]], [[-0.7, 0.0], [0.6, 0.0]],
                                 [[0.0, 0.0], [0.6, 0.0]]]},
      ("robot", "attach_segments", 1), "attach segment extends past link 1 (length 0.6)"),
+    ({"limits.tension": [300.0, 200.0]}, ("limits", "tension"), "need 0 < min < max tension"),
+    ({"limits.wire_speed": [0.1, 0.4]}, ("limits", "wire_speed"),
+     "wire speed range must straddle zero"),
+    ({"targets.force_radii": [55.0, 0.0]}, ("targets", "force_radii"), "radii must be positive"),
+    ({"targets.velocity_radii": [-0.8, 0.8]}, ("targets", "velocity_radii"),
+     "radii must be positive"),
+    ({"robot.moment_arm_ranges": [[-0.1, 0.1], [0.05, 0.05]]}, ("robot", "moment_arm_ranges"),
+     "each range needs two different ends"),
+    ({"robot.link_masses": [0.0, 4.0]}, ("robot", "link_masses"), "need one item per link (3)"),
+    ({"robot.attach_segments": [[[0.0, 0.0], [0.4, 0.0]], [[0.0, 0.0], [0.6, 0.0]]]},
+     ("robot", "attach_segments"), "need one item per link (3)"),
+    ({"robot.moment_arm_ranges": [[-0.1, 0.1]]}, ("robot", "moment_arm_ranges"),
+     "need one item per joint (2)"),
 ])
 def test_rule_errors_name_their_path(patch, path, message):
     with pytest.raises(ConfigError) as err:
@@ -422,21 +435,54 @@ def test_rule_errors_name_their_path(patch, path, message):
     assert (err.value.path, err.value.message) == (path, message)
 
 
+@pytest.mark.parametrize("build, section, patch", [
+    (lambda: RobotModel([0.4, 0.0, 0.6], [0.0, 4.0, 4.0]), ("robot",),
+     {"robot.link_lengths": [0.4, 0.0, 0.6]}),
+    (lambda: RobotModel([0.4, 0.6, 0.6], [0.0, 4.0]), ("robot",),
+     {"robot.link_masses": [0.0, 4.0]}),
+    (lambda: RobotModel([0.4, 0.6, 0.6], [0.0, 4.0, 4.0],
+                        attach_segments=[[[0.0, 0.0], [0.4, 0.0]], [[-0.7, 0.0], [0.6, 0.0]],
+                                         [[0.0, 0.0], [0.6, 0.0]]]),
+     ("robot",), {"robot.attach_segments": [[[0.0, 0.0], [0.4, 0.0]], [[-0.7, 0.0], [0.6, 0.0]],
+                                            [[0.0, 0.0], [0.6, 0.0]]]}),
+    (lambda: ActuatorLimits(0.0, 200.0, -0.4, 0.4), ("limits",),
+     {"limits.tension": [0.0, 200.0]}),
+    (lambda: ActuatorLimits(10.0, 200.0, 0.1, 0.4), ("limits",),
+     {"limits.wire_speed": [0.1, 0.4]}),
+    (lambda: TargetSpec([-38.0, 8.0], [55.0, 18.0], [0.8, 0.0]), ("targets",),
+     {"targets.velocity_radii": [0.8, 0.0]}),
+])
+def test_constructor_errors_are_the_files(build, section, patch):
+    """RobotModel, ActuatorLimits and TargetSpec state each rule about their
+    values once: a library caller gets a FieldError, a ValueError that names
+    its field, and a file the same message at the field's JSON path."""
+    with pytest.raises(FieldError) as field:
+        build()
+    assert isinstance(field.value, ValueError)
+    with pytest.raises(ConfigError) as err:
+        parse_config(with_patch(**patch))
+    assert (err.value.path, err.value.message) == (section + field.value.path, str(field.value))
+
+
 @pytest.mark.parametrize("past, allowed", [(0.0, True), (0.5e-9, True), (2e-9, False),
                                            (1e-6, False)])
 def test_attach_segment_rule_is_the_robot_models(past, allowed):
-    """A segment end just past its link parses exactly when RobotModel takes it."""
+    """A segment end just past its link, within RobotModel's tolerance or
+    beyond it: a file and a library caller reach the one rule, and get one
+    answer and one message."""
     segments = [[[0.0, 0.0], [0.4, 0.0]], [[0.0, 0.0], [0.6, 0.0]], [[0.0, 0.0], [0.6 + past, 0.0]]]
     doc = with_patch(**{"robot.attach_segments": segments})
     if allowed:
         RobotModel([0.4, 0.6, 0.6], [0.0, 4.0, 4.0], attach_segments=segments)
         np.testing.assert_array_equal(parse_config(doc).robot.attach_segments, segments)
     else:
-        with pytest.raises(ValueError, match="extends past"):
+        message = "attach segment extends past link 2 (length 0.6)"
+        with pytest.raises(FieldError) as field:
             RobotModel([0.4, 0.6, 0.6], [0.0, 4.0, 4.0], attach_segments=segments)
+        assert (field.value.path, str(field.value)) == (("attach_segments", 2), message)
         with pytest.raises(ConfigError) as err:
             parse_config(doc)
-        assert err.value.path == ("robot", "attach_segments", 2)
+        assert (err.value.path, err.value.message) == (("robot", "attach_segments", 2), message)
 
 
 def test_unset_fields_take_the_constructors_defaults():
@@ -484,6 +530,17 @@ class TestFileLoading:
         with pytest.raises(ConfigError) as err:
             load_config(path)
         assert f"line {bad_line}" in str(err.value)
+
+    def test_constructor_error_names_its_line(self, tmp_path):
+        """A rule TargetSpec states, broken in an indented file, names the
+        field's JSON path and line."""
+        text = json.dumps(with_patch(**{"targets.force_radii": [55.0, -18.0]}), indent=2)
+        line = next(i + 1 for i, row in enumerate(text.splitlines()) if '"force_radii"' in row)
+        path = tmp_path / "bad_radius.json"
+        path.write_text(text)
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert str(err.value) == f"$.targets.force_radii (line {line}): radii must be positive"
 
     def test_unknown_field_names_its_line(self, tmp_path):
         doc = json.loads(json.dumps(MINIMAL))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from tlo.model import (
+    FieldError,
     Pose,
     RobotModel,
     forward_kinematics,
@@ -259,14 +260,30 @@ def test_model_validation(kwargs):
 
 
 @pytest.mark.parametrize("kwargs, message", [
-    (dict(attach_segments=[[[0.0, 0.0], [0.4, 0.0]]]), r"attach_segments must be \(D\+1, 2, 2\)"),
+    (dict(attach_segments=[[0.0, 0.0], [0.4, 0.0]]), r"attach_segments must be \(D\+1, 2, 2\)"),
     (dict(attach_segments=np.zeros((2, 3, 2))), r"attach_segments must be \(D\+1, 2, 2\)"),
-    (dict(moment_arm_ranges=[[-0.1, 0.1], [-0.1, 0.1]]), r"moment_arm_ranges must be \(D, 2\)"),
+    (dict(moment_arm_ranges=[[-0.1, 0.1, 0.0]]), r"moment_arm_ranges must be \(D, 2\)"),
     (dict(moment_arm_ranges=[-0.1, 0.1]), r"moment_arm_ranges must be \(D, 2\)"),
+    (dict(link_masses=4.0), r"link_masses must be \(D\+1,\)"),
+    (dict(link_masses=[[0.0], [4.0]]), r"link_masses must be \(D\+1,\)"),
 ])
 def test_shape_errors_name_their_field(kwargs, message):
-    with pytest.raises(ValueError, match=message):
-        RobotModel([0.4, 0.6], [0.0, 4.0], **kwargs)
+    """An array whose items are misshaped reads its shape, whatever its item count."""
+    with pytest.raises(FieldError, match=message) as err:
+        RobotModel(**{"link_lengths": [0.4, 0.6], "link_masses": [0.0, 4.0], **kwargs})
+    assert err.value.path == tuple(kwargs)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(link_masses=[0.0, 4.0, 4.0]), "need one item per link (2)"),
+    (dict(attach_segments=[[[0.0, 0.0], [0.4, 0.0]]]), "need one item per link (2)"),
+    (dict(moment_arm_ranges=[[-0.1, 0.1], [-0.1, 0.1]]), "need one item per joint (1)"),
+])
+def test_item_counts_name_their_field(kwargs, message):
+    """Well-shaped items of the wrong count read the count a scenario file reads."""
+    with pytest.raises(FieldError) as err:
+        RobotModel(**{"link_lengths": [0.4, 0.6], "link_masses": [0.0, 4.0], **kwargs})
+    assert (err.value.path, str(err.value)) == (tuple(kwargs), message)
 
 
 def test_unset_gravity_and_segments_take_their_defaults():
@@ -276,12 +293,12 @@ def test_unset_gravity_and_segments_take_their_defaults():
 
 
 def test_attach_segment_bounds():
-    with pytest.raises(ValueError, match="link 0 extends"):
+    with pytest.raises(ValueError, match=r"attach segment extends past link 0 \(length 0\.4\)"):
         RobotModel(
             [0.4, 0.6],
             [0.0, 4.0],
             attach_segments=[[[0.0, 0.0], [0.5, 0.0]], [[0.0, 0.0], [0.6, 0.0]]],
         )
-    with pytest.raises(ValueError, match="link 1 extends"):
+    with pytest.raises(ValueError, match=r"attach segment extends past link 1 \(length 0\.6\)"):
         RobotModel([0.4, 0.6], [0.0, 4.0],
                    attach_segments=[[[0.0, 0.0], [0.4, 0.0]], [[-0.7, 0.0], [0.6, 0.0]]])

@@ -394,9 +394,9 @@ class TestEvolve:
         assert sizes == [20] * 20 + [10, 50]
 
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="population must be even and at least 2"):
             evolve(toy_evaluator, SPACE, 21, 100, seed=0, max_objective=32.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="budget must be at least the population size"):
             evolve(toy_evaluator, SPACE, 20, 10, seed=0, max_objective=32.0)
 
     def test_selection_pressure_beats_random_descent(self):
