@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import Pose, RobotModel, forward_kinematics
+from .model import FieldError, Pose, RobotModel, forward_kinematics
 
 DEGENERATE_SEGMENT = 1e-9
 
@@ -41,9 +41,10 @@ class Design:
 
     Variable designs: links[..., m, n] is the link that point n of wire m
     is pinned to and fractions[..., m, n] its position along that link's
-    attach segment. The first point of every wire sits on LINK_0. Constant
-    designs: links is None and fractions[..., m, d] is wire m's moment arm
-    at joint d, as a fraction of the model's arm range.
+    attach segment. The first point of every wire sits on LINK_0, or a
+    FieldError names it as a design file does. Constant designs: links is
+    None and fractions[..., m, d] is wire m's moment arm at joint d, as a
+    fraction of the model's arm range.
     """
 
     links: np.ndarray | None
@@ -66,7 +67,8 @@ class Design:
         elif links.shape[-1] < 2:
             raise ValueError("every wire needs at least 2 relay points")
         elif links[..., 0].any():
-            raise ValueError("every wire must start on LINK_0")
+            m = int(np.argwhere(links[..., 0])[0, -1])
+            raise FieldError("every wire must start on LINK_0", "wires", m, 0, "link")
         if not np.all((fractions >= 0.0) & (fractions <= 1.0)):  # NaN fails
             raise ValueError(f"{'arm' if constant else 'relay'} fractions must lie in [0, 1]")
         if not constant and (links < 0).any():
@@ -117,7 +119,7 @@ def _relay_xy(model: RobotModel, designs: Design, tables: LinkTables):
     links = designs.links
     if links is None:
         raise TypeError("relay points exist only for variable arrangements")
-    # checked before indexing, where numpy would wrap a negative link around
+    # checked before indexing, which would wrap a negative link written after Design's check
     if links.size:
         lo, hi = links.min(), links.max()
         if lo < 0 or hi >= len(model.link_lengths):
@@ -226,7 +228,7 @@ class Genome:
 
 @dataclass(frozen=True)
 class DesignSpace:
-    """Shape of the searchable design family for a given robot."""
+    """Shape of the searchable design family for a given robot: a scenario's mode block."""
 
     kind: str  # "variable" | "constant"
     n_wires: int
@@ -235,12 +237,14 @@ class DesignSpace:
 
     def __post_init__(self):
         if self.kind not in ("variable", "constant"):
-            raise ValueError(f"unknown design kind {self.kind!r}")
+            raise FieldError(f"unknown design kind {self.kind!r}", "kind")
         if self.n_wires < 1:
-            raise ValueError("need at least one wire")
+            raise FieldError("need at least one wire", "wires")
         if self.kind == "variable":
-            if self.n_relay_points is None or self.n_relay_points < 2:
-                raise ValueError("variable designs need >= 2 relay points")
+            if self.n_relay_points is None:
+                raise FieldError("variable mode requires mode.relay_points")
+            if self.n_relay_points < 2:
+                raise FieldError("variable designs need >= 2 relay points", "relay_points")
         if self.n_joints < 1:
             raise ValueError("need at least one joint")
 

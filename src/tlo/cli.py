@@ -12,7 +12,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +25,8 @@ from .arrangement import (
     genome_rows_decode,
     muscle_jacobian,
 )
-from .config import (ConfigError, ScenarioConfig, load_config, load_document, optimizer_params,
-                     parse_config, parse_design)
+from .config import (ConfigError, ScenarioConfig, load_config, load_document, parse_config,
+                     parse_design, within)
 from .feasibility import (
     MIN_RAYS,
     evaluate,
@@ -81,9 +81,7 @@ def _json_text(obj) -> str:
 
 def _effective_raw(cfg: ScenarioConfig) -> dict:
     """Config echo with the optimizer values written out, defaults included."""
-    opt = cfg.optimizer
-    return {**cfg.raw, "optimizer": {"population": opt.population, "budget": opt.budget,
-                                     "seed": opt.seed}}
+    return {**cfg.raw, "optimizer": asdict(cfg.optimizer)}
 
 
 def optimize(cfg: ScenarioConfig):
@@ -101,10 +99,9 @@ def optimize(cfg: ScenarioConfig):
         finally:
             evaluate_s += time.perf_counter() - t
 
-    opt = cfg.optimizer
     t0 = time.perf_counter()
-    archive = evolve(timed_evaluator, cfg.space, population=opt.population, budget=opt.budget,
-                     seed=opt.seed, max_objective=scenario.max_objective)
+    archive = evolve(timed_evaluator, cfg.space, **asdict(cfg.optimizer),
+                     max_objective=scenario.max_objective)
     return archive, {"total_s": time.perf_counter() - t0, "evaluate_s": evaluate_s}
 
 
@@ -177,11 +174,10 @@ def run_files(archive, cfg: ScenarioConfig, timings: dict) -> dict[str, str]:
 
 def cmd_optimize(args) -> int:
     cfg = load_config(args.config)
-    opt = cfg.optimizer
-    cfg = replace(cfg, optimizer=optimizer_params(
-        opt.population if args.population is None else args.population,
-        opt.budget if args.budget is None else args.budget,
-        opt.seed if args.seed is None else args.seed))
+    overrides = {key: getattr(args, key) for key in ("population", "budget", "seed")
+                 if getattr(args, key) is not None}
+    with within(("optimizer",)):
+        cfg = replace(cfg, optimizer=replace(cfg.optimizer, **overrides))
     archive, timings = optimize(cfg)
     out = Path(args.out)
     _write_files(out, run_files(archive, cfg, timings))
@@ -260,13 +256,10 @@ def _read_report(report) -> tuple[ScenarioConfig, Design, list[list[np.ndarray]]
     scenario or design is named at its path in the report."""
     if not isinstance(report, dict) or not {"scenario", "design"} <= report.keys():
         raise ConfigError("report needs 'scenario' and 'design' entries (see tlo evaluate)")
-    within = ("scenario",)  # the part of the report being read
-    try:
+    with within(("scenario",)):
         cfg = parse_config(report["scenario"])
-        within = ("design",)
+    with within(("design",)):
         design = parse_design(report["design"], cfg)
-    except ConfigError as exc:
-        raise ConfigError(exc.message, within + exc.path) from None
     return cfg, design, _plot_states(report)
 
 

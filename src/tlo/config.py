@@ -3,16 +3,14 @@
 Angles are degrees in a scenario and radians everywhere else. A document is
 checked against its bundled schema itself (scenario.schema.json or
 design.schema.json), the one list of its fields, types and single-value
-bounds. The code adds the rules a schema does not state. For a scenario,
-RobotModel, ActuatorLimits and TargetSpec state those about their own
-values (item counts that follow the link count, link lengths, masses,
-attach segments, arm ranges, tension, wire speed and radii), which
-parse_config reports at the file's path, and parse_config those that tie
-one part of the file to another: one angle per joint in each joint state,
-relay points in variable mode, arm ranges in constant mode, and an even
-population within the budget. For a design, they are the scenario's design
-space, wires that start on LINK_0, links on the robot and arms within its
-ranges.
+bounds. The code adds the rules a schema does not state. One about a
+block's own values is stated by the block's constructor, as a FieldError
+that `within` reports at the file's path: RobotModel (robot), DesignSpace
+(mode), ActuatorLimits (limits), TargetSpec (targets), OptimizerParams
+(optimizer) and Design (a design's wires start on LINK_0). parse_config
+states the two that tie blocks together, one angle per joint in each joint
+state and arm ranges in constant mode, and parse_design those that tie a
+design to its scenario: its kind and counts, links and arm ranges.
 
 Errors carry the JSON path. The line it starts on is looked up once, by
 load_document, which read the text, and only for a failing document: json's
@@ -27,7 +25,7 @@ import json
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import cache
 from importlib import resources
 from pathlib import Path
@@ -38,6 +36,7 @@ import numpy as np
 from .arrangement import Design, DesignSpace
 from .feasibility import ActuatorLimits, Scenario, TargetSpec
 from .model import FieldError, RobotModel
+from .nsga2 import OptimizerParams
 
 
 class ConfigError(Exception):
@@ -95,13 +94,6 @@ def json_value_lines(text: str) -> dict[tuple, int]:
 
 
 # --- validated config --------------------------------------------------------
-
-
-@dataclass
-class OptimizerParams:
-    population: int = 100
-    budget: int = 10000
-    seed: int = 0
 
 
 @dataclass
@@ -206,23 +198,6 @@ def _check(node, schema: dict, path: tuple = (), root: dict | None = None) -> No
             _check(item, schema["items"], path + (i,), root)
 
 
-def optimizer_params(population: int, budget: int, seed: int) -> OptimizerParams:
-    """Checked optimizer settings; a bad one raises ConfigError at its path.
-
-    nsga2.evolve, the library's entry point, states the population and
-    budget rules too, in the same words: a file or a --population override
-    must fail at its path before a search starts, and cli.main maps only a
-    ConfigError to exit 2."""
-    params = {"population": population, "budget": budget, "seed": seed}
-    scenario = _schema("scenario")
-    _check(params, scenario["properties"]["optimizer"], ("optimizer",), scenario)
-    if population % 2:
-        raise ConfigError("population must be even and at least 2", ("optimizer", "population"))
-    if budget < population:
-        raise ConfigError("budget must be at least the population size", ("optimizer", "budget"))
-    return OptimizerParams(**params)
-
-
 def _given(node: dict, **keys) -> dict:
     """{parameter: node[key]} for each parameter=key that node sets; the
     constructor's default stands for the others."""
@@ -230,40 +205,42 @@ def _given(node: dict, **keys) -> dict:
 
 
 @contextmanager
-def _within(section: tuple):
-    """Report a constructor's FieldError as a ConfigError at section + its path."""
+def within(section: tuple):
+    """Report a FieldError, or the ConfigError of a part, as a ConfigError at section + its path."""
     try:
         yield
     except FieldError as exc:
         raise ConfigError(str(exc), section + exc.path) from None
+    except ConfigError as exc:
+        raise ConfigError(exc.message, section + exc.path) from None
 
 
 def parse_config(doc: dict, name: str = "scenario") -> ScenarioConfig:
     """Validate a scenario document; raises ConfigError at its path.
 
     scenario.schema.json and the constructors state the rules about one
-    value or object (see the module docstring); those here tie one part of
-    the file to another."""
+    value or block (see the module docstring); those here tie blocks together."""
     _check(doc, _schema("scenario"))
     robot, mode, limits, targets = doc["robot"], doc["mode"], doc["limits"], doc["targets"]
-    with _within(("robot",)):  # the schema's robot fields are RobotModel's parameters
+    with within(("robot",)):  # the schema's robot fields are RobotModel's parameters
         robot_model = RobotModel(**robot)
     d = robot_model.n_joints
     kind = mode["kind"]
-    if kind == "variable" and "relay_points" not in mode:
-        raise ConfigError("variable mode requires mode.relay_points", ("mode",))
+    relay_points = mode.get("relay_points") if kind == "variable" else None
+    with within(("mode",)):
+        space = DesignSpace(kind, mode["wires"], relay_points, d)
     if kind == "constant" and robot_model.moment_arm_ranges is None:
         raise ConfigError("constant mode requires robot.moment_arm_ranges", ("robot",))
-    space = DesignSpace(kind, mode["wires"], mode["relay_points"] if kind == "variable" else None, d)
-    with _within(("limits",)):
+    with within(("limits",)):
         actuator_limits = ActuatorLimits(*limits["tension"], *limits["wire_speed"])
-    with _within(("targets",)):
+    with within(("targets",)):
         target = TargetSpec(targets["force_center"], targets["force_radii"],
                             targets["velocity_radii"], **_given(targets, n_directions="directions"))
     for i, state in enumerate(doc["evaluated_joint_states"]):
         if len(state) != d:
             raise ConfigError(f"need one angle per joint ({d})", ("evaluated_joint_states", i))
-    optimizer = optimizer_params(**{**asdict(OptimizerParams()), **doc.get("optimizer", {})})
+    with within(("optimizer",)):
+        optimizer = OptimizerParams(**doc.get("optimizer", {}))
     joint_states = np.deg2rad(np.array(doc["evaluated_joint_states"], dtype=float))
     scenario = Scenario(actuator_limits, target, joint_states, gravity=doc["gravity"] == "on",
                         **_given(doc, h_cap="h_cap"))
@@ -297,19 +274,17 @@ def parse_design(doc, cfg: ScenarioConfig) -> Design:
             raise ConfigError(f"arm must lie within the robot's moment_arm_ranges[{j}]",
                               ("arms", i, j))
         return Design(None, np.clip(frac, 0.0, 1.0))
-    last = len(robot.link_lengths) - 1
     for m, wire in enumerate(rows):
         if len(wire) != space.n_relay_points:
             raise ConfigError(f"need {space.n_relay_points} relay points, "
                               "the config's mode.relay_points", ("wires", m))
-        if wire[0]["link"]:
-            raise ConfigError("every wire must start on LINK_0", ("wires", m, 0, "link"))
         for n, point in enumerate(wire):
-            if point["link"] > last:
-                raise ConfigError(f"link must be at most {last}, the robot's last link",
+            if point["link"] > robot.n_joints:
+                raise ConfigError(f"link must be at most {robot.n_joints}, the robot's last link",
                                   ("wires", m, n, "link"))
-    return Design([[point["link"] for point in wire] for wire in rows],
-                  [[point["frac"] for point in wire] for wire in rows])
+    with within(()):  # Design states the LINK_0 rule
+        return Design([[point["link"] for point in wire] for wire in rows],
+                      [[point["frac"] for point in wire] for wire in rows])
 
 
 def read_json(path: str | Path, what: str = "JSON") -> tuple[object, str]:

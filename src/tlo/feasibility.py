@@ -63,7 +63,8 @@ import numpy as np
 
 from .arrangement import (Design, batch_muscle_jacobian, genome_rows_decode, genome_space,
                           link_tables)
-from .model import FieldError, Pose, RobotModel, forward_kinematics, gravity_torque, joint_jacobian
+from .model import (FieldError, Pose, RobotModel, forward_kinematics, gravity_torque, integer_field,
+                    joint_jacobian)
 
 DEFAULT_H_CAP = 10.0
 MIN_RAYS = 8  # fewest boundary rays evaluate casts, when it casts any
@@ -84,15 +85,16 @@ class TargetSpec:
     n_directions: int = 8
 
     def __post_init__(self):
-        self.force_center = np.asarray(self.force_center, dtype=float).reshape(2)
-        self.force_radii = np.asarray(self.force_radii, dtype=float).reshape(2)
-        self.velocity_radii = np.asarray(self.velocity_radii, dtype=float).reshape(2)
-        if not np.isfinite(self.force_center).all():
-            raise FieldError("force center must be finite", "force_center")
-        for key in ("force_radii", "velocity_radii"):
-            radii = getattr(self, key)
-            if not np.all((radii > 0) & (radii < np.inf)):  # NaN fails
+        for key in ("force_center", "force_radii", "velocity_radii"):
+            vector = np.asarray(getattr(self, key), dtype=float)
+            setattr(self, key, vector)
+            if vector.shape != (2,):
+                raise FieldError(f"{key} must be two numbers", key)
+            if key == "force_center" and not np.isfinite(vector).all():
+                raise FieldError("force center must be finite", key)
+            if key != "force_center" and not np.all((vector > 0) & (vector < np.inf)):  # NaN fails
                 raise FieldError("radii must be positive", key)
+        self.n_directions = integer_field(self.n_directions, "directions")
         if self.n_directions < 3:
             raise FieldError("need at least 3 ellipse directions", "directions")
 

@@ -16,11 +16,18 @@ _SEGMENT_X_TOL = 1e-9  # how far an attach segment's |x| may exceed its link's l
 
 class FieldError(ValueError):
     """A constructor argument that breaks a rule. path names the field as a
-    scenario file does within its section, such as ("attach_segments", 1)."""
+    file does within its block, such as ("attach_segments", 1)."""
 
     def __init__(self, message: str, *path):
         super().__init__(message)
         self.path = path
+
+
+def integer_field(value, *path) -> int:
+    """value as an int if it is a Python or numpy integer, not a bool; else a FieldError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise FieldError("expected an integer", *path)
+    return int(value)
 
 
 def rot90(v: np.ndarray) -> np.ndarray:

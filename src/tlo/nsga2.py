@@ -74,10 +74,31 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .arrangement import DesignSpace
+from .model import FieldError, integer_field
 
 SBX_ETA = 15.0
 SBX_RATE = 0.9
 MUTATION_ETA = 20.0
+
+
+@dataclass
+class OptimizerParams:
+    """A search's population, evaluation budget and seed: a scenario's
+    optimizer block, whose rules raise a FieldError naming the field."""
+
+    population: int = 100
+    budget: int = 10000
+    seed: int = 0
+
+    def __post_init__(self):
+        self.population, self.budget, self.seed = (
+            integer_field(getattr(self, key), key) for key in ("population", "budget", "seed"))
+        if self.population < 2 or self.population % 2:
+            raise FieldError("population must be even and at least 2", "population")
+        if self.budget < self.population:
+            raise FieldError("budget must be at least the population size", "budget")
+        if self.seed < 0:
+            raise FieldError("seed must be at least 0", "seed")
 
 
 @dataclass
@@ -387,10 +408,7 @@ def evolve(
     archive.history gets one entry per generation: its front size (distinct
     points) and best objectives after that generation's evaluations.
     """
-    if population < 2 or population % 2:
-        raise ValueError("population must be even and at least 2")
-    if budget < population:
-        raise ValueError("budget must be at least the population size")
+    OptimizerParams(population, budget, seed)  # checks the arguments
     rng = np.random.default_rng(seed)
     archive = ParetoArchive.empty(space, budget, seed, float(max_objective) + 1.0)
 

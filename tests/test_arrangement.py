@@ -26,6 +26,7 @@ from tlo.arrangement import (
     relay_points,
 )
 from tlo.config import ConfigError, ScenarioConfig, parse_config, parse_design
+from tlo.feasibility import evaluate
 from tlo.model import RobotModel, forward_kinematics
 from reference_geometry import wire_lengths
 
@@ -60,6 +61,15 @@ class TestRelayPositions:
             design.links[0, 1] = link
             with pytest.raises(ValueError):
                 relay_world_positions(paper_model, design, np.zeros(2))
+
+    def test_link_past_the_last_one_is_named(self, paper_model, zero_center_scenario):
+        # Design does not know the robot: link 3 passes its checks, and the
+        # kernels refuse it on paper_model, whose last link is 2
+        design = Design([[0, 1], [0, 3]], [[0.5, 0.5], [0.5, 0.5]])
+        with pytest.raises(ValueError, match="^relay link 3 out of range$"):
+            relay_world_positions(paper_model, design, np.zeros(2))
+        with pytest.raises(ValueError, match="^relay link 3 out of range$"):
+            evaluate(paper_model, design, zero_center_scenario)
 
     def test_constant_mode_rejected(self, paper_model):
         with pytest.raises(TypeError):
@@ -203,7 +213,7 @@ class TestGenome:
     @pytest.mark.parametrize("args, message", [
         (("magic", 1, 2, 2), "unknown design kind 'magic'"),
         (("variable", 0, 2, 2), "need at least one wire"),
-        (("variable", 1, None, 2), "variable designs need >= 2 relay points"),
+        (("variable", 1, None, 2), "variable mode requires mode.relay_points"),
         (("variable", 1, 1, 2), "variable designs need >= 2 relay points"),
         (("constant", 1, None, 0), "need at least one joint"),
     ])

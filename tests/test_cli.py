@@ -19,8 +19,11 @@ import pytest
 import tlo.cli
 import tlo.feasibility
 from conftest import DEFAULT_STATES_DEG
+from tlo.arrangement import Design, DesignSpace
 from tlo.cli import main, optimize, run_files
-from tlo.config import ScenarioConfig, load_config, optimizer_params, parse_config
+from tlo.config import ScenarioConfig, load_config, parse_config
+from tlo.model import FieldError
+from tlo.nsga2 import OptimizerParams, evolve
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 DATA = Path(__file__).parent / "data"
@@ -160,7 +163,7 @@ OPTIMIZE_ARTIFACTS = ("samples.csv", "pareto.json", "run_meta.json", "progress.n
 
 def seeded_config(config: str, population: int, budget: int, seed: int) -> ScenarioConfig:
     """The config at a path with the optimizer settings tlo optimize's overrides give."""
-    return replace(load_config(config), optimizer=optimizer_params(population, budget, seed))
+    return replace(load_config(config), optimizer=OptimizerParams(population, budget, seed))
 
 
 class TestOptimize:
@@ -413,6 +416,77 @@ class TestOptimize:
         for name in ("samples.csv", "pareto.json", "progress.ndjson"):
             assert (tmp_path / "run-bom" / name).read_bytes() == (
                 tmp_path / "run-plain" / name).read_bytes()
+
+
+def search(population, budget, seed):
+    """evolve on a toy space with these settings; each rule fails it before any evaluation."""
+    return evolve(None, DesignSpace("constant", 1, None, 2), population, budget, seed, 1.0)
+
+
+# each rule about a block's own values that its constructor states: the
+# message, the section of a file the constructor's path is within, a file
+# (a scenario, or a design for target1_nograv) with a change that breaks
+# it at a path, the tlo optimize overrides that break it (None: none can),
+# and library calls that break it
+CONSTRUCTOR_RULES = {
+    "odd population": (
+        "population must be even and at least 2", ("optimizer",),
+        "scenario", lambda d: d["optimizer"].update(population=41, budget=82),
+        ("optimizer", "population"), ["--population", "41", "--budget", "82"],
+        [lambda: OptimizerParams(41, 82, 0), lambda: search(41, 82, 0), lambda: search(0, 0, 0)]),
+    "budget below population": (
+        "budget must be at least the population size", ("optimizer",),
+        "scenario", lambda d: d["optimizer"].update(population=40, budget=20),
+        ("optimizer", "budget"), ["--population", "40", "--budget", "20"],
+        [lambda: OptimizerParams(40, 20, 0), lambda: search(40, 20, 0)]),
+    "negative seed": (
+        "seed must be at least 0", ("optimizer",),
+        "scenario", lambda d: d["optimizer"].update(seed=-1),
+        ("optimizer", "seed"), ["--seed", "-1"],
+        [lambda: OptimizerParams(seed=-1), lambda: search(40, 200, -1)]),
+    "float population": (
+        "expected an integer", ("optimizer",),
+        "scenario", lambda d: d["optimizer"].update(population=40.0),
+        ("optimizer", "population"), None,
+        [lambda: OptimizerParams(40.0), lambda: OptimizerParams(True),
+         lambda: search(40.0, 200, 0)]),
+    "no relay points": (
+        "variable mode requires mode.relay_points", ("mode",),
+        "scenario", lambda d: d["mode"].pop("relay_points"), ("mode",), None,
+        [lambda: DesignSpace("variable", 3, None, 2)]),
+    "wire off the base": (
+        "every wire must start on LINK_0", (),
+        "design", lambda d: d["wires"][1][0].update(link=2), ("wires", 1, 0, "link"), None,
+        [lambda: Design([[0, 1], [2, 1]], [[0.5, 0.5], [0.5, 0.5]]),
+         lambda: Design([[[0, 1], [0, 1]], [[0, 1], [2, 1]]], np.full((2, 2, 2), 0.5))]),
+}
+
+
+@pytest.mark.parametrize("rule", CONSTRUCTOR_RULES)
+def test_constructor_rule_reads_the_same_on_every_route(tmp_path, capsys, rule):
+    """A file names the rule's path and line, an override its path, and a
+    library caller gets a FieldError at the path within the section."""
+    message, section, kind, change, path, overrides, calls = CONSTRUCTOR_RULES[rule]
+    out = tmp_path / "out"
+    doc = json.loads((Path(scenario_path("target1_nograv")) if kind == "scenario"
+                      else DATA / "golden_design.json").read_text())
+    change(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc, indent=2))
+    args = (["optimize", "--config", str(bad)] if kind == "scenario" else
+            ["evaluate", "--config", scenario_path("target1_nograv"), "--design", str(bad)])
+    assert main([*args, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {dotted(path)} (line {value_line(doc, path)}): {message}\n")
+    if overrides is not None:
+        assert main(["optimize", "--config", scenario_path("target1_nograv"),
+                     "--out", str(out), *overrides]) == 2
+        assert capsys.readouterr().err == f"config error: {dotted(path)}: {message}\n"
+    assert not out.exists()
+    for call in calls:
+        with pytest.raises(FieldError) as err:
+            call()
+        assert (str(err.value), section + err.value.path) == (message, path)
 
 
 GOLDEN_RUNS = json.loads((GOLDEN / "optimize_digests.json").read_text())["runs"]

@@ -43,7 +43,7 @@ from tlo.feasibility import (
     velocity_directions,
     velocity_h_all,
 )
-from tlo.model import RobotModel, forward_kinematics, gravity_torque, joint_jacobian
+from tlo.model import FieldError, RobotModel, forward_kinematics, gravity_torque, joint_jacobian
 from tlo.nsga2 import evolve
 from tlo.oracle import force_polytope_exact, ray_h, velocity_polytope_exact
 
@@ -676,6 +676,28 @@ class TestValidation:
     def test_target_directions(self):
         with pytest.raises(ValueError, match="need at least 3 ellipse directions"):
             TargetSpec([0.0, 0.0], [1.0, 1.0], [1.0, 1.0], 2)
+
+    @pytest.mark.parametrize("vectors, key", [
+        (([0, 0], [1, 2, 3], [1, 1]), "force_radii"),
+        (([0, 0], [[1], [2]], [1, 1]), "force_radii"),
+        (([0], [1, 1], [1, 1]), "force_center"),
+        (([0, 0], [1, 1], 1.0), "velocity_radii"),
+    ])
+    def test_target_vectors_are_two_numbers(self, vectors, key):
+        with pytest.raises(FieldError) as err:
+            TargetSpec(*vectors)
+        assert (err.value.path, str(err.value)) == ((key,), f"{key} must be two numbers")
+
+    @pytest.mark.parametrize("n", [8.5, 8.0, True, "8"])
+    def test_target_directions_are_an_integer(self, n):
+        with pytest.raises(FieldError) as err:
+            TargetSpec([0, 0], [1, 1], [1, 1], n)
+        assert (err.value.path, str(err.value)) == (("directions",), "expected an integer")
+
+    def test_target_directions_may_be_a_numpy_integer(self):
+        target = TargetSpec([0, 0], [1, 1], [1, 1], np.int32(5))
+        assert type(target.n_directions) is int and target.n_directions == 5
+        assert len(force_directions(target)) == 5
 
     @pytest.mark.parametrize("limits", [(10.0, np.inf, -0.4, 0.4), (10.0, 200.0, -np.inf, 0.4),
                                         (10.0, 200.0, -0.4, np.inf), (np.nan, 200.0, -0.4, 0.4)])

@@ -7,6 +7,7 @@ from tlo.arrangement import DesignSpace, genome_rows_decode
 import reference_nsga2 as reference
 import tlo.nsga2
 from tlo.nsga2 import (
+    OptimizerParams,
     _offspring,
     _random_rows,
     _survivors,
@@ -398,6 +399,14 @@ class TestEvolve:
             evolve(toy_evaluator, SPACE, 21, 100, seed=0, max_objective=32.0)
         with pytest.raises(ValueError, match="budget must be at least the population size"):
             evolve(toy_evaluator, SPACE, 20, 10, seed=0, max_objective=32.0)
+
+    def test_settings_may_be_numpy_integers(self):
+        # and are kept as ints, which run_meta.json's encoder takes
+        params = OptimizerParams(np.int64(40), np.int32(200), np.uint8(3))
+        assert [(type(v), v) for v in (params.population, params.budget, params.seed)] == [
+            (int, 40), (int, 200), (int, 3)]
+        arch = evolve(toy_evaluator, SPACE, np.int64(20), np.int64(40), np.int64(1), 32.0)
+        assert arch.evaluation_count == 40
 
     def test_selection_pressure_beats_random_descent(self):
         # correlated objectives leave a single optimum: selection must descend
