@@ -44,7 +44,9 @@ class Design:
     attach segment. The first point of every wire sits on LINK_0, or a
     FieldError names it as a design file does. Constant designs: links is
     None and fractions[..., m, d] is wire m's moment arm at joint d, as a
-    fraction of the model's arm range.
+    fraction of the model's arm range. Both arrays are read-only views, so
+    a built design stays the checked one; the arrays a caller passed in
+    stay writable.
     """
 
     links: np.ndarray | None
@@ -55,8 +57,8 @@ class Design:
         if not constant:
             if np.size(self.links) and np.asarray(self.links).dtype.kind not in "iu":
                 raise TypeError("relay links must be integers")
-            links = self.links = np.asarray(self.links, dtype=np.int64)
-        fractions = self.fractions = np.asarray(self.fractions, dtype=float)
+            links = self.links = _read_only(self.links, np.int64)
+        fractions = self.fractions = _read_only(self.fractions, float)
         if constant:
             if fractions.ndim < 2 or fractions.shape[-2] < 1:
                 raise ValueError("fractions must be an (M, D) matrix")
@@ -92,6 +94,12 @@ class Design:
         return view
 
 
+def _read_only(array, dtype) -> np.ndarray:
+    view = np.asarray(array, dtype=dtype).view()
+    view.flags.writeable = False
+    return view
+
+
 class LinkTables(NamedTuple):
     """What relay points look up per link at joint states (...), built once
     per state stack, the components leading. Joint k is the origin of link k."""
@@ -119,11 +127,9 @@ def _relay_xy(model: RobotModel, designs: Design, tables: LinkTables):
     links = designs.links
     if links is None:
         raise TypeError("relay points exist only for variable arrangements")
-    # checked before indexing, which would wrap a negative link written after Design's check
-    if links.size:
-        lo, hi = links.min(), links.max()
-        if lo < 0 or hi >= len(model.link_lengths):
-            raise ValueError(f"relay link {lo if lo < 0 else hi} out of range")
+    # Design holds links >= 0 but does not know the robot
+    if links.size and links.max() >= len(model.link_lengths):
+        raise ValueError(f"relay link {links.max()} out of range")
     x0, y0, dx, dy = np.take(tables.segments, links, axis=1)
     x = x0 + designs.fractions * dx
     y = y0 + designs.fractions * dy

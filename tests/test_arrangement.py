@@ -56,11 +56,13 @@ class TestRelayPositions:
         )
 
     def test_out_of_range_link(self, paper_model):
-        for link in (7, 3, -1):  # numpy indexing would wrap -1 to the last link
-            design = Design([[0, 2]], [[0.0, 1.0]])
-            design.links[0, 1] = link
+        # a built design is read-only, so Design's check of a negative link holds
+        design = Design([[0, 2]], [[0.0, 1.0]])
+        with pytest.raises(ValueError, match="read-only"):
+            design.links[0, 1] = -1
+        for link in (7, 3):
             with pytest.raises(ValueError):
-                relay_world_positions(paper_model, design, np.zeros(2))
+                relay_world_positions(paper_model, Design([[0, link]], [[0.0, 1.0]]), np.zeros(2))
 
     def test_link_past_the_last_one_is_named(self, paper_model, zero_center_scenario):
         # Design does not know the robot: link 3 passes its checks, and the
@@ -382,6 +384,16 @@ class TestValidation:
     def test_each_rule_has_its_message(self, links, fractions, error, message):
         with pytest.raises(error, match=message):
             Design(links, fractions)
+
+    def test_arrays_are_read_only_views(self):
+        links, fractions = np.array([[0, 1]], dtype=np.int64), np.array([[0.5, 0.5]])
+        design = Design(links, fractions)
+        for derived in (design, design[()], design.reshape(1, 1)):
+            assert not (derived.links.flags.writeable or derived.fractions.flags.writeable)
+        assert not Design(None, fractions).fractions.flags.writeable
+        # the caller's own arrays stay writable
+        assert links.flags.writeable and fractions.flags.writeable
+        assert np.shares_memory(design.links, links) and np.shares_memory(design.fractions, fractions)
 
     def test_a_design_in_a_stack_fails_the_whole_stack(self):
         links = np.zeros((3, 2, 2), dtype=np.int64)

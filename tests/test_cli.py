@@ -30,6 +30,11 @@ DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
 
 
+BUNDLED_SCENARIOS = sorted(p.name.removesuffix(".json")
+                           for p in (resources.files("tlo") / "scenarios").iterdir()
+                           if p.name.endswith(".json"))
+
+
 def scenario_path(name: str) -> str:
     return str(resources.files("tlo") / "scenarios" / f"{name}.json")
 
@@ -1146,12 +1151,18 @@ class TestOracleCommand:
         ) == 0
 
     @pytest.mark.parametrize("flag, value", [
-        ("--trials", "-3"), ("--seed", "-1"), ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-0.5"),
+        ("--trials", "-3"), ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-0.5"),
     ])
     def test_vacuous_arguments_are_usage_errors(self, flag, value):
         with pytest.raises(SystemExit) as exc:
             main(["oracle", "--config", scenario_path("constant_relaxed"), flag, value])
         assert exc.value.code == 2
+
+    def test_negative_seed_is_a_config_error(self, capsys):
+        # the seed rule is OptimizerParams', as for tlo optimize --seed
+        assert main(["oracle", "--config", scenario_path("constant_relaxed"),
+                     "--seed", "-1"]) == 2
+        assert "config error: $.optimizer.seed: seed must be at least 0" in capsys.readouterr().err
 
     def oracle_at_center(self, tmp_path, center):
         """tlo oracle, 5 trials, on constant_relaxed with its force target moved."""
@@ -1179,13 +1190,45 @@ class TestOracleCommand:
              "--trials", "25", "--seed", "3", "--tol", "0"]
         ) == 1
 
-    def test_variable_config_rejected(self, capsys):
-        path = scenario_path("target1_nograv")
-        assert main(["oracle", "--config", path, "--trials", "5"]) == 2
-        line = next(i for i, text in enumerate(Path(path).read_text().splitlines(), 1)
-                    if '"kind": "variable"' in text)
-        assert f"$.mode.kind (line {line}): oracle cross-check needs a constant-mode config" \
-            in capsys.readouterr().err
+    @pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
+    def test_every_bundled_scenario_passes(self, name, capsys):
+        assert main(["oracle", "--config", scenario_path(name), "--trials", "5"]) == 0
+        assert re.search(r"5 trials, .*, 0 failures at tol 1e-06, \d+ pruned verdicts checked, "
+                         r"0 wrong$", capsys.readouterr().out.strip())
+
+    def oracle_with(self, monkeypatch, alter):
+        """tlo oracle, 5 variable-mode trials, with alter applied to the first
+        feasible result that evaluate returns."""
+        altered = []
+
+        def evaluate(*args):
+            result = tlo.feasibility.evaluate(*args)
+            if result.feasible and not altered:
+                altered.append(result)
+                alter(result)
+            return result
+
+        monkeypatch.setattr(tlo.cli, "evaluate", evaluate)
+        code = main(["oracle", "--config", scenario_path("target1_nograv"), "--trials", "5",
+                     "--seed", "2", "--tol", "5e-7"])
+        assert altered
+        return code
+
+    def test_a_wrong_h_fails(self, monkeypatch, capsys):
+        def shift(result):  # one h, twice the tolerance off
+            result.h_force = result.h_force.copy()
+            result.h_force[0, 0] += 1e-6
+
+        assert self.oracle_with(monkeypatch, shift) == 1
+        assert ", 1 failures at tol 5e-07, " in capsys.readouterr().out
+
+    def test_a_wrong_prune_fails(self, monkeypatch, capsys):
+        def prune(result):
+            result.feasible = np.False_
+
+        assert self.oracle_with(monkeypatch, prune) == 1
+        assert re.search(r"5 trials, .*, 0 failures at tol 5e-07, \d+ pruned verdicts checked, "
+                         r"1 wrong$", capsys.readouterr().out.strip())
 
     def test_three_joint_config_rejected(self, tmp_path, capsys):
         doc = json.loads((Path(__file__).parent / "data" / "three_joint.json").read_text())
