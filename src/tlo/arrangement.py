@@ -44,9 +44,9 @@ class Design:
     attach segment. The first point of every wire sits on LINK_0, or a
     FieldError names it as a design file does. Constant designs: links is
     None and fractions[..., m, d] is wire m's moment arm at joint d, as a
-    fraction of the model's arm range. Both arrays are read-only views, so
-    a built design stays the checked one; the arrays a caller passed in
-    stay writable.
+    fraction of the model's arm range. Both arrays are read-only copies,
+    so a built design stays the checked one, whatever a caller later writes
+    into the arrays it passed in.
     """
 
     links: np.ndarray | None
@@ -95,9 +95,9 @@ class Design:
 
 
 def _read_only(array, dtype) -> np.ndarray:
-    view = np.asarray(array, dtype=dtype).view()
-    view.flags.writeable = False
-    return view
+    copy = np.array(array, dtype=dtype)
+    copy.flags.writeable = False
+    return copy
 
 
 class LinkTables(NamedTuple):
@@ -234,7 +234,9 @@ class Genome:
 
 @dataclass(frozen=True)
 class DesignSpace:
-    """Shape of the searchable design family for a given robot: a scenario's mode block."""
+    """Shape of the searchable design family for a given robot: a scenario's
+    mode block. n_relay_points is required in variable mode, and checked
+    whenever it is given, in either mode."""
 
     kind: str  # "variable" | "constant"
     n_wires: int
@@ -243,14 +245,14 @@ class DesignSpace:
 
     def __post_init__(self):
         if self.kind not in ("variable", "constant"):
-            raise FieldError(f"unknown design kind {self.kind!r}", "kind")
+            raise FieldError("kind must be 'variable' or 'constant'", "kind")
         if self.n_wires < 1:
             raise FieldError("need at least one wire", "wires")
-        if self.kind == "variable":
-            if self.n_relay_points is None:
+        if self.n_relay_points is None:
+            if self.kind == "variable":
                 raise FieldError("variable mode requires mode.relay_points")
-            if self.n_relay_points < 2:
-                raise FieldError("variable designs need >= 2 relay points", "relay_points")
+        elif self.n_relay_points < 2:
+            raise FieldError("relay_points must be at least 2", "relay_points")
         if self.n_joints < 1:
             raise ValueError("need at least one joint")
 

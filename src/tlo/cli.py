@@ -354,7 +354,7 @@ def cmd_oracle(args) -> int:
         f"{failures} failures at tol {args.tol:g}, {pruned} pruned verdicts checked, {wrong} wrong"
     )
     if done == 0 < args.trials:
-        print("error: every trial was pruned, so nothing was checked", file=sys.stderr)
+        print("error: every trial was pruned, so no h was checked", file=sys.stderr)
         return EXIT_RUNTIME
     if done < args.trials:
         print(f"warning: only {done}/{args.trials} unpruned trials found", file=sys.stderr)

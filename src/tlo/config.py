@@ -2,15 +2,19 @@
 
 Angles are degrees in a scenario and radians everywhere else. A document is
 checked against its bundled schema itself (scenario.schema.json or
-design.schema.json), the one list of its fields, types and single-value
-bounds. The code adds the rules a schema does not state. One about a
-block's own values is stated by the block's constructor, as a FieldError
-that `within` reports at the file's path: RobotModel (robot), DesignSpace
-(mode), ActuatorLimits (limits), TargetSpec (targets), OptimizerParams
-(optimizer) and Design (a design's wires start on LINK_0). parse_config
-states the two that tie blocks together, one angle per joint in each joint
-state and arm ranges in constant mode, and parse_design those that tie a
-design to its scenario: its kind and counts, links and arm ranges.
+design.schema.json), the one list of its fields, JSON types and shapes
+(two numbers to a vector, two ends to an attach segment). Each bound is
+stated once, by the code that owns the value, so a file, a CLI override
+and a library call read one message. A rule about a block's own values is
+stated by the block's constructor, as a FieldError that `within` reports
+at the file's path: RobotModel (robot), DesignSpace (mode), ActuatorLimits
+(limits), TargetSpec (targets), OptimizerParams (optimizer), Scenario (the
+joint states and h_cap) and Design (a design's wires start on LINK_0).
+parse_config states the two that tie blocks together, one angle per joint
+in each joint state and arm ranges in constant mode, and parse_design
+those that tie a design to its scenario: its kind and counts, links and
+arm ranges. The schemas keep only the bounds no code states:
+schema_version, gravity, and a design's link >= 0 and frac in [0, 1].
 
 Errors carry the JSON path. The line it starts on is looked up once, by
 load_document, which read the text, and only for a failing document: json's
@@ -218,18 +222,17 @@ def within(section: tuple):
 def parse_config(doc: dict, name: str = "scenario") -> ScenarioConfig:
     """Validate a scenario document; raises ConfigError at its path.
 
-    scenario.schema.json and the constructors state the rules about one
-    value or block (see the module docstring); those here tie blocks together."""
+    scenario.schema.json states the fields, types and shapes, and the
+    constructors the rules about one block's values (see the module
+    docstring); those here tie blocks together."""
     _check(doc, _schema("scenario"))
     robot, mode, limits, targets = doc["robot"], doc["mode"], doc["limits"], doc["targets"]
     with within(("robot",)):  # the schema's robot fields are RobotModel's parameters
         robot_model = RobotModel(**robot)
     d = robot_model.n_joints
-    kind = mode["kind"]
-    relay_points = mode.get("relay_points") if kind == "variable" else None
     with within(("mode",)):
-        space = DesignSpace(kind, mode["wires"], relay_points, d)
-    if kind == "constant" and robot_model.moment_arm_ranges is None:
+        space = DesignSpace(mode["kind"], mode["wires"], mode.get("relay_points"), d)
+    if space.kind == "constant" and robot_model.moment_arm_ranges is None:
         raise ConfigError("constant mode requires robot.moment_arm_ranges", ("robot",))
     with within(("limits",)):
         actuator_limits = ActuatorLimits(*limits["tension"], *limits["wire_speed"])
@@ -242,8 +245,9 @@ def parse_config(doc: dict, name: str = "scenario") -> ScenarioConfig:
     with within(("optimizer",)):
         optimizer = OptimizerParams(**doc.get("optimizer", {}))
     joint_states = np.deg2rad(np.array(doc["evaluated_joint_states"], dtype=float))
-    scenario = Scenario(actuator_limits, target, joint_states, gravity=doc["gravity"] == "on",
-                        **_given(doc, h_cap="h_cap"))
+    with within(()):  # Scenario states the joint-state and h_cap rules
+        scenario = Scenario(actuator_limits, target, joint_states, gravity=doc["gravity"] == "on",
+                            **_given(doc, h_cap="h_cap"))
     return ScenarioConfig(doc.get("name", name), robot_model, space, optimizer, doc, scenario)
 
 
@@ -251,9 +255,10 @@ def parse_design(doc, cfg: ScenarioConfig) -> Design:
     """Validate a design document for cfg's design space; raises ConfigError
     at its path.
 
-    design.schema.json is the one list of the format's fields, types and
-    single-value bounds, and designs_to_jsonable writes it; the rules here tie
-    values to the scenario, which it cannot state."""
+    design.schema.json is the one list of the format's fields and types, with
+    link >= 0 and frac in [0, 1], and designs_to_jsonable writes it; the rules
+    here tie values to the scenario, which it cannot state, the wire and relay
+    point counts among them."""
     _check(doc, _schema("design"))
     space, robot = cfg.space, cfg.robot
     if doc["kind"] != space.kind:

@@ -118,7 +118,8 @@ class ActuatorLimits:
 
 @dataclass
 class Scenario:
-    """Evaluation context: limits, targets, gravity switch, joint states."""
+    """Evaluation context: limits, targets, gravity switch, joint states. A
+    rule it states raises a FieldError naming the scenario file's field."""
 
     limits: ActuatorLimits
     target: TargetSpec
@@ -132,9 +133,11 @@ class Scenario:
         except ValueError:  # ragged rows
             q = np.empty(0)
         if q.ndim != 2 or 0 in q.shape or not np.isfinite(q).all():
-            raise ValueError("joint states must be a finite (S, D) array, S and D at least 1")
+            raise FieldError("joint states must be a finite (S, D) array, S and D at least 1",
+                             "evaluated_joint_states")
         if not 1.0 <= self.h_cap < np.inf:  # NaN fails
-            raise ValueError("h_cap must be finite; below 1 it would distort the objectives")
+            raise FieldError("h_cap must be finite; below 1 it would distort the objectives",
+                             "h_cap")
         self.h_cap = float(self.h_cap)
 
     @property

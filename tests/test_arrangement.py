@@ -213,11 +213,12 @@ class TestGenome:
         assert len(Genome(np.zeros(2), np.zeros(1, dtype=int))) == 3
 
     @pytest.mark.parametrize("args, message", [
-        (("magic", 1, 2, 2), "unknown design kind 'magic'"),
+        (("magic", 1, 2, 2), "kind must be 'variable' or 'constant'"),
         (("variable", 0, 2, 2), "need at least one wire"),
         (("variable", 1, None, 2), "variable mode requires mode.relay_points"),
-        (("variable", 1, 1, 2), "variable designs need >= 2 relay points"),
+        (("variable", 1, 1, 2), "relay_points must be at least 2"),
         (("constant", 1, None, 0), "need at least one joint"),
+        (("constant", 1, 1, 2), "relay_points must be at least 2"),
     ])
     def test_space_rules_have_their_messages(self, args, message):
         with pytest.raises(ValueError, match=message):
@@ -391,9 +392,12 @@ class TestValidation:
         for derived in (design, design[()], design.reshape(1, 1)):
             assert not (derived.links.flags.writeable or derived.fractions.flags.writeable)
         assert not Design(None, fractions).fractions.flags.writeable
-        # the caller's own arrays stay writable
+        # the caller's own arrays stay writable, and writing them leaves the design as it was
         assert links.flags.writeable and fractions.flags.writeable
-        assert np.shares_memory(design.links, links) and np.shares_memory(design.fractions, fractions)
+        assert not (np.shares_memory(design.links, links)
+                    or np.shares_memory(design.fractions, fractions))
+        links[0, 1], fractions[0, 1] = -1, 2.0
+        assert design.links.tolist() == [[0, 1]] and design.fractions.tolist() == [[0.5, 0.5]]
 
     def test_a_design_in_a_stack_fails_the_whole_stack(self):
         links = np.zeros((3, 2, 2), dtype=np.int64)

@@ -1177,7 +1177,7 @@ class TestOracleCommand:
         assert self.oracle_at_center(tmp_path, [5000.0, 5000.0]) == 1
         out, err = capsys.readouterr()
         assert "0 trials" in out
-        assert "error: every trial was pruned, so nothing was checked" in err
+        assert "error: every trial was pruned, so no h was checked" in err
 
     def test_some_trials_pruned_pass_with_a_warning(self, tmp_path, capsys):
         assert self.oracle_at_center(tmp_path, [1000.0, 0.0]) == 0

@@ -3,6 +3,7 @@ import json
 import random
 from importlib import resources
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -10,16 +11,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tlo import config
+from tlo.arrangement import DesignSpace
+from tlo.cli import main
 from tlo.config import (
     ConfigError,
     json_value_lines,
     load_bundled_scenario,
     load_config,
+    load_document,
     parse_config,
+    parse_design,
 )
 from tlo.feasibility import ActuatorLimits, Scenario, TargetSpec
 from tlo.model import FieldError, RobotModel
+from tlo.nsga2 import OptimizerParams
 
+DATA = Path(__file__).parent / "data"
 BUNDLED_NAMES = sorted(p.name.removesuffix(".json")
                        for p in (resources.files("tlo") / "scenarios").iterdir()
                        if p.name.endswith(".json"))
@@ -288,7 +295,7 @@ def test_stricter_than_json_schema(path, value):
 
 
 SCENARIO_FILES = [*sorted(Path(str(resources.files("tlo") / "scenarios")).glob("*.json")),
-                  *sorted(p for p in (Path(__file__).parent / "data").glob("*.json")
+                  *sorted(p for p in DATA.glob("*.json")
                           if not p.name.startswith("golden_design"))]
 # replacement values: every JSON type, but no non-finite number and no
 # integer-valued float, which _check rejects on purpose (see above); numbers
@@ -373,7 +380,7 @@ def test_check_agrees_with_json_schema_on_mutated_scenarios():
     assert_check_agrees_with_json_schema("scenario", SCENARIO_FILES)
 
 
-DESIGN_FILES = sorted((Path(__file__).parent / "data").glob("golden_design*.json"))
+DESIGN_FILES = sorted(DATA.glob("golden_design*.json"))
 
 
 def test_check_agrees_with_json_schema_on_mutated_designs():
@@ -462,6 +469,121 @@ def test_constructor_errors_are_the_files(build, section, patch):
     with pytest.raises(ConfigError) as err:
         parse_config(with_patch(**patch))
     assert (err.value.path, err.value.message) == (section + field.value.path, str(field.value))
+
+
+class OwnedBound(NamedTuple):
+    """A bound that only the code owning its value states: a bundled scenario,
+    the design file on it (None: the scenario is the file), the value's path,
+    a value that breaks the bound and its message, the block the owner's
+    FieldError path is within, the owner's direct call, given the broken
+    document, and the tlo optimize flags that break it (None: none can)."""
+
+    scenario: str
+    design: str | None
+    path: tuple
+    value: object
+    message: str
+    section: tuple
+    owner: Callable
+    flags: list | None = None
+
+
+def design_on(name: str) -> Callable:
+    return lambda doc: parse_design(doc, load_bundled_scenario(name))
+
+
+LIMITS = ActuatorLimits(10.0, 200.0, -0.4, 0.4)
+TARGET = TargetSpec([-38.0, 8.0], [55.0, 18.0], [0.8, 0.8])
+OWNED_BOUNDS = {
+    "mode.wires": OwnedBound(
+        "target1_nograv", None, ("mode", "wires"), 0, "need at least one wire", ("mode",),
+        lambda doc: DesignSpace("variable", 0, 2, 2)),
+    "mode.relay_points": OwnedBound(
+        "target1_nograv", None, ("mode", "relay_points"), 1, "relay_points must be at least 2",
+        ("mode",), lambda doc: DesignSpace("variable", 3, 1, 2)),
+    "constant mode.relay_points": OwnedBound(
+        "constant_relaxed", None, ("mode", "relay_points"), 1, "relay_points must be at least 2",
+        ("mode",), lambda doc: DesignSpace("constant", 4, 1, 2)),
+    "mode.kind": OwnedBound(
+        "target1_nograv", None, ("mode", "kind"), "magic", "kind must be 'variable' or 'constant'",
+        ("mode",), lambda doc: DesignSpace("magic", 3, 2, 2)),
+    "robot.link_lengths": OwnedBound(
+        "target1_nograv", None, ("robot", "link_lengths"), [0.4],
+        "need LINK_0 plus at least one movable link", ("robot",),
+        lambda doc: RobotModel([0.4], [0.0])),
+    "targets.directions": OwnedBound(
+        "target1_nograv", None, ("targets", "directions"), 2, "need at least 3 ellipse directions",
+        ("targets",), lambda doc: TargetSpec([-38.0, 8.0], [55.0, 18.0], [0.8, 0.8], 2)),
+    "h_cap": OwnedBound(
+        "target1_nograv", None, ("h_cap",), 0.5,
+        "h_cap must be finite; below 1 it would distort the objectives", (),
+        lambda doc: Scenario(LIMITS, TARGET, np.zeros((1, 2)), h_cap=0.5)),
+    "evaluated_joint_states": OwnedBound(
+        "target1_nograv", None, ("evaluated_joint_states",), [],
+        "joint states must be a finite (S, D) array, S and D at least 1", (),
+        lambda doc: Scenario(LIMITS, TARGET, np.zeros((0, 2)))),
+    "optimizer.population": OwnedBound(
+        "target1_nograv", None, ("optimizer", "population"), 1,
+        "population must be even and at least 2", ("optimizer",),
+        lambda doc: OptimizerParams(1, 10, 0), ["--population", "1"]),
+    "optimizer.budget": OwnedBound(
+        "target1_nograv", None, ("optimizer", "budget"), 1,
+        "budget must be at least the population size", ("optimizer",),
+        lambda doc: OptimizerParams(budget=1), ["--budget", "1"]),
+    "optimizer.seed": OwnedBound(
+        "target1_nograv", None, ("optimizer", "seed"), -1, "seed must be at least 0",
+        ("optimizer",), lambda doc: OptimizerParams(seed=-1), ["--seed", "-1"]),
+    "design wires": OwnedBound(
+        "target1_nograv", "golden_design.json", ("wires",), [],
+        "need 3 wires, the config's mode.wires", (), design_on("target1_nograv")),
+    "design wire": OwnedBound(
+        "target1_nograv", "golden_design.json", ("wires", 1), [{"link": 0, "frac": 0.5}],
+        "need 2 relay points, the config's mode.relay_points", (), design_on("target1_nograv")),
+    "design arms": OwnedBound(
+        "constant_relaxed", "golden_design_constant.json", ("arms",), [],
+        "need 4 wires, the config's mode.wires", (), design_on("constant_relaxed")),
+}
+
+
+@pytest.mark.parametrize("name", OWNED_BOUNDS)
+def test_each_bound_reads_one_message_on_every_route(name, tmp_path, capsys):
+    """The schemas leave each of these bounds to the code that owns the value:
+    a file, the owner's direct call and a tlo optimize flag read one message
+    at one path, and the file exits 2 naming its line, writing nothing."""
+    bound = OWNED_BOUNDS[name]
+    scenario = resources.files("tlo") / "scenarios" / f"{bound.scenario}.json"
+    doc = json.loads((DATA / bound.design if bound.design else scenario).read_text())
+    node = doc
+    for key in bound.path[:-1]:
+        node = node[key]
+    node[bound.path[-1]] = "@marker@"  # the line the value starts on, as json.dumps lays it out
+    line = next(n for n, row in enumerate(json.dumps(doc, indent=2).splitlines(), 1)
+                if "@marker@" in row)
+    node[bound.path[-1]] = bound.value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc, indent=2))
+    at = "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in bound.path)
+
+    with pytest.raises(ConfigError) as err:
+        if bound.design:
+            load_document(bad, design_on(bound.scenario))
+        else:
+            load_config(bad)
+    assert (err.value.path, str(err.value)) == (bound.path, f"{at} (line {line}): {bound.message}")
+    with pytest.raises((FieldError, ConfigError)) as err:
+        bound.owner(doc)
+    owner = getattr(err.value, "message", str(err.value)), bound.section + err.value.path
+    assert owner == (bound.message, bound.path)
+
+    out = tmp_path / "out"
+    args = (["evaluate", "--config", str(scenario), "--design", str(bad)] if bound.design
+            else ["optimize", "--config", str(bad)])
+    assert main([*args, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {at} (line {line}): {bound.message}\n"
+    if bound.flags:
+        assert main(["optimize", "--config", str(scenario), "--out", str(out), *bound.flags]) == 2
+        assert capsys.readouterr().err == f"config error: {at}: {bound.message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("past, allowed", [(0.0, True), (0.5e-9, True), (2e-9, False),
