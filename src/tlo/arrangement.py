@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import FieldError, Pose, RobotModel, forward_kinematics
+from .model import FieldError, Pose, RobotModel, forward_kinematics, integer_field
 
 DEGENERATE_SEGMENT = 1e-9
 
@@ -41,12 +41,14 @@ class Design:
 
     Variable designs: links[..., m, n] is the link that point n of wire m
     is pinned to and fractions[..., m, n] its position along that link's
-    attach segment. The first point of every wire sits on LINK_0, or a
-    FieldError names it as a design file does. Constant designs: links is
-    None and fractions[..., m, d] is wire m's moment arm at joint d, as a
-    fraction of the model's arm range. Both arrays are read-only copies,
-    so a built design stays the checked one, whatever a caller later writes
-    into the arrays it passed in.
+    attach segment. The first point of every wire sits on LINK_0, no link
+    is negative and every fraction lies in [0, 1], or a FieldError names
+    the point as a design file does, m being the wire within its design.
+    Constant designs: links is None and fractions[..., m, d] is wire m's
+    moment arm at joint d, as a fraction of the model's arm range, in
+    [0, 1] at ("arms", m, d). Both arrays are read-only copies, so a built
+    design stays the checked one, whatever a caller later writes into the
+    arrays it passed in.
     """
 
     links: np.ndarray | None
@@ -71,10 +73,16 @@ class Design:
         elif links[..., 0].any():
             m = int(np.argwhere(links[..., 0])[0, -1])
             raise FieldError("every wire must start on LINK_0", "wires", m, 0, "link")
-        if not np.all((fractions >= 0.0) & (fractions <= 1.0)):  # NaN fails
-            raise ValueError(f"{'arm' if constant else 'relay'} fractions must lie in [0, 1]")
+        # the passing path is one test per rule: a design is built on every evaluator call
+        ok = (fractions >= 0.0) & (fractions <= 1.0)  # NaN fails
+        if not np.all(ok):
+            m, n = np.argwhere(~ok)[0, -2:].tolist()
+            if constant:
+                raise FieldError("arm fractions must lie in [0, 1]", "arms", m, n)
+            raise FieldError("relay fractions must lie in [0, 1]", "wires", m, n, "frac")
         if not constant and (links < 0).any():
-            raise ValueError("negative link index")
+            m, n = np.argwhere(links < 0)[0, -2:].tolist()
+            raise FieldError("link must be at least 0", "wires", m, n, "link")
 
     @property
     def shape(self) -> tuple:
@@ -228,9 +236,6 @@ class Genome:
     reals: np.ndarray
     cats: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.reals) + len(self.cats)
-
 
 @dataclass(frozen=True)
 class DesignSpace:
@@ -246,6 +251,10 @@ class DesignSpace:
     def __post_init__(self):
         if self.kind not in ("variable", "constant"):
             raise FieldError("kind must be 'variable' or 'constant'", "kind")
+        object.__setattr__(self, "n_wires", integer_field(self.n_wires, "wires"))
+        if self.n_relay_points is not None:
+            object.__setattr__(self, "n_relay_points",
+                               integer_field(self.n_relay_points, "relay_points"))
         if self.n_wires < 1:
             raise FieldError("need at least one wire", "wires")
         if self.n_relay_points is None:

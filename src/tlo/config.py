@@ -1,20 +1,21 @@
 """The documents tlo reads: scenarios (one per experiment) and designs.
 
 Angles are degrees in a scenario and radians everywhere else. A document is
-checked against its bundled schema itself (scenario.schema.json or
-design.schema.json), the one list of its fields, JSON types and shapes
-(two numbers to a vector, two ends to an attach segment). Each bound is
-stated once, by the code that owns the value, so a file, a CLI override
-and a library call read one message. A rule about a block's own values is
-stated by the block's constructor, as a FieldError that `within` reports
-at the file's path: RobotModel (robot), DesignSpace (mode), ActuatorLimits
-(limits), TargetSpec (targets), OptimizerParams (optimizer), Scenario (the
-joint states and h_cap) and Design (a design's wires start on LINK_0).
-parse_config states the two that tie blocks together, one angle per joint
-in each joint state and arm ranges in constant mode, and parse_design
-those that tie a design to its scenario: its kind and counts, links and
-arm ranges. The schemas keep only the bounds no code states:
-schema_version, gravity, and a design's link >= 0 and frac in [0, 1].
+checked against its bundled schema itself (scenario.schema.json, or the
+branch of design.schema.json of the scenario's kind), the one list of its
+fields, JSON types and shapes (two numbers to a vector, two ends to an
+attach segment). Each bound is stated once, by the code that owns the
+value, so a file, a CLI override and a library call read one message. A
+rule about a block's own values is stated by the block's constructor, as
+a FieldError that `within` reports at the file's path: RobotModel (robot),
+DesignSpace (mode), ActuatorLimits (limits), TargetSpec (targets),
+OptimizerParams (optimizer), Scenario (the joint states and h_cap) and
+Design (a design's wires start on LINK_0, links >= 0, fractions in
+[0, 1]). parse_config states the two that tie blocks together, one angle
+per joint in each joint state and arm ranges in constant mode, and
+parse_design those that tie a design to its scenario: its kind and
+counts, links and arm ranges. The schemas state no bound: beside a
+design's kind, their only value rules are schema_version and gravity.
 
 Errors carry the JSON path. The line it starts on is looked up once, by
 load_document, which read the text, and only for a failing document: json's
@@ -126,29 +127,14 @@ def _schema(name: str) -> dict:
     return json.loads((resources.files("tlo") / "schemas" / f"{name}.schema.json").read_text())
 
 
-class _ConstMismatch(ConfigError):
-    """A const that does not hold: in a oneOf, the branch the document does not mean."""
-
-    def __init__(self, const, path: tuple):
-        super().__init__(f"{path[-1]} must be {const}", path)
-        self.const = const
-
-
-def _must_be_one_of(values, path: tuple) -> ConfigError:
-    return ConfigError(f"{path[-1]} must be " + " or ".join(map(repr, values)), path)
-
-
 def _check(node, schema: dict, path: tuple = (), root: dict | None = None) -> None:
     """Check node, the value at path, against schema, a part of the bundled
     schema root (schema itself by default); raise ConfigError at the first fault.
 
-    Implements the keywords the bundled files use. An object schema with
-    properties allows no other keys, as the files' additionalProperties: false
-    says of each one. A oneOf accepts the node when one branch does: the
-    branches of design.schema.json differ by a const kind, so no two can.
-    Otherwise it raises the error of the branch that got furthest, at the
-    deepest path; a branch rejected by a const ranks last, and when every
-    branch is, at one path, the error names each const, as an enum does.
+    Implements the keywords the bundled files use: types and shapes, const
+    and enum, and no bound (each is its owner's, see the module docstring).
+    An object schema with properties allows no other keys, as the files'
+    additionalProperties: false says of each one.
     Stricter than JSON Schema in three ways: a number must be finite
     (Python's json reads NaN and Infinity) and within float range, a bool
     is never a number, an integer or const 1, and 3.0 is not an integer.
@@ -156,19 +142,6 @@ def _check(node, schema: dict, path: tuple = (), root: dict | None = None) -> No
     root = schema if root is None else root
     if "$ref" in schema:
         _check(node, root["$defs"][schema["$ref"].removeprefix("#/$defs/")], path, root)
-    if "oneOf" in schema:
-        errors = []
-        for branch in schema["oneOf"]:
-            try:
-                _check(node, branch, path, root)
-                break
-            except ConfigError as exc:
-                errors.append(exc)
-        else:
-            at = errors[0].path
-            if all(isinstance(exc, _ConstMismatch) and exc.path == at for exc in errors):
-                raise _must_be_one_of([exc.const for exc in errors], at)
-            raise max(errors, key=lambda exc: (not isinstance(exc, _ConstMismatch), len(exc.path)))
     if "type" in schema:
         kind, word = _TYPES[schema["type"]]
         if isinstance(node, bool) or not isinstance(node, kind):
@@ -176,14 +149,10 @@ def _check(node, schema: dict, path: tuple = (), root: dict | None = None) -> No
         if schema["type"] == "number" and not abs(node) <= sys.float_info.max:
             raise ConfigError("number must be finite", path)
     if "const" in schema and (isinstance(node, bool) or node != schema["const"]):
-        raise _ConstMismatch(schema["const"], path)
+        raise ConfigError(f"{path[-1]} must be {schema['const']}", path)
     if "enum" in schema and node not in schema["enum"]:
-        raise _must_be_one_of(schema["enum"], path)
-    if "minimum" in schema and node < schema["minimum"]:
-        raise ConfigError(f"{path[-1]} must be at least {schema['minimum']}", path)
-    if "maximum" in schema and node > schema["maximum"]:
-        raise ConfigError(f"{path[-1]} must be at most {schema['maximum']}", path)
-    if "properties" in schema:  # in the schema's order, so a oneOf meets its const kind first
+        raise ConfigError(f"{path[-1]} must be " + " or ".join(map(repr, schema["enum"])), path)
+    if "properties" in schema:  # in the schema's order
         for key, value in schema["properties"].items():
             if key in node:
                 _check(node[key], value, path + (key,), root)
@@ -255,14 +224,16 @@ def parse_design(doc, cfg: ScenarioConfig) -> Design:
     """Validate a design document for cfg's design space; raises ConfigError
     at its path.
 
-    design.schema.json is the one list of the format's fields and types, with
-    link >= 0 and frac in [0, 1], and designs_to_jsonable writes it; the rules
-    here tie values to the scenario, which it cannot state, the wire and relay
-    point counts among them."""
-    _check(doc, _schema("design"))
+    The document is walked against the branch of design.schema.json of the
+    config's kind, the one list of that format's fields and types, which
+    designs_to_jsonable writes; the rules here tie values to the scenario,
+    the wire and relay point counts among them, and Design states the
+    bounds of links and fractions."""
     space, robot = cfg.space, cfg.robot
-    if doc["kind"] != space.kind:
+    if isinstance(doc, dict) and doc.get("kind", space.kind) != space.kind:
         raise ConfigError(f"kind must be {space.kind}, the config's mode.kind", ("kind",))
+    schema = _schema("design")
+    _check(doc, schema["$defs"][space.kind], root=schema)
     key = "wires" if space.kind == "variable" else "arms"
     rows = doc[key]
     if len(rows) != space.n_wires:
@@ -287,7 +258,7 @@ def parse_design(doc, cfg: ScenarioConfig) -> Design:
             if point["link"] > robot.n_joints:
                 raise ConfigError(f"link must be at most {robot.n_joints}, the robot's last link",
                                   ("wires", m, n, "link"))
-    with within(()):  # Design states the LINK_0 rule
+    with within(()):  # Design states the LINK_0, link and fraction rules
         return Design([[point["link"] for point in wire] for wire in rows],
                       [[point["frac"] for point in wire] for wire in rows])
 

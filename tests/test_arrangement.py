@@ -27,7 +27,7 @@ from tlo.arrangement import (
 )
 from tlo.config import ConfigError, ScenarioConfig, parse_config, parse_design
 from tlo.feasibility import evaluate
-from tlo.model import RobotModel, forward_kinematics
+from tlo.model import FieldError, RobotModel, forward_kinematics
 from reference_geometry import wire_lengths
 
 
@@ -210,7 +210,6 @@ class TestGenome:
     def test_gene_counts_small(self):
         space = DesignSpace("variable", 1, 2, 2)
         assert (space.n_reals, space.n_cats) == (2, 1)
-        assert len(Genome(np.zeros(2), np.zeros(1, dtype=int))) == 3
 
     @pytest.mark.parametrize("args, message", [
         (("magic", 1, 2, 2), "kind must be 'variable' or 'constant'"),
@@ -219,10 +218,18 @@ class TestGenome:
         (("variable", 1, 1, 2), "relay_points must be at least 2"),
         (("constant", 1, None, 0), "need at least one joint"),
         (("constant", 1, 1, 2), "relay_points must be at least 2"),
+        (("variable", 2.5, 3, 2), "expected an integer"),
+        (("variable", True, 2, 2), "expected an integer"),
+        (("variable", 2, 3.0, 2), "expected an integer"),
     ])
     def test_space_rules_have_their_messages(self, args, message):
         with pytest.raises(ValueError, match=message):
             DesignSpace(*args)
+
+    def test_space_counts_are_ints(self):
+        space = DesignSpace("variable", np.int64(2), np.int32(3), 2)
+        assert type(space.n_wires) is int and type(space.n_relay_points) is int
+        assert (space.n_reals, space.n_cats) == (6, 4)
 
     def test_gene_counts_paper_scale(self):
         space = DesignSpace("variable", 4, 3, 2)
@@ -333,7 +340,9 @@ class TestDesignJson:
         ({"kind": "variable", "wires": [[{"link": 0, "frac": 0.5},
                                          {"link": 1, "frac": 0.5, "x": 0.1}]]},
          "$.wires[0][1].x: unknown field"),
-        ({"kind": "constant", "arms": [[0.05, 0.0]], "wires": []}, "$.wires: unknown field"),
+        # a design of the other kind reads the kind rule first, whatever else it holds
+        ({"kind": "constant", "arms": [[0.05, 0.0]], "wires": []},
+         "$.kind: kind must be variable, the config's mode.kind"),
     ], ids=["top", "relay point", "constant"])
     def test_unknown_keys_rejected(self, doc, message):
         # design.schema.json allows no other keys ("additionalProperties": false)
@@ -377,7 +386,7 @@ class TestValidation:
         ([[0, 1]], [[0.5, 0.5, 0.5]], ValueError, "must be matching"),
         (np.zeros((2, 0, 2), dtype=int), np.zeros((2, 0, 2)), ValueError,
          "need at least one wire"),
-        ([[0, -1]], [[0.5, 0.5]], ValueError, "negative link index"),
+        ([[0, -1]], [[0.5, 0.5]], ValueError, "link must be at least 0"),
         ([[0, 1]], [[np.nan, 0.5]], ValueError, r"relay fractions must lie in \[0, 1\]"),
         (None, [0.5, 0.5], ValueError, r"fractions must be an \(M, D\) matrix"),
         (None, np.zeros((3, 0, 2)), ValueError, r"fractions must be an \(M, D\) matrix"),
@@ -400,14 +409,22 @@ class TestValidation:
         assert design.links.tolist() == [[0, 1]] and design.fractions.tolist() == [[0.5, 0.5]]
 
     def test_a_design_in_a_stack_fails_the_whole_stack(self):
+        # the error's path indexes the wire and point within the failing
+        # design, as a design file does
         links = np.zeros((3, 2, 2), dtype=np.int64)
         fractions = np.full((3, 2, 2), 0.5)
         Design(links, fractions)
-        links[2, 1, 0] = 1
-        with pytest.raises(ValueError, match="every wire must start on LINK_0"):
-            Design(links, fractions)
-        with pytest.raises(ValueError, match=r"arm fractions must lie in \[0, 1\]"):
-            Design(None, np.concatenate((fractions, [[[0.5, -0.5], [0.5, 0.5]]])))
+        off_base, negative, above = links.copy(), links.copy(), fractions.copy()
+        off_base[2, 1, 0], negative[2, 1, 1], above[2, 1, 1] = 1, -1, 1.5
+        for args, path, message in [
+            ((off_base, fractions), ("wires", 1, 0, "link"), "every wire must start on LINK_0"),
+            ((links, above), ("wires", 1, 1, "frac"), "relay fractions must lie in [0, 1]"),
+            ((None, above), ("arms", 1, 1), "arm fractions must lie in [0, 1]"),
+            ((negative, fractions), ("wires", 1, 1, "link"), "link must be at least 0"),
+        ]:
+            with pytest.raises(FieldError) as err:
+                Design(*args)
+            assert (str(err.value), err.value.path) == (message, path)
 
     def test_genome_rows_out_of_range(self):
         space = DesignSpace("variable", 1, 2, 2)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tlo import config
-from tlo.arrangement import DesignSpace
+from tlo.arrangement import Design, DesignSpace
 from tlo.cli import main
 from tlo.config import (
     ConfigError,
@@ -215,44 +215,42 @@ def test_validation_failures_include_path(patch, path_fragment):
 
 
 # the keywords config._check implements, and those that only annotate
-CHECKED_KEYWORDS = {"$ref", "oneOf", "type", "const", "enum", "minimum", "maximum", "required",
-                    "properties", "additionalProperties", "items", "minItems", "maxItems"}
+CHECKED_KEYWORDS = {"$ref", "type", "const", "enum", "required", "properties",
+                    "additionalProperties", "items", "minItems", "maxItems"}
 ANNOTATIONS = {"$schema", "$id", "title", "description", "$defs"}
+DESIGN_KINDS = ("variable", "constant")
 
 
 def schema_nodes(node):
-    """Every schema object within a schema: the root, each property's, each
-    $defs entry's and each oneOf branch's schema, and each items schema."""
+    """Every schema object within a schema: the root, each property's and
+    each $defs entry's schema, and each items schema."""
     yield node
     for key in ("properties", "$defs"):
         for child in node.get(key, {}).values():
             yield from schema_nodes(child)
-    for branch in node.get("oneOf", ()):
-        yield from schema_nodes(branch)
     if "items" in node:
         yield from schema_nodes(node["items"])
 
 
 def test_check_implements_every_keyword_of_the_schema():
     """A keyword added to a schema file that _check does not know would be
-    skipped without notice; this fails first."""
-    nodes = [node for name in ("scenario", "design") for node in schema_nodes(config._schema(name))]
+    skipped without notice; this fails first. _check walks the scenario
+    schema and each of the design schema's $defs, one per design kind, as
+    parse_design walks the one of its config's kind; the design root, a
+    oneOf of those $defs, is read by JSON Schema validators alone."""
+    design = config._schema("design")
+    assert design["oneOf"] == [{"$ref": f"#/$defs/{kind}"} for kind in DESIGN_KINDS]
+    assert set(design) - ANNOTATIONS == {"oneOf"} and list(design["$defs"]) == list(DESIGN_KINDS)
+    for kind, branch in design["$defs"].items():
+        assert branch["properties"]["kind"] == {"const": kind} and "kind" in branch["required"]
+    nodes = [*schema_nodes(config._schema("scenario")),
+             *(node for branch in design["$defs"].values() for node in schema_nodes(branch))]
     assert set().union(*nodes) <= CHECKED_KEYWORDS | ANNOTATIONS
     # _check reads properties as a closed list of fields
     closed = [node for node in nodes if "properties" in node]
     assert all(node.get("additionalProperties") is False for node in closed)
     assert sum("additionalProperties" in node for node in nodes) == len(closed)
     assert all(node["$ref"].startswith("#/$defs/") for node in nodes if "$ref" in node)
-    # _check accepts a oneOf at its first passing branch: no two may pass, as
-    # when each branch requires its own const value of one shared field
-    oneofs = [node["oneOf"] for node in nodes if "oneOf" in node]
-    assert oneofs
-    for branches in oneofs:
-        consts = [[(key, sub["const"]) for key, sub in branch["properties"].items()
-                   if "const" in sub and key in branch["required"]] for branch in branches]
-        assert all(len(const) == 1 for const in consts)
-        assert len({key for ((key, _),) in consts}) == 1
-        assert len({value for ((_, value),) in consts}) == len(branches)
 
 
 @pytest.mark.parametrize("patch, error", [
@@ -299,7 +297,7 @@ SCENARIO_FILES = [*sorted(Path(str(resources.files("tlo") / "scenarios")).glob("
                           if not p.name.startswith("golden_design"))]
 # replacement values: every JSON type, but no non-finite number and no
 # integer-valued float, which _check rejects on purpose (see above); numbers
-# on both sides of the schema's minimums; known and unknown keys
+# of either sign and on both sides of 1; known and unknown keys
 NUMBERS = [-1, 0, 1, 2, 3, 0.5, -0.25]
 STRINGS = ["", "on", "off", "variable", "constant", "x"]
 POOL = [None, True, False, *NUMBERS, *STRINGS, [], [0.5, 1.5], [1, 2, 3], [[0.5, 1.5]], ["a"],
@@ -340,31 +338,26 @@ def mutate(doc, rng, keys=KEYS):
             node[slot] = copy.deepcopy(rng.choice(POOL))
 
 
-def reported_paths(errors):
-    """The paths of jsonschema's errors, and of each oneOf branch's errors."""
-    for error in errors:
-        yield tuple(error.absolute_path)
-        yield from reported_paths(error.context)
-
-
 def assert_check_agrees_with_json_schema(name, files, keys=KEYS, runs=200):
     """_check accepts each of runs seeded mutations of each file's document
     exactly when jsonschema does, and names a path that jsonschema reports
-    (the parent, for an unknown field)."""
+    (the parent, for an unknown field). A design is walked against the $defs
+    branch of its file's kind, as parse_design walks that of its config's."""
     jsonschema = pytest.importorskip("jsonschema")
-    schema = config._schema(name)
-    validator = jsonschema.Draft202012Validator(schema)
+    root = config._schema(name)
     rng = random.Random(0)
     seen = {"accepted": 0, "rejected": 0}
     for path in files:
         original = json.loads(path.read_text())
+        schema = root["$defs"][original["kind"]] if name == "design" else root
+        validator = jsonschema.Draft202012Validator(schema)
         for _ in range(runs):
             doc = json.loads(json.dumps(original))
             for _ in range(rng.randint(1, 3)):
                 mutate(doc, rng, keys)
-            reported = set(reported_paths(validator.iter_errors(doc)))
+            reported = {tuple(error.absolute_path) for error in validator.iter_errors(doc)}
             try:
-                config._check(doc, schema)
+                config._check(doc, schema, root=root)
             except ConfigError as err:
                 seen["rejected"] += 1
                 assert reported, (path.name, doc, str(err))
@@ -384,15 +377,21 @@ DESIGN_FILES = sorted(DATA.glob("golden_design*.json"))
 
 
 def test_check_agrees_with_json_schema_on_mutated_designs():
-    """Both kinds of design, through design.schema.json's oneOf: an error
-    path may be that of either branch."""
+    """Both kinds of design, each against its own kind's branch of
+    design.schema.json."""
     kinds = {json.loads(path.read_text())["kind"] for path in DESIGN_FILES}
-    assert kinds == {"variable", "constant"}
+    assert kinds == set(DESIGN_KINDS)
     assert_check_agrees_with_json_schema("design", DESIGN_FILES,
                                          ["x", "kind", "wires", "arms", "link", "frac"], runs=500)
 
 
 RELAY = {"link": 0, "frac": 0.5}
+
+
+def design_config(kind: str):
+    """MINIMAL with one wire of the given kind (two relay points if variable)."""
+    mode = {"kind": kind, "wires": 1, **({"relay_points": 2} if kind == "variable" else {})}
+    return parse_config(with_patch(mode=mode))
 
 
 @pytest.mark.parametrize("doc, error", [
@@ -401,16 +400,19 @@ RELAY = {"link": 0, "frac": 0.5}
     ({"kind": "constant", "arms": [[0.05, 0.0]], "wires": []}, "$.wires: unknown field"),
     ({"kind": "variable"}, "document: missing required field $.wires"),
     ({"wires": [[RELAY, RELAY]], "kind": "variable", "arms": []}, "$.arms: unknown field"),
-    ({"kind": "variable", "wires": [[RELAY, {"link": 1, "frac": 1.5}]]},
-     "$.wires[0][1].frac: frac must be at most 1"),
-    ({"kind": "other", "wires": []}, "$.kind: kind must be 'variable' or 'constant'"),
+    # a schema fault is read before a bound of Design's
+    ({"kind": "variable", "wires": [[RELAY, {"link": 1, "frac": 1.5, "x": 0}]]},
+     "$.wires[0][1].x: unknown field"),
+    ({"kind": "other", "wires": []}, "$.kind: kind must be variable, the config's mode.kind"),
     ([], "document: expected an object"),
 ])
 def test_a_design_error_comes_from_the_branch_of_its_kind(doc, error):
-    """Of design.schema.json's two branches, the error named is that of the
-    branch whose kind the document states, wherever its keys stand."""
+    """parse_design walks the branch of design.schema.json of its config's
+    kind, here the kind the document states (variable if it states none of
+    the two), wherever the document's keys stand."""
+    kind = doc.get("kind") if isinstance(doc, dict) else None
     with pytest.raises(ConfigError) as err:
-        config._check(doc, config._schema("design"))
+        parse_design(doc, design_config(kind if kind in DESIGN_KINDS else "variable"))
     assert str(err.value) == error
 
 
@@ -492,6 +494,12 @@ def design_on(name: str) -> Callable:
     return lambda doc: parse_design(doc, load_bundled_scenario(name))
 
 
+def design_of(doc: dict) -> Design:
+    """The Design of a variable design document, built directly."""
+    return Design(*([[point[key] for point in wire] for wire in doc["wires"]]
+                    for key in ("link", "frac")))
+
+
 LIMITS = ActuatorLimits(10.0, 200.0, -0.4, 0.4)
 TARGET = TargetSpec([-38.0, 8.0], [55.0, 18.0], [0.8, 0.8])
 OWNED_BOUNDS = {
@@ -542,14 +550,24 @@ OWNED_BOUNDS = {
     "design arms": OwnedBound(
         "constant_relaxed", "golden_design_constant.json", ("arms",), [],
         "need 4 wires, the config's mode.wires", (), design_on("constant_relaxed")),
+    "design frac above 1": OwnedBound(
+        "target1_nograv", "golden_design.json", ("wires", 1, 1, "frac"), 1.5,
+        "relay fractions must lie in [0, 1]", (), design_of),
+    "design frac below 0": OwnedBound(
+        "target1_nograv", "golden_design.json", ("wires", 1, 1, "frac"), -0.1,
+        "relay fractions must lie in [0, 1]", (), design_of),
+    "design link": OwnedBound(
+        "target1_nograv", "golden_design.json", ("wires", 1, 1, "link"), -1,
+        "link must be at least 0", (), design_of),
 }
 
 
 @pytest.mark.parametrize("name", OWNED_BOUNDS)
 def test_each_bound_reads_one_message_on_every_route(name, tmp_path, capsys):
     """The schemas leave each of these bounds to the code that owns the value:
-    a file, the owner's direct call and a tlo optimize flag read one message
-    at one path, and the file exits 2 naming its line, writing nothing."""
+    a file, parse_design for a design, the owner's direct call and a tlo
+    optimize flag read one message at one path, and the file exits 2 naming
+    its line, writing nothing."""
     bound = OWNED_BOUNDS[name]
     scenario = resources.files("tlo") / "scenarios" / f"{bound.scenario}.json"
     doc = json.loads((DATA / bound.design if bound.design else scenario).read_text())
@@ -570,6 +588,10 @@ def test_each_bound_reads_one_message_on_every_route(name, tmp_path, capsys):
         else:
             load_config(bad)
     assert (err.value.path, str(err.value)) == (bound.path, f"{at} (line {line}): {bound.message}")
+    if bound.design:
+        with pytest.raises(ConfigError) as err:
+            design_on(bound.scenario)(doc)
+        assert str(err.value) == f"{at}: {bound.message}"
     with pytest.raises((FieldError, ConfigError)) as err:
         bound.owner(doc)
     owner = getattr(err.value, "message", str(err.value)), bound.section + err.value.path
