@@ -48,7 +48,10 @@ class Design:
     moment arm at joint d, as a fraction of the model's arm range, in
     [0, 1] at ("arms", m, d). Both arrays are read-only copies, so a built
     design stays the checked one, whatever a caller later writes into the
-    arrays it passed in.
+    arrays it passed in. Every Design comes through this constructor,
+    indexed and reshaped stacks too. Genomes become designs in one place,
+    genome_rows_decode, where nsga2.evolve decodes each generation for its
+    scorer; design files become designs in config.parse_design.
     """
 
     links: np.ndarray | None
@@ -94,12 +97,9 @@ class Design:
         return Design(None if self.links is None else self.links[index], self.fractions[index])
 
     def reshape(self, *shape: int) -> Design:
-        """The same designs with leading axes of the given shape, not checked
-        again: regrouping the leading axes leaves every design as it was."""
-        view = object.__new__(Design)
-        view.links, view.fractions = (None if a is None else a.reshape(shape + a.shape[-2:])
-                                      for a in (self.links, self.fractions))
-        return view
+        """The same designs with leading axes of the given shape."""
+        return Design(*(None if a is None else a.reshape(shape + a.shape[-2:])
+                        for a in (self.links, self.fractions)))
 
 
 def _read_only(array, dtype) -> np.ndarray:
@@ -262,6 +262,7 @@ class DesignSpace:
                 raise FieldError("variable mode requires mode.relay_points")
         elif self.n_relay_points < 2:
             raise FieldError("relay_points must be at least 2", "relay_points")
+        object.__setattr__(self, "n_joints", integer_field(self.n_joints))
         if self.n_joints < 1:
             raise ValueError("need at least one joint")
 
@@ -280,22 +281,6 @@ class DesignSpace:
     @property
     def cat_cardinality(self) -> int:
         return self.n_joints + 1  # link choices 0..D
-
-
-def genome_space(n_reals: int, n_cats: int, n_joints: int) -> DesignSpace:
-    """The design space whose genomes have these gene counts.
-
-    Only variable designs have link genes, M * (N - 1) of them beside
-    M * N fractions, so the counts fix the family and its shape.
-    """
-    if not n_cats:
-        if n_reals < n_joints or n_reals % n_joints:
-            raise ValueError(f"{n_reals} arm genes do not fill rows of {n_joints} joints")
-        return DesignSpace("constant", n_reals // n_joints, None, n_joints)
-    m = n_reals - n_cats
-    if m < 1 or n_reals % m:
-        raise ValueError(f"no variable design has {n_reals} fraction and {n_cats} link genes")
-    return DesignSpace("variable", m, n_reals // m, n_joints)
 
 
 def genome_rows_decode(reals: np.ndarray, cats: np.ndarray, space: DesignSpace) -> Design:

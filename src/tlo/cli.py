@@ -36,7 +36,7 @@ from .feasibility import (
     velocity_directions,
 )
 from .model import joint_jacobian
-from .nsga2 import evolve
+from .nsga2 import evolve, random_rows
 from .oracle import force_polytope_exact, ray_h, velocity_polytope_exact
 
 EXIT_OK = 0
@@ -86,16 +86,17 @@ def _effective_raw(cfg: ScenarioConfig) -> dict:
 
 def optimize(cfg: ScenarioConfig):
     """The search a config describes -> (archive, timings): total_s, the wall
-    time of evolve, and evaluate_s, the time inside evaluator calls."""
+    time of evolve, and evaluate_s, the time inside evaluator calls, which
+    score designs that evolve has already decoded."""
     scenario = cfg.scenario()
     evaluator = make_evaluator(cfg.robot, scenario)
     evaluate_s = 0.0
 
-    def timed_evaluator(reals, cats):
+    def timed_evaluator(designs):
         nonlocal evaluate_s
         t = time.perf_counter()
         try:
-            return evaluator(reals, cats)
+            return evaluator(designs)
         finally:
             evaluate_s += time.perf_counter() - t
 
@@ -328,10 +329,9 @@ def cmd_oracle(args) -> int:
         J = joint_jacobian(cfg.robot, q)
         if abs(np.linalg.det(J)) < 0.05:
             continue
-        # one uniform genome row, decoded as the search decodes its own
-        design = genome_rows_decode(rng.random(space.n_reals),
-                                    rng.integers(0, space.cat_cardinality, size=space.n_cats),
-                                    space)
+        # one uniform genome row, drawn and decoded as the search draws and decodes its own
+        (reals,), (cats,) = random_rows(space, 1, rng)
+        design = genome_rows_decode(reals, cats, space)
         result = evaluate(cfg.robot, design, replace(scenario, joint_states=q[None]))
         anchor = result.states.anchor[0]
         G = muscle_jacobian(cfg.robot, design, q)

@@ -10,15 +10,16 @@ J^-1 where D = 2 and J is regular, and everywhere else by the least of the
 LP dual's vertex bounds, one per choice of D + 1 - rank J rows of [G; I_D].
 
 Designs are scored in batches of one shape, as one arrangement.Design with
-leading axes: make_evaluator's evaluator maps a generation's genome rows to
-objectives and a feasible mask, with G and both kernels carrying leading
-(state, design) axes. A batch of more than SCREEN_ROWS variable designs
-at S > 1 states is screened in two kernel passes: state 0 on every design,
-then all later states stacked on the designs state 0 admits. A smaller
-batch, such as a search generation, and any batch of constant designs
-take one pass over all states (see _passes). The
-choice changes the cost, never a result: a design's per-state arithmetic
-does not depend on the pass that scores it.
+leading axes: make_evaluator's evaluator maps a (P,) Design stack, such as
+a search generation that nsga2.evolve has decoded, to objectives and a
+feasible mask, with G and both kernels carrying leading (state, design)
+axes; no genome reaches this module. A batch of more than SCREEN_ROWS
+variable designs at S > 1 states is screened in two kernel passes: state
+0 on every design, then all later states stacked on the designs state 0
+admits. A smaller batch, such as a search generation, and any batch of
+constant designs take one pass over all states (see _passes). The choice
+changes the cost, never a result: a design's per-state arithmetic does
+not depend on the pass that scores it.
 A design is feasible when its force anchor lies in the torque zonotope Z
 at every state, so that h = 0 solves every force LP: qdot = 0 solves every
 velocity LP. The force kernel decides that first and casts and clips its
@@ -61,8 +62,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arrangement import (Design, batch_muscle_jacobian, genome_rows_decode, genome_space,
-                          link_tables)
+from .arrangement import Design, batch_muscle_jacobian, link_tables
 from .model import (FieldError, Pose, RobotModel, forward_kinematics, gravity_torque, integer_field,
                     joint_jacobian)
 
@@ -639,23 +639,19 @@ def _take(stack, states: slice):
 def make_evaluator(model: RobotModel, scenario: Scenario):
     """Batch evaluator over per-state inputs built once.
 
-    It maps genome rows, reals (P, n_reals) and cats (P, n_cats), to
-    (objectives, feasible): the (P, 2) (e_force, e_velocity) scores and the
-    (P,) mask of designs that every state's LPs admit. Rows the mask marks
-    pruned carry no score. The gene counts fix the design family (see
-    genome_space). The batch's size picks its kernel passes (_passes),
-    never its bytes.
+    It maps a (P,) Design stack to (objectives, feasible): the (P, 2)
+    (e_force, e_velocity) scores and the (P,) mask of designs that every
+    state's LPs admit. Rows the mask marks pruned carry no score. The
+    batch's size picks its kernel passes (_passes), never its bytes.
     """
     target = scenario.target
     tables = state_tables(model, scenario.joint_states, target, scenario.gravity)
     stack = _stack(model, tables, force_directions(target), velocity_directions(target),
                    scenario.h_cap)
 
-    def run(reals: np.ndarray, cats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        reals = np.asarray(reals, dtype=float)
-        cats = np.asarray(cats)
-        space = genome_space(reals.shape[1], cats.shape[1], model.n_joints)
-        designs = genome_rows_decode(reals, cats, space)
+    def run(designs: Design) -> tuple[np.ndarray, np.ndarray]:
+        if len(designs.shape) != 1:
+            raise ValueError(f"the evaluator scores a (P,) stack of designs, not {designs.shape}")
         return _score(model, _passes(stack, designs), scenario, designs)[:2]
 
     return run

@@ -13,8 +13,10 @@ generation is evaluated (but not selected from) when the budget is not a
 multiple of the population size.
 
 All randomness flows through one seeded generator consumed in a fixed
-order. Designs are scored one generation per evaluator call, as genome
-rows in archive order, and scoring never touches the generator.
+order. The search breeds genome rows, and each generation's rows become
+designs in one place: evolve decodes them with genome_rows_decode and
+hands the scorer the (P,) Design stack, in archive order, one call per
+generation. Scoring never touches the generator.
 
 The initial population holds, per genome, the reals of one
 random(n_reals) and then the cats of one integers(0, D + 1, size=n_cats)
@@ -29,7 +31,7 @@ generator, by its layout rules:
   raw of every double and half follows from the gene counts and the
   buffer on entry;
 - Lemire rejects a half when (u32 * (D + 1)) mod 2**32 < 2**32 mod (D + 1)
-  and draws the next one (see _random_rows);
+  and draws the next one (see random_rows);
 - the buffer is written back as the per-genome calls leave it.
 
 NEP 19 lets numpy change Generator streams between versions; the
@@ -73,7 +75,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .arrangement import DesignSpace
+from .arrangement import Design, DesignSpace, genome_rows_decode
 from .model import FieldError, integer_field
 
 SBX_ETA = 15.0
@@ -266,8 +268,8 @@ def hypervolume_2d(objectives: np.ndarray, ref_point) -> float:
 # --- genome sampling and variation ------------------------------------------
 
 
-def _random_rows(space: DesignSpace, n: int,
-                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+def random_rows(space: DesignSpace, n: int,
+                rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """n uniform genomes as (n, n_reals) float reals and (n, n_cats) int64
     cats: the values, and the generator end state, of one random(n_reals)
     then one integers(0, D + 1, size=n_cats) per genome, decoded from one
@@ -275,6 +277,7 @@ def _random_rows(space: DesignSpace, n: int,
     from raw >> 11, cats from the buffered-then-low-then-high 32-bit halves.
     TestRandomRows in tests/test_nsga2.py holds the per-genome calls as the
     reference and pins this equality. Any other bit generator is refused.
+    evolve draws generation 0 with it, and tlo oracle each trial's genome.
 
     A cat half that Lemire's method rejects (probability 2**-32 per draw
     for D + 1 = 3 or 5, never for 2 or 4) shifts every later half, so the
@@ -302,9 +305,9 @@ def _random_rows(space: DesignSpace, n: int,
     if len(rejected):
         g = int(rejected[0]) // n_cats
         bitgen.state = saved
-        head = _random_rows(space, g, rng)
+        head = random_rows(space, g, rng)
         one = rng.random((1, n_reals)), rng.integers(0, card, size=(1, n_cats))
-        tail = _random_rows(space, n - g - 1, rng)
+        tail = random_rows(space, n - g - 1, rng)
         return tuple(np.concatenate(part) for part in zip(head, one, tail))
     end = bitgen.state
     end["has_uint32"] = len(halves) - n * n_cats
@@ -374,18 +377,19 @@ def _offspring(rank: np.ndarray, crowd: np.ndarray, reals: np.ndarray, cats: np.
 
 # --- the optimizer -----------------------------------------------------------
 
-# (reals (P, n_reals), cats (P, n_cats)) -> (objectives (P, 2), feasible (P,))
-EvaluateFn = Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
+# designs (P,) -> (objectives (P, 2), feasible (P,))
+EvaluateFn = Callable[[Design], tuple[np.ndarray, np.ndarray]]
 
 
 def _fill(archive: ParetoArchive, row: int, reals: np.ndarray, cats: np.ndarray,
-          evaluate_fn: EvaluateFn) -> int:
-    """Score genome rows with one evaluator call into the archive rows from
-    row on; returns the next free row. Pruned rows keep the sentinel."""
+          space: DesignSpace, evaluate_fn: EvaluateFn) -> int:
+    """Score genome rows, decoded as designs of space, with one evaluator
+    call into the archive rows from row on; returns the next free row.
+    Pruned rows keep the sentinel."""
     end = row + len(reals)
     archive.reals[row:end] = reals
     archive.cats[row:end] = cats
-    objectives, feasible = evaluate_fn(reals, cats)
+    objectives, feasible = evaluate_fn(genome_rows_decode(reals, cats, space))
     archive.objectives[row:end][feasible] = objectives[feasible]
     archive.feasible[row:end] = feasible
     return end
@@ -401,7 +405,8 @@ def evolve(
 ) -> ParetoArchive:
     """Run NSGA-II for exactly `budget` design evaluations.
 
-    evaluate_fn maps a generation's genome rows to their objectives and
+    evaluate_fn maps a generation's designs, the (P,) Design stack that
+    genome_rows_decode makes of its genome rows, to their objectives and
     feasible mask (see feasibility.make_evaluator).
     max_objective is the worst attainable score (directions x states); the
     pruning sentinel is one above it. The population is a set of archive rows.
@@ -427,7 +432,7 @@ def evolve(
             "best_e_velocity": e_velocity,
         })
 
-    row = _fill(archive, 0, *_random_rows(space, population, rng), evaluate_fn)
+    row = _fill(archive, 0, *random_rows(space, population, rng), space, evaluate_fn)
     record(0, row)
     if row == budget:
         return archive  # no generation follows, so nothing is selected
@@ -441,7 +446,8 @@ def evolve(
                                  space, rng)
 
         start = row
-        row = _fill(archive, start, reals[: budget - start], cats[: budget - start], evaluate_fn)
+        row = _fill(archive, start, reals[: budget - start], cats[: budget - start], space,
+                    evaluate_fn)
         archive.generations += 1
         record(start, row)
         if row - start < population:

@@ -73,6 +73,12 @@ def encode_rows(designs) -> tuple[np.ndarray, np.ndarray]:
     return reals, cats
 
 
+def stack_designs(designs) -> Design:
+    """Designs of one shape as one (P,) Design stack."""
+    links = None if designs[0].links is None else np.stack([design.links for design in designs])
+    return Design(links, np.stack([design.fractions for design in designs]))
+
+
 def all_on_base_design(m=3) -> Design:
     i = np.arange(m)
     return Design(np.zeros((m, 2), dtype=np.int64),

@@ -15,10 +15,10 @@ import numpy as np
 
 from conftest import (
     all_on_base_design,
-    encode_rows,
     evaluate_via_center,
     random_constant_design,
     random_variable_design,
+    stack_designs,
 )
 from reference_geometry import wire_lengths
 from tlo.arrangement import DesignSpace, muscle_jacobian
@@ -161,7 +161,7 @@ def test_criterion_4_objective_bounds_and_cap_invariance():
         evaluator = make_evaluator(MODEL, scen)
         rows = []
         for family in (designs[:500], designs[500:]):  # one batch per genome shape
-            objectives, feasible = evaluator(*encode_rows(family))
+            objectives, feasible = evaluator(stack_designs(family))
             for ok, (e_force, e_velocity) in zip(feasible.tolist(), objectives.tolist()):
                 rows.append((True, e_force, e_velocity) if ok else (False, None, None))
                 if ok:

@@ -81,13 +81,12 @@ def test_feasible_exactly_where_the_anchor_lies_in_z(name, kind):
     cfg = config(name)
     model, scenario = cfg.robot, cfg.scenario()
     limits = scenario.limits
-    reals, cats = genome_rows(name, kind)
+    designs = genome_rows_decode(*genome_rows(name, kind), cfg.space)
     evaluator = make_evaluator(model, scenario)
-    feasible = evaluator(reals, cats)[1]
-    one_pass = evaluator(reals[:ONE_PASS], cats[:ONE_PASS])[1]
+    feasible = evaluator(designs)[1]
+    one_pass = evaluator(designs[:ONE_PASS])[1]
     assert one_pass.tolist() == feasible[:ONE_PASS].tolist()
     tables = state_tables(model, scenario.joint_states, scenario.target, scenario.gravity)
-    designs = genome_rows_decode(reals, cats, cfg.space)
     by_simplex, by_oracle = [], 0
     for i in range(ROWS):
         holds = []

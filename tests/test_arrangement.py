@@ -21,7 +21,6 @@ from tlo.arrangement import (
     designs_to_jsonable,
     genome_decode,
     genome_rows_decode,
-    genome_space,
     muscle_jacobian,
     relay_points,
 )
@@ -29,6 +28,13 @@ from tlo.config import ConfigError, ScenarioConfig, parse_config, parse_design
 from tlo.feasibility import evaluate
 from tlo.model import FieldError, RobotModel, forward_kinematics
 from reference_geometry import wire_lengths
+
+
+# conftest's random designs of either family, with the space of their genomes
+FAMILIES = pytest.mark.parametrize("random_design, space", [
+    (random_variable_design, DesignSpace("variable", 3, 3, 2)),
+    (random_constant_design, DesignSpace("constant", 4, None, 2)),
+], ids=["variable", "constant"])
 
 
 def relay_world_positions(model, design, q):
@@ -221,14 +227,16 @@ class TestGenome:
         (("variable", 2.5, 3, 2), "expected an integer"),
         (("variable", True, 2, 2), "expected an integer"),
         (("variable", 2, 3.0, 2), "expected an integer"),
+        (("constant", 2, None, 1.5), "expected an integer"),
+        (("variable", 2, 2, True), "expected an integer"),
     ])
     def test_space_rules_have_their_messages(self, args, message):
         with pytest.raises(ValueError, match=message):
             DesignSpace(*args)
 
     def test_space_counts_are_ints(self):
-        space = DesignSpace("variable", np.int64(2), np.int32(3), 2)
-        assert type(space.n_wires) is int and type(space.n_relay_points) is int
+        space = DesignSpace("variable", np.int64(2), np.int32(3), np.int64(2))
+        assert all(type(n) is int for n in (space.n_wires, space.n_relay_points, space.n_joints))
         assert (space.n_reals, space.n_cats) == (6, 4)
 
     def test_gene_counts_paper_scale(self):
@@ -313,13 +321,11 @@ class TestDesignJson:
         back = parse_design(doc, paper_config(kind="constant", wires=1))
         np.testing.assert_allclose(back.fractions, design.fractions, atol=1e-12)
 
-    @pytest.mark.parametrize("random_design", [random_variable_design, random_constant_design],
-                             ids=["variable", "constant"])
-    def test_batch_matches_one_design_at_a_time(self, paper_model, random_design):
+    @FAMILIES
+    def test_batch_matches_one_design_at_a_time(self, paper_model, random_design, space):
         rng = np.random.default_rng(11)
         designs = [random_design(rng) for _ in range(5)]
         reals, cats = encode_rows(designs)
-        space = genome_space(reals.shape[1], cats.shape[1], paper_model.n_joints)
         docs = designs_to_jsonable(genome_rows_decode(reals, cats, space), paper_model)
         assert docs == [design_to_jsonable(genome_decode(Genome(r, c), space), paper_model)
                         for r, c in zip(reals, cats)]
@@ -456,13 +462,11 @@ class TestLeadingAxes:
         designs = genome_rows_decode(np.zeros((0, 6)), np.zeros((0, 4)), space)
         assert designs.shape == (0,) and designs.links.shape == (0, 2, 3)
 
-    @pytest.mark.parametrize("random_design", [random_variable_design, random_constant_design],
-                             ids=["variable", "constant"])
-    def test_rows_index_and_reshape(self, random_design):
+    @FAMILIES
+    def test_rows_index_and_reshape(self, random_design, space):
         rng = np.random.default_rng(6)
         designs = [random_design(rng) for _ in range(6)]
         reals, cats = encode_rows(designs)
-        space = genome_space(reals.shape[1], cats.shape[1], 2)
         stack = genome_rows_decode(reals.reshape(2, 3, -1), cats.reshape(2, 3, -1), space)
         assert stack.shape == (2, 3)
         flat = stack.reshape(-1)

@@ -218,12 +218,12 @@ class TestOptimize:
             evaluator = real_make_evaluator(*a)
             calls = 0
 
-            def interrupted(reals, cats):
+            def interrupted(designs):
                 nonlocal calls
                 calls += 1
                 if calls == 3:  # the second bred generation
                     raise KeyboardInterrupt
-                return evaluator(reals, cats)
+                return evaluator(designs)
 
             return interrupted
 

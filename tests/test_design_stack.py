@@ -104,7 +104,7 @@ def test_a_stack_scores_as_one_design_at_a_time(case):
         assert value.shape[:2] == (1, p)
         assert value.tobytes() == getattr(result, field).tobytes()
     # the search's evaluator scores the same rows alike
-    objectives, feasible = make_evaluator(model, scenario)(reals, cats)
+    objectives, feasible = make_evaluator(model, scenario)(stack)
     assert feasible.tobytes() == result.feasible.tobytes()
     scores = np.column_stack((result.e_force, result.e_velocity))
     assert objectives[feasible].tobytes() == scores[feasible].tobytes()
@@ -163,10 +163,9 @@ def test_the_screen_changes_no_byte(case):
     model, scenario, space, reals, cats = case
     evaluator = make_evaluator(model, scenario)
     rows = np.arange(max(len(reals), SCREEN_ROWS + 1)) % len(reals)
-    reals, cats = reals[rows], cats[rows]
-    screened = evaluator(reals, cats)
-    parts = [evaluator(reals[i : i + SCREEN_ROWS], cats[i : i + SCREEN_ROWS])
-             for i in range(0, len(reals), SCREEN_ROWS)]
+    designs = genome_rows_decode(reals[rows], cats[rows], space)
+    screened = evaluator(designs)
+    parts = [evaluator(designs[i : i + SCREEN_ROWS]) for i in range(0, len(rows), SCREEN_ROWS)]
     for a, b in zip(screened, map(np.concatenate, zip(*parts))):
         assert a.shape == b.shape and a.dtype == b.dtype
         assert a.tobytes() == b.tobytes()
@@ -189,7 +188,7 @@ def test_the_batch_size_picks_the_passes(name, states, monkeypatch):
     for n, passes in ((SCREEN_ROWS, 1), (SCREEN_ROWS + 1, screened)):
         designs = genome_rows_decode(reals[rows[:n]], cats[rows[:n]], cfg.space)
         calls.clear()
-        assert evaluator(reals[rows[:n]], cats[rows[:n]])[1].any()
+        assert evaluator(designs)[1].any()
         assert len(calls) == passes, n
         calls.clear()  # evaluate follows the same rule
         evaluate(cfg.robot, designs, scenario)
@@ -218,7 +217,7 @@ def test_constant_designs_take_one_pass_at_any_size(name, monkeypatch):
     pass_ = tlo.feasibility._pass
     monkeypatch.setattr(tlo.feasibility, "_pass",
                         lambda *args: calls.append(len(args[2].fractions)) or pass_(*args))
-    objectives, feasible = make_evaluator(cfg.robot, scenario)(reals, cats)
+    objectives, feasible = make_evaluator(cfg.robot, scenario)(designs)
     assert calls == [500]
     assert 0 < feasible.sum() < 500
     assert feasible.tobytes() == expected[1].tobytes()

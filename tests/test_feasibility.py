@@ -23,6 +23,7 @@ from tlo.arrangement import (
     DesignSpace,
     Genome,
     genome_decode,
+    genome_rows_decode,
     muscle_jacobian,
 )
 from tlo.config import load_bundled_scenario, parse_design
@@ -72,7 +73,6 @@ def velocity_h_one(model, design, q, target, limits, i, h_cap=DEFAULT_H_CAP):
 
 def unpruned_constant_sample(model, scenario, rng, min_det=0.05):
     """Random constant design and state pair that survives every LP."""
-    ev = make_evaluator(model, scenario)
     while True:
         q = rng.uniform(-np.pi / 2, np.pi / 2, 2)
         if abs(np.linalg.det(joint_jacobian(model, q))) < min_det:
@@ -332,15 +332,16 @@ def check_batch_identity(model, scenario, space, reals, cats):
     alone is not, so both kernel layouts score every row: a smaller batch
     is also scored tiled past SCREEN_ROWS."""
     evaluator = make_evaluator(model, scenario)
-    objectives, feasible = evaluator(reals, cats)
+    designs = genome_rows_decode(reals, cats, space)
+    objectives, feasible = evaluator(designs)
     assert objectives.shape == (len(reals), 2) and feasible.shape == (len(reals),)
     if len(reals) <= SCREEN_ROWS:
         tiled = np.arange(SCREEN_ROWS + 1) % len(reals)
-        for a, b in zip(evaluator(reals[tiled], cats[tiled]), (objectives, feasible)):
+        for a, b in zip(evaluator(designs[tiled]), (objectives, feasible)):
             assert a.tobytes() == b[tiled].tobytes()
     pruned_at = []
     for i in range(len(reals)):
-        one, one_feasible = evaluator(reals[i : i + 1], cats[i : i + 1])
+        one, one_feasible = evaluator(designs[i : i + 1])
         design = genome_decode(Genome(reals[i], cats[i]), space)
         result = evaluate(model, design, scenario)
         ref = reference_scores(model, scenario, design)
@@ -461,10 +462,11 @@ class TestBatchEvaluator:
             # each kernel pass's link tables read its pose
             assert len(calls) == 1, name
             np.testing.assert_array_equal(calls[0][1], scenario.joint_states)
-            reals, cats = random_genome_rows(cfg.space, SCREEN_ROWS + 1, np.random.default_rng(0))
+            designs = genome_rows_decode(
+                *random_genome_rows(cfg.space, SCREEN_ROWS + 1, np.random.default_rng(0)), cfg.space)
             calls.clear()
-            assert evaluator(reals[:-1], cats[:-1])[1].any()  # one pass
-            assert evaluator(reals, cats)[1].any()  # screened
+            assert evaluator(designs[:-1])[1].any()  # one pass
+            assert evaluator(designs)[1].any()  # screened
             assert not calls, name
             # a report's evaluate, rays and all, builds one stack too
             design = parse_design(json.loads((GOLDEN_DESIGN.parent / design).read_text()), cfg)
@@ -473,27 +475,23 @@ class TestBatchEvaluator:
             np.testing.assert_array_equal(calls[0][1], scenario.joint_states)
 
     def test_empty_batches_and_malformed_genes(self, paper_model, zero_center_scenario):
+        # the evaluator scores an empty stack of either family; genes that
+        # make no design of the space never reach it: the codec refuses them
         evaluator = make_evaluator(paper_model, zero_center_scenario)
-        space = DesignSpace("variable", 3, 2, 2)
-        objectives, feasible = evaluator(np.empty((0, space.n_reals)),
-                                         np.empty((0, space.n_cats), dtype=np.int64))
-        assert objectives.shape == (0, 2) and feasible.shape == (0,)
-        with pytest.raises(ValueError):  # 5 wires cannot share 7 fractions
-            evaluator(np.full((1, 7), 0.5), np.zeros((1, 2), dtype=np.int64))
-        with pytest.raises(ValueError):  # 5 arm fractions do not fill rows of 2 joints
-            evaluator(np.full((1, 5), 0.5), np.zeros((1, 0), dtype=np.int64))
-        with pytest.raises(ValueError):
-            evaluator(np.full((1, 6), 1.5), np.zeros((1, 3), dtype=np.int64))
-
-    def test_float_link_genes_raise(self, paper_model, zero_center_scenario):
-        # link genes are not rounded: 1.5 is no link, and 1.0 is no integer
-        evaluator = make_evaluator(paper_model, zero_center_scenario)
-        for cats in ([[1.5, 0.9, 2.7]], [[1.0, 0.0, 2.0]]):
-            with pytest.raises(TypeError, match="relay links must be integers"):
-                evaluator(np.full((1, 6), 0.5), np.array(cats))
-        # constant designs have no link genes: their empty cats may be floats
-        objectives, feasible = evaluator(np.full((1, 6), 0.5), np.zeros((1, 0)))
-        assert objectives.shape == (1, 2) and feasible.shape == (1,)
+        variable, constant = DesignSpace("variable", 3, 2, 2), DesignSpace("constant", 3, None, 2)
+        for space in (variable, constant):
+            designs = genome_rows_decode(np.empty((0, space.n_reals)),
+                                         np.empty((0, space.n_cats), dtype=np.int64), space)
+            objectives, feasible = evaluator(designs)
+            assert objectives.shape == (0, 2) and feasible.shape == (0,)
+        with pytest.raises(ValueError, match="scores a \\(P,\\) stack"):
+            evaluator(designs[0:0].reshape(0, 1))
+        for n_reals, n_cats, space in ((7, 2, variable), (5, 0, constant)):
+            with pytest.raises(ValueError, match="genome length mismatch"):
+                genome_rows_decode(np.full((1, n_reals), 0.5),
+                                   np.zeros((1, n_cats), dtype=np.int64), space)
+        with pytest.raises(ValueError, match=r"relay fractions must lie in \[0, 1\]"):
+            genome_rows_decode(np.full((1, 6), 1.5), np.zeros((1, 3), dtype=np.int64), variable)
 
 
 class TestOracleAgreement:

@@ -35,9 +35,9 @@ from scipy.optimize import linprog
 from conftest import (
     PAPER_LENGTHS,
     PAPER_MASSES,
-    encode_rows,
     random_constant_design,
     random_variable_design,
+    stack_designs,
 )
 from reference_lp import LinearProgram, solve_lp_max
 from tlo.arrangement import muscle_jacobian
@@ -771,7 +771,7 @@ def test_other_joint_counts_match_linprog(d):
     scored = []
     for constant in dict.fromkeys(design.links is None for design in designs):
         batch = [x for x in designs if (x.links is None) == constant]
-        objectives, feasible = evaluator(*encode_rows(batch))
+        objectives, feasible = evaluator(stack_designs(batch))
         scored += objectives[feasible].tolist()
     assert scored
     for e_force, e_velocity in scored:

@@ -9,7 +9,7 @@ import tlo.nsga2
 from tlo.nsga2 import (
     OptimizerParams,
     _offspring,
-    _random_rows,
+    random_rows,
     _survivors,
     crowding_distance,
     evolve,
@@ -24,23 +24,25 @@ WIDE_SPACE = DesignSpace("variable", 3, 3, 2)
 CONSTANT_SPACE = DesignSpace("constant", 2, None, 2)
 
 
-def toy_evaluator(reals, cats):
+def toy_evaluator(designs):
     """Cheap deterministic objectives: smooth trade-off plus a pruned pocket.
 
-    Scores derive from relay fractions (the reals) and link choices (the
-    cats) only, so the optimizer sees a realistic mixed landscape without
-    any LP work.
+    Scores derive from a (P,) stack's fractions and relay links only, so
+    the optimizer sees a realistic mixed landscape without any LP work.
     """
-    feasible = reals[:, 0] >= 0.1  # outside the pruned pocket
-    a = 5 * np.sum((reals - 0.35) ** 2, axis=1) + 0.1 * np.sum(cats == 1, axis=1)
-    b = 5 * np.sum((reals - 0.65) ** 2, axis=1) + 0.1 * np.sum(cats == 2, axis=1)
+    fractions = designs.fractions.reshape(len(designs.fractions), -1)
+    links = designs.fractions[..., :0] if designs.links is None else designs.links
+    feasible = fractions[:, 0] >= 0.1  # outside the pruned pocket
+    a = 5 * np.sum((fractions - 0.35) ** 2, axis=1) + 0.1 * np.sum(links == 1, axis=(1, 2))
+    b = 5 * np.sum((fractions - 0.65) ** 2, axis=1) + 0.1 * np.sum(links == 2, axis=(1, 2))
     return np.column_stack([a, b]), feasible
 
 
-def hill_evaluator(reals, cats):
+def hill_evaluator(designs):
     """Perfectly correlated objectives: a pure descent task for selection."""
-    a = np.sum((reals - 0.4) ** 2, axis=1)
-    return np.column_stack([a, 2 * a]), np.ones(len(reals), dtype=bool)
+    fractions = designs.fractions.reshape(len(designs.fractions), -1)
+    a = np.sum((fractions - 0.4) ** 2, axis=1)
+    return np.column_stack([a, 2 * a]), np.ones(len(fractions), dtype=bool)
 
 
 def dominates(a, b) -> bool:
@@ -89,7 +91,7 @@ def per_front_crowding(objectives, rank):
 
 def per_genome_rows(space, n, rng):
     """One random(n_reals) then one integers(0, D + 1, size=n_cats) per
-    genome: the reference for _random_rows, which decodes one raw block."""
+    genome: the reference for random_rows, which decodes one raw block."""
     reals = np.empty((n, space.n_reals))
     cats = np.empty((n, space.n_cats), dtype=np.int64)
     for i in range(n):
@@ -334,8 +336,8 @@ class TestEvolve:
         # rounded objectives give ties and duplicates across generations
         scores = []
 
-        def coarse(reals, cats):
-            objectives, feasible = toy_evaluator(reals, cats)
+        def coarse(designs):
+            objectives, feasible = toy_evaluator(designs)
             objectives = objectives.round(1)
             scores.extend(zip(objectives[:, 0], objectives[:, 1], feasible))
             return objectives, feasible
@@ -382,17 +384,31 @@ class TestEvolve:
         assert np.array_equal(arch.reals, again.reals)
 
     @pytest.mark.parametrize("space", [SPACE, CONSTANT_SPACE], ids=["variable", "constant"])
-    def test_any_two_argument_function_is_an_evaluator(self, space):
-        # the search hands the evaluator genome rows and nothing else
-        sizes = []
+    def test_the_evaluator_gets_each_generation_decoded(self, space):
+        # the search hands the evaluator one (P,) Design stack per generation:
+        # genome_rows_decode of that generation's archive rows, byte for byte
+        seen = []
 
-        def plain(reals, cats):
-            sizes.append(len(reals))
-            return toy_evaluator(reals, cats)
+        def spy(designs):
+            seen.append(designs)
+            return toy_evaluator(designs)
 
-        evolve(plain, space, 20, 410, seed=5, max_objective=32.0)
-        evolve(plain, space, 50, 50, seed=5, max_objective=32.0)
-        assert sizes == [20] * 20 + [10, 50]
+        for population, budget, sizes in ((20, 410, [20] * 20 + [10]), (50, 50, [50])):
+            seen.clear()
+            arch = evolve(spy, space, population, budget, seed=5, max_objective=32.0)
+            assert [len(designs.fractions) for designs in seen] == sizes
+            start = 0
+            for designs in seen:
+                end = start + len(designs.fractions)
+                expected = genome_rows_decode(arch.reals[start:end], arch.cats[start:end], space)
+                assert designs.shape == (end - start,)
+                assert designs.fractions.tobytes() == expected.fractions.tobytes()
+                if space.kind == "constant":
+                    assert designs.links is None
+                else:
+                    assert designs.links.tobytes() == expected.links.tobytes()
+                start = end
+            assert start == budget
 
     def test_validation(self):
         with pytest.raises(ValueError, match="population must be even and at least 2"):
@@ -422,7 +438,7 @@ class TestEvolve:
 class TestOffspring:
     def breed(self, space, population, seed=0):
         rng = np.random.default_rng(seed)
-        reals, cats = _random_rows(space, population, rng)
+        reals, cats = random_rows(space, population, rng)
         rank = np.arange(population) % 3
         crowd = rng.random(population)
         return _offspring(rank, crowd, reals, cats, space, rng)
@@ -444,7 +460,7 @@ class TestOffspring:
         # gene: the changed counts are binomial at the mutation rate (a cat
         # reset redraws the old value with probability 1 / (D + 1))
         rng = np.random.default_rng(0)
-        parent_reals, parent_cats = _random_rows(WIDE_SPACE, 1, rng)
+        parent_reals, parent_cats = random_rows(WIDE_SPACE, 1, rng)
         n, n_reals, n_cats = 2000, WIDE_SPACE.n_reals, WIDE_SPACE.n_cats
         rate = 1.0 / (n_reals + n_cats)
         reals, cats = _offspring(np.zeros(n, dtype=np.intp), np.zeros(n),
@@ -505,7 +521,7 @@ class TestAgainstReference:
         # reals at exactly 0 and 1; clones: every parent one genome, so
         # that no gene crosses and only mutation moves the children
         rng = np.random.default_rng(seed)
-        reals, cats = _random_rows(space, population, rng)
+        reals, cats = random_rows(space, population, rng)
         reals[rng.random(reals.shape) < 0.2] = 0.0
         reals[rng.random(reals.shape) < 0.2] = 1.0
         if clones:
@@ -543,7 +559,7 @@ class TestEmptyDraws:
 
 
 class TestRandomRows:
-    """_random_rows against the per-genome calls: values, generator state
+    """random_rows against the per-genome calls: values, generator state
     and the draws after it."""
 
     @staticmethod
@@ -564,7 +580,7 @@ class TestRandomRows:
     @staticmethod
     def assert_same_draws(space, n, reference, rng):
         expected = per_genome_rows(space, n, reference)
-        reals, cats = _random_rows(space, n, rng)
+        reals, cats = random_rows(space, n, rng)
         assert reals.dtype == float and cats.dtype == np.int64
         assert np.array_equal(reals, expected[0])
         assert np.array_equal(cats, expected[1])
@@ -584,7 +600,7 @@ class TestRandomRows:
             reference, rng = self.generators(seed, buffered)
             assert rng.bit_generator.state["has_uint32"] == buffered
             self.assert_same_draws(space, n, reference, rng)
-            assert rng.integers_calls == 1  # the next-draws check, not _random_rows
+            assert rng.integers_calls == 1  # the next-draws check, not random_rows
 
     @pytest.mark.parametrize("n", [1, 40])
     def test_rejection_at_the_first_genome(self, n):
@@ -618,9 +634,28 @@ class TestRandomRows:
         assert rng.integers_calls == 2
         assert cats[4, 0] == (x * 3) >> 32  # the rejected low half's high half
 
+    @pytest.mark.parametrize("space", [CONSTANT_SPACE, SPACE, DesignSpace("variable", 3, 2, 3)],
+                             ids=["constant", "D2", "D3"])
+    @pytest.mark.parametrize("buffered", [False, True], ids=["empty", "buffered"])
+    def test_one_row_after_each_uniform_draw(self, space, buffered):
+        # tlo oracle's order: each trial draws a uniform joint state, once or
+        # again when it skips a near-singular one, then one genome row
+        d = space.n_joints
+        for seed in range(3):
+            reference, rng = self.generators(seed, buffered)
+            for trial in range(40):
+                for _ in range(1 + trial % 3 // 2):
+                    q = rng.uniform(-np.pi / 2, np.pi / 2, size=d)
+                    assert q.tobytes() == reference.uniform(-np.pi / 2, np.pi / 2, size=d).tobytes()
+                expected = per_genome_rows(space, 1, reference)
+                reals, cats = random_rows(space, 1, rng)
+                assert reals.tobytes() == expected[0].tobytes()
+                assert cats.tobytes() == expected[1].tobytes()
+                assert rng.bit_generator.state == reference.bit_generator.state
+
     def test_refuses_other_bit_generators(self):
         with pytest.raises(TypeError, match="PCG64"):
-            _random_rows(SPACE, 3, np.random.Generator(np.random.Philox(0)))
+            random_rows(SPACE, 3, np.random.Generator(np.random.Philox(0)))
 
 
 class TestRandomSearch:
@@ -628,7 +663,7 @@ class TestRandomSearch:
 
     @pytest.mark.parametrize("space", [SPACE, CONSTANT_SPACE], ids=["variable", "constant"])
     def test_first_rows_equal_generation_zero_of_evolve(self, space):
-        # both take the initial genomes from _random_rows, so bred generations
+        # both take the initial genomes from random_rows, so bred generations
         # never shift the designs a random search of the same seed starts from
         a = evolve(toy_evaluator, space, 20, 200, seed=3, max_objective=32.0)
         r = evolve(toy_evaluator, space, 200, 200, seed=3, max_objective=32.0)
@@ -648,7 +683,7 @@ class TestRandomSearch:
         reals, cats = per_genome_rows(WIDE_SPACE, 1000, np.random.default_rng(11))
         assert np.array_equal(arch.reals, reals)
         assert np.array_equal(arch.cats, cats)
-        objectives, feasible = toy_evaluator(reals, cats)
+        objectives, feasible = toy_evaluator(genome_rows_decode(reals, cats, WIDE_SPACE))
         assert np.array_equal(arch.feasible, feasible)
         assert np.array_equal(arch.objectives[feasible], objectives[feasible])
         assert np.all(arch.objectives[~feasible] == 33.0)
